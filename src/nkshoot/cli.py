@@ -15,21 +15,18 @@ import sys
 
 import numpy as np
 
-from . import exact, geometry, shoot
-from .emit import (CURVE_HEADER, RECORD_HEADER, SERIES_HEADER,
-                   TRAJECTORY_HEADER, SvgFigure, curve_rows, record_row,
-                   series_rows, trajectory_rows, write_csv, write_json,
-                   write_svg)
+from . import exact, shoot
+from .emit import (CURVE_HEADER, SERIES_HEADER, TRAJECTORY_HEADER, SvgFigure,
+                   curve_rows, series_rows, trajectory_rows, write_csv,
+                   write_json, write_svg)
 from .errors import NKError
-from .integrate import MAX_VOLUME_EVENT, integrate
+from .integrate import integrate
 from .series import family_series
-from .state import State, apply_symmetry, constraints, rhs
+from .state import apply_symmetry, constraints, rhs
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
-
-_CONFIG_KEYS = ("rtol", "atol", "order", "n", "format")
 
 
 class _Parser(argparse.ArgumentParser):

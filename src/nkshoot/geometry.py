@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (BoundaryAmbiguousError, BoundViolationError,

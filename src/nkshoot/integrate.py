@@ -29,22 +29,12 @@ EVENT_REFINE_TOL = 1e-13
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar event function of the state with a direction filter.
-
-    fn takes a State; fn_vec, when given, takes (t, y7) and is used in the
-    integration hot loop instead.
-    """
+    """Scalar event function of (t, y7) with a direction filter."""
 
     name: str
-    fn: Callable[[State], float] | None = None
-    fn_vec: Callable[[float, np.ndarray], float] | None = None
+    fn_vec: Callable[[float, np.ndarray], float]
     direction: int = 0          # 0 any, +1 rising, -1 falling
     terminal: bool = False
-
-    def value(self, t: float, y: np.ndarray) -> float:
-        if self.fn_vec is not None:
-            return self.fn_vec(t, y)
-        return self.fn(State.from_vec(t, y))
 
 
 def _volume_event_vec(t: float, y: np.ndarray) -> float:
@@ -93,9 +83,6 @@ class Trajectory:
             raise ValueError(f"t = {t} outside trajectory span [{lo}, {hi}]")
         return State.from_vec(t, self.dense(t))
 
-    def resample(self, times: Sequence[float]) -> list[State]:
-        return [self.state_at(float(t)) for t in times]
-
     def node_states(self) -> list[State]:
         return [State.from_vec(t, y) for t, y in zip(self.times, self.states)]
 
@@ -111,7 +98,7 @@ class Trajectory:
 
 def _wrap_event(spec: EventSpec):
     def g(t, y):
-        return spec.value(t, y)
+        return spec.fn_vec(t, y)
     g.terminal = spec.terminal
     g.direction = float(spec.direction)
     return g
@@ -120,7 +107,6 @@ def _wrap_event(spec: EventSpec):
 def integrate(start: State, horizon: float,
               events: Sequence[EventSpec] = (),
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              method: str = "DOP853",
               allow_unoriented: bool = False) -> Trajectory:
     """Integrate from start.t to horizon with adaptive step control.
 
@@ -156,7 +142,7 @@ def integrate(start: State, horizon: float,
                   direction=-1, terminal=True),
     ]
     all_events = user_events + guards
-    sol = solve_ivp(rhs_vec, (start.t, horizon), start.vec, method=method,
+    sol = solve_ivp(rhs_vec, (start.t, horizon), start.vec, method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True,
                     events=[_wrap_event(e) for e in all_events])
     if sol.status == -1:
@@ -208,7 +194,7 @@ def refine_event(traj: Trajectory, spec: EventSpec, t_guess: float,
     lo_span, hi_span = sorted((traj.t_start, traj.t_end))
 
     def g(t):
-        return spec.value(t, traj.dense(t))
+        return spec.fn_vec(t, traj.dense(t))
 
     w = half_width
     for _ in range(60):

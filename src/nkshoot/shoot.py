@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, root
 
 from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      JunctionMismatchError, NoCrossingError,
                      NoSignChangeError, RefinementStallError)
-from .geometry import MaxOrbitRecord, bohm, count_v0_zeros
+from .geometry import MaxOrbitRecord
 from .integrate import (MAX_VOLUME_EVENT, V0_ZERO_EVENT, EventSpec,
                         Trajectory, integrate)
 from .series import (DEFAULT_ORDER, SeriesSolution, _pint, _pmul, _horner,
@@ -40,6 +40,8 @@ EVENT_GUARD_INTERVAL = 0.1          # uniqueness confirmation window
 JUNCTION_TOL = 1e-7
 MATCH_RESIDUAL = 1e-9
 ROOT_XTOL = 1e-10
+CURVE_SPACING_CAP = 0.2             # max hyperboloid gap between samples
+CURVE_MAX_POINTS = 120
 _REFLECTIONS = {"w1": (-1.0, 1.0), "w2": (1.0, -1.0), "both": (-1.0, -1.0),
                 "none": (1.0, 1.0)}
 
@@ -83,14 +85,12 @@ def _series_volume_integral(sol: SeriesSolution, t_star: float) -> float:
 
 
 def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
-                 rtol: float = 1e-12, atol: float = 1e-12,
-                 extra_events: tuple[EventSpec, ...] = (V0_ZERO_EVENT,),
-                 guard: float = EVENT_GUARD_INTERVAL) -> FamilySolve:
+                 rtol: float = 1e-12, atol: float = 1e-12) -> FamilySolve:
     """Series handoff, integrate to the maximal-volume event, build the
     record, and confirm the event is unique over a short guard interval."""
     sol = family_series(family, param, order)
     t_star, start = handoff(sol)
-    traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT, *extra_events),
+    traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT, V0_ZERO_EVENT),
                      rtol=rtol, atol=atol)
     hit = traj.first_hit("max-volume")
     if traj.termination != "event" or hit is None:
@@ -98,7 +98,7 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
             f"no maximal-volume event for {family}({param}); "
             f"termination = {traj.termination}")
     record = MaxOrbitRecord.from_state(family, param, hit.t, hit.state)
-    _confirm_unique_maximum(hit.state, guard, rtol, atol)
+    _confirm_unique_maximum(hit.state, rtol, atol)
     vol = _series_volume_integral(sol, t_star) + _ode_volume_integral(traj, t_star, hit.t)
     return FamilySolve(family=family, param=param, series=sol, t_star=t_star,
                        traj=traj, record=record, vol_integral=vol)
@@ -110,13 +110,11 @@ def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:
     return val
 
 
-def _confirm_unique_maximum(event_state: State, guard: float,
-                            rtol: float, atol: float) -> None:
+def _confirm_unique_maximum(event_state: State, rtol: float,
+                            atol: float) -> None:
     """Every critical point of V is a strict maximum, so a second event in a
     short continuation would signal a located non-maximum; check none fires."""
-    if guard <= 0.0:
-        return
-    probe = integrate(event_state, event_state.t + guard,
+    probe = integrate(event_state, event_state.t + EVENT_GUARD_INTERVAL,
                       events=(EventSpec("second-max",
                                         fn_vec=MAX_VOLUME_EVENT.fn_vec,
                                         direction=0, terminal=True),),
@@ -150,27 +148,23 @@ class Curve:
     def h_points(self) -> np.ndarray:
         return np.array([r.h_point for r in self.records])
 
-    @property
-    def w_points(self) -> np.ndarray:
-        return np.array([(r.lam, r.mu) for r in self.records])
-
 
 def trace_curve(family: str, param_lo: float, param_hi: float,
-                n_samples: int = 15, spacing_cap: float = 0.2,
-                max_points: int = 120, order: int = DEFAULT_ORDER,
+                n_samples: int = 15, order: int = DEFAULT_ORDER,
                 rtol: float = 1e-12, atol: float = 1e-12) -> Curve:
     """Sample max_orbit on a log-spaced grid, bisecting any gap whose
-    consecutive hyperboloid points are farther apart than spacing_cap."""
+    consecutive hyperboloid points are farther apart than CURVE_SPACING_CAP,
+    up to CURVE_MAX_POINTS samples."""
     if not 0.0 < param_lo < param_hi:
         raise ValueError("need 0 < param_lo < param_hi")
     params = list(np.geomspace(param_lo, param_hi, n_samples))
     recs = {p: max_orbit(family, p, order, rtol, atol) for p in params}
     i = 0
-    while i < len(params) - 1 and len(params) < max_points:
+    while i < len(params) - 1 and len(params) < CURVE_MAX_POINTS:
         p0, p1 = params[i], params[i + 1]
         h0 = np.array(recs[p0].h_point)
         h1 = np.array(recs[p1].h_point)
-        if np.hypot(*(h1 - h0)) > spacing_cap:
+        if np.hypot(*(h1 - h0)) > CURVE_SPACING_CAP:
             mid = math.sqrt(p0 * p1)
             recs[mid] = max_orbit(family, mid, order, rtol, atol)
             params.insert(i + 1, mid)
@@ -251,8 +245,7 @@ def _classify(left: FamilySolve, right: FamilySolve, word: str) -> str:
 
 
 def glue(left: FamilySolve, right: FamilySolve,
-         word: str | None = None, construction: str = "matching",
-         junction_tol: float = JUNCTION_TOL) -> CompleteSolution:
+         construction: str = "matching") -> CompleteSolution:
     """Glue two family solves across their maximal-volume orbits.
 
     Requires the wedge points to agree within tolerance; the right half is
@@ -263,7 +256,7 @@ def glue(left: FamilySolve, right: FamilySolve,
     scale = max(1.0, float(np.max(np.abs(sl.vec))))
     w_gap = max(abs(left.record.lam - right.record.lam),
                 abs(left.record.mu - right.record.mu))
-    if w_gap > junction_tol * scale:
+    if w_gap > JUNCTION_TOL * scale:
         raise JunctionMismatchError(
             f"wedge points differ by {w_gap:.3e}: "
             f"({left.record.lam}, {left.record.mu}) vs "
@@ -272,10 +265,9 @@ def glue(left: FamilySolve, right: FamilySolve,
     for sym in (GLUE_PLUS, GLUE_MINUS):
         transformed = sr.vec * np.asarray(sym.signs, dtype=float)
         gaps[sym.label] = float(np.max(np.abs(sl.vec - transformed)))
-    if word is None:
-        word = min(gaps, key=gaps.get)
+    word = min(gaps, key=gaps.get)
     gap = gaps[word]
-    if gap > junction_tol * scale:
+    if gap > JUNCTION_TOL * scale:
         raise JunctionMismatchError(
             f"junction mismatch: best word {word} leaves gap {gap:.3e} "
             f"(plus: {gaps[GLUE_PLUS.label]:.3e}, "
@@ -311,8 +303,7 @@ def junction_derivative_gap(solution: CompleteSolution) -> float:
 
 def find_doubling(family: str, bracket: tuple[float, float],
                   which: str = "v0", order: int = DEFAULT_ORDER,
-                  rtol: float = 1e-12, atol: float = 1e-12,
-                  xtol: float = ROOT_XTOL) -> CompleteSolution:
+                  rtol: float = 1e-12, atol: float = 1e-12) -> CompleteSolution:
     """Locate a parameter where v0(T) (or u0(T)) vanishes and build the
     doubled solution."""
     if which not in ("v0", "u0"):
@@ -329,12 +320,12 @@ def find_doubling(family: str, bracket: tuple[float, float],
         raise NoSignChangeError(
             f"{which}(T) has no sign change on [{lo}, {hi}]: "
             f"({g_lo:.3e}, {g_hi:.3e})")
-    root = brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16)
-    fs = solve_family(family, root, order, rtol, atol)
+    param = brentq(g, lo, hi, xtol=ROOT_XTOL, rtol=8.9e-16)
+    fs = solve_family(family, param, order, rtol, atol)
     # the Sasaki-Einstein point (1, 1) is excluded
     if fs.record.on_boundary_mu_eq_lambda and fs.record.on_boundary_lambda_one:
         raise BoundaryAmbiguousError(
-            f"doubling root at parameter {root} lands on the excluded "
+            f"doubling root at parameter {param} lands on the excluded "
             f"Sasaki-Einstein point (lambda, mu) = (1, 1)")
     return glue(fs, fs, construction="doubling")
 
@@ -376,33 +367,33 @@ def matching_candidates(alpha: Curve, beta: Curve,
 
 def refine_matching(seed: tuple[float, float], reflection: str,
                     order: int = DEFAULT_ORDER, rtol: float = 1e-12,
-                    atol: float = 1e-12,
-                    residual_tol: float = MATCH_RESIDUAL) -> tuple[float, float]:
-    """Derivative-free local minimization of |alpha_H(a) - R(beta_H(b))|^2
-    seeded at a polyline crossing."""
+                    atol: float = 1e-12) -> tuple[float, float]:
+    """Solve the 2x2 root problem F(a, b) = alpha_H(a) - R(beta_H(b)) = 0
+    (MINPACK hybrid method, finite-difference Jacobian) from a polyline
+    crossing seed.
+
+    Raises RefinementStallError when the solver fails, when an iterate
+    leaves a, b > 0, or when max|F| at the returned point exceeds
+    MATCH_RESIDUAL; a point that is not a root is never returned.
+    """
     refl = np.asarray(_REFLECTIONS[reflection])
 
-    def objective(x):
+    def residual(x):
         a, b = x
-        if a <= 1e-3 or b <= 1e-3:
-            return 1e6
+        if a <= 0.0 or b <= 0.0:
+            raise RefinementStallError(
+                f"matching refinement from seed {seed} with reflection "
+                f"{reflection!r} left the parameter domain at ({a}, {b})")
         ra = max_orbit("alpha", a, order, rtol, atol)
         rb = max_orbit("beta", b, order, rtol, atol)
-        d = np.asarray(ra.h_point) - refl * np.asarray(rb.h_point)
-        return float(d @ d)
+        return np.asarray(ra.h_point) - refl * np.asarray(rb.h_point)
 
-    a0, b0 = seed
-    res = minimize(objective, [a0, b0], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-22,
-                            "initial_simplex": [[a0, b0],
-                                                [a0 * 1.02, b0],
-                                                [a0, b0 * 1.02]],
-                            "maxfev": 600})
-    dist = math.sqrt(max(res.fun, 0.0))
-    if dist > residual_tol:
+    res = root(residual, seed, method="hybr")
+    dist = float(np.max(np.abs(res.fun)))
+    if not res.success or dist > MATCH_RESIDUAL:
         raise RefinementStallError(
-            f"matching refinement stalled at distance {dist:.3e} "
-            f"from seed {seed} with reflection {reflection!r}")
+            f"matching refinement stalled at residual {dist:.3e} "
+            f"from seed {seed} with reflection {reflection!r}: {res.message}")
     return float(res.x[0]), float(res.x[1])
 
 

@@ -81,10 +81,6 @@ class State:
         """Orientation sign u1 v2 - u2 v1 (must be positive)."""
         return self.u[1] * self.v[2] - self.u[2] * self.v[1]
 
-    def is_admissible(self, lam_min: float = LAMBDA_MIN,
-                      mu2_min: float = MU2_MIN) -> bool:
-        return self.lam > lam_min and self.mu2 > mu2_min and self.orient > 0.0
-
 
 @dataclass(frozen=True)
 class ConstraintVector:
@@ -212,21 +208,10 @@ class Symmetry:
             reverse ^= rev
         return cls(".".join(parts), tuple(signs), reverse)
 
-    def compose(self, other: "Symmetry") -> "Symmetry":
-        return Symmetry(f"{self.label}.{other.label}",
-                        tuple(a * b for a, b in zip(self.signs, other.signs)),
-                        self.time_reversal ^ other.time_reversal)
 
-
-TAU1 = Symmetry.from_word("tau1")
-TAU2 = Symmetry.from_word("tau2")
-TAU3 = Symmetry.from_word("tau3")
-TAU4 = Symmetry.from_word("tau4")
-# The two gluing words (right factor of the doubling/matching construction)
-# and the u0/v0 flip used to present curves up to symmetry.
+# The two gluing words (right factor of the doubling/matching construction).
 GLUE_PLUS = Symmetry.from_word("tau1.tau2.tau3")   # flips u0, u1, v2
 GLUE_MINUS = Symmetry.from_word("tau1.tau4")       # flips u1, v0, v2
-FLIP_U0_V0 = Symmetry.from_word("tau2.tau3.tau4")  # flips u0, v0
 
 
 def apply_symmetry(sym: Symmetry | str, s: State) -> State:

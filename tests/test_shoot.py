@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import SQRT2, SQRT3
-from nkshoot.errors import JunctionMismatchError, NoSignChangeError
+from nkshoot import shoot
+from nkshoot.errors import JunctionMismatchError, NKError, NoSignChangeError
 from nkshoot.exact import eval_named
 from nkshoot.geometry import project_H
 from nkshoot.shoot import (find_doubling, find_matching, glue,
                            junction_derivative_gap, matching_candidates,
-                           max_orbit, scan_s2s4_boundary, solve_family,
-                           trace_curve)
+                           max_orbit, refine_matching, scan_s2s4_boundary,
+                           solve_family, trace_curve)
 
 S6_VMAX = 81 * SQRT3 / (25 * math.sqrt(5))
 
@@ -163,6 +164,22 @@ def test_matching_candidates_unreflected_none():
     alpha = trace_curve("alpha", 0.35, 2.2, n_samples=10)
     beta = trace_curve("beta", 0.35, 1.6, n_samples=10)
     assert matching_candidates(alpha, beta, "none") == []
+
+
+def test_refine_matching_without_root_stalls(monkeypatch):
+    # unreflected, the curves never cross, so the root solve must give up
+    # with a typed error (its iterates head to b <= 0) instead of leaking
+    # the series' ValueError or returning a point that is not a root
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return max_orbit(*args)
+
+    monkeypatch.setattr(shoot, "max_orbit", counted)
+    with pytest.raises(NKError):
+        refine_matching((0.56, 0.60), "none")
+    assert len(calls) < 60
 
 
 def test_find_matching_homogeneous_s6():
