@@ -21,7 +21,7 @@ from .emit import (CURVE_HEADER, SERIES_HEADER, TRAJECTORY_HEADER, SvgFigure,
                    write_json, write_svg)
 from .errors import NKError
 from .integrate import integrate
-from .series import family_series
+from .series import family_series, handoff
 from .state import apply_symmetry, constraints, rhs
 
 EXIT_OK = 0
@@ -298,6 +298,10 @@ def main(argv=None) -> int:
     atol = _resolve(args, "atol", float, 1e-12)
     order = _resolve(args, "order", int, 40)
     out = _resolve(args, "out", str, None)
+    if order < 1:
+        print(f"nkshoot: invalid config: order must be at least 1, got {order}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         if args.command == "verify":
@@ -318,7 +322,6 @@ def main(argv=None) -> int:
         if args.command == "traj":
             if args.horizon is not None:
                 sol = family_series(args.family, args.param, order)
-                from .series import handoff
                 t_star, start = handoff(sol)
                 traj = integrate(start, args.horizon, rtol=rtol, atol=atol)
             else:

@@ -12,9 +12,20 @@ Writing y(x) = sum_h y_h x^h, the coefficients satisfy
 
 where N collects the beyond-linear part of M_-1; the bracket depends only on
 y_1 .. y_{h-1}, so the series is built order by order with one 7x7 solve per
-order. Both M_-1 and x*M are supplied as truncated-power-series evaluators,
-which also yields A exactly: the x^1 coefficient of M_-1(y0 + e_j x) is the
-j-th column.
+order.
+
+The right-hand side M_-1, x*M is written once, as ordinary arithmetic on
+placeholder series, and recorded as a straight-line program whose
+intermediates (products, 1/y7, 1/(y2-y1), 1/D, 1/Q, ...) are rows of a
+running coefficient table. Order h appends one column: each intermediate's
+[x^h] coefficient follows from columns 0..h of its operands (relaxed, or
+online, Taylor arithmetic; Jorba & Zou, Exp. Math. 14, 2005), so a build of
+order n costs O(n^2) instead of re-evaluating the truncated series at every
+order. Each intermediate's [x^h] is affine in y_h with a gradient G that
+depends only on the order-0 column, so the bracket is evaluated with
+y_h = 0 and, after the solve, one update C[:, h] += G @ y_h completes the
+column; the same G gives A exactly. Resonance is checked once, on the
+condition numbers of the stacked h*Id - A for h = 1 .. order.
 
 Four solution families are produced:
   S2        u_i(0) = (a^2, a^2, 0), v(0) = 0, lambda ~ (3/2) t; variable t.
@@ -25,6 +36,7 @@ Four solution families are produced:
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,18 +58,6 @@ _COMPONENTS = ("lam", "u0", "u1", "u2", "v0", "v1", "v2")
 
 def _pmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.convolve(a[:n + 1], b[:n + 1])[:n + 1]
-
-
-def _pdiv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """a/b as truncated series; requires b[0] != 0."""
-    q = np.zeros(n + 1)
-    q[0] = a[0] / b[0]
-    for k in range(1, n + 1):
-        acc = a[k] if k < len(a) else 0.0
-        m = min(k, len(b) - 1)
-        acc -= np.dot(q[k - m:k], b[m:0:-1])
-        q[k] = acc / b[0]
-    return q
 
 
 def _psqrt(a: np.ndarray, n: int) -> np.ndarray:
@@ -85,78 +85,244 @@ def _horner(c: np.ndarray, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# relaxed series arithmetic: a right-hand side recorded as a program over
+# the rows of a coefficient table C (row = series, column = order)
+
+_LIN, _MUL, _INV = range(3)
+
+
+class _Series:
+    """Placeholder for const + sum(coef * row) while a right-hand side is
+    recorded. Linear operations stay symbolic; series * series and
+    1 / series record a new row."""
+
+    __array_ufunc__ = None   # numpy scalars defer to the reflected operators
+
+    def __init__(self, prog: _Program, coefs: dict[int, float],
+                 const: float = 0.0):
+        self.prog = prog
+        self.coefs = coefs
+        self.const = const
+
+    def __add__(self, other):
+        other = self.prog.lift(other)
+        coefs = dict(self.coefs)
+        for row, c in other.coefs.items():
+            coefs[row] = coefs.get(row, 0.0) + c
+        return _Series(self.prog, coefs, self.const + other.const)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, numbers.Real):
+            return _Series(self.prog,
+                           {r: c * other for r, c in self.coefs.items()},
+                           self.const * other)
+        return self.prog.record(_MUL, self, other)
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        return self.prog.record(_INV, self) * other
+
+
+class _Program:
+    """rhs(y, x) recorded once. Rows 0..dim-1 hold the unknowns y, row dim
+    the variable x; every further row is one recorded operation
+    (kind, out, a, b): a product of rows a and b, the reciprocal of row a,
+    or a linear combination with terms a = ((row, coef), ...) and order-0
+    constant b. advance() fills one column (order) of every recorded row;
+    Mm1 and W = Mm1 + xM map a column to [x^h] M_-1 and [x^h] (M_-1 + x M),
+    and Mm1_const is the constant part of M_-1 at order 0."""
+
+    def __init__(self, dim: int, rhs: Callable):
+        self.dim = dim
+        self.ops: list[tuple] = []
+        self.n_rows = dim + 1
+        y = [_Series(self, {i: 1.0}) for i in range(dim)]
+        mm1, xm = rhs(y, _Series(self, {dim: 1.0}))
+        self.Mm1, self.Mm1_const = self._outputs(mm1)
+        self.W = self.Mm1 + self._outputs(xm)[0]
+        # operand rows of each op's convolution sum_k C[p, k] C[q, h-k]:
+        # (a, b) for a product, (a, out) for a reciprocal; a linear
+        # combination has none and points at the x row (the sum is unused)
+        self._p = np.array([a if k != _LIN else dim for k, _, a, _ in self.ops],
+                           dtype=int)
+        self._q = np.array([b if k == _MUL else out if k == _INV else dim
+                            for k, out, _, b in self.ops], dtype=int)
+
+    def lift(self, v) -> _Series:
+        if isinstance(v, _Series):
+            return v
+        return _Series(self, {}, float(v))
+
+    def _row(self, s: _Series) -> int:
+        """Row holding s, recording a linear combination when needed; s is
+        rebound to that row so later uses share it."""
+        if s.const == 0.0 and len(s.coefs) == 1:
+            (row, c), = s.coefs.items()
+            if c == 1.0:
+                return row
+        row = self._new_row(_LIN, tuple(s.coefs.items()), s.const)
+        s.coefs, s.const = {row: 1.0}, 0.0
+        return row
+
+    def _new_row(self, kind: int, a, b) -> int:
+        row = self.n_rows
+        self.n_rows += 1
+        self.ops.append((kind, row, a, b))
+        return row
+
+    def record(self, kind: int, a: _Series, b=None) -> _Series:
+        b = None if b is None else self._row(self.lift(b))
+        return _Series(self, {self._new_row(kind, self._row(a), b): 1.0})
+
+    def _outputs(self, exprs) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix and order-0 constants of dim linear combinations of rows."""
+        M = np.zeros((self.dim, self.n_rows))
+        const = np.zeros(self.dim)
+        for i, e in enumerate(exprs):
+            e = self.lift(e)
+            for row, c in e.coefs.items():
+                M[i, row] += c
+            const[i] = e.const
+        return M, const
+
+    def table(self, order: int) -> np.ndarray:
+        """Empty table up to the given order, with the x row filled."""
+        C = np.zeros((self.n_rows, order + 1))
+        if order >= 1:
+            C[self.dim, 1] = 1.0
+        return C
+
+    def advance(self, C: np.ndarray, h: int) -> None:
+        """Column h of every recorded row from columns 0..h of its operands
+        (columns 0..h of the unknowns must be filled). The convolution sums
+        over orders 1..h-1 of all ops are one vectorised product; the terms
+        with an order-h factor follow op by op."""
+        col = C[:, h].tolist()
+        if h == 0:
+            for kind, out, a, b in self.ops:
+                if kind == _MUL:
+                    col[out] = col[a] * col[b]
+                elif kind == _INV:
+                    col[out] = 1.0 / col[a]
+                else:
+                    col[out] = sum(c * col[r] for r, c in a) + b
+        else:
+            c0 = C[:, 0].tolist()
+            mid = (C[self._p, 1:h] * C[self._q, h - 1:0:-1]).sum(axis=1).tolist()
+            for (kind, out, a, b), m in zip(self.ops, mid):
+                if kind == _MUL:
+                    col[out] = m + c0[a] * col[b] + col[a] * c0[b]
+                elif kind == _INV:
+                    col[out] = -(m + col[a] * c0[out]) / c0[a]
+                else:
+                    col[out] = sum(c * col[r] for r, c in a)
+        C[:, h] = col
+
+    def start(self, y0: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Table with column 0 filled from y0, and the gradient
+        G[row, j] = d C[row, h] / d y_h[j], the same for every h >= 1. Column
+        1 has no convolution terms, so it is linear in (y_1, x_1) and
+        advancing the unit vectors e_j (with x_1 = 0) gives G."""
+        C = self.table(order)
+        C[:self.dim, 0] = y0
+        self.advance(C, 0)
+        G = np.empty((self.n_rows, self.dim))
+        T = np.zeros((self.n_rows, 2))
+        T[:, 0] = C[:, 0]
+        for j in range(self.dim):
+            T[:, 1] = 0.0
+            T[j, 1] = 1.0
+            self.advance(T, 1)
+            G[:, j] = T[:, 1]
+        return C, G
+
+
+# ---------------------------------------------------------------------------
 # generic recurrence
 
 @dataclass(frozen=True)
 class SingularIVP:
-    """A singular IVP instance given by series evaluators.
+    """A singular IVP y' = (1/x) M_-1(y) + M(x, y), y(0) = y0.
 
-    evaluate(y_series, n) must return (Mm1, xM): lists of coefficient arrays
-    for M_-1(y(x)) and x*M(x, y(x)) truncated at order n.
+    rhs(y, x) receives placeholder series for the dim unknowns and for the
+    variable x and returns (M_-1, x*M), two lists of dim expressions built
+    with +, -, scalar *, series * series and 1 / series. It is called once,
+    at construction, to record the program the recurrence runs.
     """
 
     dim: int
     y0: np.ndarray
-    evaluate: Callable[[list[np.ndarray], int], tuple[list[np.ndarray], list[np.ndarray]]]
+    rhs: Callable[[list[_Series], _Series], tuple[list, list]]
     name: str = ""
+    program: _Program = field(init=False, repr=False, compare=False)
 
-    def consistency_residual(self) -> float:
-        series = [np.array([v]) for v in self.y0]
-        mm1, _ = self.evaluate(series, 0)
-        return float(max(abs(m[0]) for m in mm1))
+    def __post_init__(self):
+        object.__setattr__(self, "program", _Program(self.dim, self.rhs))
 
     def linearization(self) -> np.ndarray:
-        """d_{y0}M_-1, extracted exactly as the x^1 response of M_-1."""
-        k = self.dim
-        A = np.empty((k, k))
-        for j in range(k):
-            series = [np.zeros(2) for _ in range(k)]
-            for i in range(k):
-                series[i][0] = self.y0[i]
-            series[j][1] = 1.0
-            mm1, _ = self.evaluate(series, 1)
-            A[:, j] = [m[1] for m in mm1]
-        return A
+        """d_{y0}M_-1, the gradient of [x^h] M_-1 in y_h (any h >= 1)."""
+        _, G = self.program.start(self.y0, 0)
+        return self.program.Mm1 @ G
 
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient table Y (dim x order+1) of the unique series solution.
+    """Coefficient table Y (dim x order+1) of the unique series solution,
+    and A = d_{y0}M_-1, by the relaxed recurrence in O(order^2) work.
 
-    Raises SeriesConsistencyError if M_-1(y0) != 0 and ResonanceError if some
-    h*Id - d_{y0}M_-1 with 1 <= h <= order is ill conditioned.
+    Raises ValueError if order < 1, SeriesConsistencyError if
+    M_-1(y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
+    for which h*Id - A is ill conditioned; all h are checked, in one batch,
+    before the first solve.
     """
-    k = problem.dim
-    scale = 1.0 + float(np.max(np.abs(problem.y0)))
-    res = problem.consistency_residual()
-    if res > 1e-13 * scale:
-        raise SeriesConsistencyError(
-            f"{problem.name or 'singular IVP'}: |M_-1(y0)| = {res:.3e}")
-    A = problem.linearization()
-    Y = np.zeros((k, order + 1))
-    Y[:, 0] = problem.y0
-    eye = np.eye(k)
+    if order < 1:
+        raise ValueError(f"series order must be at least 1, got {order}")
+    prog, k = problem.program, problem.dim
+    name = problem.name or "singular IVP"
+    C, G = prog.start(problem.y0, order)
+    res = float(np.max(np.abs(prog.Mm1 @ C[:, 0] + prog.Mm1_const)))
+    if res > 1e-13 * (1.0 + float(np.max(np.abs(problem.y0)))):
+        raise SeriesConsistencyError(f"{name}: |M_-1(y0)| = {res:.3e}")
+    A = prog.Mm1 @ G
+    lhs = np.arange(1, order + 1)[:, None, None] * np.eye(k) - A
+    cond = np.linalg.cond(lhs)
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))   # also catches inf and nan
+    if bad.size:
+        h = int(bad[0]) + 1
+        raise ResonanceError(
+            f"{name}: h*Id - dM_-1 ill conditioned at h = {h} "
+            f"(cond = {cond[h - 1]:.3e})")
+    # y_h = (h*Id - A)^-1 W C[:, h], with the inverses taken in one batch
+    IW = np.linalg.inv(lhs) @ prog.W
     for h in range(1, order + 1):
-        Mm1, xM = problem.evaluate([Y[i][:h + 1] for i in range(k)], h)
-        c = np.array([Mm1[i][h] + xM[i][h] for i in range(k)])
-        lhs = h * eye - A
-        cond = np.linalg.cond(lhs)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise ResonanceError(
-                f"{problem.name or 'singular IVP'}: h*Id - dM_-1 ill "
-                f"conditioned at h = {h} (cond = {cond:.3e})")
-        Y[:, h] = np.linalg.solve(lhs, c)
-    return Y, A
+        prog.advance(C, h)
+        C[:, h] += G @ (IW[h - 1] @ C[:, h])
+    return C[:k].copy(), A
 
 
 def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
-    """Per-order residual |h y_h - [x^h](M_-1 + x M)| of a computed table."""
+    """Per-order residual |h y_h - [x^h](M_-1 + x M)| of a computed table,
+    from a fresh evaluation of the recorded right-hand side on Y."""
+    prog = problem.program
     k, n1 = Y.shape
-    n = n1 - 1
-    Mm1, xM = problem.evaluate([Y[i] for i in range(k)], n)
-    res = np.zeros(n + 1)
-    for h in range(1, n + 1):
-        r = np.array([h * Y[i][h] - Mm1[i][h] - xM[i][h] for i in range(k)])
-        res[h] = np.max(np.abs(r))
+    C = prog.table(n1 - 1)
+    C[:k] = Y
+    for h in range(n1):
+        prog.advance(C, h)
+    r = np.arange(n1) * Y - prog.W @ C
+    res = np.max(np.abs(r), axis=0)
+    res[0] = 0.0
     return res
 
 
@@ -173,45 +339,35 @@ def s2_problem(a: float, name: str = "S2") -> SingularIVP:
     y0 = np.array([-3 * a2, -3 * a2 + 1.5, -1.5 * sq3 * a,
                    3 * a2, 3 * a2, 1.5 * sq3 * a, 1.5])
 
-    def evaluate(y, n):
+    def rhs(y, x):
         y1, y2, y3, y4, y5, y6, y7 = y
-        one = np.zeros(n + 1)
-        one[0] = 1.0
-        x2 = np.zeros(n + 1)
-        if n >= 2:
-            x2[2] = 1.0
-        r7 = _pdiv(one, y7, n)
-        r72 = _pmul(r7, r7, n)
+        x2 = x * x
+        r7 = 1 / y7
         d21 = y2 - y1
-        rd = _pdiv(one, d21, n)
-        y36 = _pmul(y3, y6, n)
-        y77 = _pmul(y7, y7, n)
+        rd = 1 / d21
+        y77 = y7 * y7
+        w = y3 * y6 * (r7 * r7)
+        p = y77 * rd + (1.5 / a2) * (w * rd)
         mm1 = [
-            -(2 * y1 + 3 * _pmul(y4, r7, n)),
-            -(2 * y2 + 3 * _pmul(y5, r7, n) - 2 * y7),
-            -(2 * y3 + 3 * _pmul(y6, r7, n)),
+            -(2 * y1 + 3 * (y4 * r7)),
+            -(2 * y2 + 3 * (y5 * r7) - 2 * y7),
+            -(2 * y3 + 3 * (y6 * r7)),
             -(2 * y4 - 4 * a2 * y7),
             -(2 * y5 - 4 * a2 * y7),
-            -(2 * y6 + 3 * _pmul(y3, r7, n)),
-            -(y7 + _pmul(y77, rd, n)
-              + (1.5 / a2) * _pmul(_pmul(y36, r72, n), rd, n)),
+            -(2 * y6 + 3 * (y3 * r7)),
+            -(y7 + p),
         ]
         # x*M rows; D = mu^2 / t^2 = 2 a^2 (y2-y1) + t^2 (y2^2 - y1^2 + y3^2)
-        D = 2 * a2 * d21 + _pmul(
-            x2, _pmul(y2, y2, n) - _pmul(y1, y1, n) + _pmul(y3, y3, n), n)
-        rD = _pdiv(one, D, n)
-        u1_full = a2 * one + _pmul(x2, y2, n)
-        xm = [np.zeros(n + 1) for _ in range(7)]
-        xm[3] = 4 * _pmul(x2, _pmul(y1, y7, n), n)
-        xm[4] = 4 * _pmul(x2, _pmul(y2, y7, n), n)
-        xm[5] = 4 * _pmul(x2, _pmul(y3, y7, n), n)
-        xm[6] = (_pmul(y77, rd, n)
-                 + (1.5 / a2) * _pmul(_pmul(y36, r72, n), rd, n)
-                 - 2 * _pmul(_pmul(y77, u1_full, n), rD, n)
-                 - 3 * _pmul(_pmul(y36, r72, n), rD, n))
+        rD = 1 / (2 * a2 * d21 + x2 * (y2 * y2 - y1 * y1 + y3 * y3))
+        u1_full = a2 + x2 * y2
+        xm = [0.0, 0.0, 0.0,
+              4 * (x2 * (y1 * y7)),
+              4 * (x2 * (y2 * y7)),
+              4 * (x2 * (y3 * y7)),
+              p - 2 * (y77 * u1_full * rD) - 3 * (w * rD)]
         return mm1, xm
 
-    return SingularIVP(7, y0, evaluate, name=name)
+    return SingularIVP(7, y0, rhs, name=name)
 
 
 def s3_bubble_problem(b: float, name: str = "S3-bubble") -> SingularIVP:
@@ -226,30 +382,27 @@ def s3_bubble_problem(b: float, name: str = "S3-bubble") -> SingularIVP:
     b2 = b * b
     y0 = np.array([2 * b, 2.0, -2.0, 4 * b2, 4 * b, 3 - 4 * b2, 1.0])
 
-    def evaluate(y, n):
+    def rhs(y, x):
         y1, y2, y3, y4, y5, y6, y7 = y
-        one = np.zeros(n + 1)
-        one[0] = 1.0
-        x2 = np.zeros(n + 1)
-        if n >= 2:
-            x2[2] = 1.0
-        Q = -_pmul(y1, y1, n) + _pmul(y2, y2, n) + b2 * _pmul(y3, y3, n)
-        rQ = _pdiv(one, Q, n)
-        m1 = -(y1 - 2 * b * one)
-        m2 = -(y2 - 2 * y7)
-        m3 = -(y3 + 2 * one)
-        m4 = -(2 * y4 - 4 * b * _pmul(y1, y7, n))
-        m5 = -(2 * y5 - 4 * b * _pmul(y2, y7, n))
-        m6 = -(2 * y6 - 4 * b2 * _pmul(y3, y7, n) + 3 * y3)
-        m7 = -4 * _pmul(_pmul(y2, _pmul(y7, y7, n), n) + y3, rQ, n)
-        xm = [np.zeros(n + 1) for _ in range(7)]
-        xm[0] = -3 * b * _pmul(x2, y4, n)
-        xm[1] = -3 * b * _pmul(x2, y5, n)
-        xm[2] = -3 * _pmul(x2, y6, n)
-        xm[6] = -6 * _pmul(x2, _pmul(_pmul(y3, y6, n), rQ, n), n)
-        return [m1, m2, m3, m4, m5, m6, m7], xm
+        x2 = x * x
+        rQ = 1 / (y2 * y2 - y1 * y1 + b2 * (y3 * y3))
+        mm1 = [
+            -(y1 - 2 * b),
+            -(y2 - 2 * y7),
+            -(y3 + 2),
+            -(2 * y4 - 4 * b * (y1 * y7)),
+            -(2 * y5 - 4 * b * (y2 * y7)),
+            -(2 * y6 - 4 * b2 * (y3 * y7) + 3 * y3),
+            -4 * ((y2 * (y7 * y7) + y3) * rQ),
+        ]
+        xm = [-3 * b * (x2 * y4),
+              -3 * b * (x2 * y5),
+              -3 * (x2 * y6),
+              0.0, 0.0, 0.0,
+              -6 * (x2 * (y3 * y6 * rQ))]
+        return mm1, xm
 
-    return SingularIVP(7, y0, evaluate, name=name)
+    return SingularIVP(7, y0, rhs, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,15 @@ def refine_matching(seed: tuple[float, float], reflection: str,
     MATCH_RESIDUAL; a point that is not a root is never returned.
     """
     refl = np.asarray(_REFLECTIONS[reflection])
+    # hybr evaluates F at the seed more than once and its finite-difference
+    # columns repeat one parameter, so each member is solved once per call
+    records: dict[tuple[str, float], MaxOrbitRecord] = {}
+
+    def record(family: str, p: float) -> MaxOrbitRecord:
+        key = (family, float(p))
+        if key not in records:
+            records[key] = max_orbit(family, p, order, rtol, atol)
+        return records[key]
 
     def residual(x):
         a, b = x
@@ -384,8 +393,8 @@ def refine_matching(seed: tuple[float, float], reflection: str,
             raise RefinementStallError(
                 f"matching refinement from seed {seed} with reflection "
                 f"{reflection!r} left the parameter domain at ({a}, {b})")
-        ra = max_orbit("alpha", a, order, rtol, atol)
-        rb = max_orbit("beta", b, order, rtol, atol)
+        ra = record("alpha", a)
+        rb = record("beta", b)
         return np.asarray(ra.h_point) - refl * np.asarray(rb.h_point)
 
     res = root(residual, seed, method="hybr")

@@ -105,6 +105,17 @@ def test_bad_config_exits_3(tmp_path):
     assert main(["--config", str(cfg), "verify"]) == 3
 
 
+def test_order_below_one_exits_3(tmp_path, capsys):
+    out = tmp_path / "coef.csv"
+    args = ["series", "--family", "psi-a", "--param", "0.7", "--out", str(out)]
+    assert main(args + ["--order", "-3"]) == 3
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("order = 0\n")
+    assert main(["--config", str(cfg)] + args) == 3
+    assert "order" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solver_failure_exits_2(tmp_path, capsys):
     # an impossible bracket has no sign change: machine-readable error record
     out = tmp_path / "x.json"

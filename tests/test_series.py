@@ -22,14 +22,9 @@ from nkshoot.state import apply_symmetry, constraints
 
 def _toy_problem(coeff: float) -> SingularIVP:
     """Scalar y' = (1/t)(coeff * y) + 1, y0 = 0."""
-    def evaluate(y, n):
-        one = np.zeros(n + 1)
-        one[0] = 1.0
-        x = np.zeros(n + 1)
-        if n >= 1:
-            x[1] = 1.0
+    def rhs(y, x):
         return [coeff * y[0]], [x]
-    return SingularIVP(1, np.array([0.0]), evaluate, name="toy")
+    return SingularIVP(1, np.array([0.0]), rhs, name="toy")
 
 
 def test_toy_scalar_recurrence():
@@ -47,12 +42,28 @@ def test_resonance_gate():
         solve_singular_ivp(_toy_problem(2.0), 10)
 
 
+def test_resonance_gate_names_first_h_within_order():
+    # all orders are checked in one batch before the first solve; the error
+    # names the first resonant h, and a resonance beyond the order is not one
+    with pytest.raises(ResonanceError, match=r"at h = 2 "):
+        solve_singular_ivp(_toy_problem(2.0), 10)
+    Y, _ = solve_singular_ivp(_toy_problem(5.0), 4)
+    assert np.allclose(Y[0], [0.0, -0.25, 0.0, 0.0, 0.0], atol=1e-16)
+    with pytest.raises(ResonanceError, match=r"at h = 5 "):
+        solve_singular_ivp(_toy_problem(5.0), 5)
+
+
+def test_order_below_one_rejected():
+    with pytest.raises(ValueError, match="order"):
+        solve_singular_ivp(_toy_problem(-2.0), 0)
+    with pytest.raises(ValueError, match="order"):
+        series_psi_a(0.7, -3)
+
+
 def test_consistency_gate():
-    def evaluate(y, n):
-        one = np.zeros(n + 1)
-        one[0] = 1.0
-        return [-2.0 * y[0] + one], [np.zeros(n + 1)]
-    bad = SingularIVP(1, np.array([0.0]), evaluate, name="bad")
+    def rhs(y, x):
+        return [-2.0 * y[0] + 1.0], [0.0]
+    bad = SingularIVP(1, np.array([0.0]), rhs, name="bad")
     with pytest.raises(SeriesConsistencyError):
         solve_singular_ivp(bad, 5)
 
@@ -85,6 +96,20 @@ def test_recurrence_exactness(family, param):
     res = recurrence_residuals(prob, Y)
     scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
     assert float(np.max(res / scale)) < 1e-12
+
+
+@pytest.mark.parametrize("family,param", [("s2", 0.12), ("s2", 4.0),
+                                          ("s3", 0.0), ("s3", 0.12),
+                                          ("s3", 1.6)])
+def test_sweep_extremes(family, param):
+    # the benchmark sweep's parameter extremes: alpha in [0.12, 4], beta in
+    # [0.12, 1.6], and the conical bubble limit b = 0
+    prob = s2_problem(param) if family == "s2" else s3_bubble_problem(param)
+    Y, A = solve_singular_ivp(prob, 40)
+    res = recurrence_residuals(prob, Y)
+    scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
+    assert float(np.max(res / scale)) < 1e-12
+    assert np.array_equal(A, prob.linearization())
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,21 @@ def test_refine_matching_without_root_stalls(monkeypatch):
     assert len(calls) < 60
 
 
+def test_refine_matching_solves_each_member_once(monkeypatch):
+    # hybr evaluates F at the seed repeatedly and each finite-difference
+    # column repeats one parameter; every family member is solved once
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return max_orbit(*args)
+
+    monkeypatch.setattr(shoot, "max_orbit", counted)
+    a, b = refine_matching((0.56, 0.60), "w1")
+    assert abs(a - 0.5646) < 0.003 and abs(b - 0.5985) < 0.003
+    assert len(calls) == len(set(calls))
+
+
 def test_find_matching_homogeneous_s6():
     sol = find_matching((1.2, 2.4), (1.05, 1.9), n_samples=8)
     assert sol.manifold == "S6"
