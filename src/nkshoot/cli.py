@@ -21,12 +21,28 @@ from .emit import (CURVE_HEADER, SERIES_HEADER, TRAJECTORY_HEADER, SvgFigure,
                    write_json, write_svg)
 from .errors import NKError
 from .integrate import integrate
-from .series import family_series, handoff
+from .series import (DEFAULT_ORDER, family_series, handoff, series_bubble_a,
+                     series_bubble_b, series_psi_a, series_psi_b)
 from .state import apply_symmetry, constraints, rhs
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
+
+
+# every solve target once, in table-2 row order: its table-2 label, its
+# construction, and the doubling's (family, bracket, which) or the
+# matching's (alpha range, beta range)
+_TARGETS = {
+    "s3xs3-exotic": ("S3xS3-new", "doubling", ("beta", (0.2, 0.6), "v0")),
+    "s6-exotic": ("S6-new", "matching", ((0.35, 0.95), (0.35, 0.95))),
+    "cp3": ("CP3", "doubling", ("alpha", (0.7, 1.0), "v0")),
+    "s3s3-homog": ("S3xS3-std", "doubling", ("beta", (0.9, 1.1), "u0")),
+    "s6-homog": ("S6-std", "matching", ((1.2, 2.4), (1.05, 1.9))),
+}
+
+_SERIES_FAMILIES = {"psi-a": series_psi_a, "psi-b": series_psi_b,
+                    "bubble-a": series_bubble_a, "bubble-b": series_bubble_b}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,17 +66,29 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _resolve(args, key: str, cast, default):
-    """flags > config file > defaults."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if getattr(args, "_config", None) and key in args._config:
-        return cast(args._config[key])
-    return default
+def _config_defaults(sp: argparse.ArgumentParser,
+                     config: dict[str, str]) -> None:
+    """Config values become the defaults of sp's options. argparse converts
+    a string default with the option's own type= when no flag overrides it,
+    and a bad value ends in _Parser.error; choices it checks on flags only,
+    so they are checked here."""
+    defaults = {}
+    for action in sp._actions:
+        if action.dest not in config:
+            continue
+        value = config[action.dest]
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            sp.error(f"argument {action.option_strings[0]}: invalid choice: "
+                     f"{value!r} (choose from {choices})")
+        defaults[action.dest] = value
+    sp.set_defaults(**defaults)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None,
+                 command: str | None = None) -> argparse.ArgumentParser:
+    """The nkshoot parser; the config values, when given, become the
+    defaults of command's options (flags > config file > defaults)."""
     p = _Parser(prog="nkshoot",
                 description="Numerical reconstruction of cohomogeneity-one "
                             "nearly Kahler structures by shooting")
@@ -68,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--rtol", type=float, default=None)
-        sp.add_argument("--atol", type=float, default=None)
-        sp.add_argument("--order", type=int, default=None,
+        sp.add_argument("--rtol", type=float, default=1e-12)
+        sp.add_argument("--atol", type=float, default=1e-12)
+        sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
                         help="series truncation order")
         sp.add_argument("--out", default=None, help="output file path")
 
@@ -80,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("series", help="coefficient dump of one series family")
     common(sp)
     sp.add_argument("--family", required=True,
-                    choices=["psi-a", "psi-b", "bubble-a", "bubble-b"])
+                    choices=list(_SERIES_FAMILIES))
     sp.add_argument("--param", type=float, required=True)
 
     sp = sub.add_parser("traj", help="single trajectory CSV up to the "
@@ -96,13 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=["alpha", "beta"])
     sp.add_argument("--lo", type=float, required=True)
     sp.add_argument("--hi", type=float, required=True)
-    sp.add_argument("--n", type=int, default=None, help="grid samples")
+    sp.add_argument("--n", type=int, default=15, help="grid samples")
 
     sp = sub.add_parser("solve", help="one complete solution as JSON")
     common(sp)
-    sp.add_argument("--target", required=True,
-                    choices=["s3xs3-exotic", "s6-exotic", "cp3",
-                             "s3s3-homog", "s6-homog"])
+    sp.add_argument("--target", required=True, choices=list(_TARGETS))
 
     sp = sub.add_parser("table2", help="all six reference rows as JSON")
     common(sp)
@@ -123,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--lo", type=float, default=0.1)
     sp.add_argument("--hi", type=float, default=10.0)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=int, default=40)
+    if config:
+        _config_defaults(sub.choices[command], config)
     return p
 
 
@@ -200,20 +228,13 @@ def run_verify(rtol: float, atol: float) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 # solve targets and the reference table
 
-def _solve_target(target: str, order: int, rtol: float, atol: float):
-    if target == "s3xs3-exotic":
-        return shoot.find_doubling("beta", (0.2, 0.6), "v0", order, rtol, atol)
-    if target == "cp3":
-        return shoot.find_doubling("alpha", (0.7, 1.0), "v0", order, rtol, atol)
-    if target == "s3s3-homog":
-        return shoot.find_doubling("beta", (0.9, 1.1), "u0", order, rtol, atol)
-    if target == "s6-exotic":
-        return shoot.find_matching((0.35, 0.95), (0.35, 0.95),
-                                   order=order, rtol=rtol, atol=atol)
-    if target == "s6-homog":
-        return shoot.find_matching((1.2, 2.4), (1.05, 1.9),
-                                   order=order, rtol=rtol, atol=atol)
-    raise ValueError(f"unknown target {target!r}")
+def _solve_target(target: str, order: int, rtol: float, atol: float,
+                  curves: tuple[shoot.Curve, shoot.Curve] | None = None):
+    _, construction, args = _TARGETS[target]
+    if construction == "doubling":
+        return shoot.find_doubling(*args, order, rtol, atol)
+    return shoot.find_matching(*args, order=order, rtol=rtol, atol=atol,
+                               curves=curves)
 
 
 def _sine_cone_row() -> dict:
@@ -234,13 +255,9 @@ def _sine_cone_row() -> dict:
 
 def run_table2(order: int, rtol: float, atol: float) -> dict:
     rows = [_sine_cone_row()]
-    for target in ("s3xs3-exotic", "s6-exotic", "cp3", "s3s3-homog",
-                   "s6-homog"):
-        sol = _solve_target(target, order, rtol, atol)
-        row = sol.as_dict()
-        row["manifold"] = {"s3xs3-exotic": "S3xS3-new", "s6-exotic": "S6-new",
-                           "cp3": "CP3", "s3s3-homog": "S3xS3-std",
-                           "s6-homog": "S6-std"}[target]
+    for target, (label, _, _) in _TARGETS.items():
+        row = _solve_target(target, order, rtol, atol).as_dict()
+        row["manifold"] = label
         rows.append(row)
     return {"normalization": "vol(S6-std) = 1", "rows": rows}
 
@@ -271,14 +288,11 @@ def run_fig2(args, order: int, rtol: float, atol: float) -> SvgFigure:
         for label, w1, w2 in _KNOWN_MARKERS:
             fig.add_marker(label, "#1e8449", w1, w2)
         if args.markers == "solve":
-            dbl = shoot.find_doubling("beta", (0.2, 0.6), "v0",
-                                      order, rtol, atol)
-            fig.add_marker("S3xS3-new", "#b7950b",
-                           *dbl.left.record.h_point)
-            mat = shoot.find_matching((0.35, 0.95), (0.35, 0.95),
-                                      order=order, rtol=rtol, atol=atol,
-                                      curves=(alpha, beta))
-            fig.add_marker("S6-new", "#b7950b", *mat.left.record.h_point)
+            for target, curves in (("s3xs3-exotic", None),
+                                   ("s6-exotic", (alpha, beta))):
+                sol = _solve_target(target, order, rtol, atol, curves)
+                fig.add_marker(_TARGETS[target][0], "#b7950b",
+                               *sol.left.record.h_point)
     return fig
 
 
@@ -286,18 +300,16 @@ def run_fig2(args, order: int, rtol: float, atol: float) -> SvgFigure:
 # entry point
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        args._config = _read_config(args.config) if args.config else {}
-    except (OSError, ValueError) as e:
-        print(f"nkshoot: invalid config: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    args = build_parser().parse_args(argv)
+    if args.config:
+        try:
+            config = _read_config(args.config)
+        except (OSError, ValueError) as e:
+            print(f"nkshoot: invalid config: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        args = build_parser(config, args.command).parse_args(argv)
 
-    rtol = _resolve(args, "rtol", float, 1e-12)
-    atol = _resolve(args, "atol", float, 1e-12)
-    order = _resolve(args, "order", int, 40)
-    out = _resolve(args, "out", str, None)
+    rtol, atol, order, out = args.rtol, args.atol, args.order, args.out
     if order < 1:
         print(f"nkshoot: invalid config: order must be at least 1, got {order}",
               file=sys.stderr)
@@ -311,8 +323,7 @@ def main(argv=None) -> int:
             return EXIT_OK if ok else EXIT_SOLVER
 
         if args.command == "series":
-            sol = family_series(args.family.replace("psi-", ""), args.param,
-                                order)
+            sol = _SERIES_FAMILIES[args.family](args.param, order)
             path = out or f"series-{args.family}-{args.param}.csv"
             write_csv(path, SERIES_HEADER, series_rows(sol))
             print(f"wrote {path} ({sol.family} family, variable {sol.var}, "
@@ -335,9 +346,8 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "trace":
-            n = _resolve(args, "n", int, 15)
             curve = shoot.trace_curve(args.family, args.lo, args.hi,
-                                      n_samples=n, order=order,
+                                      n_samples=args.n, order=order,
                                       rtol=rtol, atol=atol)
             path = out or f"curve-{args.family}.csv"
             write_csv(path, CURVE_HEADER, curve_rows(curve))
@@ -367,8 +377,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "scan-s2s4":
-            n = _resolve(args, "n", int, 40)
-            report = shoot.scan_s2s4_boundary(args.lo, args.hi, n,
+            report = shoot.scan_s2s4_boundary(args.lo, args.hi, args.n,
                                               order, rtol, atol)
             path = out or "scan-s2s4.json"
             write_json(path, report.as_dict())

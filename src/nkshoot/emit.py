@@ -95,13 +95,13 @@ def series_rows(sol: SeriesSolution):
 # ---------------------------------------------------------------------------
 # static SVG
 
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 800, 640, 60
+
+
 @dataclass
 class SvgFigure:
     """Minimal line-plot description: polylines and markers in data space."""
 
-    width: int = 800
-    height: int = 640
-    margin: int = 60
     title: str = ""
     polylines: list = field(default_factory=list)   # (label, color, dash, pts)
     markers: list = field(default_factory=list)     # (label, color, x, y)
@@ -130,7 +130,7 @@ class SvgFigure:
 
     def render(self) -> str:
         x_lo, x_hi, y_lo, y_hi = self._bounds()
-        w, h, m = self.width, self.height, self.margin
+        w, h, m = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
 
         def sx(x):
             return m + (x - x_lo) / (x_hi - x_lo) * (w - 2 * m)

@@ -98,7 +98,7 @@ def eval_named(name: str, t: float) -> State:
 # ---------------------------------------------------------------------------
 # Calabi-Yau closed forms (bubble oracles)
 
-KAPPA_DEFAULT = 2.0 / 3.0
+KAPPA = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,6 @@ class CalabiYauForm:
     """
 
     name: str          # 'small-resolution' | 'smoothing'
-    coord: str         # 'r' | 's'
-    kappa: float = KAPPA_DEFAULT
 
     def components(self, x: float) -> dict[str, float]:
         if self.name == "small-resolution":
@@ -127,7 +125,7 @@ class CalabiYauForm:
                     "u0": 1.0, "u1": r2}
         if x < 0.0:
             raise OutOfDomainError(f"smoothing needs s >= 0, got {x}")
-        k = self.kappa
+        k = KAPPA
         sh, ch = math.sinh(3 * x), math.cosh(3 * x)
         f = sh * ch - 3 * x
         if x == 0.0:
@@ -196,8 +194,8 @@ class CalabiYauForm:
         return max(abs(r1), abs(r2), abs(r3), abs(r4))
 
 
-SMALL_RESOLUTION = CalabiYauForm("small-resolution", "r")
-SMOOTHING = CalabiYauForm("smoothing", "s")
+SMALL_RESOLUTION = CalabiYauForm("small-resolution")
+SMOOTHING = CalabiYauForm("smoothing")
 
 
 def eval_calabi_yau(name: str, x: float) -> tuple[dict[str, float], float]:

@@ -25,12 +25,12 @@ from .errors import (BoundaryAmbiguousError, BoundViolationError,
 from .integrate import Trajectory
 from .state import LAMBDA_MIN, MU2_MIN, State, constraints, rhs
 
-# dimension of the principal orbit and the Einstein constant of the ambient
-N_DIM = 5
-LAMBDA_EINSTEIN = 5
 BOUNDARY_TOL = 1e-7       # on-boundary classification, after normalizing by mu
 L_AGREE_RTOL = 1e-9
 CONSTRAINT_OK = 1e-8      # treat a state as on-shell below this relative drift
+WEDGE_TOL = 1e-7
+HYPERBOLOID_TOL = 1e-8
+COMPARISON_TOL = 1e-8     # relative slack allowed in the comparison bounds
 
 
 def _require_admissible(s: State) -> None:
@@ -127,8 +127,6 @@ class BohmValue:
     l: float
     Ldot_norm2: float
     Scal: float
-    n: int = N_DIM
-    Lambda: int = LAMBDA_EINSTEIN
 
 
 def bohm(s: State) -> BohmValue:
@@ -180,17 +178,17 @@ class MaxOrbitRecord:
         """u0(T) = 0 boundary (lambda = 1 side of the wedge)."""
         return abs(self.state.u[0]) / self.mu < BOUNDARY_TOL
 
-    def validate(self, wedge_tol: float = 1e-7, hyp_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         """Assert wedge membership, hyperboloid normalization and the
         boundary correspondences."""
-        if not (self.mu >= self.lam - wedge_tol
-                and self.lam >= 1.0 - wedge_tol):
+        if not (self.mu >= self.lam - WEDGE_TOL
+                and self.lam >= 1.0 - WEDGE_TOL):
             raise BoundViolationError(
                 f"wedge violation: (lambda, mu) = ({self.lam}, {self.mu}) "
                 f"for {self.family}({self.param})")
         w0, w1, w2 = self.w
         norm = w0 * w0 - w1 * w1 - w2 * w2
-        if abs(norm - 1.0) > hyp_tol or w0 <= 0:
+        if abs(norm - 1.0) > HYPERBOLOID_TOL or w0 <= 0:
             raise BoundViolationError(
                 f"hyperboloid normalization violated: |w|^2 = {norm}, w0 = {w0}")
         u0_small = abs(self.state.u[0]) < BOUNDARY_TOL * self.mu
@@ -217,8 +215,7 @@ class ZeroCount:
     boundary_ambiguous: bool
 
 
-def count_v0_zeros(traj: Trajectory, T: float | None = None,
-                   boundary_tol: float = BOUNDARY_TOL) -> ZeroCount:
+def count_v0_zeros(traj: Trajectory) -> ZeroCount:
     """Count simple zeros of v0 strictly before the maximal-volume time.
 
     The trajectory must carry 'v0-zero' event hits or enough nodes to
@@ -226,13 +223,12 @@ def count_v0_zeros(traj: Trajectory, T: float | None = None,
     sine-cone locus). If |v0(T)|/mu(T) is below the boundary tolerance the
     count is flagged ambiguous.
     """
-    if T is None:
-        hit = traj.first_hit("max-volume")
-        if hit is None:
-            raise ValueError("trajectory carries no maximal-volume event")
-        T = hit.t
+    hit = traj.first_hit("max-volume")
+    if hit is None:
+        raise ValueError("trajectory carries no maximal-volume event")
+    T = hit.t
     end_state = traj.state_at(min(T, traj.t_end))
-    ambiguous = abs(end_state.v[0]) / end_state.mu < boundary_tol
+    ambiguous = abs(end_state.v[0]) / end_state.mu < BOUNDARY_TOL
 
     zeros = [h.t for h in traj.hits_named("v0-zero") if traj.t_start < h.t < T]
     if not traj.hits_named("v0-zero"):
@@ -274,13 +270,13 @@ def require_unambiguous(zc: ZeroCount) -> int:
 @dataclass(frozen=True)
 class ComparisonReport:
     t0: float
-    max_l_slack: float      # min over nodes of bound - l  (>= -tol)
+    max_l_slack: float      # min over nodes of bound - l  (>= -COMPARISON_TOL)
     max_v_slack: float      # min over nodes of bound - V
     existence_ok: bool      # elapsed time + t0 <= pi within tolerance
     n_nodes: int
 
 
-def comparison_bounds(traj: Trajectory, tol: float = 1e-8) -> ComparisonReport:
+def comparison_bounds(traj: Trajectory) -> ComparisonReport:
     """Check the mean-curvature and volume comparison bounds forward along a
     trajectory:
 
@@ -288,7 +284,7 @@ def comparison_bounds(traj: Trajectory, tol: float = 1e-8) -> ComparisonReport:
         V(t) <= V(start) sin^5(t - t_start + t0) / sin^5(t0),
 
     with t0 in (0, pi) solved from l(start) = 5 cot(t0). Violations beyond
-    tol raise BoundViolationError.
+    COMPARISON_TOL (relative) raise BoundViolationError.
     """
     start = traj.node_states()[0]
     V0, l0 = volume_and_mean_curvature(start, check=False)
@@ -309,11 +305,11 @@ def comparison_bounds(traj: Trajectory, tol: float = 1e-8) -> ComparisonReport:
         v_bound = V0 * math.sin(arg) ** 5 / math.sin(t0) ** 5
         l_slack = l_bound - l
         v_slack = v_bound - V
-        if l_slack < -tol * max(1.0, abs(l_bound)):
+        if l_slack < -COMPARISON_TOL * max(1.0, abs(l_bound)):
             raise BoundViolationError(
                 f"mean-curvature bound violated at t = {st.t}: "
                 f"l = {l} > {l_bound}")
-        if v_slack < -tol * max(1.0, v_bound):
+        if v_slack < -COMPARISON_TOL * max(1.0, v_bound):
             raise BoundViolationError(
                 f"volume bound violated at t = {st.t}: V = {V} > {v_bound}")
         min_l_slack = min(min_l_slack, l_slack)
@@ -321,7 +317,7 @@ def comparison_bounds(traj: Trajectory, tol: float = 1e-8) -> ComparisonReport:
     elapsed = traj.t_end - traj.t_start
     return ComparisonReport(t0=t0, max_l_slack=min_l_slack,
                             max_v_slack=min_v_slack,
-                            existence_ok=elapsed + t0 <= math.pi + tol,
+                            existence_ok=elapsed + t0 <= math.pi + COMPARISON_TOL,
                             n_nodes=len(traj.times))
 
 

@@ -25,6 +25,7 @@ DEFAULT_ATOL = 1e-12
 DRIFT_ABORT = 1e-6
 COMPONENT_MAGNITUDE_MAX = 1e8
 EVENT_REFINE_TOL = 1e-13
+EVENT_REFINE_HALF_WIDTH = 1e-6   # first bracket half-width, doubled until it brackets
 
 
 @dataclass(frozen=True)
@@ -185,8 +186,7 @@ def integrate(start: State, horizon: float,
                       termination=termination, drift=drift)
 
 
-def refine_event(traj: Trajectory, spec: EventSpec, t_guess: float,
-                 half_width: float = 1e-6) -> float:
+def refine_event(traj: Trajectory, spec: EventSpec, t_guess: float) -> float:
     """Re-refine an event time on the dense output by bracketed root finding.
 
     Idempotent: re-refining a located event moves it by < 1e-13.
@@ -196,7 +196,7 @@ def refine_event(traj: Trajectory, spec: EventSpec, t_guess: float,
     def g(t):
         return spec.fn_vec(t, traj.dense(t))
 
-    w = half_width
+    w = EVENT_REFINE_HALF_WIDTH
     for _ in range(60):
         lo = max(lo_span, t_guess - w)
         hi = min(hi_span, t_guess + w)

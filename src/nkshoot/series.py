@@ -454,7 +454,7 @@ class SeriesSolution:
             return float(t)
         if t == 0.0:
             return 0.0
-        s_hi = self.validated_radius()
+        s_hi = self.validated_radius(1.0)
         t_hi = _horner(self.t_of_var, s_hi)
         if not 0.0 <= t <= t_hi:
             raise OutOfRadiusError(
@@ -462,16 +462,30 @@ class SeriesSolution:
         return brentq(lambda s: _horner(self.t_of_var, s) - t, 0.0, s_hi,
                       xtol=1e-15, rtol=8.9e-16)
 
-    def validated_radius(self, tol: float = HANDOFF_TAIL_TOL) -> float:
-        """Largest x (by backtracking from 1.0) with tail estimate < tol."""
-        x = 1.0
+    def validated_radius(self, start: float) -> float:
+        """Largest x on the grid start * 0.95^k, k < 400, with tail
+        estimate < HANDOFF_TAIL_TOL."""
+        x = start
         for _ in range(400):
-            if self.tail_estimate(x) < tol:
+            if self.tail_estimate(x) < HANDOFF_TAIL_TOL:
                 return x
             x *= 0.95
         raise OutOfRadiusError(
-            f"no evaluation radius with tail < {tol} for {self.family} "
-            f"family at parameter {self.param}")
+            f"no evaluation radius below {start} with tail < "
+            f"{HANDOFF_TAIL_TOL} for {self.family} family at parameter "
+            f"{self.param}")
+
+    def volume_integral(self, t: float) -> float:
+        """Exact term-by-term integral of V = lambda mu^2 over [0, t]."""
+        c = self.coeffs
+        n = len(c["lam"]) - 1
+        mu2 = (_pmul(c["u1"], c["u1"], n) + _pmul(c["u2"], c["u2"], n)
+               - _pmul(c["u0"], c["u0"], n))
+        V = _pmul(c["lam"], mu2, n)
+        if self.var == "t":
+            return _horner(_pint(V), t)
+        # dt = lambda ds: integrate lambda^2 mu^2 in s
+        return _horner(_pint(_pmul(c["lam"], V, n)), self.var_of_time(t))
 
 
 def eval_series(sol: SeriesSolution, x: float,
@@ -568,38 +582,24 @@ def series_bubble_a(a: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
 
 def family_series(family: str, param: float,
                   order: int = DEFAULT_ORDER) -> SeriesSolution:
-    """Dispatch: 'alpha'/'S2' -> psi_a, 'beta'/'S3' -> psi_b, bubbles by tag."""
-    key = family.lower()
-    if key in ("alpha", "s2", "psi-a", "a"):
+    """'alpha' -> series_psi_a, 'beta' -> series_psi_b."""
+    if family == "alpha":
         return series_psi_a(param, order)
-    if key in ("beta", "s3", "psi-b", "b"):
+    if family == "beta":
         return series_psi_b(param, order)
-    if key in ("s2-bubble", "bubble-a"):
-        return series_bubble_a(param, order)
-    if key in ("s3-bubble", "bubble-b"):
-        return series_bubble_b(param, order)
     raise ValueError(f"unknown family {family!r}")
 
 
-def handoff(sol: SeriesSolution,
-            tol: float = HANDOFF_TAIL_TOL) -> tuple[float, State]:
-    """Integrator start (t*, state): the largest time with tail < tol,
-    capped at 0.1 * min(1, parameter)."""
+def handoff(sol: SeriesSolution) -> tuple[float, State]:
+    """Integrator start (t*, state): the largest time with tail <
+    HANDOFF_TAIL_TOL, capped at 0.1 * min(1, parameter)."""
     cap_t = 0.1 * min(1.0, sol.param)
     if sol.var == "t":
-        x = cap_t
-        for _ in range(400):
-            if sol.tail_estimate(x) < tol:
-                st, _ = eval_series(sol, x, tol)
-                return x, st
-            x *= 0.95
-        raise OutOfRadiusError(
-            f"no handoff point below cap {cap_t} for {sol.family} "
-            f"at parameter {sol.param}")
-    # variable-s solution: cap applies to t, search in s
-    s_max = sol.validated_radius(tol)
-    t_max = _horner(sol.t_of_var, s_max)
-    t_star = min(cap_t, 0.999 * t_max)
-    x = sol.var_of_time(t_star)
-    st, _ = eval_series(sol, x, tol)
+        t_star = x = sol.validated_radius(cap_t)
+    else:
+        # variable-s solution: cap applies to t, search in s
+        t_max = _horner(sol.t_of_var, sol.validated_radius(1.0))
+        t_star = min(cap_t, 0.999 * t_max)
+        x = sol.var_of_time(t_star)
+    st, _ = eval_series(sol, x)
     return t_star, st

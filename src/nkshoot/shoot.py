@@ -31,8 +31,8 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
 from .geometry import MaxOrbitRecord
 from .integrate import (MAX_VOLUME_EVENT, V0_ZERO_EVENT, EventSpec,
                         Trajectory, integrate)
-from .series import (DEFAULT_ORDER, SeriesSolution, _pint, _pmul, _horner,
-                     eval_series, family_series, handoff)
+from .series import (DEFAULT_ORDER, SeriesSolution, eval_series,
+                     family_series, handoff)
 from .state import GLUE_MINUS, GLUE_PLUS, State, rhs_vec
 
 S6_STD_TOTAL_VOLUME = 9.0 / 5.0     # normalization for the vol column
@@ -42,8 +42,7 @@ MATCH_RESIDUAL = 1e-9
 ROOT_XTOL = 1e-10
 CURVE_SPACING_CAP = 0.2             # max hyperboloid gap between samples
 CURVE_MAX_POINTS = 120
-_REFLECTIONS = {"w1": (-1.0, 1.0), "w2": (1.0, -1.0), "both": (-1.0, -1.0),
-                "none": (1.0, 1.0)}
+_REFLECTIONS = {"w1": (-1.0, 1.0), "w2": (1.0, -1.0), "none": (1.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,6 @@ class FamilySolve:
         return self.traj.state_at(min(t, self.record.T))
 
 
-def _series_volume_integral(sol: SeriesSolution, t_star: float) -> float:
-    """Exact term-by-term integral of V = lambda mu^2 over [0, t*]."""
-    n = len(sol.coeffs["lam"]) - 1
-    mu2 = (_pmul(sol.coeffs["u1"], sol.coeffs["u1"], n)
-           + _pmul(sol.coeffs["u2"], sol.coeffs["u2"], n)
-           - _pmul(sol.coeffs["u0"], sol.coeffs["u0"], n))
-    V = _pmul(sol.coeffs["lam"], mu2, n)
-    if sol.var == "t":
-        return _horner(_pint(V), t_star)
-    # dt = lambda ds: integrate lambda^2 mu^2 in s
-    integrand = _pmul(sol.coeffs["lam"], V, n)
-    s_star = sol.var_of_time(t_star)
-    return _horner(_pint(integrand), s_star)
-
-
 def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
                  rtol: float = 1e-12, atol: float = 1e-12) -> FamilySolve:
     """Series handoff, integrate to the maximal-volume event, build the
@@ -99,7 +83,7 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
             f"termination = {traj.termination}")
     record = MaxOrbitRecord.from_state(family, param, hit.t, hit.state)
     _confirm_unique_maximum(hit.state, rtol, atol)
-    vol = _series_volume_integral(sol, t_star) + _ode_volume_integral(traj, t_star, hit.t)
+    vol = sol.volume_integral(t_star) + _ode_volume_integral(traj, t_star, hit.t)
     return FamilySolve(family=family, param=param, series=sol, t_star=t_star,
                        traj=traj, record=record, vol_integral=vol)
 
@@ -309,10 +293,14 @@ def find_doubling(family: str, bracket: tuple[float, float],
     if which not in ("v0", "u0"):
         raise ValueError("which must be 'v0' or 'u0'")
     idx = 4 if which == "v0" else 1
+    # brentq evaluates the bracket ends again and returns a point it has
+    # evaluated, so each member is solved once per call
+    solves: dict[float, FamilySolve] = {}
 
     def g(p: float) -> float:
-        rec = max_orbit(family, p, order, rtol, atol)
-        return rec.state.vec[idx]
+        if p not in solves:
+            solves[p] = solve_family(family, p, order, rtol, atol)
+        return solves[p].record.state.vec[idx]
 
     lo, hi = bracket
     g_lo, g_hi = g(lo), g(hi)
@@ -321,7 +309,7 @@ def find_doubling(family: str, bracket: tuple[float, float],
             f"{which}(T) has no sign change on [{lo}, {hi}]: "
             f"({g_lo:.3e}, {g_hi:.3e})")
     param = brentq(g, lo, hi, xtol=ROOT_XTOL, rtol=8.9e-16)
-    fs = solve_family(family, param, order, rtol, atol)
+    fs = solves[param]
     # the Sasaki-Einstein point (1, 1) is excluded
     if fs.record.on_boundary_mu_eq_lambda and fs.record.on_boundary_lambda_one:
         raise BoundaryAmbiguousError(
@@ -408,17 +396,11 @@ def refine_matching(seed: tuple[float, float], reflection: str,
 
 def find_matching(alpha_range: tuple[float, float],
                   beta_range: tuple[float, float],
-                  reflection: str = "both-single",
                   n_samples: int = 12, order: int = DEFAULT_ORDER,
                   rtol: float = 1e-12, atol: float = 1e-12,
                   curves: tuple[Curve, Curve] | None = None) -> CompleteSolution:
-    """Find an alpha-beta crossing in the hyperboloid chart and build the
-    glued S6 solution.
-
-    reflection: 'w1', 'w2', a single axis reflection, or 'both-single' to try
-    both (the double reflection 'both' is redundant for crossing detection
-    and kept only for consistency scans).
-    """
+    """Find an alpha-beta crossing in the hyperboloid chart, with beta_H
+    reflected in w1 and then in w2, and build the glued S6 solution."""
     if curves is None:
         alpha = trace_curve("alpha", *alpha_range, n_samples=n_samples,
                             order=order, rtol=rtol, atol=atol)
@@ -426,7 +408,7 @@ def find_matching(alpha_range: tuple[float, float],
                            order=order, rtol=rtol, atol=atol)
     else:
         alpha, beta = curves
-    reflections = ("w1", "w2") if reflection == "both-single" else (reflection,)
+    reflections = ("w1", "w2")
     stalls = []
     for refl in reflections:
         for seed in matching_candidates(alpha, beta, refl):

@@ -35,11 +35,13 @@ def test_series_dump_roundtrip(tmp_path):
 
 
 def test_series_dump_deterministic(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    main(["series", "--family", "bubble-b", "--param", "0.5", "--out", str(a)])
-    main(["series", "--family", "bubble-b", "--param", "0.5", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+    for family in ("psi-a", "psi-b", "bubble-a", "bubble-b"):
+        a = tmp_path / f"{family}-a.csv"
+        b = tmp_path / f"{family}-b.csv"
+        args = ["series", "--family", family, "--param", "0.5"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_traj_csv(tmp_path):
@@ -103,6 +105,24 @@ def test_bad_config_exits_3(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("rtol 1e-10\n")
     assert main(["--config", str(cfg), "verify"]) == 3
+
+
+@pytest.mark.parametrize("line,option,command", [
+    ("order = abc", "--order", ["series", "--family", "psi-a", "--param", "0.7"]),
+    ("rtol = fast", "--rtol", ["trace", "--family", "beta", "--lo", "0.6",
+                               "--hi", "1.2"]),
+    ("markers = bogus", "--markers", ["fig2"]),
+], ids=["order", "rtol", "markers"])
+def test_bad_config_value_exits_3(tmp_path, capsys, line, option, command):
+    # config values are converted and checked exactly like the flag
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "never.out"
+    with pytest.raises(SystemExit) as e:
+        main(["--config", str(cfg)] + command + ["--out", str(out)])
+    assert e.value.code == 3
+    assert option in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_order_below_one_exits_3(tmp_path, capsys):

@@ -133,6 +133,22 @@ def test_find_doubling_no_sign_change():
         find_doubling("beta", (1.2, 1.4), "v0")
 
 
+def test_find_doubling_solves_each_member_once(monkeypatch):
+    # brentq evaluates the bracket ends again and returns a point it has
+    # evaluated, so every family member is solved once, the root included
+    calls = []
+    original = shoot.solve_family
+
+    def counted(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(shoot, "solve_family", counted)
+    sol = find_doubling("beta", (0.2, 0.6), "v0")
+    assert abs(sol.param_left - 0.3736) < 0.002
+    assert len(calls) == len(set(calls))
+
+
 def test_homogeneous_doubling_recovers_closed_form():
     fs = solve_family("beta", 1.0)
     sol = glue(fs, fs, construction="doubling")
