@@ -19,7 +19,7 @@ from . import exact, shoot
 from .emit import (CURVE_HEADER, SERIES_HEADER, TRAJECTORY_HEADER, SvgFigure,
                    curve_rows, series_rows, trajectory_rows, write_csv,
                    write_json, write_svg)
-from .errors import NKError
+from .errors import InvalidArgumentError, NKError
 from .integrate import integrate
 from .series import (DEFAULT_ORDER, family_series, handoff, series_bubble_a,
                      series_bubble_b, series_psi_a, series_psi_b)
@@ -310,11 +310,6 @@ def main(argv=None) -> int:
         args = build_parser(config, args.command).parse_args(argv)
 
     rtol, atol, order, out = args.rtol, args.atol, args.order, args.out
-    if order < 1:
-        print(f"nkshoot: invalid config: order must be at least 1, got {order}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
         if args.command == "verify":
             ok, lines = run_verify(rtol, atol)
@@ -390,6 +385,9 @@ def main(argv=None) -> int:
                   "command": args.command}
         print(json.dumps(record), file=sys.stderr)
         return EXIT_SOLVER
+    except InvalidArgumentError as e:
+        print(f"nkshoot: invalid config: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_CONFIG
 
 

@@ -1,6 +1,11 @@
 """Typed errors shared across the package."""
 
 
+class InvalidArgumentError(ValueError):
+    """An argument outside the domain a solve accepts (a parameter, range,
+    sample count or series order); raised before any work is done."""
+
+
 class NKError(Exception):
     """Base class for all solver errors."""
 

@@ -57,7 +57,7 @@ class EventHit:
     state: State
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Result of one integration: strictly increasing nodes, per-step dense
     interpolants, the event log, constraint drift per node and the
@@ -66,9 +66,9 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray                  # shape (n, 7)
     dense: object = field(repr=False)   # scipy OdeSolution
-    hits: list[EventHit] = field(default_factory=list)
-    termination: str = "horizon"
-    drift: np.ndarray = None            # relative max|I_i| per node
+    hits: tuple[EventHit, ...]
+    termination: str
+    drift: np.ndarray                   # relative max|I_i| per node
 
     @property
     def t_start(self) -> float:
@@ -182,8 +182,8 @@ def integrate(start: State, horizon: float,
             termination = "event"
     else:
         termination = "horizon"
-    return Trajectory(times=times, states=states, dense=sol.sol, hits=hits,
-                      termination=termination, drift=drift)
+    return Trajectory(times=times, states=states, dense=sol.sol,
+                      hits=tuple(hits), termination=termination, drift=drift)
 
 
 def refine_event(traj: Trajectory, spec: EventSpec, t_guess: float) -> float:

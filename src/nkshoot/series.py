@@ -38,12 +38,14 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (OutOfRadiusError, ResonanceError, SeriesConsistencyError)
+from .errors import (InvalidArgumentError, OutOfRadiusError, ResonanceError,
+                     SeriesConsistencyError)
 from .state import State
 
 DEFAULT_ORDER = 40
@@ -281,13 +283,14 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     """Coefficient table Y (dim x order+1) of the unique series solution,
     and A = d_{y0}M_-1, by the relaxed recurrence in O(order^2) work.
 
-    Raises ValueError if order < 1, SeriesConsistencyError if
+    Raises InvalidArgumentError if order < 1, SeriesConsistencyError if
     M_-1(y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
     for which h*Id - A is ill conditioned; all h are checked, in one batch,
     before the first solve.
     """
     if order < 1:
-        raise ValueError(f"series order must be at least 1, got {order}")
+        raise InvalidArgumentError(
+            f"series order must be at least 1, got {order}")
     prog, k = problem.program, problem.dim
     name = problem.name or "singular IVP"
     C, G = prog.start(problem.y0, order)
@@ -329,11 +332,11 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # family instances
 
-def s2_problem(a: float, name: str = "S2") -> SingularIVP:
+def s2_problem(a: float) -> SingularIVP:
     """Closing on the 2-sphere orbit: substitution u0 = a^2 + t^2 y1,
     u1 = a^2 + t^2 y2, u2 = t^2 y3, v_i = t^2 y_{3+i}, lambda = t y7."""
     if a <= 0:
-        raise ValueError("parameter a must be positive")
+        raise InvalidArgumentError("parameter a must be positive")
     a2 = a * a
     sq3 = np.sqrt(3.0)
     y0 = np.array([-3 * a2, -3 * a2 + 1.5, -1.5 * sq3 * a,
@@ -367,10 +370,10 @@ def s2_problem(a: float, name: str = "S2") -> SingularIVP:
               p - 2 * (y77 * u1_full * rD) - 3 * (w * rD)]
         return mm1, xm
 
-    return SingularIVP(7, y0, rhs, name=name)
+    return SingularIVP(7, y0, rhs, name="S2")
 
 
-def s3_bubble_problem(b: float, name: str = "S3-bubble") -> SingularIVP:
+def s3_bubble_problem(b: float) -> SingularIVP:
     """Closing on the 3-sphere orbit, epsilon = b rescaled, in the variable s
     with ds/dt = 1/lambda: u0 = s y1, u1 = s y2, u2 = b s y3,
     v0 = -2/3 + s^2 y4, v1 = s^2 y5, v2 = 2/3 + s^2 y6, lambda^2 = y7.
@@ -378,7 +381,7 @@ def s3_bubble_problem(b: float, name: str = "S3-bubble") -> SingularIVP:
     b = 0 is allowed and gives the asymptotically conical limit.
     """
     if b < 0:
-        raise ValueError("parameter b must be nonnegative")
+        raise InvalidArgumentError("parameter b must be nonnegative")
     b2 = b * b
     y0 = np.array([2 * b, 2.0, -2.0, 4 * b2, 4 * b, 3 - 4 * b2, 1.0])
 
@@ -402,7 +405,7 @@ def s3_bubble_problem(b: float, name: str = "S3-bubble") -> SingularIVP:
               -6 * (x2 * (y3 * y6 * rQ))]
         return mm1, xm
 
-    return SingularIVP(7, y0, rhs, name=name)
+    return SingularIVP(7, y0, rhs, name="S3-bubble")
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +428,7 @@ class SeriesSolution:
     var: str                  # 't' | 's'
     order: int
     coeffs: dict[str, np.ndarray]
-    t_of_var: np.ndarray = field(repr=False, default=None)
+    t_of_var: np.ndarray = field(repr=False)
 
     def tail_estimate(self, x: float) -> float:
         """Conservative truncation bound from the last retained coefficients
@@ -444,8 +447,6 @@ class SeriesSolution:
         return np.array([_horner(self.coeffs[name], x) for name in _COMPONENTS])
 
     def time_at(self, x: float) -> float:
-        if self.var == "t":
-            return float(x)
         return _horner(self.t_of_var, x)
 
     def var_of_time(self, t: float) -> float:
@@ -454,13 +455,31 @@ class SeriesSolution:
             return float(t)
         if t == 0.0:
             return 0.0
-        s_hi = self.validated_radius(1.0)
-        t_hi = _horner(self.t_of_var, s_hi)
+        s_hi, t_hi = self._conversion_range
         if not 0.0 <= t <= t_hi:
             raise OutOfRadiusError(
                 f"t = {t} outside validated conversion range [0, {t_hi:.3g}]")
         return brentq(lambda s: _horner(self.t_of_var, s) - t, 0.0, s_hi,
                       xtol=1e-15, rtol=8.9e-16)
+
+    @cached_property
+    def _conversion_range(self) -> tuple[float, float]:
+        """(s, t(s)) at the validated radius, where t(s) is inverted."""
+        s_hi = self.validated_radius(1.0)
+        return s_hi, _horner(self.t_of_var, s_hi)
+
+    @cached_property
+    def handoff_point(self) -> tuple[float, float]:
+        """(t*, x*): the integrator start, the largest time with tail <
+        HANDOFF_TAIL_TOL capped at 0.1 * min(1, parameter), and the same
+        point in the solution's own variable; found once per series."""
+        cap_t = 0.1 * min(1.0, self.param)
+        if self.var == "t":
+            x = self.validated_radius(cap_t)
+            return x, x
+        # variable-s solution: cap applies to t, search in s
+        t_star = min(cap_t, 0.999 * self._conversion_range[1])
+        return t_star, self.var_of_time(t_star)
 
     def validated_radius(self, start: float) -> float:
         """Largest x on the grid start * 0.95^k, k < 400, with tail
@@ -475,17 +494,17 @@ class SeriesSolution:
             f"{HANDOFF_TAIL_TOL} for {self.family} family at parameter "
             f"{self.param}")
 
-    def volume_integral(self, t: float) -> float:
-        """Exact term-by-term integral of V = lambda mu^2 over [0, t]."""
+    def volume_integral(self, x: float) -> float:
+        """Exact term-by-term integral of V = lambda mu^2 in time from the
+        singular orbit to the point x of the solution's own variable."""
         c = self.coeffs
         n = len(c["lam"]) - 1
         mu2 = (_pmul(c["u1"], c["u1"], n) + _pmul(c["u2"], c["u2"], n)
                - _pmul(c["u0"], c["u0"], n))
         V = _pmul(c["lam"], mu2, n)
-        if self.var == "t":
-            return _horner(_pint(V), t)
-        # dt = lambda ds: integrate lambda^2 mu^2 in s
-        return _horner(_pint(_pmul(c["lam"], V, n)), self.var_of_time(t))
+        if self.var == "s":
+            V = _pmul(c["lam"], V, n)   # dt = lambda ds
+        return _horner(_pint(V), x)
 
 
 def eval_series(sol: SeriesSolution, x: float,
@@ -516,9 +535,7 @@ def series_psi_a(a: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
     c["v0"][2:order + 3] = Y[3]
     c["v1"][2:order + 3] = Y[4]
     c["v2"][2:order + 3] = Y[5]
-    t_id = np.zeros(2)
-    t_id[1] = 1.0
-    return SeriesSolution("S2", a, "t", order, c, t_id)
+    return SeriesSolution("S2", a, "t", order, c, np.array([0.0, 1.0]))
 
 
 def series_bubble_b(b: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
@@ -546,16 +563,10 @@ def series_psi_b(b: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
     lambda = b lambda~(t/b), u = b^2 u~, v = b^3 v~; still a series in s,
     with t(s) = integral of lambda ds."""
     if b <= 0:
-        raise ValueError("parameter b must be positive")
+        raise InvalidArgumentError("parameter b must be positive")
     bub = series_bubble_b(b, order)
-    c = {}
-    for name in _COMPONENTS:
-        if name == "lam":
-            c[name] = b * bub.coeffs[name]
-        elif name.startswith("u"):
-            c[name] = b * b * bub.coeffs[name]
-        else:
-            c[name] = b ** 3 * bub.coeffs[name]
+    scale = {"l": b, "u": b * b, "v": b ** 3}
+    c = {name: scale[name[0]] * bub.coeffs[name] for name in _COMPONENTS}
     t_of_s = _pint(c["lam"])[:len(c["lam"])]
     return SeriesSolution("S3", b, "s", order, c, t_of_s)
 
@@ -565,19 +576,12 @@ def series_bubble_a(a: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
     S2 family, lambda~_k = lambda_k a^{k-1}, u~_k = u_k a^{k-2},
     v~_k = v_k a^{k-3}."""
     base = series_psi_a(a, order)
+    shift = {"l": 1, "u": 2, "v": 3}
     c = {}
     for name in _COMPONENTS:
         arr = base.coeffs[name]
-        k = np.arange(len(arr), dtype=float)
-        if name == "lam":
-            c[name] = arr * a ** (k - 1)
-        elif name.startswith("u"):
-            c[name] = arr * a ** (k - 2)
-        else:
-            c[name] = arr * a ** (k - 3)
-    t_id = np.zeros(2)
-    t_id[1] = 1.0
-    return SeriesSolution("S2-bubble", a, "t", order, c, t_id)
+        c[name] = arr * a ** (np.arange(len(arr), dtype=float) - shift[name[0]])
+    return SeriesSolution("S2-bubble", a, "t", order, c, np.array([0.0, 1.0]))
 
 
 def family_series(family: str, param: float,
@@ -587,19 +591,11 @@ def family_series(family: str, param: float,
         return series_psi_a(param, order)
     if family == "beta":
         return series_psi_b(param, order)
-    raise ValueError(f"unknown family {family!r}")
+    raise InvalidArgumentError(f"unknown family {family!r}")
 
 
 def handoff(sol: SeriesSolution) -> tuple[float, State]:
-    """Integrator start (t*, state): the largest time with tail <
-    HANDOFF_TAIL_TOL, capped at 0.1 * min(1, parameter)."""
-    cap_t = 0.1 * min(1.0, sol.param)
-    if sol.var == "t":
-        t_star = x = sol.validated_radius(cap_t)
-    else:
-        # variable-s solution: cap applies to t, search in s
-        t_max = _horner(sol.t_of_var, sol.validated_radius(1.0))
-        t_star = min(cap_t, 0.999 * t_max)
-        x = sol.var_of_time(t_star)
+    """Integrator start (t*, state) at sol.handoff_point."""
+    t_star, x = sol.handoff_point
     st, _ = eval_series(sol, x)
     return t_star, st

@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq, root
 
 from .errors import (BoundaryAmbiguousError, EventNotFoundError,
-                     JunctionMismatchError, NoCrossingError,
-                     NoSignChangeError, RefinementStallError)
+                     InvalidArgumentError, JunctionMismatchError,
+                     NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
 from .integrate import (MAX_VOLUME_EVENT, V0_ZERO_EVENT, EventSpec,
                         Trajectory, integrate)
@@ -61,11 +62,12 @@ class FamilySolve:
 
     def state_at(self, t: float) -> State:
         """Profile on [0, T]: series below the handoff, dense output above."""
+        if not 0.0 <= t <= self.record.T:
+            raise ValueError(f"t = {t} outside [0, {self.record.T}]")
         if t <= self.t_star:
             x = self.series.var_of_time(t)
-            st, _ = eval_series(self.series, x, tol=math.inf)
-            return st
-        return self.traj.state_at(min(t, self.record.T))
+            return eval_series(self.series, x, tol=math.inf)[0]
+        return self.traj.state_at(t)
 
 
 def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
@@ -83,15 +85,15 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
             f"termination = {traj.termination}")
     record = MaxOrbitRecord.from_state(family, param, hit.t, hit.state)
     _confirm_unique_maximum(hit.state, rtol, atol)
-    vol = sol.volume_integral(t_star) + _ode_volume_integral(traj, t_star, hit.t)
+    vol = (sol.volume_integral(sol.handoff_point[1])
+           + _ode_volume_integral(traj, t_star, hit.t))
     return FamilySolve(family=family, param=param, series=sol, t_star=t_star,
                        traj=traj, record=record, vol_integral=vol)
 
 
 def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:
-    val, _ = quad(lambda t: State.from_vec(t, traj.dense(t)).volume,
-                  t_lo, t_hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    return quad(lambda t: State.from_vec(t, traj.dense(t)).volume,
+                t_lo, t_hi, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
 
 
 def _confirm_unique_maximum(event_state: State, rtol: float,
@@ -117,6 +119,15 @@ def max_orbit(family: str, param: float, order: int = DEFAULT_ORDER,
     return solve_family(family, param, order, rtol, atol).record
 
 
+def _solve_table(order: int, rtol: float, atol: float):
+    """Memoised solve(family, param) for one root search, which revisits
+    points (brentq its bracket ends, hybr its seed and its finite-difference
+    columns) and returns a point it has evaluated; filled through the
+    module-global solve_family with float(param)."""
+    return cache(lambda family, param: solve_family(
+        family, float(param), order, rtol, atol))
+
+
 # ---------------------------------------------------------------------------
 # curves
 
@@ -133,29 +144,34 @@ class Curve:
         return np.array([r.h_point for r in self.records])
 
 
+def _grid(param_lo: float, param_hi: float, n_samples: int) -> np.ndarray:
+    """Log-spaced parameters; a polyline or a sign survey needs two."""
+    if not 0.0 < param_lo < param_hi:
+        raise InvalidArgumentError("need 0 < param_lo < param_hi")
+    if n_samples < 2:
+        raise InvalidArgumentError(f"need 2 or more samples, got {n_samples}")
+    return np.geomspace(param_lo, param_hi, n_samples)
+
+
 def trace_curve(family: str, param_lo: float, param_hi: float,
                 n_samples: int = 15, order: int = DEFAULT_ORDER,
                 rtol: float = 1e-12, atol: float = 1e-12) -> Curve:
     """Sample max_orbit on a log-spaced grid, bisecting any gap whose
     consecutive hyperboloid points are farther apart than CURVE_SPACING_CAP,
     up to CURVE_MAX_POINTS samples."""
-    if not 0.0 < param_lo < param_hi:
-        raise ValueError("need 0 < param_lo < param_hi")
-    params = list(np.geomspace(param_lo, param_hi, n_samples))
+    params = list(_grid(param_lo, param_hi, n_samples))
     recs = {p: max_orbit(family, p, order, rtol, atol) for p in params}
     i = 0
     while i < len(params) - 1 and len(params) < CURVE_MAX_POINTS:
         p0, p1 = params[i], params[i + 1]
-        h0 = np.array(recs[p0].h_point)
-        h1 = np.array(recs[p1].h_point)
-        if np.hypot(*(h1 - h0)) > CURVE_SPACING_CAP:
+        gap = np.subtract(recs[p1].h_point, recs[p0].h_point)
+        if np.hypot(*gap) > CURVE_SPACING_CAP:
             mid = math.sqrt(p0 * p1)
             recs[mid] = max_orbit(family, mid, order, rtol, atol)
             params.insert(i + 1, mid)
         else:
             i += 1
-    params_arr = np.array(params)
-    return Curve(family=family, params=params_arr,
+    return Curve(family=family, params=np.array(params),
                  records=tuple(recs[p] for p in params))
 
 
@@ -193,13 +209,14 @@ class CompleteSolution:
         return self.right.param
 
     def profile(self, t: float) -> State:
-        """Glued profile: left half below T1, transformed right half above."""
-        T1 = self.left.record.T
-        if t <= T1:
+        """Glued profile on [0, T_total]: left half, then transformed right."""
+        if not 0.0 <= t <= self.T_total:
+            raise ValueError(f"t = {t} outside [0, {self.T_total}]")
+        if t <= self.left.record.T:
             return self.left.state_at(t)
         tau = min(self.T_total - t, self.right.record.T)
         signs = GLUE_PLUS.signs if self.word == GLUE_PLUS.label else GLUE_MINUS.signs
-        st = self.right.state_at(max(tau, 0.0))
+        st = self.right.state_at(tau)
         return State.from_vec(t, st.vec * np.asarray(signs, dtype=float))
 
     def as_dict(self) -> dict:
@@ -291,16 +308,12 @@ def find_doubling(family: str, bracket: tuple[float, float],
     """Locate a parameter where v0(T) (or u0(T)) vanishes and build the
     doubled solution."""
     if which not in ("v0", "u0"):
-        raise ValueError("which must be 'v0' or 'u0'")
+        raise InvalidArgumentError("which must be 'v0' or 'u0'")
     idx = 4 if which == "v0" else 1
-    # brentq evaluates the bracket ends again and returns a point it has
-    # evaluated, so each member is solved once per call
-    solves: dict[float, FamilySolve] = {}
+    solve = _solve_table(order, rtol, atol)
 
     def g(p: float) -> float:
-        if p not in solves:
-            solves[p] = solve_family(family, p, order, rtol, atol)
-        return solves[p].record.state.vec[idx]
+        return solve(family, p).record.state.vec[idx]
 
     lo, hi = bracket
     g_lo, g_hi = g(lo), g(hi)
@@ -309,7 +322,7 @@ def find_doubling(family: str, bracket: tuple[float, float],
             f"{which}(T) has no sign change on [{lo}, {hi}]: "
             f"({g_lo:.3e}, {g_hi:.3e})")
     param = brentq(g, lo, hi, xtol=ROOT_XTOL, rtol=8.9e-16)
-    fs = solves[param]
+    fs = solve(family, param)
     # the Sasaki-Einstein point (1, 1) is excluded
     if fs.record.on_boundary_mu_eq_lambda and fs.record.on_boundary_lambda_one:
         raise BoundaryAmbiguousError(
@@ -355,25 +368,17 @@ def matching_candidates(alpha: Curve, beta: Curve,
 
 def refine_matching(seed: tuple[float, float], reflection: str,
                     order: int = DEFAULT_ORDER, rtol: float = 1e-12,
-                    atol: float = 1e-12) -> tuple[float, float]:
+                    atol: float = 1e-12) -> tuple[FamilySolve, FamilySolve]:
     """Solve the 2x2 root problem F(a, b) = alpha_H(a) - R(beta_H(b)) = 0
     (MINPACK hybrid method, finite-difference Jacobian) from a polyline
-    crossing seed.
+    crossing seed; returns the alpha and beta solves at the root.
 
     Raises RefinementStallError when the solver fails, when an iterate
     leaves a, b > 0, or when max|F| at the returned point exceeds
     MATCH_RESIDUAL; a point that is not a root is never returned.
     """
     refl = np.asarray(_REFLECTIONS[reflection])
-    # hybr evaluates F at the seed more than once and its finite-difference
-    # columns repeat one parameter, so each member is solved once per call
-    records: dict[tuple[str, float], MaxOrbitRecord] = {}
-
-    def record(family: str, p: float) -> MaxOrbitRecord:
-        key = (family, float(p))
-        if key not in records:
-            records[key] = max_orbit(family, p, order, rtol, atol)
-        return records[key]
+    solve = _solve_table(order, rtol, atol)
 
     def residual(x):
         a, b = x
@@ -381,9 +386,8 @@ def refine_matching(seed: tuple[float, float], reflection: str,
             raise RefinementStallError(
                 f"matching refinement from seed {seed} with reflection "
                 f"{reflection!r} left the parameter domain at ({a}, {b})")
-        ra = record("alpha", a)
-        rb = record("beta", b)
-        return np.asarray(ra.h_point) - refl * np.asarray(rb.h_point)
+        return (np.asarray(solve("alpha", a).record.h_point)
+                - refl * np.asarray(solve("beta", b).record.h_point))
 
     res = root(residual, seed, method="hybr")
     dist = float(np.max(np.abs(res.fun)))
@@ -391,7 +395,7 @@ def refine_matching(seed: tuple[float, float], reflection: str,
         raise RefinementStallError(
             f"matching refinement stalled at residual {dist:.3e} "
             f"from seed {seed} with reflection {reflection!r}: {res.message}")
-    return float(res.x[0]), float(res.x[1])
+    return solve("alpha", res.x[0]), solve("beta", res.x[1])
 
 
 def find_matching(alpha_range: tuple[float, float],
@@ -413,12 +417,10 @@ def find_matching(alpha_range: tuple[float, float],
     for refl in reflections:
         for seed in matching_candidates(alpha, beta, refl):
             try:
-                a, b = refine_matching(seed, refl, order, rtol, atol)
+                fa, fb = refine_matching(seed, refl, order, rtol, atol)
             except RefinementStallError as e:
                 stalls.append(str(e))
                 continue
-            fa = solve_family("alpha", a, order, rtol, atol)
-            fb = solve_family("beta", b, order, rtol, atol)
             return glue(fa, fb, construction="matching")
     if stalls:
         raise RefinementStallError("; ".join(stalls))
@@ -460,13 +462,10 @@ class BoundaryScanReport:
 def scan_s2s4_boundary(param_lo: float = 0.1, param_hi: float = 10.0,
                        n_samples: int = 40, order: int = DEFAULT_ORDER,
                        rtol: float = 1e-12, atol: float = 1e-12) -> BoundaryScanReport:
-    params = np.geomspace(param_lo, param_hi, n_samples)
-    u0 = np.empty(n_samples)
-    vmax = np.empty(n_samples)
-    for i, p in enumerate(params):
-        rec = max_orbit("alpha", float(p), order, rtol, atol)
-        u0[i] = rec.state.u[0]
-        vmax[i] = rec.Vmax
+    params = _grid(param_lo, param_hi, n_samples)
+    recs = [max_orbit("alpha", float(p), order, rtol, atol) for p in params]
+    u0 = np.array([rec.state.u[0] for rec in recs])
+    vmax = np.array([rec.Vmax for rec in recs])
     crossings = tuple((float(params[i]), float(params[i + 1]))
                       for i in range(n_samples - 1)
                       if u0[i] * u0[i + 1] < 0.0)

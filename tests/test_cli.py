@@ -125,6 +125,34 @@ def test_bad_config_value_exits_3(tmp_path, capsys, line, option, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,message", [
+    (["trace", "--family", "alpha", "--lo", "0.5", "--hi", "0.4"], "param_lo"),
+    (["trace", "--family", "alpha", "--lo", "0.5", "--hi", "0.6", "--n", "0"],
+     "samples"),
+    (["traj", "--family", "alpha", "--param", "-1"], "positive"),
+    (["scan-s2s4", "--lo", "0"], "param_lo"),
+    (["scan-s2s4", "--n", "0"], "samples"),
+    (["fig2", "--alo", "0"], "param_lo"),
+], ids=["trace-range", "trace-n", "traj-param", "scan-lo", "scan-n",
+        "fig2-alo"])
+def test_invalid_argument_exits_3(tmp_path, capsys, command, message):
+    # rejected by the package before any solve: message on stderr, exit 3,
+    # no output file
+    out = tmp_path / "never.out"
+    assert main(command + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid" in err and message in err
+    assert not out.exists()
+
+
+def test_bubble_b_at_zero_is_valid(tmp_path):
+    # b = 0 is the asymptotically conical limit of the S3 bubble
+    out = tmp_path / "coef.csv"
+    assert main(["series", "--family", "bubble-b", "--param", "0",
+                 "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_order_below_one_exits_3(tmp_path, capsys):
     out = tmp_path / "coef.csv"
     args = ["series", "--family", "psi-a", "--param", "0.7", "--out", str(out)]

@@ -1,4 +1,5 @@
 """integrator: event location, dense output, guards, drift monitoring."""
+import dataclasses
 import math
 
 import numpy as np
@@ -150,3 +151,11 @@ def test_non_terminal_event_collects_all_hits():
     zeros = traj.hits_named("v0-zero")
     assert len(zeros) >= 2
     assert all(traj.t_start < h.t for h in zeros)
+
+
+def test_trajectory_is_immutable():
+    traj = integrate(eval_named("sine-cone", 0.3), math.pi,
+                     events=(MAX_VOLUME_EVENT,))
+    assert isinstance(traj.hits, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.termination = "horizon"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SQRT2, SQRT3
-from nkshoot import shoot
+from nkshoot import series, shoot
 from nkshoot.errors import JunctionMismatchError, NKError, NoSignChangeError
 from nkshoot.exact import eval_named
 from nkshoot.geometry import project_H
@@ -133,9 +133,8 @@ def test_find_doubling_no_sign_change():
         find_doubling("beta", (1.2, 1.4), "v0")
 
 
-def test_find_doubling_solves_each_member_once(monkeypatch):
-    # brentq evaluates the bracket ends again and returns a point it has
-    # evaluated, so every family member is solved once, the root included
+def count_solves(monkeypatch) -> list[tuple]:
+    """(family, param) of every shoot.solve_family call from now on."""
     calls = []
     original = shoot.solve_family
 
@@ -144,6 +143,13 @@ def test_find_doubling_solves_each_member_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(shoot, "solve_family", counted)
+    return calls
+
+
+def test_find_doubling_solves_each_member_once(monkeypatch):
+    # brentq evaluates the bracket ends again and returns a point it has
+    # evaluated, so every family member is solved once, the root included
+    calls = count_solves(monkeypatch)
     sol = find_doubling("beta", (0.2, 0.6), "v0")
     assert abs(sol.param_left - 0.3736) < 0.002
     assert len(calls) == len(set(calls))
@@ -186,13 +192,7 @@ def test_refine_matching_without_root_stalls(monkeypatch):
     # unreflected, the curves never cross, so the root solve must give up
     # with a typed error (its iterates head to b <= 0) instead of leaking
     # the series' ValueError or returning a point that is not a root
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return max_orbit(*args)
-
-    monkeypatch.setattr(shoot, "max_orbit", counted)
+    calls = count_solves(monkeypatch)
     with pytest.raises(NKError):
         refine_matching((0.56, 0.60), "none")
     assert len(calls) < 60
@@ -201,16 +201,60 @@ def test_refine_matching_without_root_stalls(monkeypatch):
 def test_refine_matching_solves_each_member_once(monkeypatch):
     # hybr evaluates F at the seed repeatedly and each finite-difference
     # column repeats one parameter; every family member is solved once
-    calls = []
-
-    def counted(*args):
-        calls.append(args[:2])
-        return max_orbit(*args)
-
-    monkeypatch.setattr(shoot, "max_orbit", counted)
-    a, b = refine_matching((0.56, 0.60), "w1")
-    assert abs(a - 0.5646) < 0.003 and abs(b - 0.5985) < 0.003
+    calls = count_solves(monkeypatch)
+    fa, fb = refine_matching((0.56, 0.60), "w1")
+    assert abs(fa.param - 0.5646) < 0.003 and abs(fb.param - 0.5985) < 0.003
     assert len(calls) == len(set(calls))
+
+
+def test_find_matching_solves_each_member_once(monkeypatch):
+    # the root pair refine_matching evaluated is glued, not solved again
+    calls = count_solves(monkeypatch)
+    sol = find_matching((1.2, 2.4), (1.05, 1.9), n_samples=8)
+    assert abs(sol.param_left - SQRT3) < 1e-6
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("family,param,inversions",
+                         [("beta", 0.599, 1), ("alpha", 0.5646, 0)])
+def test_handoff_searched_once_per_solve(monkeypatch, family, param,
+                                         inversions):
+    # one validated-radius search per solve; a variable-s series inverts
+    # t(s) at t* once, shared by the handoff and the series volume
+    searches, brentqs = [], []
+    radius, brentq = series.SeriesSolution.validated_radius, series.brentq
+
+    def counted_radius(self, start):
+        searches.append(start)
+        return radius(self, start)
+
+    def counted_brentq(*args, **kwargs):
+        brentqs.append(args[1:3])
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(series.SeriesSolution, "validated_radius",
+                        counted_radius)
+    monkeypatch.setattr(series, "brentq", counted_brentq)
+    solve_family(family, param)
+    assert len(searches) == 1
+    assert len(brentqs) == inversions
+
+
+def test_profiles_reject_times_outside_their_span(beta1_solve):
+    # both ends, both families: the state is never extrapolated or clamped
+    cp3 = solve_family("alpha", SQRT3 / 2)
+    for fs in (beta1_solve, cp3):
+        sol = glue(fs, fs, construction="doubling")
+        for t in (-0.5, sol.T_total + 5.0):
+            with pytest.raises(ValueError):
+                sol.profile(t)
+        for t in (-0.5, fs.record.T + 5.0):
+            with pytest.raises(ValueError):
+                fs.state_at(t)
+        # the closed ends are inside
+        assert sol.profile(0.0).t == fs.state_at(0.0).t == 0.0
+        assert sol.profile(sol.T_total).t == sol.T_total
+        assert fs.state_at(fs.record.T).t == fs.record.T
 
 
 def test_find_matching_homogeneous_s6():
