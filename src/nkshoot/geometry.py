@@ -218,10 +218,11 @@ class ZeroCount:
 def count_v0_zeros(traj: Trajectory) -> ZeroCount:
     """Count simple zeros of v0 strictly before the maximal-volume time.
 
-    The trajectory must carry 'v0-zero' event hits or enough nodes to
-    bracket every sign change (zeros of v0 are non-degenerate away from the
-    sine-cone locus). If |v0(T)|/mu(T) is below the boundary tolerance the
-    count is flagged ambiguous.
+    Each sign change of v0 between consecutive nodes up to T is refined by
+    brentq on the dense output, so the nodes must bracket every sign change
+    (zeros of v0 are non-degenerate away from the sine-cone locus). If
+    |v0(T)|/mu(T) is below the boundary tolerance the count is flagged
+    ambiguous.
     """
     hit = traj.first_hit("max-volume")
     if hit is None:
@@ -230,30 +231,18 @@ def count_v0_zeros(traj: Trajectory) -> ZeroCount:
     end_state = traj.state_at(min(T, traj.t_end))
     ambiguous = abs(end_state.v[0]) / end_state.mu < BOUNDARY_TOL
 
-    zeros = [h.t for h in traj.hits_named("v0-zero") if traj.t_start < h.t < T]
-    if not traj.hits_named("v0-zero"):
-        # node-scan fallback with dense refinement
-        ts = traj.times
-        v0 = traj.states[:, 4]
-        for i in range(len(ts) - 1):
-            if ts[i + 1] > T:
-                break
-            if v0[i] == 0.0:
-                continue
-            if v0[i] * v0[i + 1] < 0.0:
-                z = brentq(lambda t: traj.dense(t)[4], ts[i], ts[i + 1],
-                           xtol=1e-13, rtol=8.9e-16)
-                if traj.t_start < z < T:
-                    zeros.append(z)
-    zeros = sorted(zeros)
-    # discard near-zero touches: require an actual sign change across each
-    kept = []
-    for z in zeros:
-        left = traj.dense(max(traj.t_start, z - 1e-7))[4]
-        right = traj.dense(min(traj.t_end, z + 1e-7))[4]
-        if left * right < 0.0 or left == 0.0 or right == 0.0:
-            kept.append(z)
-    return ZeroCount(count=len(kept), zeros=tuple(kept),
+    zeros = []
+    ts = traj.times
+    v0 = traj.states[:, 4]
+    for i in range(len(ts) - 1):
+        if ts[i + 1] > T:
+            break
+        if v0[i] * v0[i + 1] < 0.0:
+            z = brentq(lambda t: traj.state_at(t).v[0], ts[i], ts[i + 1],
+                       xtol=1e-13, rtol=8.9e-16)
+            if z < T:
+                zeros.append(z)
+    return ZeroCount(count=len(zeros), zeros=tuple(zeros),
                      boundary_ambiguous=ambiguous)
 
 

@@ -1,41 +1,45 @@
-"""Adaptive integration of the fundamental system with dense output, event
-location and singularity detection.
+"""Forward adaptive integration of the fundamental system with dense output,
+event location and singularity detection.
 
 Thin layer over scipy's DOP853 via solve_ivp: the right-hand side, the guard
 events and all monitoring are ours; scipy supplies the embedded pair, its
-dense interpolants and the bracketed event refinement. First integrals are
-recorded at every accepted node and a relative drift above 1e-6 aborts the
-run; drift is monitored, never projected out.
+dense interpolants and the bracketed event refinement. This module is the
+only reader of scipy's event and interpolant objects: other modules see a
+trajectory through its nodes, its event hits and Trajectory.state_at. First
+integrals are recorded at every accepted node and a relative drift above
+1e-6 aborts the run; drift is monitored, never projected out.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (ConstraintDriftError, DegenerateStateError,
-                     StepSizeCollapseError)
+                     InvalidArgumentError, StepSizeCollapseError)
 from .state import (LAMBDA_MIN, MU2_MIN, State, constraints, rhs_vec)
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
 DRIFT_ABORT = 1e-6
 COMPONENT_MAGNITUDE_MAX = 1e8
-EVENT_REFINE_TOL = 1e-13
-EVENT_REFINE_HALF_WIDTH = 1e-6   # first bracket half-width, doubled until it brackets
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar event function of (t, y7) with a direction filter."""
+    """Scalar event function of (t, y7) with a direction filter; solve_ivp
+    calls it and reads its terminal and direction fields."""
 
     name: str
     fn_vec: Callable[[float, np.ndarray], float]
     direction: int = 0          # 0 any, +1 rising, -1 falling
     terminal: bool = False
+
+    def __call__(self, t: float, y: np.ndarray) -> float:
+        return self.fn_vec(t, y)
 
 
 def _volume_event_vec(t: float, y: np.ndarray) -> float:
@@ -46,8 +50,6 @@ def _volume_event_vec(t: float, y: np.ndarray) -> float:
 #: The flagship event: the maximal-volume orbit, where 2 lambda^4 u1 = 3 u2 v2.
 MAX_VOLUME_EVENT = EventSpec("max-volume", fn_vec=_volume_event_vec,
                              direction=0, terminal=True)
-
-V0_ZERO_EVENT = EventSpec("v0-zero", fn_vec=lambda t, y: y[4], direction=0)
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,9 @@ class Trajectory:
         return float(self.times[-1])
 
     def state_at(self, t: float) -> State:
-        lo, hi = sorted((self.t_start, self.t_end))
-        if not lo <= t <= hi:
-            raise ValueError(f"t = {t} outside trajectory span [{lo}, {hi}]")
+        if not self.t_start <= t <= self.t_end:
+            raise ValueError(f"t = {t} outside trajectory span "
+                             f"[{self.t_start}, {self.t_end}]")
         return State.from_vec(t, self.dense(t))
 
     def node_states(self) -> list[State]:
@@ -97,25 +99,21 @@ class Trajectory:
         return [h for h in self.hits if h.name == name]
 
 
-def _wrap_event(spec: EventSpec):
-    def g(t, y):
-        return spec.fn_vec(t, y)
-    g.terminal = spec.terminal
-    g.direction = float(spec.direction)
-    return g
-
-
 def integrate(start: State, horizon: float,
               events: Sequence[EventSpec] = (),
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
               allow_unoriented: bool = False) -> Trajectory:
-    """Integrate from start.t to horizon with adaptive step control.
+    """Integrate forward from start.t to horizon with adaptive step control.
 
-    Terminal events stop the run; the singularity guard stops when
-    |lambda| < 1e-8, mu^2 < 1e-12 or any component exceeds 1e8 in magnitude.
+    Raises InvalidArgumentError unless start.t < horizon < inf. Terminal
+    events stop the run; the singularity guard stops when |lambda| < 1e-8,
+    mu^2 < 1e-12 or any component exceeds 1e8 in magnitude.
     allow_unoriented skips the lambda > 0 / orientation precondition (used
     for symmetry-image integrations; mu^2 > 0 is always required).
     """
+    if not start.t < horizon < math.inf:
+        raise InvalidArgumentError(
+            f"horizon {horizon} is not a finite time after start t = {start.t}")
     if start.mu2 <= MU2_MIN:
         raise DegenerateStateError(f"start has mu^2 = {start.mu2}")
     if not allow_unoriented:
@@ -145,7 +143,7 @@ def integrate(start: State, horizon: float,
     all_events = user_events + guards
     sol = solve_ivp(rhs_vec, (start.t, horizon), start.vec, method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True,
-                    events=[_wrap_event(e) for e in all_events])
+                    events=all_events)
     if sol.status == -1:
         last = State.from_vec(sol.t[-1], sol.y[:, -1]) if sol.t.size else start
         raise StepSizeCollapseError(
@@ -184,25 +182,3 @@ def integrate(start: State, horizon: float,
         termination = "horizon"
     return Trajectory(times=times, states=states, dense=sol.sol,
                       hits=tuple(hits), termination=termination, drift=drift)
-
-
-def refine_event(traj: Trajectory, spec: EventSpec, t_guess: float) -> float:
-    """Re-refine an event time on the dense output by bracketed root finding.
-
-    Idempotent: re-refining a located event moves it by < 1e-13.
-    """
-    lo_span, hi_span = sorted((traj.t_start, traj.t_end))
-
-    def g(t):
-        return spec.fn_vec(t, traj.dense(t))
-
-    w = EVENT_REFINE_HALF_WIDTH
-    for _ in range(60):
-        lo = max(lo_span, t_guess - w)
-        hi = min(hi_span, t_guess + w)
-        if g(lo) * g(hi) <= 0.0:
-            return brentq(g, lo, hi, xtol=EVENT_REFINE_TOL, rtol=8.9e-16)
-        w *= 2.0
-        if lo == lo_span and hi == hi_span:
-            break
-    raise ValueError(f"no sign change of event {spec.name!r} near {t_guess}")

@@ -335,8 +335,8 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
 def s2_problem(a: float) -> SingularIVP:
     """Closing on the 2-sphere orbit: substitution u0 = a^2 + t^2 y1,
     u1 = a^2 + t^2 y2, u2 = t^2 y3, v_i = t^2 y_{3+i}, lambda = t y7."""
-    if a <= 0:
-        raise InvalidArgumentError("parameter a must be positive")
+    if not 0.0 < a < np.inf:
+        raise InvalidArgumentError("parameter a must be positive and finite")
     a2 = a * a
     sq3 = np.sqrt(3.0)
     y0 = np.array([-3 * a2, -3 * a2 + 1.5, -1.5 * sq3 * a,
@@ -380,8 +380,9 @@ def s3_bubble_problem(b: float) -> SingularIVP:
 
     b = 0 is allowed and gives the asymptotically conical limit.
     """
-    if b < 0:
-        raise InvalidArgumentError("parameter b must be nonnegative")
+    if not 0.0 <= b < np.inf:
+        raise InvalidArgumentError(
+            "parameter b must be nonnegative and finite")
     b2 = b * b
     y0 = np.array([2 * b, 2.0, -2.0, 4 * b2, 4 * b, 3 - 4 * b2, 1.0])
 
@@ -562,8 +563,8 @@ def series_psi_b(b: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
     """Family closing on the S^3 orbit, un-rescaled from the bubble via
     lambda = b lambda~(t/b), u = b^2 u~, v = b^3 v~; still a series in s,
     with t(s) = integral of lambda ds."""
-    if b <= 0:
-        raise InvalidArgumentError("parameter b must be positive")
+    if not 0.0 < b < np.inf:
+        raise InvalidArgumentError("parameter b must be positive and finite")
     bub = series_bubble_b(b, order)
     scale = {"l": b, "u": b * b, "v": b ** 3}
     c = {name: scale[name[0]] * bub.coeffs[name] for name in _COMPONENTS}

@@ -30,8 +30,7 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      InvalidArgumentError, JunctionMismatchError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
-from .integrate import (MAX_VOLUME_EVENT, V0_ZERO_EVENT, EventSpec,
-                        Trajectory, integrate)
+from .integrate import MAX_VOLUME_EVENT, EventSpec, Trajectory, integrate
 from .series import (DEFAULT_ORDER, SeriesSolution, eval_series,
                      family_series, handoff)
 from .state import GLUE_MINUS, GLUE_PLUS, State, rhs_vec
@@ -76,7 +75,7 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
     record, and confirm the event is unique over a short guard interval."""
     sol = family_series(family, param, order)
     t_star, start = handoff(sol)
-    traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT, V0_ZERO_EVENT),
+    traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,),
                      rtol=rtol, atol=atol)
     hit = traj.first_hit("max-volume")
     if traj.termination != "event" or hit is None:
@@ -92,18 +91,20 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
 
 
 def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:
-    return quad(lambda t: State.from_vec(t, traj.dense(t)).volume,
-                t_lo, t_hi, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    return quad(lambda t: traj.state_at(t).volume, t_lo, t_hi,
+                epsabs=1e-12, epsrel=1e-12, limit=200)[0]
 
 
 def _confirm_unique_maximum(event_state: State, rtol: float,
                             atol: float) -> None:
     """Every critical point of V is a strict maximum, so a second event in a
-    short continuation would signal a located non-maximum; check none fires."""
+    short continuation would signal a located non-maximum; check none fires.
+
+    The probe's event is non-terminal, so a round-off crossing at the start
+    cannot end the probe: it always covers the whole guard interval."""
     probe = integrate(event_state, event_state.t + EVENT_GUARD_INTERVAL,
                       events=(EventSpec("second-max",
-                                        fn_vec=MAX_VOLUME_EVENT.fn_vec,
-                                        direction=0, terminal=True),),
+                                        fn_vec=MAX_VOLUME_EVENT.fn_vec),),
                       rtol=max(rtol, 1e-10), atol=max(atol, 1e-10))
     hits = [h for h in probe.hits_named("second-max")
             if h.t > event_state.t + 1e-10]
@@ -146,8 +147,8 @@ class Curve:
 
 def _grid(param_lo: float, param_hi: float, n_samples: int) -> np.ndarray:
     """Log-spaced parameters; a polyline or a sign survey needs two."""
-    if not 0.0 < param_lo < param_hi:
-        raise InvalidArgumentError("need 0 < param_lo < param_hi")
+    if not 0.0 < param_lo < param_hi < math.inf:
+        raise InvalidArgumentError("need 0 < param_lo < param_hi < inf")
     if n_samples < 2:
         raise InvalidArgumentError(f"need 2 or more samples, got {n_samples}")
     return np.geomspace(param_lo, param_hi, n_samples)

@@ -133,8 +133,19 @@ def test_bad_config_value_exits_3(tmp_path, capsys, line, option, command):
     (["scan-s2s4", "--lo", "0"], "param_lo"),
     (["scan-s2s4", "--n", "0"], "samples"),
     (["fig2", "--alo", "0"], "param_lo"),
+    (["traj", "--family", "beta", "--param", "0.599", "--horizon", "0.01"],
+     "horizon"),
+    (["traj", "--family", "beta", "--param", "0.599", "--horizon", "nan"],
+     "horizon"),
+    (["traj", "--family", "alpha", "--param", "inf"], "finite"),
+    (["series", "--family", "psi-a", "--param", "nan"], "finite"),
+    (["series", "--family", "psi-b", "--param", "inf"], "finite"),
+    (["series", "--family", "bubble-b", "--param", "nan"], "finite"),
+    (["trace", "--family", "beta", "--lo", "0.6", "--hi", "inf"], "param_lo"),
 ], ids=["trace-range", "trace-n", "traj-param", "scan-lo", "scan-n",
-        "fig2-alo"])
+        "fig2-alo", "traj-horizon-backward", "traj-horizon-nan",
+        "traj-param-inf", "series-param-nan", "series-param-inf",
+        "bubble-param-nan", "trace-hi-inf"])
 def test_invalid_argument_exits_3(tmp_path, capsys, command, message):
     # rejected by the package before any solve: message on stderr, exit 3,
     # no output file

@@ -13,7 +13,7 @@ from nkshoot.geometry import (MaxOrbitRecord, bohm, comparison_bounds,
                               mean_curvature_matrix_form, project_H,
                               require_unambiguous, scalar_curvature,
                               traceless_L_norm2, volume_and_mean_curvature)
-from nkshoot.integrate import MAX_VOLUME_EVENT, V0_ZERO_EVENT, integrate
+from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
 from nkshoot.series import handoff, series_psi_a, series_psi_b
 from nkshoot.state import State
 

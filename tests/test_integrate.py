@@ -1,15 +1,15 @@
 """integrator: event location, dense output, guards, drift monitoring."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import SQRT3
-from nkshoot.errors import ConstraintDriftError
+from nkshoot.errors import ConstraintDriftError, InvalidArgumentError
 from nkshoot.exact import eval_named
-from nkshoot.integrate import (MAX_VOLUME_EVENT, EventSpec, integrate,
-                               refine_event)
+from nkshoot.integrate import MAX_VOLUME_EVENT, EventSpec, integrate
 from nkshoot.series import handoff, series_psi_a, series_psi_b
 from nkshoot.state import State, apply_symmetry
 
@@ -88,13 +88,26 @@ def test_reversibility_via_tau1():
 
 
 def test_event_refinement_idempotent():
+    # the located event time is a root of the event function on the
+    # interpolant
     traj = integrate(eval_named("sine-cone", 0.3), math.pi,
                      events=(MAX_VOLUME_EVENT,))
     t0 = traj.first_hit("max-volume").t
-    t1 = refine_event(traj, MAX_VOLUME_EVENT, t0)
-    t2 = refine_event(traj, MAX_VOLUME_EVENT, t1)
-    assert abs(t1 - t0) < 1e-12
-    assert abs(t2 - t1) < 1e-13
+    assert abs(MAX_VOLUME_EVENT(t0, traj.state_at(t0).vec)) < 1e-13
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.3, 0.1],
+                         ids=["nan", "inf", "at-start", "backward"])
+def test_integrate_runs_forward_only(monkeypatch, horizon):
+    # rejected before any work: solve_ivp is never reached (the package
+    # rebinds the name nkshoot.integrate to the function, so the module is
+    # reached through sys.modules)
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+    monkeypatch.setattr(sys.modules["nkshoot.integrate"], "solve_ivp",
+                        no_solve)
+    with pytest.raises(InvalidArgumentError, match="horizon"):
+        integrate(eval_named("sine-cone", 0.3), horizon)
 
 
 def test_drift_on_closed_forms_over_principal_interval():

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import SQRT2, SQRT3
 from nkshoot import series, shoot
-from nkshoot.errors import JunctionMismatchError, NKError, NoSignChangeError
+from nkshoot.errors import (EventNotFoundError, JunctionMismatchError,
+                            NKError, NoSignChangeError)
 from nkshoot.exact import eval_named
 from nkshoot.geometry import project_H
 from nkshoot.shoot import (find_doubling, find_matching, glue,
@@ -238,6 +239,32 @@ def test_handoff_searched_once_per_solve(monkeypatch, family, param,
     solve_family(family, param)
     assert len(searches) == 1
     assert len(brentqs) == inversions
+
+
+def test_probe_covers_its_guard_interval(monkeypatch):
+    # at b = 1 the event function is >= 0 at T by round-off; the probe must
+    # still run over the whole window instead of stopping at that crossing
+    trajs = []
+    original = shoot.integrate
+
+    def spy(*args, **kwargs):
+        trajs.append(original(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(shoot, "integrate", spy)
+    fs = solve_family("beta", 1.0)
+    probe = trajs[-1]
+    assert probe.t_start == fs.record.T
+    assert probe.t_end == fs.record.T + shoot.EVENT_GUARD_INTERVAL
+    assert probe.termination == "horizon"
+
+
+def test_probe_rejects_a_later_critical_point(beta1_solve):
+    # started before T, the probe crosses the maximal-volume orbit
+    T = beta1_solve.record.T
+    with pytest.raises(EventNotFoundError):
+        shoot._confirm_unique_maximum(beta1_solve.traj.state_at(T - 0.05),
+                                      1e-12, 1e-12)
 
 
 def test_profiles_reject_times_outside_their_span(beta1_solve):
