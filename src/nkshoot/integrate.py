@@ -1,13 +1,18 @@
-"""Forward adaptive integration of the fundamental system with dense output,
-event location and singularity detection.
+"""Forward integration of the fundamental system by Taylor steps, with dense
+output, event location and singularity detection.
 
-Thin layer over scipy's DOP853 via solve_ivp: the right-hand side, the guard
-events and all monitoring are ours; scipy supplies the embedded pair, its
-dense interpolants and the bracketed event refinement. This module is the
-only reader of scipy's event and interpolant objects: other modules see a
-trajectory through its nodes, its event hits and Trajectory.state_at. First
-integrals are recorded at every accepted node and a relative drift above
-1e-6 aborts the run; drift is monitored, never projected out.
+The right-hand side state.rhs_vec is recorded once, at import, into the
+relaxed-arithmetic program of series._Program (Jorba & Zou, Exp. Math. 14,
+2005), which gives the Taylor jet of the solution through any state: the
+series engine of the singular orbits, run on the regular system. Each step
+takes one jet of order N and advances by h = rho * tol^(1/N), with rho the
+radius estimated from the last two jet coefficients; N and the step
+tolerance follow from rtol and atol. Every step contributes its end and
+STEP_SAMPLES interior points as nodes. Events and guards are sign changes of
+their functions over a step's nodes, refined by brentq on the function of
+the step polynomial's state; the dense output is the step polynomials
+themselves. First integrals are recorded at every node and a relative drift
+above 1e-6 aborts the run; drift is monitored, never projected out.
 """
 from __future__ import annotations
 
@@ -16,22 +21,76 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import (ConstraintDriftError, DegenerateStateError,
                      InvalidArgumentError, StepSizeCollapseError)
-from .state import (LAMBDA_MIN, MU2_MIN, State, constraints, rhs_vec)
+from .series import _Program
+from .state import LAMBDA_MIN, MU2_MIN, State, rel_drift_vec, rhs_vec
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
 DRIFT_ABORT = 1e-6
 COMPONENT_MAGNITUDE_MAX = 1e8
+STEP_SAMPLES = 7            # interior nodes per step
+_EPS = np.finfo(float).eps
+
+#: rhs_vec recorded once; its single output maps a column of the table to
+#: [t^k] of the right-hand side
+_PROGRAM = _Program(7, lambda y, t: (rhs_vec(t, y),))
+(_F, _F_CONST), = _PROGRAM.outputs
+
+
+def _jet(y: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients c[k], k = 0..order, of the solution through y:
+    row k of the (order + 1, 7) result is y^(k)(t0) / k!."""
+    C = _PROGRAM.table(order)
+    C[:7, 0] = y
+    _PROGRAM.advance(C, 0)
+    C[:7, 1] = _F @ C[:, 0] + _F_CONST
+    for k in range(1, order):
+        _PROGRAM.advance(C, k)
+        C[:7, k + 1] = (_F @ C[:, k]) / (k + 1)
+    return C[:7].T
+
+
+def _poly_states(c: np.ndarray, tau):
+    """Step polynomial with coefficient rows c at offset tau: a 7-vector for
+    a scalar tau, a (len(tau), 7) array for an array."""
+    return np.power.outer(tau, np.arange(len(c), dtype=float)) @ c
+
+
+def _order_and_tol(rtol: float, atol: float) -> tuple[int, float]:
+    """Jet order N and per-step tolerance: 1e-2 min(rtol, atol), with N
+    growing by 1.7 per decade of it (24 at the defaults)."""
+    tol = max(1e-2 * min(rtol, atol), _EPS)
+    return math.ceil(-1.7 * math.log10(tol)), tol
+
+
+def _step_size(c: np.ndarray, tol: float) -> float:
+    """Jorba-Zou step h = rho * tol^(1/N) for a jet c of order N, with
+    rho = min over k in {N-1, N} of (max|c_k| / s)^(-1/k) and s =
+    max(1, max|y|): then max|c_N| h^N <= tol s and
+    max|c_(N-1)| h^(N-1) <= tol^((N-1)/N) s. NaN if the jet overflowed."""
+    n = len(c) - 1
+    y0, *last = np.max(np.abs(c[[0, n - 1, n]]), axis=1).tolist()
+    scale = max(1.0, y0)
+    rho = math.inf
+    for k, ck in zip((n - 1, n), last):
+        ck /= scale
+        if ck > 0.0:
+            rho = min(rho, ck ** (-1.0 / k))
+        elif ck != 0.0:
+            return math.nan
+    return rho * tol ** (1.0 / n)
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar event function of (t, y7) with a direction filter; solve_ivp
-    calls it and reads its terminal and direction fields."""
+    """Event function of (t, y7) with a direction filter (0 any, +1 rising,
+    -1 falling) and a terminal flag. The engine calls fn_vec on all nodes of
+    a step at once, with t of shape (m,) and y of shape (7, m), so it must
+    act elementwise over the trailing axis and return shape (m,)."""
 
     name: str
     fn_vec: Callable[[float, np.ndarray], float]
@@ -40,6 +99,16 @@ class EventSpec:
 
     def __call__(self, t: float, y: np.ndarray) -> float:
         return self.fn_vec(t, y)
+
+
+def _crossings(vals: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """(i, j) pairs where row i of vals changes sign from column j to j + 1
+    in the direction direction[i] allows (0 any, +1 rising, -1 falling); a
+    zero counts for the interval it ends."""
+    a, b = vals[:, :-1], vals[:, 1:]
+    rising = (a < 0.0) & (b >= 0.0) & (direction[:, None] >= 0)
+    falling = (a > 0.0) & (b <= 0.0) & (direction[:, None] <= 0)
+    return np.argwhere(rising | falling)
 
 
 def _volume_event_vec(t: float, y: np.ndarray) -> float:
@@ -60,14 +129,30 @@ class EventHit:
 
 
 @dataclass(frozen=True)
+class StepPolynomials:
+    """Dense output: step i starts at starts[i] and runs to the next start
+    (the last to the trajectory's end) with the Taylor polynomial whose
+    coefficient rows are coeffs[i]; calling it evaluates the step
+    containing t (the later one at a shared end)."""
+
+    starts: np.ndarray
+    coeffs: tuple[np.ndarray, ...] = field(repr=False)
+
+    def __call__(self, t: float) -> np.ndarray:
+        i = max(0, int(np.searchsorted(self.starts, t, side="right")) - 1)
+        return _poly_states(self.coeffs[i], t - self.starts[i])
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """Result of one integration: strictly increasing nodes, per-step dense
-    interpolants, the event log, constraint drift per node and the
-    termination reason ('event' | 'singularity' | 'horizon')."""
+    """Result of one integration: strictly increasing nodes (step ends and
+    STEP_SAMPLES interior points per step), the step polynomials as dense
+    output, the event log, constraint drift per node and the termination
+    reason ('event' | 'singularity' | 'horizon')."""
 
     times: np.ndarray
     states: np.ndarray                  # shape (n, 7)
-    dense: object = field(repr=False)   # scipy OdeSolution
+    dense: StepPolynomials = field(repr=False)
     hits: tuple[EventHit, ...]
     termination: str
     drift: np.ndarray                   # relative max|I_i| per node
@@ -99,15 +184,62 @@ class Trajectory:
         return [h for h in self.hits if h.name == name]
 
 
+def _root(spec: EventSpec, c: np.ndarray, t0: float, lo: float,
+          hi: float) -> float:
+    """Root of spec on [lo, hi], evaluated on the step polynomial's state:
+    brentq, then bisection of the few-ulp bracket it leaves down to
+    adjacent floats, keeping the one with the smaller |g|. If rounding
+    undoes the bracket the node scan saw, the root is taken at hi, the node
+    where the scan saw the sign change."""
+    def g(t):
+        return float(spec.fn_vec(t, _poly_states(c, t - t0)))
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo * g_hi > 0.0:
+        return hi
+    t = brentq(g, lo, hi, xtol=_EPS, rtol=4 * _EPS)
+    width = 2 * _EPS + 8 * _EPS * abs(t)
+    a, b = max(lo, t - width), min(hi, t + width)
+    g_a, g_b = g(a), g(b)
+    if g_a * g_b > 0.0:
+        return t
+    while g_a != 0.0 and g_b != 0.0 and a < 0.5 * (a + b) < b:
+        m = 0.5 * (a + b)
+        g_m = g(m)
+        if (g_m < 0.0) == (g_a < 0.0):
+            a, g_a = m, g_m
+        else:
+            b, g_b = m, g_m
+    return a if abs(g_a) <= abs(g_b) else b
+
+
+def _node_drift(ts: np.ndarray, ys: np.ndarray, t_prev: float,
+                y_prev: np.ndarray) -> np.ndarray:
+    """Relative first-integral drift at the nodes ts (states ys, shape
+    (m, 7)). Raises ConstraintDriftError at the first node above
+    DRIFT_ABORT, with the node before it (t_prev, y_prev for the first) as
+    the last good state."""
+    drift = rel_drift_vec(ys.T)
+    bad = np.flatnonzero(drift > DRIFT_ABORT)
+    if bad.size:
+        k = int(bad[0])
+        t_good, y_good = (ts[k - 1], ys[k - 1]) if k else (t_prev, y_prev)
+        raise ConstraintDriftError(
+            f"relative first-integral drift {drift[k]:.3e} > {DRIFT_ABORT} "
+            f"at t = {ts[k]}", t_bad=float(ts[k]),
+            last_state=State.from_vec(t_good, y_good))
+    return drift
+
+
 def integrate(start: State, horizon: float,
               events: Sequence[EventSpec] = (),
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
               allow_unoriented: bool = False) -> Trajectory:
-    """Integrate forward from start.t to horizon with adaptive step control.
+    """Integrate forward from start.t to horizon by Taylor steps.
 
     Raises InvalidArgumentError unless start.t < horizon < inf. Terminal
     events stop the run; the singularity guard stops when |lambda| < 1e-8,
-    mu^2 < 1e-12 or any component exceeds 1e8 in magnitude.
+    mu^2 < 1e-12 or any component exceeds 1e8 in magnitude; a step below
+    the floor 16 eps max(1, |t|) raises StepSizeCollapseError.
     allow_unoriented skips the lambda > 0 / orientation precondition (used
     for symmetry-image integrations; mu^2 > 0 is always required).
     """
@@ -123,7 +255,6 @@ def integrate(start: State, horizon: float,
             raise DegenerateStateError(
                 f"start violates orientation: u1 v2 - u2 v1 = {start.orient}")
 
-    user_events = list(events)
     # the lambda guard is signed so that a transversal crossing of the
     # threshold is always a detectable sign change
     lam_sign = 1.0 if start.lam >= 0.0 else -1.0
@@ -137,48 +268,64 @@ def integrate(start: State, horizon: float,
                   direction=-1, terminal=True),
         EventSpec("guard-magnitude",
                   fn_vec=lambda t, y: COMPONENT_MAGNITUDE_MAX
-                  - float(np.max(np.abs(y))),
+                  - np.max(np.abs(y), axis=0),
                   direction=-1, terminal=True),
     ]
-    all_events = user_events + guards
-    sol = solve_ivp(rhs_vec, (start.t, horizon), start.vec, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True,
-                    events=all_events)
-    if sol.status == -1:
-        last = State.from_vec(sol.t[-1], sol.y[:, -1]) if sol.t.size else start
-        raise StepSizeCollapseError(
-            f"integrator failed at t = {last.t}: {sol.message}", last)
+    specs = list(events) + guards
+    direction = np.array([spec.direction for spec in specs])
+    order, tol = _order_and_tol(rtol, atol)
+    frac = np.arange(1, STEP_SAMPLES + 2) / (STEP_SAMPLES + 1)
 
-    times = sol.t
-    states = sol.y.T
-    # first-integral drift at every node
-    drift = np.empty(len(times))
-    bad = None
-    for i, (t, y) in enumerate(zip(times, states)):
-        st = State.from_vec(t, y)
-        drift[i] = constraints(st).rel_drift(st)
-        if drift[i] > DRIFT_ABORT and bad is None:
-            bad = i
-    if bad is not None:
-        good = State.from_vec(times[bad - 1], states[bad - 1]) if bad else start
-        raise ConstraintDriftError(
-            f"relative first-integral drift {drift[bad]:.3e} > {DRIFT_ABORT} "
-            f"at t = {times[bad]}", t_bad=float(times[bad]), last_state=good)
+    t, y = start.t, start.vec
+    times, states = [np.array([t])], [y[None, :]]
+    drifts = [_node_drift(times[0], states[0], t, y)]
+    starts, coeffs, hits = [], [], []
+    g_prev = [spec(t, y) for spec in specs]
+    termination = None
+    while termination is None:
+        c = _jet(y, order)
+        h = _step_size(c, tol)
+        floor = 16 * _EPS * max(1.0, abs(t))
+        if not h >= floor:
+            raise StepSizeCollapseError(
+                f"step size {h:.3e} below {floor:.3e} at t = {t}",
+                State.from_vec(t, y))
+        if t + h >= horizon - floor:
+            h, termination = horizon - t, "horizon"
+        ts = t + h * frac
+        if termination:
+            ts[-1] = horizon
+        ys = _poly_states(c, ts - t)
 
-    hits = []
-    for spec, te, ye in zip(all_events, sol.t_events, sol.y_events):
-        for t, y in zip(te, ye):
-            hits.append(EventHit(spec.name, float(t), State.from_vec(t, y)))
-    hits.sort(key=lambda h: h.t)
+        # events: every sign change over the step's nodes, refined on the
+        # step polynomial; the earliest terminal one ends the run there
+        vals = np.column_stack((g_prev, [spec(ts, ys.T) for spec in specs]))
+        g_prev = vals[:, -1]
+        node_t = [t, *ts.tolist()]
+        found = sorted((_root(specs[i], c, t, node_t[j], node_t[j + 1]), i)
+                       for i, j in _crossings(vals, direction).tolist())
+        for t_root, i in found:
+            if specs[i].terminal:
+                end = int(np.searchsorted(ts, t_root))
+                ts = np.append(ts[:end], t_root)
+                ys = np.vstack((ys[:end], _poly_states(c, t_root - t)))
+                termination = ("singularity" if i >= len(specs) - len(guards)
+                               else "event")
+                found = [f for f in found if f[0] <= t_root]
+                break
+        hits += [EventHit(specs[i].name, t_root,
+                          State.from_vec(t_root, _poly_states(c, t_root - t)))
+                 for t_root, i in found]
 
-    if sol.status == 1:
-        fired = {h.name for h in hits
-                 if np.isclose(h.t, times[-1], rtol=0, atol=1e-12)}
-        if fired & {"guard-lambda", "guard-mu2", "guard-magnitude"}:
-            termination = "singularity"
-        else:
-            termination = "event"
-    else:
-        termination = "horizon"
-    return Trajectory(times=times, states=states, dense=sol.sol,
-                      hits=tuple(hits), termination=termination, drift=drift)
+        drifts.append(_node_drift(ts, ys, t, y))
+        starts.append(t)
+        coeffs.append(c)
+        times.append(ts)
+        states.append(ys)
+        t, y = float(ts[-1]), ys[-1]
+
+    return Trajectory(times=np.concatenate(times),
+                      states=np.concatenate(states),
+                      dense=StepPolynomials(np.array(starts), tuple(coeffs)),
+                      hits=tuple(hits), termination=termination,
+                      drift=np.concatenate(drifts))

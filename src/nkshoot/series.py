@@ -21,11 +21,14 @@ running coefficient table. Order h appends one column: each intermediate's
 [x^h] coefficient follows from columns 0..h of its operands (relaxed, or
 online, Taylor arithmetic; Jorba & Zou, Exp. Math. 14, 2005), so a build of
 order n costs O(n^2) instead of re-evaluating the truncated series at every
-order. Each intermediate's [x^h] is affine in y_h with a gradient G that
-depends only on the order-0 column, so the bracket is evaluated with
-y_h = 0 and, after the solve, one update C[:, h] += G @ y_h completes the
-column; the same G gives A exactly. Resonance is checked once, on the
-condition numbers of the stacked h*Id - A for h = 1 .. order.
+order. The recorded ops are compiled once to straight-line Python, and the
+convolution sums of one order are a single vectorised product. The same
+program engine, run on the regular system, gives the integrator's Taylor
+jets (integrate.py). Each intermediate's [x^h] is affine in y_h with a
+gradient G that depends only on the order-0 column, so the bracket is
+evaluated with y_h = 0 and, after the solve, one update C[:, h] += G @ y_h
+completes the column; the same G gives A exactly. Resonance is checked
+once, on the condition numbers of the stacked h*Id - A for h = 1 .. order.
 
 Four solution families are produced:
   S2        u_i(0) = (a^2, a^2, 0), v(0) = 0, lambda ~ (3/2) t; variable t.
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -136,31 +139,73 @@ class _Series:
     def __rtruediv__(self, other):
         return self.prog.record(_INV, self) * other
 
+    def __truediv__(self, other):
+        if isinstance(other, numbers.Real):
+            return self * (1.0 / other)
+        return self * self.prog.record(_INV, self.prog.lift(other))
+
 
 class _Program:
     """rhs(y, x) recorded once. Rows 0..dim-1 hold the unknowns y, row dim
     the variable x; every further row is one recorded operation
-    (kind, out, a, b): a product of rows a and b, the reciprocal of row a,
-    or a linear combination with terms a = ((row, coef), ...) and order-0
-    constant b. advance() fills one column (order) of every recorded row;
-    Mm1 and W = Mm1 + xM map a column to [x^h] M_-1 and [x^h] (M_-1 + x M),
-    and Mm1_const is the constant part of M_-1 at order 0."""
+    (kind, out, a, b): a product of rows a and b, the reciprocal of row a
+    (recorded once per row a), or a linear combination with terms
+    a = ((row, coef), ...) and order-0 constant b. advance() fills one
+    column (order) of every recorded row. rhs returns a tuple of output
+    vectors of dim expressions each; outputs[i] = (M, const) maps a column
+    to [x^h] of output i, with const its constant part at order 0."""
 
     def __init__(self, dim: int, rhs: Callable):
         self.dim = dim
         self.ops: list[tuple] = []
         self.n_rows = dim + 1
+        self._reciprocal: dict[int, int] = {}
         y = [_Series(self, {i: 1.0}) for i in range(dim)]
-        mm1, xm = rhs(y, _Series(self, {dim: 1.0}))
-        self.Mm1, self.Mm1_const = self._outputs(mm1)
-        self.W = self.Mm1 + self._outputs(xm)[0]
-        # operand rows of each op's convolution sum_k C[p, k] C[q, h-k]:
-        # (a, b) for a product, (a, out) for a reciprocal; a linear
-        # combination has none and points at the x row (the sum is unused)
-        self._p = np.array([a if k != _LIN else dim for k, _, a, _ in self.ops],
-                           dtype=int)
-        self._q = np.array([b if k == _MUL else out if k == _INV else dim
-                            for k, out, _, b in self.ops], dtype=int)
+        self.outputs = tuple(self._outputs(e)
+                             for e in rhs(y, _Series(self, {dim: 1.0})))
+        # operand rows of the convolution sum_k C[p, k] C[q, h-k] of each
+        # product (a, b) and reciprocal (a, out); a linear combination has
+        # none
+        conv = [(a, b if k == _MUL else out)
+                for k, out, a, b in self.ops if k != _LIN]
+        self._p = np.array([p for p, _ in conv], dtype=int)
+        self._q = np.array([q for _, q in conv], dtype=int)
+        self._first, self._next = self._compile()
+
+    def _compile(self) -> tuple[Callable, Callable]:
+        """The recorded ops as straight-line Python, one statement per op:
+        first(col, k) fills order 0 from the operands' order-0 values;
+        next(col, c0, mid, k) fills order h >= 1 from the operands' order-h
+        values col, their order-0 values c0 and the convolution sums mid
+        over orders 1..h-1 (one per product or reciprocal, in op order).
+        The coefficients of linear combinations are k[i], so programs that
+        differ only in them share one compiled source."""
+        first, nxt, consts = [], [], []
+
+        def const(v) -> str:
+            consts.append(float(v))
+            return f"k[{len(consts) - 1}]"
+        j = 0
+        for kind, out, a, b in self.ops:
+            if kind == _MUL:
+                first.append(f"col[{out}] = col[{a}] * col[{b}]")
+                nxt.append(f"col[{out}] = mid[{j}] + c0[{a}] * col[{b}]"
+                           f" + col[{a}] * c0[{b}]")
+                j += 1
+            elif kind == _INV:
+                first.append(f"col[{out}] = 1.0 / col[{a}]")
+                nxt.append(f"col[{out}] = -(mid[{j}] + col[{a}] * c0[{out}])"
+                           f" / c0[{a}]")
+                j += 1
+            else:
+                # the leading 0.0 turns a sum of -0.0 terms into +0.0
+                terms = "".join(f" + {const(c)} * col[{r}]" for r, c in a)
+                first.append(f"col[{out}] = 0.0{terms} + {const(b)}")
+                nxt.append(f"col[{out}] = 0.0{terms}")
+        source = "\n    ".join(["def first(col, k):", "pass", *first,
+                                 "\ndef next(col, c0, mid, k):", "pass", *nxt])
+        first_fn, next_fn = _compiled(source)
+        return partial(first_fn, k=consts), partial(next_fn, k=consts)
 
     def lift(self, v) -> _Series:
         if isinstance(v, _Series):
@@ -185,7 +230,12 @@ class _Program:
         return row
 
     def record(self, kind: int, a: _Series, b=None) -> _Series:
-        b = None if b is None else self._row(self.lift(b))
+        if kind == _INV:
+            a = self._row(a)
+            if a not in self._reciprocal:
+                self._reciprocal[a] = self._new_row(_INV, a, None)
+            return _Series(self, {self._reciprocal[a]: 1.0})
+        b = self._row(self.lift(b))
         return _Series(self, {self._new_row(kind, self._row(a), b): 1.0})
 
     def _outputs(self, exprs) -> tuple[np.ndarray, np.ndarray]:
@@ -209,27 +259,15 @@ class _Program:
     def advance(self, C: np.ndarray, h: int) -> None:
         """Column h of every recorded row from columns 0..h of its operands
         (columns 0..h of the unknowns must be filled). The convolution sums
-        over orders 1..h-1 of all ops are one vectorised product; the terms
-        with an order-h factor follow op by op."""
+        over orders 1..h-1 of all products and reciprocals are one
+        vectorised product; the terms with an order-h factor follow in the
+        compiled straight-line code, op by op."""
         col = C[:, h].tolist()
         if h == 0:
-            for kind, out, a, b in self.ops:
-                if kind == _MUL:
-                    col[out] = col[a] * col[b]
-                elif kind == _INV:
-                    col[out] = 1.0 / col[a]
-                else:
-                    col[out] = sum(c * col[r] for r, c in a) + b
+            self._first(col)
         else:
-            c0 = C[:, 0].tolist()
-            mid = (C[self._p, 1:h] * C[self._q, h - 1:0:-1]).sum(axis=1).tolist()
-            for (kind, out, a, b), m in zip(self.ops, mid):
-                if kind == _MUL:
-                    col[out] = m + c0[a] * col[b] + col[a] * c0[b]
-                elif kind == _INV:
-                    col[out] = -(m + col[a] * c0[out]) / c0[a]
-                else:
-                    col[out] = sum(c * col[r] for r, c in a)
+            mid = (C[self._p, 1:h] * C[self._q, h - 1:0:-1]).sum(axis=1)
+            self._next(col, C[:, 0].tolist(), mid.tolist())
         C[:, h] = col
 
     def start(self, y0: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +287,15 @@ class _Program:
             self.advance(T, 1)
             G[:, j] = T[:, 1]
         return C, G
+
+
+@lru_cache(maxsize=64)
+def _compiled(source: str) -> tuple[Callable, Callable]:
+    """first and next of a program's source (see _Program._compile),
+    compiled once per source."""
+    namespace: dict = {}
+    exec(compile(source, "<recorded program>", "exec"), namespace)
+    return namespace["first"], namespace["next"]
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +320,18 @@ class SingularIVP:
     def __post_init__(self):
         object.__setattr__(self, "program", _Program(self.dim, self.rhs))
 
+    @property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Mm1, Mm1_const, W): Mm1 and W = Mm1 + xM map a column of the
+        program's table to [x^h] M_-1 and [x^h] (M_-1 + x M); Mm1_const is
+        the constant part of M_-1 at order 0."""
+        (Mm1, Mm1_const), (xM, _) = self.program.outputs
+        return Mm1, Mm1_const, Mm1 + xM
+
     def linearization(self) -> np.ndarray:
         """d_{y0}M_-1, the gradient of [x^h] M_-1 in y_h (any h >= 1)."""
         _, G = self.program.start(self.y0, 0)
-        return self.program.Mm1 @ G
+        return self.matrices[0] @ G
 
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,11 +348,12 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
             f"series order must be at least 1, got {order}")
     prog, k = problem.program, problem.dim
     name = problem.name or "singular IVP"
+    Mm1, Mm1_const, W = problem.matrices
     C, G = prog.start(problem.y0, order)
-    res = float(np.max(np.abs(prog.Mm1 @ C[:, 0] + prog.Mm1_const)))
+    res = float(np.max(np.abs(Mm1 @ C[:, 0] + Mm1_const)))
     if res > 1e-13 * (1.0 + float(np.max(np.abs(problem.y0)))):
         raise SeriesConsistencyError(f"{name}: |M_-1(y0)| = {res:.3e}")
-    A = prog.Mm1 @ G
+    A = Mm1 @ G
     lhs = np.arange(1, order + 1)[:, None, None] * np.eye(k) - A
     cond = np.linalg.cond(lhs)
     bad = np.flatnonzero(~(cond <= COND_LIMIT))   # also catches inf and nan
@@ -307,7 +363,7 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
             f"{name}: h*Id - dM_-1 ill conditioned at h = {h} "
             f"(cond = {cond[h - 1]:.3e})")
     # y_h = (h*Id - A)^-1 W C[:, h], with the inverses taken in one batch
-    IW = np.linalg.inv(lhs) @ prog.W
+    IW = np.linalg.inv(lhs) @ W
     for h in range(1, order + 1):
         prog.advance(C, h)
         C[:, h] += G @ (IW[h - 1] @ C[:, h])
@@ -323,7 +379,7 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
     C[:k] = Y
     for h in range(n1):
         prog.advance(C, h)
-    r = np.arange(n1) * Y - prog.W @ C
+    r = np.arange(n1) * Y - problem.matrices[2] @ C
     res = np.max(np.abs(r), axis=0)
     res[0] = 0.0
     return res
@@ -499,13 +555,26 @@ class SeriesSolution:
         """Exact term-by-term integral of V = lambda mu^2 in time from the
         singular orbit to the point x of the solution's own variable."""
         c = self.coeffs
-        n = len(c["lam"]) - 1
-        mu2 = (_pmul(c["u1"], c["u1"], n) + _pmul(c["u2"], c["u2"], n)
-               - _pmul(c["u0"], c["u0"], n))
-        V = _pmul(c["lam"], mu2, n)
+        V = volume_coeffs(c["lam"], c["u0"], c["u1"], c["u2"])
         if self.var == "s":
-            V = _pmul(c["lam"], V, n)   # dt = lambda ds
+            V = _pmul(c["lam"], V, len(V) - 1)   # dt = lambda ds
         return _horner(_pint(V), x)
+
+
+def volume_coeffs(lam: np.ndarray, u0: np.ndarray, u1: np.ndarray,
+                  u2: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of V = lambda mu^2 from those of lambda and u,
+    truncated at their order: the one formula of the series part and the
+    integrator part of the volume integral."""
+    n = len(lam) - 1
+    mu2 = _pmul(u1, u1, n) + _pmul(u2, u2, n) - _pmul(u0, u0, n)
+    return _pmul(lam, mu2, n)
+
+
+def poly_integral(c: np.ndarray, lo: float, hi: float) -> float:
+    """Exact integral over [lo, hi] of the polynomial with coefficients c."""
+    P = _pint(c)
+    return _horner(P, hi) - _horner(P, lo)
 
 
 def eval_series(sol: SeriesSolution, x: float,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq, root
 
 from .errors import (BoundaryAmbiguousError, EventNotFoundError,
@@ -32,7 +31,7 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
 from .geometry import MaxOrbitRecord
 from .integrate import MAX_VOLUME_EVENT, EventSpec, Trajectory, integrate
 from .series import (DEFAULT_ORDER, SeriesSolution, eval_series,
-                     family_series, handoff)
+                     family_series, handoff, poly_integral, volume_coeffs)
 from .state import GLUE_MINUS, GLUE_PLUS, State, rhs_vec
 
 S6_STD_TOTAL_VOLUME = 9.0 / 5.0     # normalization for the vol column
@@ -91,8 +90,16 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
 
 
 def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:
-    return quad(lambda t: traj.state_at(t).volume, t_lo, t_hi,
-                epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    """Integral of V = lambda mu^2 over [t_lo, t_hi] within the trajectory:
+    the sum over steps of the exact integral of each step's V polynomial."""
+    steps = traj.dense
+    ends = [*steps.starts[1:], traj.t_end]
+    total = 0.0
+    for t0, t1, c in zip(steps.starts, ends, steps.coeffs):
+        lo, hi = max(t_lo, t0), min(t_hi, t1)
+        if lo < hi:
+            total += poly_integral(volume_coeffs(*c.T[:4]), lo - t0, hi - t0)
+    return total
 
 
 def _confirm_unique_maximum(event_state: State, rtol: float,

@@ -11,14 +11,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from conftest import SQRT2, SQRT3, equation_residual, named_derivative
 from nkshoot.exact import (NAMED_SOLUTIONS, SMALL_RESOLUTION, SMOOTHING)
 from nkshoot.geometry import bohm, count_v0_zeros
-from nkshoot.series import eval_series, family_series, handoff
+from nkshoot.series import family_series, handoff
 from nkshoot.shoot import (S6_STD_TOTAL_VOLUME, find_doubling, find_matching,
                            glue, max_orbit, scan_s2s4_boundary, solve_family)
 from nkshoot.state import constraints, rhs_vec

@@ -1,9 +1,7 @@
 """cli: subcommands, file formats, determinism, exit codes."""
 import json
 import math
-import os
 
-import numpy as np
 import pytest
 
 from nkshoot.cli import main

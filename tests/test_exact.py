@@ -8,9 +8,8 @@ from scipy.optimize import brentq
 
 from conftest import SQRT2, SQRT3, named_derivative
 from nkshoot.errors import OutOfDomainError
-from nkshoot.exact import (NAMED_SOLUTIONS, SMALL_RESOLUTION, SMOOTHING,
-                           eval_calabi_yau, eval_named, legendre_xi,
-                           rescale_bubble)
+from nkshoot.exact import (NAMED_SOLUTIONS, SMOOTHING, eval_calabi_yau,
+                           eval_named, legendre_xi, rescale_bubble)
 from nkshoot.state import constraints, rhs
 
 

@@ -8,14 +8,13 @@ import pytest
 from conftest import SQRT2, SQRT3
 from nkshoot.errors import BoundaryAmbiguousError, BoundViolationError
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
-from nkshoot.geometry import (MaxOrbitRecord, bohm, comparison_bounds,
-                              count_v0_zeros, derivative_consistency,
+from nkshoot.geometry import (bohm, comparison_bounds, count_v0_zeros,
+                              derivative_consistency,
                               mean_curvature_matrix_form, project_H,
                               require_unambiguous, scalar_curvature,
                               traceless_L_norm2, volume_and_mean_curvature)
 from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
 from nkshoot.series import handoff, series_psi_a, series_psi_b
-from nkshoot.state import State
 
 
 def test_sine_cone_volume_and_mean_curvature():
@@ -171,6 +170,16 @@ def test_count_v0_zeros_small_b():
     fs = solve_family("beta", 0.05)
     zc = count_v0_zeros(fs.traj)
     assert zc.count >= 2
+
+
+def test_count_v0_zeros_small_b_pinned():
+    # the two zeros of v0 before T for b = 0.05, as located on the DOP853
+    # dense output of earlier versions; the Taylor engine's nodes differ
+    from nkshoot.shoot import solve_family
+    zc = count_v0_zeros(solve_family("beta", 0.05).traj)
+    assert zc.count == 2 and not zc.boundary_ambiguous
+    assert np.max(np.abs(np.subtract(
+        zc.zeros, (0.29632479891793306, 1.260183955739824)))) < 1e-12
 
 
 def test_count_v0_boundary_ambiguous_at_doubling_root():

@@ -8,10 +8,10 @@ import pytest
 
 from conftest import SQRT3
 from nkshoot.errors import ConstraintDriftError, InvalidArgumentError
-from nkshoot.exact import eval_named
+from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.integrate import MAX_VOLUME_EVENT, EventSpec, integrate
 from nkshoot.series import handoff, series_psi_a, series_psi_b
-from nkshoot.state import State, apply_symmetry
+from nkshoot.state import State, apply_symmetry, rhs_vec
 
 
 def test_sine_cone_max_volume_event():
@@ -99,13 +99,12 @@ def test_event_refinement_idempotent():
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.3, 0.1],
                          ids=["nan", "inf", "at-start", "backward"])
 def test_integrate_runs_forward_only(monkeypatch, horizon):
-    # rejected before any work: solve_ivp is never reached (the package
+    # rejected before any work: no Taylor jet is taken (the package
     # rebinds the name nkshoot.integrate to the function, so the module is
     # reached through sys.modules)
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve_ivp called")
-    monkeypatch.setattr(sys.modules["nkshoot.integrate"], "solve_ivp",
-                        no_solve)
+    def no_jet(*args, **kwargs):
+        raise AssertionError("_jet called")
+    monkeypatch.setattr(sys.modules["nkshoot.integrate"], "_jet", no_jet)
     with pytest.raises(InvalidArgumentError, match="horizon"):
         integrate(eval_named("sine-cone", 0.3), horizon)
 
@@ -172,3 +171,24 @@ def test_trajectory_is_immutable():
     assert isinstance(traj.hits, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         traj.termination = "horizon"
+
+
+def test_recorded_program_first_column_is_rhs_vec():
+    # the program recorded from rhs_vec reproduces it to an ulp (its
+    # divisions become products with recorded reciprocals) on closed-form
+    # states and on states along members across the sweep ranges
+    jet = sys.modules["nkshoot.integrate"]._jet
+    states = []
+    for sol in NAMED_SOLUTIONS.values():
+        lo, hi = sol.domain
+        states += [sol.eval(lo + f * (hi - lo)).vec
+                   for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    for series, param in ((series_psi_a, 0.12), (series_psi_a, 4.0),
+                          (series_psi_b, 0.12), (series_psi_b, 1.6)):
+        _, start = handoff(series(param))
+        traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
+        states += list(traj.states[::5])
+    for y in states:
+        want = rhs_vec(0.0, y)
+        assert np.all(np.abs(jet(y, 1)[1] - want)
+                      <= 2 * np.spacing(np.abs(want)))

@@ -10,7 +10,6 @@ from nkshoot import series, shoot
 from nkshoot.errors import (EventNotFoundError, JunctionMismatchError,
                             NKError, NoSignChangeError)
 from nkshoot.exact import eval_named
-from nkshoot.geometry import project_H
 from nkshoot.shoot import (find_doubling, find_matching, glue,
                            junction_derivative_gap, matching_candidates,
                            max_orbit, refine_matching, scan_s2s4_boundary,
@@ -300,3 +299,16 @@ def test_scan_s2s4_negative():
     d = report.as_dict()
     assert d["found_root"] is False
     assert len(d["params"]) == 8
+
+
+def test_ode_volume_integral_sine_cone_closed_form():
+    # V = sin^5 t on the sine cone; the last step is cut at pi/2
+    from nkshoot.integrate import integrate
+    traj = integrate(eval_named("sine-cone", 0.3), 2.0)
+
+    def antiderivative(t):
+        c = math.cos(t)
+        return -c + 2.0 * c ** 3 / 3.0 - c ** 5 / 5.0
+    want = antiderivative(math.pi / 2) - antiderivative(0.3)
+    got = shoot._ode_volume_integral(traj, 0.3, math.pi / 2)
+    assert abs(got - want) < 1e-13
