@@ -76,13 +76,6 @@ def curve_rows(curve: Curve):
         yield record_row(rec)
 
 
-RECORD_HEADER = ["family", *CURVE_HEADER]
-
-
-def full_record_row(rec: MaxOrbitRecord):
-    return [rec.family, *record_row(rec)]
-
-
 SERIES_HEADER = ["component", "order", "coefficient"]
 
 

@@ -272,13 +272,12 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
         l(t) <= 5 cot(t - t_start + t0),
         V(t) <= V(start) sin^5(t - t_start + t0) / sin^5(t0),
 
-    with t0 in (0, pi) solved from l(start) = 5 cot(t0). Violations beyond
-    COMPARISON_TOL (relative) raise BoundViolationError.
+    with t0 = atan2(5, l(start)) in (0, pi), so l(start) = 5 cot(t0).
+    Violations beyond COMPARISON_TOL (relative) raise BoundViolationError.
     """
     start = traj.node_states()[0]
     V0, l0 = volume_and_mean_curvature(start, check=False)
-    t0 = brentq(lambda x: 5.0 * math.cos(x) / math.sin(x) - l0,
-                1e-12, math.pi - 1e-12, xtol=1e-15)
+    t0 = math.atan2(5.0, l0)
     min_l_slack = math.inf
     min_v_slack = math.inf
     for st in traj.node_states():

@@ -71,7 +71,7 @@ def _step_size(c: np.ndarray, tol: float) -> float:
     """Jorba-Zou step h = rho * tol^(1/N) for a jet c of order N, with
     rho = min over k in {N-1, N} of (max|c_k| / s)^(-1/k) and s =
     max(1, max|y|): then max|c_N| h^N <= tol s and
-    max|c_(N-1)| h^(N-1) <= tol^((N-1)/N) s. NaN if the jet overflowed."""
+    max|c_(N-1)| h^(N-1) <= tol^((N-1)/N) s. NaN or 0 on an overflowed jet."""
     n = len(c) - 1
     y0, *last = np.max(np.abs(c[[0, n - 1, n]]), axis=1).tolist()
     scale = max(1.0, y0)
@@ -283,13 +283,16 @@ def integrate(start: State, horizon: float,
     g_prev = [spec(t, y) for spec in specs]
     termination = None
     while termination is None:
-        c = _jet(y, order)
+        # near a singularity the jet can overflow; that ends the run below
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _jet(y, order)
         h = _step_size(c, tol)
         floor = 16 * _EPS * max(1.0, abs(t))
         if not h >= floor:
-            raise StepSizeCollapseError(
-                f"step size {h:.3e} below {floor:.3e} at t = {t}",
-                State.from_vec(t, y))
+            what = (f"step size {h:.3e} below {floor:.3e}"
+                    if np.isfinite(c).all() else "Taylor jet overflowed")
+            raise StepSizeCollapseError(f"{what} at t = {t}",
+                                        State.from_vec(t, y))
         if t + h >= horizon - floor:
             h, termination = horizon - t, "horizon"
         ts = t + h * frac

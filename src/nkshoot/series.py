@@ -17,18 +17,20 @@ order.
 The right-hand side M_-1, x*M is written once, as ordinary arithmetic on
 placeholder series, and recorded as a straight-line program whose
 intermediates (products, 1/y7, 1/(y2-y1), 1/D, 1/Q, ...) are rows of a
-running coefficient table. Order h appends one column: each intermediate's
-[x^h] coefficient follows from columns 0..h of its operands (relaxed, or
-online, Taylor arithmetic; Jorba & Zou, Exp. Math. 14, 2005), so a build of
-order n costs O(n^2) instead of re-evaluating the truncated series at every
-order. The recorded ops are compiled once to straight-line Python, and the
-convolution sums of one order are a single vectorised product. The same
-program engine, run on the regular system, gives the integrator's Taylor
-jets (integrate.py). Each intermediate's [x^h] is affine in y_h with a
-gradient G that depends only on the order-0 column, so the bracket is
-evaluated with y_h = 0 and, after the solve, one update C[:, h] += G @ y_h
-completes the column; the same G gives A exactly. Resonance is checked
-once, on the condition numbers of the stacked h*Id - A for h = 1 .. order.
+running coefficient table; the family parameter is a row too, constant in
+x, so one program, recorded at import, serves every member. Order h appends
+one column: each intermediate's [x^h] coefficient follows from columns 0..h
+of its operands (relaxed, or online, Taylor arithmetic; Jorba & Zou, Exp.
+Math. 14, 2005), so a build of order n costs O(n^2) instead of
+re-evaluating the truncated series at every order. The recorded ops are
+compiled once to straight-line Python, and the convolution sums of one
+order are a single vectorised product. The same program engine, run on the
+regular system, gives the integrator's Taylor jets (integrate.py). Each
+intermediate's [x^h] is affine in y_h with a gradient G that depends only
+on the order-0 column, so the bracket is evaluated with y_h = 0 and, after
+the solve, one update C[:, h] += G @ y_h completes the column; the same G
+gives A exactly. Resonance is checked once, on the condition numbers of the
+stacked h*Id - A for h = 1 .. order.
 
 Four solution families are produced:
   S2        u_i(0) = (a^2, a^2, 0), v(0) = 0, lambda ~ (3/2) t; variable t.
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -146,23 +148,25 @@ class _Series:
 
 
 class _Program:
-    """rhs(y, x) recorded once. Rows 0..dim-1 hold the unknowns y, row dim
-    the variable x; every further row is one recorded operation
-    (kind, out, a, b): a product of rows a and b, the reciprocal of row a
-    (recorded once per row a), or a linear combination with terms
-    a = ((row, coef), ...) and order-0 constant b. advance() fills one
-    column (order) of every recorded row. rhs returns a tuple of output
-    vectors of dim expressions each; outputs[i] = (M, const) maps a column
-    to [x^h] of output i, with const its constant part at order 0."""
+    """rhs(y, x, *params) recorded once. Rows 0..dim-1 hold the unknowns y,
+    row dim the variable x and rows dim+1 .. dim+n_params the parameters,
+    which are constant series (column 0 only); every further row is one
+    recorded operation (kind, out, a, b): a product of rows a and b, the
+    reciprocal of row a (recorded once per row a), or a linear combination
+    with terms a = ((row, coef), ...) and order-0 constant b. advance()
+    fills one column (order) of every recorded row. rhs returns a tuple of
+    output vectors of dim expressions each; outputs[i] = (M, const) maps a
+    column to [x^h] of output i, with const its constant part at order 0."""
 
-    def __init__(self, dim: int, rhs: Callable):
+    def __init__(self, dim: int, rhs: Callable, n_params: int = 0):
         self.dim = dim
+        self.n_params = n_params
         self.ops: list[tuple] = []
-        self.n_rows = dim + 1
+        self.n_rows = dim + 1 + n_params
         self._reciprocal: dict[int, int] = {}
-        y = [_Series(self, {i: 1.0}) for i in range(dim)]
-        self.outputs = tuple(self._outputs(e)
-                             for e in rhs(y, _Series(self, {dim: 1.0})))
+        rows = [_Series(self, {i: 1.0}) for i in range(self.n_rows)]
+        self.outputs = tuple(self._outputs(e) for e in
+                             rhs(rows[:dim], rows[dim], *rows[dim + 1:]))
         # operand rows of the convolution sum_k C[p, k] C[q, h-k] of each
         # product (a, b) and reciprocal (a, out); a linear combination has
         # none
@@ -174,17 +178,12 @@ class _Program:
 
     def _compile(self) -> tuple[Callable, Callable]:
         """The recorded ops as straight-line Python, one statement per op:
-        first(col, k) fills order 0 from the operands' order-0 values;
-        next(col, c0, mid, k) fills order h >= 1 from the operands' order-h
+        first(col) fills order 0 from the operands' order-0 values;
+        next(col, c0, mid) fills order h >= 1 from the operands' order-h
         values col, their order-0 values c0 and the convolution sums mid
         over orders 1..h-1 (one per product or reciprocal, in op order).
-        The coefficients of linear combinations are k[i], so programs that
-        differ only in them share one compiled source."""
-        first, nxt, consts = [], [], []
-
-        def const(v) -> str:
-            consts.append(float(v))
-            return f"k[{len(consts) - 1}]"
+        Coefficients are inlined as float literals, which repr round-trips."""
+        first, nxt = [], []
         j = 0
         for kind, out, a, b in self.ops:
             if kind == _MUL:
@@ -199,13 +198,22 @@ class _Program:
                 j += 1
             else:
                 # the leading 0.0 turns a sum of -0.0 terms into +0.0
-                terms = "".join(f" + {const(c)} * col[{r}]" for r, c in a)
-                first.append(f"col[{out}] = 0.0{terms} + {const(b)}")
+                terms = "".join(f" + {float(c)!r} * col[{r}]" for r, c in a)
+                first.append(f"col[{out}] = 0.0{terms} + {float(b)!r}")
                 nxt.append(f"col[{out}] = 0.0{terms}")
-        source = "\n    ".join(["def first(col, k):", "pass", *first,
-                                 "\ndef next(col, c0, mid, k):", "pass", *nxt])
-        first_fn, next_fn = _compiled(source)
-        return partial(first_fn, k=consts), partial(next_fn, k=consts)
+        source = "\n    ".join(["def first(col):", "pass", *first,
+                                 "\ndef next(col, c0, mid):", "pass", *nxt])
+        namespace: dict = {}
+        exec(compile(source, "<recorded program>", "exec"), namespace)
+        return namespace["first"], namespace["next"]
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Mm1, Mm1_const, W) of a program with outputs (M_-1, x*M): Mm1 and
+        W = Mm1 + xM map a column to [x^h] M_-1 and [x^h] (M_-1 + x M);
+        Mm1_const is the constant part of M_-1 at order 0."""
+        (Mm1, Mm1_const), (xM, _) = self.outputs
+        return Mm1, Mm1_const, Mm1 + xM
 
     def lift(self, v) -> _Series:
         if isinstance(v, _Series):
@@ -249,11 +257,13 @@ class _Program:
             const[i] = e.const
         return M, const
 
-    def table(self, order: int) -> np.ndarray:
-        """Empty table up to the given order, with the x row filled."""
+    def table(self, order: int, params=()) -> np.ndarray:
+        """Empty table up to the given order, with the x row and the
+        parameter rows filled."""
         C = np.zeros((self.n_rows, order + 1))
         if order >= 1:
             C[self.dim, 1] = 1.0
+        C[self.dim + 1:self.dim + 1 + self.n_params, 0] = params
         return C
 
     def advance(self, C: np.ndarray, h: int) -> None:
@@ -270,12 +280,13 @@ class _Program:
             self._next(col, C[:, 0].tolist(), mid.tolist())
         C[:, h] = col
 
-    def start(self, y0: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Table with column 0 filled from y0, and the gradient
+    def start(self, y0: np.ndarray, params,
+              order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Table with column 0 filled from y0 and params, and the gradient
         G[row, j] = d C[row, h] / d y_h[j], the same for every h >= 1. Column
         1 has no convolution terms, so it is linear in (y_1, x_1) and
         advancing the unit vectors e_j (with x_1 = 0) gives G."""
-        C = self.table(order)
+        C = self.table(order, params)
         C[:self.dim, 0] = y0
         self.advance(C, 0)
         G = np.empty((self.n_rows, self.dim))
@@ -289,15 +300,6 @@ class _Program:
         return C, G
 
 
-@lru_cache(maxsize=64)
-def _compiled(source: str) -> tuple[Callable, Callable]:
-    """first and next of a program's source (see _Program._compile),
-    compiled once per source."""
-    namespace: dict = {}
-    exec(compile(source, "<recorded program>", "exec"), namespace)
-    return namespace["first"], namespace["next"]
-
-
 # ---------------------------------------------------------------------------
 # generic recurrence
 
@@ -305,33 +307,20 @@ def _compiled(source: str) -> tuple[Callable, Callable]:
 class SingularIVP:
     """A singular IVP y' = (1/x) M_-1(y) + M(x, y), y(0) = y0.
 
-    rhs(y, x) receives placeholder series for the dim unknowns and for the
-    variable x and returns (M_-1, x*M), two lists of dim expressions built
-    with +, -, scalar *, series * series and 1 / series. It is called once,
-    at construction, to record the program the recurrence runs.
+    program records rhs(y, x, *params), which returns (M_-1, x*M), two
+    lists of program.dim expressions built with +, -, scalar *, series *
+    series and 1 / series; params are the values of its parameter rows.
     """
 
-    dim: int
+    program: _Program = field(repr=False)
     y0: np.ndarray
-    rhs: Callable[[list[_Series], _Series], tuple[list, list]]
+    params: tuple[float, ...] = ()
     name: str = ""
-    program: _Program = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "program", _Program(self.dim, self.rhs))
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Mm1, Mm1_const, W): Mm1 and W = Mm1 + xM map a column of the
-        program's table to [x^h] M_-1 and [x^h] (M_-1 + x M); Mm1_const is
-        the constant part of M_-1 at order 0."""
-        (Mm1, Mm1_const), (xM, _) = self.program.outputs
-        return Mm1, Mm1_const, Mm1 + xM
 
     def linearization(self) -> np.ndarray:
         """d_{y0}M_-1, the gradient of [x^h] M_-1 in y_h (any h >= 1)."""
-        _, G = self.program.start(self.y0, 0)
-        return self.matrices[0] @ G
+        _, G = self.program.start(self.y0, self.params, 0)
+        return self.program.matrices[0] @ G
 
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,10 +335,10 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     if order < 1:
         raise InvalidArgumentError(
             f"series order must be at least 1, got {order}")
-    prog, k = problem.program, problem.dim
+    prog, k = problem.program, problem.program.dim
     name = problem.name or "singular IVP"
-    Mm1, Mm1_const, W = problem.matrices
-    C, G = prog.start(problem.y0, order)
+    Mm1, Mm1_const, W = prog.matrices
+    C, G = prog.start(problem.y0, problem.params, order)
     res = float(np.max(np.abs(Mm1 @ C[:, 0] + Mm1_const)))
     if res > 1e-13 * (1.0 + float(np.max(np.abs(problem.y0)))):
         raise SeriesConsistencyError(f"{name}: |M_-1(y0)| = {res:.3e}")
@@ -375,11 +364,11 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
     from a fresh evaluation of the recorded right-hand side on Y."""
     prog = problem.program
     k, n1 = Y.shape
-    C = prog.table(n1 - 1)
+    C = prog.table(n1 - 1, problem.params)
     C[:k] = Y
     for h in range(n1):
         prog.advance(C, h)
-    r = np.arange(n1) * Y - problem.matrices[2] @ C
+    r = np.arange(n1) * Y - prog.matrices[2] @ C
     res = np.max(np.abs(r), axis=0)
     res[0] = 0.0
     return res
@@ -387,6 +376,66 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # family instances
+
+# (M_-1, x*M) of s2_problem and s3_bubble_problem with the family parameter
+# as a series; each is recorded once, below, and serves every member
+
+def _s2_rhs(y, x, a):
+    y1, y2, y3, y4, y5, y6, y7 = y
+    a2 = a * a
+    x2 = x * x
+    r7 = 1 / y7
+    d21 = y2 - y1
+    rd = 1 / d21
+    y77 = y7 * y7
+    a2y7 = a2 * y7
+    w = y3 * y6 * (r7 * r7)
+    p = y77 * rd + 1.5 * (w * rd / a2)
+    mm1 = [
+        -(2 * y1 + 3 * (y4 * r7)),
+        -(2 * y2 + 3 * (y5 * r7) - 2 * y7),
+        -(2 * y3 + 3 * (y6 * r7)),
+        -(2 * y4 - 4 * a2y7),
+        -(2 * y5 - 4 * a2y7),
+        -(2 * y6 + 3 * (y3 * r7)),
+        -(y7 + p),
+    ]
+    # x*M rows; D = mu^2 / t^2 = 2 a^2 (y2-y1) + t^2 (y2^2 - y1^2 + y3^2)
+    rD = 1 / (2 * (a2 * d21) + x2 * (y2 * y2 - y1 * y1 + y3 * y3))
+    u1_full = a2 + x2 * y2
+    xm = [0.0, 0.0, 0.0,
+          4 * (x2 * (y1 * y7)),
+          4 * (x2 * (y2 * y7)),
+          4 * (x2 * (y3 * y7)),
+          p - 2 * (y77 * u1_full * rD) - 3 * (w * rD)]
+    return mm1, xm
+
+
+def _s3_bubble_rhs(y, x, b):
+    y1, y2, y3, y4, y5, y6, y7 = y
+    b2 = b * b
+    x2 = x * x
+    rQ = 1 / (y2 * y2 - y1 * y1 + b2 * (y3 * y3))
+    mm1 = [
+        -(y1 - 2 * b),
+        -(y2 - 2 * y7),
+        -(y3 + 2),
+        -(2 * y4 - 4 * (b * (y1 * y7))),
+        -(2 * y5 - 4 * (b * (y2 * y7))),
+        -(2 * y6 - 4 * (b2 * (y3 * y7)) + 3 * y3),
+        -4 * ((y2 * (y7 * y7) + y3) * rQ),
+    ]
+    xm = [-3 * (b * (x2 * y4)),
+          -3 * (b * (x2 * y5)),
+          -3 * (x2 * y6),
+          0.0, 0.0, 0.0,
+          -6 * (x2 * (y3 * y6 * rQ))]
+    return mm1, xm
+
+
+_S2_PROGRAM = _Program(7, _s2_rhs, n_params=1)
+_S3_BUBBLE_PROGRAM = _Program(7, _s3_bubble_rhs, n_params=1)
+
 
 def s2_problem(a: float) -> SingularIVP:
     """Closing on the 2-sphere orbit: substitution u0 = a^2 + t^2 y1,
@@ -397,36 +446,7 @@ def s2_problem(a: float) -> SingularIVP:
     sq3 = np.sqrt(3.0)
     y0 = np.array([-3 * a2, -3 * a2 + 1.5, -1.5 * sq3 * a,
                    3 * a2, 3 * a2, 1.5 * sq3 * a, 1.5])
-
-    def rhs(y, x):
-        y1, y2, y3, y4, y5, y6, y7 = y
-        x2 = x * x
-        r7 = 1 / y7
-        d21 = y2 - y1
-        rd = 1 / d21
-        y77 = y7 * y7
-        w = y3 * y6 * (r7 * r7)
-        p = y77 * rd + (1.5 / a2) * (w * rd)
-        mm1 = [
-            -(2 * y1 + 3 * (y4 * r7)),
-            -(2 * y2 + 3 * (y5 * r7) - 2 * y7),
-            -(2 * y3 + 3 * (y6 * r7)),
-            -(2 * y4 - 4 * a2 * y7),
-            -(2 * y5 - 4 * a2 * y7),
-            -(2 * y6 + 3 * (y3 * r7)),
-            -(y7 + p),
-        ]
-        # x*M rows; D = mu^2 / t^2 = 2 a^2 (y2-y1) + t^2 (y2^2 - y1^2 + y3^2)
-        rD = 1 / (2 * a2 * d21 + x2 * (y2 * y2 - y1 * y1 + y3 * y3))
-        u1_full = a2 + x2 * y2
-        xm = [0.0, 0.0, 0.0,
-              4 * (x2 * (y1 * y7)),
-              4 * (x2 * (y2 * y7)),
-              4 * (x2 * (y3 * y7)),
-              p - 2 * (y77 * u1_full * rD) - 3 * (w * rD)]
-        return mm1, xm
-
-    return SingularIVP(7, y0, rhs, name="S2")
+    return SingularIVP(_S2_PROGRAM, y0, (a,), name="S2")
 
 
 def s3_bubble_problem(b: float) -> SingularIVP:
@@ -441,28 +461,7 @@ def s3_bubble_problem(b: float) -> SingularIVP:
             "parameter b must be nonnegative and finite")
     b2 = b * b
     y0 = np.array([2 * b, 2.0, -2.0, 4 * b2, 4 * b, 3 - 4 * b2, 1.0])
-
-    def rhs(y, x):
-        y1, y2, y3, y4, y5, y6, y7 = y
-        x2 = x * x
-        rQ = 1 / (y2 * y2 - y1 * y1 + b2 * (y3 * y3))
-        mm1 = [
-            -(y1 - 2 * b),
-            -(y2 - 2 * y7),
-            -(y3 + 2),
-            -(2 * y4 - 4 * b * (y1 * y7)),
-            -(2 * y5 - 4 * b * (y2 * y7)),
-            -(2 * y6 - 4 * b2 * (y3 * y7) + 3 * y3),
-            -4 * ((y2 * (y7 * y7) + y3) * rQ),
-        ]
-        xm = [-3 * b * (x2 * y4),
-              -3 * b * (x2 * y5),
-              -3 * (x2 * y6),
-              0.0, 0.0, 0.0,
-              -6 * (x2 * (y3 * y6 * rQ))]
-        return mm1, xm
-
-    return SingularIVP(7, y0, rhs, name="S3-bubble")
+    return SingularIVP(_S3_BUBBLE_PROGRAM, y0, (b,), name="S3-bubble")
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +576,14 @@ def poly_integral(c: np.ndarray, lo: float, hi: float) -> float:
     return _horner(P, hi) - _horner(P, lo)
 
 
-def eval_series(sol: SeriesSolution, x: float,
-                tol: float = HANDOFF_TAIL_TOL) -> tuple[State, float]:
+def eval_series(sol: SeriesSolution, x: float) -> tuple[State, float]:
     """Horner-evaluate all seven components at x (the solution's own
     variable) and return (state, tail bound). Raises OutOfRadiusError when
-    the tail bound exceeds tol."""
+    the tail bound exceeds HANDOFF_TAIL_TOL."""
     tail = sol.tail_estimate(x)
-    if tail > tol:
-        raise OutOfRadiusError(
-            f"tail estimate {tail:.3e} > {tol:.1e} at {sol.var} = {x}")
+    if tail > HANDOFF_TAIL_TOL:
+        raise OutOfRadiusError(f"tail estimate {tail:.3e} > "
+                               f"{HANDOFF_TAIL_TOL:.1e} at {sol.var} = {x}")
     y = sol.components_at(x)
     return State.from_vec(sol.time_at(x), y), tail
 

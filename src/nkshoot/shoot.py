@@ -64,7 +64,7 @@ class FamilySolve:
             raise ValueError(f"t = {t} outside [0, {self.record.T}]")
         if t <= self.t_star:
             x = self.series.var_of_time(t)
-            return eval_series(self.series, x, tol=math.inf)[0]
+            return eval_series(self.series, x)[0]
         return self.traj.state_at(t)
 
 

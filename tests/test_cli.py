@@ -222,17 +222,16 @@ def test_fig2_svg(tmp_path):
 
 
 def test_record_csv_row(tmp_path):
-    from nkshoot.emit import RECORD_HEADER, full_record_row, write_csv
+    from nkshoot.emit import CURVE_HEADER, record_row, write_csv
     from nkshoot.shoot import max_orbit
     rec = max_orbit("beta", 1.0)
     out = tmp_path / "record.csv"
-    write_csv(str(out), RECORD_HEADER, [full_record_row(rec)])
+    write_csv(str(out), CURVE_HEADER, [record_row(rec)])
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("family,param,T,lambda,mu,w0,w1,w2,Vmax,B")
+    assert lines[0].startswith("param,T,lambda,mu,w0,w1,w2,Vmax,B")
     cells = lines[1].split(",")
-    assert cells[0] == "beta"
-    assert float(cells[1]) == 1.0
-    assert abs(float(cells[3]) - 1.0) < 1e-8
+    assert float(cells[0]) == 1.0
+    assert abs(float(cells[2]) - 1.0) < 1e-8
 
 
 def test_scan_command(tmp_path):

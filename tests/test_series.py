@@ -9,7 +9,7 @@ from conftest import SQRT3
 from nkshoot.errors import (OutOfRadiusError, ResonanceError,
                             SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
-from nkshoot.series import (SingularIVP, eval_series, handoff,
+from nkshoot.series import (SingularIVP, _Program, eval_series, handoff,
                             recurrence_residuals, s2_problem,
                             s3_bubble_problem, series_bubble_a,
                             series_bubble_b, series_psi_a, series_psi_b,
@@ -24,7 +24,7 @@ def _toy_problem(coeff: float) -> SingularIVP:
     """Scalar y' = (1/t)(coeff * y) + 1, y0 = 0."""
     def rhs(y, x):
         return [coeff * y[0]], [x]
-    return SingularIVP(1, np.array([0.0]), rhs, name="toy")
+    return SingularIVP(_Program(1, rhs), np.array([0.0]), name="toy")
 
 
 def test_toy_scalar_recurrence():
@@ -63,7 +63,7 @@ def test_order_below_one_rejected():
 def test_consistency_gate():
     def rhs(y, x):
         return [-2.0 * y[0] + 1.0], [0.0]
-    bad = SingularIVP(1, np.array([0.0]), rhs, name="bad")
+    bad = SingularIVP(_Program(1, rhs), np.array([0.0]), name="bad")
     with pytest.raises(SeriesConsistencyError):
         solve_singular_ivp(bad, 5)
 
@@ -110,6 +110,27 @@ def test_sweep_extremes(family, param):
     scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
     assert float(np.max(res / scale)) < 1e-12
     assert np.array_equal(A, prob.linearization())
+
+
+def test_family_program_shared_across_parameters():
+    # the parameter is a row of the table, not a constant of the program
+    assert s2_problem(0.3).program is s2_problem(0.7).program
+    assert s3_bubble_problem(0.3).program is s3_bubble_problem(0.7).program
+
+
+def test_solve_family_records_no_program(monkeypatch):
+    from nkshoot import series
+    from nkshoot.shoot import solve_family
+    recorded = []
+    init = series._Program.__init__
+
+    def counted_init(self, *args, **kwargs):
+        recorded.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(series._Program, "__init__", counted_init)
+    solve_family("alpha", 0.6)
+    solve_family("beta", 0.6)
+    assert recorded == []
 
 
 # ---------------------------------------------------------------------------
