@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import (BoundaryAmbiguousError, BoundViolationError,
                      DegenerateStateError)
 from .integrate import Trajectory
+from .rootfind import brentq
 from .state import LAMBDA_MIN, MU2_MIN, State, constraints, rhs
 
 BOUNDARY_TOL = 1e-7       # on-boundary classification, after normalizing by mu

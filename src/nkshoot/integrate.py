@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (ConstraintDriftError, DegenerateStateError,
                      InvalidArgumentError, StepSizeCollapseError)
+from .rootfind import brentq
 from .series import _Program
 from .state import LAMBDA_MIN, MU2_MIN, State, rel_drift_vec, rhs_vec
 

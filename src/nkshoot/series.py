@@ -47,10 +47,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (InvalidArgumentError, OutOfRadiusError, ResonanceError,
                      SeriesConsistencyError)
+from .rootfind import brentq
 from .state import State
 
 DEFAULT_ORDER = 40

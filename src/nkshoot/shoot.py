@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.optimize import brentq, root
 
 from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      InvalidArgumentError, JunctionMismatchError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
 from .integrate import MAX_VOLUME_EVENT, EventSpec, Trajectory, integrate
+from .rootfind import brentq
 from .series import (DEFAULT_ORDER, SeriesSolution, eval_series,
                      family_series, handoff, poly_integral, volume_coeffs)
 from .state import GLUE_MINUS, GLUE_PLUS, State, rhs_vec
@@ -38,7 +38,9 @@ S6_STD_TOTAL_VOLUME = 9.0 / 5.0     # normalization for the vol column
 EVENT_GUARD_INTERVAL = 0.1          # uniqueness confirmation window
 JUNCTION_TOL = 1e-7
 MATCH_RESIDUAL = 1e-9
-ROOT_XTOL = 1e-10
+MATCH_STEP_TOL = math.sqrt(np.finfo(float).eps)   # relative to (a, b)
+MATCH_MAX_STEPS = 20                # quasi-Newton steps per matching solve
+ROOT_XTOL = 1e-14
 CURVE_SPACING_CAP = 0.2             # max hyperboloid gap between samples
 CURVE_MAX_POINTS = 120
 _REFLECTIONS = {"w1": (-1.0, 1.0), "w2": (1.0, -1.0), "none": (1.0, 1.0)}
@@ -129,9 +131,9 @@ def max_orbit(family: str, param: float, order: int = DEFAULT_ORDER,
 
 def _solve_table(order: int, rtol: float, atol: float):
     """Memoised solve(family, param) for one root search, which revisits
-    points (brentq its bracket ends, hybr its seed and its finite-difference
-    columns) and returns a point it has evaluated; filled through the
-    module-global solve_family with float(param)."""
+    points (brentq its bracket ends, the matching solve its last iterate)
+    and returns a point it has evaluated; filled through the module-global
+    solve_family with float(param)."""
     return cache(lambda family, param: solve_family(
         family, float(param), order, rtol, atol))
 
@@ -378,32 +380,69 @@ def refine_matching(seed: tuple[float, float], reflection: str,
                     order: int = DEFAULT_ORDER, rtol: float = 1e-12,
                     atol: float = 1e-12) -> tuple[FamilySolve, FamilySolve]:
     """Solve the 2x2 root problem F(a, b) = alpha_H(a) - R(beta_H(b)) = 0
-    (MINPACK hybrid method, finite-difference Jacobian) from a polyline
-    crossing seed; returns the alpha and beta solves at the root.
+    from a polyline crossing seed; returns the alpha and beta solves at the
+    root.
 
-    Raises RefinementStallError when the solver fails, when an iterate
-    leaves a, b > 0, or when max|F| at the returned point exceeds
-    MATCH_RESIDUAL; a point that is not a root is never returned.
+    Column 1 of dF/d(a, b) depends on a alone and column 2 on b alone. The
+    Jacobian at the seed is a forward difference with relative step
+    MATCH_STEP_TOL; after each full quasi-Newton step each column is the
+    secant through its last two parameters. The solve ends at the first
+    step whose components are all within MATCH_STEP_TOL * |(a, b)|.
+
+    Raises RefinementStallError when an iterate leaves a, b > 0 or is not
+    finite, when the 2x2 system is singular, when MATCH_MAX_STEPS steps do
+    not converge, or when max|F| at the final point exceeds MATCH_RESIDUAL;
+    a point that is not a root is never returned.
     """
-    refl = np.asarray(_REFLECTIONS[reflection])
     solve = _solve_table(order, rtol, atol)
+    # F = P(a) + Q(b), with P = alpha_H and Q = -R(beta_H)
+    signs = (np.ones(2), -np.asarray(_REFLECTIONS[reflection]))
+    families = ("alpha", "beta")
 
-    def residual(x):
-        a, b = x
-        if a <= 0.0 or b <= 0.0:
-            raise RefinementStallError(
-                f"matching refinement from seed {seed} with reflection "
-                f"{reflection!r} left the parameter domain at ({a}, {b})")
-        return (np.asarray(solve("alpha", a).record.h_point)
-                - refl * np.asarray(solve("beta", b).record.h_point))
+    def stall(why: str) -> RefinementStallError:
+        return RefinementStallError(
+            f"matching refinement from seed {seed} with reflection "
+            f"{reflection!r} {why}")
 
-    res = root(residual, seed, method="hybr")
-    dist = float(np.max(np.abs(res.fun)))
-    if not res.success or dist > MATCH_RESIDUAL:
-        raise RefinementStallError(
-            f"matching refinement stalled at residual {dist:.3e} "
-            f"from seed {seed} with reflection {reflection!r}: {res.message}")
-    return solve("alpha", res.x[0]), solve("beta", res.x[1])
+    def points(x: np.ndarray) -> list[np.ndarray]:
+        if not np.all(np.isfinite(x)):
+            raise stall(f"reached a non-finite iterate ({x[0]}, {x[1]})")
+        if x[0] <= 0.0 or x[1] <= 0.0:
+            raise stall(f"left the parameter domain at ({x[0]}, {x[1]})")
+        return [sign * np.asarray(solve(fam, p).record.h_point)
+                for sign, fam, p in zip(signs, families, x)]
+
+    def update(jac, x0, pts0, x1, pts1) -> None:
+        """Each column: the secant of P or Q through its two parameters."""
+        for j in range(2):
+            if x1[j] != x0[j]:
+                jac[:, j] = (pts1[j] - pts0[j]) / (x1[j] - x0[j])
+
+    x = np.array(seed, dtype=float)
+    pts = points(x)
+    jac = np.zeros((2, 2))
+    x_fd = x * (1.0 + MATCH_STEP_TOL)      # forward differences
+    update(jac, x, pts, x_fd, points(x_fd))
+    for _ in range(MATCH_MAX_STEPS):
+        f = pts[0] + pts[1]
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        if det == 0.0 or not math.isfinite(det):
+            raise stall(f"met a singular Jacobian (det = {det}) at "
+                        f"({x[0]}, {x[1]})")
+        step = np.array([jac[0, 1] * f[1] - jac[1, 1] * f[0],
+                         jac[1, 0] * f[0] - jac[0, 0] * f[1]]) / det
+        x_new = x + step
+        new = points(x_new)
+        update(jac, x, pts, x_new, new)
+        x, pts = x_new, new
+        if np.all(np.abs(step) <= MATCH_STEP_TOL * np.abs(x)):
+            break
+    else:
+        raise stall(f"did not converge in {MATCH_MAX_STEPS} steps")
+    dist = float(np.max(np.abs(pts[0] + pts[1])))
+    if dist > MATCH_RESIDUAL:
+        raise stall(f"stalled at residual {dist:.3e} at ({x[0]}, {x[1]})")
+    return solve("alpha", x[0]), solve("beta", x[1])
 
 
 def find_matching(alpha_range: tuple[float, float],

@@ -3,8 +3,15 @@
 A module's imported names must each be referenced somewhere in the module,
 as a name or as the base of an attribute. The package's ``__init__.py``
 only re-exports, so it is exempt.
+
+Also: the package's only run-time dependency is numpy, so a run of every
+root search loads no SciPy module.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +50,27 @@ def test_detects_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+NO_SCIPY_RUN = """
+import json, sys
+from nkshoot.geometry import count_v0_zeros
+from nkshoot.shoot import find_doubling, refine_matching, solve_family
+fa = solve_family("alpha", 0.5646)
+fb = solve_family("beta", 0.05)
+find_doubling("beta", (0.9, 1.1), "u0")
+refine_matching((0.56, 0.60), "w1")
+count_v0_zeros(fb.traj)
+fb.state_at(fb.t_star / 2)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_root_searches_load_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == []

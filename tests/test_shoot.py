@@ -8,7 +8,7 @@ import pytest
 from conftest import SQRT2, SQRT3
 from nkshoot import series, shoot
 from nkshoot.errors import (EventNotFoundError, JunctionMismatchError,
-                            NKError, NoSignChangeError)
+                            NKError, NoSignChangeError, RefinementStallError)
 from nkshoot.exact import eval_named
 from nkshoot.shoot import (find_doubling, find_matching, glue,
                            junction_derivative_gap, matching_candidates,
@@ -199,12 +199,29 @@ def test_refine_matching_without_root_stalls(monkeypatch):
 
 
 def test_refine_matching_solves_each_member_once(monkeypatch):
-    # hybr evaluates F at the seed repeatedly and each finite-difference
-    # column repeats one parameter; every family member is solved once
+    # each finite-difference column and each secant update reuses the last
+    # iterate's solves; every family member is solved once
     calls = count_solves(monkeypatch)
     fa, fb = refine_matching((0.56, 0.60), "w1")
     assert abs(fa.param - 0.5646) < 0.003 and abs(fb.param - 0.5985) < 0.003
     assert len(calls) == len(set(calls))
+
+
+def test_refine_matching_singular_jacobian_stalls(monkeypatch,
+                                                  beta1_solve):
+    # every member at the same chart point: both Jacobian columns vanish,
+    # and the 2x2 solve must stall with the typed error, not a LinAlgError
+    # or a NaN iterate
+    monkeypatch.setattr(shoot, "solve_family", lambda *args: beta1_solve)
+    with pytest.raises(RefinementStallError, match="singular"):
+        refine_matching((0.56, 0.60), "w1")
+
+
+def test_refine_matching_step_cap_stalls(monkeypatch):
+    # a seed that converges in a few steps, allowed a single one
+    monkeypatch.setattr(shoot, "MATCH_MAX_STEPS", 1)
+    with pytest.raises(RefinementStallError, match="did not converge"):
+        refine_matching((0.56, 0.60), "w1")
 
 
 def test_find_matching_solves_each_member_once(monkeypatch):
