@@ -13,8 +13,7 @@ import math
 from typing import Callable
 
 _EPS = 2.220446049250313e-16
-XTOL = 2e-12
-RTOL = 4 * _EPS
+RTOL_MIN = 4 * _EPS
 MAXITER = 100
 
 
@@ -23,19 +22,18 @@ def _signbit(x: float) -> bool:
 
 
 def brentq(f: Callable[[float], float], a: float, b: float,
-           xtol: float = XTOL, rtol: float = RTOL,
-           maxiter: int = MAXITER) -> float:
+           xtol: float, rtol: float) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
     xtol + rtol * |root|.
 
     Raises ValueError for xtol <= 0, rtol < 4 eps, a NaN function value or
-    end values of the same sign, and RuntimeError when maxiter iterations
+    end values of the same sign, and RuntimeError when MAXITER iterations
     do not converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {RTOL:g})")
+    if rtol < RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {RTOL_MIN:g})")
 
     def call(x: float) -> float:
         fx = float(f(x))
@@ -54,7 +52,7 @@ def brentq(f: Callable[[float], float], a: float, b: float,
         return xcur
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -96,5 +94,5 @@ def brentq(f: Callable[[float], float], a: float, b: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
+    raise RuntimeError(f"failed to converge after {MAXITER} iterations, "
                        f"value is {xcur}")

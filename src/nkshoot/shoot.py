@@ -25,7 +25,7 @@ from functools import cache
 import numpy as np
 
 from .errors import (BoundaryAmbiguousError, EventNotFoundError,
-                     InvalidArgumentError, JunctionMismatchError,
+                     InvalidArgumentError, JunctionMismatchError, NKError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
 from .integrate import MAX_VOLUME_EVENT, EventSpec, Trajectory, integrate
@@ -386,13 +386,15 @@ def refine_matching(seed: tuple[float, float], reflection: str,
     Column 1 of dF/d(a, b) depends on a alone and column 2 on b alone. The
     Jacobian at the seed is a forward difference with relative step
     MATCH_STEP_TOL; after each full quasi-Newton step each column is the
-    secant through its last two parameters. The solve ends at the first
-    step whose components are all within MATCH_STEP_TOL * |(a, b)|.
+    slope, at the new parameter, of the parabola through its last three
+    parameters. The solve ends at the first step whose components are all
+    within MATCH_STEP_TOL * |(a, b)|.
 
-    Raises RefinementStallError when an iterate leaves a, b > 0 or is not
-    finite, when the 2x2 system is singular, when MATCH_MAX_STEPS steps do
-    not converge, or when max|F| at the final point exceeds MATCH_RESIDUAL;
-    a point that is not a root is never returned.
+    Raises RefinementStallError when an iterate leaves a, b > 0, is not
+    finite or has a member whose solve fails (the NKError is its cause),
+    when the 2x2 system is singular, when MATCH_MAX_STEPS steps do not
+    converge, or when max|F| at the final point exceeds MATCH_RESIDUAL; a
+    point that is not a root is never returned.
     """
     solve = _solve_table(order, rtol, atol)
     # F = P(a) + Q(b), with P = alpha_H and Q = -R(beta_H)
@@ -409,20 +411,34 @@ def refine_matching(seed: tuple[float, float], reflection: str,
             raise stall(f"reached a non-finite iterate ({x[0]}, {x[1]})")
         if x[0] <= 0.0 or x[1] <= 0.0:
             raise stall(f"left the parameter domain at ({x[0]}, {x[1]})")
-        return [sign * np.asarray(solve(fam, p).record.h_point)
-                for sign, fam, p in zip(signs, families, x)]
+        try:
+            return [sign * np.asarray(solve(fam, p).record.h_point)
+                    for sign, fam, p in zip(signs, families, x)]
+        except NKError as e:
+            raise stall(f"could not solve a member at ({x[0]}, {x[1]}): "
+                        f"{e}") from e
 
-    def update(jac, x0, pts0, x1, pts1) -> None:
-        """Each column: the secant of P or Q through its two parameters."""
+    def update(jac, hist) -> None:
+        """Each column: the slope at the newest parameter of the parabola
+        of P or Q through its last three parameters (the chord while there
+        are two). A column whose parameter did not move keeps its slope."""
         for j in range(2):
-            if x1[j] != x0[j]:
-                jac[:, j] = (pts1[j] - pts0[j]) / (x1[j] - x0[j])
+            xs = [xk[j] for xk, _ in hist[-3:]]
+            ps = [pk[j] for _, pk in hist[-3:]]
+            if xs[-1] == xs[-2]:
+                continue
+            slope = (ps[-1] - ps[-2]) / (xs[-1] - xs[-2])
+            if len(xs) == 3 and xs[0] not in xs[1:]:
+                chord = (ps[1] - ps[0]) / (xs[1] - xs[0])
+                slope += (slope - chord) * (xs[2] - xs[1]) / (xs[2] - xs[0])
+            jac[:, j] = slope
 
     x = np.array(seed, dtype=float)
     pts = points(x)
-    jac = np.zeros((2, 2))
     x_fd = x * (1.0 + MATCH_STEP_TOL)      # forward differences
-    update(jac, x, pts, x_fd, points(x_fd))
+    hist = [(x, pts), (x_fd, points(x_fd))]
+    jac = np.zeros((2, 2))
+    update(jac, hist)
     for _ in range(MATCH_MAX_STEPS):
         f = pts[0] + pts[1]
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -431,10 +447,10 @@ def refine_matching(seed: tuple[float, float], reflection: str,
                         f"({x[0]}, {x[1]})")
         step = np.array([jac[0, 1] * f[1] - jac[1, 1] * f[0],
                          jac[1, 0] * f[0] - jac[0, 0] * f[1]]) / det
-        x_new = x + step
-        new = points(x_new)
-        update(jac, x, pts, x_new, new)
-        x, pts = x_new, new
+        x = x + step
+        pts = points(x)
+        hist.append((x, pts))
+        update(jac, hist)
         if np.all(np.abs(step) <= MATCH_STEP_TOL * np.abs(x)):
             break
     else:

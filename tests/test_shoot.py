@@ -7,8 +7,9 @@ import pytest
 
 from conftest import SQRT2, SQRT3
 from nkshoot import series, shoot
-from nkshoot.errors import (EventNotFoundError, JunctionMismatchError,
-                            NKError, NoSignChangeError, RefinementStallError)
+from nkshoot.errors import (DegenerateStateError, EventNotFoundError,
+                            JunctionMismatchError, NKError, NoSignChangeError,
+                            RefinementStallError)
 from nkshoot.exact import eval_named
 from nkshoot.shoot import (find_doubling, find_matching, glue,
                            junction_derivative_gap, matching_candidates,
@@ -190,8 +191,9 @@ def test_matching_candidates_unreflected_none():
 
 def test_refine_matching_without_root_stalls(monkeypatch):
     # unreflected, the curves never cross, so the root solve must give up
-    # with a typed error (its iterates head to b <= 0) instead of leaking
-    # the series' ValueError or returning a point that is not a root
+    # with a typed error (its iterates head for a, b -> 0 until a member
+    # solve degenerates) instead of leaking the series' ValueError or
+    # returning a point that is not a root
     calls = count_solves(monkeypatch)
     with pytest.raises(NKError):
         refine_matching((0.56, 0.60), "none")
@@ -199,8 +201,8 @@ def test_refine_matching_without_root_stalls(monkeypatch):
 
 
 def test_refine_matching_solves_each_member_once(monkeypatch):
-    # each finite-difference column and each secant update reuses the last
-    # iterate's solves; every family member is solved once
+    # the finite-difference columns and each three-point column update
+    # reuse the earlier iterates' solves; every family member is solved once
     calls = count_solves(monkeypatch)
     fa, fb = refine_matching((0.56, 0.60), "w1")
     assert abs(fa.param - 0.5646) < 0.003 and abs(fb.param - 0.5985) < 0.003
@@ -215,6 +217,18 @@ def test_refine_matching_singular_jacobian_stalls(monkeypatch,
     monkeypatch.setattr(shoot, "solve_family", lambda *args: beta1_solve)
     with pytest.raises(RefinementStallError, match="singular"):
         refine_matching((0.56, 0.60), "w1")
+
+
+def test_refine_matching_member_failure_stalls(monkeypatch):
+    # a member solve that fails at an iterate ends this seed's refinement
+    # with the typed stall, the solve's error kept as its cause
+    def degenerate(*args):
+        raise DegenerateStateError("start has mu^2 = 0")
+
+    monkeypatch.setattr(shoot, "solve_family", degenerate)
+    with pytest.raises(RefinementStallError, match="could not solve") as e:
+        refine_matching((0.56, 0.60), "w1")
+    assert isinstance(e.value.__cause__, DegenerateStateError)
 
 
 def test_refine_matching_step_cap_stalls(monkeypatch):
