@@ -49,7 +49,7 @@ class ConstraintDriftError(NKError):
 
 
 class EventNotFoundError(NKError):
-    """No maximal-volume event before the singularity guard tripped."""
+    """No maximal-volume event, or one that is not a transversal unique one."""
 
 
 class BoundViolationError(NKError):

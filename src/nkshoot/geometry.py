@@ -215,32 +215,28 @@ class ZeroCount:
 
 
 def count_v0_zeros(traj: Trajectory) -> ZeroCount:
-    """Count simple zeros of v0 strictly before the maximal-volume time.
+    """Count simple zeros of v0 strictly before the maximal-volume time T,
+    the last node of a trajectory that the maximal-volume event stopped.
 
-    Each sign change of v0 between consecutive nodes up to T is refined by
-    brentq on the dense output, so the nodes must bracket every sign change
-    (zeros of v0 are non-degenerate away from the sine-cone locus). If
+    Each sign change of v0 between consecutive nodes is refined by brentq
+    on the dense output, so the nodes must bracket every sign change (zeros
+    of v0 are non-degenerate away from the sine-cone locus). If
     |v0(T)|/mu(T) is below the boundary tolerance the count is flagged
     ambiguous.
     """
-    hit = traj.first_hit("max-volume")
-    if hit is None:
-        raise ValueError("trajectory carries no maximal-volume event")
-    T = hit.t
-    end_state = traj.state_at(min(T, traj.t_end))
+    if traj.stopped_by != "max-volume":
+        raise ValueError("trajectory not stopped by the maximal-volume event")
+    T = traj.t_end
+    end_state = State.from_vec(T, traj.states[-1])
     ambiguous = abs(end_state.v[0]) / end_state.mu < BOUNDARY_TOL
 
     zeros = []
-    ts = traj.times
-    v0 = traj.states[:, 4]
-    for i in range(len(ts) - 1):
-        if ts[i + 1] > T:
-            break
-        if v0[i] * v0[i + 1] < 0.0:
-            z = brentq(lambda t: traj.state_at(t).v[0], ts[i], ts[i + 1],
-                       xtol=1e-13, rtol=8.9e-16)
-            if z < T:
-                zeros.append(z)
+    ts, v0 = traj.times, traj.states[:, 4]
+    for i in (v0[:-1] * v0[1:] < 0.0).nonzero()[0]:
+        z = brentq(lambda t: traj.state_at(t).v[0], ts[i], ts[i + 1],
+                   xtol=1e-13, rtol=8.9e-16)
+        if z < T:
+            zeros.append(z)
     return ZeroCount(count=len(zeros), zeros=tuple(zeros),
                      boundary_ambiguous=ambiguous)
 

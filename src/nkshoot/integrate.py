@@ -10,9 +10,9 @@ radius estimated from the last two jet coefficients; N and the step
 tolerance follow from rtol and atol. Every step contributes its end and
 STEP_SAMPLES interior points as nodes. Events and guards are sign changes of
 their functions over a step's nodes, refined by brentq on the function of
-the step polynomial's state; the dense output is the step polynomials
-themselves. First integrals are recorded at every node and a relative drift
-above 1e-6 aborts the run; drift is monitored, never projected out.
+the step polynomial's state, and the earliest ends the run; the dense output
+is the step polynomials. First integrals are recorded at every node and a
+relative drift above 1e-6 aborts the run; drift is monitored, not projected.
 """
 from __future__ import annotations
 
@@ -88,14 +88,13 @@ def _step_size(c: np.ndarray, tol: float) -> float:
 @dataclass(frozen=True)
 class EventSpec:
     """Event function of (t, y7) with a direction filter (0 any, +1 rising,
-    -1 falling) and a terminal flag. The engine calls fn_vec on all nodes of
-    a step at once, with t of shape (m,) and y of shape (7, m), so it must
+    -1 falling); an event stops the run. The engine calls fn_vec on all nodes
+    of a step at once, with t of shape (m,) and y of shape (7, m), so it must
     act elementwise over the trailing axis and return shape (m,)."""
 
     name: str
     fn_vec: Callable[[float, np.ndarray], float]
     direction: int = 0          # 0 any, +1 rising, -1 falling
-    terminal: bool = False
 
     def __call__(self, t: float, y: np.ndarray) -> float:
         return self.fn_vec(t, y)
@@ -117,15 +116,7 @@ def _volume_event_vec(t: float, y: np.ndarray) -> float:
 
 
 #: The flagship event: the maximal-volume orbit, where 2 lambda^4 u1 = 3 u2 v2.
-MAX_VOLUME_EVENT = EventSpec("max-volume", fn_vec=_volume_event_vec,
-                             direction=0, terminal=True)
-
-
-@dataclass(frozen=True)
-class EventHit:
-    name: str
-    t: float
-    state: State
+MAX_VOLUME_EVENT = EventSpec("max-volume", fn_vec=_volume_event_vec)
 
 
 @dataclass(frozen=True)
@@ -147,15 +138,15 @@ class StepPolynomials:
 class Trajectory:
     """Result of one integration: strictly increasing nodes (step ends and
     STEP_SAMPLES interior points per step), the step polynomials as dense
-    output, the event log, constraint drift per node and the termination
-    reason ('event' | 'singularity' | 'horizon')."""
+    output, constraint drift per node, the termination reason and the name
+    of the event or guard whose crossing is the last node (None at horizon)."""
 
     times: np.ndarray
     states: np.ndarray                  # shape (n, 7)
     dense: StepPolynomials = field(repr=False)
-    hits: tuple[EventHit, ...]
-    termination: str
+    termination: str                    # 'event' | 'singularity' | 'horizon'
     drift: np.ndarray                   # relative max|I_i| per node
+    stopped_by: str | None
 
     @property
     def t_start(self) -> float:
@@ -173,15 +164,6 @@ class Trajectory:
 
     def node_states(self) -> list[State]:
         return [State.from_vec(t, y) for t, y in zip(self.times, self.states)]
-
-    def first_hit(self, name: str) -> EventHit | None:
-        for h in self.hits:
-            if h.name == name:
-                return h
-        return None
-
-    def hits_named(self, name: str) -> list[EventHit]:
-        return [h for h in self.hits if h.name == name]
 
 
 def _root(spec: EventSpec, c: np.ndarray, t0: float, lo: float,
@@ -236,16 +218,20 @@ def integrate(start: State, horizon: float,
               allow_unoriented: bool = False) -> Trajectory:
     """Integrate forward from start.t to horizon by Taylor steps.
 
-    Raises InvalidArgumentError unless start.t < horizon < inf. Terminal
-    events stop the run; the singularity guard stops when |lambda| < 1e-8,
-    mu^2 < 1e-12 or any component exceeds 1e8 in magnitude; a step below
-    the floor 16 eps max(1, |t|) raises StepSizeCollapseError.
-    allow_unoriented skips the lambda > 0 / orientation precondition (used
-    for symmetry-image integrations; mu^2 > 0 is always required).
+    The first event ends the run: the earliest crossing of any of events or
+    of the singularity guard (|lambda| < 1e-8, mu^2 < 1e-12 or a component
+    above 1e8 in magnitude) is the last node; without one the run ends at
+    the horizon. Raises InvalidArgumentError unless start.t < horizon < inf
+    and rtol, atol are positive and finite; a step below 16 eps max(1, |t|)
+    raises StepSizeCollapseError. allow_unoriented skips the lambda > 0 /
+    orientation precondition (symmetry-image runs; mu^2 > 0 is required).
     """
     if not start.t < horizon < math.inf:
         raise InvalidArgumentError(
             f"horizon {horizon} is not a finite time after start t = {start.t}")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise InvalidArgumentError(f"tolerances must be positive and finite, "
+                                   f"got rtol = {rtol}, atol = {atol}")
     if start.mu2 <= MU2_MIN:
         raise DegenerateStateError(f"start has mu^2 = {start.mu2}")
     if not allow_unoriented:
@@ -259,17 +245,13 @@ def integrate(start: State, horizon: float,
     # threshold is always a detectable sign change
     lam_sign = 1.0 if start.lam >= 0.0 else -1.0
     guards = [
-        EventSpec("guard-lambda",
-                  fn_vec=lambda t, y: lam_sign * y[0] - LAMBDA_MIN,
-                  direction=-1, terminal=True),
-        EventSpec("guard-mu2",
-                  fn_vec=lambda t, y: (-y[1] * y[1] + y[2] * y[2]
-                                       + y[3] * y[3]) - MU2_MIN,
-                  direction=-1, terminal=True),
-        EventSpec("guard-magnitude",
-                  fn_vec=lambda t, y: COMPONENT_MAGNITUDE_MAX
-                  - np.max(np.abs(y), axis=0),
-                  direction=-1, terminal=True),
+        EventSpec("guard-lambda", lambda t, y: lam_sign * y[0] - LAMBDA_MIN,
+                  direction=-1),
+        EventSpec("guard-mu2", lambda t, y: (-y[1] * y[1] + y[2] * y[2]
+                                             + y[3] * y[3]) - MU2_MIN,
+                  direction=-1),
+        EventSpec("guard-magnitude", lambda t, y: COMPONENT_MAGNITUDE_MAX
+                  - np.max(np.abs(y), axis=0), direction=-1),
     ]
     specs = list(events) + guards
     direction = np.array([spec.direction for spec in specs])
@@ -279,9 +261,9 @@ def integrate(start: State, horizon: float,
     t, y = start.t, start.vec
     times, states = [np.array([t])], [y[None, :]]
     drifts = [_node_drift(times[0], states[0], t, y)]
-    starts, coeffs, hits = [], [], []
+    starts, coeffs = [], []
     g_prev = [spec(t, y) for spec in specs]
-    termination = None
+    termination = stopped_by = None
     while termination is None:
         # near a singularity the jet can overflow; that ends the run below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -300,25 +282,21 @@ def integrate(start: State, horizon: float,
             ts[-1] = horizon
         ys = _poly_states(c, ts - t)
 
-        # events: every sign change over the step's nodes, refined on the
-        # step polynomial; the earliest terminal one ends the run there
+        # events: the earliest node interval with a sign change holds the
+        # earliest crossing; refined on the step polynomial, it ends the run
         vals = np.column_stack((g_prev, [spec(ts, ys.T) for spec in specs]))
         g_prev = vals[:, -1]
-        node_t = [t, *ts.tolist()]
-        found = sorted((_root(specs[i], c, t, node_t[j], node_t[j + 1]), i)
-                       for i, j in _crossings(vals, direction).tolist())
-        for t_root, i in found:
-            if specs[i].terminal:
-                end = int(np.searchsorted(ts, t_root))
-                ts = np.append(ts[:end], t_root)
-                ys = np.vstack((ys[:end], _poly_states(c, t_root - t)))
-                termination = ("singularity" if i >= len(specs) - len(guards)
-                               else "event")
-                found = [f for f in found if f[0] <= t_root]
-                break
-        hits += [EventHit(specs[i].name, t_root,
-                          State.from_vec(t_root, _poly_states(c, t_root - t)))
-                 for t_root, i in found]
+        found = _crossings(vals, direction)
+        if found.size:
+            j = found[:, 1].min()
+            lo, hi = [t, *ts.tolist()][j:j + 2]
+            t_root, i = min((_root(specs[i], c, t, lo, hi), i)
+                            for i in found[found[:, 1] == j, 0].tolist())
+            end = int(np.searchsorted(ts, t_root))
+            ts = np.append(ts[:end], t_root)
+            ys = np.vstack((ys[:end], _poly_states(c, t_root - t)))
+            termination = "event" if i < len(events) else "singularity"
+            stopped_by = specs[i].name
 
         drifts.append(_node_drift(ts, ys, t, y))
         starts.append(t)
@@ -330,5 +308,5 @@ def integrate(start: State, horizon: float,
     return Trajectory(times=np.concatenate(times),
                       states=np.concatenate(states),
                       dense=StepPolynomials(np.array(starts), tuple(coeffs)),
-                      hits=tuple(hits), termination=termination,
-                      drift=np.concatenate(drifts))
+                      termination=termination,
+                      drift=np.concatenate(drifts), stopped_by=stopped_by)

@@ -48,8 +48,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, OutOfRadiusError, ResonanceError,
-                     SeriesConsistencyError)
+from .errors import (DegenerateStateError, InvalidArgumentError,
+                     OutOfRadiusError, ResonanceError, SeriesConsistencyError)
 from .rootfind import brentq
 from .state import State
 
@@ -327,7 +327,8 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     """Coefficient table Y (dim x order+1) of the unique series solution,
     and A = d_{y0}M_-1, by the relaxed recurrence in O(order^2) work.
 
-    Raises InvalidArgumentError if order < 1, SeriesConsistencyError if
+    Raises InvalidArgumentError if order < 1, DegenerateStateError if the
+    order-0 pass divides by zero or overflows, SeriesConsistencyError if
     M_-1(y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
     for which h*Id - A is ill conditioned; all h are checked, in one batch,
     before the first solve.
@@ -338,7 +339,14 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     prog, k = problem.program, problem.program.dim
     name = problem.name or "singular IVP"
     Mm1, Mm1_const, W = prog.matrices
-    C, G = prog.start(problem.y0, problem.params, order)
+    try:
+        C, G = prog.start(problem.y0, problem.params, order)
+    except ZeroDivisionError:
+        C = G = np.full((1, 1), np.nan)
+    if not (np.isfinite(C[:, 0]).all() and np.isfinite(G).all()):
+        raise DegenerateStateError(
+            f"{name}: the order-0 terms at parameters {list(problem.params)} "
+            f"divide by zero or overflow in floating point")
     res = float(np.max(np.abs(Mm1 @ C[:, 0] + Mm1_const)))
     if res > 1e-13 * (1.0 + float(np.max(np.abs(problem.y0)))):
         raise SeriesConsistencyError(f"{name}: |M_-1(y0)| = {res:.3e}")

@@ -32,10 +32,20 @@ from .integrate import MAX_VOLUME_EVENT, EventSpec, Trajectory, integrate
 from .rootfind import brentq
 from .series import (DEFAULT_ORDER, SeriesSolution, eval_series,
                      family_series, handoff, poly_integral, volume_coeffs)
-from .state import GLUE_MINUS, GLUE_PLUS, State, rhs_vec
+from .state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry, rhs_vec,
+                    transform_derivative)
 
 S6_STD_TOTAL_VOLUME = 9.0 / 5.0     # normalization for the vol column
 EVENT_GUARD_INTERVAL = 0.1          # uniqueness confirmation window
+# At the events located over alpha in [0.1, 10] and beta in [0.05, 2],
+# |g / g'| is round-off, <= 1.1e-16 (0.05 before T it is 0.05), and the
+# scale-free slope of _confirm_unique_maximum lies in [-12.8, -2.5] (<= -5/2
+# on shell on the wedge); both bounds sit far inside. The cosine of grad g
+# and the flow falls to -0.025 at alpha = 10, too near 0 to bound.
+EVENT_ROOT_TIME = 1e-9              # bound on |g / g'|
+EVENT_SLOPE_MAX = -0.5              # bound on the scale-free slope
+PROBE_EVENT = EventSpec("second-max", fn_vec=MAX_VOLUME_EVENT.fn_vec,
+                        direction=+1)   # the window run stops on a rising g
 JUNCTION_TOL = 1e-7
 MATCH_RESIDUAL = 1e-9
 MATCH_STEP_TOL = math.sqrt(np.finfo(float).eps)   # relative to (a, b)
@@ -78,15 +88,16 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
     t_star, start = handoff(sol)
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,),
                      rtol=rtol, atol=atol)
-    hit = traj.first_hit("max-volume")
-    if traj.termination != "event" or hit is None:
+    if traj.stopped_by != MAX_VOLUME_EVENT.name:
         raise EventNotFoundError(
             f"no maximal-volume event for {family}({param}); "
             f"termination = {traj.termination}")
-    record = MaxOrbitRecord.from_state(family, param, hit.t, hit.state)
-    _confirm_unique_maximum(hit.state, rtol, atol)
+    T = traj.times[-1]
+    event_state = State.from_vec(T, traj.states[-1])
+    record = MaxOrbitRecord.from_state(family, param, T, event_state)
+    _confirm_unique_maximum(event_state, rtol, atol)
     vol = (sol.volume_integral(sol.handoff_point[1])
-           + _ode_volume_integral(traj, t_star, hit.t))
+           + _ode_volume_integral(traj, t_star, T))
     return FamilySolve(family=family, param=param, series=sol, t_star=t_star,
                        traj=traj, record=record, vol_integral=vol)
 
@@ -106,20 +117,27 @@ def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:
 
 def _confirm_unique_maximum(event_state: State, rtol: float,
                             atol: float) -> None:
-    """Every critical point of V is a strict maximum, so a second event in a
-    short continuation would signal a located non-maximum; check none fires.
-
-    The probe's event is non-terminal, so a round-off crossing at the start
-    cannot end the probe: it always covers the whole guard interval."""
-    probe = integrate(event_state, event_state.t + EVENT_GUARD_INTERVAL,
-                      events=(EventSpec("second-max",
-                                        fn_vec=MAX_VOLUME_EVENT.fn_vec),),
-                      rtol=max(rtol, 1e-10), atol=max(atol, 1e-10))
-    hits = [h for h in probe.hits_named("second-max")
-            if h.t > event_state.t + 1e-10]
-    if hits:
+    """Every critical point of V is a strict maximum (on shell g = lambda^2
+    V'), so the located event must be a transversal falling zero of g:
+    raise EventNotFoundError unless |g / g'| < EVENT_ROOT_TIME and g' mu^2 /
+    (lambda^3 (mu^4 + lambda^2 (mu^2 + u1^2))) < EVENT_SLOPE_MAX, with g' by
+    a complex step along the flow. Past it g < 0, so a second critical point
+    first crosses upward: the window run stops only on a rising zero of g."""
+    t, y = event_state.t, event_state.vec
+    lam, u1, mu2 = event_state.lam, event_state.u[1], event_state.mu2
+    g = MAX_VOLUME_EVENT(t, y)
+    dg = MAX_VOLUME_EVENT(t, y + 1e-20j * rhs_vec(t, y)).imag / 1e-20
+    slope = dg * mu2 / (lam ** 3 * (mu2 ** 2 + lam ** 2 * (mu2 + u1 ** 2)))
+    if not (slope < EVENT_SLOPE_MAX and abs(g) < EVENT_ROOT_TIME * abs(dg)):
         raise EventNotFoundError(
-            f"second volume-critical point at t = {hits[0].t}; the located "
+            f"the event at t = {t} is not a transversal falling zero of g: "
+            f"g = {g:.3e}, g' = {dg:.3e}, scale-free slope {slope:.3e}")
+    probe = integrate(event_state, t + EVENT_GUARD_INTERVAL,
+                      events=(PROBE_EVENT,),
+                      rtol=max(rtol, 1e-10), atol=max(atol, 1e-10))
+    if probe.stopped_by == PROBE_EVENT.name:
+        raise EventNotFoundError(
+            f"second volume-critical point at t = {probe.t_end}; the located "
             f"event was not the unique maximum")
 
 
@@ -195,12 +213,16 @@ class CompleteSolution:
     construction: str            # 'doubling' | 'matching'
     left: FamilySolve = field(repr=False)
     right: FamilySolve = field(repr=False)
-    word: str                    # gluing symmetry word
+    symmetry: Symmetry           # gluing symmetry of the right half
     manifold: str                # 'S6' | 'S3xS3' | 'CP3' | 'S2xS4'
     T_total: float
     Vmax: float
     vol: float
     junction_gap: float
+
+    @property
+    def word(self) -> str:
+        return self.symmetry.label
 
     @property
     def family_left(self) -> str:
@@ -225,9 +247,8 @@ class CompleteSolution:
         if t <= self.left.record.T:
             return self.left.state_at(t)
         tau = min(self.T_total - t, self.right.record.T)
-        signs = GLUE_PLUS.signs if self.word == GLUE_PLUS.label else GLUE_MINUS.signs
         st = self.right.state_at(tau)
-        return State.from_vec(t, st.vec * np.asarray(signs, dtype=float))
+        return State.from_vec(t, st.vec * np.asarray(self.symmetry.signs))
 
     def as_dict(self) -> dict:
         return {
@@ -244,7 +265,7 @@ class CompleteSolution:
         }
 
 
-def _classify(left: FamilySolve, right: FamilySolve, word: str) -> str:
+def _classify(left: FamilySolve, right: FamilySolve, sym: Symmetry) -> str:
     fams = {left.family, right.family}
     if fams == {"alpha", "beta"}:
         return "S6"
@@ -252,7 +273,7 @@ def _classify(left: FamilySolve, right: FamilySolve, word: str) -> str:
         return "S3xS3"
     # alpha-alpha: (5.17)-type word closes on two S^2 x S^4 halves,
     # (5.18)-type on CP^3
-    return "S2xS4" if word == GLUE_PLUS.label else "CP3"
+    return "S2xS4" if sym == GLUE_PLUS else "CP3"
 
 
 def glue(left: FamilySolve, right: FamilySolve,
@@ -275,22 +296,21 @@ def glue(left: FamilySolve, right: FamilySolve,
     gaps = {}
     for sym in (GLUE_PLUS, GLUE_MINUS):
         transformed = sr.vec * np.asarray(sym.signs, dtype=float)
-        gaps[sym.label] = float(np.max(np.abs(sl.vec - transformed)))
-    word = min(gaps, key=gaps.get)
-    gap = gaps[word]
+        gaps[sym] = float(np.max(np.abs(sl.vec - transformed)))
+    sym = min(gaps, key=gaps.get)
+    gap = gaps[sym]
     if gap > JUNCTION_TOL * scale:
         raise JunctionMismatchError(
-            f"junction mismatch: best word {word} leaves gap {gap:.3e} "
-            f"(plus: {gaps[GLUE_PLUS.label]:.3e}, "
-            f"minus: {gaps[GLUE_MINUS.label]:.3e})")
-    manifold = _classify(left, right, word)
+            f"junction mismatch: best word {sym.label} leaves gap {gap:.3e} "
+            f"(plus: {gaps[GLUE_PLUS]:.3e}, minus: {gaps[GLUE_MINUS]:.3e})")
+    manifold = _classify(left, right, sym)
     if manifold == "S2xS4":
         warnings.warn("constructed an S2xS4 doubling, which is conjectured "
                       "not to exist; inspect the root carefully",
                       stacklevel=2)
     vol = (left.vol_integral + right.vol_integral) / S6_STD_TOTAL_VOLUME
     return CompleteSolution(
-        construction=construction, left=left, right=right, word=word,
+        construction=construction, left=left, right=right, symmetry=sym,
         manifold=manifold, T_total=left.record.T + right.record.T,
         Vmax=0.5 * (left.record.Vmax + right.record.Vmax), vol=vol,
         junction_gap=gap)
@@ -302,11 +322,8 @@ def junction_derivative_gap(solution: CompleteSolution) -> float:
     left one."""
     sl = solution.left.record.state
     sr = solution.right.record.state
-    sym = GLUE_PLUS if solution.word == GLUE_PLUS.label else GLUE_MINUS
-    dl = rhs_vec(sl.t, sl.vec)
-    dr = rhs_vec(sr.t, sr.vec)
-    transformed = -np.asarray(sym.signs, dtype=float) * dr
-    return float(np.max(np.abs(dl - transformed)))
+    dr = transform_derivative(solution.symmetry, rhs_vec(sr.t, sr.vec))
+    return float(np.max(np.abs(rhs_vec(sl.t, sl.vec) - dr)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The benchmark's tracer wraps nkshoot functions by name: every span it
-installs must still resolve, so a rename fails here and not only in the
-benchmark's own suite."""
+"""The benchmark's tracer wraps nkshoot functions by name and its workloads
+call them: every span it installs must still resolve and every call must
+still bind, so a rename or a narrowed signature fails here and not only in
+the benchmark's own suite."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -10,7 +12,8 @@ import pytest
 
 from nkshoot import shoot
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _layer_spans():
@@ -35,3 +38,39 @@ def test_layer_span_resolves(span):
 def test_solve_family_keeps_family_parameter():
     # the tracer counts objective evaluations by the bound 'family' argument
     assert "family" in inspect.signature(shoot.solve_family).parameters
+
+
+def test_workload_calls_bind():
+    # every name the workloads import from nkshoot resolves, and every call
+    # of one, or of a function of an imported nkshoot module, binds to the
+    # current signature with the call's positional count and keyword names
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    names = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and node.module.startswith("nkshoot")):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    assert {"shoot", "cli", "emit"} <= set(names)
+    calls = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            fn = names[func.id]
+        elif (isinstance(func, ast.Attribute)
+              and isinstance(func.value, ast.Name)
+              and inspect.ismodule(names.get(func.value.id))):
+            fn = getattr(names[func.value.id], func.attr)
+        else:
+            continue
+        if not callable(fn) or inspect.isclass(fn):
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args)
+        assert all(kw.arg is not None for kw in node.keywords)
+        inspect.signature(fn).bind(*node.args,
+                                   **{kw.arg: None for kw in node.keywords})
+        calls += 1
+    assert calls >= 6

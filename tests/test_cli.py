@@ -140,10 +140,18 @@ def test_bad_config_value_exits_3(tmp_path, capsys, line, option, command):
     (["series", "--family", "psi-b", "--param", "inf"], "finite"),
     (["series", "--family", "bubble-b", "--param", "nan"], "finite"),
     (["trace", "--family", "beta", "--lo", "0.6", "--hi", "inf"], "param_lo"),
+    (["traj", "--family", "alpha", "--param", "1", "--rtol", "nan"],
+     "tolerances"),
+    (["verify", "--rtol", "nan"], "tolerances"),
+    (["traj", "--family", "alpha", "--param", "1", "--rtol", "-1"],
+     "tolerances"),
+    (["traj", "--family", "alpha", "--param", "1", "--atol", "0"],
+     "tolerances"),
 ], ids=["trace-range", "trace-n", "traj-param", "scan-lo", "scan-n",
         "fig2-alo", "traj-horizon-backward", "traj-horizon-nan",
         "traj-param-inf", "series-param-nan", "series-param-inf",
-        "bubble-param-nan", "trace-hi-inf"])
+        "bubble-param-nan", "trace-hi-inf", "traj-rtol-nan",
+        "verify-rtol-nan", "traj-rtol-negative", "traj-atol-zero"])
 def test_invalid_argument_exits_3(tmp_path, capsys, command, message):
     # rejected by the package before any solve: message on stderr, exit 3,
     # no output file
@@ -187,6 +195,28 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"]
     assert record["command"] == "traj"
+
+
+@pytest.mark.parametrize("command", [
+    ["series", "--family", "psi-a", "--param", "1e-300"],
+    ["series", "--family", "psi-a", "--param", "1e-160"],
+    ["series", "--family", "psi-a", "--param", "1e10"],
+    ["series", "--family", "psi-a", "--param", "1e100"],
+    ["series", "--family", "psi-b", "--param", "1e10"],
+    ["series", "--family", "psi-b", "--param", "1e100"],
+    ["series", "--family", "psi-b", "--param", "1e200"],
+    ["traj", "--family", "alpha", "--param", "1e-200"],
+    ["traj", "--family", "alpha", "--param", "1e200"],
+], ids=lambda c: f"{c[0]}-{c[2]}-{c[4]}")
+def test_parameter_beyond_floats_exits_2(tmp_path, capsys, command):
+    # a parameter whose order-0 series terms divide by zero or overflow is a
+    # typed solver failure with its JSON record, not a traceback
+    out = tmp_path / "never.out"
+    assert main(command + ["--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "DegenerateStateError"
+    assert record["command"] == command[0]
+    assert not out.exists()
 
 
 def test_config_precedence(tmp_path):

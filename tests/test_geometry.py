@@ -1,5 +1,6 @@
 """orbit_geometry: curvature scalars, Lyapunov functional, projections,
 zero counting, comparison bounds."""
+import dataclasses
 import math
 
 import numpy as np
@@ -217,8 +218,7 @@ def test_comparison_bounds_detect_violation():
     bad_states = traj.states.copy()
     factor = 1.0 + 0.5 * (traj.times - traj.times[0])
     bad_states[:, 1:4] *= factor[:, None]
-    bad = type(traj)(times=traj.times, states=bad_states, dense=traj.dense,
-                     hits=[], termination="horizon", drift=traj.drift)
+    bad = dataclasses.replace(traj, states=bad_states)
     with pytest.raises(BoundViolationError):
         comparison_bounds(bad)
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import SQRT3
 from nkshoot.errors import ConstraintDriftError, InvalidArgumentError
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
+from nkshoot.geometry import count_v0_zeros
 from nkshoot.integrate import MAX_VOLUME_EVENT, EventSpec, integrate
 from nkshoot.series import handoff, series_psi_a, series_psi_b
 from nkshoot.state import State, apply_symmetry, rhs_vec
@@ -17,21 +18,20 @@ from nkshoot.state import State, apply_symmetry, rhs_vec
 def test_sine_cone_max_volume_event():
     traj = integrate(eval_named("sine-cone", 0.3), math.pi,
                      events=(MAX_VOLUME_EVENT,))
-    hit = traj.first_hit("max-volume")
     assert traj.termination == "event"
-    assert abs(hit.t - math.pi / 2) < 1e-10
+    assert abs(traj.t_end - math.pi / 2) < 1e-10
 
 
 def test_psi_b_unit_event_time():
     _, start = handoff(series_psi_b(1.0))
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
-    assert abs(traj.first_hit("max-volume").t - math.pi / (2 * SQRT3)) < 1e-9
+    assert abs(traj.t_end - math.pi / (2 * SQRT3)) < 1e-9
 
 
 def test_psi_a_sqrt3_event_volume():
     _, start = handoff(series_psi_a(SQRT3))
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
-    V = traj.first_hit("max-volume").state.volume
+    V = State.from_vec(traj.t_end, traj.states[-1]).volume
     assert abs(V - 81 * SQRT3 / (25 * math.sqrt(5))) < 1e-8
 
 
@@ -92,7 +92,7 @@ def test_event_refinement_idempotent():
     # interpolant
     traj = integrate(eval_named("sine-cone", 0.3), math.pi,
                      events=(MAX_VOLUME_EVENT,))
-    t0 = traj.first_hit("max-volume").t
+    t0 = traj.t_end
     assert abs(MAX_VOLUME_EVENT(t0, traj.state_at(t0).vec)) < 1e-13
 
 
@@ -124,7 +124,7 @@ def test_singularity_guard_mu2():
     _, start = handoff(series_psi_b(0.8))
     rev = apply_symmetry("tau1", start)
     traj = integrate(rev, rev.t + 0.5, allow_unoriented=True)
-    assert traj.termination == "singularity"
+    assert (traj.termination, traj.stopped_by) == ("singularity", "guard-mu2")
     end = traj.states[-1]
     mu2 = -end[1] ** 2 + end[2] ** 2 + end[3] ** 2
     assert abs(mu2 - 1e-12) < 1e-13
@@ -132,7 +132,7 @@ def test_singularity_guard_mu2():
 
 
 def test_never_extrapolates_past_second_singularity():
-    # forward runs with no terminal event stop (guard or step collapse)
+    # forward runs with no event stop (guard or step collapse)
     # strictly before the existence bound
     from nkshoot.errors import StepSizeCollapseError
     for family, param in (("beta", 0.4), ("alpha", 1.0)):
@@ -155,20 +155,24 @@ def test_constraint_drift_abort():
         integrate(off, 2.0)
 
 
-def test_non_terminal_event_collects_all_hits():
+def test_first_event_stops_the_run():
+    # beta(0.05) has v0 zeros before its maximal-volume orbit: a v0 event
+    # beside the maximal-volume one stops the run at the first of them,
+    # which is the last node and count_v0_zeros' first zero
     _, start = handoff(series_psi_b(0.05))
-    traj = integrate(start, math.pi,
-                     events=(MAX_VOLUME_EVENT,
-                             EventSpec("v0-zero", fn_vec=lambda t, y: y[4])))
-    zeros = traj.hits_named("v0-zero")
+    v0_zero = EventSpec("v0-zero", fn_vec=lambda t, y: y[4])
+    traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT, v0_zero))
+    assert (traj.termination, traj.stopped_by) == ("event", "v0-zero")
+    full = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
+    assert full.stopped_by == "max-volume"
+    zeros = count_v0_zeros(full).zeros
     assert len(zeros) >= 2
-    assert all(traj.t_start < h.t for h in zeros)
+    assert abs(traj.t_end - zeros[0]) < 1e-12
 
 
 def test_trajectory_is_immutable():
     traj = integrate(eval_named("sine-cone", 0.3), math.pi,
                      events=(MAX_VOLUME_EVENT,))
-    assert isinstance(traj.hits, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         traj.termination = "horizon"
 

@@ -1,5 +1,6 @@
 """shooting: family solves, curve tracing, doubling and matching roots,
 gluing, scans."""
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,12 @@ from nkshoot.errors import (DegenerateStateError, EventNotFoundError,
                             JunctionMismatchError, NKError, NoSignChangeError,
                             RefinementStallError)
 from nkshoot.exact import eval_named
+from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
 from nkshoot.shoot import (find_doubling, find_matching, glue,
                            junction_derivative_gap, matching_candidates,
                            max_orbit, refine_matching, scan_s2s4_boundary,
                            solve_family, trace_curve)
+from nkshoot.state import State, _first_integrals, rhs_vec
 
 S6_VMAX = 81 * SQRT3 / (25 * math.sqrt(5))
 
@@ -295,6 +298,96 @@ def test_probe_rejects_a_later_critical_point(beta1_solve):
     with pytest.raises(EventNotFoundError):
         shoot._confirm_unique_maximum(beta1_solve.traj.state_at(T - 0.05),
                                       1e-12, 1e-12)
+
+
+def test_probe_catches_a_planted_rising_crossing(monkeypatch, beta1_solve):
+    # the probe's event becomes g + k max(0, t - T - 0.05)^2, with k set so
+    # that it crosses zero upward at T + 0.09: the window run must stop there
+    st = beta1_solve.record.state
+    T = st.t
+    g_late = MAX_VOLUME_EVENT(T + 0.09,
+                              integrate(st, T + 0.1).state_at(T + 0.09).vec)
+    assert g_late < 0.0
+    k = -g_late / 0.04 ** 2
+
+    def planted(t, y):
+        return (MAX_VOLUME_EVENT.fn_vec(t, y)
+                + k * np.maximum(0.0, t - T - 0.05) ** 2)
+
+    monkeypatch.setattr(shoot, "PROBE_EVENT",
+                        dataclasses.replace(shoot.PROBE_EVENT, fn_vec=planted))
+    trajs = []
+
+    def spy(*args, **kwargs):
+        trajs.append(integrate(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(shoot, "integrate", spy)
+    with pytest.raises(EventNotFoundError, match="second volume-critical"):
+        shoot._confirm_unique_maximum(st, 1e-12, 1e-12)
+    assert abs(trajs[-1].t_end - (T + 0.09)) < 1e-6
+
+
+@pytest.mark.parametrize("share", [-1.0, 0.0, 0.05],
+                         ids=["rising", "tangent", "nearly-tangent"])
+def test_probe_rejects_a_crossing_that_is_not_transversal_falling(
+        monkeypatch, beta1_solve, share):
+    # g does not depend on v1, and g' does linearly (d g'/d v1 = -6
+    # lambda^3): shifting v1 keeps the zero of g and leaves share times the
+    # event's g', read off the flow by central differences. On shell every
+    # zero of g on the wedge falls transversally, so these states are off
+    # shell; the start check rejects them before any integration
+    st = beta1_solve.record.state
+    T, h = st.t, 1e-4
+    after = integrate(st, T + 0.1)
+    dg = (MAX_VOLUME_EVENT(T + h, after.state_at(T + h).vec)
+          - MAX_VOLUME_EVENT(T - h, beta1_solve.traj.state_at(T - h).vec)
+          ) / (2 * h)
+    assert dg < -1.0
+    v0, v1, v2 = st.v
+    moved = State(T, st.lam, st.u,
+                  (v0, v1 + (1.0 - share) * dg / (6 * st.lam ** 3), v2))
+    assert MAX_VOLUME_EVENT(T, moved.vec) == MAX_VOLUME_EVENT(T, st.vec)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(shoot, "integrate", no_run)
+    with pytest.raises(EventNotFoundError, match="transversal falling"):
+        shoot._confirm_unique_maximum(moved, 1e-12, 1e-12)
+
+
+def test_probe_argument_symbolically():
+    # the probe's two facts, on the package's own event function and
+    # right-hand side: lambda^2 V' - g = -6 lambda^2 I1, so g = lambda^2 V'
+    # on shell; and at g = 0 on shell (I2 = I4 = 0 suffice)
+    # g' = -lambda (18 l^2 m^4 - 9 m^4 - 4 l^4 m^2 + 28 l^4 u1^2) / m^2
+    # (l = lambda, m = mu), whose bracket is a sum of terms >= 0 on the
+    # wedge mu >= lambda >= 1
+    sp = pytest.importorskip("sympy")
+    y = sp.symbols("lam u0 u1 u2 v0 v1 v2", real=True)
+    lam, u0, u1, u2, v0, v1, v2 = y
+    mu2 = -u0 ** 2 + u1 ** 2 + u2 ** 2
+    f = [sp.nsimplify(e) for e in rhs_vec(0.0, y)]
+    g = sp.nsimplify(MAX_VOLUME_EVENT.fn_vec(0.0, y))
+    I1 = _first_integrals(*y)[0]
+
+    def flow(expr):
+        return sum(sp.diff(expr, yi) * fi for yi, fi in zip(y, f))
+
+    assert sp.simplify(lam ** 2 * flow(lam * mu2) - g + 6 * lam ** 2 * I1) == 0
+
+    m2 = sp.Symbol("m2", positive=True)
+    on_shell = {v1: m2, v2: 2 * lam ** 4 * u1 / (3 * u2),
+                u0: sp.sqrt(u1 ** 2 + u2 ** 2 - m2)}
+    dg = flow(g).subs(on_shell).subs(u2, lam * sp.sqrt(m2))
+    bracket = (18 * lam ** 2 * m2 ** 2 - 9 * m2 ** 2 - 4 * lam ** 4 * m2
+               + 28 * lam ** 4 * u1 ** 2)
+    assert sp.simplify(dg + lam * bracket / m2) == 0
+    assert sp.expand(bracket - (5 * lam ** 2 * m2 ** 2
+                                + 9 * m2 ** 2 * (lam ** 2 - 1)
+                                + 4 * lam ** 2 * m2 * (m2 - lam ** 2)
+                                + 28 * lam ** 4 * u1 ** 2)) == 0
 
 
 def test_profiles_reject_times_outside_their_span(beta1_solve):
