@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import (ConstraintDriftError, DegenerateStateError,
                      InvalidArgumentError, StepSizeCollapseError)
@@ -33,24 +34,33 @@ DEFAULT_ATOL = 1e-12
 DRIFT_ABORT = 1e-6
 COMPONENT_MAGNITUDE_MAX = 1e8
 STEP_SAMPLES = 7            # interior nodes per step
+_FRAC = np.arange(1, STEP_SAMPLES + 2) / (STEP_SAMPLES + 1)
 _EPS = np.finfo(float).eps
 
-#: rhs_vec recorded once; its single output maps a column of the table to
-#: [t^k] of the right-hand side
+#: rhs_vec recorded once; component i of the right-hand side is row _OUT[i]
+#: of the table, with unit coefficient and no constant
 _PROGRAM = _Program(7, lambda y, t: (rhs_vec(t, y),))
 (_F, _F_CONST), = _PROGRAM.outputs
+_OUT = _F.argmax(axis=1).tolist()
+if not np.array_equal(_F, np.eye(_F.shape[1])[_OUT]) or _F_CONST.any():
+    raise ImportError("rhs_vec's outputs are not single recorded rows")
 
 
 def _jet(y: np.ndarray, order: int) -> np.ndarray:
     """Taylor coefficients c[k], k = 0..order, of the solution through y:
-    row k of the (order + 1, 7) result is y^(k)(t0) / k!."""
+    row k of the (order + 1, 7) result is y^(k)(t0) / k!. (+ 0.0 turns -0.0
+    into +0.0, as a product with the output matrix would.)"""
     C = _PROGRAM.table(order)
     C[:7, 0] = y
-    _PROGRAM.advance(C, 0)
-    C[:7, 1] = _F @ C[:, 0] + _F_CONST
-    for k in range(1, order):
-        _PROGRAM.advance(C, k)
-        C[:7, k + 1] = (_F @ C[:, k]) / (k + 1)
+    c0 = col = C[:, 0].tolist()
+    _PROGRAM._first(col)
+    for k in range(1, order + 1):
+        col = [col[r] / k + 0.0 for r in _OUT] + C[7:, k].tolist()
+        if k < order:
+            mid = np.add.reduce(C[_PROGRAM._p, 1:k]
+                                * C[_PROGRAM._q, k - 1:0:-1], axis=1)
+            _PROGRAM._next(col, c0, mid.tolist())
+        C[:, k] = col
     return C[:7].T
 
 
@@ -93,24 +103,14 @@ class EventSpec:
     act elementwise over the trailing axis and return shape (m,)."""
 
     name: str
-    fn_vec: Callable[[float, np.ndarray], float]
+    fn_vec: Callable[[ArrayLike, np.ndarray], ArrayLike]
     direction: int = 0          # 0 any, +1 rising, -1 falling
 
-    def __call__(self, t: float, y: np.ndarray) -> float:
+    def __call__(self, t: ArrayLike, y: np.ndarray) -> ArrayLike:
         return self.fn_vec(t, y)
 
 
-def _crossings(vals: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """(i, j) pairs where row i of vals changes sign from column j to j + 1
-    in the direction direction[i] allows (0 any, +1 rising, -1 falling); a
-    zero counts for the interval it ends."""
-    a, b = vals[:, :-1], vals[:, 1:]
-    rising = (a < 0.0) & (b >= 0.0) & (direction[:, None] >= 0)
-    falling = (a > 0.0) & (b <= 0.0) & (direction[:, None] <= 0)
-    return np.argwhere(rising | falling)
-
-
-def _volume_event_vec(t: float, y: np.ndarray) -> float:
+def _volume_event_vec(t: ArrayLike, y: np.ndarray) -> ArrayLike:
     lam, u0, u1, u2, v0, v1, v2 = y
     return 2.0 * lam ** 4 * u1 - 3.0 * u2 * v2
 
@@ -119,15 +119,32 @@ def _volume_event_vec(t: float, y: np.ndarray) -> float:
 MAX_VOLUME_EVENT = EventSpec("max-volume", fn_vec=_volume_event_vec)
 
 
+def _guards(lam_sign: float) -> list[EventSpec]:
+    """The singularity guard's events; the lambda one is signed by lam_sign,
+    the sign of lambda at the start, so its crossing is a sign change."""
+    return [
+        EventSpec("guard-lambda", lambda t, y: lam_sign * y[0] - LAMBDA_MIN,
+                  direction=-1),
+        EventSpec("guard-mu2", lambda t, y: (-y[1] * y[1] + y[2] * y[2]
+                                             + y[3] * y[3]) - MU2_MIN,
+                  direction=-1),
+        EventSpec("guard-magnitude", lambda t, y: COMPONENT_MAGNITUDE_MAX
+                  - np.max(np.abs(y), axis=0), direction=-1),
+    ]
+
+
 @dataclass(frozen=True)
 class StepPolynomials:
     """Dense output: step i starts at starts[i] and runs to the next start
     (the last to the trajectory's end) with the Taylor polynomial whose
     coefficient rows are coeffs[i]; calling it evaluates the step
-    containing t (the later one at a shared end)."""
+    containing t (the later one at a shared end). The last step's polynomial
+    holds the run's tolerance up to reach, where that step was planned to
+    end: its start plus its jet's step size, past any event, or the horizon."""
 
     starts: np.ndarray
     coeffs: tuple[np.ndarray, ...] = field(repr=False)
+    reach: float
 
     def __call__(self, t: float) -> np.ndarray:
         i = max(0, int(np.searchsorted(self.starts, t, side="right")) - 1)
@@ -164,6 +181,26 @@ class Trajectory:
 
     def node_states(self) -> list[State]:
         return [State.from_vec(t, y) for t, y in zip(self.times, self.states)]
+
+
+def _first_crossing(specs: Sequence[EventSpec], direction: np.ndarray,
+                    vals: np.ndarray, c: np.ndarray, t0: float, t_first: float,
+                    ts: np.ndarray) -> tuple[float, int] | None:
+    """(t, i): the earliest crossing, of specs[i], given their values vals at
+    the nodes [t_first, *ts] of the step polynomial c from t0; None without
+    one. Row i crosses where it changes sign in the direction direction[i]
+    allows (0 any, +1 rising, -1 falling), a zero counting for the interval
+    it ends; the crossings in the earliest such interval are refined."""
+    a, b = vals[:, :-1], vals[:, 1:]
+    rising = (a < 0.0) & (b >= 0.0) & (direction[:, None] >= 0)
+    falling = (a > 0.0) & (b <= 0.0) & (direction[:, None] <= 0)
+    found = np.argwhere(rising | falling)
+    if not found.size:
+        return None
+    j = found[:, 1].min()
+    lo, hi = [t_first, *ts.tolist()][j:j + 2]
+    return min((_root(specs[i], c, t0, lo, hi), i)
+               for i in found[found[:, 1] == j, 0].tolist())
 
 
 def _root(spec: EventSpec, c: np.ndarray, t0: float, lo: float,
@@ -221,9 +258,10 @@ def integrate(start: State, horizon: float,
     The first event ends the run: the earliest crossing of any of events or
     of the singularity guard (|lambda| < 1e-8, mu^2 < 1e-12 or a component
     above 1e8 in magnitude) is the last node; without one the run ends at
-    the horizon. Raises InvalidArgumentError unless start.t < horizon < inf
-    and rtol, atol are positive and finite; a step below 16 eps max(1, |t|)
-    raises StepSizeCollapseError. allow_unoriented skips the lambda > 0 /
+    the horizon (dense.reach is where the last step was planned to end).
+    Raises InvalidArgumentError unless start.t < horizon < inf and rtol,
+    atol are positive and finite; a step below 16 eps max(1, |t|) raises
+    StepSizeCollapseError. allow_unoriented skips the lambda > 0 /
     orientation precondition (symmetry-image runs; mu^2 > 0 is required).
     """
     if not start.t < horizon < math.inf:
@@ -241,22 +279,9 @@ def integrate(start: State, horizon: float,
             raise DegenerateStateError(
                 f"start violates orientation: u1 v2 - u2 v1 = {start.orient}")
 
-    # the lambda guard is signed so that a transversal crossing of the
-    # threshold is always a detectable sign change
-    lam_sign = 1.0 if start.lam >= 0.0 else -1.0
-    guards = [
-        EventSpec("guard-lambda", lambda t, y: lam_sign * y[0] - LAMBDA_MIN,
-                  direction=-1),
-        EventSpec("guard-mu2", lambda t, y: (-y[1] * y[1] + y[2] * y[2]
-                                             + y[3] * y[3]) - MU2_MIN,
-                  direction=-1),
-        EventSpec("guard-magnitude", lambda t, y: COMPONENT_MAGNITUDE_MAX
-                  - np.max(np.abs(y), axis=0), direction=-1),
-    ]
-    specs = list(events) + guards
+    specs = [*events, *_guards(1.0 if start.lam >= 0.0 else -1.0)]
     direction = np.array([spec.direction for spec in specs])
     order, tol = _order_and_tol(rtol, atol)
-    frac = np.arange(1, STEP_SAMPLES + 2) / (STEP_SAMPLES + 1)
 
     t, y = start.t, start.vec
     times, states = [np.array([t])], [y[None, :]]
@@ -277,21 +302,18 @@ def integrate(start: State, horizon: float,
                                         State.from_vec(t, y))
         if t + h >= horizon - floor:
             h, termination = horizon - t, "horizon"
-        ts = t + h * frac
+        ts = t + h * _FRAC
         if termination:
             ts[-1] = horizon
+        reach = float(ts[-1])
         ys = _poly_states(c, ts - t)
 
-        # events: the earliest node interval with a sign change holds the
-        # earliest crossing; refined on the step polynomial, it ends the run
+        # the earliest crossing of an event or guard ends the run
         vals = np.column_stack((g_prev, [spec(ts, ys.T) for spec in specs]))
         g_prev = vals[:, -1]
-        found = _crossings(vals, direction)
-        if found.size:
-            j = found[:, 1].min()
-            lo, hi = [t, *ts.tolist()][j:j + 2]
-            t_root, i = min((_root(specs[i], c, t, lo, hi), i)
-                            for i in found[found[:, 1] == j, 0].tolist())
+        hit = _first_crossing(specs, direction, vals, c, t, t, ts)
+        if hit:
+            t_root, i = hit
             end = int(np.searchsorted(ts, t_root))
             ts = np.append(ts[:end], t_root)
             ys = np.vstack((ys[:end], _poly_states(c, t_root - t)))
@@ -307,6 +329,7 @@ def integrate(start: State, horizon: float,
 
     return Trajectory(times=np.concatenate(times),
                       states=np.concatenate(states),
-                      dense=StepPolynomials(np.array(starts), tuple(coeffs)),
+                      dense=StepPolynomials(np.array(starts), tuple(coeffs),
+                                            reach),
                       termination=termination,
                       drift=np.concatenate(drifts), stopped_by=stopped_by)

@@ -28,7 +28,9 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      InvalidArgumentError, JunctionMismatchError, NKError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
-from .integrate import MAX_VOLUME_EVENT, EventSpec, Trajectory, integrate
+from .integrate import (_FRAC, MAX_VOLUME_EVENT, EventSpec, Trajectory,
+                        _first_crossing, _guards, _node_drift, _poly_states,
+                        integrate)
 from .rootfind import brentq
 from .series import (DEFAULT_ORDER, SeriesSolution, eval_series,
                      family_series, handoff, poly_integral, volume_coeffs)
@@ -95,7 +97,7 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
     T = traj.times[-1]
     event_state = State.from_vec(T, traj.states[-1])
     record = MaxOrbitRecord.from_state(family, param, T, event_state)
-    _confirm_unique_maximum(event_state, rtol, atol)
+    _confirm_unique_maximum(traj, rtol, atol)
     vol = (sol.volume_integral(sol.handoff_point[1])
            + _ode_volume_integral(traj, t_star, T))
     return FamilySolve(family=family, param=param, series=sol, t_star=t_star,
@@ -115,29 +117,45 @@ def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:
     return total
 
 
-def _confirm_unique_maximum(event_state: State, rtol: float,
+def _confirm_unique_maximum(traj: Trajectory, rtol: float,
                             atol: float) -> None:
     """Every critical point of V is a strict maximum (on shell g = lambda^2
-    V'), so the located event must be a transversal falling zero of g:
+    V'), so the event ending traj must be a transversal falling zero of g:
     raise EventNotFoundError unless |g / g'| < EVENT_ROOT_TIME and g' mu^2 /
     (lambda^3 (mu^4 + lambda^2 (mu^2 + u1^2))) < EVENT_SLOPE_MAX, with g' by
     a complex step along the flow. Past it g < 0, so a second critical point
-    first crosses upward: the window run stops only on a rising zero of g."""
-    t, y = event_state.t, event_state.vec
-    lam, u1, mu2 = event_state.lam, event_state.u[1], event_state.mu2
-    g = MAX_VOLUME_EVENT(t, y)
-    dg = MAX_VOLUME_EVENT(t, y + 1e-20j * rhs_vec(t, y)).imag / 1e-20
+    first crosses upward: raise on a rising zero of g (PROBE_EVENT) within
+    EVENT_GUARD_INTERVAL after T, sought on the event step's polynomial up
+    to its reach and by an integrate run beyond. As in a run, the drift is
+    checked and a guard crossing ends the search."""
+    T, y = float(traj.times[-1]), traj.states[-1]
+    lam, u1, mu2 = y[0], y[2], State.from_vec(T, y).mu2
+    g = MAX_VOLUME_EVENT(T, y)
+    dg = MAX_VOLUME_EVENT(T, y + 1e-20j * rhs_vec(T, y)).imag / 1e-20
     slope = dg * mu2 / (lam ** 3 * (mu2 ** 2 + lam ** 2 * (mu2 + u1 ** 2)))
     if not (slope < EVENT_SLOPE_MAX and abs(g) < EVENT_ROOT_TIME * abs(dg)):
         raise EventNotFoundError(
-            f"the event at t = {t} is not a transversal falling zero of g: "
+            f"the event at t = {T} is not a transversal falling zero of g: "
             f"g = {g:.3e}, g' = {dg:.3e}, scale-free slope {slope:.3e}")
-    probe = integrate(event_state, t + EVENT_GUARD_INTERVAL,
-                      events=(PROBE_EVENT,),
-                      rtol=max(rtol, 1e-10), atol=max(atol, 1e-10))
-    if probe.stopped_by == PROBE_EVENT.name:
+    horizon = T + EVENT_GUARD_INTERVAL
+    c, t0 = traj.dense.coeffs[-1], traj.dense.starts[-1]
+    end = min(traj.dense.reach, horizon)
+    ts = T + (end - T) * _FRAC
+    ys = _poly_states(c, ts - t0)
+    _node_drift(ts, ys, T, y)
+    specs = [PROBE_EVENT, *_guards(1.0)]
+    vals = np.column_stack(([spec(T, y) for spec in specs],
+                            [spec(ts, ys.T) for spec in specs]))
+    hit = _first_crossing(specs, np.array([spec.direction for spec in specs]),
+                          vals, c, t0, T, ts)
+    if hit is None and end < horizon:
+        run = integrate(State.from_vec(ts[-1], ys[-1]), horizon,
+                        events=(PROBE_EVENT,),
+                        rtol=max(rtol, 1e-10), atol=max(atol, 1e-10))
+        hit = (run.t_end, 0) if run.stopped_by == PROBE_EVENT.name else None
+    if hit is not None and hit[1] == 0:
         raise EventNotFoundError(
-            f"second volume-critical point at t = {probe.t_end}; the located "
+            f"second volume-critical point at t = {hit[0]}; the located "
             f"event was not the unique maximum")
 
 

@@ -196,3 +196,57 @@ def test_recorded_program_first_column_is_rhs_vec():
         want = rhs_vec(0.0, y)
         assert np.all(np.abs(jet(y, 1)[1] - want)
                       <= 2 * np.spacing(np.abs(want)))
+
+
+def _reference_jet(y, order):
+    # the jet as the table's output matrix gives it: every order is the
+    # matrix product with the recorded outputs of rhs_vec
+    program = sys.modules["nkshoot.integrate"]._PROGRAM
+    (F, F_const), = program.outputs
+    C = program.table(order)
+    C[:7, 0] = y
+    program.advance(C, 0)
+    C[:7, 1] = F @ C[:, 0] + F_const
+    for k in range(1, order):
+        program.advance(C, k)
+        C[:7, k + 1] = (F @ C[:, k]) / (k + 1)
+    return C[:7].T
+
+
+def test_jet_equals_the_output_matrix_product():
+    # bit for bit, signed zeros included, on states along four members and
+    # on one with u0 = -0.0, whose v0' = 4 lambda u0 the matrix product
+    # gives as +0.0
+    integ = sys.modules["nkshoot.integrate"]
+    order, _ = integ._order_and_tol(1e-12, 1e-12)
+    states = []
+    for series, param in ((series_psi_a, 0.3), (series_psi_a, 1.0),
+                          (series_psi_b, 0.4), (series_psi_b, 1.0)):
+        _, start = handoff(series(param))
+        traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
+        states += list(traj.states[::9]) + [traj.states[-1]]
+    zero = states[-1].copy()
+    zero[1] = -0.0
+    states.append(zero)
+    for y in states:
+        got, want = integ._jet(y, order), _reference_jet(y, order)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("series, param", [(series_psi_a, 0.3),
+                                           (series_psi_b, 1.0)],
+                         ids=["alpha-0.3", "beta-1"])
+def test_event_step_reaches_past_the_event(series, param):
+    # the last step's polynomial holds the run's tolerance up to its reach,
+    # beyond the event: it agrees there with a run from the event state,
+    # whose steps are not the event run's
+    poly_states = sys.modules["nkshoot.integrate"]._poly_states
+    _, start = handoff(series(param))
+    traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
+    reach = traj.dense.reach
+    assert reach > traj.t_end
+    got = poly_states(traj.dense.coeffs[-1], reach - traj.dense.starts[-1])
+    want = integrate(State.from_vec(traj.t_end, traj.states[-1]),
+                     reach).states[-1]
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

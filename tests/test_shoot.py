@@ -2,6 +2,7 @@
 gluing, scans."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,37 +275,26 @@ def test_handoff_searched_once_per_solve(monkeypatch, family, param,
     assert len(brentqs) == inversions
 
 
-def test_probe_covers_its_guard_interval(monkeypatch):
-    # at b = 1 the event function is >= 0 at T by round-off; the probe must
-    # still run over the whole window instead of stopping at that crossing
-    trajs = []
-    original = shoot.integrate
-
-    def spy(*args, **kwargs):
-        trajs.append(original(*args, **kwargs))
-        return trajs[-1]
-
-    monkeypatch.setattr(shoot, "integrate", spy)
-    fs = solve_family("beta", 1.0)
-    probe = trajs[-1]
-    assert probe.t_start == fs.record.T
-    assert probe.t_end == fs.record.T + shoot.EVENT_GUARD_INTERVAL
-    assert probe.termination == "horizon"
-
-
 def test_probe_rejects_a_later_critical_point(beta1_solve):
-    # started before T, the probe crosses the maximal-volume orbit
-    T = beta1_solve.record.T
+    # a run stopped before T ends where g is not a zero
+    traj = beta1_solve.traj
+    early = integrate(State.from_vec(traj.t_start, traj.states[0]),
+                      beta1_solve.record.T - 0.05)
     with pytest.raises(EventNotFoundError):
-        shoot._confirm_unique_maximum(beta1_solve.traj.state_at(T - 0.05),
-                                      1e-12, 1e-12)
+        shoot._confirm_unique_maximum(early, 1e-12, 1e-12)
 
 
-def test_probe_catches_a_planted_rising_crossing(monkeypatch, beta1_solve):
+@pytest.mark.parametrize("param, runs", [(1.0, 0), (0.4, 1)],
+                         ids=["covered", "uncovered"])
+def test_probe_catches_a_planted_rising_crossing(monkeypatch, param, runs):
     # the probe's event becomes g + k max(0, t - T - 0.05)^2, with k set so
-    # that it crosses zero upward at T + 0.09: the window run must stop there
-    st = beta1_solve.record.state
+    # that it crosses zero upward at T + 0.09. beta(1)'s event step reaches
+    # past the window, so its polynomial finds the crossing with no run;
+    # beta(0.4)'s ends before T + 0.09, so one run from its reach does
+    fs = solve_family("beta", param)
+    st, reach = fs.record.state, fs.traj.dense.reach
     T = st.t
+    assert (reach >= T + 0.1) if runs == 0 else (reach < T + 0.09)
     g_late = MAX_VOLUME_EVENT(T + 0.09,
                               integrate(st, T + 0.1).state_at(T + 0.09).vec)
     assert g_late < 0.0
@@ -316,16 +306,19 @@ def test_probe_catches_a_planted_rising_crossing(monkeypatch, beta1_solve):
 
     monkeypatch.setattr(shoot, "PROBE_EVENT",
                         dataclasses.replace(shoot.PROBE_EVENT, fn_vec=planted))
-    trajs = []
+    calls = []
 
     def spy(*args, **kwargs):
-        trajs.append(integrate(*args, **kwargs))
-        return trajs[-1]
+        calls.append(args)
+        return integrate(*args, **kwargs)
 
     monkeypatch.setattr(shoot, "integrate", spy)
-    with pytest.raises(EventNotFoundError, match="second volume-critical"):
-        shoot._confirm_unique_maximum(st, 1e-12, 1e-12)
-    assert abs(trajs[-1].t_end - (T + 0.09)) < 1e-6
+    with pytest.raises(EventNotFoundError,
+                       match="second volume-critical") as err:
+        shoot._confirm_unique_maximum(fs.traj, 1e-12, 1e-12)
+    assert len(calls) == runs
+    t_hit = float(re.search(r"at t = (\S+);", str(err.value)).group(1))
+    assert abs(t_hit - (T + 0.09)) < 1e-6
 
 
 @pytest.mark.parametrize("share", [-1.0, 0.0, 0.05],
@@ -352,9 +345,12 @@ def test_probe_rejects_a_crossing_that_is_not_transversal_falling(
     def no_run(*args, **kwargs):
         raise AssertionError("integrate called")
 
+    traj = beta1_solve.traj
+    ends_moved = dataclasses.replace(
+        traj, states=np.vstack((traj.states[:-1], moved.vec)))
     monkeypatch.setattr(shoot, "integrate", no_run)
     with pytest.raises(EventNotFoundError, match="transversal falling"):
-        shoot._confirm_unique_maximum(moved, 1e-12, 1e-12)
+        shoot._confirm_unique_maximum(ends_moved, 1e-12, 1e-12)
 
 
 def test_probe_argument_symbolically():
