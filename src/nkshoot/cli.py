@@ -327,7 +327,8 @@ def main(argv=None) -> int:
             if args.horizon is not None:
                 sol = family_series(args.family, args.param, order)
                 t_star, start = handoff(sol)
-                traj = integrate(start, args.horizon, rtol=rtol, atol=atol)
+                traj = integrate(start, args.horizon, rtol=rtol, atol=atol,
+                                 series=sol.t_coeffs)
             else:
                 fs = shoot.solve_family(args.family, args.param, order,
                                         rtol, atol)

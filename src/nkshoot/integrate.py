@@ -78,7 +78,8 @@ def _order_and_tol(rtol: float, atol: float) -> tuple[int, float]:
 
 
 def _step_size(c: np.ndarray, tol: float) -> float:
-    """Jorba-Zou step h = rho * tol^(1/N) for a jet c of order N, with
+    """Jorba-Zou step h = rho * tol^(1/N) for the coefficient rows c of a
+    Taylor polynomial of degree N (a jet, or a singular orbit's series), with
     rho = min over k in {N-1, N} of (max|c_k| / s)^(-1/k) and s =
     max(1, max|y|): then max|c_N| h^N <= tol s and
     max|c_(N-1)| h^(N-1) <= tol^((N-1)/N) s. NaN or 0 on an overflowed jet."""
@@ -135,12 +136,12 @@ def _guards(lam_sign: float) -> list[EventSpec]:
 
 @dataclass(frozen=True)
 class StepPolynomials:
-    """Dense output: step i starts at starts[i] and runs to the next start
-    (the last to the trajectory's end) with the Taylor polynomial whose
-    coefficient rows are coeffs[i]; calling it evaluates the step
-    containing t (the later one at a shared end). The last step's polynomial
-    holds the run's tolerance up to reach, where that step was planned to
-    end: its start plus its jet's step size, past any event, or the horizon."""
+    """Dense output: step i has the Taylor polynomial with coefficient rows
+    coeffs[i] about starts[i] and runs to the next start (the last to the
+    trajectory's end); calling it evaluates the step containing t (the later
+    one at a shared end). Step 0 may be a singular orbit's series, about 0,
+    begun at the handoff t*. The last step's polynomial holds the run's
+    tolerance up to reach: its planned end, past any event, or the horizon."""
 
     starts: np.ndarray
     coeffs: tuple[np.ndarray, ...] = field(repr=False)
@@ -252,7 +253,8 @@ def _node_drift(ts: np.ndarray, ys: np.ndarray, t_prev: float,
 def integrate(start: State, horizon: float,
               events: Sequence[EventSpec] = (),
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              allow_unoriented: bool = False) -> Trajectory:
+              allow_unoriented: bool = False,
+              series: np.ndarray | None = None) -> Trajectory:
     """Integrate forward from start.t to horizon by Taylor steps.
 
     The first event ends the run: the earliest crossing of any of events or
@@ -263,6 +265,12 @@ def integrate(start: State, horizon: float,
     atol are positive and finite; a step below 16 eps max(1, |t|) raises
     StepSizeCollapseError. allow_unoriented skips the lambda > 0 /
     orientation precondition (symmetry-image runs; mu^2 > 0 is required).
+
+    series, Taylor rows in t about t = 0 of the solution through start
+    (SeriesSolution.t_coeffs), is the first step's polynomial, expanded
+    about 0, up to where _step_size says it reaches; if that is less than
+    the step floor past start.t, the run starts with a jet. It must match
+    start to 1e-12 max(1, |y|) at start.t, else InvalidArgumentError.
     """
     if not start.t < horizon < math.inf:
         raise InvalidArgumentError(
@@ -279,6 +287,10 @@ def integrate(start: State, horizon: float,
             raise DegenerateStateError(
                 f"start violates orientation: u1 v2 - u2 v1 = {start.orient}")
 
+    if series is not None:
+        gap = np.max(np.abs(_poly_states(series, start.t) - start.vec))
+        if not gap <= 1e-12 * max(1.0, np.max(np.abs(start.vec))):
+            raise InvalidArgumentError(f"series misses start by {gap:.3e}")
     specs = [*events, *_guards(1.0 if start.lam >= 0.0 else -1.0)]
     direction = np.array([spec.direction for spec in specs])
     order, tol = _order_and_tol(rtol, atol)
@@ -290,11 +302,15 @@ def integrate(start: State, horizon: float,
     g_prev = [spec(t, y) for spec in specs]
     termination = stopped_by = None
     while termination is None:
-        # near a singularity the jet can overflow; that ends the run below
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = _jet(y, order)
-        h = _step_size(c, tol)
         floor = 16 * _EPS * max(1.0, abs(t))
+        # step polynomial c about t0: the series if it reaches, else a jet
+        h = math.nan if series is None else _step_size(series, tol) - t
+        t0, c, series = 0.0, series, None
+        if not h >= floor:
+            # near a singularity the jet can overflow; that ends the run below
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = _jet(y, order)
+            t0, h = t, _step_size(c, tol)
         if not h >= floor:
             what = (f"step size {h:.3e} below {floor:.3e}"
                     if np.isfinite(c).all() else "Taylor jet overflowed")
@@ -306,22 +322,22 @@ def integrate(start: State, horizon: float,
         if termination:
             ts[-1] = horizon
         reach = float(ts[-1])
-        ys = _poly_states(c, ts - t)
+        ys = _poly_states(c, ts - t0)
 
         # the earliest crossing of an event or guard ends the run
         vals = np.column_stack((g_prev, [spec(ts, ys.T) for spec in specs]))
         g_prev = vals[:, -1]
-        hit = _first_crossing(specs, direction, vals, c, t, t, ts)
+        hit = _first_crossing(specs, direction, vals, c, t0, t, ts)
         if hit:
             t_root, i = hit
             end = int(np.searchsorted(ts, t_root))
             ts = np.append(ts[:end], t_root)
-            ys = np.vstack((ys[:end], _poly_states(c, t_root - t)))
+            ys = np.vstack((ys[:end], _poly_states(c, t_root - t0)))
             termination = "event" if i < len(events) else "singularity"
             stopped_by = specs[i].name
 
         drifts.append(_node_drift(ts, ys, t, y))
-        starts.append(t)
+        starts.append(t0)
         coeffs.append(c)
         times.append(ts)
         states.append(ys)

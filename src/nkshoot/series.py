@@ -68,12 +68,12 @@ def _pmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 
 def _psqrt(a: np.ndarray, n: int) -> np.ndarray:
-    """sqrt of a series with a[0] > 0."""
+    """sqrt, to order n, of a series a with a[0] > 0 and n < len(a)."""
     s = np.zeros(n + 1)
     s[0] = np.sqrt(a[0])
     for k in range(1, n + 1):
         acc = np.dot(s[1:k], s[k - 1:0:-1]) if k > 1 else 0.0
-        s[k] = ((a[k] if k < len(a) else 0.0) - acc) / (2.0 * s[0])
+        s[k] = (a[k] - acc) / (2.0 * s[0])
     return s
 
 
@@ -507,6 +507,30 @@ class SeriesSolution:
             worst = max(worst, acc)
         return worst
 
+    @cached_property
+    def t_coeffs(self) -> np.ndarray:
+        """Taylor rows in t about t = 0: row k holds [t^k] of the seven
+        components, k = 0..order+1, the orders the recurrence fixes. A
+        variable-t solution's rows are its coefficients; a variable-s
+        solution's are its s-series composed with s(t), the reversion of
+        t(s), by Lagrange inversion (Brent & Kung, J. ACM 25, 1978):
+        [t^k] Y(s(t)) = (1/k) [s^(k-1)] Y'(s) (s / t(s))^k."""
+        n = self.order + 1
+        Y = np.array([self.coeffs[name][:n + 1] for name in _COMPONENTS]).T
+        if self.var == "t":
+            return Y
+        q = self.t_of_var[1:n + 1]              # t(s) / s
+        phi = np.zeros(n)                       # s / t(s)
+        phi[0] = 1.0 / q[0]
+        for k in range(1, n):
+            phi[k] = -np.dot(q[1:k + 1], phi[k - 1::-1]) * phi[0]
+        dY = Y[1:] * np.arange(1.0, n + 1)[:, None]
+        out, power = Y.copy(), phi
+        for k in range(1, n + 1):
+            out[k] = power[k - 1::-1] @ dY[:k] / k
+            power = np.convolve(power, phi)[:n]
+        return out
+
     def components_at(self, x: float) -> np.ndarray:
         return np.array([_horner(self.coeffs[name], x) for name in _COMPONENTS])
 
@@ -619,9 +643,7 @@ def series_bubble_b(b: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
     Y, _ = solve_singular_ivp(s3_bubble_problem(b), order)
     n = order + 2
     c = {name: np.zeros(n + 1) for name in _COMPONENTS}
-    lam2 = np.zeros(n + 1)
-    lam2[:order + 1] = Y[6]
-    c["lam"] = _psqrt(lam2, n)
+    c["lam"][:order + 1] = _psqrt(Y[6], order)   # lambda^2 = y7 to order
     c["u0"][1:order + 2] = Y[0]
     c["u1"][1:order + 2] = Y[1]
     c["u2"][1:order + 2] = b * Y[2]

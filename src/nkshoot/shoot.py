@@ -89,7 +89,7 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
     sol = family_series(family, param, order)
     t_star, start = handoff(sol)
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,),
-                     rtol=rtol, atol=atol)
+                     rtol=rtol, atol=atol, series=sol.t_coeffs)
     if traj.stopped_by != MAX_VOLUME_EVENT.name:
         raise EventNotFoundError(
             f"no maximal-volume event for {family}({param}); "

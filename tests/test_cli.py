@@ -5,6 +5,7 @@ import math
 import pytest
 
 from nkshoot.cli import main
+from nkshoot.exact import eval_named
 
 
 def run(args, tmp_path):
@@ -88,6 +89,20 @@ def test_solve_cp3(tmp_path):
     assert data["manifold"] == "CP3"
     assert abs(data["param_left"] - math.sqrt(3) / 2) < 1e-6
     assert abs(data["vol"] - 0.625) < 1e-6
+
+
+def test_traj_horizon_starts_with_the_series_step(tmp_path):
+    # beta(1) is the homogeneous S3xS3 solution and its series reaches past
+    # t = 0.5: one step, 9 nodes, matching the closed form at the horizon
+    out = tmp_path / "traj.csv"
+    assert main(["traj", "--family", "beta", "--param", "1.0",
+                 "--horizon", "0.5", "--out", str(out)]) == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    assert rows[-1][0] == 0.5
+    want = eval_named("s3s3-homog", 0.5).vec
+    assert max(abs(g - w) for g, w in zip(rows[-1][1:8], want)) < 1e-12
 
 
 def test_invalid_usage_exits_3(tmp_path):

@@ -250,3 +250,34 @@ def test_event_step_reaches_past_the_event(series, param):
     want = integrate(State.from_vec(traj.t_end, traj.states[-1]),
                      reach).states[-1]
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("series, param", [(series_psi_a, 0.3),
+                                           (series_psi_b, 0.4)],
+                         ids=["alpha-0.3", "beta-0.4"])
+def test_series_is_the_first_step(series, param):
+    # the series step is expanded about the singular orbit, begins at the
+    # handoff and ends where _step_size says the series reaches; the run
+    # finds the event a jet-only run finds
+    integ = sys.modules["nkshoot.integrate"]
+    sol = series(param)
+    _, start = handoff(sol)
+    traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,),
+                     series=sol.t_coeffs)
+    _, tol = integ._order_and_tol(1e-12, 1e-12)
+    reach = integ._step_size(sol.t_coeffs, tol)
+    assert traj.dense.starts[0] == 0.0
+    assert traj.dense.coeffs[0] is sol.t_coeffs
+    assert traj.t_start == start.t
+    assert abs(traj.dense.starts[1] - reach) <= 4 * np.finfo(float).eps
+    jets = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
+    assert abs(traj.t_end - jets.t_end) < 1e-12
+    assert np.max(np.abs(traj.states[-1] - jets.states[-1])) < 1e-12
+
+
+def test_series_must_pass_through_start():
+    sol = series_psi_b(0.4)
+    _, start = handoff(sol)
+    other = series_psi_b(0.4 * (1 + 1e-9)).t_coeffs
+    with pytest.raises(InvalidArgumentError, match="series misses start"):
+        integrate(start, math.pi, series=other)

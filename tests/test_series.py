@@ -9,6 +9,7 @@ from conftest import SQRT3
 from nkshoot.errors import (OutOfRadiusError, ResonanceError,
                             SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
+from nkshoot.integrate import _order_and_tol, _poly_states, _step_size
 from nkshoot.series import (SingularIVP, _Program, eval_series, handoff,
                             recurrence_residuals, s2_problem,
                             s3_bubble_problem, series_bubble_a,
@@ -332,6 +333,47 @@ def test_handoff_tail_and_cap():
         t_star, st = handoff(sol)
         assert t_star <= 0.1 * min(1.0, param) + 1e-15
         assert constraints(st).max_abs < 1e-11
+
+
+@pytest.mark.parametrize("build, param", [
+    (series_psi_a, 0.5646), (series_psi_b, 0.6), (series_psi_b, 1.0),
+    (series_bubble_a, 0.5646), (series_bubble_b, 0.6)])
+def test_stored_coefficients_are_those_of_a_higher_order_build(build, param):
+    # every coefficient an order-40 build stores is fixed by the recurrence
+    # through order 40, so the order-44 build has the same value, or it is
+    # left at 0.0 (the S3 lambda beyond the orders lambda^2 fixes)
+    lo, hi = build(param, 40), build(param, 44)
+    for name, c in lo.coeffs.items():
+        assert ((c == hi.coeffs[name][:len(c)]) | (c == 0.0)).all(), name
+    assert (lo.t_of_var == hi.t_of_var[:len(lo.t_of_var)]).all()
+
+
+@pytest.mark.parametrize("a", [0.12, 0.5646, 4.0])
+def test_s2_t_rows_are_the_stored_coefficients(a):
+    sol = series_psi_a(a)
+    rows = sol.t_coeffs
+    assert rows.shape == (sol.order + 2, 7)
+    for i, name in enumerate(("lam", "u0", "u1", "u2", "v0", "v1", "v2")):
+        assert np.array_equal(rows[:, i], sol.coeffs[name][:sol.order + 2])
+
+
+@pytest.mark.parametrize("b", [0.12, 0.4, 1.0, 1.6])
+def test_s3_t_rows_are_the_s_series_at_s_of_t(b):
+    # over [t*, reach], the span of the first integrator step, as far as
+    # var_of_time inverts t(s): its validated conversion range ends before
+    # reach at b = 1 and 1.6
+    sol = series_psi_b(b)
+    rows = sol.t_coeffs
+    assert rows.shape == (sol.order + 2, 7)
+    _, tol = _order_and_tol(1e-12, 1e-12)
+    t_star, _ = sol.handoff_point
+    t_hi = min(_step_size(rows, tol), sol._conversion_range[1])
+    assert t_hi > t_star
+    for t in np.linspace(t_star, t_hi, 25):
+        want = sol.components_at(sol.var_of_time(t))
+        got = _poly_states(rows, t)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(
+            1.0, np.max(np.abs(want)))
 
 
 def test_out_of_radius_error():

@@ -13,7 +13,8 @@ from nkshoot.errors import (DegenerateStateError, EventNotFoundError,
                             JunctionMismatchError, NKError, NoSignChangeError,
                             RefinementStallError)
 from nkshoot.exact import eval_named
-from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
+from nkshoot.integrate import (MAX_VOLUME_EVENT, _order_and_tol,
+                               _step_size, integrate)
 from nkshoot.shoot import (find_doubling, find_matching, glue,
                            junction_derivative_gap, matching_candidates,
                            max_orbit, refine_matching, scan_s2s4_boundary,
@@ -275,6 +276,42 @@ def test_handoff_searched_once_per_solve(monkeypatch, family, param,
     assert len(brentqs) == inversions
 
 
+@pytest.mark.parametrize("family, param", [("alpha", 0.5646),
+                                           ("beta", 0.599)])
+@pytest.mark.parametrize("order", [4, 8, 10, 16])
+def test_low_orders_agree_with_order_40(family, param, order):
+    # the series is the first step where it reaches a step floor past the
+    # handoff; else a jet is: beta(0.599)'s order-10 series ends before t*
+    ref = solve_family(family, param)
+    fs = solve_family(family, param, order)
+    assert abs(fs.record.T - ref.record.T) < 1e-10
+    assert abs(fs.vol_integral - ref.vol_integral) < 1e-10
+    _, tol = _order_and_tol(1e-12, 1e-12)
+    t0 = fs.traj.t_start
+    floor = 16 * np.finfo(float).eps * max(1.0, t0)
+    series_first = _step_size(fs.series.t_coeffs, tol) - t0 >= floor
+    assert series_first == ((family, order) != ("beta", 10))
+    assert fs.traj.dense.starts[0] == (0.0 if series_first else t0)
+
+
+@pytest.mark.parametrize("family, param, vmax", [
+    ("beta", 1.0, 4 / 3), ("alpha", SQRT3 / 2, 27 * SQRT2 / 32),
+    ("alpha", SQRT3, S6_VMAX)], ids=["beta-1", "cp3", "s6"])
+def test_event_inside_the_series_step(monkeypatch, family, param, vmax):
+    # the closed-form members end in one step, the series one, expanded
+    # about the singular orbit; the probe scans that step's polynomial
+    fs = solve_family(family, param)
+    assert fs.traj.dense.starts.tolist() == [0.0]
+    assert fs.traj.dense.coeffs[0] is fs.series.t_coeffs
+    assert abs(fs.record.Vmax - vmax) < 1e-13
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(shoot, "integrate", no_run)
+    shoot._confirm_unique_maximum(fs.traj, 1e-12, 1e-12)
+
+
 def test_probe_rejects_a_later_critical_point(beta1_solve):
     # a run stopped before T ends where g is not a zero
     traj = beta1_solve.traj
@@ -284,13 +321,13 @@ def test_probe_rejects_a_later_critical_point(beta1_solve):
         shoot._confirm_unique_maximum(early, 1e-12, 1e-12)
 
 
-@pytest.mark.parametrize("param, runs", [(1.0, 0), (0.4, 1)],
+@pytest.mark.parametrize("param, runs", [(1.0, 0), (0.3, 1)],
                          ids=["covered", "uncovered"])
 def test_probe_catches_a_planted_rising_crossing(monkeypatch, param, runs):
     # the probe's event becomes g + k max(0, t - T - 0.05)^2, with k set so
     # that it crosses zero upward at T + 0.09. beta(1)'s event step reaches
     # past the window, so its polynomial finds the crossing with no run;
-    # beta(0.4)'s ends before T + 0.09, so one run from its reach does
+    # beta(0.3)'s ends before T + 0.09, so one run from its reach does
     fs = solve_family("beta", param)
     st, reach = fs.record.state, fs.traj.dense.reach
     T = st.t
