@@ -26,7 +26,7 @@ from numpy.typing import ArrayLike
 from .errors import (ConstraintDriftError, DegenerateStateError,
                      InvalidArgumentError, StepSizeCollapseError)
 from .rootfind import brentq
-from .series import _Program
+from .series import _Program, _poly_states, _step_size
 from .state import LAMBDA_MIN, MU2_MIN, State, rel_drift_vec, rhs_vec
 
 DEFAULT_RTOL = 1e-12
@@ -64,36 +64,11 @@ def _jet(y: np.ndarray, order: int) -> np.ndarray:
     return C[:7].T
 
 
-def _poly_states(c: np.ndarray, tau):
-    """Step polynomial with coefficient rows c at offset tau: a 7-vector for
-    a scalar tau, a (len(tau), 7) array for an array."""
-    return np.power.outer(tau, np.arange(len(c), dtype=float)) @ c
-
-
 def _order_and_tol(rtol: float, atol: float) -> tuple[int, float]:
     """Jet order N and per-step tolerance: 1e-2 min(rtol, atol), with N
     growing by 1.7 per decade of it (24 at the defaults)."""
     tol = max(1e-2 * min(rtol, atol), _EPS)
     return math.ceil(-1.7 * math.log10(tol)), tol
-
-
-def _step_size(c: np.ndarray, tol: float) -> float:
-    """Jorba-Zou step h = rho * tol^(1/N) for the coefficient rows c of a
-    Taylor polynomial of degree N (a jet, or a singular orbit's series), with
-    rho = min over k in {N-1, N} of (max|c_k| / s)^(-1/k) and s =
-    max(1, max|y|): then max|c_N| h^N <= tol s and
-    max|c_(N-1)| h^(N-1) <= tol^((N-1)/N) s. NaN or 0 on an overflowed jet."""
-    n = len(c) - 1
-    y0, *last = np.max(np.abs(c[[0, n - 1, n]]), axis=1).tolist()
-    scale = max(1.0, y0)
-    rho = math.inf
-    for k, ck in zip((n - 1, n), last):
-        ck /= scale
-        if ck > 0.0:
-            rho = min(rho, ck ** (-1.0 / k))
-        elif ck != 0.0:
-            return math.nan
-    return rho * tol ** (1.0 / n)
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,14 @@ Four solution families are produced:
             variable s with ds/dt = 1/lambda and a t(s) conversion series.
   S2-bubble the epsilon = a rescaling of S2 (coefficient scaling).
   S3-bubble the epsilon = b rescaled solution solved directly in s.
+
+eval_series evaluates in the solution's own variable; every use in time (the
+handoff, the profile below t*, the series volume, the integrator's first
+step) reads the Taylor rows in t, SeriesSolution.t_coeffs.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,7 +55,6 @@ import numpy as np
 
 from .errors import (DegenerateStateError, InvalidArgumentError,
                      OutOfRadiusError, ResonanceError, SeriesConsistencyError)
-from .rootfind import brentq
 from .state import State
 
 DEFAULT_ORDER = 40
@@ -89,6 +93,33 @@ def _horner(c: np.ndarray, x: float) -> float:
     for k in range(len(c) - 1, -1, -1):
         r = r * x + c[k]
     return float(r)
+
+
+def _poly_states(c: np.ndarray, tau):
+    """Step polynomial with coefficient rows c at offset tau: a 7-vector for
+    a scalar tau, a (len(tau), 7) array for an array."""
+    return np.power.outer(tau, np.arange(len(c), dtype=float)) @ c
+
+
+def _step_size(c: np.ndarray, tol: float) -> float:
+    """Jorba-Zou step h = rho * tol^(1/N) for the coefficient rows c of a
+    Taylor polynomial of degree N (a jet, or a singular orbit's series), with
+    rho = min over k in {N-1, N} of (max|c_k| / s)^(-1/k) and s =
+    max(1, max|y|): then max|c_N| h^N <= tol s and
+    max|c_(N-1)| h^(N-1) <= tol^((N-1)/N) s. NaN or 0 on an overflowed jet.
+    It sets every integrator step and, at HANDOFF_TAIL_TOL on a series'
+    t-rows, the handoff's reach (see handoff)."""
+    n = len(c) - 1
+    y0, *last = np.max(np.abs(c[[0, n - 1, n]]), axis=1).tolist()
+    scale = max(1.0, y0)
+    rho = math.inf
+    for k, ck in zip((n - 1, n), last):
+        ck /= scale
+        if ck > 0.0:
+            rho = min(rho, ck ** (-1.0 / k))
+        elif ck != 0.0:
+            return math.nan
+    return rho * tol ** (1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -537,60 +568,6 @@ class SeriesSolution:
     def time_at(self, x: float) -> float:
         return _horner(self.t_of_var, x)
 
-    def var_of_time(self, t: float) -> float:
-        """Invert t(s) for variable-s solutions (monotone near 0)."""
-        if self.var == "t":
-            return float(t)
-        if t == 0.0:
-            return 0.0
-        s_hi, t_hi = self._conversion_range
-        if not 0.0 <= t <= t_hi:
-            raise OutOfRadiusError(
-                f"t = {t} outside validated conversion range [0, {t_hi:.3g}]")
-        return brentq(lambda s: _horner(self.t_of_var, s) - t, 0.0, s_hi,
-                      xtol=1e-15, rtol=8.9e-16)
-
-    @cached_property
-    def _conversion_range(self) -> tuple[float, float]:
-        """(s, t(s)) at the validated radius, where t(s) is inverted."""
-        s_hi = self.validated_radius(1.0)
-        return s_hi, _horner(self.t_of_var, s_hi)
-
-    @cached_property
-    def handoff_point(self) -> tuple[float, float]:
-        """(t*, x*): the integrator start, the largest time with tail <
-        HANDOFF_TAIL_TOL capped at 0.1 * min(1, parameter), and the same
-        point in the solution's own variable; found once per series."""
-        cap_t = 0.1 * min(1.0, self.param)
-        if self.var == "t":
-            x = self.validated_radius(cap_t)
-            return x, x
-        # variable-s solution: cap applies to t, search in s
-        t_star = min(cap_t, 0.999 * self._conversion_range[1])
-        return t_star, self.var_of_time(t_star)
-
-    def validated_radius(self, start: float) -> float:
-        """Largest x on the grid start * 0.95^k, k < 400, with tail
-        estimate < HANDOFF_TAIL_TOL."""
-        x = start
-        for _ in range(400):
-            if self.tail_estimate(x) < HANDOFF_TAIL_TOL:
-                return x
-            x *= 0.95
-        raise OutOfRadiusError(
-            f"no evaluation radius below {start} with tail < "
-            f"{HANDOFF_TAIL_TOL} for {self.family} family at parameter "
-            f"{self.param}")
-
-    def volume_integral(self, x: float) -> float:
-        """Exact term-by-term integral of V = lambda mu^2 in time from the
-        singular orbit to the point x of the solution's own variable."""
-        c = self.coeffs
-        V = volume_coeffs(c["lam"], c["u0"], c["u1"], c["u2"])
-        if self.var == "s":
-            V = _pmul(c["lam"], V, len(V) - 1)   # dt = lambda ds
-        return _horner(_pint(V), x)
-
 
 def volume_coeffs(lam: np.ndarray, u0: np.ndarray, u1: np.ndarray,
                   u2: np.ndarray) -> np.ndarray:
@@ -693,7 +670,14 @@ def family_series(family: str, param: float,
 
 
 def handoff(sol: SeriesSolution) -> tuple[float, State]:
-    """Integrator start (t*, state) at sol.handoff_point."""
-    t_star, x = sol.handoff_point
-    st, _ = eval_series(sol, x)
-    return t_star, st
+    """Integrator start (t*, state): t* = min(0.1 min(1, parameter), reach),
+    with reach = _step_size(sol.t_coeffs, HANDOFF_TAIL_TOL), and the t-rows'
+    state there. Raises OutOfRadiusError unless the reach is positive and
+    finite (rows that overflowed)."""
+    reach = _step_size(sol.t_coeffs, HANDOFF_TAIL_TOL)
+    if not 0.0 < reach < math.inf:
+        raise OutOfRadiusError(
+            f"the t-rows of the {sol.family} family at parameter {sol.param} "
+            f"have no finite positive reach ({reach})")
+    t_star = min(0.1 * min(1.0, sol.param), reach)
+    return t_star, State.from_vec(t_star, _poly_states(sol.t_coeffs, t_star))

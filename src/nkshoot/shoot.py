@@ -2,10 +2,11 @@
 maximal-volume event, curve tracing, and the doubling/matching root solves
 that produce complete solutions.
 
-A family member is solved by evaluating its singular-orbit series at the
-handoff time t*, integrating the fundamental system until the maximal-volume
-event 2 lambda^4 u1 = 3 u2 v2 fires, and recording the event state together
-with its wedge and hyperboloid projections. Complete solutions arise from
+A family member is solved from its singular-orbit series, re-expanded in t:
+those rows give the state up to the handoff time t* and the integrator's
+first step, which runs until the maximal-volume event 2 lambda^4 u1 = 3 u2 v2
+fires; the event state is recorded with its wedge and hyperboloid
+projections. Complete solutions arise from
 
   doubling: a parameter where v0(T) = 0 (wedge boundary mu = lambda) or
             u0(T) = 0 (boundary lambda = 1), glued to itself;
@@ -29,10 +30,9 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
 from .integrate import (_FRAC, MAX_VOLUME_EVENT, EventSpec, Trajectory,
-                        _first_crossing, _guards, _node_drift, _poly_states,
-                        integrate)
+                        _first_crossing, _guards, _node_drift, integrate)
 from .rootfind import brentq
-from .series import (DEFAULT_ORDER, SeriesSolution, eval_series,
+from .series import (DEFAULT_ORDER, SeriesSolution, _poly_states,
                      family_series, handoff, poly_integral, volume_coeffs)
 from .state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry, rhs_vec,
                     transform_derivative)
@@ -73,12 +73,12 @@ class FamilySolve:
     vol_integral: float
 
     def state_at(self, t: float) -> State:
-        """Profile on [0, T]: series below the handoff, dense output above."""
+        """Profile on [0, T]: the series' t-rows up to the handoff t*, dense
+        output above."""
         if not 0.0 <= t <= self.record.T:
             raise ValueError(f"t = {t} outside [0, {self.record.T}]")
         if t <= self.t_star:
-            x = self.series.var_of_time(t)
-            return eval_series(self.series, x)[0]
+            return State.from_vec(t, _poly_states(self.series.t_coeffs, t))
         return self.traj.state_at(t)
 
 
@@ -98,7 +98,7 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
     event_state = State.from_vec(T, traj.states[-1])
     record = MaxOrbitRecord.from_state(family, param, T, event_state)
     _confirm_unique_maximum(traj, rtol, atol)
-    vol = (sol.volume_integral(sol.handoff_point[1])
+    vol = (poly_integral(volume_coeffs(*sol.t_coeffs.T[:4]), 0.0, t_star)
            + _ode_volume_integral(traj, t_star, T))
     return FamilySolve(family=family, param=param, series=sol, t_star=t_star,
                        traj=traj, record=record, vol_integral=vol)

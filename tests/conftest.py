@@ -5,6 +5,7 @@ trigonometric expressions of the four explicit solutions, independently of
 the package's right-hand side, so residual tests compare two genuinely
 different evaluation paths.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,29 @@ def equation_residual(st: State, deriv: np.ndarray) -> float:
         lam * lam * mu2 * dlam + 2 * lam ** 4 * u1 + 3 * u2 * v2,
     )
     return max(abs(e) for e in eqs)
+
+
+def s_radius(sol) -> float:
+    """Largest s = 0.95^k, k < 400, where a variable-s series' tail estimate
+    is below 1e-12."""
+    return next(float(s) for s in 0.95 ** np.arange(400)
+                if sol.tail_estimate(s) < 1e-12)
+
+
+def s_of_time(sol, t: float) -> float:
+    """The s where a variable-s series' time t(s) equals t: scipy's brentq on
+    time_at over [0, s_radius], independent of the series' rows in t."""
+    from scipy.optimize import brentq
+    return brentq(lambda s: sol.time_at(s) - t, 0.0, s_radius(sol),
+                  xtol=1e-15, rtol=8.9e-16)
+
+
+def with_top_lambda(sol, value: float):
+    """A copy of a series solution whose lambda coefficient at order+1, the
+    top of its t-rows, is value."""
+    coeffs = {name: c.copy() for name, c in sol.coeffs.items()}
+    coeffs["lam"][sol.order + 1] = value
+    return dataclasses.replace(sol, coeffs=coeffs)
 
 
 def random_admissible_states(seed: int, n: int) -> list[State]:

@@ -13,7 +13,8 @@ import time
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from conftest import SQRT2, SQRT3, equation_residual, named_derivative
+from conftest import (SQRT2, SQRT3, equation_residual, named_derivative,
+                      s_of_time)
 from nkshoot.exact import (NAMED_SOLUTIONS, SMALL_RESOLUTION, SMOOTHING)
 from nkshoot.geometry import bohm, count_v0_zeros
 from nkshoot.series import family_series, handoff
@@ -192,7 +193,7 @@ def _bubble_states_on_s_grid(b: float, s_grid):
     augmented integration of ds/dt = 1/lambda."""
     sol = family_series("beta", b)
     t_star, start = handoff(sol)
-    s_star = sol.var_of_time(t_star)
+    s_star = s_of_time(sol, t_star)
 
     def rhs8(t, y):
         return np.append(rhs_vec(t, y[:7]), 1.0 / y[0])

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import with_top_lambda
 from nkshoot.cli import main
 from nkshoot.exact import eval_named
 
@@ -231,6 +232,22 @@ def test_parameter_beyond_floats_exits_2(tmp_path, capsys, command):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "DegenerateStateError"
     assert record["command"] == command[0]
+    assert not out.exists()
+
+
+def test_handoff_without_reach_exits_2(tmp_path, capsys, monkeypatch):
+    # series rows that overflowed give the handoff no reach: a typed solver
+    # failure with its JSON record
+    from nkshoot import cli
+    from nkshoot.series import family_series
+    monkeypatch.setattr(cli, "family_series", lambda *args: with_top_lambda(
+        family_series(*args), math.inf))
+    out = tmp_path / "never.csv"
+    assert main(["traj", "--family", "alpha", "--param", "0.5",
+                 "--horizon", "1.0", "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "OutOfRadiusError"
+    assert record["command"] == "traj"
     assert not out.exists()
 
 

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQRT3
+from conftest import SQRT3, s_of_time, s_radius, with_top_lambda
 from nkshoot.errors import (OutOfRadiusError, ResonanceError,
                             SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
-from nkshoot.integrate import _order_and_tol, _poly_states, _step_size
-from nkshoot.series import (SingularIVP, _Program, eval_series, handoff,
+from nkshoot.integrate import _order_and_tol
+from nkshoot.series import (SingularIVP, _Program, _poly_states, _step_size,
+                            eval_series, family_series, handoff,
                             recurrence_residuals, s2_problem,
                             s3_bubble_problem, series_bubble_a,
                             series_bubble_b, series_psi_a, series_psi_b,
@@ -240,13 +241,12 @@ def test_psi_a_sqrt3_matches_transformed_round_sphere():
 
 
 def test_psi_b_unit_matches_homogeneous_solution():
+    # the t-rows, the S3 series in time
     sol = series_psi_b(1.0, 40)
     for t in np.linspace(0.0, 0.3, 11):
-        s = sol.var_of_time(t)
-        st, _ = eval_series(sol, s)
         ref = eval_named("s3s3-homog", t)
-        assert abs(st.t - t) < 1e-13
-        assert np.max(np.abs(st.vec - ref.vec)) < 1e-10
+        got = _poly_states(sol.t_coeffs, t)
+        assert np.max(np.abs(got - ref.vec)) < 1e-10
 
 
 def test_bubble_b_zero_limit_is_smoothing():
@@ -328,7 +328,6 @@ def test_coefficient_continuity_in_parameter():
 def test_handoff_tail_and_cap():
     for family, param in (("alpha", 0.3), ("alpha", 5.0), ("beta", 0.05),
                           ("beta", 1.5)):
-        from nkshoot.series import family_series
         sol = family_series(family, param)
         t_star, st = handoff(sol)
         assert t_star <= 0.1 * min(1.0, param) + 1e-15
@@ -360,17 +359,17 @@ def test_s2_t_rows_are_the_stored_coefficients(a):
 @pytest.mark.parametrize("b", [0.12, 0.4, 1.0, 1.6])
 def test_s3_t_rows_are_the_s_series_at_s_of_t(b):
     # over [t*, reach], the span of the first integrator step, as far as
-    # var_of_time inverts t(s): its validated conversion range ends before
-    # reach at b = 1 and 1.6
+    # s_of_time inverts t(s): its bracket, where the s-series' tail is below
+    # 1e-12, ends before reach at b = 1 and 1.6
     sol = series_psi_b(b)
     rows = sol.t_coeffs
     assert rows.shape == (sol.order + 2, 7)
     _, tol = _order_and_tol(1e-12, 1e-12)
-    t_star, _ = sol.handoff_point
-    t_hi = min(_step_size(rows, tol), sol._conversion_range[1])
+    t_star, _ = handoff(sol)
+    t_hi = min(_step_size(rows, tol), sol.time_at(s_radius(sol)))
     assert t_hi > t_star
     for t in np.linspace(t_star, t_hi, 25):
-        want = sol.components_at(sol.var_of_time(t))
+        want = sol.components_at(s_of_time(sol, t))
         got = _poly_states(rows, t)
         assert np.max(np.abs(got - want)) <= 1e-14 * max(
             1.0, np.max(np.abs(want)))
@@ -380,6 +379,26 @@ def test_out_of_radius_error():
     sol = series_psi_a(0.3, 40)
     with pytest.raises(OutOfRadiusError):
         eval_series(sol, 2.0)
+
+
+@pytest.mark.parametrize("top", [math.inf, math.nan])
+@pytest.mark.parametrize("build", [series_psi_a, series_psi_b])
+def test_handoff_without_reach_raises(build, top):
+    # rows that overflowed have no reach; min(cap, nan) would be the cap
+    bad = with_top_lambda(build(0.5), top)
+    assert not np.isfinite(bad.t_coeffs[-1]).all()
+    with pytest.raises(OutOfRadiusError, match="no finite positive reach"):
+        handoff(bad)
+
+
+@pytest.mark.parametrize("family, lo, hi", [("alpha", 0.05, 10.0),
+                                            ("beta", 0.02, 3.0)])
+def test_handoff_is_the_cap_at_the_default_order(family, lo, hi):
+    # the t-rows reach past 0.1 min(1, parameter) over both ranges, so t*
+    # is the cap itself, bit for bit
+    for p in np.geomspace(lo, hi, 60):
+        t_star, _ = handoff(family_series(family, float(p)))
+        assert t_star == 0.1 * min(1.0, float(p))
 
 
 def test_bubble_a_is_coefficient_rescaling():

@@ -3,6 +3,7 @@ gluing, scans."""
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from nkshoot.shoot import (find_doubling, find_matching, glue,
                            junction_derivative_gap, matching_candidates,
                            max_orbit, refine_matching, scan_s2s4_boundary,
                            solve_family, trace_curve)
-from nkshoot.state import State, _first_integrals, rhs_vec
+from nkshoot.state import (State, _first_integrals, apply_symmetry,
+                           rhs_vec)
 
 S6_VMAX = 81 * SQRT3 / (25 * math.sqrt(5))
 
@@ -251,29 +253,34 @@ def test_find_matching_solves_each_member_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
-@pytest.mark.parametrize("family,param,inversions",
-                         [("beta", 0.599, 1), ("alpha", 0.5646, 0)])
-def test_handoff_searched_once_per_solve(monkeypatch, family, param,
-                                         inversions):
-    # one validated-radius search per solve; a variable-s series inverts
-    # t(s) at t* once, shared by the handoff and the series volume
-    searches, brentqs = [], []
-    radius, brentq = series.SeriesSolution.validated_radius, series.brentq
+@pytest.mark.parametrize("family, param", [("beta", 0.599),
+                                           ("alpha", 0.5646)])
+def test_handoff_searched_once_per_solve(monkeypatch, family, param):
+    # the handoff asks the step rule once for the series' reach, and no root
+    # search runs before the integrator starts
+    steps, roots, before = [], [], []
+    step_size, root, run = series._step_size, shoot.brentq, shoot.integrate
 
-    def counted_radius(self, start):
-        searches.append(start)
-        return radius(self, start)
+    def counted_step_size(*args):
+        steps.append(args[1])
+        return step_size(*args)
 
     def counted_brentq(*args, **kwargs):
-        brentqs.append(args[1:3])
-        return brentq(*args, **kwargs)
+        roots.append(args[1:3])
+        return root(*args, **kwargs)
 
-    monkeypatch.setattr(series.SeriesSolution, "validated_radius",
-                        counted_radius)
-    monkeypatch.setattr(series, "brentq", counted_brentq)
+    def first_run(*args, **kwargs):
+        before.append((len(steps), len(roots)))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_step_size", counted_step_size)
+    for module in (shoot, sys.modules["nkshoot.integrate"]):
+        monkeypatch.setattr(module, "brentq", counted_brentq)
+    monkeypatch.setattr(shoot, "integrate", first_run)
     solve_family(family, param)
-    assert len(searches) == 1
-    assert len(brentqs) == inversions
+    assert not hasattr(series, "brentq")
+    assert steps == [series.HANDOFF_TAIL_TOL]
+    assert before[0] == (1, 0)
 
 
 @pytest.mark.parametrize("family, param", [("alpha", 0.5646),
@@ -281,7 +288,8 @@ def test_handoff_searched_once_per_solve(monkeypatch, family, param,
 @pytest.mark.parametrize("order", [4, 8, 10, 16])
 def test_low_orders_agree_with_order_40(family, param, order):
     # the series is the first step where it reaches a step floor past the
-    # handoff; else a jet is: beta(0.599)'s order-10 series ends before t*
+    # handoff; else a jet is: below order 16, t* is the series' reach at the
+    # handoff tolerance 1e-12, which lies past its reach at the step's 1e-14
     ref = solve_family(family, param)
     fs = solve_family(family, param, order)
     assert abs(fs.record.T - ref.record.T) < 1e-10
@@ -290,7 +298,7 @@ def test_low_orders_agree_with_order_40(family, param, order):
     t0 = fs.traj.t_start
     floor = 16 * np.finfo(float).eps * max(1.0, t0)
     series_first = _step_size(fs.series.t_coeffs, tol) - t0 >= floor
-    assert series_first == ((family, order) != ("beta", 10))
+    assert series_first == (order >= 16)
     assert fs.traj.dense.starts[0] == (0.0 if series_first else t0)
 
 
@@ -438,6 +446,24 @@ def test_profiles_reject_times_outside_their_span(beta1_solve):
         assert sol.profile(0.0).t == fs.state_at(0.0).t == 0.0
         assert sol.profile(sol.T_total).t == sol.T_total
         assert fs.state_at(fs.record.T).t == fs.record.T
+
+
+@pytest.mark.parametrize("fixture, closed_form", [
+    ("beta1_solve", lambda t: eval_named("s3s3-homog", t)),
+    ("alpha_sqrt3_solve", lambda t: apply_symmetry(
+        "tau1.tau2.tau3", eval_named("s6-round", math.pi / 2 - t)))],
+    ids=["beta-1", "alpha-sqrt3"])
+def test_profile_below_handoff_is_the_closed_form(request, fixture,
+                                                  closed_form):
+    # on (0, t*] the profile is the series' t-rows, and it meets the
+    # integrator's dense output at t*
+    fs = request.getfixturevalue(fixture)
+    for t in np.linspace(0.0, fs.t_star, 12)[1:]:
+        st = fs.state_at(t)
+        assert st.t == t
+        assert np.max(np.abs(st.vec - closed_form(t).vec)) < 1e-10
+    gap = fs.state_at(fs.t_star).vec - fs.traj.state_at(fs.t_star).vec
+    assert np.max(np.abs(gap)) < 1e-14
 
 
 def test_find_matching_homogeneous_s6():
