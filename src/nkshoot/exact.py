@@ -19,41 +19,51 @@ SQRT3 = math.sqrt(3.0)
 
 
 # ---------------------------------------------------------------------------
-# the four named solutions
+# the four named solutions: each maps a float or an array of m times to the
+# (7,) or (7, m) array of components. Powers go through np.float_power, which
+# calls the C pow as float ** does; numpy's ** takes shortcuts for small
+# integer exponents that round differently.
 
-def _sine_cone(t: float) -> State:
-    s, c = math.sin(t), math.cos(t)
-    return State(t, s, (0.0, s * s * c, -s ** 3), (0.0, s ** 4, s ** 3 * c))
+def _components(t, *comps) -> np.ndarray:
+    return np.array(np.broadcast_arrays(t, *comps)[1:])
 
 
-def _s6_round(t: float) -> State:
+def _sine_cone(t):
+    s, c = np.sin(t), np.cos(t)
+    s3 = np.float_power(s, 3)
+    return _components(t, s, 0.0, s * s * c, -s3,
+                       0.0, np.float_power(s, 4), s3 * c)
+
+
+def _s6_round(t):
     # closes on S^3 at t = 0 (b-family member) and on S^2 at t = pi/2
-    s, c = math.sin(t), math.cos(t)
+    s, c = np.sin(t), np.cos(t)
     c2 = c * c
-    return State(
+    return _components(
         t, 1.5 * c,
-        (-1.5 * s * (2 - 5 * c2), -3 * s * (1 - 2 * c2), -4.5 * s * c2),
-        (2.25 * c2 * (4 - 5 * c2), 9 * s * s * c2, 2.25 * c2 * (3 * c2 - 2)))
+        -1.5 * s * (2 - 5 * c2), -3 * s * (1 - 2 * c2), -4.5 * s * c2,
+        2.25 * c2 * (4 - 5 * c2), 9 * s * s * c2, 2.25 * c2 * (3 * c2 - 2))
 
 
-def _s3s3_homog(t: float) -> State:
-    x, y = 2 * SQRT3 * t, SQRT3 * t
-    return State(
+def _s3s3_homog(t):
+    sx, cx = np.sin(2 * SQRT3 * t), np.cos(2 * SQRT3 * t)
+    sy, cy = np.sin(SQRT3 * t), np.cos(SQRT3 * t)
+    return _components(
         t, 1.0,
-        (math.sin(x) / SQRT3, math.sin(x) / SQRT3, -2 * math.sin(y) / SQRT3),
-        (-2 * math.cos(x) / 3, 2 * (1 - math.cos(x)) / 3, 2 * math.cos(y) / 3))
+        sx / SQRT3, sx / SQRT3, -2 * sy / SQRT3,
+        -2 * cx / 3, 2 * (1 - cx) / 3, 2 * cy / 3)
 
 
-def _cp3_homog(t: float) -> State:
+def _cp3_homog(t):
     # v0 sign corrected relative to the common printed form: the positive
     # sign is forced by the first integral <u, v> = 0 and by v0 ~ 3 a^2 t^2
     # in the S2 family's Taylor data
     x = SQRT2 * t
-    s, c = math.sin(x), math.cos(x)
-    return State(
+    s, c = np.sin(x), np.cos(x)
+    return _components(
         t, 0.75 * SQRT2 * s,
-        (0.375 * (3 * c * c - 1), 0.75 * c, -1.125 * s * s),
-        (1.125 * c * s * s, 1.125 * s * s, 1.125 * c * s * s))
+        0.375 * (3 * c * c - 1), 0.75 * c, -1.125 * s * s,
+        1.125 * c * s * s, 1.125 * s * s, 1.125 * c * s * s)
 
 
 @dataclass(frozen=True)
@@ -64,16 +74,26 @@ class NamedSolution:
 
     name: str
     domain: tuple[float, float]
-    evaluator: Callable[[float], State]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     orbit_start: tuple[str, float] | None
     orbit_end: tuple[str, float] | None
 
-    def eval(self, t: float) -> State:
+    def vec(self, t) -> np.ndarray:
+        """The (7,) state vector at a float t, or the (7, m) array of state
+        vectors at an array of m times; raises OutOfDomainError if any t is
+        outside the domain or NaN."""
+        t = np.asarray(t, dtype=float)
         lo, hi = self.domain
-        if not lo <= t <= hi:
+        outside = ~((lo <= t) & (t <= hi))
+        if outside.any():
+            bad = float(t[outside][0])
             raise OutOfDomainError(
-                f"{self.name}: t = {t} outside [{lo}, {hi}]")
+                f"{self.name}: t = {bad} outside [{lo}, {hi}]")
         return self.evaluator(t)
+
+    def eval(self, t: float) -> State:
+        """The State at t; raises OutOfDomainError as vec does."""
+        return State.from_vec(t, self.vec(t))
 
 
 NAMED_SOLUTIONS = {
@@ -182,7 +202,7 @@ class CalabiYauForm:
             r_lm = lam_over_r * d4(
                 lambda r: self.components(r)["lam"] * self.components(r)["mu"],
                 x) - 3 * c["mu"]
-            return max(abs(r_u1), abs(r_lm))
+            return float(np.max(np.abs([r_u1, r_lm])))
         comp = self.components
         r1 = d4(lambda s: comp(s)["mu"] ** 3, x) \
             - 6 * (c["mu"] * c["lam"]) ** 2
@@ -191,7 +211,7 @@ class CalabiYauForm:
         r3 = d4(lambda s: comp(s)["lam"] * comp(s)["v0"], x)
         r4 = d4(lambda s: comp(s)["lam"] * comp(s)["v2"], x) \
             - 3 * c["mu"] * c["lam"]
-        return max(abs(r1), abs(r2), abs(r3), abs(r4))
+        return float(np.max(np.abs([r1, r2, r3, r4])))
 
 
 SMALL_RESOLUTION = CalabiYauForm("small-resolution")

@@ -383,15 +383,24 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
         raise SeriesConsistencyError(f"{name}: |M_-1(y0)| = {res:.3e}")
     A = Mm1 @ G
     lhs = np.arange(1, order + 1)[:, None, None] * np.eye(k) - A
-    cond = np.linalg.cond(lhs)
-    bad = np.flatnonzero(~(cond <= COND_LIMIT))   # also catches inf and nan
-    if bad.size:
-        h = int(bad[0]) + 1
-        raise ResonanceError(
-            f"{name}: h*Id - dM_-1 ill conditioned at h = {h} "
-            f"(cond = {cond[h - 1]:.3e})")
-    # y_h = (h*Id - A)^-1 W C[:, h], with the inverses taken in one batch
-    IW = np.linalg.inv(lhs) @ W
+    # y_h = (h*Id - A)^-1 W C[:, h], with the inverses taken in one batch;
+    # cond_2 <= |M|_F |M^-1|_F settles most h, and the SVD runs on the rest
+    try:
+        inv = np.linalg.inv(lhs)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(lhs, np.nan)
+    bound = (np.linalg.norm(lhs, axis=(1, 2))
+             * np.linalg.norm(inv, axis=(1, 2)))
+    unsettled = np.flatnonzero(~(bound <= COND_LIMIT))   # also inf and nan
+    if unsettled.size:
+        cond = np.linalg.cond(lhs[unsettled])
+        bad = np.flatnonzero(~(cond <= COND_LIMIT))
+        if bad.size:
+            i = int(bad[0])
+            raise ResonanceError(
+                f"{name}: h*Id - dM_-1 ill conditioned at h = "
+                f"{unsettled[i] + 1} (cond = {cond[i]:.3e})")
+    IW = inv @ W
     for h in range(1, order + 1):
         prog.advance(C, h)
         C[:, h] += G @ (IW[h - 1] @ C[:, h])

@@ -129,7 +129,8 @@ def rel_drift_vec(y: np.ndarray) -> np.ndarray:
 
 
 def rhs_vec(t: float, y) -> np.ndarray:
-    """Raw right-hand side on a 7-vector; no degeneracy checks.
+    """Raw right-hand side on a 7-vector, or on every column of a (7, m)
+    array; no degeneracy checks.
 
     Hot path of the integrator: guard events are responsible for stopping
     before lambda or mu^2 degenerate.
@@ -148,16 +149,27 @@ def rhs_vec(t: float, y) -> np.ndarray:
     ])
 
 
+def check_regular(y) -> None:
+    """Raise DegenerateStateError when lambda <= 1e-8 or mu^2 <= 1e-12 in a
+    7-vector, or in any column of a (7, m) array."""
+    mu2 = -y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
+    for name, value, floor in (("lambda", y[0], LAMBDA_MIN),
+                               ("mu^2", mu2, MU2_MIN)):
+        value = np.asarray(value)
+        low = value <= floor
+        if low.any():
+            raise DegenerateStateError(
+                f"{name} = {float(value[low][0])} <= {floor}")
+
+
 def rhs(s: State) -> np.ndarray:
     """Time derivative (lambda', u0', u1', u2', v0', v1', v2') of a state.
 
     Raises DegenerateStateError when lambda <= 1e-8 or mu^2 <= 1e-12.
     """
-    if s.lam <= LAMBDA_MIN:
-        raise DegenerateStateError(f"lambda = {s.lam} <= {LAMBDA_MIN}")
-    if s.mu2 <= MU2_MIN:
-        raise DegenerateStateError(f"mu^2 = {s.mu2} <= {MU2_MIN}")
-    return rhs_vec(s.t, s.vec)
+    y = s.vec
+    check_regular(y)
+    return rhs_vec(s.t, y)
 
 
 def lambda_dot_alt(s: State) -> float:

@@ -1,12 +1,16 @@
 """cli: subcommands, file formats, determinism, exit codes."""
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import with_top_lambda
+from nkshoot import cli, exact
 from nkshoot.cli import main
-from nkshoot.exact import eval_named
+from nkshoot.exact import NAMED_SOLUTIONS, eval_named
+from nkshoot.state import constraints, rhs
 
 
 def run(args, tmp_path):
@@ -17,6 +21,94 @@ def test_verify_passes(tmp_path, capsys):
     assert run(["verify"], tmp_path) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def _verify_values(monkeypatch):
+    """The exact value behind each of run_verify's check lines."""
+    values = {}
+    check = cli._check
+
+    def recording_check(name, value, tol, lines):
+        values[name] = value
+        return check(name, value, tol, lines)
+    monkeypatch.setattr(cli, "_check", recording_check)
+    cli.run_verify(1e-12, 1e-12)
+    return values
+
+
+def test_verify_array_checks_equal_the_pointwise_loop(monkeypatch):
+    # oracle: the per-point loop, one eval per grid point and FD offset
+    values = _verify_values(monkeypatch)
+    h = 1e-5
+    for name, sol in NAMED_SOLUTIONS.items():
+        lo, hi = sol.domain
+        ts = np.linspace(lo, hi, 1002)[1:-1]
+        worst_c = max(constraints(sol.eval(t)).max_abs for t in ts)
+        worst_r = 0.0
+        for t in ts[::10]:
+            if t - 2 * h <= lo or t + 2 * h >= hi:
+                continue
+            fd = (sol.eval(t - 2 * h).vec - 8 * sol.eval(t - h).vec
+                  + 8 * sol.eval(t + h).vec
+                  - sol.eval(t + 2 * h).vec) / (12 * h)
+            worst_r = max(worst_r,
+                          float(np.max(np.abs(rhs(sol.eval(t)) - fd))))
+        assert values[f"{name}: first integrals"] == worst_c
+        assert values[f"{name}: evolution residual (FD)"] == worst_r
+
+
+def _with_value_at(monkeypatch, name, t_bad, index, value):
+    """Replace NAMED_SOLUTIONS[name] by a copy whose component index is
+    value at the time t_bad."""
+    sol = NAMED_SOLUTIONS[name]
+
+    def evaluator(t):
+        y = sol.evaluator(t)
+        y[index, ...] = np.where(t == t_bad, value, y[index])
+        return y
+    monkeypatch.setitem(NAMED_SOLUTIONS, name,
+                        dataclasses.replace(sol, evaluator=evaluator))
+
+
+def test_verify_fails_on_a_nan_at_one_interior_point(tmp_path, capsys,
+                                                     monkeypatch):
+    # grid point 500 is neither the first point nor off the FD subgrid; a
+    # running max(worst, r) would drop the NaN and pass
+    lo, hi = NAMED_SOLUTIONS["s6-round"].domain
+    t_bad = np.linspace(lo, hi, 1002)[1:-1][500]
+    _with_value_at(monkeypatch, "s6-round", t_bad, 2, math.nan)
+    assert run(["verify"], tmp_path) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  s6-round: first integrals: nan" in out
+    assert "FAIL  s6-round: evolution residual (FD): nan" in out
+    assert "PASS  sine-cone: first integrals" in out
+    assert out.endswith("verify: FAILURES above\n")
+
+
+def test_verify_fails_on_a_nan_calabi_yau_residual(tmp_path, capsys,
+                                                   monkeypatch):
+    eval_calabi_yau = exact.eval_calabi_yau
+
+    def nan_at_middle(name, x):
+        comps, res = eval_calabi_yau(name, x)
+        return comps, (math.nan if (name, x) == ("smoothing", 0.6) else res)
+    monkeypatch.setattr(exact, "eval_calabi_yau", nan_at_middle)
+    assert run(["verify"], tmp_path) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  smoothing: hypo evolution residual (FD): nan" in out
+    assert "PASS  small-resolution: hypo evolution residual (FD)" in out
+
+
+def test_verify_fd_check_raises_on_a_degenerate_point(tmp_path, capsys,
+                                                      monkeypatch):
+    # lambda = 0 at one FD point: the check raises as rhs does, exit 2
+    lo, hi = NAMED_SOLUTIONS["cp3-homog"].domain
+    t_bad = np.linspace(lo, hi, 1002)[1:-1][300]
+    _with_value_at(monkeypatch, "cp3-homog", t_bad, 0, 0.0)
+    assert run(["verify"], tmp_path) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "DegenerateStateError"
+    assert record["message"] == "lambda = 0.0 <= 1e-08"
 
 
 def test_series_dump_roundtrip(tmp_path):

@@ -34,6 +34,39 @@ def test_out_of_domain():
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_SOLUTIONS))
+def test_vec_on_an_array_is_eval_at_each_point(name):
+    # the verify grid, and the +-h, +-2h offsets of its FD points, bit for
+    # bit (signs of zero included)
+    sol = NAMED_SOLUTIONS[name]
+    lo, hi = sol.domain
+    grid = np.linspace(lo, hi, 1002)[1:-1]
+    h = 1e-5
+    fd = grid[::10]
+    fd = fd[(fd - 2 * h > lo) & (fd + 2 * h < hi)]
+    ts = np.concatenate([grid, fd - 2 * h, fd - h, fd + h, fd + 2 * h,
+                         [lo, hi]])
+    want = np.array([sol.eval(t).vec for t in ts]).T
+    got = sol.vec(ts)
+    assert got.shape == (7, ts.size)
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+    assert (sol.vec(ts[3]).view(np.int64) == want[:, 3].view(np.int64)).all()
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SOLUTIONS))
+def test_vec_rejects_any_time_outside_the_domain(name):
+    sol = NAMED_SOLUTIONS[name]
+    lo, hi = sol.domain
+    inside = np.linspace(lo, hi, 7)
+    for bad in (lo - 1e-12, hi + 1e-12, math.nan):
+        with pytest.raises(OutOfDomainError):
+            sol.vec(bad)
+        with pytest.raises(OutOfDomainError):
+            sol.vec(np.append(inside, bad))
+        with pytest.raises(OutOfDomainError):
+            sol.eval(bad)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SOLUTIONS))
 def test_named_solutions_satisfy_system(name):
     # oracle: hand-differentiated closed forms plugged into the polynomial
     # form of the evolution equations

@@ -1,6 +1,7 @@
 """series_engine: singular-IVP recurrence, family series, printed-coefficient
 regressions."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from nkshoot.errors import (OutOfRadiusError, ResonanceError,
                             SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
 from nkshoot.integrate import _order_and_tol
-from nkshoot.series import (SingularIVP, _Program, _poly_states, _step_size,
-                            eval_series, family_series, handoff,
+from nkshoot.series import (COND_LIMIT, SingularIVP, _Program, _poly_states,
+                            _step_size, eval_series, family_series, handoff,
                             recurrence_residuals, s2_problem,
                             s3_bubble_problem, series_bubble_a,
                             series_bubble_b, series_psi_a, series_psi_b,
@@ -53,6 +54,39 @@ def test_resonance_gate_names_first_h_within_order():
     assert np.allclose(Y[0], [0.0, -0.25, 0.0, 0.0, 0.0], atol=1e-16)
     with pytest.raises(ResonanceError, match=r"at h = 5 "):
         solve_singular_ivp(_toy_problem(5.0), 5)
+
+
+def _diagonal_toy(coeffs) -> SingularIVP:
+    """y_i' = (1/t)(coeffs[i] * y_i) + 1, y0 = 0: h*Id - dM_-1 is
+    diag(h - coeffs), so its condition number is known exactly."""
+    def rhs(y, x):
+        return [c * yi for c, yi in zip(coeffs, y)], [x] * len(coeffs)
+    return SingularIVP(_Program(len(coeffs), rhs), np.zeros(len(coeffs)),
+                       name="diagonal toy")
+
+
+def test_resonance_svd_decides_where_the_frobenius_bound_does_not():
+    # at h = 3 the matrix is diag(d, 3, 3, 3) with cond = 3/d = 7e7 below
+    # COND_LIMIT, while |M|_F |M^-1|_F is about sqrt(3) times that, above it
+    coeff = 3.0 - 3.0 / 7e7
+    M = np.diag([3.0 - coeff, 3.0, 3.0, 3.0])
+    assert np.linalg.cond(M) <= COND_LIMIT
+    assert np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M)) > COND_LIMIT
+    Y, _ = solve_singular_ivp(_diagonal_toy([coeff, 0.0, 0.0, 0.0]), 6)
+    # y_i = t / (1 - coeffs[i])
+    assert Y[0, 1] == pytest.approx(1.0 / (1.0 - coeff), rel=1e-15)
+    assert (Y[1:, 1] == 1.0).all()
+
+
+def test_resonance_error_names_the_first_ill_conditioned_h():
+    # cond = 3/d = 2e8 at h = 3 exceeds COND_LIMIT; the error names h = 3 and
+    # the SVD condition number of that matrix
+    coeff = 3.0 - 3.0 / 2e8
+    cond = np.linalg.cond(np.diag([3.0 - coeff, 3.0, 3.0, 3.0]))
+    assert cond > COND_LIMIT
+    with pytest.raises(ResonanceError, match=re.escape(
+            f"at h = 3 (cond = {cond:.3e})")):
+        solve_singular_ivp(_diagonal_toy([coeff, 0.0, 0.0, 0.0]), 6)
 
 
 def test_order_below_one_rejected():
