@@ -8,11 +8,13 @@ series engine of the singular orbits, run on the regular system. Each step
 takes one jet of order N and advances by h = rho * tol^(1/N), with rho the
 radius estimated from the last two jet coefficients; N and the step
 tolerance follow from rtol and atol. Every step contributes its end and
-STEP_SAMPLES interior points as nodes. Events and guards are sign changes of
-their functions over a step's nodes, refined by brentq on the function of
-the step polynomial's state, and the earliest ends the run; the dense output
-is the step polynomials. First integrals are recorded at every node and a
-relative drift above 1e-6 aborts the run; drift is monitored, not projected.
+STEP_SAMPLES interior points as nodes. One pass over a step's nodes
+(_NodePass) gives the values of the events and the singularity guard and
+the first-integral drift. Events and guards are sign changes of their
+values over the nodes, refined by brentq on the step polynomial's state,
+and the earliest ends the run; the dense output is the step polynomials.
+The drift is recorded at every node and above 1e-6 aborts the run; drift is
+monitored, not projected.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .errors import (ConstraintDriftError, DegenerateStateError,
                      InvalidArgumentError, StepSizeCollapseError)
 from .rootfind import brentq
 from .series import _Program, _poly_states, _step_size
-from .state import LAMBDA_MIN, MU2_MIN, State, rel_drift_vec, rhs_vec
+from .state import LAMBDA_MIN, MU2_MIN, State, _first_integrals, rhs_vec
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
@@ -37,31 +39,15 @@ STEP_SAMPLES = 7            # interior nodes per step
 _FRAC = np.arange(1, STEP_SAMPLES + 2) / (STEP_SAMPLES + 1)
 _EPS = np.finfo(float).eps
 
-#: rhs_vec recorded once; component i of the right-hand side is row _OUT[i]
-#: of the table, with unit coefficient and no constant
-_PROGRAM = _Program(7, lambda y, t: (rhs_vec(t, y),))
-(_F, _F_CONST), = _PROGRAM.outputs
-_OUT = _F.argmax(axis=1).tolist()
-if not np.array_equal(_F, np.eye(_F.shape[1])[_OUT]) or _F_CONST.any():
-    raise ImportError("rhs_vec's outputs are not single recorded rows")
+#: rhs_vec recorded once, as the ODE whose jets the steps take
+_PROGRAM = _Program(7, lambda y, t: (rhs_vec(t, y),), ode=True)
 
 
 def _jet(y: np.ndarray, order: int) -> np.ndarray:
     """Taylor coefficients c[k], k = 0..order, of the solution through y:
-    row k of the (order + 1, 7) result is y^(k)(t0) / k!. (+ 0.0 turns -0.0
-    into +0.0, as a product with the output matrix would.)"""
-    C = _PROGRAM.table(order)
-    C[:7, 0] = y
-    c0 = col = C[:, 0].tolist()
-    _PROGRAM._first(col)
-    for k in range(1, order + 1):
-        col = [col[r] / k + 0.0 for r in _OUT] + C[7:, k].tolist()
-        if k < order:
-            mid = np.add.reduce(C[_PROGRAM._p, 1:k]
-                                * C[_PROGRAM._q, k - 1:0:-1], axis=1)
-            _PROGRAM._next(col, c0, mid.tolist())
-        C[:, k] = col
-    return C[:7].T
+    row k of the (order + 1, 7) result is y^(k)(t0) / k!. The result is
+    column-major (see _Program)."""
+    return _PROGRAM.fill(_PROGRAM.start(y, (), order), range(7)).T
 
 
 def _order_and_tol(rtol: float, atol: float) -> tuple[int, float]:
@@ -95,18 +81,78 @@ def _volume_event_vec(t: ArrayLike, y: np.ndarray) -> ArrayLike:
 MAX_VOLUME_EVENT = EventSpec("max-volume", fn_vec=_volume_event_vec)
 
 
-def _guards(lam_sign: float) -> list[EventSpec]:
-    """The singularity guard's events; the lambda one is signed by lam_sign,
-    the sign of lambda at the start, so its crossing is a sign change."""
-    return [
-        EventSpec("guard-lambda", lambda t, y: lam_sign * y[0] - LAMBDA_MIN,
-                  direction=-1),
-        EventSpec("guard-mu2", lambda t, y: (-y[1] * y[1] + y[2] * y[2]
-                                             + y[3] * y[3]) - MU2_MIN,
-                  direction=-1),
-        EventSpec("guard-magnitude", lambda t, y: COMPONENT_MAGNITUDE_MAX
-                  - np.max(np.abs(y), axis=0), direction=-1),
-    ]
+#: the singularity guard's values, in the order _NodePass gives them after
+#: the events; each stops the run where it falls through zero
+GUARDS = ("guard-lambda", "guard-mu2", "guard-magnitude")
+
+
+class _NodePass:
+    """The work of a run at every node: the values of its events and of the
+    singularity guard, the crossing that ends the run, and the relative
+    first-integral drift. The guard's values are lam_sign * lambda -
+    LAMBDA_MIN, with lam_sign the sign of lambda at the start so that its
+    crossing is a sign change, mu^2 - MU2_MIN and COMPONENT_MAGNITUDE_MAX -
+    max|y_i|."""
+
+    def __init__(self, events: Sequence[EventSpec], lam_sign: float):
+        self.events = tuple(events)
+        self.lam_sign = lam_sign
+        self.names = [*(event.name for event in events), *GUARDS]
+        direction = np.array([*(event.direction for event in events),
+                              -1, -1, -1])[:, None]
+        self._rising, self._falling = direction >= 0, direction <= 0
+
+    def values(self, t: ArrayLike, y: np.ndarray) -> tuple[list, ArrayLike]:
+        """The events' and the guard's values at the nodes t with states y,
+        of shape (7,) or (7, m), one entry each, and the drift there
+        (ConstraintVector.rel_drift), from one mu^2 and lambda^2 mu^2."""
+        *integrals, _, lam2mu2, mu2 = _first_integrals(*y)
+        drift = np.abs(integrals).max(axis=0) / np.maximum(1.0, lam2mu2)
+        return [*(event.fn_vec(t, y) for event in self.events),
+                self.lam_sign * y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
+                COMPONENT_MAGNITUDE_MAX - np.abs(y).max(axis=0)], drift
+
+    def step(self, c: np.ndarray, t0: float, t: float, y: np.ndarray, g,
+             h: float, end: float | None = None):
+        """The nodes t + h * _FRAC (the last one end, when given) after the
+        node (t, y), where the values were g, on the step polynomial c about
+        t0: (times, states, drift, values at the last node, row of the
+        crossing that ends the run or None). Row i crosses where it changes
+        sign in the direction its event allows (the guard's fall), a zero
+        counting for the interval it ends; the crossings in the earliest
+        such interval are refined and the earliest becomes the last node.
+        The drift is checked (_check_drift) at the nodes that remain."""
+        ts = t + h * _FRAC
+        if end is not None:
+            ts[-1] = end
+        ys = _poly_states(c, ts - t0)
+        vals, drift = self.values(ts, ys.T)
+        V = np.empty((len(self.names), len(ts) + 1))
+        V[:, 0] = g
+        V[:, 1:] = vals
+        a, b = V[:, :-1], V[:, 1:]
+        cross = (((a < 0.0) & (b >= 0.0) & self._rising)
+                 | ((a > 0.0) & (b <= 0.0) & self._falling))
+        hit = None
+        if cross.any():
+            j = int(np.flatnonzero(cross.any(axis=0))[0])
+            lo, hi = [t, *ts.tolist()][j:j + 2]
+            t_hit, hit = min((_root(self._row(i, c, t0), lo, hi), i)
+                             for i in np.flatnonzero(cross[:, j]).tolist())
+            k = int(np.searchsorted(ts, t_hit))
+            y_hit = _poly_states(c, t_hit - t0)
+            ts = np.append(ts[:k], t_hit)
+            ys = np.vstack((ys[:k], y_hit))
+            drift = np.append(drift[:k], self.values(t_hit, y_hit)[1])
+        return ts, ys, _check_drift(ts, ys, drift, t, y), V[:, -1], hit
+
+    def _row(self, i: int, c: np.ndarray, t0: float) -> Callable:
+        """Row i of the values as a function of t on the step polynomial c
+        about t0."""
+        if i < len(self.events):
+            fn = self.events[i].fn_vec
+            return lambda t: float(fn(t, _poly_states(c, t - t0)))
+        return lambda t: float(self.values(t, _poly_states(c, t - t0))[0][i])
 
 
 @dataclass(frozen=True)
@@ -159,35 +205,27 @@ class Trajectory:
         return [State.from_vec(t, y) for t, y in zip(self.times, self.states)]
 
 
-def _first_crossing(specs: Sequence[EventSpec], direction: np.ndarray,
-                    vals: np.ndarray, c: np.ndarray, t0: float, t_first: float,
-                    ts: np.ndarray) -> tuple[float, int] | None:
-    """(t, i): the earliest crossing, of specs[i], given their values vals at
-    the nodes [t_first, *ts] of the step polynomial c from t0; None without
-    one. Row i crosses where it changes sign in the direction direction[i]
-    allows (0 any, +1 rising, -1 falling), a zero counting for the interval
-    it ends; the crossings in the earliest such interval are refined."""
-    a, b = vals[:, :-1], vals[:, 1:]
-    rising = (a < 0.0) & (b >= 0.0) & (direction[:, None] >= 0)
-    falling = (a > 0.0) & (b <= 0.0) & (direction[:, None] <= 0)
-    found = np.argwhere(rising | falling)
-    if not found.size:
-        return None
-    j = found[:, 1].min()
-    lo, hi = [t_first, *ts.tolist()][j:j + 2]
-    return min((_root(specs[i], c, t0, lo, hi), i)
-               for i in found[found[:, 1] == j, 0].tolist())
+def _check_drift(ts: np.ndarray, ys: np.ndarray, drift: np.ndarray,
+                 t_prev: float, y_prev: np.ndarray) -> np.ndarray:
+    """drift at the nodes ts (states ys, shape (m, 7)). Raises
+    ConstraintDriftError at the first node above DRIFT_ABORT, with the node
+    before it (t_prev, y_prev for the first) as the last good state."""
+    bad = np.flatnonzero(drift > DRIFT_ABORT)
+    if bad.size:
+        k = int(bad[0])
+        t_good, y_good = (ts[k - 1], ys[k - 1]) if k else (t_prev, y_prev)
+        raise ConstraintDriftError(
+            f"relative first-integral drift {drift[k]:.3e} > {DRIFT_ABORT} "
+            f"at t = {ts[k]}", t_bad=float(ts[k]),
+            last_state=State.from_vec(t_good, y_good))
+    return drift
 
 
-def _root(spec: EventSpec, c: np.ndarray, t0: float, lo: float,
-          hi: float) -> float:
-    """Root of spec on [lo, hi], evaluated on the step polynomial's state:
-    brentq, then bisection of the few-ulp bracket it leaves down to
-    adjacent floats, keeping the one with the smaller |g|. If rounding
-    undoes the bracket the node scan saw, the root is taken at hi, the node
-    where the scan saw the sign change."""
-    def g(t):
-        return float(spec.fn_vec(t, _poly_states(c, t - t0)))
+def _root(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of g on [lo, hi]: brentq, then bisection of the few-ulp bracket
+    it leaves down to adjacent floats, keeping the one with the smaller |g|.
+    If rounding undoes the bracket the node scan saw, the root is taken at
+    hi, the node where the scan saw the sign change."""
     g_lo, g_hi = g(lo), g(hi)
     if g_lo * g_hi > 0.0:
         return hi
@@ -205,24 +243,6 @@ def _root(spec: EventSpec, c: np.ndarray, t0: float, lo: float,
         else:
             b, g_b = m, g_m
     return a if abs(g_a) <= abs(g_b) else b
-
-
-def _node_drift(ts: np.ndarray, ys: np.ndarray, t_prev: float,
-                y_prev: np.ndarray) -> np.ndarray:
-    """Relative first-integral drift at the nodes ts (states ys, shape
-    (m, 7)). Raises ConstraintDriftError at the first node above
-    DRIFT_ABORT, with the node before it (t_prev, y_prev for the first) as
-    the last good state."""
-    drift = rel_drift_vec(ys.T)
-    bad = np.flatnonzero(drift > DRIFT_ABORT)
-    if bad.size:
-        k = int(bad[0])
-        t_good, y_good = (ts[k - 1], ys[k - 1]) if k else (t_prev, y_prev)
-        raise ConstraintDriftError(
-            f"relative first-integral drift {drift[k]:.3e} > {DRIFT_ABORT} "
-            f"at t = {ts[k]}", t_bad=float(ts[k]),
-            last_state=State.from_vec(t_good, y_good))
-    return drift
 
 
 def integrate(start: State, horizon: float,
@@ -253,6 +273,11 @@ def integrate(start: State, horizon: float,
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise InvalidArgumentError(f"tolerances must be positive and finite, "
                                    f"got rtol = {rtol}, atol = {atol}")
+    order, tol = _order_and_tol(rtol, atol)
+    if order < 2:
+        raise InvalidArgumentError(
+            f"rtol = {rtol}, atol = {atol} are too loose for a Taylor step "
+            f"(jet order {order} < 2; min(rtol, atol) must be below 25.8)")
     if start.mu2 <= MU2_MIN:
         raise DegenerateStateError(f"start has mu^2 = {start.mu2}")
     if not allow_unoriented:
@@ -266,15 +291,13 @@ def integrate(start: State, horizon: float,
         gap = np.max(np.abs(_poly_states(series, start.t) - start.vec))
         if not gap <= 1e-12 * max(1.0, np.max(np.abs(start.vec))):
             raise InvalidArgumentError(f"series misses start by {gap:.3e}")
-    specs = [*events, *_guards(1.0 if start.lam >= 0.0 else -1.0)]
-    direction = np.array([spec.direction for spec in specs])
-    order, tol = _order_and_tol(rtol, atol)
+    nodes = _NodePass(events, 1.0 if start.lam >= 0.0 else -1.0)
 
     t, y = start.t, start.vec
+    g, drift = nodes.values(t, y)
     times, states = [np.array([t])], [y[None, :]]
-    drifts = [_node_drift(times[0], states[0], t, y)]
+    drifts = [_check_drift(times[0], states[0], np.array([drift]), t, y)]
     starts, coeffs = [], []
-    g_prev = [spec(t, y) for spec in specs]
     termination = stopped_by = None
     while termination is None:
         floor = 16 * _EPS * max(1.0, abs(t))
@@ -293,25 +316,13 @@ def integrate(start: State, horizon: float,
                                         State.from_vec(t, y))
         if t + h >= horizon - floor:
             h, termination = horizon - t, "horizon"
-        ts = t + h * _FRAC
-        if termination:
-            ts[-1] = horizon
-        reach = float(ts[-1])
-        ys = _poly_states(c, ts - t0)
-
-        # the earliest crossing of an event or guard ends the run
-        vals = np.column_stack((g_prev, [spec(ts, ys.T) for spec in specs]))
-        g_prev = vals[:, -1]
-        hit = _first_crossing(specs, direction, vals, c, t0, t, ts)
-        if hit:
-            t_root, i = hit
-            end = int(np.searchsorted(ts, t_root))
-            ts = np.append(ts[:end], t_root)
-            ys = np.vstack((ys[:end], _poly_states(c, t_root - t0)))
-            termination = "event" if i < len(events) else "singularity"
-            stopped_by = specs[i].name
-
-        drifts.append(_node_drift(ts, ys, t, y))
+        reach = horizon if termination else t + h
+        ts, ys, drift, g, hit = nodes.step(c, t0, t, y, g, h,
+                                           horizon if termination else None)
+        if hit is not None:
+            termination = "event" if hit < len(events) else "singularity"
+            stopped_by = nodes.names[hit]
+        drifts.append(drift)
         starts.append(t0)
         coeffs.append(c)
         times.append(ts)

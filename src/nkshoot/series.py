@@ -23,9 +23,11 @@ one column: each intermediate's [x^h] coefficient follows from columns 0..h
 of its operands (relaxed, or online, Taylor arithmetic; Jorba & Zou, Exp.
 Math. 14, 2005), so a build of order n costs O(n^2) instead of
 re-evaluating the truncated series at every order. The recorded ops are
-compiled once to straight-line Python, and the convolution sums of one
-order are a single vectorised product. The same program engine, run on the
-regular system, gives the integrator's Taylor jets (integrate.py). Each
+compiled once to straight-line Python; each order's convolution sums are
+the row sums of one product of two views of a record of the operands'
+earlier orders, and the compiled step adds the terms with an order-h
+factor. The same kernel, _Program.fill, run on the regular system as an
+ODE, gives the integrator's Taylor jets (integrate.py). Each
 intermediate's [x^h] is affine in y_h with a gradient G that depends only
 on the order-0 column, so the bracket is evaluated with y_h = 0 and, after
 the solve, one update C[:, h] += G @ y_h completes the column; the same G
@@ -49,7 +51,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -184,20 +186,39 @@ class _Program:
     which are constant series (column 0 only); every further row is one
     recorded operation (kind, out, a, b): a product of rows a and b, the
     reciprocal of row a (recorded once per row a), or a linear combination
-    with terms a = ((row, coef), ...) and order-0 constant b. advance()
-    fills one column (order) of every recorded row. rhs returns a tuple of
-    output vectors of dim expressions each; outputs[i] = (M, const) maps a
-    column to [x^h] of output i, with const its constant part at order 0."""
+    with terms a = ((row, coef), ...) and order-0 constant b. start() and
+    fill() compute the columns (orders) of a table of every row. rhs returns
+    a tuple of output vectors of dim expressions each; outputs[i] =
+    (M, const) maps a column to [x^h] of output i, with const its constant
+    part at order 0.
 
-    def __init__(self, dim: int, rhs: Callable, n_params: int = 0):
+    With ode=True the program is an autonomous ODE y' = rhs(y): its one
+    output must be single recorded rows, and the unknowns' order-h
+    coefficients are that output's order h-1 coefficients over h, so fill()
+    gives the Taylor jet. A jet is the transpose of fill's C-ordered rows,
+    a column-major (order + 1, dim) array, and must stay so: _poly_states's
+    matrix product rounds a row-major copy with the same coefficients
+    differently."""
+
+    def __init__(self, dim: int, rhs: Callable, n_params: int = 0,
+                 ode: bool = False):
         self.dim = dim
         self.n_params = n_params
+        self.ode = ode
         self.ops: list[tuple] = []
         self.n_rows = dim + 1 + n_params
         self._reciprocal: dict[int, int] = {}
         rows = [_Series(self, {i: 1.0}) for i in range(self.n_rows)]
         self.outputs = tuple(self._outputs(e) for e in
                              rhs(rows[:dim], rows[dim], *rows[dim + 1:]))
+        out_rows = ()
+        if ode:
+            (M, const), = self.outputs
+            out_rows = M.argmax(axis=1).tolist()
+            if (not np.array_equal(M, np.eye(self.n_rows)[out_rows])
+                    or const.any()):
+                raise ValueError("an ODE's outputs must be single recorded "
+                                 "rows")
         # operand rows of the convolution sum_k C[p, k] C[q, h-k] of each
         # product (a, b) and reciprocal (a, out); a linear combination has
         # none
@@ -205,38 +226,46 @@ class _Program:
                 for k, out, a, b in self.ops if k != _LIN]
         self._p = np.array([p for p, _ in conv], dtype=int)
         self._q = np.array([q for _, q in conv], dtype=int)
-        self._first, self._next = self._compile()
+        self._first, self._step = self._compile(out_rows)
 
-    def _compile(self) -> tuple[Callable, Callable]:
+    def _compile(self, out_rows) -> tuple[Callable, Callable]:
         """The recorded ops as straight-line Python, one statement per op:
         first(col) fills order 0 from the operands' order-0 values;
-        next(col, c0, mid) fills order h >= 1 from the operands' order-h
-        values col, their order-0 values c0 and the convolution sums mid
-        over orders 1..h-1 (one per product or reciprocal, in op order).
-        Coefficients are inlined as float literals, which repr round-trips."""
-        first, nxt = [], []
+        step(col, c0, prev, mid, k) fills order k >= 1 from the operands'
+        order-k values col, their order-0 values c0 and the convolution sums
+        mid over orders 1..k-1 (one per product or reciprocal, in op order).
+        An ODE's step first sets the unknowns to its output rows out_rows in
+        prev, the order k-1 column, over k (+ 0.0 turns -0.0 into +0.0), and
+        stops there when mid is None. Coefficients are inlined as float
+        literals, which repr round-trips."""
+        first = []
+        step = [f"col[{i}] = prev[{r}] / k + 0.0"
+                for i, r in enumerate(out_rows)]
+        if out_rows:
+            step.append("if mid is None: return")
         j = 0
         for kind, out, a, b in self.ops:
             if kind == _MUL:
                 first.append(f"col[{out}] = col[{a}] * col[{b}]")
-                nxt.append(f"col[{out}] = mid[{j}] + c0[{a}] * col[{b}]"
-                           f" + col[{a}] * c0[{b}]")
+                step.append(f"col[{out}] = mid[{j}] + c0[{a}] * col[{b}]"
+                            f" + col[{a}] * c0[{b}]")
                 j += 1
             elif kind == _INV:
                 first.append(f"col[{out}] = 1.0 / col[{a}]")
-                nxt.append(f"col[{out}] = -(mid[{j}] + col[{a}] * c0[{out}])"
-                           f" / c0[{a}]")
+                step.append(f"col[{out}] = -(mid[{j}] + col[{a}] * c0[{out}])"
+                            f" / c0[{a}]")
                 j += 1
             else:
                 # the leading 0.0 turns a sum of -0.0 terms into +0.0
                 terms = "".join(f" + {float(c)!r} * col[{r}]" for r, c in a)
                 first.append(f"col[{out}] = 0.0{terms} + {float(b)!r}")
-                nxt.append(f"col[{out}] = 0.0{terms}")
+                step.append(f"col[{out}] = 0.0{terms}")
         source = "\n    ".join(["def first(col):", "pass", *first,
-                                 "\ndef next(col, c0, mid):", "pass", *nxt])
+                                 "\ndef step(col, c0, prev, mid, k):", "pass",
+                                 *step])
         namespace: dict = {}
         exec(compile(source, "<recorded program>", "exec"), namespace)
-        return namespace["first"], namespace["next"]
+        return namespace["first"], namespace["step"]
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,47 +317,63 @@ class _Program:
             const[i] = e.const
         return M, const
 
-    def table(self, order: int, params=()) -> np.ndarray:
-        """Empty table up to the given order, with the x row and the
-        parameter rows filled."""
-        C = np.zeros((self.n_rows, order + 1))
+    def start(self, y0, params, order: int) -> list[list[float]]:
+        """Columns 0..order of a table (row = series, column = order) as
+        lists, column 0 filled from the unknowns' order-0 values y0 and the
+        parameters, the x row set, every other entry 0."""
+        c0 = np.zeros(self.n_rows)
+        c0[:self.dim] = y0
+        c0[self.dim + 1:self.dim + 1 + self.n_params] = params
+        cols = [c0.tolist(), *([0.0] * self.n_rows for _ in range(order))]
         if order >= 1:
-            C[self.dim, 1] = 1.0
-        C[self.dim + 1:self.dim + 1 + self.n_params, 0] = params
-        return C
+            cols[1][self.dim] = 1.0
+        self._first(cols[0])
+        return cols
 
-    def advance(self, C: np.ndarray, h: int) -> None:
-        """Column h of every recorded row from columns 0..h of its operands
-        (columns 0..h of the unknowns must be filled). The convolution sums
-        over orders 1..h-1 of all products and reciprocals are one
-        vectorised product; the terms with an order-h factor follow in the
-        compiled straight-line code, op by op."""
-        col = C[:, h].tolist()
-        if h == 0:
-            self._first(col)
-        else:
-            mid = (C[self._p, 1:h] * C[self._q, h - 1:0:-1]).sum(axis=1)
-            self._next(col, C[:, 0].tolist(), mid.tolist())
-        C[:, h] = col
+    def fill(self, cols: list[list[float]], keep: Sequence[int],
+             solve: Callable | None = None) -> np.ndarray:
+        """Columns 1..n of a table from start(), n = len(cols) - 1, order by
+        order (relaxed arithmetic), and the rows keep of the whole table as a
+        C-ordered (len(keep), n + 1) array. A record T keeps, column by
+        column, the order-h values of every convolution's first operand
+        (rows P), second operand (rows Q) and of the rows keep, so order h's
+        convolution sums over orders 1..h-1 are the row sums of
+        P[:, 1:h] * Q[:, h-1:0:-1]: a C-ordered product, which numpy sums
+        pairwise along each row, the summation order these bits depend on.
+        The compiled step adds the terms with an order-h factor. Outside an
+        ODE the step leaves the unknowns as cols holds them; solve(a, h),
+        when given, returns the completed column of the array a."""
+        n, m = len(cols) - 1, len(self._p)
+        sel = np.concatenate((self._p, self._q, keep))
+        T = np.empty((len(sel), n + 1))
+        P, Q = T[:m], T[m:2 * m]
+        c0 = prev = cols[0]
+        T[:, 0] = np.array(c0)[sel]
+        for h in range(1, n + 1):
+            mid = None
+            if h < n or not self.ode:
+                mid = np.add.reduce(P[:, 1:h] * Q[:, h - 1:0:-1],
+                                    axis=1).tolist()
+            col = cols[h]
+            self._step(col, c0, prev, mid, h)
+            a = np.array(col)
+            T[:, h] = (a if solve is None else solve(a, h))[sel]
+            prev = col
+        return T[2 * m:].copy()
 
-    def start(self, y0: np.ndarray, params,
-              order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Table with column 0 filled from y0 and params, and the gradient
-        G[row, j] = d C[row, h] / d y_h[j], the same for every h >= 1. Column
-        1 has no convolution terms, so it is linear in (y_1, x_1) and
-        advancing the unit vectors e_j (with x_1 = 0) gives G."""
-        C = self.table(order, params)
-        C[:self.dim, 0] = y0
-        self.advance(C, 0)
+    def gradient(self, c0: list[float]) -> np.ndarray:
+        """G[row, j] = d C[row, h] / d y_h[j], the same for every h >= 1,
+        about the order-0 column c0. Column 1 has no convolution terms, so
+        it is linear in (y_1, x_1): the step on the unit vectors e_j (with
+        x_1 = 0) gives G."""
+        mid = [0.0] * len(self._p)
         G = np.empty((self.n_rows, self.dim))
-        T = np.zeros((self.n_rows, 2))
-        T[:, 0] = C[:, 0]
         for j in range(self.dim):
-            T[:, 1] = 0.0
-            T[j, 1] = 1.0
-            self.advance(T, 1)
-            G[:, j] = T[:, 1]
-        return C, G
+            col = [0.0] * self.n_rows
+            col[j] = 1.0
+            self._step(col, c0, c0, mid, 1)
+            G[:, j] = col
+        return G
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +395,9 @@ class SingularIVP:
 
     def linearization(self) -> np.ndarray:
         """d_{y0}M_-1, the gradient of [x^h] M_-1 in y_h (any h >= 1)."""
-        _, G = self.program.start(self.y0, self.params, 0)
-        return self.program.matrices[0] @ G
+        prog = self.program
+        return prog.matrices[0] @ prog.gradient(
+            prog.start(self.y0, self.params, 0)[0])
 
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,14 +417,16 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     name = problem.name or "singular IVP"
     Mm1, Mm1_const, W = prog.matrices
     try:
-        C, G = prog.start(problem.y0, problem.params, order)
+        cols = prog.start(problem.y0, problem.params, order)
+        G = prog.gradient(cols[0])
     except ZeroDivisionError:
-        C = G = np.full((1, 1), np.nan)
-    if not (np.isfinite(C[:, 0]).all() and np.isfinite(G).all()):
+        cols, G = [[math.nan]], np.full((1, 1), np.nan)
+    c0 = np.array(cols[0])
+    if not (np.isfinite(c0).all() and np.isfinite(G).all()):
         raise DegenerateStateError(
             f"{name}: the order-0 terms at parameters {list(problem.params)} "
             f"divide by zero or overflow in floating point")
-    res = float(np.max(np.abs(Mm1 @ C[:, 0] + Mm1_const)))
+    res = float(np.max(np.abs(Mm1 @ c0 + Mm1_const)))
     if res > 1e-13 * (1.0 + float(np.max(np.abs(problem.y0)))):
         raise SeriesConsistencyError(f"{name}: |M_-1(y0)| = {res:.3e}")
     A = Mm1 @ G
@@ -401,10 +449,10 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
                 f"{name}: h*Id - dM_-1 ill conditioned at h = "
                 f"{unsettled[i] + 1} (cond = {cond[i]:.3e})")
     IW = inv @ W
-    for h in range(1, order + 1):
-        prog.advance(C, h)
-        C[:, h] += G @ (IW[h - 1] @ C[:, h])
-    return C[:k].copy(), A
+
+    def solve(col, h):
+        return col + G @ (IW[h - 1] @ col)
+    return prog.fill(cols, range(k), solve), A
 
 
 def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
@@ -412,10 +460,10 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
     from a fresh evaluation of the recorded right-hand side on Y."""
     prog = problem.program
     k, n1 = Y.shape
-    C = prog.table(n1 - 1, problem.params)
-    C[:k] = Y
-    for h in range(n1):
-        prog.advance(C, h)
+    cols = prog.start(Y[:, 0], problem.params, n1 - 1)
+    for col, y in zip(cols, Y.T.tolist()):
+        col[:k] = y
+    C = prog.fill(cols, range(prog.n_rows))
     r = np.arange(n1) * Y - prog.matrices[2] @ C
     res = np.max(np.abs(r), axis=0)
     res[0] = 0.0

@@ -29,8 +29,8 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      InvalidArgumentError, JunctionMismatchError, NKError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
-from .integrate import (_FRAC, MAX_VOLUME_EVENT, EventSpec, Trajectory,
-                        _first_crossing, _guards, _node_drift, integrate)
+from .integrate import (MAX_VOLUME_EVENT, EventSpec, Trajectory, _NodePass,
+                        integrate)
 from .rootfind import brentq
 from .series import (DEFAULT_ORDER, SeriesSolution, _poly_states,
                      family_series, handoff, poly_integral, volume_coeffs)
@@ -138,24 +138,20 @@ def _confirm_unique_maximum(traj: Trajectory, rtol: float,
             f"the event at t = {T} is not a transversal falling zero of g: "
             f"g = {g:.3e}, g' = {dg:.3e}, scale-free slope {slope:.3e}")
     horizon = T + EVENT_GUARD_INTERVAL
-    c, t0 = traj.dense.coeffs[-1], traj.dense.starts[-1]
     end = min(traj.dense.reach, horizon)
-    ts = T + (end - T) * _FRAC
-    ys = _poly_states(c, ts - t0)
-    _node_drift(ts, ys, T, y)
-    specs = [PROBE_EVENT, *_guards(1.0)]
-    vals = np.column_stack(([spec(T, y) for spec in specs],
-                            [spec(ts, ys.T) for spec in specs]))
-    hit = _first_crossing(specs, np.array([spec.direction for spec in specs]),
-                          vals, c, t0, T, ts)
+    nodes = _NodePass((PROBE_EVENT,), 1.0)
+    ts, ys, _, _, hit = nodes.step(traj.dense.coeffs[-1],
+                                   traj.dense.starts[-1], T, y,
+                                   nodes.values(T, y)[0], end - T)
     if hit is None and end < horizon:
         run = integrate(State.from_vec(ts[-1], ys[-1]), horizon,
                         events=(PROBE_EVENT,),
                         rtol=max(rtol, 1e-10), atol=max(atol, 1e-10))
-        hit = (run.t_end, 0) if run.stopped_by == PROBE_EVENT.name else None
-    if hit is not None and hit[1] == 0:
+        if run.stopped_by == PROBE_EVENT.name:
+            ts, hit = run.times, 0
+    if hit == 0:
         raise EventNotFoundError(
-            f"second volume-critical point at t = {hit[0]}; the located "
+            f"second volume-critical point at t = {ts[-1]}; the located "
             f"event was not the unique maximum")
 
 

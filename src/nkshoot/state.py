@@ -106,26 +106,18 @@ class ConstraintVector:
 
 
 def _first_integrals(lam, u0, u1, u2, v0, v1, v2):
-    """(I1, I2, I3, I4, orient, lambda^2 mu^2) of one state, or elementwise
-    of arrays of states."""
+    """(I1, I2, I3, I4, orient, lambda^2 mu^2, mu^2) of one state, or
+    elementwise of arrays of states."""
     mu2 = -u0 * u0 + u1 * u1 + u2 * u2
     v_norm2 = -v0 * v0 + v1 * v1 + v2 * v2
     lam2mu2 = lam * lam * mu2
     return (-u0 * v0 + u1 * v1 + u2 * v2, lam2mu2 - u2 * u2,
-            lam2mu2 - v_norm2, v1 - mu2, u1 * v2 - u2 * v1, lam2mu2)
+            lam2mu2 - v_norm2, v1 - mu2, u1 * v2 - u2 * v1, lam2mu2, mu2)
 
 
 def constraints(s: State) -> ConstraintVector:
     """Evaluate the first integrals; pure, no admissibility requirements."""
     return ConstraintVector(*_first_integrals(s.lam, *s.u, *s.v)[:5])
-
-
-def rel_drift_vec(y: np.ndarray) -> np.ndarray:
-    """ConstraintVector.rel_drift of every column of a (7, m) array of
-    states, in one pass."""
-    *integrals, _, lam2mu2 = _first_integrals(*y)
-    return (np.max(np.abs(integrals), axis=0)
-            / np.maximum(1.0, lam2mu2))
 
 
 def rhs_vec(t: float, y) -> np.ndarray:

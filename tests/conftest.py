@@ -128,6 +128,47 @@ def random_admissible_states(seed: int, n: int) -> list[State]:
     return out
 
 
+def reference_table(program, order: int, params=()) -> np.ndarray:
+    """A recorded program's table up to order (row = series, column =
+    order), zero but for the x row and the parameter rows."""
+    C = np.zeros((program.n_rows, order + 1))
+    if order >= 1:
+        C[program.dim, 1] = 1.0
+    C[program.dim + 1:program.dim + 1 + program.n_params, 0] = params
+    return C
+
+
+def reference_advance(program, C: np.ndarray, h: int) -> None:
+    """Column h of every recorded row of the table C from columns 0..h of
+    its operands, the relaxed recurrence done the plain way: the
+    convolution sums over orders 1..h-1 from gathers of C's rows, then
+    program.ops interpreted one by one in the compiled step's arithmetic
+    order. Independent of _Program's kernel, whose bits it must equal."""
+    from nkshoot.series import _INV, _LIN, _MUL
+    conv = [(a, b if kind == _MUL else out)
+            for kind, out, a, b in program.ops if kind != _LIN]
+    p = np.array([a for a, _ in conv], dtype=int)
+    q = np.array([b for _, b in conv], dtype=int)
+    col, c0 = C[:, h].tolist(), C[:, 0].tolist()
+    mid = (C[p, 1:h] * C[q, h - 1:0:-1]).sum(axis=1).tolist() if h else []
+    j = 0
+    for kind, out, a, b in program.ops:
+        if kind == _MUL:
+            col[out] = (col[a] * col[b] if h == 0 else
+                        mid[j] + c0[a] * col[b] + col[a] * c0[b])
+            j += 1
+        elif kind == _INV:
+            col[out] = (1.0 / col[a] if h == 0 else
+                        -(mid[j] + col[a] * c0[out]) / c0[a])
+            j += 1
+        else:
+            acc = 0.0
+            for row, coef in a:
+                acc = acc + coef * col[row]
+            col[out] = acc + b if h == 0 else acc
+    C[:, h] = col
+
+
 @pytest.fixture(scope="session")
 def beta1_solve():
     """The homogeneous b = 1 family solve, shared across tests."""

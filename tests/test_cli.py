@@ -270,6 +270,16 @@ def test_invalid_argument_exits_3(tmp_path, capsys, command, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["30", "100", "1000"])
+def test_verify_with_tolerances_too_loose_for_a_jet_exits_3(capsys, tol):
+    # the jet order would be 1 or 0: a typed error before the first step,
+    # not a traceback
+    assert main(["verify", "--rtol", tol, "--atol", tol]) == 3
+    captured = capsys.readouterr()
+    assert "too loose" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_bubble_b_at_zero_is_valid(tmp_path):
     # b = 0 is the asymptotically conical limit of the S3 bubble
     out = tmp_path / "coef.csv"

@@ -6,13 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SQRT3
+from conftest import SQRT3, reference_advance, reference_table
 from nkshoot.errors import ConstraintDriftError, InvalidArgumentError
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.geometry import count_v0_zeros
 from nkshoot.integrate import MAX_VOLUME_EVENT, EventSpec, integrate
 from nkshoot.series import handoff, series_psi_a, series_psi_b
-from nkshoot.state import State, apply_symmetry, rhs_vec
+from nkshoot.state import State, apply_symmetry, constraints, rhs_vec
 
 
 def test_sine_cone_max_volume_event():
@@ -200,15 +200,17 @@ def test_recorded_program_first_column_is_rhs_vec():
 
 def _reference_jet(y, order):
     # the jet as the table's output matrix gives it: every order is the
-    # matrix product with the recorded outputs of rhs_vec
+    # matrix product with the recorded outputs of rhs_vec, and the table's
+    # columns come from the plain relaxed recurrence; column-major, as the
+    # table's first seven rows transposed
     program = sys.modules["nkshoot.integrate"]._PROGRAM
     (F, F_const), = program.outputs
-    C = program.table(order)
+    C = reference_table(program, order)
     C[:7, 0] = y
-    program.advance(C, 0)
+    reference_advance(program, C, 0)
     C[:7, 1] = F @ C[:, 0] + F_const
     for k in range(1, order):
-        program.advance(C, k)
+        reference_advance(program, C, k)
         C[:7, k + 1] = (F @ C[:, k]) / (k + 1)
     return C[:7].T
 
@@ -216,9 +218,10 @@ def _reference_jet(y, order):
 def test_jet_equals_the_output_matrix_product():
     # bit for bit, signed zeros included, on states along four members and
     # on one with u0 = -0.0, whose v0' = 4 lambda u0 the matrix product
-    # gives as +0.0
+    # gives as +0.0; and so are the states at a step's nodes, which a
+    # row-major jet with the same coefficients rounds differently
     integ = sys.modules["nkshoot.integrate"]
-    order, _ = integ._order_and_tol(1e-12, 1e-12)
+    order, tol = integ._order_and_tol(1e-12, 1e-12)
     states = []
     for series, param in ((series_psi_a, 0.3), (series_psi_a, 1.0),
                           (series_psi_b, 0.4), (series_psi_b, 1.0)):
@@ -232,6 +235,124 @@ def test_jet_equals_the_output_matrix_product():
         got, want = integ._jet(y, order), _reference_jet(y, order)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        # one node at a time, as root refinement and the dense output
+        # evaluate, and all of a step's nodes at once
+        offsets = integ._step_size(got, tol) * integ._FRAC
+        for tau in [offsets, *offsets]:
+            assert np.array_equal(integ._poly_states(got, tau),
+                                  integ._poly_states(want, tau))
+
+
+@pytest.mark.parametrize("tol", [30.0, 100.0, 1000.0])
+def test_tolerances_too_loose_for_a_jet_rejected(tol):
+    # min(rtol, atol) >= 25.8 leaves a jet of order 1 or less, from which
+    # no step size follows
+    with pytest.raises(InvalidArgumentError, match="too loose"):
+        integrate(eval_named("sine-cone", 0.3), 1.0, rtol=tol, atol=tol)
+
+
+def _per_spec_replay(traj, lambda_min, magnitude_max, drift_abort):
+    # the run traj, which reached its horizon, replayed step by step by a
+    # per-spec scan independent of the node pass: each guard a separate
+    # function of the nodes, the drift from constraints(), the thresholds
+    # given. Returns ("stop", name, t, y) for the crossing that ends the
+    # run, or ("drift", t_bad, t_good, y_good) for a drift abort
+    integ = sys.modules["nkshoot.integrate"]
+    specs = [
+        EventSpec("guard-lambda", lambda t, y: y[0] - lambda_min),
+        EventSpec("guard-mu2", lambda t, y: (-y[1] * y[1] + y[2] * y[2]
+                                             + y[3] * y[3]) - 1e-12),
+        EventSpec("guard-magnitude", lambda t, y: magnitude_max
+                  - np.max(np.abs(y), axis=0)),
+    ]
+
+    def drift(t, y):
+        st = State.from_vec(t, y)
+        return constraints(st).rel_drift(st)
+
+    def first_bad(ts, ys, t_prev, y_prev):
+        for k, (t, y) in enumerate(zip(ts, ys)):
+            if drift(t, y) > drift_abort:
+                t_good, y_good = (ts[k - 1], ys[k - 1]) if k else (t_prev,
+                                                                   y_prev)
+                return "drift", t, t_good, y_good
+        return None
+
+    def refine(spec, c, t0, lo, hi):
+        return integ._root(lambda s: float(
+            spec(s, integ._poly_states(c, s - t0))), lo, hi)
+
+    n = integ.STEP_SAMPLES + 1
+    t, y = traj.times[0], traj.states[0]
+    bad = first_bad([t], [y], t, y)
+    if bad:
+        return bad
+    g = [spec(t, y) for spec in specs]
+    for i, (t0, c) in enumerate(zip(traj.dense.starts, traj.dense.coeffs)):
+        nodes = slice(1 + n * i, 1 + n * (i + 1))
+        ts, ys = traj.times[nodes], traj.states[nodes]
+        vals = [[gi, *spec(ts, ys.T)] for gi, spec in zip(g, specs)]
+        for j in range(n):
+            falls = [r for r, v in enumerate(vals) if v[j] > 0.0 >= v[j + 1]]
+            if falls:
+                lo, hi = [t, *ts][j:j + 2]
+                t_hit, r = min((refine(specs[r], c, t0, lo, hi), r)
+                               for r in falls)
+                end = int(np.searchsorted(ts, t_hit))
+                y_hit = integ._poly_states(c, t_hit - t0)
+                return first_bad([*ts[:end], t_hit], [*ys[:end], y_hit],
+                                 t, y) or ("stop", specs[r].name, t_hit,
+                                           y_hit)
+        bad = first_bad(ts, ys, t, y)
+        if bad:
+            return bad
+        g = [v[-1] for v in vals]
+        t, y = ts[-1], ys[-1]
+    raise AssertionError("the replay found no stop")
+
+
+@pytest.mark.parametrize("case", ["guard-lambda", "guard-magnitude",
+                                  "drift"])
+def test_node_pass_matches_the_per_spec_scan(monkeypatch, case):
+    # lowered thresholds make each guard end a sine-cone run (lambda =
+    # sin t falls to 0.5 at t = 5 pi / 6, max|y| = sin t reaches 0.9 at
+    # asin(0.9)) and the drift abort fire at an interior node of a later
+    # step; the run stops where the per-spec replay of the same steps does
+    integ = sys.modules["nkshoot.integrate"]
+    start = eval_named("sine-cone", 0.8)
+    full = integrate(start, 3.0)
+    n = integ.STEP_SAMPLES + 1
+    limits = {"lambda_min": integ.LAMBDA_MIN,
+              "magnitude_max": integ.COMPONENT_MAGNITUDE_MAX,
+              "drift_abort": integ.DRIFT_ABORT}
+    if case == "guard-lambda":
+        limits["lambda_min"], expect = 0.5, 5 * math.pi / 6
+        monkeypatch.setattr(integ, "LAMBDA_MIN", 0.5)
+    elif case == "guard-magnitude":
+        limits["magnitude_max"], expect = 0.9, math.asin(0.9)
+        monkeypatch.setattr(integ, "COMPONENT_MAGNITUDE_MAX", 0.9)
+    else:
+        k = next(k for k in range(n + 1, len(full.drift))
+                 if k % n and full.drift[k] > np.max(full.drift[:k]))
+        limits["drift_abort"] = float(np.max(full.drift[:k]))
+        monkeypatch.setattr(integ, "DRIFT_ABORT", limits["drift_abort"])
+    want = _per_spec_replay(full, **limits)
+    if case == "drift":
+        assert want[:2] == ("drift", full.times[k])
+        with pytest.raises(ConstraintDriftError) as err:
+            integrate(start, 3.0)
+        assert err.value.t_bad == want[1]
+        assert err.value.last_state == State.from_vec(want[2], want[3])
+        return
+    traj = integrate(start, 3.0)
+    assert want[:2] == ("stop", case)
+    assert (traj.termination, traj.stopped_by) == ("singularity", case)
+    # the nodes before the crossing are the full run's
+    assert np.all(np.diff(traj.times) > 0.0)
+    assert np.array_equal(traj.times[:-1], full.times[:len(traj.times) - 1])
+    assert traj.t_end == want[2]
+    assert np.array_equal(traj.states[-1], want[3])
+    assert abs(traj.t_end - expect) < 1e-9
 
 
 @pytest.mark.parametrize("series, param", [(series_psi_a, 0.3),

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import SQRT3, s_of_time, s_radius, with_top_lambda
+from conftest import (SQRT3, reference_advance, reference_table, s_of_time,
+                      s_radius, with_top_lambda)
 from nkshoot.errors import (OutOfRadiusError, ResonanceError,
                             SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
@@ -167,6 +168,48 @@ def test_solve_family_records_no_program(monkeypatch):
     solve_family("alpha", 0.6)
     solve_family("beta", 0.6)
     assert recorded == []
+
+
+def _reference_solve(problem: SingularIVP, order: int):
+    # solve_singular_ivp's table and A the plain way: the order-0 column,
+    # G from order 1 on the unit vectors, the batch inverse, then order by
+    # order the relaxed recurrence with y_h = 0 and the update by G y_h
+    prog, k = problem.program, problem.program.dim
+    Mm1, _, W = prog.matrices
+    C = reference_table(prog, order, problem.params)
+    C[:k, 0] = problem.y0
+    reference_advance(prog, C, 0)
+    G = np.empty((prog.n_rows, k))
+    T = np.zeros((prog.n_rows, 2))
+    T[:, 0] = C[:, 0]
+    for j in range(k):
+        T[:, 1] = 0.0
+        T[j, 1] = 1.0
+        reference_advance(prog, T, 1)
+        G[:, j] = T[:, 1]
+    A = Mm1 @ G
+    IW = np.linalg.inv(np.arange(1, order + 1)[:, None, None] * np.eye(k)
+                       - A) @ W
+    for h in range(1, order + 1):
+        reference_advance(prog, C, h)
+        C[:, h] += G @ (IW[h - 1] @ C[:, h])
+    return C[:k], A
+
+
+@pytest.mark.parametrize("order", [4, 16, 40])
+@pytest.mark.parametrize("problem, param", [
+    *((s2_problem, a) for a in (0.01, 0.12, 1.0, 4.0, 50.0)),
+    *((s3_bubble_problem, b) for b in (0.001, 0.12, 1.0, 1.6, 20.0))])
+def test_solve_singular_ivp_bits_equal_the_plain_recurrence(problem, param,
+                                                            order):
+    # bit for bit, signs of zero included, across both programs' parameter
+    # ranges and at orders below and above the pairwise sum's 8-term block
+    prob = problem(param)
+    Y, A = solve_singular_ivp(prob, order)
+    Y_ref, A_ref = _reference_solve(prob, order)
+    assert Y.flags.c_contiguous
+    assert np.array_equal(Y, Y_ref) and np.array_equal(A, A_ref)
+    assert np.array_equal(np.signbit(Y), np.signbit(Y_ref))
 
 
 # ---------------------------------------------------------------------------
