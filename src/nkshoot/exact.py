@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfDomainError
-from .state import State
+from .state import State, complex_step
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -80,15 +80,15 @@ class NamedSolution:
 
     def vec(self, t) -> np.ndarray:
         """The (7,) state vector at a float t, or the (7, m) array of state
-        vectors at an array of m times; raises OutOfDomainError if any t is
-        outside the domain or NaN."""
-        t = np.asarray(t, dtype=float)
+        vectors at an array of m times; complex times give complex states.
+        Raises OutOfDomainError if the real part of any t is outside the
+        domain or NaN."""
+        t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
         lo, hi = self.domain
-        outside = ~((lo <= t) & (t <= hi))
+        outside = ~((lo <= t.real) & (t.real <= hi))
         if outside.any():
-            bad = float(t[outside][0])
             raise OutOfDomainError(
-                f"{self.name}: t = {bad} outside [{lo}, {hi}]")
+                f"{self.name}: t = {t.real[outside][0]} outside [{lo}, {hi}]")
         return self.evaluator(t)
 
     def eval(self, t: float) -> State:
@@ -134,19 +134,21 @@ class CalabiYauForm:
 
     name: str          # 'small-resolution' | 'smoothing'
 
-    def components(self, x: float) -> dict[str, float]:
+    def components(self, x) -> dict[str, float]:
+        """The coefficients at x, complex at a complex x; OutOfDomainError
+        unless lo <= Re x < inf (lo = 1 for r, 0 for s)."""
+        lo = 1.0 if self.name == "small-resolution" else 0.0
+        if not lo <= np.real(x) < math.inf:
+            raise OutOfDomainError(
+                f"{self.name} needs {lo} <= x < inf, got {x}")
         if self.name == "small-resolution":
-            if x < 1.0:
-                raise OutOfDomainError(f"small resolution needs r >= 1, got {x}")
             r2 = x * x
             mu2 = r2 * r2 - 1.0
             lam2 = (r2 - 1.0) * (r2 + 2.0) / (r2 + 1.0)
-            return {"lam": math.sqrt(lam2), "mu": math.sqrt(mu2),
+            return {"lam": np.sqrt(lam2), "mu": np.sqrt(mu2),
                     "u0": 1.0, "u1": r2}
-        if x < 0.0:
-            raise OutOfDomainError(f"smoothing needs s >= 0, got {x}")
         k = KAPPA
-        sh, ch = math.sinh(3 * x), math.cosh(3 * x)
+        sh, ch = np.sinh(3 * x), np.cosh(3 * x)
         f = sh * ch - 3 * x
         if x == 0.0:
             # limits of the printed formulas as s -> 0 (f ~ 18 s^3)
@@ -157,7 +159,7 @@ class CalabiYauForm:
         mu = k ** (2 / 3) * f ** (1 / 3)
         return {"lam": lam, "mu": mu,
                 "v0": -k ** (2 / 3) * f ** (1 / 3) / sh,
-                "v2": k ** (2 / 3) * f ** (1 / 3) / math.tanh(3 * x)}
+                "v2": k ** (2 / 3) * f ** (1 / 3) / np.tanh(3 * x)}
 
     def state_components(self, x: float) -> np.ndarray:
         """(lambda, u0, u1, u2, v0, v1, v2) of the embedded structure.
@@ -172,9 +174,9 @@ class CalabiYauForm:
         return np.array([c["lam"], 0.0, c["mu"], 0.0,
                          c["lam"] * c["v0"], 0.0, c["lam"] * c["v2"]])
 
-    def evolution_residual(self, x: float, h: float = 1e-4) -> float:
-        """Residual of the hypo evolution system on the closed form, with
-        derivatives taken by 4th-order central differences.
+    def evolution_residual(self, x: float) -> float:
+        """Residual of the hypo evolution system on the closed form at an
+        interior point x, with derivatives by complex step.
 
         Small resolution (r-converted, d/dt = (lambda/r) d/dr):
             u0' = 0, u1' - 2 lambda = 0, (lambda mu)' - 3 mu = 0.
@@ -182,36 +184,26 @@ class CalabiYauForm:
             (mu^3)' = 6 (mu lambda)^2, (mu lambda)' = 3 lambda v2,
             (lambda v0)' = 0, (lambda v2)' = 3 mu lambda.
         """
-        if self.name == "small-resolution":
-            h = min(h, (x - 1.0) / 4) if x > 1.0 else h
-        else:
-            h = min(h, x / 4) if x > 0.0 else h
-        if h <= 0.0:
+        c = self.components(x)
+        small = self.name == "small-resolution"
+        if x == (1.0 if small else 0.0):
             raise OutOfDomainError(
                 f"evolution residual needs an interior point, got {x}")
 
-        def d4(f, z):
-            return (f(z - 2 * h) - 8 * f(z - h) + 8 * f(z + h)
-                    - f(z + 2 * h)) / (12 * h)
-
-        c = self.components(x)
-        if self.name == "small-resolution":
-            lam_over_r = c["lam"] / x
-            r_u1 = lam_over_r * d4(lambda r: self.components(r)["u1"], x) \
-                - 2 * c["lam"]
-            r_lm = lam_over_r * d4(
-                lambda r: self.components(r)["lam"] * self.components(r)["mu"],
-                x) - 3 * c["mu"]
-            return float(np.max(np.abs([r_u1, r_lm])))
-        comp = self.components
-        r1 = d4(lambda s: comp(s)["mu"] ** 3, x) \
-            - 6 * (c["mu"] * c["lam"]) ** 2
-        r2 = d4(lambda s: comp(s)["mu"] * comp(s)["lam"], x) \
-            - 3 * c["lam"] * c["v2"]
-        r3 = d4(lambda s: comp(s)["lam"] * comp(s)["v0"], x)
-        r4 = d4(lambda s: comp(s)["lam"] * comp(s)["v2"], x) \
-            - 3 * c["mu"] * c["lam"]
-        return float(np.max(np.abs([r1, r2, r3, r4])))
+        def products(z):
+            c = self.components(z)
+            if small:
+                return np.array([c["u1"], c["lam"] * c["mu"]])
+            return np.array([c["mu"] ** 3, c["mu"] * c["lam"],
+                             c["lam"] * c["v0"], c["lam"] * c["v2"]])
+        rates = complex_step(products, x)
+        if small:
+            res = c["lam"] / x * rates - [2 * c["lam"], 3 * c["mu"]]
+        else:
+            res = rates - [6 * (c["mu"] * c["lam"]) ** 2,
+                           3 * c["lam"] * c["v2"], 0.0,
+                           3 * c["mu"] * c["lam"]]
+        return float(np.max(np.abs(res)))
 
 
 SMALL_RESOLUTION = CalabiYauForm("small-resolution")
@@ -237,8 +229,8 @@ def rescale_bubble(s: State, eps: float, direction: str = "blowup",
     (blowdown inverts exactly). eq89: component weights
     (1, 1/eps^2, 1/eps^2, 1/eps, 1/eps^2, 1/eps^2, 1/eps), time unchanged.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if scheme == "sec6":
         w = np.array([eps, eps ** 2, eps ** 2, eps ** 2,
                       eps ** 3, eps ** 3, eps ** 3])
@@ -259,16 +251,17 @@ def rescale_bubble(s: State, eps: float, direction: str = "blowup",
 # ---------------------------------------------------------------------------
 # Legendre solutions of the linearized equation
 
-def legendre_xi(c_reg: float, c_sing: float, t: float) -> tuple[float, float]:
+def legendre_xi(c_reg: float, c_sing: float, t) -> tuple[float, float]:
     """xi = c_reg*xi_reg + c_sing*xi_sing and its derivative, where
     xi_reg = 5 cos^3 t - 3 cos t and xi_sing carries the
-    log((1-cos t)/(1+cos t)) factor; valid on (0, pi)."""
-    if not 0.0 < t < math.pi:
+    log((1-cos t)/(1+cos t)) factor, at a float or an array of t, complex
+    included; raises OutOfDomainError unless every Re t is in (0, pi)."""
+    if not np.all((0.0 < np.real(t)) & (np.real(t) < math.pi)):
         raise OutOfDomainError(f"legendre_xi needs t in (0, pi), got {t}")
-    s, c = math.sin(t), math.cos(t)
+    s, c = np.sin(t), np.cos(t)
     xi_reg = 5 * c ** 3 - 3 * c
     dxi_reg = s * (3 - 15 * c * c)
-    log_fac = math.log((1 - c) / (1 + c))
+    log_fac = np.log((1 - c) / (1 + c))
     poly = c * (10 * c * c - 6) / 8     # = (1/8) cos t (4cos^2 - 6sin^2)
     xi_sing = 2.5 * c * c + poly * log_fac - 2.0 / 3.0
     # d/dt log((1-c)/(1+c)) = 2/s

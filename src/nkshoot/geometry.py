@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (BoundaryAmbiguousError, BoundViolationError,
                      DegenerateStateError)
-from .integrate import Trajectory
-from .rootfind import brentq
+from .integrate import Trajectory, _root
 from .state import LAMBDA_MIN, MU2_MIN, State, constraints, rhs
 
 BOUNDARY_TOL = 1e-7       # on-boundary classification, after normalizing by mu
@@ -218,11 +217,11 @@ def count_v0_zeros(traj: Trajectory) -> ZeroCount:
     """Count simple zeros of v0 strictly before the maximal-volume time T,
     the last node of a trajectory that the maximal-volume event stopped.
 
-    Each sign change of v0 between consecutive nodes is refined by brentq
-    on the dense output, so the nodes must bracket every sign change (zeros
-    of v0 are non-degenerate away from the sine-cone locus). If
-    |v0(T)|/mu(T) is below the boundary tolerance the count is flagged
-    ambiguous.
+    Each sign change of v0 between consecutive nodes is refined on the dense
+    output as integrate refines events, so the nodes must bracket every
+    sign change (zeros of v0 are non-degenerate away from the sine-cone
+    locus). If |v0(T)|/mu(T) is below the boundary tolerance the count is
+    flagged ambiguous.
     """
     if traj.stopped_by != "max-volume":
         raise ValueError("trajectory not stopped by the maximal-volume event")
@@ -233,8 +232,7 @@ def count_v0_zeros(traj: Trajectory) -> ZeroCount:
     zeros = []
     ts, v0 = traj.times, traj.states[:, 4]
     for i in (v0[:-1] * v0[1:] < 0.0).nonzero()[0]:
-        z = brentq(lambda t: traj.state_at(t).v[0], ts[i], ts[i + 1],
-                   xtol=1e-13, rtol=8.9e-16)
+        z = _root(lambda t: traj.dense(t)[4], ts[i], ts[i + 1])
         if z < T:
             zeros.append(z)
     return ZeroCount(count=len(zeros), zeros=tuple(zeros),

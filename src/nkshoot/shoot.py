@@ -34,8 +34,8 @@ from .integrate import (MAX_VOLUME_EVENT, EventSpec, Trajectory, _NodePass,
 from .rootfind import brentq
 from .series import (DEFAULT_ORDER, SeriesSolution, _poly_states,
                      family_series, handoff, poly_integral, volume_coeffs)
-from .state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry, rhs_vec,
-                    transform_derivative)
+from .state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry, complex_step,
+                    rhs_vec, transform_derivative)
 
 S6_STD_TOTAL_VOLUME = 9.0 / 5.0     # normalization for the vol column
 EVENT_GUARD_INTERVAL = 0.1          # uniqueness confirmation window
@@ -131,7 +131,7 @@ def _confirm_unique_maximum(traj: Trajectory, rtol: float,
     T, y = float(traj.times[-1]), traj.states[-1]
     lam, u1, mu2 = y[0], y[2], State.from_vec(T, y).mu2
     g = MAX_VOLUME_EVENT(T, y)
-    dg = MAX_VOLUME_EVENT(T, y + 1e-20j * rhs_vec(T, y)).imag / 1e-20
+    dg = complex_step(lambda z: MAX_VOLUME_EVENT(T, z), y, rhs_vec(T, y))
     slope = dg * mu2 / (lam ** 3 * (mu2 ** 2 + lam ** 2 * (mu2 + u1 ** 2)))
     if not (slope < EVENT_SLOPE_MAX and abs(g) < EVENT_ROOT_TIME * abs(dg)):
         raise EventNotFoundError(

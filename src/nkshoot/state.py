@@ -115,6 +115,13 @@ def _first_integrals(lam, u0, u1, u2, v0, v1, v2):
             lam2mu2 - v_norm2, v1 - mu2, u1 * v2 - u2 * v1, lam2mu2, mu2)
 
 
+def complex_step(f, x, dx=1.0):
+    """Derivative of f at x along dx, Im f(x + i h dx) / h with h = 1e-20
+    (Squire & Trapp, SIAM Rev. 40, 1998): no cancellation, so it is exact to
+    round-off for any f analytic and real on real arguments."""
+    return np.imag(f(x + 1e-20j * dx)) / 1e-20
+
+
 def constraints(s: State) -> ConstraintVector:
     """Evaluate the first integrals; pure, no admissibility requirements."""
     return ConstraintVector(*_first_integrals(s.lam, *s.u, *s.v)[:5])

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,24 +38,30 @@ def _verify_values(monkeypatch):
 
 
 def test_verify_array_checks_equal_the_pointwise_loop(monkeypatch):
-    # oracle: the per-point loop, one eval per grid point and FD offset
+    # oracle: the per-point loop, one eval and one complex step per point
     values = _verify_values(monkeypatch)
-    h = 1e-5
     for name, sol in NAMED_SOLUTIONS.items():
         lo, hi = sol.domain
         ts = np.linspace(lo, hi, 1002)[1:-1]
         worst_c = max(constraints(sol.eval(t)).max_abs for t in ts)
         worst_r = 0.0
         for t in ts[::10]:
-            if t - 2 * h <= lo or t + 2 * h >= hi:
-                continue
-            fd = (sol.eval(t - 2 * h).vec - 8 * sol.eval(t - h).vec
-                  + 8 * sol.eval(t + h).vec
-                  - sol.eval(t + 2 * h).vec) / (12 * h)
+            d = sol.vec(t + 1e-20j).imag / 1e-20
             worst_r = max(worst_r,
-                          float(np.max(np.abs(rhs(sol.eval(t)) - fd))))
+                          float(np.max(np.abs(rhs(sol.eval(t)) - d))))
         assert values[f"{name}: first integrals"] == worst_c
-        assert values[f"{name}: evolution residual (FD)"] == worst_r
+        assert values[f"{name}: evolution residual (complex step)"] == worst_r
+
+
+def test_verify_derivative_residuals_are_round_off(monkeypatch):
+    # the complex step has no truncation error: all seven derivative checks
+    # sit at round-off, far below the 1.9e-10 a fourth-order finite
+    # difference left on s6-round and smoothing
+    values = _verify_values(monkeypatch)
+    derivative = {k: v for k, v in values.items()
+                  if k.endswith("(complex step)")}
+    assert len(derivative) == 7
+    assert max(derivative.values()) <= 1e-10, derivative
 
 
 def _with_value_at(monkeypatch, name, t_bad, index, value):
@@ -72,15 +79,15 @@ def _with_value_at(monkeypatch, name, t_bad, index, value):
 
 def test_verify_fails_on_a_nan_at_one_interior_point(tmp_path, capsys,
                                                      monkeypatch):
-    # grid point 500 is neither the first point nor off the FD subgrid; a
-    # running max(worst, r) would drop the NaN and pass
+    # grid point 500 is neither the first point nor off the derivative
+    # subgrid; a running max(worst, r) would drop the NaN and pass
     lo, hi = NAMED_SOLUTIONS["s6-round"].domain
     t_bad = np.linspace(lo, hi, 1002)[1:-1][500]
     _with_value_at(monkeypatch, "s6-round", t_bad, 2, math.nan)
     assert run(["verify"], tmp_path) == 2
     out = capsys.readouterr().out
     assert "FAIL  s6-round: first integrals: nan" in out
-    assert "FAIL  s6-round: evolution residual (FD): nan" in out
+    assert "FAIL  s6-round: evolution residual (complex step): nan" in out
     assert "PASS  sine-cone: first integrals" in out
     assert out.endswith("verify: FAILURES above\n")
 
@@ -95,13 +102,14 @@ def test_verify_fails_on_a_nan_calabi_yau_residual(tmp_path, capsys,
     monkeypatch.setattr(exact, "eval_calabi_yau", nan_at_middle)
     assert run(["verify"], tmp_path) == 2
     out = capsys.readouterr().out
-    assert "FAIL  smoothing: hypo evolution residual (FD): nan" in out
-    assert "PASS  small-resolution: hypo evolution residual (FD)" in out
+    assert "FAIL  smoothing: hypo evolution residual (complex step): nan" in out
+    assert "PASS  small-resolution: hypo evolution residual (complex step)" in out
 
 
-def test_verify_fd_check_raises_on_a_degenerate_point(tmp_path, capsys,
-                                                      monkeypatch):
-    # lambda = 0 at one FD point: the check raises as rhs does, exit 2
+def test_verify_derivative_check_raises_on_a_degenerate_point(
+        tmp_path, capsys, monkeypatch):
+    # lambda = 0 at one derivative-check point: the check raises as rhs
+    # does, exit 2
     lo, hi = NAMED_SOLUTIONS["cp3-homog"].domain
     t_bad = np.linspace(lo, hi, 1002)[1:-1][300]
     _with_value_at(monkeypatch, "cp3-homog", t_bad, 0, 0.0)
@@ -109,6 +117,23 @@ def test_verify_fd_check_raises_on_a_degenerate_point(tmp_path, capsys,
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "DegenerateStateError"
     assert record["message"] == "lambda = 0.0 <= 1e-08"
+
+
+def test_verify_tolerances_set_the_integrator_only(tmp_path, capsys):
+    # the drift gate (1e-9) and the drift abort (1e-6) do not follow
+    # --rtol/--atol: looser tolerances fail the gate, then abort the run
+    args = ["verify", "--rtol", "1e-8", "--atol", "1e-8"]
+    assert run(args, tmp_path) == 2
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL  s6-round: integrated drift: \S+ "
+                     r"\(tol 1\.0e-09\)$", out, re.M)
+    assert run(["verify", "--rtol", "1e-4", "--atol", "1e-4"], tmp_path) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConstraintDriftError"
+    assert "> 1e-06" in record["message"]
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "integrator only" in " ".join(capsys.readouterr().out.split())
 
 
 def test_series_dump_roundtrip(tmp_path):

@@ -35,8 +35,8 @@ def test_out_of_domain():
 
 @pytest.mark.parametrize("name", sorted(NAMED_SOLUTIONS))
 def test_vec_on_an_array_is_eval_at_each_point(name):
-    # the verify grid, and the +-h, +-2h offsets of its FD points, bit for
-    # bit (signs of zero included)
+    # the verify grid, and times offset by +-h and +-2h from every tenth
+    # point of it, bit for bit (signs of zero included)
     sol = NAMED_SOLUTIONS[name]
     lo, hi = sol.domain
     grid = np.linspace(lo, hi, 1002)[1:-1]
@@ -57,13 +57,26 @@ def test_vec_rejects_any_time_outside_the_domain(name):
     sol = NAMED_SOLUTIONS[name]
     lo, hi = sol.domain
     inside = np.linspace(lo, hi, 7)
-    for bad in (lo - 1e-12, hi + 1e-12, math.nan):
+    for bad in (lo - 1e-12, hi + 1e-12, math.nan, lo - 1e-12 + 1e-20j,
+                complex(math.nan, 0.0)):
         with pytest.raises(OutOfDomainError):
             sol.vec(bad)
         with pytest.raises(OutOfDomainError):
             sol.vec(np.append(inside, bad))
-        with pytest.raises(OutOfDomainError):
-            sol.eval(bad)
+        if not isinstance(bad, complex):
+            with pytest.raises(OutOfDomainError):
+                sol.eval(bad)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SOLUTIONS))
+def test_vec_on_complex_times_extends_the_real_evaluator(name):
+    # the real part of a complex step is the state to round-off; at the
+    # ends the domain check reads the real part
+    sol = NAMED_SOLUTIONS[name]
+    ts = np.linspace(*sol.domain, 9)
+    z = sol.vec(ts + 1e-20j)
+    assert z.dtype == complex
+    assert np.max(np.abs(z.real - sol.vec(ts))) < 1e-15
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_SOLUTIONS))
@@ -180,6 +193,29 @@ def test_rescale_bubble_roundtrip():
         assert abs(out.t - st.t) <= 1e-16
     with pytest.raises(ValueError):
         rescale_bubble(st, -1.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_rescale_bubble_rejects_eps_outside_0_inf(eps):
+    # nan used to give an all-NaN state and inf an all-zero one
+    with pytest.raises(ValueError, match="positive and finite"):
+        rescale_bubble(eval_named("s3s3-homog", 0.5), eps)
+
+
+@pytest.mark.parametrize("name", ["small-resolution", "smoothing"])
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_calabi_yau_rejects_non_finite_points(name, x):
+    # nan and inf used to give NaN components
+    with pytest.raises(OutOfDomainError):
+        eval_calabi_yau(name, x)
+
+
+def test_calabi_yau_residual_needs_an_interior_point():
+    for name, x in (("small-resolution", 1.0), ("smoothing", 0.0)):
+        with pytest.raises(OutOfDomainError, match="interior point"):
+            eval_calabi_yau(name, x)
+    with pytest.raises(OutOfDomainError):
+        eval_calabi_yau("small-resolution", 0.99)
 
 
 def test_legendre_regular_solution():

@@ -167,7 +167,7 @@ def test_first_event_stops_the_run():
     assert full.stopped_by == "max-volume"
     zeros = count_v0_zeros(full).zeros
     assert len(zeros) >= 2
-    assert abs(traj.t_end - zeros[0]) < 1e-12
+    assert traj.t_end == zeros[0]
 
 
 def test_trajectory_is_immutable():

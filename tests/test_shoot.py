@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import SQRT2, SQRT3
-from nkshoot import series, shoot
+from nkshoot import geometry, series, shoot
 from nkshoot.errors import (DegenerateStateError, EventNotFoundError,
                             JunctionMismatchError, NKError, NoSignChangeError,
                             RefinementStallError)
@@ -279,6 +279,7 @@ def test_handoff_searched_once_per_solve(monkeypatch, family, param):
     monkeypatch.setattr(shoot, "integrate", first_run)
     solve_family(family, param)
     assert not hasattr(series, "brentq")
+    assert not hasattr(geometry, "brentq")
     assert steps == [series.HANDOFF_TAIL_TOL]
     assert before[0] == (1, 0)
 

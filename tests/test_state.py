@@ -6,11 +6,11 @@ import pytest
 
 from conftest import SQRT3, named_derivative, random_admissible_states
 from nkshoot.errors import DegenerateStateError
-from nkshoot.exact import eval_named
+from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.integrate import integrate
 from nkshoot.series import handoff, series_psi_b
-from nkshoot.state import (State, Symmetry, apply_symmetry, constraints,
-                           lambda_dot_alt, rhs, rhs_vec,
+from nkshoot.state import (State, Symmetry, apply_symmetry, complex_step,
+                           constraints, lambda_dot_alt, rhs, rhs_vec,
                            transform_derivative)
 
 
@@ -30,6 +30,32 @@ def test_rhs_matches_homogeneous_derivative():
     t = math.pi / (4 * SQRT3)
     st = eval_named("s3s3-homog", t)
     assert np.max(np.abs(rhs(st) - named_derivative("s3s3-homog", t))) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SOLUTIONS))
+def test_complex_step_against_analytic_and_finite_differences(name):
+    # at round-off of the hand-differentiated closed form, and within a
+    # fourth-order central difference's own error of it
+    sol = NAMED_SOLUTIONS[name]
+    lo, hi = sol.domain
+    ts = np.linspace(lo, hi, 13)[1:-1]
+    d = complex_step(sol.vec, ts)
+    ref = np.array([named_derivative(name, t) for t in ts]).T
+    assert np.max(np.abs(d - ref)) < 1e-13
+    h = 1e-3
+    fd = (sol.vec(ts - 2 * h) - 8 * sol.vec(ts - h) + 8 * sol.vec(ts + h)
+          - sol.vec(ts + 2 * h)) / (12 * h)
+    assert np.max(np.abs(d - fd)) < 1e-9
+    # a directional derivative, as the uniqueness probe takes g' along the
+    # flow: rhs_vec's derivative along rhs_vec
+    y = sol.vec(ts[3])
+    dy = rhs_vec(0.0, y)
+
+    def f(e):
+        return rhs_vec(0.0, y + e * dy)
+    fd = (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+    dd = complex_step(lambda z: rhs_vec(0.0, z), y, dy)
+    assert np.max(np.abs(dd - fd)) < 1e-8 * max(1.0, np.max(np.abs(dd)))
 
 
 def test_constraints_sine_cone():
