@@ -119,6 +119,8 @@ def eval_named(name: str, t: float) -> State:
 # Calabi-Yau closed forms (bubble oracles)
 
 KAPPA = 2.0 / 3.0
+#: (sinh z - z) / z^3 = sum_k z^(2k) / (2k + 3)! to k = 7, in np.polyval order
+_SINH_TAIL = [1.0 / math.factorial(k) for k in range(17, 2, -2)]
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,11 @@ class CalabiYauForm:
             return {"lam": np.sqrt(lam2), "mu": np.sqrt(mu2),
                     "u0": 1.0, "u1": r2}
         k = KAPPA
-        sh, ch = np.sinh(3 * x), np.cosh(3 * x)
-        f = sh * ch - 3 * x
+        sh, z = np.sinh(3 * x), 6 * x
+        # f = sinh(3x) cosh(3x) - 3x = (sinh z - z) / 2 cancels as z -> 0;
+        # below |z| = 0.6 its Taylor series, whose later terms are below eps
+        f = (z * z * z * np.polyval(_SINH_TAIL, z * z) / 2 if abs(z) < 0.6
+             else sh * np.cosh(3 * x) - 3 * x)
         if x == 0.0:
             # limits of the printed formulas as s -> 0 (f ~ 18 s^3)
             v_lim = (2 * k * k / 3) ** (1 / 3)

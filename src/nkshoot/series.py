@@ -23,9 +23,10 @@ one column: each intermediate's [x^h] coefficient follows from columns 0..h
 of its operands (relaxed, or online, Taylor arithmetic; Jorba & Zou, Exp.
 Math. 14, 2005), so a build of order n costs O(n^2) instead of
 re-evaluating the truncated series at every order. The recorded ops are
-compiled once to straight-line Python; each order's convolution sums are
-the row sums of one product of two views of a record of the operands'
-earlier orders, and the compiled step adds the terms with an order-h
+compiled once to one Python loop over the orders, in which every row's
+order-0 and current-order values are locals; each order's convolution sums
+are one np.vecdot of two views of a record of the operands' earlier
+orders, added left to right, and the loop adds the terms with an order-h
 factor. The same kernel, _Program.fill, run on the regular system as an
 ODE, gives the integrator's Taylor jets (integrate.py). Each
 intermediate's [x^h] is affine in y_h with a gradient G that depends only
@@ -51,7 +52,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -183,14 +184,16 @@ class _Series:
 class _Program:
     """rhs(y, x, *params) recorded once. Rows 0..dim-1 hold the unknowns y,
     row dim the variable x and rows dim+1 .. dim+n_params the parameters,
-    which are constant series (column 0 only); every further row is one
+    which are constant series (order 0 only); every further row is one
     recorded operation (kind, out, a, b): a product of rows a and b, the
     reciprocal of row a (recorded once per row a), or a linear combination
-    with terms a = ((row, coef), ...) and order-0 constant b. start() and
-    fill() compute the columns (orders) of a table of every row. rhs returns
-    a tuple of output vectors of dim expressions each; outputs[i] =
-    (M, const) maps a column to [x^h] of output i, with const its constant
-    part at order 0.
+    with terms a = ((row, coef), ...) and order-0 constant b. fill()
+    computes the orders of every row of a table (row = series, column =
+    order) in one compiled loop whose locals hold each row's order-0 and
+    order-h values; each order's convolution sums are one np.vecdot, added
+    left to right, and the bits rest on that order. rhs returns a tuple of
+    output vectors of dim expressions each; outputs[i] = (M, const) maps a
+    column to [x^h] of output i, with const its constant part at order 0.
 
     With ode=True the program is an autonomous ODE y' = rhs(y): its one
     output must be single recorded rows, and the unknowns' order-h
@@ -219,53 +222,77 @@ class _Program:
                     or const.any()):
                 raise ValueError("an ODE's outputs must be single recorded "
                                  "rows")
+        self._run = self._compile(out_rows)
+
+    def _compile(self, out_rows) -> Callable:
+        """The recorded ops as one Python function run(c0, Y, n, solve, x1)
+        (see fill). Locals a{r} and b{r} hold row r's order-0 and order-h
+        values, and s{j} the j-th convolution's sum over orders 1..h-1: one
+        np.vecdot of the views P, Q of the record T, whose column h holds
+        the order-h values of every convolution's first operand (P), second
+        operand (Q) and of the unknowns. An ODE sets its unknowns to its
+        output rows out_rows at order h-1 over h (+ 0.0 turns -0.0 into
+        +0.0) and needs no ops at order n. Coefficients are inlined as float
+        literals, which repr round-trips."""
         # operand rows of the convolution sum_k C[p, k] C[q, h-k] of each
         # product (a, b) and reciprocal (a, out); a linear combination has
         # none
         conv = [(a, b if k == _MUL else out)
                 for k, out, a, b in self.ops if k != _LIN]
-        self._p = np.array([p for p, _ in conv], dtype=int)
-        self._q = np.array([q for _, q in conv], dtype=int)
-        self._first, self._step = self._compile(out_rows)
-
-    def _compile(self, out_rows) -> tuple[Callable, Callable]:
-        """The recorded ops as straight-line Python, one statement per op:
-        first(col) fills order 0 from the operands' order-0 values;
-        step(col, c0, prev, mid, k) fills order k >= 1 from the operands'
-        order-k values col, their order-0 values c0 and the convolution sums
-        mid over orders 1..k-1 (one per product or reciprocal, in op order).
-        An ODE's step first sets the unknowns to its output rows out_rows in
-        prev, the order k-1 column, over k (+ 0.0 turns -0.0 into +0.0), and
-        stops there when mid is None. Coefficients are inlined as float
-        literals, which repr round-trips."""
-        first = []
-        step = [f"col[{i}] = prev[{r}] / k + 0.0"
-                for i, r in enumerate(out_rows)]
-        if out_rows:
-            step.append("if mid is None: return")
+        m, dim, ode = len(conv), self.dim, bool(out_rows)
+        sel = [*(p for p, _ in conv), *(q for _, q in conv), *range(dim)]
+        first, step = [], []
         j = 0
         for kind, out, a, b in self.ops:
             if kind == _MUL:
-                first.append(f"col[{out}] = col[{a}] * col[{b}]")
-                step.append(f"col[{out}] = mid[{j}] + c0[{a}] * col[{b}]"
-                            f" + col[{a}] * c0[{b}]")
+                first.append(f"a{out} = a{a} * a{b}")
+                step.append(f"b{out} = s{j} + a{a} * b{b} + b{a} * a{b}")
                 j += 1
             elif kind == _INV:
-                first.append(f"col[{out}] = 1.0 / col[{a}]")
-                step.append(f"col[{out}] = -(mid[{j}] + col[{a}] * c0[{out}])"
-                            f" / c0[{a}]")
+                first.append(f"a{out} = 1.0 / a{a}")
+                step.append(f"b{out} = -(s{j} + b{a} * a{out}) / a{a}")
                 j += 1
             else:
                 # the leading 0.0 turns a sum of -0.0 terms into +0.0
-                terms = "".join(f" + {float(c)!r} * col[{r}]" for r, c in a)
-                first.append(f"col[{out}] = 0.0{terms} + {float(b)!r}")
-                step.append(f"col[{out}] = 0.0{terms}")
-        source = "\n    ".join(["def first(col):", "pass", *first,
-                                 "\ndef step(col, c0, prev, mid, k):", "pass",
-                                 *step])
-        namespace: dict = {}
-        exec(compile(source, "<recorded program>", "exec"), namespace)
-        return namespace["first"], namespace["step"]
+                def terms(v, a=a):
+                    return "".join(f" + {float(c)!r} * {v}{r}" for r, c in a)
+                first.append(f"a{out} = 0.0{terms('a')} + {float(b)!r}")
+                step.append(f"b{out} = 0.0{terms('b')}")
+
+        def names(v, rows):
+            return f"[{', '.join(f'{v}{r}' for r in rows)}]"
+
+        def store(v, h):
+            # the record's column h, through solve when given
+            rows = range(self.n_rows)
+            return (f"T[:, {h}] = (fromiter({names(v, sel)}, float, "
+                    f"{len(sel)}) if solve is None else solve(fromiter("
+                    f"{names(v, rows)}, float, {len(rows)}), {h})[sel])")
+
+        def from_outputs(k):
+            return ", ".join(f"b{r} / {k} + 0.0" for r in out_rows)
+        lines = [
+            "def run(c0, Y, n, solve, x1):",
+            f"T = empty(({len(sel)}, n + 1))",
+            f"P, Q = T[:{m}], T[{m}:{2 * m}]",
+            f"{names('a', range(dim + 1 + self.n_params))} = c0",
+            *first, store("a", 0),
+            *(f"b{r} = a{r}" for r in out_rows),
+            *(f"b{r} = 0.0" for r in range(dim + 1, dim + 1 + self.n_params)),
+            f"for h in range(1, {'n' if ode else 'n + 1'}):",
+            f"    b{dim} = x1 if h == 1 else 0.0",
+            f"    {names('b', range(dim))} = "
+            f"{from_outputs('h') if ode else 'Y[h]'}",
+            f"    {names('s', range(m))} = vecdot(P[:, 1:h], "
+            f"Q[:, h - 1:0:-1]).tolist()",
+            *("    " + s for s in step), "    " + store("b", "h"),
+            *([f"if n: T[{2 * m}:, n] = {from_outputs('n')}"] if ode else []),
+            f"return T[{2 * m}:].copy()"]
+        namespace = {"empty": np.empty, "vecdot": np.vecdot,
+                     "fromiter": np.fromiter, "sel": np.array(sel)}
+        exec(compile("\n    ".join(lines), "<recorded program>", "exec"),
+             namespace)
+        return namespace["run"]
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,63 +344,35 @@ class _Program:
             const[i] = e.const
         return M, const
 
-    def start(self, y0, params, order: int) -> list[list[float]]:
-        """Columns 0..order of a table (row = series, column = order) as
-        lists, column 0 filled from the unknowns' order-0 values y0 and the
-        parameters, the x row set, every other entry 0."""
-        c0 = np.zeros(self.n_rows)
-        c0[:self.dim] = y0
-        c0[self.dim + 1:self.dim + 1 + self.n_params] = params
-        cols = [c0.tolist(), *([0.0] * self.n_rows for _ in range(order))]
-        if order >= 1:
-            cols[1][self.dim] = 1.0
-        self._first(cols[0])
-        return cols
+    def fill(self, Y, params, n: int, solve: Callable | None = None,
+             x1: float = 1.0) -> np.ndarray:
+        """Orders 0..n of every row (relaxed arithmetic) and the unknowns'
+        rows as a C-ordered (dim, n + 1) array. Row h of Y holds the
+        unknowns' order-h values (an ODE reads row 0 only); x is x1 at order
+        1, else 0. np.vecdot adds each convolution's products left to right
+        in a plain C loop, never through BLAS, since one view has a negative
+        stride. solve(a, h), when given, gets each order's whole column a
+        and returns the column the record keeps for the later orders' sums
+        (a build completes it, and returns order 0 as it is)."""
+        Y = np.asarray(Y, dtype=float).tolist()
+        c0 = [*Y[0], 0.0, *np.asarray(params, dtype=float).tolist()]
+        return self._run(c0, Y, n, solve, x1)
 
-    def fill(self, cols: list[list[float]], keep: Sequence[int],
-             solve: Callable | None = None) -> np.ndarray:
-        """Columns 1..n of a table from start(), n = len(cols) - 1, order by
-        order (relaxed arithmetic), and the rows keep of the whole table as a
-        C-ordered (len(keep), n + 1) array. A record T keeps, column by
-        column, the order-h values of every convolution's first operand
-        (rows P), second operand (rows Q) and of the rows keep, so order h's
-        convolution sums over orders 1..h-1 are the row sums of
-        P[:, 1:h] * Q[:, h-1:0:-1]: a C-ordered product, which numpy sums
-        pairwise along each row, the summation order these bits depend on.
-        The compiled step adds the terms with an order-h factor. Outside an
-        ODE the step leaves the unknowns as cols holds them; solve(a, h),
-        when given, returns the completed column of the array a."""
-        n, m = len(cols) - 1, len(self._p)
-        sel = np.concatenate((self._p, self._q, keep))
-        T = np.empty((len(sel), n + 1))
-        P, Q = T[:m], T[m:2 * m]
-        c0 = prev = cols[0]
-        T[:, 0] = np.array(c0)[sel]
-        for h in range(1, n + 1):
-            mid = None
-            if h < n or not self.ode:
-                mid = np.add.reduce(P[:, 1:h] * Q[:, h - 1:0:-1],
-                                    axis=1).tolist()
-            col = cols[h]
-            self._step(col, c0, prev, mid, h)
-            a = np.array(col)
-            T[:, h] = (a if solve is None else solve(a, h))[sel]
-            prev = col
-        return T[2 * m:].copy()
+    def gradient(self, y0, params) -> tuple[np.ndarray, np.ndarray]:
+        """The order-0 column c0 about y0 and params, and G[row, j] =
+        d C[row, h] / d y_h[j], the same for every h >= 1, about it. With
+        every convolution sum 0 (a record of zeros) and x_1 = 0, column h
+        is linear in y_h, so that of a fill with y_h = e_(h-1) is
+        G[:, h-1]."""
+        cols = []
 
-    def gradient(self, c0: list[float]) -> np.ndarray:
-        """G[row, j] = d C[row, h] / d y_h[j], the same for every h >= 1,
-        about the order-0 column c0. Column 1 has no convolution terms, so
-        it is linear in (y_1, x_1): the step on the unit vectors e_j (with
-        x_1 = 0) gives G."""
-        mid = [0.0] * len(self._p)
-        G = np.empty((self.n_rows, self.dim))
-        for j in range(self.dim):
-            col = [0.0] * self.n_rows
-            col[j] = 1.0
-            self._step(col, c0, c0, mid, 1)
-            G[:, j] = col
-        return G
+        def keep(col, h):
+            cols.append(col)
+            return np.zeros_like(col)
+        self.fill(np.vstack((y0, np.eye(self.dim))), params, self.dim, keep,
+                  x1=0.0)
+        # C-ordered: G @ v rounds differently on a column-major G
+        return cols[0], np.array(cols[1:]).T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +395,7 @@ class SingularIVP:
     def linearization(self) -> np.ndarray:
         """d_{y0}M_-1, the gradient of [x^h] M_-1 in y_h (any h >= 1)."""
         prog = self.program
-        return prog.matrices[0] @ prog.gradient(
-            prog.start(self.y0, self.params, 0)[0])
+        return prog.matrices[0] @ prog.gradient(self.y0, self.params)[1]
 
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,11 +415,9 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     name = problem.name or "singular IVP"
     Mm1, Mm1_const, W = prog.matrices
     try:
-        cols = prog.start(problem.y0, problem.params, order)
-        G = prog.gradient(cols[0])
+        c0, G = prog.gradient(problem.y0, problem.params)
     except ZeroDivisionError:
-        cols, G = [[math.nan]], np.full((1, 1), np.nan)
-    c0 = np.array(cols[0])
+        c0, G = np.full(1, np.nan), np.full((1, 1), np.nan)
     if not (np.isfinite(c0).all() and np.isfinite(G).all()):
         raise DegenerateStateError(
             f"{name}: the order-0 terms at parameters {list(problem.params)} "
@@ -451,19 +447,22 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     IW = inv @ W
 
     def solve(col, h):
-        return col + G @ (IW[h - 1] @ col)
-    return prog.fill(cols, range(k), solve), A
+        return col + G @ (IW[h - 1] @ col) if h else col
+    Y = np.vstack((problem.y0, np.zeros((order, k))))
+    return prog.fill(Y, problem.params, order, solve), A
 
 
 def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
     """Per-order residual |h y_h - [x^h](M_-1 + x M)| of a computed table,
     from a fresh evaluation of the recorded right-hand side on Y."""
     prog = problem.program
-    k, n1 = Y.shape
-    cols = prog.start(Y[:, 0], problem.params, n1 - 1)
-    for col, y in zip(cols, Y.T.tolist()):
-        col[:k] = y
-    C = prog.fill(cols, range(prog.n_rows))
+    n1 = Y.shape[1]
+    C = np.empty((prog.n_rows, n1))
+
+    def keep(col, h):
+        C[:, h] = col
+        return col
+    prog.fill(Y.T, problem.params, n1 - 1, keep)
     r = np.arange(n1) * Y - prog.matrices[2] @ C
     res = np.max(np.abs(r), axis=0)
     res[0] = 0.0
@@ -661,14 +660,9 @@ def series_psi_a(a: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
     n = order + 2
     c = {name: np.zeros(n + 1) for name in _COMPONENTS}
     c["lam"][1:order + 2] = Y[6]
-    c["u0"][0] = a * a
-    c["u0"][2:order + 3] = Y[0]
-    c["u1"][0] = a * a
-    c["u1"][2:order + 3] = Y[1]
-    c["u2"][2:order + 3] = Y[2]
-    c["v0"][2:order + 3] = Y[3]
-    c["v1"][2:order + 3] = Y[4]
-    c["v2"][2:order + 3] = Y[5]
+    for name, row in zip(_COMPONENTS[1:], Y):
+        c[name][2:order + 3] = row
+    c["u0"][0] = c["u1"][0] = a * a
     return SeriesSolution("S2", a, "t", order, c, np.array([0.0, 1.0]))
 
 

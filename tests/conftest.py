@@ -138,11 +138,20 @@ def reference_table(program, order: int, params=()) -> np.ndarray:
     return C
 
 
+def plain_dot(a, b) -> float:
+    """sum_k a[k] * b[k] added left to right from 0.0 in Python floats: the
+    summation order the relaxed kernel's np.vecdot sums must have."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
 def reference_advance(program, C: np.ndarray, h: int) -> None:
     """Column h of every recorded row of the table C from columns 0..h of
-    its operands, the relaxed recurrence done the plain way: the
-    convolution sums over orders 1..h-1 from gathers of C's rows, then
-    program.ops interpreted one by one in the compiled step's arithmetic
+    its operands, the relaxed recurrence done the plain way: each
+    convolution sum over orders 1..h-1 by plain_dot on C's rows, then
+    program.ops interpreted one by one in the compiled loop's arithmetic
     order. Independent of _Program's kernel, whose bits it must equal."""
     from nkshoot.series import _INV, _LIN, _MUL
     conv = [(a, b if kind == _MUL else out)
@@ -150,7 +159,8 @@ def reference_advance(program, C: np.ndarray, h: int) -> None:
     p = np.array([a for a, _ in conv], dtype=int)
     q = np.array([b for _, b in conv], dtype=int)
     col, c0 = C[:, h].tolist(), C[:, 0].tolist()
-    mid = (C[p, 1:h] * C[q, h - 1:0:-1]).sum(axis=1).tolist() if h else []
+    mid = [plain_dot(C[i, 1:h].tolist(), C[k, h - 1:0:-1].tolist())
+           for i, k in zip(p, q)]
     j = 0
     for kind, out, a, b in program.ops:
         if kind == _MUL:

@@ -166,6 +166,30 @@ def test_smoothing_near_origin():
     assert comp["v0"] == pytest.approx(-2 / 3, abs=1e-15)
 
 
+@pytest.mark.parametrize("s", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.05,
+                               0.1 - 1e-12, 0.1, 0.1 + 1e-12, 0.2, 1.0])
+def test_smoothing_components_against_mpmath(s):
+    # f = sinh(3s) cosh(3s) - 3s cancels as s -> 0 (f ~ 18 s^3); below
+    # |6s| = 0.6 it comes from its Taylor series. Every component, on both
+    # sides of that switch and down to s = 1e-6, lies within 1e-14 relative
+    # of a 50-digit evaluation (the cancelling formula gave 2.3e-6 at 1e-6),
+    # and for small s the complex-step residual stays at the round-off of
+    # the 1/s-sized logarithmic derivatives it differences
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        k, x = mp.mpf(2) / 3, mp.mpf(s)
+        sh = mp.sinh(3 * x)
+        f = mp.cbrt(sh * mp.cosh(3 * x) - 3 * x)
+        want = {"lam": mp.cbrt(k) * sh / f, "mu": mp.cbrt(k) ** 2 * f,
+                "v0": -mp.cbrt(k) ** 2 * f / sh,
+                "v2": mp.cbrt(k) ** 2 * f / mp.tanh(3 * x)}
+        got = SMOOTHING.components(s)
+        for name, w in want.items():
+            assert abs((got[name] - w) / w) <= 1e-14, name
+    if s <= 1e-2:
+        assert SMOOTHING.evolution_residual(s) <= 4 * np.finfo(float).eps / s
+
+
 def test_smoothing_evolution_residual():
     for s in (0.2, 0.5, 1.0):
         _, resid = eval_calabi_yau("smoothing", s)

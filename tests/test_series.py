@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (SQRT3, reference_advance, reference_table, s_of_time,
-                      s_radius, with_top_lambda)
+from conftest import (SQRT3, plain_dot, reference_advance, reference_table,
+                      s_of_time, s_radius, with_top_lambda)
 from nkshoot.errors import (OutOfRadiusError, ResonanceError,
                             SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
@@ -170,6 +170,34 @@ def test_solve_family_records_no_program(monkeypatch):
     assert recorded == []
 
 
+@pytest.mark.parametrize("decades", [(-20, -10), (-10, 10), (10, 20),
+                                     (-20, 20)])
+def test_vecdot_on_the_kernel_views_adds_left_to_right(decades):
+    # the relaxed kernel's bits rest on np.vecdot of a row of P[:, 1:h] and
+    # a reversed row of Q[:, h-1:0:-1], views of one C-ordered record, adding
+    # the products left to right from +0.0 like conftest.plain_dot: at
+    # every length 0..48, at magnitudes 1e-20..1e20 of either sign, and with
+    # zeros of both signs (a row of -0.0 products sums to +0.0)
+    rng = np.random.default_rng(sum(decades) + 40)
+    m, n = 18, 49
+    T = (rng.choice([-1.0, 1.0], (2 * m + 7, n + 1))
+         * 10.0 ** rng.uniform(*decades, (2 * m + 7, n + 1)))
+    T[rng.random(T.shape) < 0.1] = 0.0
+    T[rng.random(T.shape) < 0.1] = -0.0
+    T[0] = -0.0
+    P, Q = T[:m], T[m:2 * m]
+    for h in range(1, n + 1):
+        got = np.vecdot(P[:, 1:h], Q[:, h - 1:0:-1])
+        want = np.array([plain_dot(P[i, 1:h].tolist(),
+                                   Q[i, h - 1:0:-1].tolist())
+                         for i in range(m)])
+        assert (np.array_equal(got, want)
+                and np.array_equal(np.signbit(got), np.signbit(want))), (
+            f"np.vecdot does not add the {h - 1} products of the kernel's "
+            f"views left to right (BLAS or fused multiply-adds?); the jets' "
+            f"and series' bits depend on it")
+
+
 def _reference_solve(problem: SingularIVP, order: int):
     # solve_singular_ivp's table and A the plain way: the order-0 column,
     # G from order 1 on the unit vectors, the batch inverse, then order by
@@ -203,7 +231,8 @@ def _reference_solve(problem: SingularIVP, order: int):
 def test_solve_singular_ivp_bits_equal_the_plain_recurrence(problem, param,
                                                             order):
     # bit for bit, signs of zero included, across both programs' parameter
-    # ranges and at orders below and above the pairwise sum's 8-term block
+    # ranges and at orders 4, 16 and 40, whose longest convolution sums add
+    # 3, 15 and 39 products left to right
     prob = problem(param)
     Y, A = solve_singular_ivp(prob, order)
     Y_ref, A_ref = _reference_solve(prob, order)
