@@ -11,8 +11,9 @@ tolerance follow from rtol and atol. Every step contributes its end and
 STEP_SAMPLES interior points as nodes. One pass over a step's nodes
 (_NodePass) gives the values of the events and the singularity guard and
 the first-integral drift. Events and guards are sign changes of their
-values over the nodes, refined by brentq on the step polynomial's state,
-and the earliest ends the run; the dense output is the step polynomials.
+values over the nodes, refined by bracketed_root to adjacent floats on the
+step polynomial's state, and the earliest ends the run; the dense output is
+the step polynomials.
 The drift is recorded at every node and above 1e-6 aborts the run; drift is
 monitored, not projected.
 """
@@ -27,7 +28,6 @@ from numpy.typing import ArrayLike
 
 from .errors import (ConstraintDriftError, DegenerateStateError,
                      InvalidArgumentError, StepSizeCollapseError)
-from .rootfind import brentq
 from .series import _Program, _poly_states, _step_size
 from .state import LAMBDA_MIN, MU2_MIN, State, _first_integrals, rhs_vec
 
@@ -38,6 +38,7 @@ COMPONENT_MAGNITUDE_MAX = 1e8
 STEP_SAMPLES = 7            # interior nodes per step
 _FRAC = np.arange(1, STEP_SAMPLES + 2) / (STEP_SAMPLES + 1)
 _EPS = np.finfo(float).eps
+ROOT_MAXITER = 100          # new points per bracketed_root
 
 #: rhs_vec recorded once, as the ODE whose jets the steps take
 _PROGRAM = _Program(7, lambda y, t: (rhs_vec(t, y),), ode=True)
@@ -221,28 +222,62 @@ def _check_drift(ts: np.ndarray, ys: np.ndarray, drift: np.ndarray,
     return drift
 
 
-def _root(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of g on [lo, hi]: brentq, then bisection of the few-ulp bracket
-    it leaves down to adjacent floats, keeping the one with the smaller |g|.
-    If rounding undoes the bracket the node scan saw, the root is taken at
-    hi, the node where the scan saw the sign change."""
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo * g_hi > 0.0:
-        return hi
-    t = brentq(g, lo, hi, xtol=_EPS, rtol=4 * _EPS)
-    width = 2 * _EPS + 8 * _EPS * abs(t)
-    a, b = max(lo, t - width), min(hi, t + width)
-    g_a, g_b = g(a), g(b)
-    if g_a * g_b > 0.0:
-        return t
-    while g_a != 0.0 and g_b != 0.0 and a < 0.5 * (a + b) < b:
-        m = 0.5 * (a + b)
-        g_m = g(m)
-        if (g_m < 0.0) == (g_a < 0.0):
-            a, g_a = m, g_m
+def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
+                   xtol: float, rtol: float) -> float:
+    """A zero of f between lo and hi (either order), where f changes sign,
+    by Chandrupatla's method (Adv. Eng. Softw. 28, 1997): inverse quadratic
+    interpolation through the last three points where it is monotone on the
+    bracket, bisection otherwise. Each new point lies max(tol, 4 ulp) / 2 or
+    more inside the bracket, tol = xtol + rtol |x| (the ulp of the last
+    point, which keeps the finish to adjacent floats from stalling on one
+    side), or at its middle where it is narrower than that. The bracket is
+    final once narrower than tol or, at xtol = rtol = 0, once its ends are
+    adjacent floats; the end with the smaller |f|, a point where f was
+    evaluated, is returned. Raises ValueError on a NaN value or ends of the
+    same sign, and RuntimeError after ROOT_MAXITER new points."""
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x}) is NaN")
+        return fx
+
+    # (x1, f1) the newest point, x2 the other end of the bracket, x3 the
+    # point it displaced
+    x1, x2 = float(lo), float(hi)
+    f1, f2 = call(x1), call(x2)
+    if f1 != 0.0 and f2 != 0.0 and (f1 < 0.0) == (f2 < 0.0):
+        raise ValueError(f"f has the same sign at {lo} and {hi}")
+    x3 = f3 = math.nan
+    for _ in range(ROOT_MAXITER + 1):
+        xm, fm = (x1, f1) if abs(f1) <= abs(f2) else (x2, f2)
+        dx, tol = abs(x2 - x1), xtol + rtol * abs(xm)
+        if fm == 0.0 or dx < tol or math.nextafter(x1, x2) == x2:
+            return xm
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                 - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+        tl = 0.5 * max(tol, 4.0 * math.ulp(x1)) / dx
+        t = min(max(t, tl), 1.0 - tl) if tl < 0.5 else 0.5
+        x = x1 + t * (x2 - x1)
+        fx = call(x)
+        if (fx < 0.0) == (f1 < 0.0):
+            x3, f3 = x1, f1
         else:
-            b, g_b = m, g_m
-    return a if abs(g_a) <= abs(g_b) else b
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+    raise RuntimeError(f"no root to tolerance after {ROOT_MAXITER} points; "
+                       f"bracket [{x1}, {x2}]")
+
+
+def _root(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of g on [lo, hi] to adjacent floats (bracketed_root). If
+    rounding undoes the bracket the node scan saw, the root is taken at hi,
+    the node where the scan saw the sign change."""
+    if g(lo) * g(hi) > 0.0:
+        return hi
+    return bracketed_root(g, lo, hi, 0.0, 0.0)
 
 
 def integrate(start: State, horizon: float,

@@ -30,8 +30,7 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
 from .integrate import (MAX_VOLUME_EVENT, EventSpec, Trajectory, _NodePass,
-                        integrate)
-from .rootfind import brentq
+                        bracketed_root, integrate)
 from .series import (DEFAULT_ORDER, SeriesSolution, _poly_states,
                      family_series, handoff, poly_integral, volume_coeffs)
 from .state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry, complex_step,
@@ -163,9 +162,9 @@ def max_orbit(family: str, param: float, order: int = DEFAULT_ORDER,
 
 def _solve_table(order: int, rtol: float, atol: float):
     """Memoised solve(family, param) for one root search, which revisits
-    points (brentq its bracket ends, the matching solve its last iterate)
-    and returns a point it has evaluated; filled through the module-global
-    solve_family with float(param)."""
+    points (bracketed_root its bracket ends, the matching solve its last
+    iterate) and returns a point it has evaluated; filled through the
+    module-global solve_family with float(param)."""
     return cache(lambda family, param: solve_family(
         family, float(param), order, rtol, atol))
 
@@ -347,7 +346,9 @@ def find_doubling(family: str, bracket: tuple[float, float],
                   which: str = "v0", order: int = DEFAULT_ORDER,
                   rtol: float = 1e-12, atol: float = 1e-12) -> CompleteSolution:
     """Locate a parameter where v0(T) (or u0(T)) vanishes and build the
-    doubled solution."""
+    doubled solution. The parameter is bracketed_root's, to within
+    ROOT_XTOL + 8.9e-16 |param|; the search solved there, so the doubled
+    member comes from the memo."""
     if which not in ("v0", "u0"):
         raise InvalidArgumentError("which must be 'v0' or 'u0'")
     idx = 4 if which == "v0" else 1
@@ -362,7 +363,7 @@ def find_doubling(family: str, bracket: tuple[float, float],
         raise NoSignChangeError(
             f"{which}(T) has no sign change on [{lo}, {hi}]: "
             f"({g_lo:.3e}, {g_hi:.3e})")
-    param = brentq(g, lo, hi, xtol=ROOT_XTOL, rtol=8.9e-16)
+    param = bracketed_root(g, lo, hi, ROOT_XTOL, 8.9e-16)
     fs = solve(family, param)
     # the Sasaki-Einstein point (1, 1) is excluded
     if fs.record.on_boundary_mu_eq_lambda and fs.record.on_boundary_lambda_one:

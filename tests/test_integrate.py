@@ -96,6 +96,16 @@ def test_event_refinement_idempotent():
     assert abs(MAX_VOLUME_EVENT(t0, traj.state_at(t0).vec)) < 1e-13
 
 
+def test_root_takes_hi_when_rounding_undoes_the_bracket(monkeypatch):
+    # the node scan saw a sign change that g at the node ends no longer
+    # shows: the root is the node hi, with no search
+    def no_search(*args):
+        raise AssertionError("bracketed_root called")
+    integ = sys.modules["nkshoot.integrate"]
+    monkeypatch.setattr(integ, "bracketed_root", no_search)
+    assert integ._root(lambda t: 1.0 + t, 0.25, 0.5) == 0.5
+
+
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.3, 0.1],
                          ids=["nan", "inf", "at-start", "backward"])
 def test_integrate_runs_forward_only(monkeypatch, horizon):

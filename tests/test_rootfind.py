@@ -1,18 +1,21 @@
-"""rootfind: the Brent port against SciPy's brentq, which serves only as the
-independent reference here."""
+"""The bracketed root primitive, integrate.bracketed_root (Chandrupatla's
+method), with SciPy's brentq as an independent oracle."""
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from nkshoot.rootfind import brentq
+from nkshoot.integrate import bracketed_root
 from nkshoot.shoot import ROOT_XTOL
 
 EPS = np.finfo(float).eps
-# the (xtol, rtol) pairs the package passes
-TOLERANCES = [(EPS, 4 * EPS), (1e-15, 8.9e-16), (1e-13, 8.9e-16),
-              (ROOT_XTOL, 8.9e-16)]
+# the (xtol, rtol) pairs the package passes, (0, 0) in integrate._root and
+# (ROOT_XTOL, 8.9e-16) in find_doubling, and three settings between, the
+# first with a tolerance near the 4-ulp floor on the step
+TOLERANCES = [(0.0, 0.0), (EPS, 4 * EPS), (1e-15, 8.9e-16),
+              (1e-13, 8.9e-16), (ROOT_XTOL, 8.9e-16)]
 FUNCTIONS = {
     "cubic": (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
     "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
@@ -27,7 +30,7 @@ FUNCTIONS = {
 
 
 def counted(f):
-    """f and a list whose length is the number of calls made to it."""
+    """f and the list of the points it is called at."""
     calls = []
 
     def g(x):
@@ -36,17 +39,35 @@ def counted(f):
     return g, calls
 
 
+def check_root(f, lo, hi, xtol, rtol) -> None:
+    """bracketed_root on f from (lo, hi) returns a point it evaluated, within
+    xtol + rtol |x| of SciPy's brentq at its tightest setting (which lies
+    within 4 eps |x| of the sign change), and evaluates f only inside the
+    bracket, with at most 10 evaluations more than brentq (without the
+    4-ulp floor on each step, the finish to adjacent floats takes 18-45
+    more on cubic, exp and double-root-shift); at xtol = rtol = 0 the point
+    and one of its float neighbours bracket the sign change."""
+    g, calls = counted(f)
+    root = bracketed_root(g, lo, hi, xtol, rtol)
+    h, ref_calls = counted(f)
+    ref = optimize.brentq(h, lo, hi, xtol=1e-300, rtol=4 * EPS)
+    scale = max(abs(root), abs(ref))
+    assert abs(root - ref) <= xtol + (rtol + 4 * EPS) * scale
+    assert all(min(lo, hi) <= x <= max(lo, hi) for x in calls)
+    assert root in calls
+    assert len(calls) <= len(ref_calls) + 10
+    if xtol == rtol == 0.0:
+        assert any(f(x) * f(root) <= 0.0
+                   for x in (math.nextafter(root, -math.inf),
+                             math.nextafter(root, math.inf)))
+
+
 @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
 @pytest.mark.parametrize("name", FUNCTIONS)
 def test_matches_scipy(name, tol):
     f, a, b = FUNCTIONS[name]
-    xtol, rtol = tol
     for lo, hi in ((a, b), (b, a)):
-        ours, our_calls = counted(f)
-        ref, ref_calls = counted(f)
-        root = brentq(ours, lo, hi, xtol=xtol, rtol=rtol)
-        assert root == optimize.brentq(ref, lo, hi, xtol=xtol, rtol=rtol)
-        assert our_calls == ref_calls
+        check_root(f, lo, hi, *tol)
 
 
 def test_matches_scipy_on_random_brackets():
@@ -58,12 +79,7 @@ def test_matches_scipy_on_random_brackets():
         lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
         if f(lo) * f(hi) >= 0.0:
             continue
-        xtol, rtol = TOLERANCES[k % len(TOLERANCES)]
-        ours, our_calls = counted(f)
-        ref, ref_calls = counted(f)
-        assert (brentq(ours, lo, hi, xtol=xtol, rtol=rtol)
-                == optimize.brentq(ref, lo, hi, xtol=xtol, rtol=rtol))
-        assert our_calls == ref_calls
+        check_root(f, lo, hi, *TOLERANCES[k % len(TOLERANCES)])
         checked += 1
     assert checked > 100
 
@@ -71,22 +87,17 @@ def test_matches_scipy_on_random_brackets():
 def test_exact_zero_at_an_end_returns_it():
     for lo, hi in ((1.0, 3.0), (-1.0, 1.0)):
         ours, our_calls = counted(lambda x: x - 1.0)
-        assert brentq(ours, lo, hi, xtol=EPS, rtol=4 * EPS) == 1.0
+        assert bracketed_root(ours, lo, hi, EPS, 4 * EPS) == 1.0
         assert len(our_calls) == 2
 
 
-def test_errors():
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=EPS, rtol=4 * EPS)
+def test_errors(monkeypatch):
+    with pytest.raises(ValueError, match="same sign"):
+        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0,
-               xtol=EPS, rtol=4 * EPS)
-    with pytest.raises(ValueError, match="xtol"):
-        brentq(lambda x: x, -1.0, 1.0, xtol=0.0, rtol=4 * EPS)
-    with pytest.raises(ValueError, match="rtol"):
-        brentq(lambda x: x, -1.0, 1.0, xtol=EPS, rtol=EPS)
-    # x^9 is too flat at its root for 100 steps to shrink the bracket to eps
-    with pytest.raises(RuntimeError, match="100 iterations"):
-        brentq(lambda x: x ** 9, -1.0, 0.7, xtol=EPS, rtol=4 * EPS)
-    with pytest.raises(RuntimeError):
-        optimize.brentq(lambda x: x ** 9, -1.0, 0.7, xtol=EPS, rtol=4 * EPS)
+        bracketed_root(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0,
+                       0.0, 0.0)
+    # cos(x) - x takes 6 new points to adjacent floats
+    monkeypatch.setattr(sys.modules["nkshoot.integrate"], "ROOT_MAXITER", 3)
+    with pytest.raises(RuntimeError, match="after 3 points"):
+        bracketed_root(lambda x: math.cos(x) - x, 0.0, 1.0, 0.0, 0.0)

@@ -1,6 +1,7 @@
 """shooting: family solves, curve tracing, doubling and matching roots,
 gluing, scans."""
 import dataclasses
+import importlib
 import math
 import re
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import SQRT2, SQRT3
-from nkshoot import geometry, series, shoot
+from nkshoot import series, shoot
 from nkshoot.errors import (DegenerateStateError, EventNotFoundError,
                             JunctionMismatchError, NKError, NoSignChangeError,
                             RefinementStallError)
@@ -155,8 +156,8 @@ def count_solves(monkeypatch) -> list[tuple]:
 
 
 def test_find_doubling_solves_each_member_once(monkeypatch):
-    # brentq evaluates the bracket ends again and returns a point it has
-    # evaluated, so every family member is solved once, the root included
+    # bracketed_root evaluates the bracket ends again and returns a point it
+    # has evaluated, so every family member is solved once, the root included
     calls = count_solves(monkeypatch)
     sol = find_doubling("beta", (0.2, 0.6), "v0")
     assert abs(sol.param_left - 0.3736) < 0.002
@@ -259,13 +260,14 @@ def test_handoff_searched_once_per_solve(monkeypatch, family, param):
     # the handoff asks the step rule once for the series' reach, and no root
     # search runs before the integrator starts
     steps, roots, before = [], [], []
-    step_size, root, run = series._step_size, shoot.brentq, shoot.integrate
+    step_size, root, run = (series._step_size, shoot.bracketed_root,
+                            shoot.integrate)
 
     def counted_step_size(*args):
         steps.append(args[1])
         return step_size(*args)
 
-    def counted_brentq(*args, **kwargs):
+    def counted_root(*args, **kwargs):
         roots.append(args[1:3])
         return root(*args, **kwargs)
 
@@ -275,11 +277,13 @@ def test_handoff_searched_once_per_solve(monkeypatch, family, param):
 
     monkeypatch.setattr(series, "_step_size", counted_step_size)
     for module in (shoot, sys.modules["nkshoot.integrate"]):
-        monkeypatch.setattr(module, "brentq", counted_brentq)
+        monkeypatch.setattr(module, "bracketed_root", counted_root)
     monkeypatch.setattr(shoot, "integrate", first_run)
     solve_family(family, param)
-    assert not hasattr(series, "brentq")
-    assert not hasattr(geometry, "brentq")
+    assert not [name for name, module in sys.modules.items()
+                if name.startswith("nkshoot") and hasattr(module, "brentq")]
+    with pytest.raises(ImportError):
+        importlib.import_module("nkshoot.rootfind")
     assert steps == [series.HANDOFF_TAIL_TOL]
     assert before[0] == (1, 0)
 
