@@ -9,11 +9,11 @@ takes one jet of order N and advances by h = rho * tol^(1/N), with rho the
 radius estimated from the last two jet coefficients; N and the step
 tolerance follow from rtol and atol. Every step contributes its end and
 STEP_SAMPLES interior points as nodes. One pass over a step's nodes
-(_NodePass) gives the values of the events and the singularity guard and
-the first-integral drift. Events and guards are sign changes of their
-values over the nodes, refined by bracketed_root to adjacent floats on the
-step polynomial's state, and the earliest ends the run; the dense output is
-the step polynomials.
+(_NodePass) gives the events' values, one vectorised call each, and, node
+by node on Python floats, the guard's and the first-integral drift. Events
+and guards are sign changes over the nodes; the walk stops at the first,
+refined by bracketed_root to adjacent floats on the step polynomial's
+state, and the earliest ends the run. Dense output: the step polynomials.
 The drift is recorded at every node and above 1e-6 aborts the run; drift is
 monitored, not projected.
 """
@@ -28,7 +28,7 @@ from numpy.typing import ArrayLike
 
 from .errors import (ConstraintDriftError, DegenerateStateError,
                      InvalidArgumentError, StepSizeCollapseError)
-from .series import _Program, _poly_states, _step_size
+from .series import _COMPONENTS, _Program, _poly_states, _step_size
 from .state import LAMBDA_MIN, MU2_MIN, State, _first_integrals, rhs_vec
 
 DEFAULT_RTOL = 1e-12
@@ -61,9 +61,10 @@ def _order_and_tol(rtol: float, atol: float) -> tuple[int, float]:
 @dataclass(frozen=True)
 class EventSpec:
     """Event function of (t, y7) with a direction filter (0 any, +1 rising,
-    -1 falling); an event stops the run. The engine calls fn_vec on all nodes
-    of a step at once, with t of shape (m,) and y of shape (7, m), so it must
-    act elementwise over the trailing axis and return shape (m,)."""
+    -1 falling); an event stops the run. The engine calls fn_vec once per
+    step on all its nodes, with t of shape (m,) and y of shape (7, m), so it
+    must act elementwise over the trailing axis and return shape (m,), and
+    on single nodes (t a float, y of shape (7,))."""
 
     name: str
     fn_vec: Callable[[ArrayLike, np.ndarray], ArrayLike]
@@ -93,67 +94,70 @@ class _NodePass:
     first-integral drift. The guard's values are lam_sign * lambda -
     LAMBDA_MIN, with lam_sign the sign of lambda at the start so that its
     crossing is a sign change, mu^2 - MU2_MIN and COMPONENT_MAGNITUDE_MAX -
-    max|y_i|."""
+    max|y_i|. Events take one vectorised call per step, the rest runs on
+    Python floats node by node."""
 
     def __init__(self, events: Sequence[EventSpec], lam_sign: float):
         self.events = tuple(events)
         self.lam_sign = lam_sign
         self.names = [*(event.name for event in events), *GUARDS]
-        direction = np.array([*(event.direction for event in events),
-                              -1, -1, -1])[:, None]
-        self._rising, self._falling = direction >= 0, direction <= 0
+        directions = [*(event.direction for event in events), -1, -1, -1]
+        self._rising = [d >= 0 for d in directions]
+        self._falling = [d <= 0 for d in directions]
 
-    def values(self, t: ArrayLike, y: np.ndarray) -> tuple[list, ArrayLike]:
-        """The events' and the guard's values at the nodes t with states y,
-        of shape (7,) or (7, m), one entry each, and the drift there
-        (ConstraintVector.rel_drift), from one mu^2 and lambda^2 mu^2."""
-        *integrals, _, lam2mu2, mu2 = _first_integrals(*y)
-        drift = np.abs(integrals).max(axis=0) / np.maximum(1.0, lam2mu2)
-        return [*(event.fn_vec(t, y) for event in self.events),
-                self.lam_sign * y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
-                COMPONENT_MAGNITUDE_MAX - np.abs(y).max(axis=0)], drift
+    def values(self, t: float, y: np.ndarray) -> tuple[list, float]:
+        """The events' and the guard's values (floats) and the drift at the
+        node (t, y), y of shape (7,)."""
+        return self._node([float(event.fn_vec(t, y)) for event in self.events],
+                          y.tolist())
+
+    def _node(self, vals: list, y: list) -> tuple[list, float]:
+        """vals, the events' values at the node with the seven floats y, and
+        the guard's after them; the drift there (ConstraintVector.rel_drift),
+        from one mu^2 and lambda^2 mu^2. A NaN propagates as in np.max."""
+        i1, i2, i3, i4, _, lam2mu2, mu2 = _first_integrals(*y)
+        mag, big = max(map(abs, y)), max(abs(i1), abs(i2), abs(i3), abs(i4))
+        if math.isnan(i1 + i2 + i3 + i4):       # a NaN in y reaches I3
+            mag = math.nan if any(map(math.isnan, y)) else mag
+            big = math.nan if any(map(math.isnan, (i1, i2, i3, i4))) else big
+        return vals + [self.lam_sign * y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
+                       COMPONENT_MAGNITUDE_MAX - mag], big / max(lam2mu2, 1.0)
 
     def step(self, c: np.ndarray, t0: float, t: float, y: np.ndarray, g,
              h: float, end: float | None = None):
         """The nodes t + h * _FRAC (the last one end, when given) after the
         node (t, y), where the values were g, on the step polynomial c about
-        t0: (times, states, drift, values at the last node, row of the
+        t0: (times, states, drift, values at the last node walked, row of the
         crossing that ends the run or None). Row i crosses where it changes
-        sign in the direction its event allows (the guard's fall), a zero
-        counting for the interval it ends; the crossings in the earliest
-        such interval are refined and the earliest becomes the last node.
-        The drift is checked (_check_drift) at the nodes that remain."""
+        sign as its event allows (the guard falls), a zero counting for the
+        interval it ends; the walk stops at the first node where one does,
+        and the earliest refined root there becomes the last node. The drift
+        is checked (_check_drift) at the nodes that remain."""
         ts = t + h * _FRAC
         if end is not None:
             ts[-1] = end
         ys = _poly_states(c, ts - t0)
-        vals, drift = self.values(ts, ys.T)
-        V = np.empty((len(self.names), len(ts) + 1))
-        V[:, 0] = g
-        V[:, 1:] = vals
-        a, b = V[:, :-1], V[:, 1:]
-        cross = (((a < 0.0) & (b >= 0.0) & self._rising)
-                 | ((a > 0.0) & (b <= 0.0) & self._falling))
-        hit = None
-        if cross.any():
-            j = int(np.flatnonzero(cross.any(axis=0))[0])
-            lo, hi = [t, *ts.tolist()][j:j + 2]
-            t_hit, hit = min((_root(self._row(i, c, t0), lo, hi), i)
-                             for i in np.flatnonzero(cross[:, j]).tolist())
-            k = int(np.searchsorted(ts, t_hit))
-            y_hit = _poly_states(c, t_hit - t0)
-            ts = np.append(ts[:k], t_hit)
-            ys = np.vstack((ys[:k], y_hit))
-            drift = np.append(drift[:k], self.values(t_hit, y_hit)[1])
-        return ts, ys, _check_drift(ts, ys, drift, t, y), V[:, -1], hit
-
-    def _row(self, i: int, c: np.ndarray, t0: float) -> Callable:
-        """Row i of the values as a function of t on the step polynomial c
-        about t0."""
-        if i < len(self.events):
-            fn = self.events[i].fn_vec
-            return lambda t: float(fn(t, _poly_states(c, t - t0)))
-        return lambda t: float(self.values(t, _poly_states(c, t - t0))[0][i])
+        events = [np.asarray(e.fn_vec(ts, ys.T)).tolist() for e in self.events]
+        times, drift = [t, *ts.tolist()], []
+        for j, (*vals, yj) in enumerate(zip(*events, ys.tolist())):
+            vals, d = self._node(vals, yj)
+            drift.append(d)
+            cross = [i for i, x in enumerate(g)
+                     if (x < 0.0 <= vals[i] and self._rising[i])
+                     or (x > 0.0 >= vals[i] and self._falling[i])]
+            g = vals
+            if cross:
+                lo, hi = times[j:j + 2]
+                t_hit, hit = min((_root(lambda s, i=i: self.values(
+                    s, _poly_states(c, s - t0))[0][i], lo, hi), i)
+                    for i in cross)
+                k = int(np.searchsorted(ts, t_hit))
+                y_hit = _poly_states(c, t_hit - t0)
+                ts = np.append(ts[:k], t_hit)
+                ys = np.vstack((ys[:k], y_hit))
+                drift[k:] = [self._node([], y_hit.tolist())[1]]
+                return ts, ys, _check_drift(ts, ys, drift, t, y), g, hit
+        return ts, ys, _check_drift(ts, ys, drift, t, y), g, None
 
 
 @dataclass(frozen=True)
@@ -206,25 +210,25 @@ class Trajectory:
         return [State.from_vec(t, y) for t, y in zip(self.times, self.states)]
 
 
-def _check_drift(ts: np.ndarray, ys: np.ndarray, drift: np.ndarray,
-                 t_prev: float, y_prev: np.ndarray) -> np.ndarray:
-    """drift at the nodes ts (states ys, shape (m, 7)). Raises
+def _check_drift(ts: Sequence[float], ys: Sequence[np.ndarray],
+                 drift: list, t_prev: float, y_prev: np.ndarray) -> list:
+    """drift, the list of floats at the nodes ts (states ys). Raises
     ConstraintDriftError at the first node above DRIFT_ABORT, with the node
     before it (t_prev, y_prev for the first) as the last good state."""
-    bad = np.flatnonzero(drift > DRIFT_ABORT)
-    if bad.size:
-        k = int(bad[0])
-        t_good, y_good = (ts[k - 1], ys[k - 1]) if k else (t_prev, y_prev)
-        raise ConstraintDriftError(
-            f"relative first-integral drift {drift[k]:.3e} > {DRIFT_ABORT} "
-            f"at t = {ts[k]}", t_bad=float(ts[k]),
-            last_state=State.from_vec(t_good, y_good))
+    for k, d in enumerate(drift):
+        if d > DRIFT_ABORT:
+            t_good, y_good = (ts[k - 1], ys[k - 1]) if k else (t_prev, y_prev)
+            raise ConstraintDriftError(
+                f"relative first-integral drift {d:.3e} > {DRIFT_ABORT} "
+                f"at t = {ts[k]}", t_bad=float(ts[k]),
+                last_state=State.from_vec(t_good, y_good))
     return drift
 
 
 def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
-                   xtol: float, rtol: float) -> float:
-    """A zero of f between lo and hi (either order), where f changes sign,
+                   f_lo: float, f_hi: float, xtol: float, rtol: float) -> float:
+    """A zero of f between lo and hi (either order), where f changes sign
+    (f_lo and f_hi are its values there, which the caller evaluated),
     by Chandrupatla's method (Adv. Eng. Softw. 28, 1997): inverse quadratic
     interpolation through the last three points where it is monotone on the
     bracket, bisection otherwise. Each new point lies max(tol, 4 ulp) / 2 or
@@ -233,10 +237,11 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
     side), or at its middle where it is narrower than that. The bracket is
     final once narrower than tol or, at xtol = rtol = 0, once its ends are
     adjacent floats; the end with the smaller |f|, a point where f was
-    evaluated, is returned. Raises ValueError on a NaN value or ends of the
-    same sign, and RuntimeError after ROOT_MAXITER new points."""
-    def call(x: float) -> float:
-        fx = float(f(x))
+    evaluated, is returned. Raises ValueError on a NaN value (f_lo and f_hi
+    included) or ends of the same sign, and RuntimeError after ROOT_MAXITER
+    new points."""
+    def checked(x: float, fx: float) -> float:
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(f"f({x}) is NaN")
         return fx
@@ -244,7 +249,7 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
     # (x1, f1) the newest point, x2 the other end of the bracket, x3 the
     # point it displaced
     x1, x2 = float(lo), float(hi)
-    f1, f2 = call(x1), call(x2)
+    f1, f2 = checked(x1, f_lo), checked(x2, f_hi)
     if f1 != 0.0 and f2 != 0.0 and (f1 < 0.0) == (f2 < 0.0):
         raise ValueError(f"f has the same sign at {lo} and {hi}")
     x3 = f3 = math.nan
@@ -261,7 +266,7 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
         tl = 0.5 * max(tol, 4.0 * math.ulp(x1)) / dx
         t = min(max(t, tl), 1.0 - tl) if tl < 0.5 else 0.5
         x = x1 + t * (x2 - x1)
-        fx = call(x)
+        fx = checked(x, f(x))
         if (fx < 0.0) == (f1 < 0.0):
             x3, f3 = x1, f1
         else:
@@ -275,9 +280,10 @@ def _root(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of g on [lo, hi] to adjacent floats (bracketed_root). If
     rounding undoes the bracket the node scan saw, the root is taken at hi,
     the node where the scan saw the sign change."""
-    if g(lo) * g(hi) > 0.0:
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo * g_hi > 0.0:
         return hi
-    return bracketed_root(g, lo, hi, 0.0, 0.0)
+    return bracketed_root(g, lo, hi, g_lo, g_hi, 0.0, 0.0)
 
 
 def integrate(start: State, horizon: float,
@@ -292,7 +298,8 @@ def integrate(start: State, horizon: float,
     above 1e8 in magnitude) is the last node; without one the run ends at
     the horizon (dense.reach is where the last step was planned to end).
     Raises InvalidArgumentError unless start.t < horizon < inf and rtol,
-    atol are positive and finite; a step below 16 eps max(1, |t|) raises
+    atol are positive and finite, and DegenerateStateError on a start with
+    a NaN or infinite component; a step below 16 eps max(1, |t|) raises
     StepSizeCollapseError. allow_unoriented skips the lambda > 0 /
     orientation precondition (symmetry-image runs; mu^2 > 0 is required).
 
@@ -313,6 +320,9 @@ def integrate(start: State, horizon: float,
         raise InvalidArgumentError(
             f"rtol = {rtol}, atol = {atol} are too loose for a Taylor step "
             f"(jet order {order} < 2; min(rtol, atol) must be below 25.8)")
+    for name, x in zip(_COMPONENTS, start.vec.tolist()):
+        if not math.isfinite(x):
+            raise DegenerateStateError(f"start has {name} = {x}")
     if start.mu2 <= MU2_MIN:
         raise DegenerateStateError(f"start has mu^2 = {start.mu2}")
     if not allow_unoriented:
@@ -331,7 +341,7 @@ def integrate(start: State, horizon: float,
     t, y = start.t, start.vec
     g, drift = nodes.values(t, y)
     times, states = [np.array([t])], [y[None, :]]
-    drifts = [_check_drift(times[0], states[0], np.array([drift]), t, y)]
+    drifts = _check_drift([t], [y], [drift], t, y)
     starts, coeffs = [], []
     termination = stopped_by = None
     while termination is None:
@@ -357,7 +367,7 @@ def integrate(start: State, horizon: float,
         if hit is not None:
             termination = "event" if hit < len(events) else "singularity"
             stopped_by = nodes.names[hit]
-        drifts.append(drift)
+        drifts += drift
         starts.append(t0)
         coeffs.append(c)
         times.append(ts)
@@ -369,4 +379,4 @@ def integrate(start: State, horizon: float,
                       dense=StepPolynomials(np.array(starts), tuple(coeffs),
                                             reach),
                       termination=termination,
-                      drift=np.concatenate(drifts), stopped_by=stopped_by)
+                      drift=np.array(drifts), stopped_by=stopped_by)

@@ -363,7 +363,7 @@ def find_doubling(family: str, bracket: tuple[float, float],
         raise NoSignChangeError(
             f"{which}(T) has no sign change on [{lo}, {hi}]: "
             f"({g_lo:.3e}, {g_hi:.3e})")
-    param = bracketed_root(g, lo, hi, ROOT_XTOL, 8.9e-16)
+    param = bracketed_root(g, lo, hi, g_lo, g_hi, ROOT_XTOL, 8.9e-16)
     fs = solve(family, param)
     # the Sasaki-Einstein point (1, 1) is excluded
     if fs.record.on_boundary_mu_eq_lambda and fs.record.on_boundary_lambda_one:

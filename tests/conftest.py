@@ -179,6 +179,40 @@ def reference_advance(program, C: np.ndarray, h: int) -> None:
     C[:, h] = col
 
 
+def reference_node_values(events, lam_sign: float, t, y):
+    """The node pass's values and drift computed the array way, at the nodes
+    t with states y of shape (7,) or (7, m): the events' fn_vec, the guard's
+    three rows and the relative first-integral drift, with numpy's
+    reductions over the components, which propagate NaN. The node pass on
+    Python floats must equal it bit for bit."""
+    from nkshoot.integrate import (COMPONENT_MAGNITUDE_MAX, LAMBDA_MIN,
+                                   MU2_MIN)
+    from nkshoot.state import _first_integrals
+    *integrals, _, lam2mu2, mu2 = _first_integrals(*y)
+    drift = np.abs(integrals).max(axis=0) / np.maximum(1.0, lam2mu2)
+    return [*(event.fn_vec(t, y) for event in events),
+            lam_sign * y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
+            COMPONENT_MAGNITUDE_MAX - np.abs(y).max(axis=0)], drift
+
+
+def reference_crossings(events, g, vals) -> np.ndarray:
+    """Boolean (rows, nodes) array: row i crosses into node j where its
+    values, g before the first node and the columns of vals after, change
+    sign in the direction its event allows (each guard row falls), a zero
+    counting for the interval it ends."""
+    direction = np.array([*(e.direction for e in events), -1, -1, -1])
+    V = np.column_stack((g, vals))
+    a, b, d = V[:, :-1], V[:, 1:], direction[:, None]
+    return ((a < 0.0) & (b >= 0.0) & (d >= 0)) | ((a > 0.0) & (b <= 0.0)
+                                                   & (d <= 0))
+
+
+def float_bits(xs) -> list[str]:
+    """The floats xs as hex strings, every NaN as 'nan': equal lists mean
+    equal bits, signed zeros included, NaN matching NaN."""
+    return [x.hex() if x == x else "nan" for x in map(float, xs)]
+
+
 @pytest.fixture(scope="session")
 def beta1_solve():
     """The homogeneous b = 1 family solve, shared across tests."""

@@ -6,12 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SQRT3, reference_advance, reference_table
-from nkshoot.errors import ConstraintDriftError, InvalidArgumentError
+from conftest import (SQRT3, float_bits, reference_advance,
+                      reference_crossings, reference_node_values,
+                      reference_table)
+from nkshoot.errors import (ConstraintDriftError, DegenerateStateError,
+                            InvalidArgumentError, StepSizeCollapseError)
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.geometry import count_v0_zeros
 from nkshoot.integrate import MAX_VOLUME_EVENT, EventSpec, integrate
-from nkshoot.series import handoff, series_psi_a, series_psi_b
+from nkshoot.series import _COMPONENTS, handoff, series_psi_a, series_psi_b
+from nkshoot.shoot import solve_family
 from nkshoot.state import State, apply_symmetry, constraints, rhs_vec
 
 
@@ -178,6 +182,19 @@ def test_first_event_stops_the_run():
     zeros = count_v0_zeros(full).zeros
     assert len(zeros) >= 2
     assert traj.t_end == zeros[0]
+
+
+def test_event_returning_a_list_is_accepted():
+    # fn_vec may return any array-like: an event that gives a Python list
+    # on the nodes stops the run where its ndarray twin does
+    _, start = handoff(series_psi_b(0.05))
+    as_array = EventSpec("v0-zero", fn_vec=lambda t, y: y[4])
+    as_list = EventSpec("v0-zero", fn_vec=lambda t, y: y[4].tolist())
+    ref = integrate(start, math.pi, events=(as_array,))
+    traj = integrate(start, math.pi, events=(as_list,))
+    assert traj.stopped_by == ref.stopped_by == "v0-zero"
+    assert traj.t_end == ref.t_end
+    assert np.array_equal(traj.states, ref.states)
 
 
 def test_trajectory_is_immutable():
@@ -412,3 +429,197 @@ def test_series_must_pass_through_start():
     other = series_psi_b(0.4 * (1 + 1e-9)).t_coeffs
     with pytest.raises(InvalidArgumentError, match="series misses start"):
         integrate(start, math.pi, series=other)
+
+
+def test_root_evaluates_each_end_once(monkeypatch):
+    # _root hands its two end values to bracketed_root, which does not
+    # evaluate them again: over the event, probe and guard roots of two
+    # solves and the v0 zeros of beta(0.05), each end is evaluated once
+    integ = sys.modules["nkshoot.integrate"]
+    geometry = sys.modules["nkshoot.geometry"]
+    root, ends = integ._root, []
+
+    def counted_root(g, lo, hi):
+        calls = []
+
+        def h(t):
+            calls.append(t)
+            return g(t)
+        out = root(h, lo, hi)
+        ends.append((calls.count(lo), calls.count(hi)))
+        return out
+
+    monkeypatch.setattr(integ, "_root", counted_root)
+    monkeypatch.setattr(geometry, "_root", counted_root)
+    solve_family("alpha", 0.5646)
+    solve_family("beta", 0.4)
+    count_v0_zeros(solve_family("beta", 0.05).traj)
+    assert len(ends) >= 4
+    assert set(ends) == {(1, 1)}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("i", range(7), ids=_COMPONENTS)
+def test_nonfinite_start_rejected(monkeypatch, value, i):
+    # rejected before any step, naming the component; the comparisons of
+    # the other start checks are all false on a NaN
+    def no_jet(*args, **kwargs):
+        raise AssertionError("_jet called")
+    monkeypatch.setattr(sys.modules["nkshoot.integrate"], "_jet", no_jet)
+    y = eval_named("sine-cone", 0.3).vec
+    y[i] = value
+    with pytest.raises(DegenerateStateError,
+                       match=f"start has {_COMPONENTS[i]} = "):
+        integrate(State.from_vec(0.3, y), 1.0, allow_unoriented=True)
+
+
+@pytest.mark.parametrize("row", [-2, -1], ids=["order-N-1", "order-N"])
+@pytest.mark.parametrize("i", range(7), ids=_COMPONENTS)
+def test_nan_in_the_last_two_jet_rows_stops_the_run(monkeypatch, row, i):
+    # a NaN anywhere in the two rows the step size reads gives a NaN step
+    # (a max that dropped it would give a finite one), so the run ends with
+    # the overflowed jet
+    integ = sys.modules["nkshoot.integrate"]
+    jet = integ._jet
+
+    def poisoned(y, order):
+        c = jet(y, order).copy()
+        c[row, i] = math.nan
+        return c
+
+    start = eval_named("sine-cone", 0.3)
+    order, tol = integ._order_and_tol(1e-12, 1e-12)
+    assert math.isnan(integ._step_size(poisoned(start.vec, order), tol))
+    monkeypatch.setattr(integ, "_jet", poisoned)
+    with pytest.raises(StepSizeCollapseError, match="overflowed"):
+        integrate(start, 1.0)
+
+
+def _check_step(nodes, args, out, refined) -> bool:
+    # one _NodePass.step call against the array oracle over all its planned
+    # nodes: drift, values at the last node walked (events and guard) and,
+    # where the oracle finds a crossing, the interval refined, one root per
+    # crossing row, and the row that ends the run. True on a crossing
+    integ = sys.modules["nkshoot.integrate"]
+    c, t0, t, y, g, h, *end = args
+    ts, ys, drift, last, hit = out
+    want_ts = t + h * integ._FRAC
+    if end and end[0] is not None:
+        want_ts[-1] = end[0]
+    want_ys = integ._poly_states(c, want_ts - t0)
+    vals, want_drift = reference_node_values(nodes.events, nodes.lam_sign,
+                                             want_ts, want_ys.T)
+    vals = np.array(vals)
+    cross = reference_crossings(nodes.events, g, vals)
+    if not cross.any():
+        assert hit is None and refined == []
+        assert np.array_equal(ts, want_ts) and np.array_equal(ys, want_ys)
+        assert float_bits(drift) == float_bits(want_drift)
+        assert float_bits(last) == float_bits(vals[:, -1])
+        return False
+    j = int(np.flatnonzero(cross.any(axis=0))[0])
+    rows = np.flatnonzero(cross[:, j]).tolist()
+    assert refined == [tuple([t, *want_ts.tolist()][j:j + 2])] * len(rows)
+    assert hit in rows
+    k = len(ts) - 1
+    assert np.array_equal(ts[:k], want_ts[:k])
+    assert np.array_equal(ys[:k], want_ys[:k])
+    hit_drift = reference_node_values((), 1.0, ts[k], ys[k])[1]
+    assert float_bits(drift) == float_bits([*want_drift[:k], hit_drift])
+    assert float_bits(last) == float_bits(vals[:, j])
+    return True
+
+
+def _recorded_steps(monkeypatch) -> list:
+    """(node pass, arguments, result, intervals refined) of every
+    _NodePass.step call from now on."""
+    integ = sys.modules["nkshoot.integrate"]
+    step, root = integ._NodePass.step, integ._root
+    calls, roots = [], []
+
+    def recorded_step(self, *args):
+        n = len(roots)
+        out = step(self, *args)
+        calls.append((self, args, out, roots[n:]))
+        return out
+
+    def recorded_root(g, lo, hi):
+        roots.append((lo, hi))
+        return root(g, lo, hi)
+
+    monkeypatch.setattr(integ._NodePass, "step", recorded_step)
+    monkeypatch.setattr(integ, "_root", recorded_root)
+    return calls
+
+
+def test_node_pass_equals_the_array_oracle_on_member_steps(monkeypatch):
+    # every step of 16 log-spaced members of each family, the probe's
+    # included, bit for bit
+    calls = _recorded_steps(monkeypatch)
+    for family, lo, hi in (("alpha", 0.05, 10.0), ("beta", 0.02, 3.0)):
+        for p in np.geomspace(lo, hi, 16):
+            solve_family(family, float(p))
+    hits = sum(_check_step(*call) for call in calls)
+    assert hits >= 32 and len(calls) > 4 * 32
+
+
+def test_node_pass_equals_the_array_oracle_on_random_steps(monkeypatch):
+    # steps on random linear polynomials with events on v0, v1 and v2 of
+    # every direction, values rounded to 0.1 so that nodes land on exact
+    # zeros, random values before the first node, and lambda < 0 with
+    # lam_sign = -1 in half of them; the states are not on shell, so the
+    # drift abort is off (the drift is still compared)
+    integ = sys.modules["nkshoot.integrate"]
+    monkeypatch.setattr(integ, "DRIFT_ABORT", math.inf)
+    rng = np.random.default_rng(11)
+    calls = _recorded_steps(monkeypatch)
+    events = [EventSpec(f"row-{k}-{d}", direction=d,
+                        fn_vec=lambda t, y, k=k: np.round(y[k], 1))
+              for k, d in ((4, 1), (5, -1), (6, 0))]
+    for _ in range(200):
+        y = eval_named("sine-cone", 0.8).vec
+        y[4:] = rng.uniform(-0.3, 0.3, 3)
+        lam_sign = rng.choice([-1.0, 1.0])
+        y[0] *= lam_sign
+        c = np.array([y, np.r_[0.0, 0.0, 0.0, 0.0, rng.normal(size=3)]])
+        nodes = integ._NodePass(rng.permutation(events), lam_sign)
+        g = [*np.round(rng.uniform(-0.3, 0.3, 3), 1),
+             *nodes.values(0.0, y)[0][3:]]
+        nodes.step(c, 0.0, 0.0, y, g, rng.uniform(0.05, 0.5))
+    hits = sum(_check_step(*call) for call in calls)
+    assert 50 <= hits < len(calls)
+
+
+def test_node_values_equal_the_array_oracle_at_random_states():
+    # one node at a time, as at the run's start and in root refinement,
+    # with components over eight decades and either sign of lambda
+    integ = sys.modules["nkshoot.integrate"]
+    rng = np.random.default_rng(7)
+    events = (MAX_VOLUME_EVENT, EventSpec("v0", lambda t, y: y[4], 1))
+    for _ in range(400):
+        y = rng.normal(size=7) * 10.0 ** rng.uniform(-4.0, 4.0, 7)
+        lam_sign = 1.0 if y[0] >= 0.0 else -1.0
+        got, drift = integ._NodePass(events, lam_sign).values(0.5, y)
+        want, want_drift = reference_node_values(events, lam_sign, 0.5, y)
+        assert float_bits([*got, drift]) == float_bits([*want, want_drift])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200,
+                                   0.0])
+@pytest.mark.parametrize("i", range(7), ids=_COMPONENTS)
+def test_node_values_on_nonfinite_states_equal_the_array_oracle(value, i):
+    # a NaN, an infinity or squares that overflow in one component, and in
+    # two with opposite signs: the float path raises nothing (no
+    # OverflowError or ZeroDivisionError, no warning) and keeps every NaN
+    # that numpy's max keeps
+    integ = sys.modules["nkshoot.integrate"]
+    for j in (None, (i + 3) % 7):
+        y = np.array([0.7, 0.2, 1.1, -0.9, 0.3, 1.2, -0.4])
+        y[i] = value
+        if j is not None:
+            y[j] = -value
+        got, drift = integ._NodePass((), 1.0).values(0.0, y)
+        with np.errstate(all="ignore"):
+            want, want_drift = reference_node_values((), 1.0, 0.0, y)
+        assert float_bits([*got, drift]) == float_bits([*want, want_drift])

@@ -48,7 +48,7 @@ def check_root(f, lo, hi, xtol, rtol) -> None:
     more on cubic, exp and double-root-shift); at xtol = rtol = 0 the point
     and one of its float neighbours bracket the sign change."""
     g, calls = counted(f)
-    root = bracketed_root(g, lo, hi, xtol, rtol)
+    root = bracketed_root(g, lo, hi, g(lo), g(hi), xtol, rtol)
     h, ref_calls = counted(f)
     ref = optimize.brentq(h, lo, hi, xtol=1e-300, rtol=4 * EPS)
     scale = max(abs(root), abs(ref))
@@ -87,17 +87,33 @@ def test_matches_scipy_on_random_brackets():
 def test_exact_zero_at_an_end_returns_it():
     for lo, hi in ((1.0, 3.0), (-1.0, 1.0)):
         ours, our_calls = counted(lambda x: x - 1.0)
-        assert bracketed_root(ours, lo, hi, EPS, 4 * EPS) == 1.0
+        assert bracketed_root(ours, lo, hi, ours(lo), ours(hi),
+                              EPS, 4 * EPS) == 1.0
         assert len(our_calls) == 2
 
 
 def test_errors(monkeypatch):
     with pytest.raises(ValueError, match="same sign"):
-        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="NaN"):
-        bracketed_root(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0,
-                       0.0, 0.0)
+        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, 0.0, 0.0)
+    # a NaN inside the bracket, where the first new point (its middle) lands
+    with pytest.raises(ValueError, match=r"f\(0.5\) is NaN"):
+        bracketed_root(lambda x: math.nan if x == 0.5 else x - 0.6, 0.0, 1.0,
+                       -0.6, 0.4, 0.0, 0.0)
     # cos(x) - x takes 6 new points to adjacent floats
     monkeypatch.setattr(sys.modules["nkshoot.integrate"], "ROOT_MAXITER", 3)
     with pytest.raises(RuntimeError, match="after 3 points"):
-        bracketed_root(lambda x: math.cos(x) - x, 0.0, 1.0, 0.0, 0.0)
+        bracketed_root(lambda x: math.cos(x) - x, 0.0, 1.0,
+                       1.0, math.cos(1.0) - 1.0, 0.0, 0.0)
+
+
+def test_end_values_are_not_evaluated_again_and_are_checked():
+    # f(lo) and f(hi) come from the caller: f is called only inside the
+    # bracket, and a NaN among them is rejected as an evaluated one is
+    def f(x):
+        return math.cos(x) - x
+    ours, calls = counted(f)
+    bracketed_root(ours, 0.0, 1.0, f(0.0), f(1.0), 0.0, 0.0)
+    assert calls and all(0.0 < x < 1.0 for x in calls)
+    for ends in ((math.nan, f(1.0)), (f(0.0), math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            bracketed_root(f, 0.0, 1.0, *ends, 0.0, 0.0)

@@ -156,8 +156,9 @@ def count_solves(monkeypatch) -> list[tuple]:
 
 
 def test_find_doubling_solves_each_member_once(monkeypatch):
-    # bracketed_root evaluates the bracket ends again and returns a point it
-    # has evaluated, so every family member is solved once, the root included
+    # bracketed_root takes the bracket ends' values from the search and
+    # returns a point it has evaluated, so every family member is solved
+    # once, the root included
     calls = count_solves(monkeypatch)
     sol = find_doubling("beta", (0.2, 0.6), "v0")
     assert abs(sol.param_left - 0.3736) < 0.002
