@@ -12,10 +12,10 @@ STEP_SAMPLES interior points as nodes. One pass over a step's nodes
 (_NodePass) gives the events' values, one vectorised call each, and, node
 by node on Python floats, the guard's and the first-integral drift. Events
 and guards are sign changes over the nodes; the walk stops at the first,
-refined by bracketed_root to adjacent floats on the step polynomial's
-state, and the earliest ends the run. Dense output: the step polynomials.
-The drift is recorded at every node and above 1e-6 aborts the run; drift is
-monitored, not projected.
+refined on its row's function alone (an event's fn_vec) by bracketed_root
+to adjacent floats on the step polynomial's state; the earliest ends the
+run. Dense output: the step polynomials. The drift is recorded at every
+node and above 1e-6 aborts the run; drift is monitored, not projected.
 """
 from __future__ import annotations
 
@@ -111,6 +111,11 @@ class _NodePass:
         return self._node([float(event.fn_vec(t, y)) for event in self.events],
                           y.tolist())
 
+    def value(self, i: int, t: float, y: np.ndarray) -> float:
+        """Row i of values(t, y)[0]; an event's row from its fn_vec alone."""
+        return (float(self.events[i].fn_vec(t, y)) if i < len(self.events)
+                else self.values(t, y)[0][i])
+
     def _node(self, vals: list, y: list) -> tuple[list, float]:
         """vals, the events' values at the node with the seven floats y, and
         the guard's after them; the drift there (ConstraintVector.rel_drift),
@@ -148,8 +153,8 @@ class _NodePass:
             g = vals
             if cross:
                 lo, hi = times[j:j + 2]
-                t_hit, hit = min((_root(lambda s, i=i: self.values(
-                    s, _poly_states(c, s - t0))[0][i], lo, hi), i)
+                t_hit, hit = min((_root(lambda s, i=i: self.value(
+                    i, s, _poly_states(c, s - t0)), lo, hi), i)
                     for i in cross)
                 k = int(np.searchsorted(ts, t_hit))
                 y_hit = _poly_states(c, t_hit - t0)

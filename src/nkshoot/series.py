@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -65,6 +65,7 @@ HANDOFF_TAIL_TOL = 1e-12
 COND_LIMIT = 1e8
 
 _COMPONENTS = ("lam", "u0", "u1", "u2", "v0", "v1", "v2")
+_arange = cache(np.arange)      # one exponent vector per length: read only
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +93,16 @@ def _pint(a: np.ndarray) -> np.ndarray:
 
 
 def _horner(c: np.ndarray, x: float) -> float:
-    r = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        r = r * x + c[k]
-    return float(r)
+    r, x = 0.0, float(x)
+    for ck in reversed(c.tolist()):
+        r = r * x + ck
+    return r
 
 
 def _poly_states(c: np.ndarray, tau):
     """Step polynomial with coefficient rows c at offset tau: a 7-vector for
     a scalar tau, a (len(tau), 7) array for an array."""
-    return np.power.outer(tau, np.arange(len(c), dtype=float)) @ c
+    return np.power.outer(tau, _arange(len(c), dtype=float)) @ c
 
 
 def _step_size(c: np.ndarray, tol: float) -> float:
@@ -113,7 +114,8 @@ def _step_size(c: np.ndarray, tol: float) -> float:
     It sets every integrator step and, at HANDOFF_TAIL_TOL on a series'
     t-rows, the handoff's reach (see handoff)."""
     n = len(c) - 1
-    y0, *last = np.max(np.abs(c[[0, n - 1, n]]), axis=1).tolist()
+    y0, *last = [math.nan if math.isnan(sum(a)) else max(a) for a in
+                 (list(map(abs, c[k].tolist())) for k in (0, n - 1, n))]
     scale = max(1.0, y0)
     rho = math.inf
     for k, ck in zip((n - 1, n), last):
@@ -612,10 +614,10 @@ class SeriesSolution:
         for k in range(1, n):
             phi[k] = -np.dot(q[1:k + 1], phi[k - 1::-1]) * phi[0]
         dY = Y[1:] * np.arange(1.0, n + 1)[:, None]
-        out, power = Y.copy(), phi
+        out = Y.copy()
         for k in range(1, n + 1):
+            power = np.convolve(power, phi)[:n] if k > 1 else phi
             out[k] = power[k - 1::-1] @ dY[:k] / k
-            power = np.convolve(power, phi)[:n]
         return out
 
     def components_at(self, x: float) -> np.ndarray:
@@ -636,9 +638,10 @@ def volume_coeffs(lam: np.ndarray, u0: np.ndarray, u1: np.ndarray,
 
 
 def poly_integral(c: np.ndarray, lo: float, hi: float) -> float:
-    """Exact integral over [lo, hi] of the polynomial with coefficients c."""
+    """Exact integral over [lo, hi] of the polynomial with coefficients c;
+    at lo = 0, P(hi) alone: P(0) = 0, and a non-finite P is so at hi too."""
     P = _pint(c)
-    return _horner(P, hi) - _horner(P, lo)
+    return _horner(P, hi) - (_horner(P, lo) if lo else 0.0)
 
 
 def eval_series(sol: SeriesSolution, x: float) -> tuple[State, float]:

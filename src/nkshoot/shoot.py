@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -61,7 +61,7 @@ _REFLECTIONS = {"w1": (-1.0, 1.0), "w2": (1.0, -1.0), "none": (1.0, 1.0)}
 class FamilySolve:
     """One half of a complete solution: the series, its handoff, the
     trajectory up to the maximal-volume event, the event record, and the
-    volume integral over [0, T]."""
+    volume integral over [0, T], computed on first read."""
 
     family: str
     param: float
@@ -69,7 +69,13 @@ class FamilySolve:
     t_star: float
     traj: Trajectory
     record: MaxOrbitRecord
-    vol_integral: float
+
+    @cached_property
+    def vol_integral(self) -> float:
+        """Integral of V = lambda mu^2: series t-rows to t*, steps to T."""
+        rows, t_star = self.series.t_coeffs, self.t_star
+        return (poly_integral(volume_coeffs(*rows.T[:4]), 0.0, t_star)
+                + _ode_volume_integral(self.traj, t_star, self.record.T))
 
     def state_at(self, t: float) -> State:
         """Profile on [0, T]: the series' t-rows up to the handoff t*, dense
@@ -97,10 +103,8 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
     event_state = State.from_vec(T, traj.states[-1])
     record = MaxOrbitRecord.from_state(family, param, T, event_state)
     _confirm_unique_maximum(traj, rtol, atol)
-    vol = (poly_integral(volume_coeffs(*sol.t_coeffs.T[:4]), 0.0, t_star)
-           + _ode_volume_integral(traj, t_star, T))
     return FamilySolve(family=family, param=param, series=sol, t_star=t_star,
-                       traj=traj, record=record, vol_integral=vol)
+                       traj=traj, record=record)
 
 
 def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:

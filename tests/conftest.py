@@ -207,6 +207,42 @@ def reference_crossings(events, g, vals) -> np.ndarray:
                                                    & (d <= 0))
 
 
+def reference_horner(c, x) -> float:
+    """series._horner on numpy scalars, as it was before it ran on Python
+    floats: r = r * x + c[k] from the top coefficient down, r = 0.0 first.
+    The float version must equal it bit for bit, NaN and infinities
+    included."""
+    r = 0.0
+    with np.errstate(all="ignore"):
+        for k in range(len(c) - 1, -1, -1):
+            r = r * x + c[k]
+    return float(r)
+
+
+def reference_poly_integral(c, lo, hi) -> float:
+    """series.poly_integral as it was: P(hi) - P(lo) by reference_horner,
+    P the antiderivative of c with P(0) = 0, evaluated at lo = 0 too."""
+    from nkshoot.series import _pint
+    P = _pint(c)
+    return reference_horner(P, hi) - reference_horner(P, lo)
+
+
+def reference_step_size(c, tol: float) -> float:
+    """series._step_size as it was, with each row's max|c_k| from np.max,
+    which propagates NaN. The float version must equal it bit for bit."""
+    n = len(c) - 1
+    y0, *last = np.max(np.abs(c[[0, n - 1, n]]), axis=1).tolist()
+    scale = max(1.0, y0)
+    rho = math.inf
+    for k, ck in zip((n - 1, n), last):
+        ck /= scale
+        if ck > 0.0:
+            rho = min(rho, ck ** (-1.0 / k))
+        elif ck != 0.0:
+            return math.nan
+    return rho * tol ** (1.0 / n)
+
+
 def float_bits(xs) -> list[str]:
     """The floats xs as hex strings, every NaN as 'nan': equal lists mean
     equal bits, signed zeros included, NaN matching NaN."""

@@ -74,3 +74,24 @@ def test_workload_calls_bind():
                                    **{kw.arg: None for kw in node.keywords})
         calls += 1
     assert calls >= 6
+
+
+def test_volume_read_calls_the_traced_quadrature(monkeypatch):
+    # the volume is computed on first read of FamilySolve.vol_integral; it
+    # must call the module global that the shoot.volume_quad span wraps, so
+    # that the span keeps counting every quadrature
+    _, module, attr, _ = next(span for span in _layer_spans()
+                              if span[0] == "shoot.volume_quad")
+    owner, calls = importlib.import_module(module), []
+    original = getattr(owner, attr)
+
+    def wrapped(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, attr, wrapped)
+    fs = shoot.solve_family("beta", 0.6)
+    assert calls == []
+    assert fs.vol_integral > 0.0
+    assert len(calls) == 1 and calls[0][0] is fs.traj
+    assert calls[0][1:] == (fs.t_star, fs.record.T)

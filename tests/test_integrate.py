@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (SQRT3, float_bits, reference_advance,
                       reference_crossings, reference_node_values,
-                      reference_table)
+                      reference_step_size, reference_table)
 from nkshoot.errors import (ConstraintDriftError, DegenerateStateError,
                             InvalidArgumentError, StepSizeCollapseError)
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
@@ -478,29 +478,56 @@ def test_nonfinite_start_rejected(monkeypatch, value, i):
 @pytest.mark.parametrize("i", range(7), ids=_COMPONENTS)
 def test_nan_in_the_last_two_jet_rows_stops_the_run(monkeypatch, row, i):
     # a NaN anywhere in the two rows the step size reads gives a NaN step
-    # (a max that dropped it would give a finite one), so the run ends with
+    # (a max that dropped it would give a finite one) and an infinity there
+    # a zero step, as np.max's row maxima give them, so the run ends with
     # the overflowed jet
     integ = sys.modules["nkshoot.integrate"]
     jet = integ._jet
-
-    def poisoned(y, order):
-        c = jet(y, order).copy()
-        c[row, i] = math.nan
-        return c
-
     start = eval_named("sine-cone", 0.3)
     order, tol = integ._order_and_tol(1e-12, 1e-12)
-    assert math.isnan(integ._step_size(poisoned(start.vec, order), tol))
-    monkeypatch.setattr(integ, "_jet", poisoned)
-    with pytest.raises(StepSizeCollapseError, match="overflowed"):
-        integrate(start, 1.0)
+    for value, step in ((math.nan, math.nan), (math.inf, 0.0),
+                        (-math.inf, 0.0)):
+        def poisoned(y, order, value=value):
+            c = jet(y, order).copy()
+            c[row, i] = value
+            return c
+
+        c = poisoned(start.vec, order)
+        assert float_bits([integ._step_size(c, tol)]) == float_bits(
+            [reference_step_size(c, tol)]) == float_bits([step])
+        monkeypatch.setattr(integ, "_jet", poisoned)
+        with pytest.raises(StepSizeCollapseError, match="overflowed"):
+            integrate(start, 1.0)
 
 
-def _check_step(nodes, args, out, refined) -> bool:
+def test_step_size_equals_the_numpy_max_version_on_member_jets(monkeypatch):
+    # every step size of 8 members of each family, the handoff's reach on
+    # the series' t-rows and each step's on a jet or the series, bit for bit
+    integ, series = sys.modules["nkshoot.integrate"], sys.modules[
+        "nkshoot.series"]
+    step_size, calls = integ._step_size, []
+
+    def recorded(c, tol):
+        calls.append((c, tol, step_size(c, tol)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(integ, "_step_size", recorded)
+    monkeypatch.setattr(series, "_step_size", recorded)
+    for family, lo, hi in (("alpha", 0.05, 10.0), ("beta", 0.02, 3.0)):
+        for p in np.geomspace(lo, hi, 8):
+            solve_family(family, float(p))
+    assert len(calls) > 4 * 16
+    for c, tol, h in calls:
+        assert float_bits([h]) == float_bits([reference_step_size(c, tol)])
+
+
+def _check_step(nodes, args, out, refined, root) -> bool:
     # one _NodePass.step call against the array oracle over all its planned
     # nodes: drift, values at the last node walked (events and guard) and,
     # where the oracle finds a crossing, the interval refined, one root per
-    # crossing row, and the row that ends the run. True on a crossing
+    # crossing row, each equal to root's refinement through values (the
+    # whole node's rows, events and guard), and the row that ends the run.
+    # True on a crossing
     integ = sys.modules["nkshoot.integrate"]
     c, t0, t, y, g, h, *end = args
     ts, ys, drift, last, hit = out
@@ -520,9 +547,14 @@ def _check_step(nodes, args, out, refined) -> bool:
         return False
     j = int(np.flatnonzero(cross.any(axis=0))[0])
     rows = np.flatnonzero(cross[:, j]).tolist()
-    assert refined == [tuple([t, *want_ts.tolist()][j:j + 2])] * len(rows)
-    assert hit in rows
+    interval = tuple([t, *want_ts.tolist()][j:j + 2])
+    assert [r[:2] for r in refined] == [interval] * len(rows)
+    for (lo, hi, t_hit), i in zip(refined, rows):
+        want = root(lambda s: nodes.values(
+            s, integ._poly_states(c, s - t0))[0][i], lo, hi)
+        assert float_bits([t_hit]) == float_bits([want])
     k = len(ts) - 1
+    assert (ts[k], hit) == min((r[2], i) for r, i in zip(refined, rows))
     assert np.array_equal(ts[:k], want_ts[:k])
     assert np.array_equal(ys[:k], want_ys[:k])
     hit_drift = reference_node_values((), 1.0, ts[k], ys[k])[1]
@@ -532,8 +564,8 @@ def _check_step(nodes, args, out, refined) -> bool:
 
 
 def _recorded_steps(monkeypatch) -> list:
-    """(node pass, arguments, result, intervals refined) of every
-    _NodePass.step call from now on."""
+    """(node pass, arguments, result, (lo, hi, root) of each refinement,
+    the unrecorded _root) of every _NodePass.step call from now on."""
     integ = sys.modules["nkshoot.integrate"]
     step, root = integ._NodePass.step, integ._root
     calls, roots = [], []
@@ -541,12 +573,12 @@ def _recorded_steps(monkeypatch) -> list:
     def recorded_step(self, *args):
         n = len(roots)
         out = step(self, *args)
-        calls.append((self, args, out, roots[n:]))
+        calls.append((self, args, out, roots[n:], root))
         return out
 
     def recorded_root(g, lo, hi):
-        roots.append((lo, hi))
-        return root(g, lo, hi)
+        roots.append((lo, hi, root(g, lo, hi)))
+        return roots[-1][-1]
 
     monkeypatch.setattr(integ._NodePass, "step", recorded_step)
     monkeypatch.setattr(integ, "_root", recorded_root)

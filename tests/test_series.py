@@ -6,14 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (SQRT3, plain_dot, reference_advance, reference_table,
-                      s_of_time, s_radius, with_top_lambda)
+from conftest import (SQRT3, float_bits, plain_dot, reference_advance,
+                      reference_horner, reference_poly_integral,
+                      reference_table, s_of_time, s_radius, with_top_lambda)
 from nkshoot.errors import (OutOfRadiusError, ResonanceError,
                             SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
 from nkshoot.integrate import _order_and_tol
-from nkshoot.series import (COND_LIMIT, SingularIVP, _Program, _poly_states,
-                            _step_size, eval_series, family_series, handoff,
+from nkshoot.series import (COND_LIMIT, SingularIVP, _Program, _horner,
+                            _poly_states, _step_size, eval_series,
+                            family_series, handoff, poly_integral,
                             recurrence_residuals, s2_problem,
                             s3_bubble_problem, series_bubble_a,
                             series_bubble_b, series_psi_a, series_psi_b,
@@ -517,3 +519,61 @@ def test_bubble_a_is_coefficient_rescaling():
     st, _ = eval_series(base, a * t_tilde)
     expect = st.vec / np.array([a, a * a, a * a, a * a, a**3, a**3, a**3])
     assert np.max(np.abs(st_b.vec - expect)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# polynomial helpers against their numpy-scalar versions (conftest)
+
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+def _random_coefficients(rng, special: bool) -> np.ndarray:
+    """Random coefficients over sixteen decades, of length 1 to 30; with
+    special, a few entries are signed zeros, infinities or NaN."""
+    c = rng.normal(size=rng.integers(1, 31)) * 10.0 ** rng.uniform(-8, 8)
+    if special:
+        for k in rng.integers(0, len(c), rng.integers(1, 4)):
+            c[k] = _SPECIAL[rng.integers(len(_SPECIAL))]
+    return c
+
+
+def test_horner_equals_the_numpy_scalar_version():
+    # random arrays with and without special entries, at random points and
+    # at +-0, +-inf and NaN, as Python and as numpy floats
+    rng = np.random.default_rng(3)
+    for _ in range(600):
+        c = _random_coefficients(rng, special=rng.random() < 0.5)
+        for x in (*_SPECIAL, *rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)):
+            for arg in (float(x), np.float64(x)):
+                got = _horner(c, arg)
+                assert type(got) is float
+                assert float_bits([got]) == float_bits(
+                    [reference_horner(c, arg)])
+
+
+def test_poly_integral_from_zero_equals_the_two_horner_version():
+    # at lo = 0 the integral skips P(0), which is +0.0 for finite
+    # coefficients; a non-finite polynomial still gives a non-finite value
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        c = _random_coefficients(rng, special=False)
+        for hi in (0.0, -0.0, *rng.normal(size=3) * 10.0 ** rng.uniform(-3, 1)):
+            for lo in (0.0, -0.0, np.float64(0.0), 0.25 * hi):
+                got = poly_integral(c, lo, hi)
+                assert float_bits([got]) == float_bits(
+                    [reference_poly_integral(c, lo, hi)])
+        bad = _random_coefficients(rng, special=True)
+        if not np.isfinite(bad).all():
+            assert not math.isfinite(poly_integral(bad, 0.0, 0.3))
+            assert not math.isfinite(poly_integral(bad, 0.0, 0.0))
+
+
+def test_poly_states_equals_a_fresh_exponent_product():
+    # the exponent vector shared per length gives the same states, scalar
+    # and array offsets alike, and stays unchanged by use
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 25, 42, 25):
+        c = rng.normal(size=(n, 7))
+        for tau in (0.0, 0.37, np.float64(-0.2), rng.uniform(-1, 1, 8)):
+            want = np.power.outer(tau, np.arange(n, dtype=float)) @ c
+            assert np.array_equal(_poly_states(c, tau), want)

@@ -9,14 +9,15 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SQRT2, SQRT3
-from nkshoot import series, shoot
+from conftest import SQRT2, SQRT3, float_bits, reference_poly_integral
+from nkshoot import cli, series, shoot
 from nkshoot.errors import (DegenerateStateError, EventNotFoundError,
                             JunctionMismatchError, NKError, NoSignChangeError,
                             RefinementStallError)
 from nkshoot.exact import eval_named
 from nkshoot.integrate import (MAX_VOLUME_EVENT, _order_and_tol,
                                _step_size, integrate)
+from nkshoot.series import volume_coeffs
 from nkshoot.shoot import (find_doubling, find_matching, glue,
                            junction_derivative_gap, matching_candidates,
                            max_orbit, refine_matching, scan_s2s4_boundary,
@@ -253,6 +254,100 @@ def test_find_matching_solves_each_member_once(monkeypatch):
     sol = find_matching((1.2, 2.4), (1.05, 1.9), n_samples=8)
     assert abs(sol.param_left - SQRT3) < 1e-6
     assert len(calls) == len(set(calls))
+
+
+def count_volume_quadratures(monkeypatch) -> list[tuple]:
+    """The arguments of every shoot._ode_volume_integral call from now on."""
+    calls = []
+    original = shoot._ode_volume_integral
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(shoot, "_ode_volume_integral", counted)
+    return calls
+
+
+def test_volume_is_integrated_on_first_read(monkeypatch):
+    # solve_family leaves the volume to its first read, which caches it;
+    # a doubling reads its one member once, a matching each of its two
+    calls = count_volume_quadratures(monkeypatch)
+    fs = solve_family("beta", 0.599)
+    assert calls == []
+    vol = fs.vol_integral
+    assert float_bits([fs.vol_integral]) == float_bits([vol])
+    assert len(calls) == 1
+    calls.clear()
+    sol = find_doubling("beta", (0.9, 1.1), "u0")
+    assert sol.left is sol.right and len(calls) == 1
+    calls.clear()
+    find_matching((1.2, 2.4), (1.05, 1.9), n_samples=8)
+    assert len(calls) == 2
+
+
+def eager_volume(fs) -> float:
+    """The volume as solve_family integrated it for every member before it
+    was computed on first read, with the numpy-scalar poly_integral: the
+    series' t-rows over [0, t*] plus, step by step, each step's V
+    polynomial over its part of [t*, T]."""
+    T, steps = fs.traj.times[-1], fs.traj.dense
+    ode = 0.0
+    for t0, t1, c in zip(steps.starts, [*steps.starts[1:], fs.traj.t_end],
+                         steps.coeffs):
+        lo, hi = max(fs.t_star, t0), min(T, t1)
+        if lo < hi:
+            ode += reference_poly_integral(volume_coeffs(*c.T[:4]), lo - t0,
+                                           hi - t0)
+    return (reference_poly_integral(volume_coeffs(*fs.series.t_coeffs.T[:4]),
+                                    0.0, fs.t_star) + ode)
+
+
+def test_lazy_volume_equals_the_eager_expression():
+    for family, lo, hi in (("alpha", 0.05, 10.0), ("beta", 0.02, 3.0)):
+        for p in np.geomspace(lo, hi, 16):
+            fs = solve_family(family, float(p))
+            assert float_bits([fs.vol_integral]) == float_bits(
+                [eager_volume(fs)])
+
+
+def test_table2_volumes_agree_with_an_independent_scipy_path():
+    # each solved row's halves again, sharing only the series (criterion 2,
+    # recurrence_residuals) and rhs_vec (verify): the t-rows up to a
+    # shorter handoff 0.03 min(1, p), SciPy's DOP853 to the falling zero of
+    # g, and quad of V = lambda mu^2 over the rows and the dense output
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    polyval = np.polynomial.polynomial.polyval
+
+    def volume(y):
+        lam, u0, u1, u2 = y[:4]
+        return lam * (u1 * u1 + u2 * u2 - u0 * u0)
+
+    def event(t, y):
+        return 2.0 * y[0] ** 4 * y[2] - 3.0 * y[3] * y[6]
+    event.terminal, event.direction = True, -1
+
+    def quad(f, a, b):
+        return scipy_integrate.quad(f, a, b, epsabs=1e-14, epsrel=1e-13,
+                                    limit=200)[0]
+
+    def half(fs):
+        """(T, volume integral over [0, T]) of one family solve."""
+        rows, t_h = fs.series.t_coeffs, 0.03 * min(1.0, fs.param)
+        run = scipy_integrate.solve_ivp(
+            rhs_vec, (t_h, math.pi), polyval(t_h, rows), method="DOP853",
+            rtol=1e-13, atol=1e-14, events=event, dense_output=True)
+        T = run.t_events[0][0]
+        return T, (quad(lambda t: volume(polyval(t, rows)), 0.0, t_h)
+                   + quad(lambda t: volume(run.sol(t)), t_h, T))
+
+    for target in cli._TARGETS:
+        sol = cli._solve_target(target, series.DEFAULT_ORDER, 1e-12, 1e-12)
+        left = half(sol.left)
+        right = left if sol.right is sol.left else half(sol.right)
+        assert abs(left[0] + right[0] - sol.T_total) < 1e-12
+        assert abs((left[1] + right[1]) / shoot.S6_STD_TOTAL_VOLUME
+                   - sol.vol) < 1e-12
 
 
 @pytest.mark.parametrize("family, param", [("beta", 0.599),
