@@ -20,13 +20,13 @@ from .shoot import (CompleteSolution, Curve, FamilySolve, find_doubling,
                     find_matching, glue, max_orbit, scan_s2s4_boundary,
                     solve_family, trace_curve)
 from .state import (ConstraintVector, State, Symmetry, apply_symmetry,
-                    constraints, lambda_dot_alt, rhs)
+                    constraints, rhs)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NKError", "State", "ConstraintVector", "Symmetry", "constraints",
-    "rhs", "lambda_dot_alt", "apply_symmetry",
+    "rhs", "apply_symmetry",
     "SingularIVP", "SeriesSolution", "solve_singular_ivp", "series_psi_a",
     "series_psi_b", "series_bubble_a", "series_bubble_b", "eval_series",
     "handoff",

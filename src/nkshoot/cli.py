@@ -99,7 +99,7 @@ def build_parser(config: dict[str, str] | None = None,
     def common(sp):
         for flag in ("--rtol", "--atol"):
             sp.add_argument(flag, type=float, default=1e-12,
-                            help="integrator tolerance")
+                            help="the integrator uses only min(rtol, atol)")
         sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
                         help="series truncation order")
         sp.add_argument("--out", default=None, help="output file path")

@@ -60,7 +60,7 @@ def trajectory_rows(traj: Trajectory):
     for t, y in zip(traj.times, traj.states):
         st = State.from_vec(t, y)
         c = constraints(st)
-        V, l = volume_and_mean_curvature(st, check=False)
+        V, l = volume_and_mean_curvature(st)
         yield [t, *y, c.I1, c.I2, c.I3, c.I4, V, l]
 
 

@@ -57,8 +57,7 @@ class BoundViolationError(NKError):
 
 
 class BoundaryAmbiguousError(NKError):
-    """A root or count sits on the boundary tolerance (e.g. the excluded
-    Sasaki-Einstein point, or v0(T) below the on-boundary tolerance)."""
+    """A doubling root lands on the excluded Sasaki-Einstein point."""
 
 
 class NoSignChangeError(NKError):

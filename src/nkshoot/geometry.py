@@ -18,16 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (BoundaryAmbiguousError, BoundViolationError,
-                     DegenerateStateError)
+from .errors import BoundViolationError, DegenerateStateError
 from .integrate import Trajectory, _root
-from .state import LAMBDA_MIN, MU2_MIN, State, constraints, rhs
+from .state import LAMBDA_MIN, MU2_MIN, State
 
 BOUNDARY_TOL = 1e-7       # on-boundary classification, after normalizing by mu
-L_AGREE_RTOL = 1e-9
-CONSTRAINT_OK = 1e-8      # treat a state as on-shell below this relative drift
-WEDGE_TOL = 1e-7
-HYPERBOLOID_TOL = 1e-8
 COMPARISON_TOL = 1e-8     # relative slack allowed in the comparison bounds
 
 
@@ -37,11 +32,8 @@ def _require_admissible(s: State) -> None:
             f"degenerate state at t = {s.t}: lambda = {s.lam}, mu^2 = {s.mu2}")
 
 
-def volume_and_mean_curvature(s: State, check: bool = True) -> tuple[float, float]:
-    """(V, l) with l = V'/V computed from the evolution equations; on
-    constraint-satisfying states the independent matrix-entry formula
-    l = 2 x1/y1 - 3 y2/x2 must agree to relative 1e-9 (checked when the
-    state is on shell and check=True)."""
+def volume_and_mean_curvature(s: State) -> tuple[float, float]:
+    """(V, l) with l = V'/V computed from the evolution equations."""
     _require_admissible(s)
     lam = s.lam
     mu2 = s.mu2
@@ -49,25 +41,7 @@ def volume_and_mean_curvature(s: State, check: bool = True) -> tuple[float, floa
     v2 = s.v[2]
     V = lam * mu2
     l = 4 * lam * u1 / mu2 - (2 * lam ** 4 * u1 + 3 * u2 * v2) / (lam ** 3 * mu2)
-    if check and constraints(s).rel_drift(s) < CONSTRAINT_OK:
-        l_alt = mean_curvature_matrix_form(s)
-        scale = max(1.0, abs(l))
-        if abs(l - l_alt) > 1e3 * L_AGREE_RTOL * scale:
-            raise AssertionError(
-                f"mean-curvature paths disagree: {l} vs {l_alt} at t = {s.t}")
     return V, l
-
-
-def mean_curvature_matrix_form(s: State) -> float:
-    """l = 2 x1/y1 - 3 y2/x2 after the change of variables (independent
-    evaluation path; exact only on constraint-satisfying states)."""
-    _require_admissible(s)
-    mu = s.mu
-    x1 = s.u[1] / mu
-    y1 = mu / s.lam
-    y2 = s.v[2] / (s.lam * mu)
-    x2 = -s.lam
-    return 2 * x1 / y1 - 3 * y2 / x2
 
 
 def project_H(s: State) -> tuple[float, float, float]:
@@ -128,7 +102,7 @@ class BohmValue:
 
 
 def bohm(s: State) -> BohmValue:
-    V, l = volume_and_mean_curvature(s, check=False)
+    V, l = volume_and_mean_curvature(s)
     scal = scalar_curvature(s)
     l0sq = traceless_L_norm2(s)
     w = V ** 0.4
@@ -157,10 +131,10 @@ class MaxOrbitRecord:
     @classmethod
     def from_state(cls, family: str, param: float, T: float,
                    state: State) -> "MaxOrbitRecord":
-        w = project_H(state)
+        V, l = volume_and_mean_curvature(state)
         return cls(family=family, param=param, T=T, state=state,
-                   lam=state.lam, mu=state.mu, w=w, Vmax=state.volume,
-                   B=bohm(state).B)
+                   lam=state.lam, mu=state.mu, w=project_H(state), Vmax=V,
+                   B=V ** 0.4 * (20.0 + l * l))
 
     @property
     def h_point(self) -> tuple[float, float]:
@@ -175,30 +149,6 @@ class MaxOrbitRecord:
     def on_boundary_lambda_one(self) -> bool:
         """u0(T) = 0 boundary (lambda = 1 side of the wedge)."""
         return abs(self.state.u[0]) / self.mu < BOUNDARY_TOL
-
-    def validate(self) -> None:
-        """Assert wedge membership, hyperboloid normalization and the
-        boundary correspondences."""
-        if not (self.mu >= self.lam - WEDGE_TOL
-                and self.lam >= 1.0 - WEDGE_TOL):
-            raise BoundViolationError(
-                f"wedge violation: (lambda, mu) = ({self.lam}, {self.mu}) "
-                f"for {self.family}({self.param})")
-        w0, w1, w2 = self.w
-        norm = w0 * w0 - w1 * w1 - w2 * w2
-        if abs(norm - 1.0) > HYPERBOLOID_TOL or w0 <= 0:
-            raise BoundViolationError(
-                f"hyperboloid normalization violated: |w|^2 = {norm}, w0 = {w0}")
-        u0_small = abs(self.state.u[0]) < BOUNDARY_TOL * self.mu
-        if (abs(w2) < BOUNDARY_TOL) != u0_small:
-            raise BoundViolationError(
-                f"boundary dictionary violated: |w2| = {abs(w2)}, "
-                f"|u0|/mu = {abs(self.state.u[0]) / self.mu}")
-        v0_small = abs(self.state.v[0]) < BOUNDARY_TOL * self.mu
-        if (abs(w1) < BOUNDARY_TOL) != v0_small:
-            raise BoundViolationError(
-                f"boundary dictionary violated: |w1| = {abs(w1)}, "
-                f"|v0|/mu = {abs(self.state.v[0]) / self.mu}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +189,6 @@ def count_v0_zeros(traj: Trajectory) -> ZeroCount:
                      boundary_ambiguous=ambiguous)
 
 
-def require_unambiguous(zc: ZeroCount) -> int:
-    if zc.boundary_ambiguous:
-        raise BoundaryAmbiguousError(
-            "v0(T) below the on-boundary tolerance; zero count is ambiguous")
-    return zc.count
-
-
 # ---------------------------------------------------------------------------
 # comparison bounds
 
@@ -269,7 +212,7 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
     Violations beyond COMPARISON_TOL (relative) raise BoundViolationError.
     """
     start = traj.node_states()[0]
-    V0, l0 = volume_and_mean_curvature(start, check=False)
+    V0, l0 = volume_and_mean_curvature(start)
     t0 = math.atan2(5.0, l0)
     min_l_slack = math.inf
     min_v_slack = math.inf
@@ -281,7 +224,7 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
         if arg >= math.pi:
             raise BoundViolationError(
                 f"existence bound violated: elapsed + t0 = {arg} >= pi")
-        V, l = volume_and_mean_curvature(st, check=False)
+        V, l = volume_and_mean_curvature(st)
         l_bound = 5.0 * math.cos(arg) / math.sin(arg)
         v_bound = V0 * math.sin(arg) ** 5 / math.sin(t0) ** 5
         l_slack = l_bound - l
@@ -300,12 +243,3 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
                             max_v_slack=min_v_slack,
                             existence_ok=elapsed + t0 <= math.pi + COMPARISON_TOL,
                             n_nodes=len(traj.times))
-
-
-def derivative_consistency(s: State) -> float:
-    """|mu mu' - 2 lambda u1| on a state, using the evolution equations
-    (vanishes on shell)."""
-    dy = rhs(s)
-    u0, u1, u2 = s.u
-    mu_mu_dot = -u0 * dy[1] + u1 * dy[2] + u2 * dy[3]
-    return abs(mu_mu_dot - 2.0 * s.lam * u1)

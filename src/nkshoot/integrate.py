@@ -298,14 +298,15 @@ def integrate(start: State, horizon: float,
               series: np.ndarray | None = None) -> Trajectory:
     """Integrate forward from start.t to horizon by Taylor steps.
 
-    The first event ends the run: the earliest crossing of any of events or
-    of the singularity guard (|lambda| < 1e-8, mu^2 < 1e-12 or a component
-    above 1e8 in magnitude) is the last node; without one the run ends at
-    the horizon (dense.reach is where the last step was planned to end).
-    Raises InvalidArgumentError unless start.t < horizon < inf and rtol,
-    atol are positive and finite, and DegenerateStateError on a start with
-    a NaN or infinite component; a step below 16 eps max(1, |t|) raises
-    StepSizeCollapseError. allow_unoriented skips the lambda > 0 /
+    The first event ends the run: the earliest crossing of any of events or of
+    the singularity guard (|lambda| < 1e-8, mu^2 < 1e-12 or a component above
+    1e8 in magnitude) is the last node; without one the run ends at the horizon
+    (dense.reach is where the last step was planned to end). Only
+    min(rtol, atol) acts: it sets the jet order and the per-step tolerance
+    1e-2 min(rtol, atol). Raises InvalidArgumentError unless start.t < horizon
+    < inf and rtol, atol are positive and finite, and DegenerateStateError on
+    a start with a NaN or infinite component; a step below 16 eps max(1, |t|)
+    raises StepSizeCollapseError. allow_unoriented skips the lambda > 0 /
     orientation precondition (symmetry-image runs; mu^2 > 0 is required).
 
     series, Taylor rows in t about t = 0 of the solution through start

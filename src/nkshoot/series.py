@@ -394,11 +394,6 @@ class SingularIVP:
     params: tuple[float, ...] = ()
     name: str = ""
 
-    def linearization(self) -> np.ndarray:
-        """d_{y0}M_-1, the gradient of [x^h] M_-1 in y_h (any h >= 1)."""
-        prog = self.program
-        return prog.matrices[0] @ prog.gradient(self.y0, self.params)[1]
-
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient table Y (dim x order+1) of the unique series solution,

@@ -171,19 +171,6 @@ def rhs(s: State) -> np.ndarray:
     return rhs_vec(s.t, y)
 
 
-def lambda_dot_alt(s: State) -> float:
-    """Secondary evaluation of lambda': -2 lambda^2 u1/v1 - 3 v2/u2.
-
-    Agrees with rhs()[0] on constraint-satisfying states; needs v1 != 0 and
-    u2 != 0.
-    """
-    if s.v[1] == 0.0:
-        raise DegenerateStateError("alternate lambda' path needs v1 != 0")
-    if s.u[2] == 0.0:
-        raise DegenerateStateError("alternate lambda' path needs u2 != 0")
-    return -2.0 * s.lam * s.lam * s.u[1] / s.v[1] - 3.0 * s.v[2] / s.u[2]
-
-
 # Sign tables of the discrete symmetries on (lambda, u0, u1, u2, v0, v1, v2);
 # tau1 additionally reverses time.
 _TAU_TABLE = {

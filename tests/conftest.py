@@ -1,5 +1,9 @@
 """Shared oracles and sampling helpers.
 
+The second evaluation paths of lambda', of the mean curvature and of
+mu mu', and the record validation, are reference implementations that only
+the tests compare against; the package computes each quantity once.
+
 The closed-form derivative oracles below are differentiated by hand from the
 trigonometric expressions of the four explicit solutions, independently of
 the package's right-hand side, so residual tests compare two genuinely
@@ -11,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from nkshoot.state import State
+from nkshoot.errors import BoundViolationError, DegenerateStateError
+from nkshoot.state import State, rhs
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -84,6 +89,70 @@ def equation_residual(st: State, deriv: np.ndarray) -> float:
         lam * lam * mu2 * dlam + 2 * lam ** 4 * u1 + 3 * u2 * v2,
     )
     return max(abs(e) for e in eqs)
+
+
+def lambda_dot_alt(s: State) -> float:
+    """Secondary evaluation of lambda': -2 lambda^2 u1/v1 - 3 v2/u2.
+
+    Agrees with rhs()[0] on constraint-satisfying states; needs v1 != 0 and
+    u2 != 0.
+    """
+    if s.v[1] == 0.0:
+        raise DegenerateStateError("alternate lambda' path needs v1 != 0")
+    if s.u[2] == 0.0:
+        raise DegenerateStateError("alternate lambda' path needs u2 != 0")
+    return -2.0 * s.lam * s.lam * s.u[1] / s.v[1] - 3.0 * s.v[2] / s.u[2]
+
+
+def mean_curvature_matrix_form(s: State) -> float:
+    """l = 2 x1/y1 - 3 y2/x2 after the change of variables (independent
+    evaluation path; exact only on constraint-satisfying states)."""
+    from nkshoot.geometry import _require_admissible
+    _require_admissible(s)
+    mu = s.mu
+    x1 = s.u[1] / mu
+    y1 = mu / s.lam
+    y2 = s.v[2] / (s.lam * mu)
+    x2 = -s.lam
+    return 2 * x1 / y1 - 3 * y2 / x2
+
+
+def derivative_consistency(s: State) -> float:
+    """|mu mu' - 2 lambda u1| on a state, using the evolution equations
+    (vanishes on shell)."""
+    dy = rhs(s)
+    u0, u1, u2 = s.u
+    mu_mu_dot = -u0 * dy[1] + u1 * dy[2] + u2 * dy[3]
+    return abs(mu_mu_dot - 2.0 * s.lam * u1)
+
+
+WEDGE_TOL = 1e-7
+HYPERBOLOID_TOL = 1e-8
+
+
+def validate_record(rec) -> None:
+    """Assert a MaxOrbitRecord's wedge membership, hyperboloid
+    normalization and the boundary correspondences."""
+    from nkshoot.geometry import BOUNDARY_TOL
+    if not (rec.mu >= rec.lam - WEDGE_TOL and rec.lam >= 1.0 - WEDGE_TOL):
+        raise BoundViolationError(
+            f"wedge violation: (lambda, mu) = ({rec.lam}, {rec.mu}) "
+            f"for {rec.family}({rec.param})")
+    w0, w1, w2 = rec.w
+    norm = w0 * w0 - w1 * w1 - w2 * w2
+    if abs(norm - 1.0) > HYPERBOLOID_TOL or w0 <= 0:
+        raise BoundViolationError(
+            f"hyperboloid normalization violated: |w|^2 = {norm}, w0 = {w0}")
+    u0_small = abs(rec.state.u[0]) < BOUNDARY_TOL * rec.mu
+    if (abs(w2) < BOUNDARY_TOL) != u0_small:
+        raise BoundViolationError(
+            f"boundary dictionary violated: |w2| = {abs(w2)}, "
+            f"|u0|/mu = {abs(rec.state.u[0]) / rec.mu}")
+    v0_small = abs(rec.state.v[0]) < BOUNDARY_TOL * rec.mu
+    if (abs(w1) < BOUNDARY_TOL) != v0_small:
+        raise BoundViolationError(
+            f"boundary dictionary violated: |w1| = {abs(w1)}, "
+            f"|v0|/mu = {abs(rec.state.v[0]) / rec.mu}")
 
 
 def s_radius(sol) -> float:

@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQRT2, SQRT3
-from nkshoot.errors import BoundaryAmbiguousError, BoundViolationError
+from conftest import (SQRT2, SQRT3, derivative_consistency, float_bits,
+                      mean_curvature_matrix_form, validate_record)
+from nkshoot.errors import BoundViolationError
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.geometry import (bohm, comparison_bounds, count_v0_zeros,
-                              derivative_consistency,
-                              mean_curvature_matrix_form, project_H,
-                              require_unambiguous, scalar_curvature,
-                              traceless_L_norm2, volume_and_mean_curvature)
+                              project_H, scalar_curvature, traceless_L_norm2,
+                              volume_and_mean_curvature)
 from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
 from nkshoot.series import handoff, series_psi_a, series_psi_b
+from nkshoot.shoot import max_orbit
 
 
 def test_sine_cone_volume_and_mean_curvature():
@@ -38,9 +38,20 @@ def test_homogeneous_event_values():
 
 
 def test_mean_curvature_paths_agree():
-    for name, t in (("sine-cone", 1.0), ("s6-round", 0.6),
-                    ("s3s3-homog", 0.5), ("cp3-homog", 1.1)):
-        st = eval_named(name, t)
+    # the evolution-equation l against the matrix-entry formula on on-shell
+    # states: four closed-form points, the sine-cone grid, the two
+    # homogeneous events and nine states of the alpha(1.0) trajectory
+    states = [eval_named(name, t) for name, t in (
+        ("sine-cone", 1.0), ("s6-round", 0.6), ("s3s3-homog", 0.5),
+        ("cp3-homog", 1.1))]
+    states += [eval_named("sine-cone", t) for t in np.linspace(0.2, 2.9, 19)]
+    states += [eval_named("s3s3-homog", math.pi / (2 * SQRT3)),
+               eval_named("cp3-homog", math.pi / (2 * SQRT2))]
+    _, start = handoff(series_psi_a(1.0))
+    traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
+    states += [traj.state_at(float(t))
+               for t in np.linspace(traj.t_start, traj.t_end, 9)]
+    for st in states:
         _, l = volume_and_mean_curvature(st)
         alt = mean_curvature_matrix_form(st)
         assert abs(l - alt) < 1e-9 * max(1.0, abs(l))
@@ -64,9 +75,9 @@ def test_scalar_curvature_against_trace_identity(name):
     lo, hi = sol.domain
     h = 1e-6
     for t in np.linspace(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), 9):
-        _, l_p = volume_and_mean_curvature(sol.eval(t + h), check=False)
-        _, l_m = volume_and_mean_curvature(sol.eval(t - h), check=False)
-        _, l = volume_and_mean_curvature(sol.eval(t), check=False)
+        _, l_p = volume_and_mean_curvature(sol.eval(t + h))
+        _, l_m = volume_and_mean_curvature(sol.eval(t - h))
+        _, l = volume_and_mean_curvature(sol.eval(t))
         l_prime = (l_p - l_m) / (2 * h)
         oracle = 25.0 + l * l + l_prime
         got = scalar_curvature(sol.eval(t))
@@ -92,7 +103,6 @@ def test_traceless_part_vanishes_on_sine_cone():
 
 def test_traceless_part_positive_on_family(alpha_sqrt3_solve):
     assert traceless_L_norm2(alpha_sqrt3_solve.record.state) > 1e-3
-    from nkshoot.shoot import max_orbit
     assert traceless_L_norm2(max_orbit("alpha", 1.0).state) > 1e-3
 
 
@@ -115,10 +125,22 @@ def test_bohm_forms_agree_at_events(beta1_solve):
 
 
 def test_bohm_exceeds_20_at_family_events():
-    from nkshoot.shoot import max_orbit
     rec = max_orbit("beta", 0.5)
     assert rec.B > 20.0
     assert abs(rec.B - 20.0 * rec.Vmax ** 0.4) < 1e-8
+
+
+@pytest.mark.parametrize("family,params", [
+    ("alpha", (*np.geomspace(0.12, 4.0, 16), SQRT3 / 2, SQRT3)),
+    ("beta", (*np.geomspace(0.12, 1.6, 16), 1.0))], ids=["alpha", "beta"])
+def test_record_bohm_and_volume_bits(family, params):
+    # the record computes B from (V, l) alone; it must equal bohm's B, and
+    # Vmax the state's volume, bit for bit (cp3 at alpha = sqrt3/2, s6 at
+    # alpha = sqrt3, s3s3 at beta = 1 are the closed-form members)
+    for p in params:
+        rec = max_orbit(family, float(p))
+        assert float_bits([rec.B, rec.Vmax]) == float_bits(
+            [bohm(rec.state).B, rec.state.volume])
 
 
 def test_project_H_homogeneous_event(beta1_solve):
@@ -145,7 +167,7 @@ def test_project_H_sine_cone_is_origin():
 
 
 def test_record_validation(beta1_solve):
-    beta1_solve.record.validate()
+    validate_record(beta1_solve.record)
     rec = beta1_solve.record
     assert rec.on_boundary_lambda_one          # u0(T) = 0 at b = 1
     assert not rec.on_boundary_mu_eq_lambda    # v0(T) = 2/3
@@ -155,7 +177,6 @@ def test_count_v0_zeros_homogeneous(beta1_solve):
     zc = count_v0_zeros(beta1_solve.traj)
     assert zc.count == 1
     assert not zc.boundary_ambiguous
-    assert require_unambiguous(zc) == 1
     # the single zero of v0 = -(2/3) cos(2 sqrt3 t)
     assert abs(zc.zeros[0] - math.pi / (4 * SQRT3)) < 1e-9
 
@@ -188,8 +209,6 @@ def test_count_v0_boundary_ambiguous_at_doubling_root():
     fs = solve_family("beta", 0.3736323881647852)
     zc = count_v0_zeros(fs.traj)
     assert zc.boundary_ambiguous
-    with pytest.raises(BoundaryAmbiguousError):
-        require_unambiguous(zc)
 
 
 def test_comparison_bounds_sine_cone_equality():

@@ -5,16 +5,21 @@ as a name or as the base of an attribute. The package's ``__init__.py``
 only re-exports, so it is exempt.
 
 Also: the package's only run-time dependency is numpy, so a run of every
-root search loads no SciPy module.
+root search loads no SciPy module; and every documented surface, the names
+in ``nkshoot.__all__`` and the ``nk.<name>`` uses in the README's "Library
+use" block, resolves.
 """
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import nkshoot
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "nkshoot").glob("*.py"),
@@ -74,3 +79,14 @@ def test_root_searches_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out.splitlines()[-1]) == []
+
+
+def test_documented_surfaces_resolve():
+    missing = [n for n in nkshoot.__all__ if not hasattr(nkshoot, n)]
+    assert missing == []
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library use\s+```python\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    used = set(re.findall(r"\bnk\.(\w+)", block))
+    assert {"max_orbit", "find_doubling", "find_matching"} <= used
+    assert sorted(n for n in used if not hasattr(nkshoot, n)) == []

@@ -110,7 +110,7 @@ def test_consistency_gate():
 @pytest.mark.parametrize("a", [0.3, 0.7, 1.0, 2.5])
 def test_s2_determinant_sequence(a):
     # det(h Id - dM_-1) = (h+1)(h+2)^3(h+4)^3 for the S2 substitution
-    A = s2_problem(a).linearization()
+    _, A = solve_singular_ivp(s2_problem(a), 1)
     for h in range(0, 12):
         det = np.linalg.det(h * np.eye(7) - A)
         expect = (h + 1) * (h + 2) ** 3 * (h + 4) ** 3
@@ -120,7 +120,7 @@ def test_s2_determinant_sequence(a):
 @pytest.mark.parametrize("b", [0.0, 0.4, 1.0, 2.0])
 def test_s3_bubble_determinant_sequence(b):
     # det(h Id - dM_-1) = (h+1)^2 (h+2)^4 (h+3)
-    A = s3_bubble_problem(b).linearization()
+    _, A = solve_singular_ivp(s3_bubble_problem(b), 1)
     for h in range(1, 12):
         det = np.linalg.det(h * np.eye(7) - A)
         expect = (h + 1) ** 2 * (h + 2) ** 4 * (h + 3)
@@ -144,11 +144,10 @@ def test_sweep_extremes(family, param):
     # the benchmark sweep's parameter extremes: alpha in [0.12, 4], beta in
     # [0.12, 1.6], and the conical bubble limit b = 0
     prob = s2_problem(param) if family == "s2" else s3_bubble_problem(param)
-    Y, A = solve_singular_ivp(prob, 40)
+    Y, _ = solve_singular_ivp(prob, 40)
     res = recurrence_residuals(prob, Y)
     scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
     assert float(np.max(res / scale)) < 1e-12
-    assert np.array_equal(A, prob.linearization())
 
 
 def test_family_program_shared_across_parameters():

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SQRT2, SQRT3, float_bits, reference_poly_integral
+from conftest import (SQRT2, SQRT3, float_bits, reference_poly_integral,
+                      validate_record)
 from nkshoot import cli, series, shoot
 from nkshoot.errors import (DegenerateStateError, EventNotFoundError,
                             JunctionMismatchError, NKError, NoSignChangeError,
@@ -57,13 +58,13 @@ def test_trace_beta_through_homogeneous_point():
     assert norms[0] < 0.2
     assert norms[0] < norms[len(norms) // 2]
     for rec in curve.records:
-        rec.validate()
+        validate_record(rec)
 
 
 def test_trace_alpha_vmax_landmarks():
     curve = trace_curve("alpha", 0.1, 3.0, n_samples=10)
     for rec in curve.records:
-        rec.validate()
+        validate_record(rec)
     # V_max at a = sqrt(3) matches the reference value
     rec = max_orbit("alpha", SQRT3)
     assert abs(rec.Vmax - S6_VMAX) < 1e-6

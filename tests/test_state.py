@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SQRT3, named_derivative, random_admissible_states
+from conftest import (SQRT3, lambda_dot_alt, named_derivative,
+                      random_admissible_states)
 from nkshoot.errors import DegenerateStateError
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.integrate import integrate
 from nkshoot.series import handoff, series_psi_b
 from nkshoot.state import (State, Symmetry, apply_symmetry, complex_step,
-                           constraints, lambda_dot_alt, rhs, rhs_vec,
+                           constraints, rhs, rhs_vec,
                            transform_derivative)
 
 
