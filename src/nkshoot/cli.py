@@ -96,53 +96,54 @@ def build_parser(config: dict[str, str] | None = None,
     p.add_argument("--config", help="flat key=value config file")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        for flag in ("--rtol", "--atol"):
-            sp.add_argument(flag, type=float, default=1e-12,
-                            help="the integrator uses only min(rtol, atol)")
-        sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                        help="series truncation order")
-        sp.add_argument("--out", default=None, help="output file path")
+    def add_command(name, help, tolerances=True, order_out=True, **kwargs):
+        """A subcommand with the shared options its code reads: --rtol/--atol
+        (series never integrates), --order and --out (verify builds no
+        series and writes no file)."""
+        sp = sub.add_parser(name, help=help, **kwargs)
+        if tolerances:
+            for flag in ("--rtol", "--atol"):
+                sp.add_argument(flag, type=float, default=1e-12, help=(
+                    "the integrator uses only min(rtol, atol)"))
+        if order_out:
+            sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                            help="series truncation order")
+            sp.add_argument("--out", default=None, help="output file path")
+        return sp
 
-    sp = sub.add_parser(
-        "verify", help="closed-form residual and invariant suites",
-        description="--rtol/--atol set the integrator only; every gate is "
-                    "fixed, the drift gate 1e-9 and the drift abort 1e-6 "
-                    "included, so looser tolerances can fail verify")
-    common(sp)
+    add_command("verify", "closed-form residual and invariant suites",
+                order_out=False,
+                description="--rtol/--atol set the integrator only; every "
+                            "gate is fixed, the drift gate 1e-9 and the drift "
+                            "abort 1e-6 included, so looser tolerances can "
+                            "fail verify")
 
-    sp = sub.add_parser("series", help="coefficient dump of one series family")
-    common(sp)
+    sp = add_command("series", "coefficient dump of one series family",
+                     tolerances=False)
     sp.add_argument("--family", required=True,
                     choices=list(_SERIES_FAMILIES))
     sp.add_argument("--param", type=float, required=True)
 
-    sp = sub.add_parser("traj", help="single trajectory CSV up to the "
-                                     "maximal-volume event")
-    common(sp)
+    sp = add_command("traj", "single trajectory CSV up to the "
+                             "maximal-volume event")
     sp.add_argument("--family", required=True, choices=["alpha", "beta"])
     sp.add_argument("--param", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=None,
                     help="integrate to this time instead of the event")
 
-    sp = sub.add_parser("trace", help="maximal-volume curve CSV")
-    common(sp)
+    sp = add_command("trace", "maximal-volume curve CSV")
     sp.add_argument("--family", required=True, choices=["alpha", "beta"])
     sp.add_argument("--lo", type=float, required=True)
     sp.add_argument("--hi", type=float, required=True)
     sp.add_argument("--n", type=int, default=15, help="grid samples")
 
-    sp = sub.add_parser("solve", help="one complete solution as JSON")
-    common(sp)
+    sp = add_command("solve", "one complete solution as JSON")
     sp.add_argument("--target", required=True, choices=list(_TARGETS))
 
-    sp = sub.add_parser("table2", help="all six reference rows as JSON")
-    common(sp)
+    add_command("table2", "all six reference rows as JSON")
 
-    sp = sub.add_parser("fig2", help="curve plot (alpha_H, beta_H, "
-                                     "reflections, roots) as SVG")
-    common(sp)
-    sp.add_argument("--svg", default=None, help="output SVG path (alias of --out)")
+    sp = add_command("fig2", "curve plot (alpha_H, beta_H, reflections, "
+                             "roots) as SVG")
     sp.add_argument("--markers", choices=["none", "known", "solve"],
                     default="solve")
     sp.add_argument("--alo", type=float, default=0.12)
@@ -150,9 +151,8 @@ def build_parser(config: dict[str, str] | None = None,
     sp.add_argument("--blo", type=float, default=0.12)
     sp.add_argument("--bhi", type=float, default=1.6)
 
-    sp = sub.add_parser("scan-s2s4", help="negative scan for a lambda=1 "
-                                          "boundary crossing of alpha")
-    common(sp)
+    sp = add_command("scan-s2s4", "negative scan for a lambda=1 "
+                                  "boundary crossing of alpha")
     sp.add_argument("--lo", type=float, default=0.1)
     sp.add_argument("--hi", type=float, default=10.0)
     sp.add_argument("--n", type=int, default=40)
@@ -270,7 +270,8 @@ _KNOWN_MARKERS = (
 )
 
 
-def run_fig2(args, order: int, rtol: float, atol: float) -> SvgFigure:
+def run_fig2(args) -> SvgFigure:
+    order, rtol, atol = args.order, args.rtol, args.atol
     alpha = shoot.trace_curve("alpha", args.alo, args.ahi, n_samples=18,
                               order=order, rtol=rtol, atol=atol)
     beta = shoot.trace_curve("beta", args.blo, args.bhi, n_samples=18,
@@ -307,17 +308,16 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         args = build_parser(config, args.command).parse_args(argv)
 
-    rtol, atol, order, out = args.rtol, args.atol, args.order, args.out
     try:
         if args.command == "verify":
-            ok, lines = run_verify(rtol, atol)
+            ok, lines = run_verify(args.rtol, args.atol)
             print("\n".join(lines))
             print("verify:", "all checks passed" if ok else "FAILURES above")
             return EXIT_OK if ok else EXIT_SOLVER
 
         if args.command == "series":
-            sol = _SERIES_FAMILIES[args.family](args.param, order)
-            path = out or f"series-{args.family}-{args.param}.csv"
+            sol = _SERIES_FAMILIES[args.family](args.param, args.order)
+            path = args.out or f"series-{args.family}-{args.param}.csv"
             write_csv(path, SERIES_HEADER, series_rows(sol))
             print(f"wrote {path} ({sol.family} family, variable {sol.var}, "
                   f"order {sol.order})")
@@ -325,15 +325,15 @@ def main(argv=None) -> int:
 
         if args.command == "traj":
             if args.horizon is not None:
-                sol = family_series(args.family, args.param, order)
+                sol = family_series(args.family, args.param, args.order)
                 t_star, start = handoff(sol)
-                traj = integrate(start, args.horizon, rtol=rtol, atol=atol,
-                                 series=sol.t_coeffs)
+                traj = integrate(start, args.horizon, rtol=args.rtol,
+                                 atol=args.atol, series=sol.t_coeffs)
             else:
-                fs = shoot.solve_family(args.family, args.param, order,
-                                        rtol, atol)
+                fs = shoot.solve_family(args.family, args.param, args.order,
+                                        args.rtol, args.atol)
                 traj = fs.traj
-            path = out or f"traj-{args.family}-{args.param}.csv"
+            path = args.out or f"traj-{args.family}-{args.param}.csv"
             write_csv(path, TRAJECTORY_HEADER, trajectory_rows(traj))
             print(f"wrote {path} ({len(traj.times)} nodes, "
                   f"termination {traj.termination})")
@@ -341,39 +341,39 @@ def main(argv=None) -> int:
 
         if args.command == "trace":
             curve = shoot.trace_curve(args.family, args.lo, args.hi,
-                                      n_samples=args.n, order=order,
-                                      rtol=rtol, atol=atol)
-            path = out or f"curve-{args.family}.csv"
+                                      n_samples=args.n, order=args.order,
+                                      rtol=args.rtol, atol=args.atol)
+            path = args.out or f"curve-{args.family}.csv"
             write_csv(path, CURVE_HEADER, curve_rows(curve))
             print(f"wrote {path} ({len(curve.params)} samples)")
             return EXIT_OK
 
         if args.command == "solve":
-            sol = _solve_target(args.target, order, rtol, atol)
-            path = out or f"solution-{args.target}.json"
+            sol = _solve_target(args.target, args.order, args.rtol, args.atol)
+            path = args.out or f"solution-{args.target}.json"
             write_json(path, sol.as_dict())
             print(f"wrote {path} ({sol.manifold}, Vmax = {sol.Vmax:.6f}, "
                   f"vol = {sol.vol:.6f})")
             return EXIT_OK
 
         if args.command == "table2":
-            table = run_table2(order, rtol, atol)
-            path = out or "table2.json"
+            table = run_table2(args.order, args.rtol, args.atol)
+            path = args.out or "table2.json"
             write_json(path, table)
             print(f"wrote {path} ({len(table['rows'])} rows)")
             return EXIT_OK
 
         if args.command == "fig2":
-            fig = run_fig2(args, order, rtol, atol)
-            path = args.svg or out or "fig2.svg"
+            fig = run_fig2(args)
+            path = args.out or "fig2.svg"
             write_svg(path, fig)
             print(f"wrote {path}")
             return EXIT_OK
 
         if args.command == "scan-s2s4":
             report = shoot.scan_s2s4_boundary(args.lo, args.hi, args.n,
-                                              order, rtol, atol)
-            path = out or "scan-s2s4.json"
+                                              args.order, args.rtol, args.atol)
+            path = args.out or "scan-s2s4.json"
             write_json(path, report.as_dict())
             status = ("CROSSING FOUND - inspect brackets"
                       if report.found_root else "no boundary crossing")

@@ -68,15 +68,11 @@ def _cp3_homog(t):
 
 @dataclass(frozen=True)
 class NamedSolution:
-    """One explicit solution: evaluator, domain, and the singular-orbit
-    metadata (orbit type at each end with the family parameter realizing it,
-    None where the end is a conical singularity)."""
+    """One explicit solution: its name, domain and evaluator."""
 
     name: str
     domain: tuple[float, float]
     evaluator: Callable[[np.ndarray], np.ndarray]
-    orbit_start: tuple[str, float] | None
-    orbit_end: tuple[str, float] | None
 
     def vec(self, t) -> np.ndarray:
         """The (7,) state vector at a float t, or the (7, m) array of state
@@ -97,14 +93,12 @@ class NamedSolution:
 
 
 NAMED_SOLUTIONS = {
-    "sine-cone": NamedSolution("sine-cone", (0.0, math.pi), _sine_cone,
-                               None, None),
-    "s6-round": NamedSolution("s6-round", (0.0, math.pi / 2), _s6_round,
-                              ("S3", 1.5), ("S2", SQRT3)),
+    "sine-cone": NamedSolution("sine-cone", (0.0, math.pi), _sine_cone),
+    "s6-round": NamedSolution("s6-round", (0.0, math.pi / 2), _s6_round),
     "s3s3-homog": NamedSolution("s3s3-homog", (0.0, math.pi / SQRT3),
-                                _s3s3_homog, ("S3", 1.0), ("S3", 1.0)),
+                                _s3s3_homog),
     "cp3-homog": NamedSolution("cp3-homog", (0.0, math.pi / SQRT2),
-                               _cp3_homog, ("S2", SQRT3 / 2), ("S2", SQRT3 / 2)),
+                               _cp3_homog),
 }
 
 

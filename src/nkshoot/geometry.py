@@ -55,9 +55,8 @@ def project_H(s: State) -> tuple[float, float, float]:
             (u1 * v0 - u0 * v1) / V)
 
 
-def scalar_curvature(s: State) -> float:
-    """Scal = 20 - 4 l^2 x1^2/mu^2 + 24 x1 y2/mu - 4 l^2 w1^2/mu^2
-    - 9 w2^2/l^2 (l = lambda here); assumes the constraints hold."""
+def _curvature_terms(s: State) -> tuple[float, ...]:
+    """(lambda, mu, mu^2, x1, y2, w1, w2) of an admissible state."""
     _require_admissible(s)
     lam = s.lam
     mu = s.mu
@@ -65,6 +64,13 @@ def scalar_curvature(s: State) -> float:
     x1 = s.u[1] / mu
     y2 = s.v[2] / (lam * mu)
     _, w1, w2 = project_H(s)
+    return lam, mu, mu2, x1, y2, w1, w2
+
+
+def scalar_curvature(s: State) -> float:
+    """Scal = 20 - 4 l^2 x1^2/mu^2 + 24 x1 y2/mu - 4 l^2 w1^2/mu^2
+    - 9 w2^2/l^2 (l = lambda here); assumes the constraints hold."""
+    lam, mu, mu2, x1, y2, w1, w2 = _curvature_terms(s)
     return (20.0 - 4 * lam * lam * x1 * x1 / mu2 + 24 * x1 * y2 / mu
             - 4 * lam * lam * w1 * w1 / mu2 - 9 * w2 * w2 / (lam * lam))
 
@@ -72,13 +78,7 @@ def scalar_curvature(s: State) -> float:
 def traceless_L_norm2(s: State) -> float:
     """|L_0|^2 = (36/5)(lambda x1/mu - y2/lambda)^2 + 4 lambda^2 w1^2/mu^2
     + 9 w2^2/lambda^2."""
-    _require_admissible(s)
-    lam = s.lam
-    mu = s.mu
-    mu2 = s.mu2
-    x1 = s.u[1] / mu
-    y2 = s.v[2] / (lam * mu)
-    _, w1, w2 = project_H(s)
+    lam, mu, mu2, x1, y2, w1, w2 = _curvature_terms(s)
     return ((36.0 / 5.0) * (lam * x1 / mu - y2 / lam) ** 2
             + 4 * lam * lam * w1 * w1 / mu2 + 9 * w2 * w2 / (lam * lam))
 
@@ -198,7 +198,6 @@ class ComparisonReport:
     max_l_slack: float      # min over nodes of bound - l  (>= -COMPARISON_TOL)
     max_v_slack: float      # min over nodes of bound - V
     existence_ok: bool      # elapsed time + t0 <= pi within tolerance
-    n_nodes: int
 
 
 def comparison_bounds(traj: Trajectory) -> ComparisonReport:
@@ -211,12 +210,13 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
     with t0 = atan2(5, l(start)) in (0, pi), so l(start) = 5 cot(t0).
     Violations beyond COMPARISON_TOL (relative) raise BoundViolationError.
     """
-    start = traj.node_states()[0]
+    states = traj.node_states()
+    start = states[0]
     V0, l0 = volume_and_mean_curvature(start)
     t0 = math.atan2(5.0, l0)
     min_l_slack = math.inf
     min_v_slack = math.inf
-    for st in traj.node_states():
+    for st in states:
         rel = st.t - start.t
         if rel <= 0.0:
             continue
@@ -241,5 +241,4 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
     elapsed = traj.t_end - traj.t_start
     return ComparisonReport(t0=t0, max_l_slack=min_l_slack,
                             max_v_slack=min_v_slack,
-                            existence_ok=elapsed + t0 <= math.pi + COMPARISON_TOL,
-                            n_nodes=len(traj.times))
+                            existence_ok=elapsed + t0 <= math.pi + COMPARISON_TOL)

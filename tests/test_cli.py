@@ -289,10 +289,61 @@ def test_invalid_argument_exits_3(tmp_path, capsys, command, message):
     # rejected by the package before any solve: message on stderr, exit 3,
     # no output file
     out = tmp_path / "never.out"
-    assert main(command + ["--out", str(out)]) == 3
+    out_args = [] if command[0] == "verify" else ["--out", str(out)]
+    assert main(command + out_args) == 3
     err = capsys.readouterr().err
     assert "invalid" in err and message in err
     assert not out.exists()
+
+
+# every command once, with arguments that it accepts on their own
+_COMMANDS = {
+    "verify": [],
+    "series": ["--family", "psi-a", "--param", "0.7"],
+    "traj": ["--family", "alpha", "--param", "1"],
+    "trace": ["--family", "beta", "--lo", "0.6", "--hi", "1.2", "--n", "3"],
+    "solve": ["--target", "s3s3-homog"],
+    "table2": [],
+    "fig2": ["--markers", "none"],
+    "scan-s2s4": ["--n", "3"],
+}
+_SHARED_OPTIONS = ("--rtol", "--atol", "--order", "--out")
+
+
+@pytest.mark.parametrize("option", [["--rtol", "nan"], ["--atol", "0"],
+                                    ["--order", "0"]],
+                         ids=["rtol-nan", "atol-zero", "order-zero"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_exits_3_on_a_bad_tolerance_or_order(
+        tmp_path, capsys, command, option):
+    # the README's contract: a tolerance that is not positive and finite, or
+    # an order below 1, exits 3 with a message on stderr and no output file.
+    # A command that reads the option rejects the value; one that lacks the
+    # option rejects the flag.
+    out = tmp_path / "never.out"
+    argv = [command] + _COMMANDS[command] + option
+    if command != "verify":
+        argv += ["--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_lists_the_shared_options_it_reads(capsys, command):
+    # series never integrates; verify builds no series and writes no file;
+    # fig2 writes through --out alone
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    listed = {flag for flag in _SHARED_OPTIONS + ("--svg",) if flag in text}
+    want = {"series": {"--order", "--out"}, "verify": {"--rtol", "--atol"}}
+    assert listed == want.get(command, set(_SHARED_OPTIONS))
 
 
 @pytest.mark.parametrize("tol", ["30", "100", "1000"])
@@ -396,7 +447,7 @@ def test_config_precedence(tmp_path):
 
 def test_fig2_svg(tmp_path):
     out = tmp_path / "fig.svg"
-    assert main(["fig2", "--svg", str(out), "--markers", "known",
+    assert main(["fig2", "--out", str(out), "--markers", "known",
                  "--alo", "0.4", "--ahi", "2.2", "--blo", "0.4",
                  "--bhi", "1.6"]) == 0
     text = out.read_text()
@@ -405,7 +456,7 @@ def test_fig2_svg(tmp_path):
     assert "<circle" in text
     # determinism
     out2 = tmp_path / "fig2.svg"
-    main(["fig2", "--svg", str(out2), "--markers", "known",
+    main(["fig2", "--out", str(out2), "--markers", "known",
           "--alo", "0.4", "--ahi", "2.2", "--blo", "0.4", "--bhi", "1.6"])
     assert out.read_bytes() == out2.read_bytes()
 
