@@ -2,9 +2,9 @@
 reference-table reproduction, and plot emission.
 
 Exit codes: 0 success, 2 solver failure, 3 invalid configuration. Any solver
-failure prints a machine-readable JSON error record to stderr. Configuration
-precedence is flags > config file > defaults; the config file is a flat
-"key = value" text format (keys match the long option names).
+failure prints a machine-readable JSON error record to stderr. Precedence is
+flags > config file > defaults; the config file is flat "key = value" text,
+each key once and the long name of some command's option, such as tol.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .emit import (CURVE_HEADER, SERIES_HEADER, TRAJECTORY_HEADER, SvgFigure,
                    curve_rows, series_rows, trajectory_rows, write_csv,
                    write_json, write_svg)
 from .errors import InvalidArgumentError, NKError
-from .integrate import integrate
+from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, integrate
 from .series import (DEFAULT_ORDER, family_series, handoff, series_bubble_a,
                      series_bubble_b, series_psi_a, series_psi_b)
 from .state import (_first_integrals, apply_symmetry, check_regular,
@@ -62,8 +62,10 @@ def _read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ValueError(f"config key {key!r} given twice")
+            cfg[key] = val
     return cfg
 
 
@@ -89,22 +91,23 @@ def _config_defaults(sp: argparse.ArgumentParser,
 def build_parser(config: dict[str, str] | None = None,
                  command: str | None = None) -> argparse.ArgumentParser:
     """The nkshoot parser; the config values, when given, become the
-    defaults of command's options (flags > config file > defaults)."""
+    defaults of command's options (flags > config file > defaults), and a
+    key that is an option of no command exits 3."""
     p = _Parser(prog="nkshoot",
                 description="Numerical reconstruction of cohomogeneity-one "
                             "nearly Kahler structures by shooting")
     p.add_argument("--config", help="flat key=value config file")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help, tolerances=True, order_out=True, **kwargs):
-        """A subcommand with the shared options its code reads: --rtol/--atol
+    def add_command(name, help, tol=True, order_out=True, **kwargs):
+        """A subcommand with the shared options its code reads: --tol
         (series never integrates), --order and --out (verify builds no
         series and writes no file)."""
         sp = sub.add_parser(name, help=help, **kwargs)
-        if tolerances:
-            for flag in ("--rtol", "--atol"):
-                sp.add_argument(flag, type=float, default=1e-12, help=(
-                    "the integrator uses only min(rtol, atol)"))
+        if tol:
+            sp.add_argument("--tol", type=float,
+                            default=min(DEFAULT_RTOL, DEFAULT_ATOL),
+                            help="integrator tolerance (1e-2 tol per step)")
         if order_out:
             sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
                             help="series truncation order")
@@ -113,13 +116,13 @@ def build_parser(config: dict[str, str] | None = None,
 
     add_command("verify", "closed-form residual and invariant suites",
                 order_out=False,
-                description="--rtol/--atol set the integrator only; every "
-                            "gate is fixed, the drift gate 1e-9 and the drift "
-                            "abort 1e-6 included, so looser tolerances can "
+                description="--tol sets the integrator only; every gate "
+                            "is fixed, the drift gate 1e-9 and the drift "
+                            "abort 1e-6 included, so a looser tolerance can "
                             "fail verify")
 
     sp = add_command("series", "coefficient dump of one series family",
-                     tolerances=False)
+                     tol=False)
     sp.add_argument("--family", required=True,
                     choices=list(_SERIES_FAMILIES))
     sp.add_argument("--param", type=float, required=True)
@@ -157,6 +160,9 @@ def build_parser(config: dict[str, str] | None = None,
     sp.add_argument("--hi", type=float, default=10.0)
     sp.add_argument("--n", type=int, default=40)
     if config:
+        known = {a.dest for cmd in sub.choices.values() for a in cmd._actions}
+        if unknown := sorted(config.keys() - (known - {"help"})):
+            p.error(f"unknown config key: {', '.join(unknown)}")
         _config_defaults(sub.choices[command], config)
     return p
 
@@ -228,12 +234,12 @@ def run_verify(rtol: float, atol: float) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 # solve targets and the reference table
 
-def _solve_target(target: str, order: int, rtol: float, atol: float,
+def _solve_target(target: str, order: int, tol: float,
                   curves: tuple[shoot.Curve, shoot.Curve] | None = None):
     _, construction, args = _TARGETS[target]
     if construction == "doubling":
-        return shoot.find_doubling(*args, order, rtol, atol)
-    return shoot.find_matching(*args, order=order, rtol=rtol, atol=atol,
+        return shoot.find_doubling(*args, order, tol, tol)
+    return shoot.find_matching(*args, order=order, rtol=tol, atol=tol,
                                curves=curves)
 
 
@@ -251,10 +257,10 @@ def _sine_cone_row() -> dict:
     }
 
 
-def run_table2(order: int, rtol: float, atol: float) -> dict:
+def run_table2(order: int, tol: float) -> dict:
     rows = [_sine_cone_row()]
     for target, (label, _, _) in _TARGETS.items():
-        row = _solve_target(target, order, rtol, atol).as_dict()
+        row = _solve_target(target, order, tol).as_dict()
         row["manifold"] = label
         rows.append(row)
     return {"normalization": "vol(S6-std) = 1", "rows": rows}
@@ -271,11 +277,9 @@ _KNOWN_MARKERS = (
 
 
 def run_fig2(args) -> SvgFigure:
-    order, rtol, atol = args.order, args.rtol, args.atol
-    alpha = shoot.trace_curve("alpha", args.alo, args.ahi, n_samples=18,
-                              order=order, rtol=rtol, atol=atol)
-    beta = shoot.trace_curve("beta", args.blo, args.bhi, n_samples=18,
-                             order=order, rtol=rtol, atol=atol)
+    order, tol = args.order, args.tol
+    alpha = shoot.trace_curve("alpha", args.alo, args.ahi, 18, order, tol, tol)
+    beta = shoot.trace_curve("beta", args.blo, args.bhi, 18, order, tol, tol)
     fig = SvgFigure(title="maximal-volume orbit curves in the hyperboloid chart")
     fig.add_polyline("alpha_H", "#c0392b", alpha.h_points)
     fig.add_polyline("beta_H", "#2471a3", beta.h_points)
@@ -289,7 +293,7 @@ def run_fig2(args) -> SvgFigure:
         if args.markers == "solve":
             for target, curves in (("s3xs3-exotic", None),
                                    ("s6-exotic", (alpha, beta))):
-                sol = _solve_target(target, order, rtol, atol, curves)
+                sol = _solve_target(target, order, tol, curves)
                 fig.add_marker(_TARGETS[target][0], "#b7950b",
                                *sol.left.record.h_point)
     return fig
@@ -310,7 +314,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            ok, lines = run_verify(args.rtol, args.atol)
+            ok, lines = run_verify(args.tol, args.tol)
             print("\n".join(lines))
             print("verify:", "all checks passed" if ok else "FAILURES above")
             return EXIT_OK if ok else EXIT_SOLVER
@@ -327,12 +331,11 @@ def main(argv=None) -> int:
             if args.horizon is not None:
                 sol = family_series(args.family, args.param, args.order)
                 t_star, start = handoff(sol)
-                traj = integrate(start, args.horizon, rtol=args.rtol,
-                                 atol=args.atol, series=sol.t_coeffs)
+                traj = integrate(start, args.horizon, rtol=args.tol,
+                                 atol=args.tol, series=sol.t_coeffs)
             else:
-                fs = shoot.solve_family(args.family, args.param, args.order,
-                                        args.rtol, args.atol)
-                traj = fs.traj
+                traj = shoot.solve_family(args.family, args.param, args.order,
+                                          args.tol, args.tol).traj
             path = args.out or f"traj-{args.family}-{args.param}.csv"
             write_csv(path, TRAJECTORY_HEADER, trajectory_rows(traj))
             print(f"wrote {path} ({len(traj.times)} nodes, "
@@ -342,14 +345,14 @@ def main(argv=None) -> int:
         if args.command == "trace":
             curve = shoot.trace_curve(args.family, args.lo, args.hi,
                                       n_samples=args.n, order=args.order,
-                                      rtol=args.rtol, atol=args.atol)
+                                      rtol=args.tol, atol=args.tol)
             path = args.out or f"curve-{args.family}.csv"
             write_csv(path, CURVE_HEADER, curve_rows(curve))
             print(f"wrote {path} ({len(curve.params)} samples)")
             return EXIT_OK
 
         if args.command == "solve":
-            sol = _solve_target(args.target, args.order, args.rtol, args.atol)
+            sol = _solve_target(args.target, args.order, args.tol)
             path = args.out or f"solution-{args.target}.json"
             write_json(path, sol.as_dict())
             print(f"wrote {path} ({sol.manifold}, Vmax = {sol.Vmax:.6f}, "
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "table2":
-            table = run_table2(args.order, args.rtol, args.atol)
+            table = run_table2(args.order, args.tol)
             path = args.out or "table2.json"
             write_json(path, table)
             print(f"wrote {path} ({len(table['rows'])} rows)")
@@ -372,7 +375,7 @@ def main(argv=None) -> int:
 
         if args.command == "scan-s2s4":
             report = shoot.scan_s2s4_boundary(args.lo, args.hi, args.n,
-                                              args.order, args.rtol, args.atol)
+                                              args.order, args.tol, args.tol)
             path = args.out or "scan-s2s4.json"
             write_json(path, report.as_dict())
             status = ("CROSSING FOUND - inspect brackets"

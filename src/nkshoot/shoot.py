@@ -29,8 +29,8 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      InvalidArgumentError, JunctionMismatchError, NKError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
-from .integrate import (MAX_VOLUME_EVENT, EventSpec, Trajectory, _NodePass,
-                        bracketed_root, integrate)
+from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, MAX_VOLUME_EVENT, EventSpec,
+                        Trajectory, _NodePass, bracketed_root, integrate)
 from .series import (DEFAULT_ORDER, SeriesSolution, _poly_states,
                      family_series, handoff, poly_integral, volume_coeffs)
 from .state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry, complex_step,
@@ -88,7 +88,8 @@ class FamilySolve:
 
 
 def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
-                 rtol: float = 1e-12, atol: float = 1e-12) -> FamilySolve:
+                 rtol: float = DEFAULT_RTOL,
+                 atol: float = DEFAULT_ATOL) -> FamilySolve:
     """Series handoff, integrate to the maximal-volume event, build the
     record, and confirm the event is unique over a short guard interval."""
     sol = family_series(family, param, order)
@@ -159,7 +160,8 @@ def _confirm_unique_maximum(traj: Trajectory, rtol: float,
 
 
 def max_orbit(family: str, param: float, order: int = DEFAULT_ORDER,
-              rtol: float = 1e-12, atol: float = 1e-12) -> MaxOrbitRecord:
+              rtol: float = DEFAULT_RTOL,
+              atol: float = DEFAULT_ATOL) -> MaxOrbitRecord:
     """Maximal-volume orbit record of one family member."""
     return solve_family(family, param, order, rtol, atol).record
 
@@ -200,7 +202,7 @@ def _grid(param_lo: float, param_hi: float, n_samples: int) -> np.ndarray:
 
 def trace_curve(family: str, param_lo: float, param_hi: float,
                 n_samples: int = 15, order: int = DEFAULT_ORDER,
-                rtol: float = 1e-12, atol: float = 1e-12) -> Curve:
+                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Curve:
     """Sample max_orbit on a log-spaced grid, bisecting any gap whose
     consecutive hyperboloid points are farther apart than CURVE_SPACING_CAP,
     up to CURVE_MAX_POINTS samples."""
@@ -348,7 +350,8 @@ def junction_derivative_gap(solution: CompleteSolution) -> float:
 
 def find_doubling(family: str, bracket: tuple[float, float],
                   which: str = "v0", order: int = DEFAULT_ORDER,
-                  rtol: float = 1e-12, atol: float = 1e-12) -> CompleteSolution:
+                  rtol: float = DEFAULT_RTOL,
+                  atol: float = DEFAULT_ATOL) -> CompleteSolution:
     """Locate a parameter where v0(T) (or u0(T)) vanishes and build the
     doubled solution. The parameter is bracketed_root's, to within
     ROOT_XTOL + 8.9e-16 |param|; the search solved there, so the doubled
@@ -413,8 +416,8 @@ def matching_candidates(alpha: Curve, beta: Curve,
 
 
 def refine_matching(seed: tuple[float, float], reflection: str,
-                    order: int = DEFAULT_ORDER, rtol: float = 1e-12,
-                    atol: float = 1e-12) -> tuple[FamilySolve, FamilySolve]:
+                    order: int = DEFAULT_ORDER, rtol: float = DEFAULT_RTOL,
+                    atol: float = DEFAULT_ATOL) -> tuple[FamilySolve, FamilySolve]:
     """Solve the 2x2 root problem F(a, b) = alpha_H(a) - R(beta_H(b)) = 0
     from a polyline crossing seed; returns the alpha and beta solves at the
     root.
@@ -500,7 +503,7 @@ def refine_matching(seed: tuple[float, float], reflection: str,
 def find_matching(alpha_range: tuple[float, float],
                   beta_range: tuple[float, float],
                   n_samples: int = 12, order: int = DEFAULT_ORDER,
-                  rtol: float = 1e-12, atol: float = 1e-12,
+                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                   curves: tuple[Curve, Curve] | None = None) -> CompleteSolution:
     """Find an alpha-beta crossing in the hyperboloid chart, with beta_H
     reflected in w1 and then in w2, and build the glued S6 solution."""
@@ -560,7 +563,8 @@ class BoundaryScanReport:
 
 def scan_s2s4_boundary(param_lo: float = 0.1, param_hi: float = 10.0,
                        n_samples: int = 40, order: int = DEFAULT_ORDER,
-                       rtol: float = 1e-12, atol: float = 1e-12) -> BoundaryScanReport:
+                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
+                       ) -> BoundaryScanReport:
     params = _grid(param_lo, param_hi, n_samples)
     recs = [max_orbit("alpha", float(p), order, rtol, atol) for p in params]
     u0 = np.array([rec.state.u[0] for rec in recs])

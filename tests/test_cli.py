@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,13 +122,13 @@ def test_verify_derivative_check_raises_on_a_degenerate_point(
 
 def test_verify_tolerances_set_the_integrator_only(tmp_path, capsys):
     # the drift gate (1e-9) and the drift abort (1e-6) do not follow
-    # --rtol/--atol: looser tolerances fail the gate, then abort the run
-    args = ["verify", "--rtol", "1e-8", "--atol", "1e-8"]
+    # --tol: looser tolerances fail the gate, then abort the run
+    args = ["verify", "--tol", "1e-8"]
     assert run(args, tmp_path) == 2
     out = capsys.readouterr().out
     assert re.search(r"^FAIL  s6-round: integrated drift: \S+ "
                      r"\(tol 1\.0e-09\)$", out, re.M)
-    assert run(["verify", "--rtol", "1e-4", "--atol", "1e-4"], tmp_path) == 2
+    assert run(["verify", "--tol", "1e-4"], tmp_path) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConstraintDriftError"
     assert "> 1e-06" in record["message"]
@@ -240,12 +241,13 @@ def test_bad_config_exits_3(tmp_path):
 
 @pytest.mark.parametrize("line,option,command", [
     ("order = abc", "--order", ["series", "--family", "psi-a", "--param", "0.7"]),
-    ("rtol = fast", "--rtol", ["trace", "--family", "beta", "--lo", "0.6",
-                               "--hi", "1.2"]),
+    ("tol = fast", "--tol", ["trace", "--family", "beta", "--lo", "0.6",
+                             "--hi", "1.2"]),
     ("markers = bogus", "--markers", ["fig2"]),
 ], ids=["order", "rtol", "markers"])
 def test_bad_config_value_exits_3(tmp_path, capsys, line, option, command):
-    # config values are converted and checked exactly like the flag
+    # config values are converted and checked exactly like the flag (the
+    # "rtol" id is the tol case)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "never.out"
@@ -273,12 +275,12 @@ def test_bad_config_value_exits_3(tmp_path, capsys, line, option, command):
     (["series", "--family", "psi-b", "--param", "inf"], "finite"),
     (["series", "--family", "bubble-b", "--param", "nan"], "finite"),
     (["trace", "--family", "beta", "--lo", "0.6", "--hi", "inf"], "param_lo"),
-    (["traj", "--family", "alpha", "--param", "1", "--rtol", "nan"],
+    (["traj", "--family", "alpha", "--param", "1", "--tol", "nan"],
      "tolerances"),
-    (["verify", "--rtol", "nan"], "tolerances"),
-    (["traj", "--family", "alpha", "--param", "1", "--rtol", "-1"],
+    (["verify", "--tol", "nan"], "tolerances"),
+    (["traj", "--family", "alpha", "--param", "1", "--tol", "-1"],
      "tolerances"),
-    (["traj", "--family", "alpha", "--param", "1", "--atol", "0"],
+    (["traj", "--family", "alpha", "--param", "1", "--tol", "0"],
      "tolerances"),
 ], ids=["trace-range", "trace-n", "traj-param", "scan-lo", "scan-n",
         "fig2-alo", "traj-horizon-backward", "traj-horizon-nan",
@@ -287,7 +289,7 @@ def test_bad_config_value_exits_3(tmp_path, capsys, line, option, command):
         "verify-rtol-nan", "traj-rtol-negative", "traj-atol-zero"])
 def test_invalid_argument_exits_3(tmp_path, capsys, command, message):
     # rejected by the package before any solve: message on stderr, exit 3,
-    # no output file
+    # no output file (the *-rtol-* and *-atol-* ids are --tol cases)
     out = tmp_path / "never.out"
     out_args = [] if command[0] == "verify" else ["--out", str(out)]
     assert main(command + out_args) == 3
@@ -307,12 +309,14 @@ _COMMANDS = {
     "fig2": ["--markers", "none"],
     "scan-s2s4": ["--n", "3"],
 }
-_SHARED_OPTIONS = ("--rtol", "--atol", "--order", "--out")
+_SHARED_OPTIONS = ("--tol", "--order", "--out")
 
 
-@pytest.mark.parametrize("option", [["--rtol", "nan"], ["--atol", "0"],
-                                    ["--order", "0"]],
-                         ids=["rtol-nan", "atol-zero", "order-zero"])
+@pytest.mark.parametrize("option", [
+    ["--rtol", "nan"], ["--atol", "0"], ["--order", "0"], ["--tol", "nan"],
+    ["--tol", "0"], ["--tol", "-1"], ["--rtol", "1e-10"], ["--atol", "1e-10"],
+], ids=["rtol-nan", "atol-zero", "order-zero", "tol-nan", "tol-zero",
+        "tol-negative", "rtol-removed", "atol-removed"])
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_every_command_exits_3_on_a_bad_tolerance_or_order(
         tmp_path, capsys, command, option):
@@ -337,12 +341,13 @@ def test_every_command_exits_3_on_a_bad_tolerance_or_order(
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_each_command_lists_the_shared_options_it_reads(capsys, command):
     # series never integrates; verify builds no series and writes no file;
-    # fig2 writes through --out alone
+    # fig2 writes through --out alone; --tol is the only tolerance
     with pytest.raises(SystemExit):
         main([command, "--help"])
     text = capsys.readouterr().out
-    listed = {flag for flag in _SHARED_OPTIONS + ("--svg",) if flag in text}
-    want = {"series": {"--order", "--out"}, "verify": {"--rtol", "--atol"}}
+    listed = {flag for flag in _SHARED_OPTIONS + ("--rtol", "--atol", "--svg")
+              if flag in text}
+    want = {"series": {"--order", "--out"}, "verify": {"--tol"}}
     assert listed == want.get(command, set(_SHARED_OPTIONS))
 
 
@@ -350,7 +355,7 @@ def test_each_command_lists_the_shared_options_it_reads(capsys, command):
 def test_verify_with_tolerances_too_loose_for_a_jet_exits_3(capsys, tol):
     # the jet order would be 1 or 0: a typed error before the first step,
     # not a traceback
-    assert main(["verify", "--rtol", tol, "--atol", tol]) == 3
+    assert main(["verify", "--tol", tol]) == 3
     captured = capsys.readouterr()
     assert "too loose" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
@@ -379,7 +384,7 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     # an impossible bracket has no sign change: machine-readable error record
     out = tmp_path / "x.json"
     code = main(["solve", "--target", "s3s3-homog", "--out", str(out),
-                 "--rtol", "1e-12"])
+                 "--tol", "1e-12"])
     assert code == 0
     # force a failure through trace with a parameter range beyond the
     # series radius gate
@@ -443,6 +448,79 @@ def test_config_precedence(tmp_path):
     n1 = len(out1.read_text().splitlines())
     n2 = len(out2.read_text().splitlines())
     assert n1 < n2
+
+
+_TRAJ = ["traj", "--family", "beta", "--param", "0.6"]
+
+
+@pytest.mark.parametrize("lines,key", [
+    ("rtol = 1e-10", "rtol"), ("atol = 1e-10", "atol"), ("ordr = 12", "ordr"),
+    ("help = 1", "help"), ("config = other.cfg", "config"),
+    ("tol = 1e-10\norder = 12\ntol = 1e-8", "'tol'"),
+], ids=["rtol", "atol", "ordr", "help", "config", "twice"])
+def test_config_key_of_no_command_or_given_twice_exits_3(tmp_path, capsys,
+                                                         lines, key):
+    # a key that is no command's option (a typo, a removed option) or a key
+    # given twice would otherwise be dropped without a word
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "never.csv"
+    try:
+        code = main(["--config", str(cfg)] + _TRAJ + ["--out", str(out)])
+    except SystemExit as e:
+        code = e.code
+    assert code == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_tol_acts_as_the_flag(tmp_path):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol = 1e-10\n")
+    paths = [tmp_path / f"{name}.csv" for name in ("config", "flag", "default")]
+    assert main(["--config", str(cfg)] + _TRAJ + ["--out", str(paths[0])]) == 0
+    assert main(_TRAJ + ["--tol", "1e-10", "--out", str(paths[1])]) == 0
+    assert main(_TRAJ + ["--out", str(paths[2])]) == 0
+    config, flag, default = (p.read_bytes() for p in paths)
+    assert config == flag != default
+
+
+def test_config_keys_of_another_command_are_ignored(tmp_path, capsys):
+    # order and horizon are options of other commands, not of verify
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-10\norder = 12\nhorizon = 1.0\n")
+    assert main(["--config", str(cfg), "verify"]) == 0
+    config = capsys.readouterr().out
+    assert main(["verify", "--tol", "1e-10"]) == 0
+    assert config == capsys.readouterr().out
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_readme_command_lines_parse():
+    # every example of the README's command-line block is a valid invocation;
+    # parsing only, nothing is solved
+    block = re.search(r"## Command line\s+```sh\n(.*?)```", README,
+                      re.DOTALL).group(1)
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert len(lines) >= 8
+    for argv in lines:
+        assert argv[0] == "nkshoot"
+        cli.build_parser().parse_args(argv[1:])
+
+
+def test_readme_names_only_existing_options():
+    # every --flag the README puts in backticks is an option of nkshoot or
+    # of one of its commands
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    options = {flag for p in (parser, *commands.values()) for a in p._actions
+               for flag in a.option_strings}
+    named = {flag for span in re.findall(r"`([^`]*)`", README)
+             for flag in re.findall(r"--[a-z][a-z0-9-]*", span)}
+    assert {"--config", "--order", "--out"} <= named
+    assert named <= options, named - options
 
 
 def test_fig2_svg(tmp_path):

@@ -12,10 +12,12 @@ import pytest
 from conftest import (SQRT2, SQRT3, float_bits, reference_poly_integral,
                       validate_record)
 from nkshoot import cli, series, shoot
-from nkshoot.errors import (DegenerateStateError, EventNotFoundError,
-                            JunctionMismatchError, NKError, NoSignChangeError,
+from nkshoot.errors import (BoundaryAmbiguousError, DegenerateStateError,
+                            EventNotFoundError, JunctionMismatchError,
+                            NKError, NoCrossingError, NoSignChangeError,
                             RefinementStallError)
 from nkshoot.exact import eval_named
+from nkshoot.geometry import MaxOrbitRecord
 from nkshoot.integrate import (MAX_VOLUME_EVENT, _order_and_tol,
                                _step_size, integrate)
 from nkshoot.series import volume_coeffs
@@ -142,6 +144,22 @@ def test_find_doubling_cp3():
 def test_find_doubling_no_sign_change():
     with pytest.raises(NoSignChangeError):
         find_doubling("beta", (1.2, 1.4), "v0")
+
+
+def test_find_doubling_at_the_sasaki_einstein_point_raises(monkeypatch):
+    # a root whose orbit lies on both wedge boundaries, mu = lambda and
+    # lambda = 1, is the excluded point (1, 1), not a doubled structure
+    for name in ("on_boundary_mu_eq_lambda", "on_boundary_lambda_one"):
+        monkeypatch.setattr(MaxOrbitRecord, name, property(lambda rec: True))
+    with pytest.raises(BoundaryAmbiguousError, match="Sasaki-Einstein"):
+        find_doubling("beta", (0.9, 1.1), "u0")
+
+
+def test_find_matching_without_a_crossing_raises():
+    # these ranges hold no crossing of alpha_H with either reflection of
+    # beta_H, so there is no seed to refine
+    with pytest.raises(NoCrossingError, match="no crossing"):
+        find_matching((0.35, 0.5), (1.5, 1.9), n_samples=6)
 
 
 def count_solves(monkeypatch) -> list[tuple]:
@@ -343,7 +361,7 @@ def test_table2_volumes_agree_with_an_independent_scipy_path():
                    + quad(lambda t: volume(run.sol(t)), t_h, T))
 
     for target in cli._TARGETS:
-        sol = cli._solve_target(target, series.DEFAULT_ORDER, 1e-12, 1e-12)
+        sol = cli._solve_target(target, series.DEFAULT_ORDER, 1e-12)
         left = half(sol.left)
         right = left if sol.right is sol.left else half(sol.right)
         assert abs(left[0] + right[0] - sol.T_total) < 1e-12
