@@ -4,7 +4,7 @@ reference-table reproduction, and plot emission.
 Exit codes: 0 success, 2 solver failure, 3 invalid configuration. Any solver
 failure prints a machine-readable JSON error record to stderr. Precedence is
 flags > config file > defaults; the config file is flat "key = value" text,
-each key once and the long name of some command's option, such as tol.
+each key once and the long name of some command's option, required or not.
 """
 from __future__ import annotations
 
@@ -71,11 +71,10 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _config_defaults(sp: argparse.ArgumentParser,
                      config: dict[str, str]) -> None:
-    """Config values become the defaults of sp's options. argparse converts
-    a string default with the option's own type= when no flag overrides it,
-    and a bad value ends in _Parser.error; choices it checks on flags only,
-    so they are checked here."""
-    defaults = {}
+    """Config values become the defaults of sp's options, which are then no
+    longer required. argparse converts a string default with the option's
+    type= when no flag overrides it, and a bad value ends in _Parser.error;
+    choices it checks on flags only, so they are checked here."""
     for action in sp._actions:
         if action.dest not in config:
             continue
@@ -84,8 +83,7 @@ def _config_defaults(sp: argparse.ArgumentParser,
             choices = ", ".join(map(repr, action.choices))
             sp.error(f"argument {action.option_strings[0]}: invalid choice: "
                      f"{value!r} (choose from {choices})")
-        defaults[action.dest] = value
-    sp.set_defaults(**defaults)
+        action.default, action.required = value, False
 
 
 def build_parser(config: dict[str, str] | None = None,
@@ -163,7 +161,8 @@ def build_parser(config: dict[str, str] | None = None,
         known = {a.dest for cmd in sub.choices.values() for a in cmd._actions}
         if unknown := sorted(config.keys() - (known - {"help"})):
             p.error(f"unknown config key: {', '.join(unknown)}")
-        _config_defaults(sub.choices[command], config)
+        if command in sub.choices:
+            _config_defaults(sub.choices[command], config)
     return p
 
 
@@ -303,14 +302,17 @@ def run_fig2(args) -> SvgFigure:
 # entry point
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.config:
-        try:
-            config = _read_config(args.config)
-        except (OSError, ValueError) as e:
-            print(f"nkshoot: invalid config: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        args = build_parser(config, args.command).parse_args(argv)
+    # --config is read first, as the file may supply a required option
+    head = _Parser(prog="nkshoot", add_help=False)
+    head.add_argument("--config")
+    head.add_argument("command", nargs=argparse.REMAINDER)
+    pre = head.parse_known_args(argv)[0]
+    try:
+        config = _read_config(pre.config) if pre.config else None
+    except (OSError, ValueError) as e:
+        print(f"nkshoot: invalid config: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    args = build_parser(config, next(iter(pre.command), None)).parse_args(argv)
 
     try:
         if args.command == "verify":

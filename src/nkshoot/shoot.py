@@ -200,26 +200,32 @@ def _grid(param_lo: float, param_hi: float, n_samples: int) -> np.ndarray:
     return np.geomspace(param_lo, param_hi, n_samples)
 
 
+def _curve_points(family, param_lo, param_hi, n_samples, order, rtol, atol):
+    """Yield trace_curve's samples as (param, record) once each is final."""
+    orbit = cache(lambda p: max_orbit(family, p, order, rtol, atol))
+    params = list(_grid(param_lo, param_hi, n_samples))
+    yield params[0], orbit(params[0])
+    i = 0
+    while i < len(params) - 1:
+        p0, p1 = params[i], params[i + 1]
+        gap = np.hypot(*np.subtract(orbit(p1).h_point, orbit(p0).h_point))
+        if gap > CURVE_SPACING_CAP and len(params) < CURVE_MAX_POINTS:
+            params.insert(i + 1, math.sqrt(p0 * p1))
+        else:
+            i += 1
+            yield p1, orbit(p1)
+
+
 def trace_curve(family: str, param_lo: float, param_hi: float,
                 n_samples: int = 15, order: int = DEFAULT_ORDER,
                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Curve:
-    """Sample max_orbit on a log-spaced grid, bisecting any gap whose
-    consecutive hyperboloid points are farther apart than CURVE_SPACING_CAP,
-    up to CURVE_MAX_POINTS samples."""
-    params = list(_grid(param_lo, param_hi, n_samples))
-    recs = {p: max_orbit(family, p, order, rtol, atol) for p in params}
-    i = 0
-    while i < len(params) - 1 and len(params) < CURVE_MAX_POINTS:
-        p0, p1 = params[i], params[i + 1]
-        gap = np.subtract(recs[p1].h_point, recs[p0].h_point)
-        if np.hypot(*gap) > CURVE_SPACING_CAP:
-            mid = math.sqrt(p0 * p1)
-            recs[mid] = max_orbit(family, mid, order, rtol, atol)
-            params.insert(i + 1, mid)
-        else:
-            i += 1
-    return Curve(family=family, params=np.array(params),
-                 records=tuple(recs[p] for p in params))
+    """Sample max_orbit on a log-spaced grid in parameter order, bisecting
+    any gap wider than CURVE_SPACING_CAP in the chart, up to CURVE_MAX_POINTS
+    samples. find_matching traces alpha only as far as w1 needs, so an alpha
+    member past its crossing is never solved and beta's failure comes first."""
+    params, records = zip(*_curve_points(family, param_lo, param_hi,
+                                         n_samples, order, rtol, atol))
+    return Curve(family=family, params=np.array(params), records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +406,7 @@ def _segments_cross(p0, p1, q0, q1) -> tuple[bool, float, float]:
 def matching_candidates(alpha: Curve, beta: Curve,
                         reflection: str) -> list[tuple[float, float]]:
     """Seed pairs (a, b) from polyline crossings of alpha_H with the
-    reflected beta_H arc."""
+    reflected beta_H arc, in (alpha segment, beta segment) order."""
     refl = np.asarray(_REFLECTIONS[reflection])
     ah = alpha.h_points
     bh = beta.h_points * refl
@@ -506,17 +512,28 @@ def find_matching(alpha_range: tuple[float, float],
                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                   curves: tuple[Curve, Curve] | None = None) -> CompleteSolution:
     """Find an alpha-beta crossing in the hyperboloid chart, with beta_H
-    reflected in w1 and then in w2, and build the glued S6 solution."""
+    reflected in w1 and then in w2, and build the glued S6 solution. alpha
+    is traced only as far as its first refinable w1 crossing, so a failing
+    alpha member past it is never solved, and beta, traced first, fails
+    first; seeds and result are otherwise those of the full curves."""
     if curves is None:
-        alpha = trace_curve("alpha", *alpha_range, n_samples=n_samples,
-                            order=order, rtol=rtol, atol=atol)
-        beta = trace_curve("beta", *beta_range, n_samples=n_samples,
-                           order=order, rtol=rtol, atol=atol)
+        beta = trace_curve("beta", *beta_range, n_samples, order, rtol, atol)
+        points = _curve_points("alpha", *alpha_range, n_samples, order,
+                               rtol, atol)
     else:
-        alpha, beta = curves
-    reflections = ("w1", "w2")
+        points, beta = zip(curves[0].params, curves[0].records), curves[1]
+
+    def pieces():
+        params, records = [], []
+        for param, record in points:
+            params.append(param)
+            records.append(record)
+            yield "w1", Curve("alpha", np.array(params[-2:]),
+                              tuple(records[-2:]))
+        yield "w2", Curve("alpha", np.array(params), tuple(records))
+
     stalls = []
-    for refl in reflections:
+    for refl, alpha in pieces():
         for seed in matching_candidates(alpha, beta, refl):
             try:
                 fa, fb = refine_matching(seed, refl, order, rtol, atol)
@@ -528,7 +545,7 @@ def find_matching(alpha_range: tuple[float, float],
         raise RefinementStallError("; ".join(stalls))
     raise NoCrossingError(
         f"no crossing of alpha_H over {alpha_range} with reflected beta_H "
-        f"over {beta_range} (reflections {reflections})")
+        f"over {beta_range} (reflections ('w1', 'w2'))")
 
 
 # ---------------------------------------------------------------------------

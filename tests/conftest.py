@@ -312,6 +312,30 @@ def reference_step_size(c, tol: float) -> float:
     return rho * tol ** (1.0 / n)
 
 
+def reference_trace_curve(family: str, param_lo: float, param_hi: float,
+                          n_samples: int = 15):
+    """shoot.trace_curve as it was, at its default order and tolerances:
+    every grid member solved first, then the gaps wider than
+    CURVE_SPACING_CAP bisected from the left while fewer than
+    CURVE_MAX_POINTS samples are held. The constants are read from shoot
+    at call time, so a test that patches them patches this too."""
+    from nkshoot import shoot
+    params = list(np.geomspace(param_lo, param_hi, n_samples))
+    recs = {p: shoot.max_orbit(family, p) for p in params}
+    i = 0
+    while i < len(params) - 1 and len(params) < shoot.CURVE_MAX_POINTS:
+        p0, p1 = params[i], params[i + 1]
+        gap = np.subtract(recs[p1].h_point, recs[p0].h_point)
+        if np.hypot(*gap) > shoot.CURVE_SPACING_CAP:
+            mid = math.sqrt(p0 * p1)
+            recs[mid] = shoot.max_orbit(family, mid)
+            params.insert(i + 1, mid)
+        else:
+            i += 1
+    return shoot.Curve(family=family, params=np.array(params),
+                       records=tuple(recs[p] for p in params))
+
+
 def float_bits(xs) -> list[str]:
     """The floats xs as hex strings, every NaN as 'nan': equal lists mean
     equal bits, signed zeros included, NaN matching NaN."""

@@ -485,6 +485,35 @@ def test_config_tol_acts_as_the_flag(tmp_path):
     assert config == flag != default
 
 
+def test_config_supplies_required_options(tmp_path):
+    # --config is read before the command's options are checked, so a
+    # required option may come from the file
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text("family = beta\nparam = 0.6\n")
+    paths = [tmp_path / f"{name}.csv" for name in ("config", "flag")]
+    assert main(["--config", str(cfg), "traj", "--out", str(paths[0])]) == 0
+    assert main(_TRAJ + ["--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("lines,missing,given", [
+    ("tol = 1e-12", "--family, --param", None),
+    ("family = beta", "--param", "--family"),
+], ids=["neither", "family-only"])
+def test_config_lacking_required_options_exits_3(tmp_path, capsys, lines,
+                                                 missing, given):
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as e:
+        main(["--config", str(cfg), "traj", "--out", str(out)])
+    assert e.value.code == 3
+    err = capsys.readouterr().err
+    assert f"required: {missing}" in err
+    assert given is None or given not in err
+    assert not out.exists()
+
+
 def test_config_keys_of_another_command_are_ignored(tmp_path, capsys):
     # order and horizon are options of other commands, not of verify
     cfg = tmp_path / "run.cfg"

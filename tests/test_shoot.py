@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (SQRT2, SQRT3, float_bits, reference_poly_integral,
-                      validate_record)
+                      reference_trace_curve, validate_record)
 from nkshoot import cli, series, shoot
 from nkshoot.errors import (BoundaryAmbiguousError, DegenerateStateError,
                             EventNotFoundError, JunctionMismatchError,
@@ -102,6 +102,28 @@ def test_beta_quadrant_sign_stability():
         runs = [s for s in signs if abs(s) > 0]
         changes = sum(1 for a, b in zip(runs, runs[1:]) if a != b)
         assert changes <= 2, f"coordinate {coord} oscillates"
+
+
+@pytest.mark.parametrize("family,lo,hi,n,cap", [
+    ("beta", 0.05, 1.5, 10, None), ("alpha", 0.1, 3.0, 10, None),
+    ("alpha", 0.15, 3.0, 12, None), ("beta", 0.1, 1.5, 12, None),
+    ("beta", 0.05, 1.0, 14, None), ("alpha", 0.35, 2.2, 10, None),
+    ("beta", 0.35, 1.6, 10, None), ("alpha", 0.1, 3.0, 10, 14),
+], ids=["beta-0.05-1.5", "alpha-0.1-3.0", "alpha-0.15-3.0", "beta-0.1-1.5",
+        "beta-0.05-1.0", "alpha-0.35-2.2", "beta-0.35-1.6", "alpha-capped"])
+def test_trace_curve_equals_the_reference_trace(monkeypatch, family, lo, hi,
+                                                n, cap):
+    # sampling in parameter order, each member once its lower gap is final,
+    # keeps the reference's samples: the same bisections (alpha over
+    # (0.1, 3.0) bisects 11 gaps) and the same CURVE_MAX_POINTS count
+    if cap is not None:
+        monkeypatch.setattr(shoot, "CURVE_MAX_POINTS", cap)
+    got = trace_curve(family, lo, hi, n_samples=n)
+    ref = reference_trace_curve(family, lo, hi, n)
+    assert float_bits(got.params) == float_bits(ref.params)
+    assert float_bits(got.h_points.ravel()) == float_bits(ref.h_points.ravel())
+    if (family, lo, n) == ("alpha", 0.1, 10):
+        assert len(got.params) == (cap or 21)
 
 
 def test_vmax_tends_to_one_for_small_parameters():
@@ -273,6 +295,79 @@ def test_find_matching_solves_each_member_once(monkeypatch):
     sol = find_matching((1.2, 2.4), (1.05, 1.9), n_samples=8)
     assert abs(sol.param_left - SQRT3) < 1e-6
     assert len(calls) == len(set(calls))
+
+
+def solution_bits(sol) -> list[str]:
+    """The bits of a glued solution's table row, junction gap and two
+    junction states."""
+    row = sol.as_dict()
+    return float_bits([row["param_left"], row["param_right"], row["T_total"],
+                       row["Vmax"], row["vol"], sol.junction_gap,
+                       *sol.left.record.state.vec,
+                       *sol.right.record.state.vec])
+
+
+@pytest.mark.parametrize("target", ["s6-exotic", "s6-homog"])
+def test_lazy_matching_equals_the_matching_on_traced_curves(target):
+    # tracing alpha one member at a time refines the same seeds in the same
+    # order as the matching on fully traced curves
+    alpha_range, beta_range = cli._TARGETS[target][2]
+    curves = (trace_curve("alpha", *alpha_range, n_samples=12),
+              trace_curve("beta", *beta_range, n_samples=12))
+    lazy = find_matching(alpha_range, beta_range)
+    traced = find_matching(alpha_range, beta_range, curves=curves)
+    assert (lazy.manifold, lazy.word) == (traced.manifold, traced.word)
+    assert solution_bits(lazy) == solution_bits(traced)
+
+
+def test_lazy_matching_solves_alpha_up_to_its_crossing(monkeypatch):
+    # the S6-new crossing lies in alpha segment 5 of 11: 7 of the 12 alpha
+    # curve members are solved, all 12 of beta's
+    alpha_range, beta_range = cli._TARGETS["s6-exotic"][2]
+    calls = count_solves(monkeypatch)
+    find_matching(alpha_range, beta_range)
+    for family, (lo, hi), members in (("alpha", alpha_range, 7),
+                                      ("beta", beta_range, 12)):
+        grid = list(np.geomspace(lo, hi, 12))
+        solved = [p for fam, p in calls if fam == family and p in grid]
+        assert solved == grid[:members]
+
+
+def fail_members(monkeypatch, fails) -> None:
+    """shoot.solve_family raises EventNotFoundError where fails(family,
+    param) holds."""
+    original = shoot.solve_family
+
+    def solve(family, param, *args):
+        if fails(family, param):
+            raise EventNotFoundError(f"injected at {family}({param})")
+        return original(family, param, *args)
+
+    monkeypatch.setattr(shoot, "solve_family", solve)
+
+
+def test_alpha_failure_past_the_crossing_is_never_met(monkeypatch):
+    # alpha members above 0.7 lie past the S6-new crossing, so their solve
+    # is never tried
+    alpha_range, beta_range = cli._TARGETS["s6-exotic"][2]
+    want = solution_bits(find_matching(alpha_range, beta_range))
+    fail_members(monkeypatch, lambda family, p: family == "alpha" and p > 0.7)
+    sol = find_matching(alpha_range, beta_range)
+    assert sol.manifold == "S6" and solution_bits(sol) == want
+
+
+@pytest.mark.parametrize("fails,raised", [
+    (lambda family, p: family == "alpha" and p < 0.5, "alpha"),
+    (lambda family, p: p < 0.5, "beta"),
+], ids=["alpha-below", "both"])
+def test_member_failure_before_the_crossing_raises(monkeypatch, fails,
+                                                   raised):
+    # a failing alpha member below the crossing still ends the search; beta
+    # is traced in full first, so when both curves fail, beta's error is
+    # the one raised
+    fail_members(monkeypatch, fails)
+    with pytest.raises(EventNotFoundError, match=f"injected at {raised}"):
+        find_matching(*cli._TARGETS["s6-exotic"][2])
 
 
 def count_volume_quadratures(monkeypatch) -> list[tuple]:
