@@ -37,14 +37,14 @@ stacked h*Id - A for h = 1 .. order.
 
 Four solution families are produced:
   S2        u_i(0) = (a^2, a^2, 0), v(0) = 0, lambda ~ (3/2) t; variable t.
-  S3        lambda(0) = b, v0(0) = -v2(0) = -(2/3) b^3; stored in the bubble
-            variable s with ds/dt = 1/lambda and a t(s) conversion series.
+  S3        lambda(0) = b, v0(0) = -v2(0) = -(2/3) b^3; variable t.
   S2-bubble the epsilon = a rescaling of S2 (coefficient scaling).
-  S3-bubble the epsilon = b rescaled solution solved directly in s.
+  S3-bubble the epsilon = b rescaling of S3, solved in the variable s with
+            ds/dt = 1/lambda and a t(s) conversion series; the only one in s.
 
 eval_series evaluates in the solution's own variable; every use in time (the
 handoff, the profile below t*, the series volume, the integrator's first
-step) reads the Taylor rows in t, SeriesSolution.t_coeffs.
+step) reads the Taylor rows in t of S2 or S3, SeriesSolution.t_coeffs.
 """
 from __future__ import annotations
 
@@ -525,7 +525,21 @@ def _s3_bubble_rhs(y, x, b):
     return mm1, xm
 
 
+def _s3_rhs(y, x, b):
+    y1, y2, y3, y4, y5, y6, y7 = y
+    x2 = x * x
+    x2y7, r7 = x2 * y7, 1 / y7
+    mm1 = [-(y1 + 3 * (y4 * r7)), -(y2 + 3 * (y5 * r7) - 2 * y7),
+           -(y3 + 3 * (y6 * r7)), 0.0, 0.0, 0.0,
+           -((2 * (y7 * y7 * y2) + 3 * (y3 * y6 * (r7 * r7)))
+             / (y2 * y2 - y1 * y1 + y3 * y3))]
+    xm = [0.0, 0.0, 0.0, 4 * (x2y7 * y1), 4 * (x2y7 * y2),
+          4 * (x2y7 * y3) - 3 * (x2 * (y3 * r7)), 0.0]
+    return mm1, xm
+
+
 _S2_PROGRAM = _Program(7, _s2_rhs, n_params=1)
+_S3_PROGRAM = _Program(7, _s3_rhs, n_params=1)
 _S3_BUBBLE_PROGRAM = _Program(7, _s3_bubble_rhs, n_params=1)
 
 
@@ -539,6 +553,16 @@ def s2_problem(a: float) -> SingularIVP:
     y0 = np.array([-3 * a2, -3 * a2 + 1.5, -1.5 * sq3 * a,
                    3 * a2, 3 * a2, 1.5 * sq3 * a, 1.5])
     return SingularIVP(_S2_PROGRAM, y0, (a,), name="S2")
+
+
+def s3_problem(b: float) -> SingularIVP:
+    """Closing on the 3-sphere orbit in t: u_i = t y_{1+i}, v_i = y_{4+i},
+    lambda = y7; b enters through y0 only, and its row names it in errors."""
+    if not 0.0 < b < np.inf:
+        raise InvalidArgumentError("parameter b must be positive and finite")
+    v = 2 * b * b * b / 3
+    y0 = np.array([2 * b * b, 2 * b, -2 * b * b, -v, 0.0, v, b])
+    return SingularIVP(_S3_PROGRAM, y0, (b,), name="S3")
 
 
 def s3_bubble_problem(b: float) -> SingularIVP:
@@ -565,10 +589,9 @@ class SeriesSolution:
     orbit.
 
     coeffs maps component name -> coefficient array in the solution's own
-    variable (t for the S2 family and its bubble, s for the S3 family and
-    its bubble). For variable-s solutions t_of_var converts to the time of
-    the stored, un-rescaled solution (t = integral of lambda ds); for
-    variable-t solutions it is the identity series.
+    variable (t for both families and the S2 bubble, s for the S3 bubble).
+    For the variable-s bubble t_of_var converts to its time (t = integral
+    of lambda ds); for variable-t solutions it is the identity series.
     """
 
     family: str               # 'S2' | 'S3' | 'S2-bubble' | 'S3-bubble'
@@ -593,27 +616,12 @@ class SeriesSolution:
 
     @cached_property
     def t_coeffs(self) -> np.ndarray:
-        """Taylor rows in t about t = 0: row k holds [t^k] of the seven
-        components, k = 0..order+1, the orders the recurrence fixes. A
-        variable-t solution's rows are its coefficients; a variable-s
-        solution's are its s-series composed with s(t), the reversion of
-        t(s), by Lagrange inversion (Brent & Kung, J. ACM 25, 1978):
-        [t^k] Y(s(t)) = (1/k) [s^(k-1)] Y'(s) (s / t(s))^k."""
-        n = self.order + 1
-        Y = np.array([self.coeffs[name][:n + 1] for name in _COMPONENTS]).T
-        if self.var == "t":
-            return Y
-        q = self.t_of_var[1:n + 1]              # t(s) / s
-        phi = np.zeros(n)                       # s / t(s)
-        phi[0] = 1.0 / q[0]
-        for k in range(1, n):
-            phi[k] = -np.dot(q[1:k + 1], phi[k - 1::-1]) * phi[0]
-        dY = Y[1:] * np.arange(1.0, n + 1)[:, None]
-        out = Y.copy()
-        for k in range(1, n + 1):
-            power = np.convolve(power, phi)[:n] if k > 1 else phi
-            out[k] = power[k - 1::-1] @ dY[:k] / k
-        return out
+        """Taylor rows in t of a variable-t solution: row k holds [t^k] of the
+        components, k = 0..order+1, the orders the recurrence fixes."""
+        if self.var != "t":
+            raise InvalidArgumentError(f"the {self.family} series is in s")
+        return np.array([self.coeffs[name][:self.order + 2]
+                         for name in _COMPONENTS]).T
 
     def components_at(self, x: float) -> np.ndarray:
         return np.array([_horner(self.coeffs[name], x) for name in _COMPONENTS])
@@ -651,48 +659,50 @@ def eval_series(sol: SeriesSolution, x: float) -> tuple[State, float]:
     return State.from_vec(sol.time_at(x), y), tail
 
 
+def _coefficients(rows, order: int, lead: dict) -> dict[str, np.ndarray]:
+    """Coefficient arrays of length order + 3, with the rows (u0, u1, u2,
+    v0, v1, v2, lambda) from the power lead[first letter] on."""
+    c = {name: np.zeros(order + 3) for name in _COMPONENTS}
+    for name, row in zip((*_COMPONENTS[1:], "lam"), rows):
+        c[name][lead[name[0]]:lead[name[0]] + len(row)] = row
+    return c
+
+
+def _t_solution(family: str, problem: SingularIVP, order: int,
+                lead: dict) -> SeriesSolution:
+    """The variable-t family with problem's rows as its _coefficients,
+    solved to the order that fixes all of its t-rows 0..order+1."""
+    if order < 1:
+        raise InvalidArgumentError(
+            f"series order must be at least 1, got {order}")
+    Y, _ = solve_singular_ivp(problem, order + 1 - lead["l"])
+    return SeriesSolution(family, problem.params[0], "t", order,
+                          _coefficients(Y, order, lead), np.array([0.0, 1.0]))
+
+
 def series_psi_a(a: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
     """Family closing on the S^2 orbit; leading data lambda = (3/2) t,
     u0(0) = u1(0) = a^2."""
-    Y, _ = solve_singular_ivp(s2_problem(a), order)
-    n = order + 2
-    c = {name: np.zeros(n + 1) for name in _COMPONENTS}
-    c["lam"][1:order + 2] = Y[6]
-    for name, row in zip(_COMPONENTS[1:], Y):
-        c[name][2:order + 3] = row
-    c["u0"][0] = c["u1"][0] = a * a
-    return SeriesSolution("S2", a, "t", order, c, np.array([0.0, 1.0]))
+    sol = _t_solution("S2", s2_problem(a), order, {"l": 1, "u": 2, "v": 2})
+    sol.coeffs["u0"][0] = sol.coeffs["u1"][0] = a * a
+    return sol
 
 
 def series_bubble_b(b: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
     """Rescaled bubble closing on the S^3 orbit, in the variable s."""
     Y, _ = solve_singular_ivp(s3_bubble_problem(b), order)
-    n = order + 2
-    c = {name: np.zeros(n + 1) for name in _COMPONENTS}
-    c["lam"][:order + 1] = _psqrt(Y[6], order)   # lambda^2 = y7 to order
-    c["u0"][1:order + 2] = Y[0]
-    c["u1"][1:order + 2] = Y[1]
-    c["u2"][1:order + 2] = b * Y[2]
-    c["v0"][0] = -2.0 / 3.0
-    c["v0"][2:order + 3] = Y[3]
-    c["v1"][2:order + 3] = Y[4]
-    c["v2"][0] = 2.0 / 3.0
-    c["v2"][2:order + 3] = Y[5]
-    t_tilde = _pint(c["lam"])[:n + 1]  # dt~/ds = lambda~
+    c = _coefficients((*Y[:2], b * Y[2], *Y[3:6], _psqrt(Y[6], order)), order,
+                      {"l": 0, "u": 1, "v": 2})
+    c["v0"][0], c["v2"][0] = -2.0 / 3.0, 2.0 / 3.0
+    t_tilde = _pint(c["lam"])[:order + 3]  # dt~/ds = lambda~
     return SeriesSolution("S3-bubble", b, "s", order, c, t_tilde)
 
 
 def series_psi_b(b: float, order: int = DEFAULT_ORDER) -> SeriesSolution:
-    """Family closing on the S^3 orbit, un-rescaled from the bubble via
-    lambda = b lambda~(t/b), u = b^2 u~, v = b^3 v~; still a series in s,
-    with t(s) = integral of lambda ds."""
-    if not 0.0 < b < np.inf:
-        raise InvalidArgumentError("parameter b must be positive and finite")
-    bub = series_bubble_b(b, order)
-    scale = {"l": b, "u": b * b, "v": b ** 3}
-    c = {name: scale[name[0]] * bub.coeffs[name] for name in _COMPONENTS}
-    t_of_s = _pint(c["lam"])[:len(c["lam"])]
-    return SeriesSolution("S3", b, "s", order, c, t_of_s)
+    """Family closing on the S^3 orbit; leading data lambda(0) = b,
+    v0(0) = -v2(0) = -(2/3) b^3. It is the bubble rescaled: lambda =
+    b lambda~(s), u = b^2 u~(s), v = b^3 v~(s) at t = b t~(s)."""
+    return _t_solution("S3", s3_problem(b), order, {"l": 0, "u": 1, "v": 0})
 
 
 def series_bubble_a(a: float, order: int = DEFAULT_ORDER) -> SeriesSolution:

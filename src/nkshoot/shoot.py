@@ -2,11 +2,11 @@
 maximal-volume event, curve tracing, and the doubling/matching root solves
 that produce complete solutions.
 
-A family member is solved from its singular-orbit series, re-expanded in t:
-those rows give the state up to the handoff time t* and the integrator's
-first step, which runs until the maximal-volume event 2 lambda^4 u1 = 3 u2 v2
-fires; the event state is recorded with its wedge and hyperboloid
-projections. Complete solutions arise from
+A family member is solved from its singular-orbit series in t, whose rows
+give the state up to the handoff time t* and the integrator's first step,
+which runs until the maximal-volume event 2 lambda^4 u1 = 3 u2 v2 fires;
+the event state is recorded with its wedge and hyperboloid projections.
+Complete solutions arise from
 
   doubling: a parameter where v0(T) = 0 (wedge boundary mu = lambda) or
             u0(T) = 0 (boundary lambda = 1), glued to itself;

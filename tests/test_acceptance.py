@@ -17,7 +17,7 @@ from conftest import (SQRT2, SQRT3, equation_residual, named_derivative,
                       s_of_time)
 from nkshoot.exact import (NAMED_SOLUTIONS, SMALL_RESOLUTION, SMOOTHING)
 from nkshoot.geometry import bohm, count_v0_zeros
-from nkshoot.series import family_series, handoff
+from nkshoot.series import family_series, handoff, series_bubble_b
 from nkshoot.shoot import (S6_STD_TOTAL_VOLUME, find_doubling, find_matching,
                            glue, max_orbit, scan_s2s4_boundary, solve_family)
 from nkshoot.state import constraints, rhs_vec
@@ -193,7 +193,7 @@ def _bubble_states_on_s_grid(b: float, s_grid):
     augmented integration of ds/dt = 1/lambda."""
     sol = family_series("beta", b)
     t_star, start = handoff(sol)
-    s_star = s_of_time(sol, t_star)
+    s_star = s_of_time(series_bubble_b(b), t_star / b)
 
     def rhs8(t, y):
         return np.append(rhs_vec(t, y[:7]), 1.0 / y[0])

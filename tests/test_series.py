@@ -9,15 +9,15 @@ import pytest
 from conftest import (SQRT3, float_bits, plain_dot, reference_advance,
                       reference_horner, reference_poly_integral,
                       reference_table, s_of_time, s_radius, with_top_lambda)
-from nkshoot.errors import (OutOfRadiusError, ResonanceError,
-                            SeriesConsistencyError)
+from nkshoot.errors import (InvalidArgumentError, OutOfRadiusError,
+                            ResonanceError, SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
 from nkshoot.integrate import _order_and_tol
 from nkshoot.series import (COND_LIMIT, SingularIVP, _Program, _horner,
                             _poly_states, _step_size, eval_series,
                             family_series, handoff, poly_integral,
                             recurrence_residuals, s2_problem,
-                            s3_bubble_problem, series_bubble_a,
+                            s3_bubble_problem, s3_problem, series_bubble_a,
                             series_bubble_b, series_psi_a, series_psi_b,
                             solve_singular_ivp)
 from nkshoot.state import apply_symmetry, constraints
@@ -97,6 +97,9 @@ def test_order_below_one_rejected():
         solve_singular_ivp(_toy_problem(-2.0), 0)
     with pytest.raises(ValueError, match="order"):
         series_psi_a(0.7, -3)
+    # S3 is solved to order + 1, so its own check must catch order 0
+    with pytest.raises(InvalidArgumentError, match="order"):
+        series_psi_b(0.7, 0)
 
 
 def test_consistency_gate():
@@ -127,6 +130,32 @@ def test_s3_bubble_determinant_sequence(b):
         assert abs(det - expect) < 1e-8 * expect
 
 
+@pytest.mark.parametrize("b", [0.3, 0.6, 1.0, 1.7])
+def test_s3_program_in_t(b):
+    # the S3 closing in t: M_-1(y0) = 0; A has the spectrum
+    # {-3, -2, -1, -1, 0, 0, 0}, so no order resonates; the series is even
+    # in t; every order satisfies the recurrence to round-off relative to
+    # its largest coefficient (they grow like b^-k: absolutely, the
+    # residuals reach 4e10 at b = 0.3); and the t-rows of an order-40 build
+    # are those of an order-44 build
+    prob = s3_problem(b)
+    Mm1, Mm1_const, _ = prob.program.matrices
+    c0, _ = prob.program.gradient(prob.y0, prob.params)
+    assert np.max(np.abs(Mm1 @ c0 + Mm1_const)) < 1e-15 * max(
+        1.0, np.max(np.abs(prob.y0)))
+    Y, A = solve_singular_ivp(prob, 41)
+    eig = np.linalg.eigvals(A)
+    assert np.allclose(np.sort(eig.real), [-3, -2, -1, -1, 0, 0, 0],
+                       rtol=0, atol=1e-12)
+    assert not eig.imag.any()
+    assert not Y[:, 1::2].any()
+    res = recurrence_residuals(prob, Y)
+    scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
+    assert float(np.max(res / scale)) < 1e-12
+    lo, hi = series_psi_b(b, 40).t_coeffs, series_psi_b(b, 44).t_coeffs
+    assert np.array_equal(lo, hi[:42])
+
+
 @pytest.mark.parametrize("family,param", [("s2", 0.6), ("s2", 2.0),
                                           ("s3", 0.5), ("s3", 1.3)])
 def test_recurrence_exactness(family, param):
@@ -154,6 +183,7 @@ def test_family_program_shared_across_parameters():
     # the parameter is a row of the table, not a constant of the program
     assert s2_problem(0.3).program is s2_problem(0.7).program
     assert s3_bubble_problem(0.3).program is s3_bubble_problem(0.7).program
+    assert s3_problem(0.3).program is s3_problem(0.7).program
 
 
 def test_solve_family_records_no_program(monkeypatch):
@@ -447,7 +477,8 @@ def test_handoff_tail_and_cap():
 def test_stored_coefficients_are_those_of_a_higher_order_build(build, param):
     # every coefficient an order-40 build stores is fixed by the recurrence
     # through order 40, so the order-44 build has the same value, or it is
-    # left at 0.0 (the S3 lambda beyond the orders lambda^2 fixes)
+    # left at 0.0 (the top order of the t-series' lambda, and of S3's v,
+    # and the S3 bubble's lambda beyond the orders lambda^2 fixes)
     lo, hi = build(param, 40), build(param, 44)
     for name, c in lo.coeffs.items():
         assert ((c == hi.coeffs[name][:len(c)]) | (c == 0.0)).all(), name
@@ -465,21 +496,32 @@ def test_s2_t_rows_are_the_stored_coefficients(a):
 
 @pytest.mark.parametrize("b", [0.12, 0.4, 1.0, 1.6])
 def test_s3_t_rows_are_the_s_series_at_s_of_t(b):
+    # the S3 series, solved in t, is the bubble's s-series rescaled:
+    # lambda = b lambda~(s), u = b^2 u~(s), v = b^3 v~(s) at t = b t~(s);
     # over [t*, reach], the span of the first integrator step, as far as
-    # s_of_time inverts t(s): its bracket, where the s-series' tail is below
-    # 1e-12, ends before reach at b = 1 and 1.6
-    sol = series_psi_b(b)
+    # s_of_time inverts t~(s): its bracket, where the s-series' tail is
+    # below 1e-12, ends before reach at b = 1. The reference is an order-50
+    # bubble: the order-40 one's truncation reaches 4e-14 near that bracket
+    # at b = 1.6, while the t-rows stay within 6e-16 of a 40-digit solve
+    sol, bub = series_psi_b(b), series_bubble_b(b, 50)
     rows = sol.t_coeffs
     assert rows.shape == (sol.order + 2, 7)
     _, tol = _order_and_tol(1e-12, 1e-12)
     t_star, _ = handoff(sol)
-    t_hi = min(_step_size(rows, tol), sol.time_at(s_radius(sol)))
+    t_hi = min(_step_size(rows, tol), b * bub.time_at(s_radius(bub)))
     assert t_hi > t_star
+    scale = np.array([b, b * b, b * b, b * b, b ** 3, b ** 3, b ** 3])
     for t in np.linspace(t_star, t_hi, 25):
-        want = sol.components_at(s_of_time(sol, t))
+        want = scale * bub.components_at(s_of_time(bub, t / b))
         got = _poly_states(rows, t)
         assert np.max(np.abs(got - want)) <= 1e-14 * max(
             1.0, np.max(np.abs(want)))
+
+
+def test_bubble_b_has_no_t_rows():
+    # only the variable-t solutions have t-rows
+    with pytest.raises(InvalidArgumentError, match="in s"):
+        series_bubble_b(0.5).t_coeffs
 
 
 def test_out_of_radius_error():
