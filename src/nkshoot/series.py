@@ -33,7 +33,8 @@ intermediate's [x^h] is affine in y_h with a gradient G that depends only
 on the order-0 column, so the bracket is evaluated with y_h = 0 and, after
 the solve, one update C[:, h] += G @ y_h completes the column; the same G
 gives A exactly. Resonance is checked once, on the condition numbers of the
-stacked h*Id - A for h = 1 .. order.
+stacked h*Id - A for h = 1 .. order, or, where they may be large, on A's
+spectrum, which a scale of the rows leaves as it is.
 
 Four solution families are produced:
   S2        u_i(0) = (a^2, a^2, 0), v(0) = 0, lambda ~ (3/2) t; variable t.
@@ -402,7 +403,8 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     Raises InvalidArgumentError if order < 1, DegenerateStateError if the
     order-0 pass divides by zero or overflows, SeriesConsistencyError if
     M_-1(y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
-    for which h*Id - A is ill conditioned; all h are checked, in one batch,
+    for which h*Id - A may be ill conditioned and max|h - eig| / min|h - eig|
+    over A's spectrum exceeds COND_LIMIT; all h are checked, in one batch,
     before the first solve.
     """
     if order < 1:
@@ -425,7 +427,8 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     A = Mm1 @ G
     lhs = np.arange(1, order + 1)[:, None, None] * np.eye(k) - A
     # y_h = (h*Id - A)^-1 W C[:, h], with the inverses taken in one batch;
-    # cond_2 <= |M|_F |M^-1|_F settles most h, and the SVD runs on the rest
+    # cond_2 <= |M|_F |M^-1|_F settles most h, and the rest are read on the
+    # spectrum of A, which no scale of the rows moves (cond_2 were A normal)
     try:
         inv = np.linalg.inv(lhs)
     except np.linalg.LinAlgError:
@@ -434,7 +437,9 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
              * np.linalg.norm(inv, axis=(1, 2)))
     unsettled = np.flatnonzero(~(bound <= COND_LIMIT))   # also inf and nan
     if unsettled.size:
-        cond = np.linalg.cond(lhs[unsettled])
+        gap = np.abs(unsettled[:, None] + 1.0 - np.linalg.eigvals(A))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = gap.max(axis=1) / gap.min(axis=1)
         bad = np.flatnonzero(~(cond <= COND_LIMIT))
         if bad.size:
             i = int(bad[0])

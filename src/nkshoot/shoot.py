@@ -403,36 +403,54 @@ def _segments_cross(p0, p1, q0, q1) -> tuple[bool, float, float]:
     return (0.0 <= s <= 1.0) and (0.0 <= u <= 1.0), s, u
 
 
-def matching_candidates(alpha: Curve, beta: Curve,
-                        reflection: str) -> list[tuple[float, float]]:
-    """Seed pairs (a, b) from polyline crossings of alpha_H with the
-    reflected beta_H arc, in (alpha segment, beta segment) order."""
-    refl = np.asarray(_REFLECTIONS[reflection])
-    ah = alpha.h_points
-    bh = beta.h_points * refl
+def _tangent(curve: Curve, pts: np.ndarray, i: int):
+    """s -> (P(s), P(s) + P'(s)), P through pts at the up to four samples
+    nearest segment (i, i + 1) and s the segment's fraction of log(param)."""
+    lo, p = max(0, min(i - 1, len(pts) - 4)), curve.params
+    x = np.log(p[lo:lo + 4] / p[i]) / math.log(p[i + 1] / p[i])
+    c = np.polyfit(x, pts[lo:lo + 4], len(x) - 1)
+    dc = c[:-1] * np.arange(len(x) - 1, 0, -1)[:, None]
+    return lambda s: (np.polyval(c, s), np.polyval(c, s) + np.polyval(dc, s))
+
+
+def matching_candidates(alpha: Curve, beta: Curve, reflection: str,
+                        first: int = 0) -> list[tuple[float, float]]:
+    """Seed pairs (a, b) for the polyline crossings of alpha_H, from its
+    segment `first` on, with the reflected beta_H arc, in (alpha segment,
+    beta segment) order: where the curves' local interpolants in log(param)
+    cross inside both segments, at that crossing, else at the polyline's."""
+    ah, bh = alpha.h_points, beta.h_points * _REFLECTIONS[reflection]
     seeds = []
-    for i in range(len(ah) - 1):
+    for i in range(first, len(ah) - 1):
         for j in range(len(bh) - 1):
             ok, s, u = _segments_cross(ah[i], ah[i + 1], bh[j], bh[j + 1])
             if ok:
+                ta, tb = _tangent(alpha, ah, i), _tangent(beta, bh, j)
+                x = np.array([s, u])
+                with np.errstate(all="ignore"):
+                    for _ in range(8):      # Newton: the tangents' crossing
+                        x = x + _segments_cross(*ta(x[0]), *tb(x[1]))[1:]
+                if np.all((0.0 <= x) & (x <= 1.0)):     # false where x is nan
+                    s, u = x
                 a = alpha.params[i] * (alpha.params[i + 1] / alpha.params[i]) ** s
                 b = beta.params[j] * (beta.params[j + 1] / beta.params[j]) ** u
                 seeds.append((float(a), float(b)))
     return seeds
 
 
-def refine_matching(seed: tuple[float, float], reflection: str,
-                    order: int = DEFAULT_ORDER, rtol: float = DEFAULT_RTOL,
+def refine_matching(alpha: Curve, beta: Curve, seed: tuple[float, float],
+                    reflection: str, order: int = DEFAULT_ORDER,
+                    rtol: float = DEFAULT_RTOL,
                     atol: float = DEFAULT_ATOL) -> tuple[FamilySolve, FamilySolve]:
     """Solve the 2x2 root problem F(a, b) = alpha_H(a) - R(beta_H(b)) = 0
-    from a polyline crossing seed; returns the alpha and beta solves at the
-    root.
+    from a seed between samples of the curves alpha and beta; returns the
+    alpha and beta solves at the root.
 
-    Column 1 of dF/d(a, b) depends on a alone and column 2 on b alone. The
-    Jacobian at the seed is a forward difference with relative step
-    MATCH_STEP_TOL; after each full quasi-Newton step each column is the
-    slope, at the new parameter, of the parabola through its last three
-    parameters. The solve ends at the first step whose components are all
+    Column 1 of dF/d(a, b) depends on a alone and column 2 on b alone. Each
+    column is the slope at the newest parameter of the parabola through its
+    last three points: first the two curve samples either side of the seed,
+    already solved, and the seed, with no forward difference; then the
+    iterates. The solve ends at the first step whose components are all
     within MATCH_STEP_TOL * |(a, b)|.
 
     Raises RefinementStallError when an iterate leaves a, b > 0, is not
@@ -463,27 +481,34 @@ def refine_matching(seed: tuple[float, float], reflection: str,
             raise stall(f"could not solve a member at ({x[0]}, {x[1]}): "
                         f"{e}") from e
 
-    def update(jac, hist) -> None:
-        """Each column: the slope at the newest parameter of the parabola
-        of P or Q through its last three parameters (the chord while there
-        are two). A column whose parameter did not move keeps its slope."""
-        for j in range(2):
-            xs = [xk[j] for xk, _ in hist[-3:]]
-            ps = [pk[j] for _, pk in hist[-3:]]
-            if xs[-1] == xs[-2]:
+    def update(jac, cols, x, pts) -> None:
+        """Append (x, pts) to the column histories. Each column is then the
+        slope at the newest parameter of the parabola of P or Q through its
+        last three parameters, or the chord where two coincide; a column
+        whose parameter did not move keeps its slope."""
+        for j, col in enumerate(cols):
+            col.append((x[j], pts[j]))
+            (x0, p0), (x1, p1), (x2, p2) = col[-3:]
+            if x2 == x1:
                 continue
-            slope = (ps[-1] - ps[-2]) / (xs[-1] - xs[-2])
-            if len(xs) == 3 and xs[0] not in xs[1:]:
-                chord = (ps[1] - ps[0]) / (xs[1] - xs[0])
-                slope += (slope - chord) * (xs[2] - xs[1]) / (xs[2] - xs[0])
+            slope = (p2 - p1) / (x2 - x1)
+            if x0 not in (x1, x2):
+                chord = (p1 - p0) / (x1 - x0)
+                slope += (slope - chord) * (x2 - x1) / (x2 - x0)
             jac[:, j] = slope
+
+    def around(curve: Curve, p: float, sign) -> list:
+        """(param, sign * h_point) of the samples either side of p, nearer
+        first: a seed on a sample reads the other's chord."""
+        i = np.clip(np.searchsorted(curve.params, p), 1, len(curve.params) - 1)
+        ks = sorted((i - 1, i), key=lambda k: abs(curve.params[k] - p))
+        return [(curve.params[k], sign * curve.h_points[k]) for k in ks]
 
     x = np.array(seed, dtype=float)
     pts = points(x)
-    x_fd = x * (1.0 + MATCH_STEP_TOL)      # forward differences
-    hist = [(x, pts), (x_fd, points(x_fd))]
+    cols = [around(alpha, x[0], signs[0]), around(beta, x[1], signs[1])]
     jac = np.zeros((2, 2))
-    update(jac, hist)
+    update(jac, cols, x, pts)
     for _ in range(MATCH_MAX_STEPS):
         f = pts[0] + pts[1]
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -494,8 +519,7 @@ def refine_matching(seed: tuple[float, float], reflection: str,
                          jac[1, 0] * f[0] - jac[0, 0] * f[1]]) / det
         x = x + step
         pts = points(x)
-        hist.append((x, pts))
-        update(jac, hist)
+        update(jac, cols, x, pts)
         if np.all(np.abs(step) <= MATCH_STEP_TOL * np.abs(x)):
             break
     else:
@@ -515,7 +539,7 @@ def find_matching(alpha_range: tuple[float, float],
     reflected in w1 and then in w2, and build the glued S6 solution. alpha
     is traced only as far as its first refinable w1 crossing, so a failing
     alpha member past it is never solved, and beta, traced first, fails
-    first; seeds and result are otherwise those of the full curves."""
+    first; a w1 seed reads only the alpha samples traced up to it."""
     if curves is None:
         beta = trace_curve("beta", *beta_range, n_samples, order, rtol, atol)
         points = _curve_points("alpha", *alpha_range, n_samples, order,
@@ -528,15 +552,16 @@ def find_matching(alpha_range: tuple[float, float],
         for param, record in points:
             params.append(param)
             records.append(record)
-            yield "w1", Curve("alpha", np.array(params[-2:]),
-                              tuple(records[-2:]))
-        yield "w2", Curve("alpha", np.array(params), tuple(records))
+            yield "w1", Curve("alpha", np.array(params), tuple(records)), \
+                max(len(params) - 2, 0)
+        yield "w2", Curve("alpha", np.array(params), tuple(records)), 0
 
     stalls = []
-    for refl, alpha in pieces():
-        for seed in matching_candidates(alpha, beta, refl):
+    for refl, alpha, first in pieces():
+        for seed in matching_candidates(alpha, beta, refl, first):
             try:
-                fa, fb = refine_matching(seed, refl, order, rtol, atol)
+                fa, fb = refine_matching(alpha, beta, seed, refl, order,
+                                         rtol, atol)
             except RefinementStallError as e:
                 stalls.append(str(e))
                 continue

@@ -60,11 +60,13 @@ def test_no_unused_imports(path):
 NO_SCIPY_RUN = """
 import json, sys
 from nkshoot.geometry import count_v0_zeros
-from nkshoot.shoot import find_doubling, refine_matching, solve_family
+from nkshoot.shoot import (find_doubling, refine_matching, solve_family,
+                           trace_curve)
 fa = solve_family("alpha", 0.5646)
 fb = solve_family("beta", 0.05)
 find_doubling("beta", (0.9, 1.1), "u0")
-refine_matching((0.56, 0.60), "w1")
+refine_matching(trace_curve("alpha", 0.55, 0.57, 2),
+                trace_curve("beta", 0.59, 0.61, 2), (0.56, 0.60), "w1")
 count_v0_zeros(fb.traj)
 fb.state_at(fb.t_star / 2)
 print(json.dumps(sorted(m for m in sys.modules

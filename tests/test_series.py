@@ -156,6 +156,26 @@ def test_s3_program_in_t(b):
     assert np.array_equal(lo, hi[:42])
 
 
+def test_s3_program_builds_at_large_b():
+    # at b = 1e5, cond(Id - A) = 6.9e9 comes from the scales b^w of the
+    # rows (u0/t, u1/t, u2/t, v0, v1, v2, lambda), w = (1, 0, 1, 2, 1, 2, 0),
+    # alone: with D = diag(b^w), every D^-1 (h*Id - A) D has cond <= 13.2,
+    # as at b = 1, so no order resonates and the series is built
+    b, w = 1e5, np.array([1, 0, 1, 2, 1, 2, 0])
+    prob = s3_problem(b)
+    Y, A = solve_singular_ivp(prob, 41)
+    assert np.linalg.cond(np.eye(7) - A) > COND_LIMIT
+    scale = b ** (w[None, :] - w[:, None])      # D^-1 M D
+    for h in range(1, 42):
+        assert np.linalg.cond((h * np.eye(7) - A) * scale) < 14.0
+    # the recurrence holds to 1.1e-10 of each order's largest coefficient,
+    # over rows that span ten decades
+    res = recurrence_residuals(prob, Y)
+    scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
+    assert float(np.max(res / scale)) < 1e-9
+    assert np.isfinite(series_psi_b(b).t_coeffs).all()
+
+
 @pytest.mark.parametrize("family,param", [("s2", 0.6), ("s2", 2.0),
                                           ("s3", 0.5), ("s3", 1.3)])
 def test_recurrence_exactness(family, param):

@@ -5,6 +5,7 @@ import importlib
 import math
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -240,22 +241,83 @@ def test_matching_candidates_unreflected_none():
     assert matching_candidates(alpha, beta, "none") == []
 
 
+def quadratic_curve(family: str, chart) -> shoot.Curve:
+    """A Curve of 9 samples on [0.6, 4] whose chart points are
+    chart(log(param)); only h_point is read from its records."""
+    params = np.geomspace(0.6, 4.0, 9)
+    records = tuple(types.SimpleNamespace(h_point=chart(math.log(p)))
+                    for p in params)
+    return shoot.Curve(family, params, records)
+
+
+def test_matching_candidates_seed_is_the_interpolants_crossing():
+    # alpha_H = (x, x^2) and the w1-reflected beta_H = (2y, 1 - 4y^2), with
+    # x, y the log-parameters, cross at x = 2y = 1/sqrt(2) only; cubics
+    # through four samples reproduce the quadratics, so the seed is the
+    # crossing itself, where the polyline's is off by O(segment^2); so is
+    # the seed from the four samples that end with the crossing segment
+    alpha = quadratic_curve("alpha", lambda x: (x, x * x))
+    beta = quadratic_curve("beta", lambda y: (-2.0 * y, 1.0 - 4.0 * y * y))
+    root = (math.exp(1.0 / SQRT2), math.exp(0.5 / SQRT2))
+    seeds = matching_candidates(alpha, beta, "w1")
+    assert len(seeds) == 1
+    assert np.max(np.abs(np.subtract(seeds[0], root))) < 1e-12
+    i = int(np.searchsorted(alpha.params, root[0]))     # segment (i-1, i)
+    window = shoot.Curve("alpha", alpha.params[i - 3:i + 1],
+                         alpha.records[i - 3:i + 1])
+    lazy = matching_candidates(window, beta, "w1", 2)
+    assert len(lazy) == 1
+    assert np.max(np.abs(np.subtract(lazy[0], root))) < 1e-12
+    assert matching_candidates(window, beta, "w1", 3) == []
+
+
+@pytest.mark.parametrize("target,most", [("s6-homog", 6), ("s6-exotic", 8)])
+def test_refine_matching_starts_from_the_curves(monkeypatch, target, most):
+    # the seed and the first Jacobian come from the traced curves, so the
+    # refinement solves its seed and one pair per quasi-Newton step (10
+    # members from a forward-difference start), each member once
+    calls = count_solves(monkeypatch)
+    refined = []
+    original = shoot.refine_matching
+
+    def counted(*args):
+        n = len(calls)
+        try:
+            return original(*args)
+        finally:
+            refined.append(len(calls) - n)
+
+    monkeypatch.setattr(shoot, "refine_matching", counted)
+    find_matching(*cli._TARGETS[target][2])
+    assert len(refined) == 1 and refined[0] <= most
+    assert len(calls) == len(set(calls))
+
+
+def curves_around(a: float, b: float) -> tuple:
+    """alpha and beta traced at two samples each, 2 % either side of a and
+    of b: the start of a refinement from the seed (a, b)."""
+    return (trace_curve("alpha", a / 1.02, a * 1.02, n_samples=2),
+            trace_curve("beta", b / 1.02, b * 1.02, n_samples=2))
+
+
 def test_refine_matching_without_root_stalls(monkeypatch):
     # unreflected, the curves never cross, so the root solve must give up
     # with a typed error (its iterates head for a, b -> 0 until a member
     # solve degenerates) instead of leaking the series' ValueError or
     # returning a point that is not a root
+    curves = curves_around(0.56, 0.60)
     calls = count_solves(monkeypatch)
     with pytest.raises(NKError):
-        refine_matching((0.56, 0.60), "none")
+        refine_matching(*curves, (0.56, 0.60), "none")
     assert len(calls) < 60
 
 
 def test_refine_matching_solves_each_member_once(monkeypatch):
-    # the finite-difference columns and each three-point column update
-    # reuse the earlier iterates' solves; every family member is solved once
+    # the first Jacobian reads the curve samples around the seed and each
+    # three-point column update the earlier iterates' solves; every family
+    # member, the curves' included, is solved once
     calls = count_solves(monkeypatch)
-    fa, fb = refine_matching((0.56, 0.60), "w1")
+    fa, fb = refine_matching(*curves_around(0.56, 0.60), (0.56, 0.60), "w1")
     assert abs(fa.param - 0.5646) < 0.003 and abs(fb.param - 0.5985) < 0.003
     assert len(calls) == len(set(calls))
 
@@ -267,7 +329,7 @@ def test_refine_matching_singular_jacobian_stalls(monkeypatch,
     # or a NaN iterate
     monkeypatch.setattr(shoot, "solve_family", lambda *args: beta1_solve)
     with pytest.raises(RefinementStallError, match="singular"):
-        refine_matching((0.56, 0.60), "w1")
+        refine_matching(*curves_around(0.56, 0.60), (0.56, 0.60), "w1")
 
 
 def test_refine_matching_member_failure_stalls(monkeypatch):
@@ -276,9 +338,10 @@ def test_refine_matching_member_failure_stalls(monkeypatch):
     def degenerate(*args):
         raise DegenerateStateError("start has mu^2 = 0")
 
+    curves = curves_around(0.56, 0.60)
     monkeypatch.setattr(shoot, "solve_family", degenerate)
     with pytest.raises(RefinementStallError, match="could not solve") as e:
-        refine_matching((0.56, 0.60), "w1")
+        refine_matching(*curves, (0.56, 0.60), "w1")
     assert isinstance(e.value.__cause__, DegenerateStateError)
 
 
@@ -286,7 +349,7 @@ def test_refine_matching_step_cap_stalls(monkeypatch):
     # a seed that converges in a few steps, allowed a single one
     monkeypatch.setattr(shoot, "MATCH_MAX_STEPS", 1)
     with pytest.raises(RefinementStallError, match="did not converge"):
-        refine_matching((0.56, 0.60), "w1")
+        refine_matching(*curves_around(0.56, 0.60), (0.56, 0.60), "w1")
 
 
 def test_find_matching_solves_each_member_once(monkeypatch):
