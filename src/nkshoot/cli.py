@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import exact, shoot
-from .emit import (CURVE_HEADER, SERIES_HEADER, TRAJECTORY_HEADER, SvgFigure,
-                   curve_rows, series_rows, trajectory_rows, write_csv,
+from .emit import (CURVE_HEADER, SERIES_HEADER, TRAJECTORY_HEADER,
+                   record_row, series_rows, trajectory_rows, write_csv,
                    write_json, write_svg)
 from .errors import InvalidArgumentError, NKError
 from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, integrate
@@ -275,27 +275,32 @@ _KNOWN_MARKERS = (
 )
 
 
-def run_fig2(args) -> SvgFigure:
+def run_fig2(args) -> tuple[list, list]:
+    """fig2's polylines (label, color, dash, points): alpha_H, beta_H and
+    beta_H reflected in w1 and in w2; and its markers (label, color, w1,
+    w2): the known roots, then the solved S3xS3-new and S6-new, as
+    --markers asks. The S6-new matching reads the plotted curves."""
     order, tol = args.order, args.tol
     alpha = shoot.trace_curve("alpha", args.alo, args.ahi, 18, order, tol, tol)
     beta = shoot.trace_curve("beta", args.blo, args.bhi, 18, order, tol, tol)
-    fig = SvgFigure(title="maximal-volume orbit curves in the hyperboloid chart")
-    fig.add_polyline("alpha_H", "#c0392b", alpha.h_points)
-    fig.add_polyline("beta_H", "#2471a3", beta.h_points)
-    fig.add_polyline("beta_H reflected in w1", "#7fb3d5",
-                     beta.h_points * np.array([-1.0, 1.0]), dash="6,3")
-    fig.add_polyline("beta_H reflected in w2", "#a9cce3",
-                     beta.h_points * np.array([1.0, -1.0]), dash="6,3")
+    polylines = [
+        ("alpha_H", "#c0392b", "", alpha.h_points),
+        ("beta_H", "#2471a3", "", beta.h_points),
+        ("beta_H reflected in w1", "#7fb3d5", "6,3",
+         beta.h_points * np.array([-1.0, 1.0])),
+        ("beta_H reflected in w2", "#a9cce3", "6,3",
+         beta.h_points * np.array([1.0, -1.0]))]
+    markers = []
     if args.markers != "none":
-        for label, w1, w2 in _KNOWN_MARKERS:
-            fig.add_marker(label, "#1e8449", w1, w2)
-        if args.markers == "solve":
-            for target, curves in (("s3xs3-exotic", None),
-                                   ("s6-exotic", (alpha, beta))):
-                sol = _solve_target(target, order, tol, curves)
-                fig.add_marker(_TARGETS[target][0], "#b7950b",
-                               *sol.left.record.h_point)
-    return fig
+        markers += [(label, "#1e8449", w1, w2)
+                    for label, w1, w2 in _KNOWN_MARKERS]
+    if args.markers == "solve":
+        for target, curves in (("s3xs3-exotic", None),
+                               ("s6-exotic", (alpha, beta))):
+            sol = _solve_target(target, order, tol, curves)
+            markers.append((_TARGETS[target][0], "#b7950b",
+                            *sol.left.record.h_point))
+    return polylines, markers
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +354,7 @@ def main(argv=None) -> int:
                                       n_samples=args.n, order=args.order,
                                       rtol=args.tol, atol=args.tol)
             path = args.out or f"curve-{args.family}.csv"
-            write_csv(path, CURVE_HEADER, curve_rows(curve))
+            write_csv(path, CURVE_HEADER, map(record_row, curve.records))
             print(f"wrote {path} ({len(curve.params)} samples)")
             return EXIT_OK
 
@@ -369,9 +374,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "fig2":
-            fig = run_fig2(args)
+            polylines, markers = run_fig2(args)
             path = args.out or "fig2.svg"
-            write_svg(path, fig)
+            write_svg(path, "maximal-volume orbit curves in the hyperboloid "
+                      "chart", polylines, markers)
             print(f"wrote {path}")
             return EXIT_OK
 

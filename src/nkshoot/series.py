@@ -32,9 +32,12 @@ ODE, gives the integrator's Taylor jets (integrate.py). Each
 intermediate's [x^h] is affine in y_h with a gradient G that depends only
 on the order-0 column, so the bracket is evaluated with y_h = 0 and, after
 the solve, one update C[:, h] += G @ y_h completes the column; the same G
-gives A exactly. Resonance is checked once, on the condition numbers of the
-stacked h*Id - A for h = 1 .. order, or, where they may be large, on A's
-spectrum, which a scale of the rows leaves as it is.
+gives A exactly. Resonance is decided once, for h = 1 .. order, on A's
+spectrum, which no scale of the rows moves: h is resonant where the ratio
+max|h - eig| / min|h - eig| over A's eigenvalues exceeds COND_LIMIT. As
+|M|_F |M^-1|_F >= cond_2(M) >= that ratio for M = h*Id - A, the bound,
+read off the batched inverses, only skips the eigenvalue call where it
+already settles h.
 
 Four solution families are produced:
   S2        u_i(0) = (a^2, a^2, 0), v(0) = 0, lambda ~ (3/2) t; variable t.
@@ -403,9 +406,11 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     Raises InvalidArgumentError if order < 1, DegenerateStateError if the
     order-0 pass divides by zero or overflows, SeriesConsistencyError if
     M_-1(y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
-    for which h*Id - A may be ill conditioned and max|h - eig| / min|h - eig|
-    over A's spectrum exceeds COND_LIMIT; all h are checked, in one batch,
-    before the first solve.
+    at which the spectral ratio max|h - eig| / min|h - eig| over A's
+    eigenvalues exceeds COND_LIMIT, and that ratio; |M|_F |M^-1|_F >=
+    cond_2(M) >= the ratio for M = h*Id - A, so where that bound is within
+    COND_LIMIT it settles h without the eigenvalues. All h are checked, in
+    one batch, before the first solve.
     """
     if order < 1:
         raise InvalidArgumentError(
@@ -427,8 +432,8 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     A = Mm1 @ G
     lhs = np.arange(1, order + 1)[:, None, None] * np.eye(k) - A
     # y_h = (h*Id - A)^-1 W C[:, h], with the inverses taken in one batch;
-    # cond_2 <= |M|_F |M^-1|_F settles most h, and the rest are read on the
-    # spectrum of A, which no scale of the rows moves (cond_2 were A normal)
+    # |M|_F |M^-1|_F bounds the spectral ratio and settles most h, and the
+    # rest are read on the spectrum of A (the ratio is cond_2 were A normal)
     try:
         inv = np.linalg.inv(lhs)
     except np.linalg.LinAlgError:

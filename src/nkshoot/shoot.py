@@ -250,14 +250,6 @@ class CompleteSolution:
         return self.symmetry.label
 
     @property
-    def family_left(self) -> str:
-        return self.left.family
-
-    @property
-    def family_right(self) -> str:
-        return self.right.family
-
-    @property
     def param_left(self) -> float:
         return self.left.param
 
@@ -278,9 +270,9 @@ class CompleteSolution:
     def as_dict(self) -> dict:
         return {
             "type": self.construction,
-            "family_left": self.family_left,
+            "family_left": self.left.family,
             "param_left": self.param_left,
-            "family_right": self.family_right,
+            "family_right": self.right.family,
             "param_right": self.param_right,
             "symmetry": self.word,
             "manifold": self.manifold,

@@ -568,6 +568,19 @@ def test_fig2_svg(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_fig2_svg_default_markers_are_solved(tmp_path):
+    # the default --markers solve draws the three known roots and the
+    # solved S3xS3-new and S6-new, and a second run gives the same bytes
+    out, out2 = tmp_path / "fig.svg", tmp_path / "fig2.svg"
+    assert main(["fig2", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("<circle") == 5
+    for label in ("CP3", "S3xS3-std", "S6-std", "S3xS3-new", "S6-new"):
+        assert f'font-size="11">{label}</text>' in text
+    assert main(["fig2", "--out", str(out2)]) == 0
+    assert out.read_bytes() == out2.read_bytes()
+
+
 def test_record_csv_row(tmp_path):
     from nkshoot.emit import CURVE_HEADER, record_row, write_csv
     from nkshoot.shoot import max_orbit

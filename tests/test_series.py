@@ -69,8 +69,10 @@ def _diagonal_toy(coeffs) -> SingularIVP:
 
 
 def test_resonance_svd_decides_where_the_frobenius_bound_does_not():
-    # at h = 3 the matrix is diag(d, 3, 3, 3) with cond = 3/d = 7e7 below
-    # COND_LIMIT, while |M|_F |M^-1|_F is about sqrt(3) times that, above it
+    # at h = 3 the matrix is diag(d, 3, 3, 3), whose spectral ratio
+    # max|h - eig| / min|h - eig| = 3/d = 7e7 (for a diagonal matrix also
+    # its 2-norm condition number) is below COND_LIMIT, while
+    # |M|_F |M^-1|_F is about sqrt(3) times that, above it
     coeff = 3.0 - 3.0 / 7e7
     M = np.diag([3.0 - coeff, 3.0, 3.0, 3.0])
     assert np.linalg.cond(M) <= COND_LIMIT
@@ -82,14 +84,51 @@ def test_resonance_svd_decides_where_the_frobenius_bound_does_not():
 
 
 def test_resonance_error_names_the_first_ill_conditioned_h():
-    # cond = 3/d = 2e8 at h = 3 exceeds COND_LIMIT; the error names h = 3 and
-    # the SVD condition number of that matrix
+    # the spectral ratio 3/d = 2e8 at h = 3 exceeds COND_LIMIT; the error
+    # names h = 3 and that ratio, for this diagonal matrix also its 2-norm
+    # condition number
     coeff = 3.0 - 3.0 / 2e8
     cond = np.linalg.cond(np.diag([3.0 - coeff, 3.0, 3.0, 3.0]))
     assert cond > COND_LIMIT
     with pytest.raises(ResonanceError, match=re.escape(
             f"at h = 3 (cond = {cond:.3e})")):
         solve_singular_ivp(_diagonal_toy([coeff, 0.0, 0.0, 0.0]), 6)
+
+
+def _linear_toy(A: np.ndarray) -> SingularIVP:
+    """y' = (1/t) A y + 1, y0 = 0: h*Id - dM_-1 is h*Id - A."""
+    def rhs(y, x):
+        return ([sum(a * yj for a, yj in zip(row, y) if a) for row in A],
+                [x] * len(A))
+    return SingularIVP(_Program(len(A), rhs), np.zeros(len(A)),
+                       name="linear toy")
+
+
+@pytest.mark.parametrize("K,lower", [(1e4, False), (1e6, True)])
+@pytest.mark.parametrize("f", [0.5, 0.9, 1.1, 2.0])
+def test_resonance_is_decided_on_the_spectrum_of_a_non_normal_matrix(
+        K, lower, f):
+    # a triangular A with off-diagonal terms K and eigenvalues 3 - d, 1/2
+    # and -1: cond_2(h*Id - A) exceeds COND_LIMIT at every h, yet the gate
+    # raises exactly where the spectral ratio max|h - eig| / min|h - eig|
+    # (4/d at h = 3) does, and names that h and that ratio
+    d = 4.0 / COND_LIMIT * f
+    A = np.array([[3.0 - d, K, 0.0], [0.0, 0.5, K], [0.0, 0.0, -1.0]])
+    A = A.T if lower else A
+    hs = np.arange(1, 7)
+    assert all(np.linalg.cond(h * np.eye(3) - A) > COND_LIMIT for h in hs)
+    gap = np.abs(hs[:, None] - np.linalg.eigvals(A))
+    ratio = gap.max(axis=1) / gap.min(axis=1)
+    bad = np.flatnonzero(ratio > COND_LIMIT)
+    if bad.size:
+        assert f < 1.0
+        with pytest.raises(ResonanceError, match=re.escape(
+                f"at h = {hs[bad[0]]} (cond = {ratio[bad[0]]:.3e})")):
+            solve_singular_ivp(_linear_toy(A), 6)
+    else:
+        assert f > 1.0
+        _, got = solve_singular_ivp(_linear_toy(A), 6)
+        assert np.array_equal(got, A)
 
 
 def test_order_below_one_rejected():

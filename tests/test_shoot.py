@@ -360,6 +360,70 @@ def test_find_matching_solves_each_member_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_find_matching_moves_past_a_stalled_seed(monkeypatch):
+    # over these ranges the w1 seed lies at the new S6 and the w2 seed at
+    # the standard one: a stall at the first seed is kept and the next seed
+    # refined, and when every seed stalls one error names each stall
+    original = shoot.refine_matching
+    seeds = []
+
+    def stall_first(alpha, beta, seed, refl, *args):
+        seeds.append(refl)
+        if len(seeds) == 1:
+            raise RefinementStallError(f"planted stall at {refl}")
+        return original(alpha, beta, seed, refl, *args)
+
+    monkeypatch.setattr(shoot, "refine_matching", stall_first)
+    sol = find_matching((0.35, 2.4), (0.35, 1.9))
+    assert seeds == ["w1", "w2"]
+    assert (sol.manifold, sol.word) == ("S6", "tau1.tau2.tau3")
+    assert abs(sol.param_left - SQRT3) < 1e-12
+    assert abs(sol.param_right - 1.5) < 1e-12
+
+    def stall_all(alpha, beta, seed, refl, *args):
+        raise RefinementStallError(f"planted stall at {refl}")
+
+    monkeypatch.setattr(shoot, "refine_matching", stall_all)
+    with pytest.raises(RefinementStallError) as e:
+        find_matching((0.35, 2.4), (0.35, 1.9))
+    assert str(e.value) == "planted stall at w1; planted stall at w2"
+
+
+def test_refine_matching_keeps_the_slope_of_an_unmoved_column(monkeypatch):
+    # dyadic affine charts P(a) = (a, a) and Q(b) = (b - 1, 3 - b), so
+    # F = P - Q has its root at (1, 2): the first step from (1.25, 1.75)
+    # lands on it exactly, the second step is exactly 0, and the column
+    # update keeps both slopes rather than divide by a zero parameter step
+    charts = {"alpha": lambda a: (a, a), "beta": lambda b: (b - 1.0, 3.0 - b)}
+
+    def stub_curve(family, params):
+        records = tuple(types.SimpleNamespace(h_point=charts[family](p))
+                        for p in params)
+        return shoot.Curve(family, np.array(params), records)
+
+    calls = []
+
+    def stub_solve(family, param, *args):
+        calls.append((family, param))
+        record = types.SimpleNamespace(h_point=charts[family](param))
+        return types.SimpleNamespace(param=param, record=record)
+
+    monkeypatch.setattr(shoot, "solve_family", stub_solve)
+    fa, fb = refine_matching(stub_curve("alpha", [1.0, 1.5]),
+                             stub_curve("beta", [1.5, 2.0]),
+                             (1.25, 1.75), "none")
+    assert (fa.param, fb.param) == (1.0, 2.0)
+    assert len(calls) == len(set(calls)) == 4
+
+
+def test_segments_cross_rejects_parallel_and_collinear_segments():
+    p0, p1 = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    parallel = (np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    collinear = (np.array([0.5, 0.5]), np.array([2.0, 2.0]))
+    assert shoot._segments_cross(p0, p1, *parallel) == (False, 0.0, 0.0)
+    assert shoot._segments_cross(p0, p1, *collinear) == (False, 0.0, 0.0)
+
+
 def solution_bits(sol) -> list[str]:
     """The bits of a glued solution's table row, junction gap and two
     junction states."""
