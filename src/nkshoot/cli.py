@@ -69,28 +69,8 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _config_defaults(sp: argparse.ArgumentParser,
-                     config: dict[str, str]) -> None:
-    """Config values become the defaults of sp's options, which are then no
-    longer required. argparse converts a string default with the option's
-    type= when no flag overrides it, and a bad value ends in _Parser.error;
-    choices it checks on flags only, so they are checked here."""
-    for action in sp._actions:
-        if action.dest not in config:
-            continue
-        value = config[action.dest]
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            sp.error(f"argument {action.option_strings[0]}: invalid choice: "
-                     f"{value!r} (choose from {choices})")
-        action.default, action.required = value, False
-
-
-def build_parser(config: dict[str, str] | None = None,
-                 command: str | None = None) -> argparse.ArgumentParser:
-    """The nkshoot parser; the config values, when given, become the
-    defaults of command's options (flags > config file > defaults), and a
-    key that is an option of no command exits 3."""
+def build_parser() -> argparse.ArgumentParser:
+    """The nkshoot parser: --config, then one subparser per command."""
     p = _Parser(prog="nkshoot",
                 description="Numerical reconstruction of cohomogeneity-one "
                             "nearly Kahler structures by shooting")
@@ -157,12 +137,6 @@ def build_parser(config: dict[str, str] | None = None,
     sp.add_argument("--lo", type=float, default=0.1)
     sp.add_argument("--hi", type=float, default=10.0)
     sp.add_argument("--n", type=int, default=40)
-    if config:
-        known = {a.dest for cmd in sub.choices.values() for a in cmd._actions}
-        if unknown := sorted(config.keys() - (known - {"help"})):
-            p.error(f"unknown config key: {', '.join(unknown)}")
-        if command in sub.choices:
-            _config_defaults(sub.choices[command], config)
     return p
 
 
@@ -287,9 +261,9 @@ def run_fig2(args) -> tuple[list, list]:
         ("alpha_H", "#c0392b", "", alpha.h_points),
         ("beta_H", "#2471a3", "", beta.h_points),
         ("beta_H reflected in w1", "#7fb3d5", "6,3",
-         beta.h_points * np.array([-1.0, 1.0])),
+         beta.h_points * shoot._REFLECTIONS["w1"]),
         ("beta_H reflected in w2", "#a9cce3", "6,3",
-         beta.h_points * np.array([1.0, -1.0]))]
+         beta.h_points * shoot._REFLECTIONS["w2"])]
     markers = []
     if args.markers != "none":
         markers += [(label, "#1e8449", w1, w2)
@@ -307,17 +281,31 @@ def run_fig2(args) -> tuple[list, list]:
 # entry point
 
 def main(argv=None) -> int:
-    # --config is read first, as the file may supply a required option
+    # --config is read first: each value for an option of the command enters
+    # argv as that flag right after the command name, so argparse converts
+    # and checks it like the flag, it may supply a required option, and a
+    # later flag overrides it; a key that is an option of no command exits 3
+    argv = sys.argv[1:] if argv is None else list(argv)
     head = _Parser(prog="nkshoot", add_help=False)
     head.add_argument("--config")
     head.add_argument("command", nargs=argparse.REMAINDER)
     pre = head.parse_known_args(argv)[0]
     try:
-        config = _read_config(pre.config) if pre.config else None
+        config = _read_config(pre.config) if pre.config else {}
     except (OSError, ValueError) as e:
         print(f"nkshoot: invalid config: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    args = build_parser(config, next(iter(pre.command), None)).parse_args(argv)
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    known = {a.dest for cmd in commands.values() for a in cmd._actions}
+    if unknown := sorted(config.keys() - (known - {"help"})):
+        parser.error(f"unknown config key: {', '.join(unknown)}")
+    if pre.command and pre.command[0] in commands:
+        at = len(argv) - len(pre.command) + 1
+        argv[at:at] = [f"{a.option_strings[0]}={config[a.dest]}"
+                       for a in commands[pre.command[0]]._actions
+                       if a.dest in config]
+    args = parser.parse_args(argv)
 
     try:
         if args.command == "verify":

@@ -258,6 +258,20 @@ def test_bad_config_value_exits_3(tmp_path, capsys, line, option, command):
     assert not out.exists()
 
 
+def test_bad_config_value_under_an_overriding_flag_exits_3(tmp_path, capsys):
+    # the config value enters as its flag, so it is converted even where a
+    # later flag overrides it
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("order = abc\n")
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as e:
+        main(["--config", str(cfg), "series", "--family", "psi-a",
+              "--param", "0.7", "--order", "20", "--out", str(out)])
+    assert e.value.code == 3
+    assert "--order" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,message", [
     (["trace", "--family", "alpha", "--lo", "0.5", "--hi", "0.4"], "param_lo"),
     (["trace", "--family", "alpha", "--lo", "0.5", "--hi", "0.6", "--n", "0"],

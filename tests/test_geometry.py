@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (SQRT2, SQRT3, derivative_consistency, float_bits,
                       mean_curvature_matrix_form, validate_record)
-from nkshoot.errors import BoundViolationError
+from nkshoot.errors import BoundViolationError, DegenerateStateError
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.geometry import (bohm, comparison_bounds, count_v0_zeros,
                               project_H, scalar_curvature, traceless_L_norm2,
@@ -16,6 +16,7 @@ from nkshoot.geometry import (bohm, comparison_bounds, count_v0_zeros,
 from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
 from nkshoot.series import handoff, series_psi_a, series_psi_b
 from nkshoot.shoot import max_orbit
+from nkshoot.state import State
 
 
 def test_sine_cone_volume_and_mean_curvature():
@@ -171,6 +172,22 @@ def test_record_validation(beta1_solve):
     rec = beta1_solve.record
     assert rec.on_boundary_lambda_one          # u0(T) = 0 at b = 1
     assert not rec.on_boundary_mu_eq_lambda    # v0(T) = 2/3
+
+
+def test_project_H_rejects_lambda_zero():
+    # V = lambda mu^2 divides every coordinate
+    st = eval_named("sine-cone", 0.8)
+    with pytest.raises(DegenerateStateError, match="lambda = 0.0"):
+        project_H(State(st.t, 0.0, st.u, st.v))
+
+
+def test_count_v0_zeros_rejects_a_run_the_horizon_ended():
+    # T is the maximal-volume time, so a run cut short has none
+    _, start = handoff(series_psi_b(0.7))
+    traj = integrate(start, 0.3, events=(MAX_VOLUME_EVENT,))
+    assert traj.stopped_by is None
+    with pytest.raises(ValueError, match="not stopped by the maximal-volume"):
+        count_v0_zeros(traj)
 
 
 def test_count_v0_zeros_homogeneous(beta1_solve):

@@ -169,6 +169,25 @@ def test_constraint_drift_abort():
         integrate(off, 2.0)
 
 
+@pytest.mark.parametrize("lam", [None, 0.0, 1e-8], ids=["tau4", "zero", "floor"])
+def test_start_with_lambda_at_most_its_floor_rejected(lam):
+    # a start needs lambda > LAMBDA_MIN = 1e-8; tau4 maps the sine cone to
+    # a solution with lambda < 0 and u1 v2 - u2 v1 > 0
+    st = eval_named("sine-cone", 0.8)
+    start = (apply_symmetry("tau4", st) if lam is None
+             else State(st.t, lam, st.u, st.v))
+    with pytest.raises(DegenerateStateError, match="start has lambda = "):
+        integrate(start, 2.0)
+
+
+def test_unoriented_start_rejected():
+    # tau3 keeps lambda > 0 but flips the sign of u1 v2 - u2 v1
+    start = apply_symmetry("tau3", eval_named("sine-cone", 0.8))
+    assert start.lam > 0.0 and start.orient < 0.0
+    with pytest.raises(DegenerateStateError, match="violates orientation"):
+        integrate(start, 2.0)
+
+
 def test_first_event_stops_the_run():
     # beta(0.05) has v0 zeros before its maximal-volume orbit: a v0 event
     # beside the maximal-volume one stops the run at the first of them,

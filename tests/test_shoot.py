@@ -14,9 +14,9 @@ from conftest import (SQRT2, SQRT3, float_bits, reference_poly_integral,
                       reference_trace_curve, validate_record)
 from nkshoot import cli, series, shoot
 from nkshoot.errors import (BoundaryAmbiguousError, DegenerateStateError,
-                            EventNotFoundError, JunctionMismatchError,
-                            NKError, NoCrossingError, NoSignChangeError,
-                            RefinementStallError)
+                            EventNotFoundError, InvalidArgumentError,
+                            JunctionMismatchError, NKError, NoCrossingError,
+                            NoSignChangeError, RefinementStallError)
 from nkshoot.exact import eval_named
 from nkshoot.geometry import MaxOrbitRecord
 from nkshoot.integrate import (MAX_VOLUME_EVENT, _order_and_tol,
@@ -208,6 +208,16 @@ def test_find_doubling_solves_each_member_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_find_doubling_rejects_which_w1(monkeypatch):
+    # a doubling root is a zero of v0(T) or u0(T); nothing is solved
+    def no_solve(*args):
+        raise AssertionError("solve_family called")
+
+    monkeypatch.setattr(shoot, "solve_family", no_solve)
+    with pytest.raises(InvalidArgumentError, match="which must be"):
+        find_doubling("beta", (0.2, 0.6), which="w1")
+
+
 def test_homogeneous_doubling_recovers_closed_form():
     fs = solve_family("beta", 1.0)
     sol = glue(fs, fs, construction="doubling")
@@ -232,6 +242,19 @@ def test_glue_junction_mismatch():
     f2 = solve_family("beta", 1.0)
     with pytest.raises(JunctionMismatchError):
         glue(f1, f2)
+
+
+def test_glue_junction_that_fits_neither_word_mismatches():
+    # the wedge points agree, but each gluing word flips u1 and v2, so a
+    # right state equal to the left one fits neither
+    def half(vec):
+        record = types.SimpleNamespace(state=State.from_vec(0.5, vec),
+                                       lam=1.0, mu=2.0, T=0.5, Vmax=1.0)
+        return types.SimpleNamespace(family="beta", record=record,
+                                     vol_integral=1.0)
+
+    with pytest.raises(JunctionMismatchError, match="best word"):
+        glue(half(np.ones(7)), half(np.ones(7)))
 
 
 def test_matching_candidates_unreflected_none():
@@ -350,6 +373,57 @@ def test_refine_matching_step_cap_stalls(monkeypatch):
     monkeypatch.setattr(shoot, "MATCH_MAX_STEPS", 1)
     with pytest.raises(RefinementStallError, match="did not converge"):
         refine_matching(*curves_around(0.56, 0.60), (0.56, 0.60), "w1")
+
+
+def stub_charts(monkeypatch, charts):
+    """Member solves stubbed to records whose h_point is
+    charts[family](param); returns curve(family, params), a Curve of such
+    records."""
+    def solve(family, param, *args):
+        record = types.SimpleNamespace(h_point=charts[family](param))
+        return types.SimpleNamespace(param=param, record=record)
+
+    monkeypatch.setattr(shoot, "solve_family", solve)
+    return lambda family, params: shoot.Curve(
+        family, np.array(params),
+        tuple(solve(family, p).record for p in params))
+
+
+def test_refine_matching_leaving_the_domain_stalls(monkeypatch):
+    # affine charts P(a) = (a, a) and beta_H(b) = (b - 3, -1 - b), so the
+    # root of F = P - beta_H is (-2, 1), where the first step lands
+    curve = stub_charts(monkeypatch, {"alpha": lambda a: (a, a),
+                                      "beta": lambda b: (b - 3.0, -1.0 - b)})
+    with pytest.raises(RefinementStallError,
+                       match=r"left the parameter domain at \(-2.0, 1.0\)"):
+        refine_matching(curve("alpha", [1.0, 1.5]), curve("beta", [0.5, 1.5]),
+                        (1.25, 1.0), "none")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_refine_matching_overflowing_step_stalls(monkeypatch):
+    # P(a) = (1e-300 a, 0) and beta_H(b) = (1e10, 2 - b): a Jacobian column
+    # of 1e-300 against a residual of 1e10 overflows the step to a = inf
+    curve = stub_charts(monkeypatch, {"alpha": lambda a: (1e-300 * a, 0.0),
+                                      "beta": lambda b: (1e10, 2.0 - b)})
+    with pytest.raises(RefinementStallError,
+                       match=r"reached a non-finite iterate \(inf, 2.0\)"):
+        refine_matching(curve("alpha", [1.0, 1.5]), curve("beta", [1.5, 2.5]),
+                        (1.25, 2.0), "none")
+
+
+def test_refine_matching_residual_above_its_bound_stalls(monkeypatch):
+    # a refinement whose last step converged still checks its final
+    # residual: with MATCH_RESIDUAL below it, the same refinement stalls
+    curves = curves_around(0.56, 0.60)
+    fa, fb = refine_matching(*curves, (0.56, 0.60), "w1")
+    residual = np.max(np.abs(np.subtract(
+        fa.record.h_point,
+        np.multiply(fb.record.h_point, shoot._REFLECTIONS["w1"]))))
+    assert residual > 0.0
+    monkeypatch.setattr(shoot, "MATCH_RESIDUAL", residual / 2)
+    with pytest.raises(RefinementStallError, match="stalled at residual"):
+        refine_matching(*curves, (0.56, 0.60), "w1")
 
 
 def test_find_matching_solves_each_member_once(monkeypatch):
@@ -669,6 +743,18 @@ def test_probe_rejects_a_later_critical_point(beta1_solve):
                       beta1_solve.record.T - 0.05)
     with pytest.raises(EventNotFoundError):
         shoot._confirm_unique_maximum(early, 1e-12, 1e-12)
+
+
+def test_solve_family_run_without_the_event_raises(monkeypatch):
+    # a run that its horizon ends before the maximal-volume event
+    def short(start, horizon, **kwargs):
+        return integrate(start, start.t + 0.1, **kwargs)
+
+    monkeypatch.setattr(shoot, "integrate", short)
+    with pytest.raises(EventNotFoundError,
+                       match=r"no maximal-volume event for beta\(0.6\); "
+                             r"termination = horizon"):
+        solve_family("beta", 0.6)
 
 
 @pytest.mark.parametrize("param, runs", [(1.0, 0), (0.3, 1)],
