@@ -41,7 +41,7 @@ _EPS = np.finfo(float).eps
 ROOT_MAXITER = 100          # new points per bracketed_root
 
 #: rhs_vec recorded once, as the ODE whose jets the steps take
-_PROGRAM = _Program(7, lambda y, t: (rhs_vec(t, y),), ode=True)
+_PROGRAM = _Program(7, lambda y, t: rhs_vec(t, y), ode=True)
 
 
 def _jet(y: np.ndarray, order: int) -> np.ndarray:

@@ -3,20 +3,21 @@ the two singular orbits.
 
 A singular IVP has the shape
 
-    y' = (1/x) M_-1(y) + M(x, y),        y(0) = y0,
+    x y' = F(x, y),        y(0) = y0,
 
-with M_-1(y0) = 0 and h*Id - d_{y0}M_-1 invertible for every integer h >= 1.
+the form y' = (1/x) M_-1(y) + M(x, y) of Eschenburg & Wang (GAFA 10, 2000)
+with M_-1 = F(0, .), where F(0, y0) = 0 and h*Id - A, A = d_{y0}F(0, .),
+is invertible for every integer h >= 1.
 Writing y(x) = sum_h y_h x^h, the coefficients satisfy
 
-    (h*Id - A) y_h = [x^h] ( N(y(x)) + x*M(x, y(x)) ),     A = d_{y0}M_-1,
+    (h*Id - A) y_h = [x^h] F(x, y(x)) - A y_h,
 
-where N collects the beyond-linear part of M_-1; the bracket depends only on
-y_1 .. y_{h-1}, so the series is built order by order with one 7x7 solve per
-order.
+whose right side depends only on y_0 .. y_{h-1}, so the series is built
+order by order with one 7x7 solve per order.
 
-The right-hand side M_-1, x*M is written once, as ordinary arithmetic on
+The right-hand side F = x y' is written once, as ordinary arithmetic on
 placeholder series, and recorded as a straight-line program whose
-intermediates (products, 1/y7, 1/(y2-y1), 1/D, 1/Q, ...) are rows of a
+intermediates (products, 1/y7, 1/D, 1/Q, ...) are rows of a
 running coefficient table; the family parameter is a row too, constant in
 x, so one program, recorded at import, serves every member. Order h appends
 one column: each intermediate's [x^h] coefficient follows from columns 0..h
@@ -30,10 +31,12 @@ orders, added left to right, and the loop adds the terms with an order-h
 factor. The same kernel, _Program.fill, run on the regular system as an
 ODE, gives the integrator's Taylor jets (integrate.py). Each
 intermediate's [x^h] is affine in y_h with a gradient G that depends only
-on the order-0 column, so the bracket is evaluated with y_h = 0 and, after
-the solve, one update C[:, h] += G @ y_h completes the column; the same G
-gives A exactly. Resonance is decided once, for h = 1 .. order, on A's
-spectrum, which no scale of the rows moves: h is resonant where the ratio
+on the order-0 column, so the right side is evaluated with y_h = 0 and,
+after the solve, one update C[:, h] += G @ y_h completes the column. G is
+built with x = 0 at every order, so the same G gives A = d_{y0}F(0, .)
+exactly; and as x is 0 at order 0, F(0, y0) is the output's order-0
+value. Resonance is decided once, for h = 1 .. order, on A's spectrum,
+which no scale of the rows moves: h is resonant where the ratio
 max|h - eig| / min|h - eig| over A's eigenvalues exceeds COND_LIMIT. As
 |M|_F |M^-1|_F >= cond_2(M) >= that ratio for M = h*Id - A, the bound,
 read off the batched inverses, only skips the eigenvalue call where it
@@ -197,13 +200,13 @@ class _Program:
     computes the orders of every row of a table (row = series, column =
     order) in one compiled loop whose locals hold each row's order-0 and
     order-h values; each order's convolution sums are one np.vecdot, added
-    left to right, and the bits rest on that order. rhs returns a tuple of
-    output vectors of dim expressions each; outputs[i] = (M, const) maps a
-    column to [x^h] of output i, with const its constant part at order 0.
+    left to right, and the bits rest on that order. rhs returns a list of
+    dim expressions; output = (W, const) maps a column to [x^h] of them,
+    with const their constant part at order 0.
 
-    With ode=True the program is an autonomous ODE y' = rhs(y): its one
-    output must be single recorded rows, and the unknowns' order-h
-    coefficients are that output's order h-1 coefficients over h, so fill()
+    With ode=True the program is an autonomous ODE y' = rhs(y): its output
+    must be single recorded rows, and the unknowns' order-h coefficients
+    are the output's order h-1 coefficients over h, so fill()
     gives the Taylor jet. A jet is the transpose of fill's C-ordered rows,
     a column-major (order + 1, dim) array, and must stay so: _poly_states's
     matrix product rounds a row-major copy with the same coefficients
@@ -218,11 +221,10 @@ class _Program:
         self.n_rows = dim + 1 + n_params
         self._reciprocal: dict[int, int] = {}
         rows = [_Series(self, {i: 1.0}) for i in range(self.n_rows)]
-        self.outputs = tuple(self._outputs(e) for e in
-                             rhs(rows[:dim], rows[dim], *rows[dim + 1:]))
+        self.output = self._output(rhs(rows[:dim], *rows[dim:]))
         out_rows = ()
         if ode:
-            (M, const), = self.outputs
+            M, const = self.output
             out_rows = M.argmax(axis=1).tolist()
             if (not np.array_equal(M, np.eye(self.n_rows)[out_rows])
                     or const.any()):
@@ -300,14 +302,6 @@ class _Program:
              namespace)
         return namespace["run"]
 
-    @cached_property
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Mm1, Mm1_const, W) of a program with outputs (M_-1, x*M): Mm1 and
-        W = Mm1 + xM map a column to [x^h] M_-1 and [x^h] (M_-1 + x M);
-        Mm1_const is the constant part of M_-1 at order 0."""
-        (Mm1, Mm1_const), (xM, _) = self.outputs
-        return Mm1, Mm1_const, Mm1 + xM
-
     def lift(self, v) -> _Series:
         if isinstance(v, _Series):
             return v
@@ -339,7 +333,7 @@ class _Program:
         b = self._row(self.lift(b))
         return _Series(self, {self._new_row(kind, self._row(a), b): 1.0})
 
-    def _outputs(self, exprs) -> tuple[np.ndarray, np.ndarray]:
+    def _output(self, exprs) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and order-0 constants of dim linear combinations of rows."""
         M = np.zeros((self.dim, self.n_rows))
         const = np.zeros(self.dim)
@@ -386,11 +380,11 @@ class _Program:
 
 @dataclass(frozen=True)
 class SingularIVP:
-    """A singular IVP y' = (1/x) M_-1(y) + M(x, y), y(0) = y0.
+    """A singular IVP x y' = F(x, y), y(0) = y0.
 
-    program records rhs(y, x, *params), which returns (M_-1, x*M), two
-    lists of program.dim expressions built with +, -, scalar *, series *
-    series and 1 / series; params are the values of its parameter rows.
+    program records rhs(y, x, *params), which returns F as a list of
+    program.dim expressions built with +, -, scalar *, series * series and
+    1 / series; params are the values of its parameter rows.
     """
 
     program: _Program = field(repr=False)
@@ -401,11 +395,11 @@ class SingularIVP:
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient table Y (dim x order+1) of the unique series solution,
-    and A = d_{y0}M_-1, by the relaxed recurrence in O(order^2) work.
+    and A = d_{y0}F(0, .), by the relaxed recurrence in O(order^2) work.
 
     Raises InvalidArgumentError if order < 1, DegenerateStateError if the
     order-0 pass divides by zero or overflows, SeriesConsistencyError if
-    M_-1(y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
+    F(0, y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
     at which the spectral ratio max|h - eig| / min|h - eig| over A's
     eigenvalues exceeds COND_LIMIT, and that ratio; |M|_F |M^-1|_F >=
     cond_2(M) >= the ratio for M = h*Id - A, so where that bound is within
@@ -417,7 +411,7 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
             f"series order must be at least 1, got {order}")
     prog, k = problem.program, problem.program.dim
     name = problem.name or "singular IVP"
-    Mm1, Mm1_const, W = prog.matrices
+    W, const = prog.output
     try:
         c0, G = prog.gradient(problem.y0, problem.params)
     except ZeroDivisionError:
@@ -426,10 +420,10 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
         raise DegenerateStateError(
             f"{name}: the order-0 terms at parameters {list(problem.params)} "
             f"divide by zero or overflow in floating point")
-    res = float(np.max(np.abs(Mm1 @ c0 + Mm1_const)))
+    res = float(np.max(np.abs(W @ c0 + const)))
     if res > 1e-13 * (1.0 + float(np.max(np.abs(problem.y0)))):
         raise SeriesConsistencyError(f"{name}: |M_-1(y0)| = {res:.3e}")
-    A = Mm1 @ G
+    A = W @ G
     lhs = np.arange(1, order + 1)[:, None, None] * np.eye(k) - A
     # y_h = (h*Id - A)^-1 W C[:, h], with the inverses taken in one batch;
     # |M|_F |M^-1|_F bounds the spectral ratio and settles most h, and the
@@ -460,7 +454,7 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
 
 
 def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
-    """Per-order residual |h y_h - [x^h](M_-1 + x M)| of a computed table,
+    """Per-order residual |h y_h - [x^h] F| of a computed table,
     from a fresh evaluation of the recorded right-hand side on Y."""
     prog = problem.program
     n1 = Y.shape[1]
@@ -470,7 +464,7 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
         C[:, h] = col
         return col
     prog.fill(Y.T, problem.params, n1 - 1, keep)
-    r = np.arange(n1) * Y - prog.matrices[2] @ C
+    r = np.arange(n1) * Y - prog.output[0] @ C
     res = np.max(np.abs(r), axis=0)
     res[0] = 0.0
     return res
@@ -479,38 +473,30 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # family instances
 
-# (M_-1, x*M) of s2_problem and s3_bubble_problem with the family parameter
-# as a series; each is recorded once, below, and serves every member
+# x y' = F(x, y) of s2_problem, s3_problem and s3_bubble_problem with the
+# family parameter as a series; each is recorded once, below, and serves
+# every member. M_-1 = F(0, .) is not written out: solve_singular_ivp reads
+# it at x = 0. The order in which a rhs records its rows is the summation
+# order of W @ C, so reordering its expressions can move the last bits.
 
 def _s2_rhs(y, x, a):
     y1, y2, y3, y4, y5, y6, y7 = y
     a2 = a * a
     x2 = x * x
     r7 = 1 / y7
-    d21 = y2 - y1
-    rd = 1 / d21
-    y77 = y7 * y7
     a2y7 = a2 * y7
     w = y3 * y6 * (r7 * r7)
-    p = y77 * rd + 1.5 * (w * rd / a2)
-    mm1 = [
+    # D = mu^2 / t^2 = 2 a^2 (y2-y1) + t^2 (y2^2 - y1^2 + y3^2)
+    rD = 1 / (2 * (a2 * (y2 - y1)) + x2 * (y2 * y2 - y1 * y1 + y3 * y3))
+    return [
         -(2 * y1 + 3 * (y4 * r7)),
         -(2 * y2 + 3 * (y5 * r7) - 2 * y7),
         -(2 * y3 + 3 * (y6 * r7)),
-        -(2 * y4 - 4 * a2y7),
-        -(2 * y5 - 4 * a2y7),
-        -(2 * y6 + 3 * (y3 * r7)),
-        -(y7 + p),
+        4 * (a2y7 + x2 * (y1 * y7)) - 2 * y4,
+        4 * (a2y7 + x2 * (y2 * y7)) - 2 * y5,
+        4 * (x2 * (y3 * y7)) - 2 * y6 - 3 * (y3 * r7),
+        -(y7 + 2 * (y7 * y7 * (a2 + x2 * y2) * rD) + 3 * (w * rD)),
     ]
-    # x*M rows; D = mu^2 / t^2 = 2 a^2 (y2-y1) + t^2 (y2^2 - y1^2 + y3^2)
-    rD = 1 / (2 * (a2 * d21) + x2 * (y2 * y2 - y1 * y1 + y3 * y3))
-    u1_full = a2 + x2 * y2
-    xm = [0.0, 0.0, 0.0,
-          4 * (x2 * (y1 * y7)),
-          4 * (x2 * (y2 * y7)),
-          4 * (x2 * (y3 * y7)),
-          p - 2 * (y77 * u1_full * rD) - 3 * (w * rD)]
-    return mm1, xm
 
 
 def _s3_bubble_rhs(y, x, b):
@@ -518,34 +504,26 @@ def _s3_bubble_rhs(y, x, b):
     b2 = b * b
     x2 = x * x
     rQ = 1 / (y2 * y2 - y1 * y1 + b2 * (y3 * y3))
-    mm1 = [
-        -(y1 - 2 * b),
-        -(y2 - 2 * y7),
-        -(y3 + 2),
-        -(2 * y4 - 4 * (b * (y1 * y7))),
-        -(2 * y5 - 4 * (b * (y2 * y7))),
-        -(2 * y6 - 4 * (b2 * (y3 * y7)) + 3 * y3),
-        -4 * ((y2 * (y7 * y7) + y3) * rQ),
-    ]
-    xm = [-3 * (b * (x2 * y4)),
-          -3 * (b * (x2 * y5)),
-          -3 * (x2 * y6),
-          0.0, 0.0, 0.0,
-          -6 * (x2 * (y3 * y6 * rQ))]
-    return mm1, xm
+    v = [4 * (b * (y1 * y7)) - 2 * y4,
+         4 * (b * (y2 * y7)) - 2 * y5,
+         4 * (b2 * (y3 * y7)) - 2 * y6 - 3 * y3]
+    lam = -4 * ((y2 * (y7 * y7) + y3) * rQ)
+    return [2 * b - y1 - 3 * (b * (x2 * y4)),
+            2 * y7 - y2 - 3 * (b * (x2 * y5)),
+            -(y3 + 2) - 3 * (x2 * y6),
+            *v, lam - 6 * (x2 * (y3 * y6 * rQ))]
 
 
 def _s3_rhs(y, x, b):
     y1, y2, y3, y4, y5, y6, y7 = y
     x2 = x * x
     x2y7, r7 = x2 * y7, 1 / y7
-    mm1 = [-(y1 + 3 * (y4 * r7)), -(y2 + 3 * (y5 * r7) - 2 * y7),
-           -(y3 + 3 * (y6 * r7)), 0.0, 0.0, 0.0,
-           -((2 * (y7 * y7 * y2) + 3 * (y3 * y6 * (r7 * r7)))
-             / (y2 * y2 - y1 * y1 + y3 * y3))]
-    xm = [0.0, 0.0, 0.0, 4 * (x2y7 * y1), 4 * (x2y7 * y2),
-          4 * (x2y7 * y3) - 3 * (x2 * (y3 * r7)), 0.0]
-    return mm1, xm
+    u = [-(y1 + 3 * (y4 * r7)), -(y2 + 3 * (y5 * r7) - 2 * y7),
+         -(y3 + 3 * (y6 * r7))]
+    lam = -((2 * (y7 * y7 * y2) + 3 * (y3 * y6 * (r7 * r7)))
+            / (y2 * y2 - y1 * y1 + y3 * y3))
+    return [*u, 4 * (x2y7 * y1), 4 * (x2y7 * y2),
+            4 * (x2y7 * y3) - 3 * (x2 * (y3 * r7)), lam]
 
 
 _S2_PROGRAM = _Program(7, _s2_rhs, n_params=1)

@@ -248,6 +248,57 @@ def reference_advance(program, C: np.ndarray, h: int) -> None:
     C[:, h] = col
 
 
+def mp_reference_solve(problem, order: int) -> list[list]:
+    """solve_singular_ivp's table Y in mpmath at 40 digits: the recorded
+    ops interpreted as reference_advance does in floats, with the same
+    gradient G (x = 0 at every order), A = W G and per-order solve
+    (h Id - A) y_h = W C[:, h] with y_h = 0, then C[:, h] += G y_h. The
+    inputs y0, params and W are read as exact; only the arithmetic is
+    carried to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    from nkshoot.series import _INV, _LIN, _MUL
+    prog, k = problem.program, problem.program.dim
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    W = mp.matrix(prog.output[0].tolist())
+
+    def advance(C, h):
+        for kind, out, a, b in prog.ops:
+            conv = (0 if h == 0 or kind == _LIN else
+                    mp.fsum(C[a][i] * C[b if kind == _MUL else out][h - i]
+                            for i in range(1, h)))
+            if kind == _MUL:
+                C[out][h] = (C[a][0] * C[b][0] if h == 0 else
+                             conv + C[a][0] * C[b][h] + C[a][h] * C[b][0])
+            elif kind == _INV:
+                C[out][h] = (1 / C[a][0] if h == 0 else
+                             -(conv + C[a][h] * C[out][0]) / C[a][0])
+            else:
+                C[out][h] = (mp.fsum(coef * C[row][h] for row, coef in a)
+                             + (b if h == 0 else 0))
+
+    C = [[mp.zero] * (order + 1) for _ in range(prog.n_rows)]
+    for r, v in enumerate([*problem.y0, 0.0, *problem.params]):
+        C[r][0] = mp.mpf(v)
+    C[k][1] = mp.one
+    advance(C, 0)
+    G = mp.matrix(prog.n_rows, k)
+    for j in range(k):
+        T = [[row[0], mp.zero] for row in C]
+        T[j][1] = mp.one
+        advance(T, 1)
+        for r in range(prog.n_rows):
+            G[r, j] = T[r][1]
+    A = W * G
+    for h in range(1, order + 1):
+        advance(C, h)
+        col = mp.matrix([C[r][h] for r in range(prog.n_rows)])
+        update = G * mp.lu_solve(h * mp.eye(k) - A, W * col)
+        for r in range(prog.n_rows):
+            C[r][h] += update[r]
+    return [C[r] for r in range(k)]
+
+
 def reference_node_values(events, lam_sign: float, t, y):
     """The node pass's values and drift computed the array way, at the nodes
     t with states y of shape (7,) or (7, m): the events' fn_vec, the guard's

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nkshoot import shoot
+from nkshoot import cli, shoot
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -95,3 +95,14 @@ def test_volume_read_calls_the_traced_quadrature(monkeypatch):
     assert fs.vol_integral > 0.0
     assert len(calls) == 1 and calls[0][0] is fs.traj
     assert calls[0][1:] == (fs.t_star, fs.record.T)
+
+
+def test_table2_workload_lists_the_cli_targets():
+    # seed 0 of the table2 workload solves exactly the CLI's table: the same
+    # targets in the same order, with the same labels, kinds and brackets
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.TABLE2_TARGETS == tuple(
+        (target, *row) for target, row in cli._TARGETS.items())

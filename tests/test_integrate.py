@@ -250,7 +250,7 @@ def _reference_jet(y, order):
     # columns come from the plain relaxed recurrence; column-major, as the
     # table's first seven rows transposed
     program = sys.modules["nkshoot.integrate"]._PROGRAM
-    (F, F_const), = program.outputs
+    F, F_const = program.output
     C = reference_table(program, order)
     C[:7, 0] = y
     reference_advance(program, C, 0)

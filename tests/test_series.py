@@ -6,9 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (SQRT3, float_bits, plain_dot, reference_advance,
-                      reference_horner, reference_poly_integral,
-                      reference_table, s_of_time, s_radius, with_top_lambda)
+from conftest import (SQRT3, float_bits, mp_reference_solve, plain_dot,
+                      reference_advance, reference_horner,
+                      reference_poly_integral, reference_table, s_of_time,
+                      s_radius, with_top_lambda)
+from nkshoot import series
 from nkshoot.errors import (InvalidArgumentError, OutOfRadiusError,
                             ResonanceError, SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
@@ -20,7 +22,7 @@ from nkshoot.series import (COND_LIMIT, SingularIVP, _Program, _horner,
                             s3_bubble_problem, s3_problem, series_bubble_a,
                             series_bubble_b, series_psi_a, series_psi_b,
                             solve_singular_ivp)
-from nkshoot.state import apply_symmetry, constraints
+from nkshoot.state import apply_symmetry, complex_step, constraints
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +31,7 @@ from nkshoot.state import apply_symmetry, constraints
 def _toy_problem(coeff: float) -> SingularIVP:
     """Scalar y' = (1/t)(coeff * y) + 1, y0 = 0."""
     def rhs(y, x):
-        return [coeff * y[0]], [x]
+        return [coeff * y[0] + x]
     return SingularIVP(_Program(1, rhs), np.array([0.0]), name="toy")
 
 
@@ -63,7 +65,7 @@ def _diagonal_toy(coeffs) -> SingularIVP:
     """y_i' = (1/t)(coeffs[i] * y_i) + 1, y0 = 0: h*Id - dM_-1 is
     diag(h - coeffs), so its condition number is known exactly."""
     def rhs(y, x):
-        return [c * yi for c, yi in zip(coeffs, y)], [x] * len(coeffs)
+        return [c * yi + x for c, yi in zip(coeffs, y)]
     return SingularIVP(_Program(len(coeffs), rhs), np.zeros(len(coeffs)),
                        name="diagonal toy")
 
@@ -98,8 +100,8 @@ def test_resonance_error_names_the_first_ill_conditioned_h():
 def _linear_toy(A: np.ndarray) -> SingularIVP:
     """y' = (1/t) A y + 1, y0 = 0: h*Id - dM_-1 is h*Id - A."""
     def rhs(y, x):
-        return ([sum(a * yj for a, yj in zip(row, y) if a) for row in A],
-                [x] * len(A))
+        return [sum(a * yj for a, yj in zip(row, y) if a) + x
+                for row in A]
     return SingularIVP(_Program(len(A), rhs), np.zeros(len(A)),
                        name="linear toy")
 
@@ -143,7 +145,7 @@ def test_order_below_one_rejected():
 
 def test_consistency_gate():
     def rhs(y, x):
-        return [-2.0 * y[0] + 1.0], [0.0]
+        return [-2.0 * y[0] + 1.0]
     bad = SingularIVP(_Program(1, rhs), np.array([0.0]), name="bad")
     with pytest.raises(SeriesConsistencyError):
         solve_singular_ivp(bad, 5)
@@ -178,9 +180,9 @@ def test_s3_program_in_t(b):
     # residuals reach 4e10 at b = 0.3); and the t-rows of an order-40 build
     # are those of an order-44 build
     prob = s3_problem(b)
-    Mm1, Mm1_const, _ = prob.program.matrices
+    W, const = prob.program.output
     c0, _ = prob.program.gradient(prob.y0, prob.params)
-    assert np.max(np.abs(Mm1 @ c0 + Mm1_const)) < 1e-15 * max(
+    assert np.max(np.abs(W @ c0 + const)) < 1e-15 * max(
         1.0, np.max(np.abs(prob.y0)))
     Y, A = solve_singular_ivp(prob, 41)
     eig = np.linalg.eigvals(A)
@@ -293,7 +295,7 @@ def _reference_solve(problem: SingularIVP, order: int):
     # G from order 1 on the unit vectors, the batch inverse, then order by
     # order the relaxed recurrence with y_h = 0 and the update by G y_h
     prog, k = problem.program, problem.program.dim
-    Mm1, _, W = prog.matrices
+    W, _ = prog.output
     C = reference_table(prog, order, problem.params)
     C[:k, 0] = problem.y0
     reference_advance(prog, C, 0)
@@ -305,7 +307,7 @@ def _reference_solve(problem: SingularIVP, order: int):
         T[j, 1] = 1.0
         reference_advance(prog, T, 1)
         G[:, j] = T[:, 1]
-    A = Mm1 @ G
+    A = W @ G
     IW = np.linalg.inv(np.arange(1, order + 1)[:, None, None] * np.eye(k)
                        - A) @ W
     for h in range(1, order + 1):
@@ -329,6 +331,37 @@ def test_solve_singular_ivp_bits_equal_the_plain_recurrence(problem, param,
     assert Y.flags.c_contiguous
     assert np.array_equal(Y, Y_ref) and np.array_equal(A, A_ref)
     assert np.array_equal(np.signbit(Y), np.signbit(Y_ref))
+
+
+@pytest.mark.parametrize("param", [0.12, 0.7, 1.0, 1.7, 4.0])
+@pytest.mark.parametrize("problem, rhs", [
+    (s2_problem, series._s2_rhs), (s3_problem, series._s3_rhs),
+    (s3_bubble_problem, series._s3_bubble_rhs)])
+def test_A_is_the_jacobian_of_F_at_x_zero(problem, rhs, param):
+    # A = W G, with G from the program's own gradient pass, against the
+    # columns of d_y F(0, y) at y0 by complex step on each rhs evaluated on
+    # plain complex numbers at x = 0; and F(0, y0) = 0, the consistency
+    # that solve_singular_ivp reads off the output's order-0 value
+    prob = problem(param)
+
+    def F(z):
+        return np.array(rhs([complex(v) for v in z], 0.0, param))
+    J = np.column_stack([complex_step(F, prob.y0, e) for e in np.eye(7)])
+    _, A = solve_singular_ivp(prob, 1)
+    assert np.max(np.abs(A - J)) <= 1e-13 * np.max(np.abs(J))
+    scale = 1.0 + np.max(np.abs(prob.y0))
+    assert np.max(np.abs(F(prob.y0))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("a", [0.12, 0.5646, SQRT3])
+def test_s2_rows_match_a_40_digit_recurrence(a):
+    # every row of the order-40 table is within 2e-14 of its largest
+    # coefficient of the same recurrence carried to 40 digits
+    prob = s2_problem(a)
+    Y, _ = solve_singular_ivp(prob, 40)
+    for row, ref in zip(Y, mp_reference_solve(prob, 40)):
+        ref = np.array([float(v) for v in ref])
+        assert np.max(np.abs(row - ref)) <= 2e-14 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
