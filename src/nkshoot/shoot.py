@@ -29,24 +29,22 @@ from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      InvalidArgumentError, JunctionMismatchError, NKError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
 from .geometry import MaxOrbitRecord
-from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, MAX_VOLUME_EVENT, EventSpec,
-                        Trajectory, _NodePass, bracketed_root, integrate)
+from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, MAX_VOLUME_EVENT,
+                        Trajectory, bracketed_root, integrate)
 from .series import (DEFAULT_ORDER, SeriesSolution, _poly_states,
                      family_series, handoff, poly_integral, volume_coeffs)
 from .state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry, complex_step,
                     rhs_vec, transform_derivative)
 
 S6_STD_TOTAL_VOLUME = 9.0 / 5.0     # normalization for the vol column
-EVENT_GUARD_INTERVAL = 0.1          # uniqueness confirmation window
 # At the events located over alpha in [0.1, 10] and beta in [0.05, 2],
 # |g / g'| is round-off, <= 1.1e-16 (0.05 before T it is 0.05), and the
 # scale-free slope of _confirm_unique_maximum lies in [-12.8, -2.5] (<= -5/2
-# on shell on the wedge); both bounds sit far inside. The cosine of grad g
-# and the flow falls to -0.025 at alpha = 10, too near 0 to bound.
+# at every zero of g on the admissible shell); both bounds sit far inside.
+# The cosine of grad g and the flow falls to -0.025 at alpha = 10, too near
+# 0 to bound.
 EVENT_ROOT_TIME = 1e-9              # bound on |g / g'|
 EVENT_SLOPE_MAX = -0.5              # bound on the scale-free slope
-PROBE_EVENT = EventSpec("second-max", fn_vec=MAX_VOLUME_EVENT.fn_vec,
-                        direction=+1)   # the window run stops on a rising g
 JUNCTION_TOL = 1e-7
 MATCH_RESIDUAL = 1e-9
 MATCH_STEP_TOL = math.sqrt(np.finfo(float).eps)   # relative to (a, b)
@@ -91,7 +89,8 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
                  rtol: float = DEFAULT_RTOL,
                  atol: float = DEFAULT_ATOL) -> FamilySolve:
     """Series handoff, integrate to the maximal-volume event, build the
-    record, and confirm the event is unique over a short guard interval."""
+    record, and check that the event is a transversal falling zero of g,
+    which on shell makes it the member's unique maximum."""
     sol = family_series(family, param, order)
     t_star, start = handoff(sol)
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,),
@@ -103,7 +102,7 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
     T = traj.times[-1]
     event_state = State.from_vec(T, traj.states[-1])
     record = MaxOrbitRecord.from_state(family, param, T, event_state)
-    _confirm_unique_maximum(traj, rtol, atol)
+    _confirm_unique_maximum(traj)
     return FamilySolve(family=family, param=param, series=sol, t_star=t_star,
                        traj=traj, record=record)
 
@@ -121,17 +120,15 @@ def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:
     return total
 
 
-def _confirm_unique_maximum(traj: Trajectory, rtol: float,
-                            atol: float) -> None:
+def _confirm_unique_maximum(traj: Trajectory) -> None:
     """Every critical point of V is a strict maximum (on shell g = lambda^2
     V'), so the event ending traj must be a transversal falling zero of g:
     raise EventNotFoundError unless |g / g'| < EVENT_ROOT_TIME and g' mu^2 /
     (lambda^3 (mu^4 + lambda^2 (mu^2 + u1^2))) < EVENT_SLOPE_MAX, with g' by
-    a complex step along the flow. Past it g < 0, so a second critical point
-    first crosses upward: raise on a rising zero of g (PROBE_EVENT) within
-    EVENT_GUARD_INTERVAL after T, sought on the event step's polynomial up
-    to its reach and by an integrate run beyond. As in a run, the drift is
-    checked and a guard crossing ends the search."""
+    a complex step along the flow. On the admissible shell that slope is at
+    most -5/2 at every zero of g (tests/test_shoot.py proves it), so g never
+    rises through zero and the first falling zero is the only one: no later
+    critical point is sought."""
     T, y = float(traj.times[-1]), traj.states[-1]
     lam, u1, mu2 = y[0], y[2], State.from_vec(T, y).mu2
     g = MAX_VOLUME_EVENT(T, y)
@@ -141,22 +138,6 @@ def _confirm_unique_maximum(traj: Trajectory, rtol: float,
         raise EventNotFoundError(
             f"the event at t = {T} is not a transversal falling zero of g: "
             f"g = {g:.3e}, g' = {dg:.3e}, scale-free slope {slope:.3e}")
-    horizon = T + EVENT_GUARD_INTERVAL
-    end = min(traj.dense.reach, horizon)
-    nodes = _NodePass((PROBE_EVENT,), 1.0)
-    ts, ys, _, _, hit = nodes.step(traj.dense.coeffs[-1],
-                                   traj.dense.starts[-1], T, y,
-                                   nodes.values(T, y)[0], end - T)
-    if hit is None and end < horizon:
-        run = integrate(State.from_vec(ts[-1], ys[-1]), horizon,
-                        events=(PROBE_EVENT,),
-                        rtol=max(rtol, 1e-10), atol=max(atol, 1e-10))
-        if run.stopped_by == PROBE_EVENT.name:
-            ts, hit = run.times, 0
-    if hit == 0:
-        raise EventNotFoundError(
-            f"second volume-critical point at t = {ts[-1]}; the located "
-            f"event was not the unique maximum")
 
 
 def max_orbit(family: str, param: float, order: int = DEFAULT_ORDER,

@@ -5,9 +5,10 @@ as a name or as the base of an attribute. The package's ``__init__.py``
 only re-exports, so it is exempt.
 
 Also: the package's only run-time dependency is numpy, so a run of every
-root search loads no SciPy module; and every documented surface, the names
-in ``nkshoot.__all__`` and the ``nk.<name>`` uses in the README's "Library
-use" block, resolves.
+root search loads no module of SciPy, nor of the test-only SymPy, mpmath
+and hypothesis (the proofs stay in the tests); and every documented
+surface, the names in ``nkshoot.__all__`` and the ``nk.<name>`` uses in
+the README's "Library use" block, resolves.
 """
 import ast
 import json
@@ -69,8 +70,8 @@ refine_matching(trace_curve("alpha", 0.55, 0.57, 2),
                 trace_curve("beta", 0.59, 0.61, 2), (0.56, 0.60), "w1")
 count_v0_zeros(fb.traj)
 fb.state_at(fb.t_star / 2)
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in
+                        ("scipy", "sympy", "mpmath", "hypothesis"))))
 """
 
 

@@ -452,8 +452,8 @@ def test_series_must_pass_through_start():
 
 def test_root_evaluates_each_end_once(monkeypatch):
     # _root hands its two end values to bracketed_root, which does not
-    # evaluate them again: over the event, probe and guard roots of two
-    # solves and the v0 zeros of beta(0.05), each end is evaluated once
+    # evaluate them again: over the event and guard roots of two solves
+    # and the v0 zeros of beta(0.05), each end is evaluated once
     integ = sys.modules["nkshoot.integrate"]
     geometry = sys.modules["nkshoot.geometry"]
     root, ends = integ._root, []
@@ -605,8 +605,7 @@ def _recorded_steps(monkeypatch) -> list:
 
 
 def test_node_pass_equals_the_array_oracle_on_member_steps(monkeypatch):
-    # every step of 16 log-spaced members of each family, the probe's
-    # included, bit for bit
+    # every step of 16 log-spaced members of each family, bit for bit
     calls = _recorded_steps(monkeypatch)
     for family, lo, hi in (("alpha", 0.05, 10.0), ("beta", 0.02, 3.0)):
         for p in np.geomspace(lo, hi, 16):

@@ -70,7 +70,7 @@ def _diagonal_toy(coeffs) -> SingularIVP:
                        name="diagonal toy")
 
 
-def test_resonance_svd_decides_where_the_frobenius_bound_does_not():
+def test_resonance_spectrum_decides_where_the_frobenius_bound_does_not():
     # at h = 3 the matrix is diag(d, 3, 3, 3), whose spectral ratio
     # max|h - eig| / min|h - eig| = 3/d = 7e7 (for a diagonal matrix also
     # its 2-norm condition number) is below COND_LIMIT, while

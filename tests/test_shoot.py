@@ -3,7 +3,6 @@ gluing, scans."""
 import dataclasses
 import importlib
 import math
-import re
 import sys
 import types
 
@@ -18,7 +17,7 @@ from nkshoot.errors import (BoundaryAmbiguousError, DegenerateStateError,
                             JunctionMismatchError, NKError, NoCrossingError,
                             NoSignChangeError, RefinementStallError)
 from nkshoot.exact import eval_named
-from nkshoot.geometry import MaxOrbitRecord
+from nkshoot.geometry import MaxOrbitRecord, project_H
 from nkshoot.integrate import (MAX_VOLUME_EVENT, _order_and_tol,
                                _step_size, integrate)
 from nkshoot.series import volume_coeffs
@@ -27,7 +26,7 @@ from nkshoot.shoot import (find_doubling, find_matching, glue,
                            max_orbit, refine_matching, scan_s2s4_boundary,
                            solve_family, trace_curve)
 from nkshoot.state import (State, _first_integrals, apply_symmetry,
-                           rhs_vec)
+                           complex_step, rhs_vec)
 
 S6_VMAX = 81 * SQRT3 / (25 * math.sqrt(5))
 
@@ -626,7 +625,31 @@ def test_lazy_volume_equals_the_eager_expression():
                 [eager_volume(fs)])
 
 
-def test_table2_volumes_agree_with_an_independent_scipy_path():
+def _scipy_run(rows, param):
+    """(t_h, run): SciPy's DOP853 at rtol 1e-13 and atol 1e-14, from a
+    family's t-rows at a shorter handoff t_h = 0.03 min(1, param) to the
+    falling zero of g, with dense output."""
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+
+    def event(t, y):
+        return 2.0 * y[0] ** 4 * y[2] - 3.0 * y[3] * y[6]
+    event.terminal, event.direction = True, -1
+
+    t_h = 0.03 * min(1.0, param)
+    return t_h, scipy_integrate.solve_ivp(
+        rhs_vec, (t_h, math.pi), np.polynomial.polynomial.polyval(t_h, rows),
+        method="DOP853", rtol=1e-13, atol=1e-14, events=event,
+        dense_output=True)
+
+
+@pytest.fixture(scope="module")
+def table2_solutions():
+    return {target: cli._solve_target(target, series.DEFAULT_ORDER, 1e-12)
+            for target in cli._TARGETS}
+
+
+def test_table2_volumes_agree_with_an_independent_scipy_path(
+        table2_solutions):
     # each solved row's halves again, sharing only the series (criterion 2,
     # recurrence_residuals) and rhs_vec (verify): the t-rows up to a
     # shorter handoff 0.03 min(1, p), SciPy's DOP853 to the falling zero of
@@ -638,31 +661,64 @@ def test_table2_volumes_agree_with_an_independent_scipy_path():
         lam, u0, u1, u2 = y[:4]
         return lam * (u1 * u1 + u2 * u2 - u0 * u0)
 
-    def event(t, y):
-        return 2.0 * y[0] ** 4 * y[2] - 3.0 * y[3] * y[6]
-    event.terminal, event.direction = True, -1
-
     def quad(f, a, b):
         return scipy_integrate.quad(f, a, b, epsabs=1e-14, epsrel=1e-13,
                                     limit=200)[0]
 
     def half(fs):
         """(T, volume integral over [0, T]) of one family solve."""
-        rows, t_h = fs.series.t_coeffs, 0.03 * min(1.0, fs.param)
-        run = scipy_integrate.solve_ivp(
-            rhs_vec, (t_h, math.pi), polyval(t_h, rows), method="DOP853",
-            rtol=1e-13, atol=1e-14, events=event, dense_output=True)
+        rows = fs.series.t_coeffs
+        t_h, run = _scipy_run(rows, fs.param)
         T = run.t_events[0][0]
         return T, (quad(lambda t: volume(polyval(t, rows)), 0.0, t_h)
                    + quad(lambda t: volume(run.sol(t)), t_h, T))
 
-    for target in cli._TARGETS:
-        sol = cli._solve_target(target, series.DEFAULT_ORDER, 1e-12)
+    for sol in table2_solutions.values():
         left = half(sol.left)
         right = left if sol.right is sol.left else half(sol.right)
         assert abs(left[0] + right[0] - sol.T_total) < 1e-12
         assert abs((left[1] + right[1]) / shoot.S6_STD_TOTAL_VOLUME
                    - sol.vol) < 1e-12
+
+
+def test_table2_roots_agree_with_an_independent_scipy_path(
+        table2_solutions):
+    # each row's root solved again on the volume test's SciPy path, sharing
+    # only the series, rhs_vec and project_H: brentq on v0(T) or u0(T) from
+    # the CLI bracket for a doubling; hybr on alpha_H(a) - R beta_H(b) from
+    # the pipeline's root moved by 1e-6 for a matching, judged by F and by
+    # the root, as hybr reports no success where it cannot improve at
+    # round-off. The two roots differ by at most 6.8e-14 (S6-std)
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def event_state(family, p):
+        run = _scipy_run(series.family_series(family, p).t_coeffs, p)[1]
+        return State.from_vec(run.t_events[0][0], run.y_events[0][0])
+
+    for target, (_, construction, args) in cli._TARGETS.items():
+        sol = table2_solutions[target]
+        if construction == "doubling":
+            family, bracket, which = args
+            idx = 4 if which == "v0" else 1
+            p = optimize.brentq(lambda p: event_state(family, p).vec[idx],
+                                *bracket, xtol=1e-15,
+                                rtol=4 * np.finfo(float).eps)
+            assert abs(p - sol.param_left) < 1e-12, target
+            continue
+        refl = min(("w1", "w2"), key=lambda r: np.max(np.abs(
+            np.subtract(sol.left.record.h_point, np.multiply(
+                shoot._REFLECTIONS[r], sol.right.record.h_point)))))
+
+        def F(x):
+            ha, hb = (project_H(event_state(fam, p))[1:]
+                      for fam, p in zip(("alpha", "beta"), x))
+            return np.subtract(ha, np.multiply(shoot._REFLECTIONS[refl], hb))
+
+        x = np.array([sol.param_left, sol.param_right])
+        root = optimize.root(F, x + 1e-6, method="hybr",
+                             options={"xtol": 1e-10}).x
+        assert np.max(np.abs(F(root))) < 1e-12, target
+        assert np.max(np.abs(root - x)) < 1e-12, target
 
 
 @pytest.mark.parametrize("family, param", [("beta", 0.599),
@@ -723,7 +779,7 @@ def test_low_orders_agree_with_order_40(family, param, order):
     ("alpha", SQRT3, S6_VMAX)], ids=["beta-1", "cp3", "s6"])
 def test_event_inside_the_series_step(monkeypatch, family, param, vmax):
     # the closed-form members end in one step, the series one, expanded
-    # about the singular orbit; the probe scans that step's polynomial
+    # about the singular orbit; the probe reads only the event state
     fs = solve_family(family, param)
     assert fs.traj.dense.starts.tolist() == [0.0]
     assert fs.traj.dense.coeffs[0] is fs.series.t_coeffs
@@ -733,7 +789,7 @@ def test_event_inside_the_series_step(monkeypatch, family, param, vmax):
         raise AssertionError("integrate called")
 
     monkeypatch.setattr(shoot, "integrate", no_run)
-    shoot._confirm_unique_maximum(fs.traj, 1e-12, 1e-12)
+    shoot._confirm_unique_maximum(fs.traj)
 
 
 def test_probe_rejects_a_later_critical_point(beta1_solve):
@@ -742,7 +798,7 @@ def test_probe_rejects_a_later_critical_point(beta1_solve):
     early = integrate(State.from_vec(traj.t_start, traj.states[0]),
                       beta1_solve.record.T - 0.05)
     with pytest.raises(EventNotFoundError):
-        shoot._confirm_unique_maximum(early, 1e-12, 1e-12)
+        shoot._confirm_unique_maximum(early)
 
 
 def test_solve_family_run_without_the_event_raises(monkeypatch):
@@ -757,43 +813,6 @@ def test_solve_family_run_without_the_event_raises(monkeypatch):
         solve_family("beta", 0.6)
 
 
-@pytest.mark.parametrize("param, runs", [(1.0, 0), (0.3, 1)],
-                         ids=["covered", "uncovered"])
-def test_probe_catches_a_planted_rising_crossing(monkeypatch, param, runs):
-    # the probe's event becomes g + k max(0, t - T - 0.05)^2, with k set so
-    # that it crosses zero upward at T + 0.09. beta(1)'s event step reaches
-    # past the window, so its polynomial finds the crossing with no run;
-    # beta(0.3)'s ends before T + 0.09, so one run from its reach does
-    fs = solve_family("beta", param)
-    st, reach = fs.record.state, fs.traj.dense.reach
-    T = st.t
-    assert (reach >= T + 0.1) if runs == 0 else (reach < T + 0.09)
-    g_late = MAX_VOLUME_EVENT(T + 0.09,
-                              integrate(st, T + 0.1).state_at(T + 0.09).vec)
-    assert g_late < 0.0
-    k = -g_late / 0.04 ** 2
-
-    def planted(t, y):
-        return (MAX_VOLUME_EVENT.fn_vec(t, y)
-                + k * np.maximum(0.0, t - T - 0.05) ** 2)
-
-    monkeypatch.setattr(shoot, "PROBE_EVENT",
-                        dataclasses.replace(shoot.PROBE_EVENT, fn_vec=planted))
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(shoot, "integrate", spy)
-    with pytest.raises(EventNotFoundError,
-                       match="second volume-critical") as err:
-        shoot._confirm_unique_maximum(fs.traj, 1e-12, 1e-12)
-    assert len(calls) == runs
-    t_hit = float(re.search(r"at t = (\S+);", str(err.value)).group(1))
-    assert abs(t_hit - (T + 0.09)) < 1e-6
-
-
 @pytest.mark.parametrize("share", [-1.0, 0.0, 0.05],
                          ids=["rising", "tangent", "nearly-tangent"])
 def test_probe_rejects_a_crossing_that_is_not_transversal_falling(
@@ -801,8 +820,8 @@ def test_probe_rejects_a_crossing_that_is_not_transversal_falling(
     # g does not depend on v1, and g' does linearly (d g'/d v1 = -6
     # lambda^3): shifting v1 keeps the zero of g and leaves share times the
     # event's g', read off the flow by central differences. On shell every
-    # zero of g on the wedge falls transversally, so these states are off
-    # shell; the start check rejects them before any integration
+    # zero of g falls transversally, so these states are off shell; the
+    # check at T rejects them without any integration
     st = beta1_solve.record.state
     T, h = st.t, 1e-4
     after = integrate(st, T + 0.1)
@@ -823,40 +842,118 @@ def test_probe_rejects_a_crossing_that_is_not_transversal_falling(
         traj, states=np.vstack((traj.states[:-1], moved.vec)))
     monkeypatch.setattr(shoot, "integrate", no_run)
     with pytest.raises(EventNotFoundError, match="transversal falling"):
-        shoot._confirm_unique_maximum(ends_moved, 1e-12, 1e-12)
+        shoot._confirm_unique_maximum(ends_moved)
 
 
 def test_probe_argument_symbolically():
-    # the probe's two facts, on the package's own event function and
-    # right-hand side: lambda^2 V' - g = -6 lambda^2 I1, so g = lambda^2 V'
-    # on shell; and at g = 0 on shell (I2 = I4 = 0 suffice)
-    # g' = -lambda (18 l^2 m^4 - 9 m^4 - 4 l^4 m^2 + 28 l^4 u1^2) / m^2
-    # (l = lambda, m = mu), whose bracket is a sum of terms >= 0 on the
-    # wedge mu >= lambda >= 1
+    # Foscolo & Haskins (arXiv 1501.07838) state that each member of the two
+    # families reaches a unique maximal-volume orbit, where 2 lambda^4 u1 =
+    # 3 u2 v2 (a paraphrase; the README's overview repeats it). Proved here,
+    # on the package's own event function and right-hand side, is the
+    # quantitative form the probe rests on: a uniform bound on g' at the
+    # zeros of g over the whole admissible shell, which leaves a margin for
+    # drifted numerical states, where the sign of V'' alone would not.
+    #
+    # Assumed: lambda > 0, mu^2 > 0 and I1 = I2 = I3 = I4 = 0; u0, u1, u2
+    # and the v's are signed. Claim: at every zero of g = 2 lambda^4 u1 -
+    # 3 u2 v2 the scale-free slope g' mu^2 / (lambda^3 (mu^4 + lambda^2
+    # (mu^2 + u1^2))) is at most -5/2 (equal at the Sasaki-Einstein point
+    # lambda = mu = 1, u1 = 0). So g never rises through zero, its first
+    # falling zero is its only one, and on shell g = lambda^2 V', so the
+    # event is the only critical point of V.
     sp = pytest.importorskip("sympy")
     y = sp.symbols("lam u0 u1 u2 v0 v1 v2", real=True)
     lam, u0, u1, u2, v0, v1, v2 = y
-    mu2 = -u0 ** 2 + u1 ** 2 + u2 ** 2
     f = [sp.nsimplify(e) for e in rhs_vec(0.0, y)]
     g = sp.nsimplify(MAX_VOLUME_EVENT.fn_vec(0.0, y))
-    I1 = _first_integrals(*y)[0]
+    I1, _, I3, _, _, _, mu2 = _first_integrals(*y)
 
     def flow(expr):
         return sum(sp.diff(expr, yi) * fi for yi, fi in zip(y, f))
 
+    # lambda^2 V' - g = -6 lambda^2 I1, so g = lambda^2 V' where I1 = 0
     assert sp.simplify(lam ** 2 * flow(lam * mu2) - g + 6 * lam ** 2 * I1) == 0
 
-    m2 = sp.Symbol("m2", positive=True)
-    on_shell = {v1: m2, v2: 2 * lam ** 4 * u1 / (3 * u2),
-                u0: sp.sqrt(u1 ** 2 + u2 ** 2 - m2)}
-    dg = flow(g).subs(on_shell).subs(u2, lam * sp.sqrt(m2))
-    bracket = (18 * lam ** 2 * m2 ** 2 - 9 * m2 ** 2 - 4 * lam ** 4 * m2
-               + 28 * lam ** 4 * u1 ** 2)
-    assert sp.simplify(dg + lam * bracket / m2) == 0
-    assert sp.expand(bracket - (5 * lam ** 2 * m2 ** 2
-                                + 9 * m2 ** 2 * (lam ** 2 - 1)
-                                + 4 * lam ** 2 * m2 * (m2 - lam ** 2)
-                                + 28 * lam ** 4 * u1 ** 2)) == 0
+    # L = lambda^2, m = mu^2, X = u1^2. A rational function whose every
+    # exponent of lambda, u0, u1, u2 is even is one of the squares; on shell
+    # u2^2 = L m (I2) and then u0^2 = X + (L - 1) m, as m = mu^2
+    L, m = sp.symbols("L m", positive=True)
+    X = sp.Symbol("X", nonnegative=True)
+    squares = {lam: L, u0: X + (L - 1) * m, u1: X, u2: L * m}
+
+    def in_squares(expr):
+        parts = []
+        for p in sp.fraction(sp.cancel(sp.together(expr))):
+            poly = sp.Poly(p, *squares)
+            assert all(e % 2 == 0 for mono in poly.monoms() for e in mono)
+            parts.append(sum(c * sp.prod([s ** (e // 2) for s, e in
+                                          zip(squares.values(), mono)])
+                             for mono, c in poly.terms()))
+        return sp.cancel(parts[0] / parts[1])
+
+    # v1 = mu^2 (I4) and v2 from g = 0; u2 != 0, as u2^2 = lambda^2 mu^2 > 0
+    shell = {v1: mu2, v2: 2 * lam ** 4 * u1 / (3 * u2)}
+    slope = in_squares(flow(g).subs(shell) * mu2
+                       / (lam ** 3 * (mu2 ** 2 + lam ** 2 * (mu2 + u1 ** 2))))
+    D = m ** 2 + L * m + L * X
+    K = 28 * L ** 2 * X + 18 * L * m ** 2 - 9 * m ** 2 - 4 * L ** 2 * m
+    assert sp.cancel(slope + K / (L * D)) == 0
+    # slope <= -5/2 exactly when X >= X_R
+    XR = (18 * m ** 2 + 13 * L ** 2 * m - 31 * L * m ** 2) / (51 * L ** 2)
+    assert sp.cancel(slope + sp.Rational(5, 2)
+                     + 51 * L * (X - XR) / (2 * D)) == 0
+
+    # u0 != 0: v0 from I1; then 9 m u0^2 I3 = -L q(X)
+    q = (4 * L ** 2 * X ** 2 - m * X * (4 * L ** 2 + 12 * L * m + 9 * m)
+         + 9 * (L - 1) * (m - L) * m ** 3 / L)
+    i3 = (u0 ** 2 * I3.subs(v0, (u1 * v1 + u2 * v2) / u0)).subs(shell)
+    assert sp.cancel(9 * m * in_squares(i3) + L * q) == 0
+    # q is a parabola in X with vertex V > X_R, and for X0 < X, q(X0) <= q(X)
+    # gives X + X0 >= 2 V (*), so X > V > X_R
+    V = m * (4 * L ** 2 + 12 * L * m + 9 * m) / (8 * L ** 2)
+    assert sp.cancel(V - XR - 5 * m * (20 * L ** 2 + 172 * L * m + 63 * m)
+                     / (408 * L ** 2)) == 0
+    X0 = sp.Symbol("X0")
+    assert sp.expand(q - q.subs(X, X0)
+                     - 4 * L ** 2 * (X - X0) * (X + X0 - 2 * V)) == 0
+    # L <= 1: u0^2 > 0 puts X above X0 = (1 - L) m, where q <= 0, so (*)
+    assert sp.cancel(q.subs(X, (1 - L) * m)
+                     - m ** 2 * (L - 1) * (2 * L ** 2 + 3 * m) ** 2 / L) == 0
+    # L > 1 > m / L: q(0) < 0, so a root X is above X0 = 0, and (*)
+    assert sp.cancel(q.subs(X, 0) - 9 * m ** 3 * (L - 1) * (m - L) / L) == 0
+    # L >= 1 and m >= L: q(X_R) >= 0, so a root X < X_R would give, by (*)
+    # with X0 = X, X_R >= V; every coefficient in (r, s) is >= 0, and none
+    # is constant, so q(X_R) = 0 only at L = m = 1
+    r, s = sp.symbols("r s", nonnegative=True)
+    at_xr = sp.Poly(sp.cancel(2601 * L ** 2 * q.subs(X, XR) / m ** 2)
+                    .subs(m, L * (1 + s)).subs(L, 1 + r), r, s)
+    assert len(at_xr.terms()) == 14
+    assert all(c > 0 and mono != (0, 0) for mono, c in at_xr.terms())
+
+    # u0 = 0: I1 leaves u1 (3 mu^2 + 2 lambda^4) / 3, so u1 = 0; then I2
+    # = u2^2 (lambda^2 - 1) gives L = 1, and I3 = v0^2 + m - m^2 gives
+    # m >= 1, where the slope is -(9 m - 4) / (m + 1) <= -5/2
+    assert sp.expand(I1.subs(shell).subs(u0, 0)
+                     - u1 * (2 * lam ** 4 + 3 * (u1 ** 2 + u2 ** 2)) / 3) == 0
+    at_u0 = slope.subs({L: 1, X: 0})
+    assert sp.cancel(at_u0 + (9 * m - 4) / (m + 1)) == 0
+    assert sp.cancel(at_u0 + sp.Rational(5, 2)
+                     + 13 * (m - 1) / (2 * (m + 1))) == 0
+
+
+@pytest.mark.parametrize("family, hi", [("alpha", 20.0), ("beta", 5.0)])
+def test_event_slopes_obey_the_proved_bound(family, hi):
+    # the symbolic test's bound at the solver's own event states, which sit
+    # on the shell to their drift: the worst is -2.50000037, at beta(0.05),
+    # whose event lies about 1e-7 from lambda = mu = 1, where the bound is
+    # attained; EVENT_SLOPE_MAX = -0.5 leaves a margin of 2 above it
+    for p in np.geomspace(0.05, hi, 16):
+        st = solve_family(family, float(p)).record.state
+        y, lam, u1, mu2 = st.vec, st.lam, st.u[1], st.mu2
+        dg = complex_step(lambda z: MAX_VOLUME_EVENT(st.t, z), y,
+                          rhs_vec(st.t, y))
+        slope = dg * mu2 / (lam ** 3 * (mu2 ** 2 + lam ** 2 * (mu2 + u1 ** 2)))
+        assert slope <= -2.5 + 1e-5, (family, p)
 
 
 def test_profiles_reject_times_outside_their_span(beta1_solve):
