@@ -171,12 +171,10 @@ class StepPolynomials:
     coeffs[i] about starts[i] and runs to the next start (the last to the
     trajectory's end); calling it evaluates the step containing t (the later
     one at a shared end). Step 0 may be a singular orbit's series, about 0,
-    begun at the handoff t*. The last step's polynomial holds the run's
-    tolerance up to reach: its planned end, past any event, or the horizon."""
+    begun at the handoff t*."""
 
     starts: np.ndarray
     coeffs: tuple[np.ndarray, ...] = field(repr=False)
-    reach: float
 
     def __call__(self, t: float) -> np.ndarray:
         i = max(0, int(np.searchsorted(self.starts, t, side="right")) - 1)
@@ -300,8 +298,7 @@ def integrate(start: State, horizon: float,
 
     The first event ends the run: the earliest crossing of any of events or of
     the singularity guard (|lambda| < 1e-8, mu^2 < 1e-12 or a component above
-    1e8 in magnitude) is the last node; without one the run ends at the horizon
-    (dense.reach is where the last step was planned to end). Only
+    1e8 in magnitude) is the last node; if none, it ends at the horizon. Only
     min(rtol, atol) acts: it sets the jet order and the per-step tolerance
     1e-2 min(rtol, atol). Raises InvalidArgumentError unless start.t < horizon
     < inf and rtol, atol are positive and finite, and DegenerateStateError on
@@ -367,7 +364,6 @@ def integrate(start: State, horizon: float,
                                         State.from_vec(t, y))
         if t + h >= horizon - floor:
             h, termination = horizon - t, "horizon"
-        reach = horizon if termination else t + h
         ts, ys, drift, g, hit = nodes.step(c, t0, t, y, g, h,
                                            horizon if termination else None)
         if hit is not None:
@@ -382,7 +378,6 @@ def integrate(start: State, horizon: float,
 
     return Trajectory(times=np.concatenate(times),
                       states=np.concatenate(states),
-                      dense=StepPolynomials(np.array(starts), tuple(coeffs),
-                                            reach),
+                      dense=StepPolynomials(np.array(starts), tuple(coeffs)),
                       termination=termination,
                       drift=np.array(drifts), stopped_by=stopped_by)

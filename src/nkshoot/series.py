@@ -25,11 +25,11 @@ of its operands (relaxed, or online, Taylor arithmetic; Jorba & Zou, Exp.
 Math. 14, 2005), so a build of order n costs O(n^2) instead of
 re-evaluating the truncated series at every order. The recorded ops are
 compiled once to one Python loop over the orders, in which every row's
-order-0 and current-order values are locals; each order's convolution sums
-are one np.vecdot of two views of a record of the operands' earlier
-orders, added left to right, and the loop adds the terms with an order-h
-factor. The same kernel, _Program.fill, run on the regular system as an
-ODE, gives the integrator's Taylor jets (integrate.py). Each
+order-0 and current-order values are locals; each order is one row of a
+row-major record, one pack_into, and its convolution sums are one np.vecdot
+of two views of its transpose, added left to right; the loop adds the terms
+with an order-h factor. The same kernel, _Program.fill, run on the regular
+system as an ODE, gives the integrator's Taylor jets (integrate.py). Each
 intermediate's [x^h] is affine in y_h with a gradient G that depends only
 on the order-0 column, so the right side is evaluated with y_h = 0 and,
 after the solve, one update C[:, h] += G @ y_h completes the column. G is
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable
@@ -199,10 +200,10 @@ class _Program:
     with terms a = ((row, coef), ...) and order-0 constant b. fill()
     computes the orders of every row of a table (row = series, column =
     order) in one compiled loop whose locals hold each row's order-0 and
-    order-h values; each order's convolution sums are one np.vecdot, added
-    left to right, and the bits rest on that order. rhs returns a list of
-    dim expressions; output = (W, const) maps a column to [x^h] of them,
-    with const their constant part at order 0.
+    order-h values; each order's convolution sums are one np.vecdot over a
+    row-major record, added left to right, and the bits rest on that
+    order. rhs returns a list of dim expressions; output = (W, const) maps
+    a column to [x^h] of them, with const their constant part at order 0.
 
     With ode=True the program is an autonomous ODE y' = rhs(y): its output
     must be single recorded rows, and the unknowns' order-h coefficients
@@ -236,7 +237,8 @@ class _Program:
         """The recorded ops as one Python function run(c0, Y, n, solve, x1)
         (see fill). Locals a{r} and b{r} hold row r's order-0 and order-h
         values, and s{j} the j-th convolution's sum over orders 1..h-1: one
-        np.vecdot of the views P, Q of the record T, whose column h holds
+        np.vecdot of the views P, Q of the row-major record R's transpose.
+        Row h of R, one pack_into (one row assignment through solve), holds
         the order-h values of every convolution's first operand (P), second
         operand (Q) and of the unknowns. An ODE sets its unknowns to its
         output rows out_rows at order h-1 over h (+ 0.0 turns -0.0 into
@@ -268,35 +270,36 @@ class _Program:
                 step.append(f"b{out} = 0.0{terms('b')}")
 
         def names(v, rows):
-            return f"[{', '.join(f'{v}{r}' for r in rows)}]"
+            return ", ".join(f"{v}{r}" for r in rows)
 
         def store(v, h):
-            # the record's column h, through solve when given
+            # the record's row h: one pack_into, or through solve when given
             rows = range(self.n_rows)
-            return (f"T[:, {h}] = (fromiter({names(v, sel)}, float, "
-                    f"{len(sel)}) if solve is None else solve(fromiter("
-                    f"{names(v, rows)}, float, {len(rows)}), {h})[sel])")
+            return [f"if solve is None: pack(R, {h} * {8 * len(sel)}, "
+                    f"{names(v, sel)})", f"else: R[{h}] = solve(fromiter(["
+                    f"{names(v, rows)}], float, {len(rows)}), {h})[sel]"]
 
         def from_outputs(k):
-            return ", ".join(f"b{r} / {k} + 0.0" for r in out_rows)
+            return f"[{', '.join(f'b{r} / {k} + 0.0' for r in out_rows)}]"
         lines = [
             "def run(c0, Y, n, solve, x1):",
-            f"T = empty(({len(sel)}, n + 1))",
-            f"P, Q = T[:{m}], T[{m}:{2 * m}]",
-            f"{names('a', range(dim + 1 + self.n_params))} = c0",
-            *first, store("a", 0),
+            f"R = empty((n + 1, {len(sel)}))",
+            f"P, Q = R.T[:{m}], R.T[{m}:{2 * m}]",
+            f"[{names('a', range(dim + 1 + self.n_params))}] = c0",
+            *first, *store("a", 0),
             *(f"b{r} = a{r}" for r in out_rows),
             *(f"b{r} = 0.0" for r in range(dim + 1, dim + 1 + self.n_params)),
             f"for h in range(1, {'n' if ode else 'n + 1'}):",
             f"    b{dim} = x1 if h == 1 else 0.0",
-            f"    {names('b', range(dim))} = "
+            f"    [{names('b', range(dim))}] = "
             f"{from_outputs('h') if ode else 'Y[h]'}",
-            f"    {names('s', range(m))} = vecdot(P[:, 1:h], "
+            f"    [{names('s', range(m))}] = vecdot(P[:, 1:h], "
             f"Q[:, h - 1:0:-1]).tolist()",
-            *("    " + s for s in step), "    " + store("b", "h"),
-            *([f"if n: T[{2 * m}:, n] = {from_outputs('n')}"] if ode else []),
-            f"return T[{2 * m}:].copy()"]
+            *("    " + s for s in (*step, *store("b", "h"))),
+            *([f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else []),
+            f"return R[:, {2 * m}:].T.copy()"]
         namespace = {"empty": np.empty, "vecdot": np.vecdot,
+                     "pack": struct.Struct(f"{len(sel)}d").pack_into,
                      "fromiter": np.fromiter, "sel": np.array(sel)}
         exec(compile("\n    ".join(lines), "<recorded program>", "exec"),
              namespace)
@@ -350,10 +353,11 @@ class _Program:
         rows as a C-ordered (dim, n + 1) array. Row h of Y holds the
         unknowns' order-h values (an ODE reads row 0 only); x is x1 at order
         1, else 0. np.vecdot adds each convolution's products left to right
-        in a plain C loop, never through BLAS, since one view has a negative
-        stride. solve(a, h), when given, gets each order's whole column a
-        and returns the column the record keeps for the later orders' sums
-        (a build completes it, and returns order 0 as it is)."""
+        in a plain C loop, never through BLAS, since Q, a view of the
+        row-major record's transpose, has a negative stride. solve(a, h),
+        when given, gets each order's whole column a and returns the column
+        the record keeps for the later orders' sums (a build completes it,
+        and returns order 0 as it is)."""
         Y = np.asarray(Y, dtype=float).tolist()
         c0 = [*Y[0], 0.0, *np.asarray(params, dtype=float).tolist()]
         return self._run(c0, Y, n, solve, x1)

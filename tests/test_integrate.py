@@ -405,15 +405,17 @@ def test_node_pass_matches_the_per_spec_scan(monkeypatch, case):
                                            (series_psi_b, 1.0)],
                          ids=["alpha-0.3", "beta-1"])
 def test_event_step_reaches_past_the_event(series, param):
-    # the last step's polynomial holds the run's tolerance up to its reach,
-    # beyond the event: it agrees there with a run from the event state,
-    # whose steps are not the event run's
-    poly_states = sys.modules["nkshoot.integrate"]._poly_states
+    # the last step's polynomial holds the run's tolerance up to its planned
+    # end, beyond the event: it agrees there with a run from the event
+    # state, whose steps are not the event run's
+    integ = sys.modules["nkshoot.integrate"]
     _, start = handoff(series(param))
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
-    reach = traj.dense.reach
+    _, tol = integ._order_and_tol(1e-12, 1e-12)
+    c = traj.dense.coeffs[-1]
+    reach = traj.dense.starts[-1] + integ._step_size(c, tol)
     assert reach > traj.t_end
-    got = poly_states(traj.dense.coeffs[-1], reach - traj.dense.starts[-1])
+    got = integ._poly_states(c, reach - traj.dense.starts[-1])
     want = integrate(State.from_vec(traj.t_end, traj.states[-1]),
                      reach).states[-1]
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -262,14 +262,22 @@ def test_solve_family_records_no_program(monkeypatch):
     assert recorded == []
 
 
-@pytest.mark.parametrize("decades", [(-20, -10), (-10, 10), (10, 20),
-                                     (-20, 20)])
-def test_vecdot_on_the_kernel_views_adds_left_to_right(decades):
+_DECADES = [(-20, -10), (-10, 10), (10, 20), (-20, 20)]
+
+
+@pytest.mark.parametrize(
+    "decades, row_major",
+    [*((d, False) for d in _DECADES), *((d, True) for d in _DECADES)],
+    ids=[*(f"decades{i}" for i in range(4)),
+         *(f"decades{i}-row-major" for i in range(4))])
+def test_vecdot_on_the_kernel_views_adds_left_to_right(decades, row_major):
     # the relaxed kernel's bits rest on np.vecdot of a row of P[:, 1:h] and
-    # a reversed row of Q[:, h-1:0:-1], views of one C-ordered record, adding
-    # the products left to right from +0.0 like conftest.plain_dot: at
-    # every length 0..48, at magnitudes 1e-20..1e20 of either sign, and with
-    # zeros of both signs (a row of -0.0 products sums to +0.0)
+    # a reversed row of Q[:, h-1:0:-1], views of one C-ordered record (a
+    # column per order) or of the transpose of a row-major (n + 1, 2m + 7)
+    # record (a row per order, the kernel's), adding the products left to
+    # right from +0.0 like conftest.plain_dot: at every length 0..48, at
+    # magnitudes 1e-20..1e20 of either sign, and with zeros of both signs
+    # (a row of -0.0 products sums to +0.0)
     rng = np.random.default_rng(sum(decades) + 40)
     m, n = 18, 49
     T = (rng.choice([-1.0, 1.0], (2 * m + 7, n + 1))
@@ -277,6 +285,8 @@ def test_vecdot_on_the_kernel_views_adds_left_to_right(decades):
     T[rng.random(T.shape) < 0.1] = 0.0
     T[rng.random(T.shape) < 0.1] = -0.0
     T[0] = -0.0
+    if row_major:
+        T = np.ascontiguousarray(T.T).T
     P, Q = T[:m], T[m:2 * m]
     for h in range(1, n + 1):
         got = np.vecdot(P[:, 1:h], Q[:, h - 1:0:-1])
