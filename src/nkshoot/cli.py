@@ -20,7 +20,7 @@ from .emit import (CURVE_HEADER, SERIES_HEADER, TRAJECTORY_HEADER,
                    record_row, series_rows, trajectory_rows, write_csv,
                    write_json, write_svg)
 from .errors import InvalidArgumentError, NKError
-from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, integrate
+from .integrate import DEFAULT_TOL, integrate
 from .series import (DEFAULT_ORDER, family_series, handoff, series_bubble_a,
                      series_bubble_b, series_psi_a, series_psi_b)
 from .state import (_first_integrals, apply_symmetry, check_regular,
@@ -83,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         series and writes no file)."""
         sp = sub.add_parser(name, help=help, **kwargs)
         if tol:
-            sp.add_argument("--tol", type=float,
-                            default=min(DEFAULT_RTOL, DEFAULT_ATOL),
+            sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                             help="integrator tolerance (1e-2 tol per step)")
         if order_out:
             sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
@@ -153,6 +152,7 @@ def _check(name: str, value: float, tol: float, lines: list[str]) -> bool:
 def run_verify(rtol: float, atol: float) -> tuple[bool, list[str]]:
     """Every check line and whether all passed. Each residual is the
     NaN-propagating maximum over its points, so a NaN anywhere fails."""
+    tol = float(np.minimum(rtol, atol))
     lines: list[str] = []
     ok = True
     # closed forms satisfy the system: the first integrals vanish and rhs is
@@ -198,7 +198,7 @@ def run_verify(rtol: float, atol: float) -> tuple[bool, list[str]]:
         lo, hi = sol.domain
         span = hi - lo
         start = sol.eval(lo + 0.05 * span)
-        traj = integrate(start, hi - 0.05 * span, rtol=rtol, atol=atol)
+        traj = integrate(start, hi - 0.05 * span, tol=tol)
         ok &= _check(f"{name}: integrated drift", float(np.max(traj.drift)),
                      1e-9, lines)
     return ok, lines
@@ -255,8 +255,8 @@ def run_fig2(args) -> tuple[list, list]:
     w2): the known roots, then the solved S3xS3-new and S6-new, as
     --markers asks. The S6-new matching reads the plotted curves."""
     order, tol = args.order, args.tol
-    alpha = shoot.trace_curve("alpha", args.alo, args.ahi, 18, order, tol, tol)
-    beta = shoot.trace_curve("beta", args.blo, args.bhi, 18, order, tol, tol)
+    alpha = shoot.trace_curve("alpha", args.alo, args.ahi, 18, order, tol)
+    beta = shoot.trace_curve("beta", args.blo, args.bhi, 18, order, tol)
     polylines = [
         ("alpha_H", "#c0392b", "", alpha.h_points),
         ("beta_H", "#2471a3", "", beta.h_points),
@@ -326,8 +326,8 @@ def main(argv=None) -> int:
             if args.horizon is not None:
                 sol = family_series(args.family, args.param, args.order)
                 t_star, start = handoff(sol)
-                traj = integrate(start, args.horizon, rtol=args.tol,
-                                 atol=args.tol, series=sol.t_coeffs)
+                traj = integrate(start, args.horizon, tol=args.tol,
+                                 series=sol.t_coeffs)
             else:
                 traj = shoot.solve_family(args.family, args.param, args.order,
                                           args.tol, args.tol).traj
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         if args.command == "trace":
             curve = shoot.trace_curve(args.family, args.lo, args.hi,
                                       n_samples=args.n, order=args.order,
-                                      rtol=args.tol, atol=args.tol)
+                                      tol=args.tol)
             path = args.out or f"curve-{args.family}.csv"
             write_csv(path, CURVE_HEADER, map(record_row, curve.records))
             print(f"wrote {path} ({len(curve.params)} samples)")
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
 
         if args.command == "scan-s2s4":
             report = shoot.scan_s2s4_boundary(args.lo, args.hi, args.n,
-                                              args.order, args.tol, args.tol)
+                                              args.order, args.tol)
             path = args.out or "scan-s2s4.json"
             write_json(path, report.as_dict())
             status = ("CROSSING FOUND - inspect brackets"

@@ -163,15 +163,22 @@ class ZeroCount:
     boundary_ambiguous: bool
 
 
+def sign_changes(values) -> list[tuple[int, int]]:
+    """Index pairs (i, j) of adjacent nonzero values of opposite signs, so a
+    zero between them counts once, and a touch (+, 0, +) or a NaN not."""
+    nz = [i for i, x in enumerate(values) if x != 0.0]
+    return [(i, j) for i, j in zip(nz, nz[1:]) if values[i] * values[j] < 0.0]
+
+
 def count_v0_zeros(traj: Trajectory) -> ZeroCount:
     """Count simple zeros of v0 strictly before the maximal-volume time T,
     the last node of a trajectory that the maximal-volume event stopped.
 
-    Each sign change of v0 between consecutive nodes is refined on the dense
-    output as integrate refines events, so the nodes must bracket every
-    sign change (zeros of v0 are non-degenerate away from the sine-cone
-    locus). If |v0(T)|/mu(T) is below the boundary tolerance the count is
-    flagged ambiguous.
+    Each sign change of v0 over the nodes (sign_changes, so a zero on a
+    node counts once) is refined on the dense output as integrate refines
+    events, so the nodes must bracket every sign change (zeros of v0 are
+    non-degenerate away from the sine-cone locus). If |v0(T)|/mu(T) is
+    below the boundary tolerance the count is flagged ambiguous.
     """
     if traj.stopped_by != "max-volume":
         raise ValueError("trajectory not stopped by the maximal-volume event")
@@ -181,8 +188,8 @@ def count_v0_zeros(traj: Trajectory) -> ZeroCount:
 
     zeros = []
     ts, v0 = traj.times, traj.states[:, 4]
-    for i in (v0[:-1] * v0[1:] < 0.0).nonzero()[0]:
-        z = _root(lambda t: traj.dense(t)[4], ts[i], ts[i + 1])
+    for i, j in sign_changes(v0):
+        z = _root(lambda t: traj.dense(t)[4], ts[i], ts[j])
         if z < T:
             zeros.append(z)
     return ZeroCount(count=len(zeros), zeros=tuple(zeros),

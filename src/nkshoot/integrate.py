@@ -7,15 +7,16 @@ relaxed-arithmetic program of series._Program (Jorba & Zou, Exp. Math. 14,
 series engine of the singular orbits, run on the regular system. Each step
 takes one jet of order N and advances by h = rho * tol^(1/N), with rho the
 radius estimated from the last two jet coefficients; N and the step
-tolerance follow from rtol and atol. Every step contributes its end and
-STEP_SAMPLES interior points as nodes. One pass over a step's nodes
-(_NodePass) gives the events' values, one vectorised call each, and, node
-by node on Python floats, the guard's and the first-integral drift. Events
-and guards are sign changes over the nodes; the walk stops at the first,
-refined on its row's function alone (an event's fn_vec) by bracketed_root
-to adjacent floats on the step polynomial's state; the earliest ends the
-run. Dense output: the step polynomials. The drift is recorded at every
-node and above 1e-6 aborts the run; drift is monitored, not projected.
+tolerance follow from the one integrator tolerance. Every step contributes
+its end and STEP_SAMPLES interior points as nodes. One pass over a step's
+nodes (_NodePass) gives the events' values, one vectorised call each, and,
+node by node on Python floats, the guard's and the first-integral drift.
+Events and guards are sign changes over the nodes; the walk stops at the
+first, refined on its row's function alone (an event's fn_vec) by
+bracketed_root to adjacent floats on the step polynomial's state; the
+earliest ends the run. Dense output: the step polynomials. The drift is
+recorded at every node and above 1e-6 aborts the run; drift is monitored,
+not projected.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from .errors import (ConstraintDriftError, DegenerateStateError,
 from .series import _COMPONENTS, _Program, _poly_states, _step_size
 from .state import LAMBDA_MIN, MU2_MIN, State, _first_integrals, rhs_vec
 
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-12
+DEFAULT_TOL = 1e-12
+DEFAULT_ATOL = DEFAULT_TOL  # an alias that perfbench/workloads.py imports
 DRIFT_ABORT = 1e-6
 COMPONENT_MAGNITUDE_MAX = 1e8
 STEP_SAMPLES = 7            # interior nodes per step
@@ -51,10 +52,10 @@ def _jet(y: np.ndarray, order: int) -> np.ndarray:
     return _PROGRAM.fill(np.reshape(y, (1, 7)), (), order).T
 
 
-def _order_and_tol(rtol: float, atol: float) -> tuple[int, float]:
-    """Jet order N and per-step tolerance: 1e-2 min(rtol, atol), with N
-    growing by 1.7 per decade of it (24 at the defaults)."""
-    tol = max(1e-2 * min(rtol, atol), _EPS)
+def _order_and_tol(tol: float) -> tuple[int, float]:
+    """Jet order N and per-step tolerance: 1e-2 tol, with N growing by 1.7
+    per decade of it (24 at the default)."""
+    tol = max(1e-2 * tol, _EPS)
     return math.ceil(-1.7 * math.log10(tol)), tol
 
 
@@ -291,20 +292,19 @@ def _root(g: Callable[[float], float], lo: float, hi: float) -> float:
 
 def integrate(start: State, horizon: float,
               events: Sequence[EventSpec] = (),
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              allow_unoriented: bool = False,
+              tol: float = DEFAULT_TOL, allow_unoriented: bool = False,
               series: np.ndarray | None = None) -> Trajectory:
     """Integrate forward from start.t to horizon by Taylor steps.
 
     The first event ends the run: the earliest crossing of any of events or of
     the singularity guard (|lambda| < 1e-8, mu^2 < 1e-12 or a component above
-    1e8 in magnitude) is the last node; if none, it ends at the horizon. Only
-    min(rtol, atol) acts: it sets the jet order and the per-step tolerance
-    1e-2 min(rtol, atol). Raises InvalidArgumentError unless start.t < horizon
-    < inf and rtol, atol are positive and finite, and DegenerateStateError on
-    a start with a NaN or infinite component; a step below 16 eps max(1, |t|)
-    raises StepSizeCollapseError. allow_unoriented skips the lambda > 0 /
-    orientation precondition (symmetry-image runs; mu^2 > 0 is required).
+    1e8 in magnitude) is the last node; if none, it ends at the horizon. tol
+    sets the jet order and the per-step tolerance 1e-2 tol. Raises
+    InvalidArgumentError unless start.t < horizon < inf and tol is positive
+    and finite, and DegenerateStateError on a start with a NaN or infinite
+    component; a step below 16 eps max(1, |t|) raises StepSizeCollapseError.
+    allow_unoriented skips the lambda > 0 / orientation precondition
+    (symmetry-image runs; mu^2 > 0 is required).
 
     series, Taylor rows in t about t = 0 of the solution through start
     (SeriesSolution.t_coeffs), is the first step's polynomial, expanded
@@ -315,14 +315,13 @@ def integrate(start: State, horizon: float,
     if not start.t < horizon < math.inf:
         raise InvalidArgumentError(
             f"horizon {horizon} is not a finite time after start t = {start.t}")
-    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+    if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"tolerances must be positive and finite, "
-                                   f"got rtol = {rtol}, atol = {atol}")
-    order, tol = _order_and_tol(rtol, atol)
+                                   f"got tol = {tol}")
+    order, step_tol = _order_and_tol(tol)
     if order < 2:
-        raise InvalidArgumentError(
-            f"rtol = {rtol}, atol = {atol} are too loose for a Taylor step "
-            f"(jet order {order} < 2; min(rtol, atol) must be below 25.8)")
+        raise InvalidArgumentError(f"tol = {tol} >= 25.8 is too loose for a "
+                                   f"Taylor step (jet order {order} < 2)")
     for name, x in zip(_COMPONENTS, start.vec.tolist()):
         if not math.isfinite(x):
             raise DegenerateStateError(f"start has {name} = {x}")
@@ -350,13 +349,13 @@ def integrate(start: State, horizon: float,
     while termination is None:
         floor = 16 * _EPS * max(1.0, abs(t))
         # step polynomial c about t0: the series if it reaches, else a jet
-        h = math.nan if series is None else _step_size(series, tol) - t
+        h = math.nan if series is None else _step_size(series, step_tol) - t
         t0, c, series = 0.0, series, None
         if not h >= floor:
             # near a singularity the jet can overflow; that ends the run below
             with np.errstate(over="ignore", invalid="ignore"):
                 c = _jet(y, order)
-            t0, h = t, _step_size(c, tol)
+            t0, h = t, _step_size(c, step_tol)
         if not h >= floor:
             what = (f"step size {h:.3e} below {floor:.3e}"
                     if np.isfinite(c).all() else "Taylor jet overflowed")

@@ -595,16 +595,13 @@ class SeriesSolution:
 
     def tail_estimate(self, x: float) -> float:
         """Conservative truncation bound from the last retained coefficients
-        of every component (the last four orders cover parity gaps)."""
-        ax = abs(x)
-        worst = 0.0
-        for c in self.coeffs.values():
-            n = len(c) - 1
-            acc = 0.0
-            for k in range(max(0, n - 3), n + 1):
-                acc += abs(c[k]) * ax ** k
-            worst = max(worst, acc)
-        return worst
+        of every component (the last four orders cover parity gaps); not
+        finite where x is not or a power overflows."""
+        ax = np.float64(abs(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max([sum(abs(c[k]) * ax ** k for k in
+                                     range(max(0, len(c) - 4), len(c)))
+                                 for c in self.coeffs.values()]))
 
     @cached_property
     def t_coeffs(self) -> np.ndarray:
@@ -642,10 +639,10 @@ def poly_integral(c: np.ndarray, lo: float, hi: float) -> float:
 def eval_series(sol: SeriesSolution, x: float) -> tuple[State, float]:
     """Horner-evaluate all seven components at x (the solution's own
     variable) and return (state, tail bound). Raises OutOfRadiusError when
-    the tail bound exceeds HANDOFF_TAIL_TOL."""
+    the tail bound is not within HANDOFF_TAIL_TOL (NaN and inf included)."""
     tail = sol.tail_estimate(x)
-    if tail > HANDOFF_TAIL_TOL:
-        raise OutOfRadiusError(f"tail estimate {tail:.3e} > "
+    if not tail <= HANDOFF_TAIL_TOL:
+        raise OutOfRadiusError(f"tail estimate {tail:.3e} not within "
                                f"{HANDOFF_TAIL_TOL:.1e} at {sol.var} = {x}")
     y = sol.components_at(x)
     return State.from_vec(sol.time_at(x), y), tail

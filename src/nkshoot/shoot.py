@@ -28,9 +28,9 @@ import numpy as np
 from .errors import (BoundaryAmbiguousError, EventNotFoundError,
                      InvalidArgumentError, JunctionMismatchError, NKError,
                      NoCrossingError, NoSignChangeError, RefinementStallError)
-from .geometry import MaxOrbitRecord
-from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, MAX_VOLUME_EVENT,
-                        Trajectory, bracketed_root, integrate)
+from .geometry import MaxOrbitRecord, sign_changes
+from .integrate import (DEFAULT_TOL, MAX_VOLUME_EVENT, Trajectory,
+                        bracketed_root, integrate)
 from .series import (DEFAULT_ORDER, SeriesSolution, _poly_states,
                      family_series, handoff, poly_integral, volume_coeffs)
 from .state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry, complex_step,
@@ -86,15 +86,15 @@ class FamilySolve:
 
 
 def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
-                 rtol: float = DEFAULT_RTOL,
-                 atol: float = DEFAULT_ATOL) -> FamilySolve:
+                 rtol: float = DEFAULT_TOL,
+                 atol: float = DEFAULT_TOL) -> FamilySolve:
     """Series handoff, integrate to the maximal-volume event, build the
     record, and check that the event is a transversal falling zero of g,
     which on shell makes it the member's unique maximum."""
     sol = family_series(family, param, order)
     t_star, start = handoff(sol)
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,),
-                     rtol=rtol, atol=atol, series=sol.t_coeffs)
+                     tol=float(np.minimum(rtol, atol)), series=sol.t_coeffs)
     if traj.stopped_by != MAX_VOLUME_EVENT.name:
         raise EventNotFoundError(
             f"no maximal-volume event for {family}({param}); "
@@ -141,19 +141,18 @@ def _confirm_unique_maximum(traj: Trajectory) -> None:
 
 
 def max_orbit(family: str, param: float, order: int = DEFAULT_ORDER,
-              rtol: float = DEFAULT_RTOL,
-              atol: float = DEFAULT_ATOL) -> MaxOrbitRecord:
+              tol: float = DEFAULT_TOL) -> MaxOrbitRecord:
     """Maximal-volume orbit record of one family member."""
-    return solve_family(family, param, order, rtol, atol).record
+    return solve_family(family, param, order, tol, tol).record
 
 
-def _solve_table(order: int, rtol: float, atol: float):
+def _solve_table(order: int, tol: float):
     """Memoised solve(family, param) for one root search, which revisits
     points (bracketed_root its bracket ends, the matching solve its last
     iterate) and returns a point it has evaluated; filled through the
     module-global solve_family with float(param)."""
     return cache(lambda family, param: solve_family(
-        family, float(param), order, rtol, atol))
+        family, float(param), order, tol, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +180,9 @@ def _grid(param_lo: float, param_hi: float, n_samples: int) -> np.ndarray:
     return np.geomspace(param_lo, param_hi, n_samples)
 
 
-def _curve_points(family, param_lo, param_hi, n_samples, order, rtol, atol):
+def _curve_points(family, param_lo, param_hi, n_samples, order, tol):
     """Yield trace_curve's samples as (param, record) once each is final."""
-    orbit = cache(lambda p: max_orbit(family, p, order, rtol, atol))
+    orbit = cache(lambda p: max_orbit(family, p, order, tol))
     params = list(_grid(param_lo, param_hi, n_samples))
     yield params[0], orbit(params[0])
     i = 0
@@ -199,13 +198,13 @@ def _curve_points(family, param_lo, param_hi, n_samples, order, rtol, atol):
 
 def trace_curve(family: str, param_lo: float, param_hi: float,
                 n_samples: int = 15, order: int = DEFAULT_ORDER,
-                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Curve:
+                tol: float = DEFAULT_TOL) -> Curve:
     """Sample max_orbit on a log-spaced grid in parameter order, bisecting
     any gap wider than CURVE_SPACING_CAP in the chart, up to CURVE_MAX_POINTS
     samples. find_matching traces alpha only as far as w1 needs, so an alpha
     member past its crossing is never solved and beta's failure comes first."""
     params, records = zip(*_curve_points(family, param_lo, param_hi,
-                                         n_samples, order, rtol, atol))
+                                         n_samples, order, tol))
     return Curve(family=family, params=np.array(params), records=records)
 
 
@@ -329,8 +328,8 @@ def junction_derivative_gap(solution: CompleteSolution) -> float:
 
 def find_doubling(family: str, bracket: tuple[float, float],
                   which: str = "v0", order: int = DEFAULT_ORDER,
-                  rtol: float = DEFAULT_RTOL,
-                  atol: float = DEFAULT_ATOL) -> CompleteSolution:
+                  rtol: float = DEFAULT_TOL,
+                  atol: float = DEFAULT_TOL) -> CompleteSolution:
     """Locate a parameter where v0(T) (or u0(T)) vanishes and build the
     doubled solution. The parameter is bracketed_root's, to within
     ROOT_XTOL + 8.9e-16 |param|; the search solved there, so the doubled
@@ -338,7 +337,7 @@ def find_doubling(family: str, bracket: tuple[float, float],
     if which not in ("v0", "u0"):
         raise InvalidArgumentError("which must be 'v0' or 'u0'")
     idx = 4 if which == "v0" else 1
-    solve = _solve_table(order, rtol, atol)
+    solve = _solve_table(order, float(np.minimum(rtol, atol)))
 
     def g(p: float) -> float:
         return solve(family, p).record.state.vec[idx]
@@ -413,8 +412,7 @@ def matching_candidates(alpha: Curve, beta: Curve, reflection: str,
 
 def refine_matching(alpha: Curve, beta: Curve, seed: tuple[float, float],
                     reflection: str, order: int = DEFAULT_ORDER,
-                    rtol: float = DEFAULT_RTOL,
-                    atol: float = DEFAULT_ATOL) -> tuple[FamilySolve, FamilySolve]:
+                    tol: float = DEFAULT_TOL) -> tuple[FamilySolve, FamilySolve]:
     """Solve the 2x2 root problem F(a, b) = alpha_H(a) - R(beta_H(b)) = 0
     from a seed between samples of the curves alpha and beta; returns the
     alpha and beta solves at the root.
@@ -432,7 +430,7 @@ def refine_matching(alpha: Curve, beta: Curve, seed: tuple[float, float],
     converge, or when max|F| at the final point exceeds MATCH_RESIDUAL; a
     point that is not a root is never returned.
     """
-    solve = _solve_table(order, rtol, atol)
+    solve = _solve_table(order, tol)
     # F = P(a) + Q(b), with P = alpha_H and Q = -R(beta_H)
     signs = (np.ones(2), -np.asarray(_REFLECTIONS[reflection]))
     families = ("alpha", "beta")
@@ -506,17 +504,17 @@ def refine_matching(alpha: Curve, beta: Curve, seed: tuple[float, float],
 def find_matching(alpha_range: tuple[float, float],
                   beta_range: tuple[float, float],
                   n_samples: int = 12, order: int = DEFAULT_ORDER,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                  rtol: float = DEFAULT_TOL, atol: float = DEFAULT_TOL,
                   curves: tuple[Curve, Curve] | None = None) -> CompleteSolution:
     """Find an alpha-beta crossing in the hyperboloid chart, with beta_H
     reflected in w1 and then in w2, and build the glued S6 solution. alpha
     is traced only as far as its first refinable w1 crossing, so a failing
     alpha member past it is never solved, and beta, traced first, fails
     first; a w1 seed reads only the alpha samples traced up to it."""
+    tol = float(np.minimum(rtol, atol))
     if curves is None:
-        beta = trace_curve("beta", *beta_range, n_samples, order, rtol, atol)
-        points = _curve_points("alpha", *alpha_range, n_samples, order,
-                               rtol, atol)
+        beta = trace_curve("beta", *beta_range, n_samples, order, tol)
+        points = _curve_points("alpha", *alpha_range, n_samples, order, tol)
     else:
         points, beta = zip(curves[0].params, curves[0].records), curves[1]
 
@@ -533,8 +531,7 @@ def find_matching(alpha_range: tuple[float, float],
     for refl, alpha, first in pieces():
         for seed in matching_candidates(alpha, beta, refl, first):
             try:
-                fa, fb = refine_matching(alpha, beta, seed, refl, order,
-                                         rtol, atol)
+                fa, fb = refine_matching(alpha, beta, seed, refl, order, tol)
             except RefinementStallError as e:
                 stalls.append(str(e))
                 continue
@@ -578,15 +575,13 @@ class BoundaryScanReport:
 
 def scan_s2s4_boundary(param_lo: float = 0.1, param_hi: float = 10.0,
                        n_samples: int = 40, order: int = DEFAULT_ORDER,
-                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
-                       ) -> BoundaryScanReport:
+                       tol: float = DEFAULT_TOL) -> BoundaryScanReport:
     params = _grid(param_lo, param_hi, n_samples)
-    recs = [max_orbit("alpha", float(p), order, rtol, atol) for p in params]
+    recs = [max_orbit("alpha", float(p), order, tol) for p in params]
     u0 = np.array([rec.state.u[0] for rec in recs])
     vmax = np.array([rec.Vmax for rec in recs])
-    crossings = tuple((float(params[i]), float(params[i + 1]))
-                      for i in range(n_samples - 1)
-                      if u0[i] * u0[i + 1] < 0.0)
+    crossings = tuple((float(params[i]), float(params[j]))
+                      for i, j in sign_changes(u0))
     if crossings:
         warnings.warn(f"u0(T) sign change detected in brackets {crossings}: "
                       f"possible S2xS4 doubling root", stacklevel=2)

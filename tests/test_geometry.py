@@ -13,8 +13,9 @@ from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.geometry import (bohm, comparison_bounds, count_v0_zeros,
                               project_H, scalar_curvature, traceless_L_norm2,
                               volume_and_mean_curvature)
-from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
-from nkshoot.series import handoff, series_psi_a, series_psi_b
+from nkshoot.integrate import (MAX_VOLUME_EVENT, StepPolynomials, Trajectory,
+                               integrate)
+from nkshoot.series import _poly_states, handoff, series_psi_a, series_psi_b
 from nkshoot.shoot import max_orbit
 from nkshoot.state import State
 
@@ -226,6 +227,37 @@ def test_count_v0_boundary_ambiguous_at_doubling_root():
     fs = solve_family("beta", 0.3736323881647852)
     zc = count_v0_zeros(fs.traj)
     assert zc.boundary_ambiguous
+
+
+def _one_step_v0_run(v0, nodes) -> Trajectory:
+    """A maximal-volume run of one step, at the nodes, whose state is (1, 0,
+    1, 0, v0(t), 0, 0), v0 the coefficients of a polynomial in t."""
+    c = np.zeros((len(v0), 7))
+    c[0, [0, 2]] = 1.0
+    c[:, 4] = v0
+    ts = np.array(nodes)
+    return Trajectory(times=ts, states=_poly_states(c, ts),
+                      dense=StepPolynomials(np.array([0.0]), (c,)),
+                      termination="event", drift=np.zeros(len(ts)),
+                      stopped_by="max-volume")
+
+
+@pytest.mark.parametrize("v0, nodes, zeros", [
+    ((0.5, -1.0), (0.25, 0.5, 0.75), (0.5,)),       # + 0 -: once
+    ((0.5, -1.0), (0.2, 0.55), (0.5,)),             # between nodes
+    ((0.375, -1.25, 1.0), (0.25, 0.5, 0.625, 1.0), (0.5, 0.75)),
+    ((0.25, -1.0, 1.0), (0.25, 0.5, 0.75), ()),     # + 0 +: a touch
+    ((0.0,), (0.25, 0.5, 0.75), ()),                # v0 = 0: the sine cone
+    ((0.5, -1.0), (0.25, 0.5), ()),                 # a zero at T
+], ids=["node", "between", "node-and-between", "touch", "zero", "at-T"])
+def test_count_v0_zeros_on_a_node(v0, nodes, zeros):
+    # a zero of v0 exactly on a node counts once, though its product with
+    # either neighbour is 0 (the node values here are exact in floats)
+    traj = _one_step_v0_run(v0, nodes)
+    zc = count_v0_zeros(traj)
+    assert zc.count == len(zeros)
+    assert np.allclose(zc.zeros, zeros, rtol=0.0, atol=1e-15)
+    assert zc.boundary_ambiguous == (traj.states[-1, 4] == 0.0)
 
 
 def test_comparison_bounds_sine_cone_equality():

@@ -70,7 +70,7 @@ def test_tolerance_scaling_consistent_with_high_order():
     start = eval_named("sine-cone", 0.3)
     errs = []
     for tol in (1e-6, 1e-9, 1e-12):
-        traj = integrate(start, 2.2, rtol=tol, atol=tol)
+        traj = integrate(start, 2.2, tol=tol)
         ref = eval_named("sine-cone", 2.2)
         errs.append(float(np.max(np.abs(traj.state_at(2.2).vec - ref.vec))))
     assert errs[2] < 1e-9
@@ -267,7 +267,7 @@ def test_jet_equals_the_output_matrix_product():
     # gives as +0.0; and so are the states at a step's nodes, which a
     # row-major jet with the same coefficients rounds differently
     integ = sys.modules["nkshoot.integrate"]
-    order, tol = integ._order_and_tol(1e-12, 1e-12)
+    order, tol = integ._order_and_tol(1e-12)
     states = []
     for series, param in ((series_psi_a, 0.3), (series_psi_a, 1.0),
                           (series_psi_b, 0.4), (series_psi_b, 1.0)):
@@ -291,10 +291,10 @@ def test_jet_equals_the_output_matrix_product():
 
 @pytest.mark.parametrize("tol", [30.0, 100.0, 1000.0])
 def test_tolerances_too_loose_for_a_jet_rejected(tol):
-    # min(rtol, atol) >= 25.8 leaves a jet of order 1 or less, from which
+    # tol >= 25.8 leaves a jet of order 1 or less, from which
     # no step size follows
     with pytest.raises(InvalidArgumentError, match="too loose"):
-        integrate(eval_named("sine-cone", 0.3), 1.0, rtol=tol, atol=tol)
+        integrate(eval_named("sine-cone", 0.3), 1.0, tol=tol)
 
 
 def _per_spec_replay(traj, lambda_min, magnitude_max, drift_abort):
@@ -411,7 +411,7 @@ def test_event_step_reaches_past_the_event(series, param):
     integ = sys.modules["nkshoot.integrate"]
     _, start = handoff(series(param))
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
-    _, tol = integ._order_and_tol(1e-12, 1e-12)
+    _, tol = integ._order_and_tol(1e-12)
     c = traj.dense.coeffs[-1]
     reach = traj.dense.starts[-1] + integ._step_size(c, tol)
     assert reach > traj.t_end
@@ -433,7 +433,7 @@ def test_series_is_the_first_step(series, param):
     _, start = handoff(sol)
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,),
                      series=sol.t_coeffs)
-    _, tol = integ._order_and_tol(1e-12, 1e-12)
+    _, tol = integ._order_and_tol(1e-12)
     reach = integ._step_size(sol.t_coeffs, tol)
     assert traj.dense.starts[0] == 0.0
     assert traj.dense.coeffs[0] is sol.t_coeffs
@@ -505,7 +505,7 @@ def test_nan_in_the_last_two_jet_rows_stops_the_run(monkeypatch, row, i):
     integ = sys.modules["nkshoot.integrate"]
     jet = integ._jet
     start = eval_named("sine-cone", 0.3)
-    order, tol = integ._order_and_tol(1e-12, 1e-12)
+    order, tol = integ._order_and_tol(1e-12)
     for value, step in ((math.nan, math.nan), (math.inf, 0.0),
                         (-math.inf, 0.0)):
         def poisoned(y, order, value=value):

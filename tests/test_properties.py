@@ -3,9 +3,11 @@ core state, on generated inputs. Each property runs derandomized, so every
 run of the suite draws the same examples."""
 import math
 
+import numpy as np
 import pytest
 
 from nkshoot.integrate import bracketed_root
+from nkshoot.series import _step_size
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -93,3 +95,56 @@ def test_bracketed_root_raises_on_ends_of_the_same_sign(case, size, sign):
     f, _, lo, hi, xtol, rtol = case
     with pytest.raises(ValueError, match="same sign"):
         bracketed_root(f, lo, hi, sign * size, sign * size / 3.0, xtol, rtol)
+
+
+@st.composite
+def taylor_rows(draw):
+    """(c, tol): coefficient rows c of shape (N + 1, 7), N in 2..40, and a
+    step tolerance. Rows 0, N - 1 and N, the ones _step_size reads, hold
+    entries of either sign spanning 1e-30..1e30 or 0; the rows between hold
+    one such entry throughout."""
+    n = draw(st.integers(2, 40))
+    entry = st.one_of(st.just(0.0),
+                      st.builds(lambda m, e, s: s * m * 10.0 ** e,
+                                st.floats(1.0, 10.0), st.integers(-30, 30),
+                                st.sampled_from((-1.0, 1.0))))
+    c = np.full((n + 1, 7), draw(entry))
+    c[[0, n - 1, n]] = np.reshape(draw(st.lists(entry, min_size=21,
+                                                max_size=21)), (3, 7))
+    tol = draw(st.sampled_from((EPS, 1e-14, 1e-10, 1e-6, 1e-2)))
+    return c, tol
+
+
+def _power_term(c: np.ndarray, h: float, k: int) -> float:
+    """max|c_k| h^k, with 0 h^k = 0 at any h (a zero row bounds nothing)."""
+    ck = float(np.max(np.abs(c[k])))
+    return ck * h ** k if ck else 0.0
+
+
+@PROPERTY
+@hypothesis.given(taylor_rows())
+def test_step_size_bounds_the_last_two_terms(case):
+    # max|c_N| h^N <= tol s and max|c_(N-1)| h^(N-1) <= tol^((N-1)/N) s,
+    # s = max(1, max|c_0|), to the rounding of the powers
+    c, tol = case
+    n = len(c) - 1
+    h = _step_size(c, tol)
+    assert h > 0.0
+    s = max(1.0, float(np.max(np.abs(c[0]))))
+    slack = 1.0 + 8 * n * EPS
+    assert _power_term(c, h, n) <= tol * s * slack
+    assert _power_term(c, h, n - 1) <= tol ** ((n - 1) / n) * s * slack
+
+
+@PROPERTY
+@hypothesis.given(taylor_rows(), st.data())
+def test_step_size_is_nan_or_zero_on_overflowed_rows(case, data):
+    # a jet that overflowed at order m has non-finite rows from m on
+    c, tol = case
+    n = len(c) - 1
+    m = data.draw(st.integers(1, n))
+    bad = data.draw(st.lists(st.sampled_from((math.inf, -math.inf, math.nan)),
+                             min_size=1, max_size=7))
+    c[m:, :len(bad)] = bad
+    h = _step_size(c, tol)
+    assert math.isnan(h) or h == 0.0

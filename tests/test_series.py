@@ -608,7 +608,7 @@ def test_s3_t_rows_are_the_s_series_at_s_of_t(b):
     sol, bub = series_psi_b(b), series_bubble_b(b, 50)
     rows = sol.t_coeffs
     assert rows.shape == (sol.order + 2, 7)
-    _, tol = _order_and_tol(1e-12, 1e-12)
+    _, tol = _order_and_tol(1e-12)
     t_star, _ = handoff(sol)
     t_hi = min(_step_size(rows, tol), b * bub.time_at(s_radius(bub)))
     assert t_hi > t_star
@@ -630,6 +630,17 @@ def test_out_of_radius_error():
     sol = series_psi_a(0.3, 40)
     with pytest.raises(OutOfRadiusError):
         eval_series(sol, 2.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e20])
+@pytest.mark.parametrize("build", [series_psi_a, series_bubble_b])
+def test_eval_series_raises_where_the_tail_bound_is_not_finite(build, x):
+    # 0 * inf is NaN and a NaN must not drop out of the bound; a power that
+    # overflows is an infinite bound, not an OverflowError
+    sol = build(0.7)
+    assert not math.isfinite(sol.tail_estimate(x))
+    with pytest.raises(OutOfRadiusError):
+        eval_series(sol, x)
 
 
 @pytest.mark.parametrize("top", [math.inf, math.nan])

@@ -2,15 +2,19 @@
 gluing, scans."""
 import dataclasses
 import importlib
+import inspect
 import math
+import pkgutil
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (SQRT2, SQRT3, float_bits, reference_poly_integral,
                       reference_trace_curve, validate_record)
+import nkshoot
 from nkshoot import cli, series, shoot
 from nkshoot.errors import (BoundaryAmbiguousError, DegenerateStateError,
                             EventNotFoundError, InvalidArgumentError,
@@ -766,7 +770,7 @@ def test_low_orders_agree_with_order_40(family, param, order):
     fs = solve_family(family, param, order)
     assert abs(fs.record.T - ref.record.T) < 1e-10
     assert abs(fs.vol_integral - ref.vol_integral) < 1e-10
-    _, tol = _order_and_tol(1e-12, 1e-12)
+    _, tol = _order_and_tol(1e-12)
     t0 = fs.traj.t_start
     floor = 16 * np.finfo(float).eps * max(1.0, t0)
     series_first = _step_size(fs.series.t_coeffs, tol) - t0 >= floor
@@ -1009,6 +1013,28 @@ def test_scan_s2s4_negative():
     assert len(d["params"]) == 8
 
 
+@pytest.mark.parametrize("u0, brackets", [
+    ((0.5, 0.0, -1.0, -2.0), ((0.5, 2.0),)),       # + 0 -: once
+    ((1.0, 0.0, 0.0, -2.0), ((0.5, 4.0),)),
+    ((1.0, 0.0, 1.0, 2.0), ()),                     # + 0 +: a touch
+    ((0.0, 0.0, 0.0, 0.0), ()),
+], ids=["node", "two-nodes", "touch", "zero"])
+def test_scan_s2s4_counts_a_zero_on_a_grid_point_once(monkeypatch, u0,
+                                                      brackets):
+    # the survey's u0(T) values stand in for the members' on the grid
+    # 0.5, 1, 2, 4; a value exactly 0 between opposite signs is a crossing
+    values = dict(zip((0.5, 1.0, 2.0, 4.0), u0))
+
+    def fake_orbit(family, param, order, tol):
+        state = types.SimpleNamespace(u=(values[param], 1.0, 0.0))
+        return types.SimpleNamespace(state=state, Vmax=1.0)
+    monkeypatch.setattr(shoot, "max_orbit", fake_orbit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = scan_s2s4_boundary(0.5, 4.0, n_samples=4)
+    assert report.crossings == brackets
+
+
 def test_ode_volume_integral_sine_cone_closed_form():
     # V = sin^5 t on the sine cone; the last step is cut at pi/2
     from nkshoot.integrate import integrate
@@ -1020,3 +1046,105 @@ def test_ode_volume_integral_sine_cone_closed_form():
     want = antiderivative(math.pi / 2) - antiderivative(0.3)
     got = shoot._ode_volume_integral(traj, 0.3, math.pi / 2)
     assert abs(got - want) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the one integrator tolerance
+
+#: the entry points that perfbench/workloads.py calls with (rtol, atol);
+#: each acts through min(rtol, atol) alone
+PAIR_ENTRY_POINTS = {"shoot.solve_family", "shoot.find_doubling",
+                     "shoot.find_matching", "cli.run_verify"}
+
+
+def test_only_the_benchmarked_entry_points_take_a_tolerance_pair():
+    # bracketed_root's rtol is a root's relative tolerance in x, not half
+    # of the integrator's pair
+    found = set()
+    for info in pkgutil.iter_modules(nkshoot.__path__):
+        module = importlib.import_module(f"nkshoot.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{k}", v) for k, v in vars(obj).items()]
+            for qual, fn in members:
+                if (inspect.isfunction(fn) and {"rtol", "atol"}
+                        & set(inspect.signature(fn).parameters)):
+                    found.add(f"{info.name}.{qual}")
+    assert found == PAIR_ENTRY_POINTS | {"integrate.bracketed_root"}
+
+
+def _solve_bits(fs) -> list[str]:
+    return float_bits([fs.t_star, *fs.traj.times, *fs.traj.states.ravel()])
+
+
+def _solution_bits(sol) -> tuple:
+    return sol.as_dict(), _solve_bits(sol.left), _solve_bits(sol.right)
+
+
+PAIRS = ((1e-12, 1e-9), (1e-9, 1e-12))
+
+
+def test_solve_family_acts_through_min_rtol_atol():
+    a, b = (solve_family("beta", 0.6, 40, *pair) for pair in PAIRS)
+    assert _solve_bits(a) == _solve_bits(b)
+    assert a.record == b.record == max_orbit("beta", 0.6, 40, 1e-12)
+
+
+def test_find_doubling_acts_through_min_rtol_atol():
+    a, b = (find_doubling("alpha", (0.7, 1.0), "v0", 40, *pair)
+            for pair in PAIRS)
+    assert _solution_bits(a) == _solution_bits(b)
+
+    # the tol = 1e-12 path: the same root search over max_orbit
+    def g(p):
+        return max_orbit("alpha", p, 40, 1e-12).state.v[0]
+    root = shoot.bracketed_root(g, 0.7, 1.0, g(0.7), g(1.0), shoot.ROOT_XTOL,
+                                8.9e-16)
+    assert a.param_left == root
+    assert a.left.record == max_orbit("alpha", root, 40, 1e-12)
+
+
+def test_find_matching_acts_through_min_rtol_atol():
+    ranges = ((1.2, 2.4), (1.05, 1.9))
+    a, b = (find_matching(*ranges, 8, 40, *pair) for pair in PAIRS)
+    assert _solution_bits(a) == _solution_bits(b)
+    # the tol = 1e-12 path: curves traced at tol, refined from the first
+    # seed (these curves cross only after the w2 reflection)
+    curves = (trace_curve("alpha", *ranges[0], 8, 40, 1e-12),
+              trace_curve("beta", *ranges[1], 8, 40, 1e-12))
+    assert matching_candidates(*curves, "w1") == []
+    seed = matching_candidates(*curves, "w2")[0]
+    fa, fb = refine_matching(*curves, seed, "w2", 40, 1e-12)
+    assert _solution_bits(a) == _solution_bits(glue(fa, fb))
+
+
+def test_run_verify_acts_through_min_rtol_atol(monkeypatch):
+    tols = []
+
+    def spy(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(cli, "integrate", spy)
+    a, b = (cli.run_verify(*pair) for pair in PAIRS)
+    assert a == b and a[0]
+    assert tols == [1e-12] * 8     # two runs of four closed forms
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 1e-12), (1e-12, math.nan),
+                                  (0.0, 1e-12), (1e-12, -1.0)],
+                         ids=["rtol-nan", "atol-nan", "rtol-zero",
+                              "atol-negative"])
+@pytest.mark.parametrize("call", [
+    lambda pair: solve_family("beta", 0.6, 40, *pair),
+    lambda pair: find_doubling("alpha", (0.7, 1.0), "v0", 40, *pair),
+    lambda pair: find_matching((1.2, 2.4), (1.05, 1.9), 8, 40, *pair),
+    lambda pair: cli.run_verify(*pair),
+], ids=["solve_family", "find_doubling", "find_matching", "run_verify"])
+def test_an_invalid_tolerance_pair_is_rejected(call, pair):
+    # the one tolerance is the pair's minimum, NaN where either member is
+    # (min(1e-12, nan) would be 1e-12), and integrate rejects it
+    with pytest.raises(InvalidArgumentError, match="tolerances"):
+        call(pair)
