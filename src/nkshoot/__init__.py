@@ -8,7 +8,7 @@ maximal-volume-orbit space, and locates the doubling and matching roots that
 yield the homogeneous and the two inhomogeneous complete structures.
 """
 from .errors import NKError
-from .exact import eval_calabi_yau, eval_named, legendre_xi, rescale_bubble
+from .exact import eval_calabi_yau, eval_named, legendre_xi
 from .geometry import (BohmValue, MaxOrbitRecord, bohm, comparison_bounds,
                        count_v0_zeros, project_H, scalar_curvature,
                        traceless_L_norm2, volume_and_mean_curvature)
@@ -34,7 +34,7 @@ __all__ = [
     "MaxOrbitRecord", "BohmValue", "bohm", "volume_and_mean_curvature",
     "scalar_curvature", "traceless_L_norm2", "project_H", "count_v0_zeros",
     "comparison_bounds",
-    "eval_named", "eval_calabi_yau", "rescale_bubble", "legendre_xi",
+    "eval_named", "eval_calabi_yau", "legendre_xi",
     "FamilySolve", "Curve", "CompleteSolution", "max_orbit", "solve_family",
     "trace_curve", "find_doubling", "find_matching", "glue",
     "scan_s2s4_boundary",

@@ -1,7 +1,7 @@
 """Exact reference solutions: the four explicit solutions of the fundamental
 system, the two asymptotically conical Calabi-Yau structures used as bubble
-oracles, the bubble rescalings, and the Legendre solutions of the linearized
-equation on the sine-cone.
+oracles, and the Legendre solutions of the linearized equation on the
+sine-cone.
 """
 from __future__ import annotations
 
@@ -215,36 +215,6 @@ def eval_calabi_yau(name: str, x: float) -> tuple[dict[str, float], float]:
     if form is None:
         raise OutOfDomainError(f"unknown Calabi-Yau form {name!r}")
     return form.components(x), form.evolution_residual(x)
-
-
-# ---------------------------------------------------------------------------
-# bubble rescalings
-
-def rescale_bubble(s: State, eps: float, direction: str = "blowup",
-                   scheme: str = "sec6") -> State:
-    """Apply a bubble rescaling to a state.
-
-    sec6: (lambda, u, v)(t) -> (lambda/eps, u/eps^2, v/eps^3) at time t/eps
-    (blowdown inverts exactly). eq89: component weights
-    (1, 1/eps^2, 1/eps^2, 1/eps, 1/eps^2, 1/eps^2, 1/eps), time unchanged.
-    """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if scheme == "sec6":
-        w = np.array([eps, eps ** 2, eps ** 2, eps ** 2,
-                      eps ** 3, eps ** 3, eps ** 3])
-        tw = eps
-    elif scheme == "eq89":
-        w = np.array([1.0, eps ** 2, eps ** 2, eps,
-                      eps ** 2, eps ** 2, eps])
-        tw = 1.0
-    else:
-        raise ValueError(f"unknown rescaling scheme {scheme!r}")
-    if direction == "blowup":
-        return State.from_vec(s.t / tw, s.vec / w)
-    if direction == "blowdown":
-        return State.from_vec(s.t * tw, s.vec * w)
-    raise ValueError(f"direction must be 'blowup' or 'blowdown', got {direction!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,12 @@ class ZeroCount:
 
 
 def sign_changes(values) -> list[tuple[int, int]]:
-    """Index pairs (i, j) of adjacent nonzero values of opposite signs, so a
+    """Index pairs (i, j) of adjacent nonzero values of opposite signs,
+    compared, not multiplied (a product of tiny values underflows), so a
     zero between them counts once, and a touch (+, 0, +) or a NaN not."""
-    nz = [i for i, x in enumerate(values) if x != 0.0]
-    return [(i, j) for i, j in zip(nz, nz[1:]) if values[i] * values[j] < 0.0]
+    nz = [(i, x) for i, x in enumerate(values) if x != 0.0]
+    return [(i, j) for (i, a), (j, b) in zip(nz, nz[1:])
+            if a < 0.0 < b or b < 0.0 < a]
 
 
 def count_v0_zeros(traj: Trajectory) -> ZeroCount:

@@ -92,15 +92,12 @@ GUARDS = ("guard-lambda", "guard-mu2", "guard-magnitude")
 class _NodePass:
     """The work of a run at every node: the values of its events and of the
     singularity guard, the crossing that ends the run, and the relative
-    first-integral drift. The guard's values are lam_sign * lambda -
-    LAMBDA_MIN, with lam_sign the sign of lambda at the start so that its
-    crossing is a sign change, mu^2 - MU2_MIN and COMPONENT_MAGNITUDE_MAX -
-    max|y_i|. Events take one vectorised call per step, the rest runs on
-    Python floats node by node."""
+    first-integral drift. The guard's values are lambda - LAMBDA_MIN, mu^2 -
+    MU2_MIN and COMPONENT_MAGNITUDE_MAX - max|y_i|. Events take one
+    vectorised call per step, the rest runs on Python floats node by node."""
 
-    def __init__(self, events: Sequence[EventSpec], lam_sign: float):
+    def __init__(self, events: Sequence[EventSpec]):
         self.events = tuple(events)
-        self.lam_sign = lam_sign
         self.names = [*(event.name for event in events), *GUARDS]
         directions = [*(event.direction for event in events), -1, -1, -1]
         self._rising = [d >= 0 for d in directions]
@@ -126,7 +123,7 @@ class _NodePass:
         if math.isnan(i1 + i2 + i3 + i4):       # a NaN in y reaches I3
             mag = math.nan if any(map(math.isnan, y)) else mag
             big = math.nan if any(map(math.isnan, (i1, i2, i3, i4))) else big
-        return vals + [self.lam_sign * y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
+        return vals + [y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
                        COMPONENT_MAGNITUDE_MAX - mag], big / max(lam2mu2, 1.0)
 
     def step(self, c: np.ndarray, t0: float, t: float, y: np.ndarray, g,
@@ -285,26 +282,25 @@ def _root(g: Callable[[float], float], lo: float, hi: float) -> float:
     rounding undoes the bracket the node scan saw, the root is taken at hi,
     the node where the scan saw the sign change."""
     g_lo, g_hi = g(lo), g(hi)
-    if g_lo * g_hi > 0.0:
+    if (g_lo > 0.0 and g_hi > 0.0) or (g_lo < 0.0 and g_hi < 0.0):
         return hi
     return bracketed_root(g, lo, hi, g_lo, g_hi, 0.0, 0.0)
 
 
 def integrate(start: State, horizon: float,
-              events: Sequence[EventSpec] = (),
-              tol: float = DEFAULT_TOL, allow_unoriented: bool = False,
+              events: Sequence[EventSpec] = (), tol: float = DEFAULT_TOL,
               series: np.ndarray | None = None) -> Trajectory:
     """Integrate forward from start.t to horizon by Taylor steps.
 
     The first event ends the run: the earliest crossing of any of events or of
-    the singularity guard (|lambda| < 1e-8, mu^2 < 1e-12 or a component above
+    the singularity guard (lambda < 1e-8, mu^2 < 1e-12 or a component above
     1e8 in magnitude) is the last node; if none, it ends at the horizon. tol
     sets the jet order and the per-step tolerance 1e-2 tol. Raises
     InvalidArgumentError unless start.t < horizon < inf and tol is positive
-    and finite, and DegenerateStateError on a start with a NaN or infinite
-    component; a step below 16 eps max(1, |t|) raises StepSizeCollapseError.
-    allow_unoriented skips the lambda > 0 / orientation precondition
-    (symmetry-image runs; mu^2 > 0 is required).
+    and finite, and DegenerateStateError unless start is finite and
+    admissible (lambda > 1e-8, mu^2 > 1e-12, u1 v2 - u2 v1 > 0); a step
+    below 16 eps max(1, |t|) raises StepSizeCollapseError. A reverse-time
+    run integrates the image under a gluing word (state.GLUE_MINUS).
 
     series, Taylor rows in t about t = 0 of the solution through start
     (SeriesSolution.t_coeffs), is the first step's polynomial, expanded
@@ -327,18 +323,17 @@ def integrate(start: State, horizon: float,
             raise DegenerateStateError(f"start has {name} = {x}")
     if start.mu2 <= MU2_MIN:
         raise DegenerateStateError(f"start has mu^2 = {start.mu2}")
-    if not allow_unoriented:
-        if start.lam <= LAMBDA_MIN:
-            raise DegenerateStateError(f"start has lambda = {start.lam}")
-        if start.orient <= 0.0:
-            raise DegenerateStateError(
-                f"start violates orientation: u1 v2 - u2 v1 = {start.orient}")
+    if start.lam <= LAMBDA_MIN:
+        raise DegenerateStateError(f"start has lambda = {start.lam}")
+    if start.orient <= 0.0:
+        raise DegenerateStateError(
+            f"start violates orientation: u1 v2 - u2 v1 = {start.orient}")
 
     if series is not None:
         gap = np.max(np.abs(_poly_states(series, start.t) - start.vec))
         if not gap <= 1e-12 * max(1.0, np.max(np.abs(start.vec))):
             raise InvalidArgumentError(f"series misses start by {gap:.3e}")
-    nodes = _NodePass(events, 1.0 if start.lam >= 0.0 else -1.0)
+    nodes = _NodePass(events)
 
     t, y = start.t, start.vec
     g, drift = nodes.values(t, y)

@@ -344,7 +344,7 @@ def find_doubling(family: str, bracket: tuple[float, float],
 
     lo, hi = bracket
     g_lo, g_hi = g(lo), g(hi)
-    if g_lo * g_hi > 0.0:
+    if (g_lo > 0.0 and g_hi > 0.0) or (g_lo < 0.0 and g_hi < 0.0):
         raise NoSignChangeError(
             f"{which}(T) has no sign change on [{lo}, {hi}]: "
             f"({g_lo:.3e}, {g_hi:.3e})")

@@ -299,7 +299,7 @@ def mp_reference_solve(problem, order: int) -> list[list]:
     return [C[r] for r in range(k)]
 
 
-def reference_node_values(events, lam_sign: float, t, y):
+def reference_node_values(events, t, y):
     """The node pass's values and drift computed the array way, at the nodes
     t with states y of shape (7,) or (7, m): the events' fn_vec, the guard's
     three rows and the relative first-integral drift, with numpy's
@@ -311,7 +311,7 @@ def reference_node_values(events, lam_sign: float, t, y):
     *integrals, _, lam2mu2, mu2 = _first_integrals(*y)
     drift = np.abs(integrals).max(axis=0) / np.maximum(1.0, lam2mu2)
     return [*(event.fn_vec(t, y) for event in events),
-            lam_sign * y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
+            y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
             COMPONENT_MAGNITUDE_MAX - np.abs(y).max(axis=0)], drift
 
 

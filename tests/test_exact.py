@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from conftest import SQRT2, SQRT3, named_derivative
 from nkshoot.errors import OutOfDomainError
 from nkshoot.exact import (NAMED_SOLUTIONS, SMOOTHING, eval_calabi_yau,
-                           eval_named, legendre_xi, rescale_bubble)
+                           eval_named, legendre_xi)
 from nkshoot.state import constraints, rhs
 
 
@@ -206,24 +206,6 @@ def test_smoothing_second_order_relation():
                 return c["lam"] * c[key2]
             d2 = (f(s - h) - 2 * f(s) + f(s + h)) / (h * h)
             assert abs(d2 - 9 * f(s)) < 1e-6 * max(1.0, abs(9 * f(s)))
-
-
-def test_rescale_bubble_roundtrip():
-    st = eval_named("s3s3-homog", 0.5)
-    for scheme in ("sec6", "eq89"):
-        out = rescale_bubble(rescale_bubble(st, 0.37, "blowup", scheme),
-                             0.37, "blowdown", scheme)
-        assert np.allclose(out.vec, st.vec, rtol=1e-15, atol=0.0)
-        assert abs(out.t - st.t) <= 1e-16
-    with pytest.raises(ValueError):
-        rescale_bubble(st, -1.0)
-
-
-@pytest.mark.parametrize("eps", [math.nan, math.inf])
-def test_rescale_bubble_rejects_eps_outside_0_inf(eps):
-    # nan used to give an all-NaN state and inf an all-zero one
-    with pytest.raises(ValueError, match="positive and finite"):
-        rescale_bubble(eval_named("s3s3-homog", 0.5), eps)
 
 
 @pytest.mark.parametrize("name", ["small-resolution", "smoothing"])

@@ -11,8 +11,8 @@ from conftest import (SQRT2, SQRT3, derivative_consistency, float_bits,
 from nkshoot.errors import BoundViolationError, DegenerateStateError
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.geometry import (bohm, comparison_bounds, count_v0_zeros,
-                              project_H, scalar_curvature, traceless_L_norm2,
-                              volume_and_mean_curvature)
+                              project_H, scalar_curvature, sign_changes,
+                              traceless_L_norm2, volume_and_mean_curvature)
 from nkshoot.integrate import (MAX_VOLUME_EVENT, StepPolynomials, Trajectory,
                                integrate)
 from nkshoot.series import _poly_states, handoff, series_psi_a, series_psi_b
@@ -258,6 +258,19 @@ def test_count_v0_zeros_on_a_node(v0, nodes, zeros):
     assert zc.count == len(zeros)
     assert np.allclose(zc.zeros, zeros, rtol=0.0, atol=1e-15)
     assert zc.boundary_ambiguous == (traj.states[-1, 4] == 0.0)
+
+
+def test_sign_changes_compare_signs_not_products():
+    # two values below about 1e-162 have a product that underflows to
+    # -0.0; their sign change still counts, a zero between two values still
+    # once, and a NaN still not
+    assert sign_changes([1e-170, -1e-170]) == [(0, 1)]
+    assert sign_changes([-1e-170, 0.0, 1e-170, 1e-170]) == [(0, 2)]
+    assert sign_changes([1e-170, math.nan, -1e-170]) == []
+    for scale in (1.0, 1e-150, 1e-170):
+        zc = count_v0_zeros(_one_step_v0_run((0.5 * scale, -scale),
+                                             (0.25, 0.75)))
+        assert zc.count == 1 and abs(zc.zeros[0] - 0.5) < 1e-15
 
 
 def test_comparison_bounds_sine_cone_equality():

@@ -7,10 +7,13 @@ only re-exports, so it is exempt.
 Also: the package's only run-time dependency is numpy, so a run of every
 root search loads no module of SciPy, nor of the test-only SymPy, mpmath
 and hypothesis (the proofs stay in the tests); and every documented
-surface, the names in ``nkshoot.__all__`` and the ``nk.<name>`` uses in
-the README's "Library use" block, resolves.
+surface, the names in ``nkshoot.__all__``, the ``nk.<name>`` uses in the
+README's "Library use" block and the backticked identifiers of its
+"Lower-level surfaces" paragraph, resolves.
 """
 import ast
+import builtins
+import inspect
 import json
 import os
 import re
@@ -84,6 +87,25 @@ def test_root_searches_load_no_scipy():
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def _resolves(name: str) -> bool:
+    """name (dotted or not) is a builtin, an attribute of nkshoot, of one of
+    its modules or of a class in nkshoot.__all__ (a dataclass field
+    included), or a parameter of a function in nkshoot.__all__."""
+    exported = [getattr(nkshoot, n) for n in nkshoot.__all__]
+    owners = [builtins, nkshoot, *(m for m in vars(nkshoot).values()
+                         if inspect.ismodule(m)),
+              *(c for c in exported if inspect.isclass(c))]
+    for owner in owners:
+        obj = owner
+        for part in name.split("."):
+            fields = getattr(obj, "__dataclass_fields__", {})
+            obj = fields[part] if part in fields else getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return any(name in inspect.signature(f).parameters for f in exported
+               if inspect.isfunction(f))
+
+
 def test_documented_surfaces_resolve():
     missing = [n for n in nkshoot.__all__ if not hasattr(nkshoot, n)]
     assert missing == []
@@ -93,3 +115,8 @@ def test_documented_surfaces_resolve():
     used = set(re.findall(r"\bnk\.(\w+)", block))
     assert {"max_orbit", "find_doubling", "find_matching"} <= used
     assert sorted(n for n in used if not hasattr(nkshoot, n)) == []
+    para = readme.split("Lower-level surfaces:")[1].split("\n\n")[0]
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)`", para))
+    assert {"integrate", "series_bubble_b", "t_coeffs"} <= names
+    assert sorted(n for n in names if not _resolves(n)) == []
+

@@ -84,9 +84,9 @@ def test_reversibility_via_tau1():
     fwd = integrate(start, start.t + delta)
     end = fwd.state_at(start.t + delta)
     # tau1 data-reversal maps the solution to one in -t; integrate forward
-    rev_start = apply_symmetry("tau1", end)
-    back = integrate(rev_start, rev_start.t + delta, allow_unoriented=True)
-    recovered = apply_symmetry("tau1", back.state_at(rev_start.t + delta))
+    rev_start = apply_symmetry("tau1.tau4", end)
+    back = integrate(rev_start, rev_start.t + delta)
+    recovered = apply_symmetry("tau1.tau4", back.state_at(rev_start.t + delta))
     assert np.max(np.abs(recovered.vec - start.vec)) < 1e-8
     assert abs(recovered.t - start.t) < 1e-14
 
@@ -108,6 +108,16 @@ def test_root_takes_hi_when_rounding_undoes_the_bracket(monkeypatch):
     integ = sys.modules["nkshoot.integrate"]
     monkeypatch.setattr(integ, "bracketed_root", no_search)
     assert integ._root(lambda t: 1.0 + t, 0.25, 0.5) == 0.5
+
+
+def test_root_compares_signs_not_products():
+    # ends of one sign whose product underflows to 0.0 are of one sign all
+    # the same: the root is hi, as with ends of ordinary size; ends of
+    # opposite signs are refined at any size
+    integ = sys.modules["nkshoot.integrate"]
+    for scale in (1.0, 1e-170):
+        assert integ._root(lambda t: scale * (1.0 + t), 0.0, 1.0) == 1.0
+        assert integ._root(lambda t: scale * (t - 0.25), 0.0, 1.0) == 0.25
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.3, 0.1],
@@ -136,8 +146,8 @@ def test_singularity_guard_mu2():
     # run a beta member backward toward its 3-sphere orbit: mu^2 -> 0 is a
     # resolved approach and the guard stops exactly at the threshold
     _, start = handoff(series_psi_b(0.8))
-    rev = apply_symmetry("tau1", start)
-    traj = integrate(rev, rev.t + 0.5, allow_unoriented=True)
+    rev = apply_symmetry("tau1.tau4", start)
+    traj = integrate(rev, rev.t + 0.5)
     assert (traj.termination, traj.stopped_by) == ("singularity", "guard-mu2")
     end = traj.states[-1]
     mu2 = -end[1] ** 2 + end[2] ** 2 + end[3] ** 2
@@ -492,7 +502,7 @@ def test_nonfinite_start_rejected(monkeypatch, value, i):
     y[i] = value
     with pytest.raises(DegenerateStateError,
                        match=f"start has {_COMPONENTS[i]} = "):
-        integrate(State.from_vec(0.3, y), 1.0, allow_unoriented=True)
+        integrate(State.from_vec(0.3, y), 1.0)
 
 
 @pytest.mark.parametrize("row", [-2, -1], ids=["order-N-1", "order-N"])
@@ -556,8 +566,8 @@ def _check_step(nodes, args, out, refined, root) -> bool:
     if end and end[0] is not None:
         want_ts[-1] = end[0]
     want_ys = integ._poly_states(c, want_ts - t0)
-    vals, want_drift = reference_node_values(nodes.events, nodes.lam_sign,
-                                             want_ts, want_ys.T)
+    vals, want_drift = reference_node_values(nodes.events, want_ts,
+                                             want_ys.T)
     vals = np.array(vals)
     cross = reference_crossings(nodes.events, g, vals)
     if not cross.any():
@@ -578,7 +588,7 @@ def _check_step(nodes, args, out, refined, root) -> bool:
     assert (ts[k], hit) == min((r[2], i) for r, i in zip(refined, rows))
     assert np.array_equal(ts[:k], want_ts[:k])
     assert np.array_equal(ys[:k], want_ys[:k])
-    hit_drift = reference_node_values((), 1.0, ts[k], ys[k])[1]
+    hit_drift = reference_node_values((), ts[k], ys[k])[1]
     assert float_bits(drift) == float_bits([*want_drift[:k], hit_drift])
     assert float_bits(last) == float_bits(vals[:, j])
     return True
@@ -620,7 +630,7 @@ def test_node_pass_equals_the_array_oracle_on_random_steps(monkeypatch):
     # steps on random linear polynomials with events on v0, v1 and v2 of
     # every direction, values rounded to 0.1 so that nodes land on exact
     # zeros, random values before the first node, and lambda < 0 with
-    # lam_sign = -1 in half of them; the states are not on shell, so the
+    # its guard row negative in half of them; states are off shell, so the
     # drift abort is off (the drift is still compared)
     integ = sys.modules["nkshoot.integrate"]
     monkeypatch.setattr(integ, "DRIFT_ABORT", math.inf)
@@ -632,10 +642,9 @@ def test_node_pass_equals_the_array_oracle_on_random_steps(monkeypatch):
     for _ in range(200):
         y = eval_named("sine-cone", 0.8).vec
         y[4:] = rng.uniform(-0.3, 0.3, 3)
-        lam_sign = rng.choice([-1.0, 1.0])
-        y[0] *= lam_sign
+        y[0] *= rng.choice([-1.0, 1.0])
         c = np.array([y, np.r_[0.0, 0.0, 0.0, 0.0, rng.normal(size=3)]])
-        nodes = integ._NodePass(rng.permutation(events), lam_sign)
+        nodes = integ._NodePass(rng.permutation(events))
         g = [*np.round(rng.uniform(-0.3, 0.3, 3), 1),
              *nodes.values(0.0, y)[0][3:]]
         nodes.step(c, 0.0, 0.0, y, g, rng.uniform(0.05, 0.5))
@@ -651,9 +660,8 @@ def test_node_values_equal_the_array_oracle_at_random_states():
     events = (MAX_VOLUME_EVENT, EventSpec("v0", lambda t, y: y[4], 1))
     for _ in range(400):
         y = rng.normal(size=7) * 10.0 ** rng.uniform(-4.0, 4.0, 7)
-        lam_sign = 1.0 if y[0] >= 0.0 else -1.0
-        got, drift = integ._NodePass(events, lam_sign).values(0.5, y)
-        want, want_drift = reference_node_values(events, lam_sign, 0.5, y)
+        got, drift = integ._NodePass(events).values(0.5, y)
+        want, want_drift = reference_node_values(events, 0.5, y)
         assert float_bits([*got, drift]) == float_bits([*want, want_drift])
 
 
@@ -671,7 +679,7 @@ def test_node_values_on_nonfinite_states_equal_the_array_oracle(value, i):
         y[i] = value
         if j is not None:
             y[j] = -value
-        got, drift = integ._NodePass((), 1.0).values(0.0, y)
+        got, drift = integ._NodePass(()).values(0.0, y)
         with np.errstate(all="ignore"):
-            want, want_drift = reference_node_values((), 1.0, 0.0, y)
+            want, want_drift = reference_node_values((), 0.0, y)
         assert float_bits([*got, drift]) == float_bits([*want, want_drift])

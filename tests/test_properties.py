@@ -6,8 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import float_bits
 from nkshoot.integrate import bracketed_root
 from nkshoot.series import _step_size
+from nkshoot.state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry,
+                           apply_symmetry, constraints, rhs_vec,
+                           transform_derivative)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -148,3 +152,80 @@ def test_step_size_is_nan_or_zero_on_overflowed_rows(case, data):
     c[m:, :len(bad)] = bad
     h = _step_size(c, tol)
     assert math.isnan(h) or h == 0.0
+
+
+#: each generator and the two gluing words, the time-reversing words that
+#: glue the two halves of a complete structure
+GLUING = (GLUE_PLUS.label, GLUE_MINUS.label)
+WORDS = ("tau1", "tau2", "tau3", "tau4", *GLUING)
+
+
+@st.composite
+def states(draw):
+    """A State at t in [-4, 4] with components of either sign and of size
+    1e-3..1e3, in half the draws made admissible: lambda > 0, |u0| <= |u1|
+    (so mu^2 >= u2^2 > 0) and v1, v2 negated where u1 v2 - u2 v1 < 0."""
+    t = draw(st.floats(-4.0, 4.0))
+    y = [draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-3, 3))
+         for _ in range(7)]
+    if draw(st.booleans()):
+        y[0] = abs(y[0])
+        if abs(y[1]) > abs(y[2]):
+            y[1], y[2] = y[2], y[1]
+        if y[2] * y[6] - y[3] * y[5] < 0.0:
+            y[5], y[6] = -y[5], -y[6]
+    return State.from_vec(t, y)
+
+
+def _admissible(s: State) -> bool:
+    return s.lam > 0.0 and s.mu2 > 0.0 and s.orient > 0.0
+
+
+@PROPERTY
+@hypothesis.given(states())
+def test_symmetry_words_are_involutions(s):
+    # each word applied twice, and the doubled word applied once, give back
+    # the state bit for bit, time included
+    for word in WORDS:
+        for back in (apply_symmetry(word, apply_symmetry(word, s)),
+                     apply_symmetry(f"{word}.{word}", s)):
+            assert float_bits([back.t, *back.vec]) == float_bits(
+                [s.t, *s.vec]), word
+
+
+@PROPERTY
+@hypothesis.given(states())
+def test_symmetry_words_keep_the_first_integrals(s):
+    # |I1| .. |I4| bit for bit: each word only flips signs
+    before = float_bits(np.abs(constraints(s).values))
+    for word in WORDS:
+        after = constraints(apply_symmetry(word, s)).values
+        assert float_bits(np.abs(after)) == before, word
+
+
+@PROPERTY
+@hypothesis.given(states())
+def test_transform_derivative_is_the_image_flow(s):
+    # each word maps solutions to solutions: the derivative pushed through
+    # it is the right-hand side at the image, bit for bit
+    for word in WORDS:
+        sym = Symmetry.from_word(word)
+        image = apply_symmetry(sym, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pushed = transform_derivative(sym, rhs_vec(s.t, s.vec))
+            at_image = rhs_vec(image.t, image.vec)
+        assert float_bits(pushed) == float_bits(at_image), word
+
+
+@PROPERTY
+@hypothesis.given(states())
+def test_only_the_gluing_words_keep_states_admissible(s):
+    # lambda > 0, mu^2 > 0 and u1 v2 - u2 v1 > 0 hold at the image of a
+    # gluing word exactly where they hold at the state (the word is an
+    # involution); a single generator takes every admissible state out
+    for word in WORDS:
+        image = apply_symmetry(word, s)
+        if word in GLUING:
+            assert _admissible(image) == _admissible(s), word
+        else:
+            assert not (_admissible(s) and _admissible(image)), word

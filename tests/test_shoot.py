@@ -172,6 +172,17 @@ def test_find_doubling_no_sign_change():
         find_doubling("beta", (1.2, 1.4), "v0")
 
 
+def test_find_doubling_no_sign_change_at_tiny_ends(monkeypatch):
+    # v0(T) of one sign at both ends is no sign change even where the
+    # product of the two underflows to 0.0: NoSignChangeError, an NKError,
+    # not the root finder's ValueError
+    tiny = types.SimpleNamespace(record=types.SimpleNamespace(
+        state=State.from_vec(0.0, np.full(7, 1e-170))))
+    monkeypatch.setattr(shoot, "solve_family", lambda *args: tiny)
+    with pytest.raises(NoSignChangeError, match="no sign change"):
+        find_doubling("alpha", (0.7, 1.0), "v0")
+
+
 def test_find_doubling_at_the_sasaki_einstein_point_raises(monkeypatch):
     # a root whose orbit lies on both wedge boundaries, mu = lambda and
     # lambda = 1, is the excluded point (1, 1), not a doubled structure
