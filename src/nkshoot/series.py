@@ -31,12 +31,14 @@ of two views of its transpose, added left to right; the loop adds the terms
 with an order-h factor. The same kernel, _Program.fill, run on the regular
 system as an ODE, gives the integrator's Taylor jets (integrate.py). Each
 intermediate's [x^h] is affine in y_h with a gradient G that depends only
-on the order-0 column, so the right side is evaluated with y_h = 0 and,
-after the solve, one update C[:, h] += G @ y_h completes the column. G is
-built with x = 0 at every order, so the same G gives A = d_{y0}F(0, .)
-exactly; and as x is 0 at order 0, F(0, y0) is the output's order-0
-value. Resonance is decided once, for h = 1 .. order, on A's spectrum,
-which no scale of the rows moves: h is resonant where the ratio
+on the order-0 column, so the loop evaluates column h with y_h = 0, packs
+it into one buffer c, takes y_h = (h*Id - A)^-1 W c and completes only the
+rows that the later orders and the output read: c[sel] + G[sel] y_h. G
+comes from a record-free pass, order 0 and then y_h = e_j with x = 0 and
+every convolution sum 0, so the same G gives A = d_{y0}F(0, .) exactly;
+and as x is 0 at order 0, F(0, y0) is the output's order-0 value.
+Resonance is decided once, for h = 1 .. order, on A's spectrum, which no
+scale of the rows moves: h is resonant where the ratio
 max|h - eig| / min|h - eig| over A's eigenvalues exceeds COND_LIMIT. As
 |M|_F |M^-1|_F >= cond_2(M) >= that ratio for M = h*Id - A, the bound,
 read off the batched inverses, only skips the eigenvalue call where it
@@ -198,12 +200,13 @@ class _Program:
     recorded operation (kind, out, a, b): a product of rows a and b, the
     reciprocal of row a (recorded once per row a), or a linear combination
     with terms a = ((row, coef), ...) and order-0 constant b. fill()
-    computes the orders of every row of a table (row = series, column =
-    order) in one compiled loop whose locals hold each row's order-0 and
-    order-h values; each order's convolution sums are one np.vecdot over a
-    row-major record, added left to right, and the bits rest on that
-    order. rhs returns a list of dim expressions; output = (W, const) maps
-    a column to [x^h] of them, with const their constant part at order 0.
+    computes the orders of every row in one compiled loop whose locals hold
+    each row's order-0 and order-h values; each order's convolution sums
+    are one np.vecdot over a row-major record, added left to right, and the
+    bits rest on that order. A build completes each order in that loop,
+    with G from gradient(), a record-free pass. rhs returns a list of dim
+    expressions; output = (W, const) maps a column to [x^h] of them, with
+    const their constant part at order 0.
 
     With ode=True the program is an autonomous ODE y' = rhs(y): its output
     must be single recorded rows, and the unknowns' order-h coefficients
@@ -234,15 +237,18 @@ class _Program:
         self._run = self._compile(out_rows)
 
     def _compile(self, out_rows) -> Callable:
-        """The recorded ops as one Python function run(c0, Y, n, solve, x1)
-        (see fill). Locals a{r} and b{r} hold row r's order-0 and order-h
-        values, and s{j} the j-th convolution's sum over orders 1..h-1: one
-        np.vecdot of the views P, Q of the row-major record R's transpose.
-        Row h of R, one pack_into (one row assignment through solve), holds
-        the order-h values of every convolution's first operand (P), second
-        operand (Q) and of the unknowns. An ODE sets its unknowns to its
-        output rows out_rows at order h-1 over h (+ 0.0 turns -0.0 into
-        +0.0) and needs no ops at order n. Coefficients are inlined as float
+        """The recorded ops as one Python function run(c0, Y, n, G, IW, C)
+        (see fill), and as the source of gradient's pass. Locals a{r} and
+        b{r} hold row r's order-0 and order-h values, and s{j} the j-th
+        convolution's sum over orders 1..h-1: one np.vecdot of the views P,
+        Q of the row-major record R's transpose. Row h of R holds the
+        order-h values sel of every convolution's first operand (P), second
+        operand (Q) and of the unknowns: one pack_into for an ODE, which
+        sets its unknowns to its output rows out_rows at order h-1 over h (+
+        0.0 turns -0.0 into +0.0) and needs no ops at order n. A singular
+        IVP packs each order's column into the buffer col, R[h] = col[sel] +
+        Gsel (IW[h-1] col) with Gsel = G[sel] taken once per run, or into
+        row h of C, R[h] = C[h, sel]. Coefficients are inlined as float
         literals, which repr round-trips."""
         # operand rows of the convolution sum_k C[p, k] C[q, h-k] of each
         # product (a, b) and reciprocal (a, out); a linear combination has
@@ -272,38 +278,47 @@ class _Program:
         def names(v, rows):
             return ", ".join(f"{v}{r}" for r in rows)
 
-        def store(v, h):
-            # the record's row h: one pack_into, or through solve when given
-            rows = range(self.n_rows)
-            return [f"if solve is None: pack(R, {h} * {8 * len(sel)}, "
-                    f"{names(v, sel)})", f"else: R[{h}] = solve(fromiter(["
-                    f"{names(v, rows)}], float, {len(rows)}), {h})[sel]"]
+        def pack_sel(v, h):
+            return f"pack(R, {h} * {8 * len(sel)}, {names(v, sel)})"
 
         def from_outputs(k):
             return f"[{', '.join(f'b{r} / {k} + 0.0' for r in out_rows)}]"
-        lines = [
-            "def run(c0, Y, n, solve, x1):",
+        order0 = [f"[{names('a', range(dim + 1 + self.n_params))}] = c0",
+                  *first]
+        rows = names("b", range(self.n_rows))
+        self._gradient_source = [
+            "def run(c0, E):", *order0,
+            *(f"b{r} = 0.0" for r in range(dim, dim + 1 + self.n_params)),
+            *(f"s{j} = 0.0" for j in range(m)),
+            "G = []", "for e in E:", f"    [{names('b', range(dim))}] = e",
+            *("    " + s for s in step), f"    G.append([{rows}])",
+            f"return [{names('a', range(self.n_rows))}], G"]
+        return _define([
+            "def run(c0, Y, n, G, IW, C):",
             f"R = empty((n + 1, {len(sel)}))",
+            *([] if ode else [f"col, Gsel = empty({self.n_rows}), "
+                              "None if G is None else G[sel]"]),
             f"P, Q = R.T[:{m}], R.T[{m}:{2 * m}]",
-            f"[{names('a', range(dim + 1 + self.n_params))}] = c0",
-            *first, *store("a", 0),
+            *order0, pack_sel("a", 0),
             *(f"b{r} = a{r}" for r in out_rows),
             *(f"b{r} = 0.0" for r in range(dim + 1, dim + 1 + self.n_params)),
             f"for h in range(1, {'n' if ode else 'n + 1'}):",
-            f"    b{dim} = x1 if h == 1 else 0.0",
+            f"    b{dim} = 1.0 if h == 1 else 0.0",
             f"    [{names('b', range(dim))}] = "
             f"{from_outputs('h') if ode else 'Y[h]'}",
             f"    [{names('s', range(m))}] = vecdot(P[:, 1:h], "
             f"Q[:, h - 1:0:-1]).tolist()",
-            *("    " + s for s in (*step, *store("b", "h"))),
-            *([f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else []),
-            f"return R[:, {2 * m}:].T.copy()"]
-        namespace = {"empty": np.empty, "vecdot": np.vecdot,
-                     "pack": struct.Struct(f"{len(sel)}d").pack_into,
-                     "fromiter": np.fromiter, "sel": np.array(sel)}
-        exec(compile("\n    ".join(lines), "<recorded program>", "exec"),
-             namespace)
-        return namespace["run"]
+            *("    " + s for s in step),
+            *([f"    {pack_sel('b', 'h')}",
+               f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else [
+               f"    pack_col(col if C is None else C[h], 0, {rows})",
+               "    if C is None: add(col[sel], dot(Gsel, dot(IW[h - 1], "
+               "col)), out=R[h])", "    else: take(C[h], sel, out=R[h])"]),
+            f"return R[:, {2 * m}:].T.copy()"], {
+            "empty": np.empty, "vecdot": np.vecdot, "add": np.add,
+            "dot": np.dot, "take": np.take, "sel": np.array(sel),
+            "pack": struct.Struct(f"{len(sel)}d").pack_into,
+            "pack_col": struct.Struct(f"{self.n_rows}d").pack_into})
 
     def lift(self, v) -> _Series:
         if isinstance(v, _Series):
@@ -347,36 +362,47 @@ class _Program:
             const[i] = e.const
         return M, const
 
-    def fill(self, Y, params, n: int, solve: Callable | None = None,
-             x1: float = 1.0) -> np.ndarray:
+    def fill(self, Y, params, n: int, G=None, IW=None,
+             C=None) -> np.ndarray:
         """Orders 0..n of every row (relaxed arithmetic) and the unknowns'
         rows as a C-ordered (dim, n + 1) array. Row h of Y holds the
-        unknowns' order-h values (an ODE reads row 0 only); x is x1 at order
+        unknowns' order-h values (an ODE reads row 0 only); x is 1 at order
         1, else 0. np.vecdot adds each convolution's products left to right
         in a plain C loop, never through BLAS, since Q, a view of the
-        row-major record's transpose, has a negative stride. solve(a, h),
-        when given, gets each order's whole column a and returns the column
-        the record keeps for the later orders' sums (a build completes it,
-        and returns order 0 as it is)."""
+        row-major record's transpose, has a negative stride. A singular IVP
+        either completes each order h >= 1's column c in the loop to c + G
+        (IW[h-1] c), with G from gradient and IW[h-1] = (h*Id - A)^-1 W (a
+        build), or, given the (n + 1, n_rows) table C, keeps each order h >=
+        1's column in row h of C and leaves it as it is."""
         Y = np.asarray(Y, dtype=float).tolist()
         c0 = [*Y[0], 0.0, *np.asarray(params, dtype=float).tolist()]
-        return self._run(c0, Y, n, solve, x1)
+        return self._run(c0, Y, n, G, IW, C)
+
+    @cached_property
+    def _gradient_run(self) -> Callable:
+        """gradient's pass (order 0, then one order per unit vector e of E),
+        compiled on first use, so that an ODE's program never compiles it."""
+        return _define(self._gradient_source, {})
 
     def gradient(self, y0, params) -> tuple[np.ndarray, np.ndarray]:
         """The order-0 column c0 about y0 and params, and G[row, j] =
         d C[row, h] / d y_h[j], the same for every h >= 1, about it. With
-        every convolution sum 0 (a record of zeros) and x_1 = 0, column h
-        is linear in y_h, so that of a fill with y_h = e_(h-1) is
-        G[:, h-1]."""
-        cols = []
-
-        def keep(col, h):
-            cols.append(col)
-            return np.zeros_like(col)
-        self.fill(np.vstack((y0, np.eye(self.dim))), params, self.dim, keep,
-                  x1=0.0)
+        every convolution sum 0.0 and x = 0, column h is linear in y_h, so
+        the column of one order with y_h = e_j is G[:, j]: a pass that keeps
+        no record."""
+        c0, G = self._gradient_run(
+            [*np.asarray(y0, dtype=float).tolist(), 0.0,
+             *np.asarray(params, dtype=float).tolist()],
+            np.eye(self.dim).tolist())
         # C-ordered: G @ v rounds differently on a column-major G
-        return cols[0], np.array(cols[1:]).T.copy()
+        return np.array(c0), np.array(G).T.copy()
+
+
+def _define(lines: list[str], namespace: dict) -> Callable:
+    """The function run of the source lines, compiled in namespace."""
+    exec(compile("\n    ".join(lines), "<recorded program>", "exec"),
+         namespace)
+    return namespace["run"]
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +475,8 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
             raise ResonanceError(
                 f"{name}: h*Id - dM_-1 ill conditioned at h = "
                 f"{unsettled[i] + 1} (cond = {cond[i]:.3e})")
-    IW = inv @ W
-
-    def solve(col, h):
-        return col + G @ (IW[h - 1] @ col) if h else col
     Y = np.vstack((problem.y0, np.zeros((order, k))))
-    return prog.fill(Y, problem.params, order, solve), A
+    return prog.fill(Y, problem.params, order, G, list(inv @ W)), A
 
 
 def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
@@ -462,13 +484,9 @@ def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
     from a fresh evaluation of the recorded right-hand side on Y."""
     prog = problem.program
     n1 = Y.shape[1]
-    C = np.empty((prog.n_rows, n1))
-
-    def keep(col, h):
-        C[:, h] = col
-        return col
-    prog.fill(Y.T, problem.params, n1 - 1, keep)
-    r = np.arange(n1) * Y - prog.output[0] @ C
+    C = np.zeros((n1, prog.n_rows))
+    prog.fill(Y.T, problem.params, n1 - 1, C=C)
+    r = np.arange(n1) * Y - prog.output[0] @ C.T
     res = np.max(np.abs(r), axis=0)
     res[0] = 0.0
     return res

@@ -197,6 +197,18 @@ def random_admissible_states(seed: int, n: int) -> list[State]:
     return out
 
 
+def diagonal_toy(coeffs):
+    """y_i' = (1/t)(coeffs[i] * y_i) + 1, y0 = 0: h*Id - dM_-1 is
+    diag(h - coeffs), so its condition number is known exactly, and the
+    series solution is y_i = t / (1 - coeffs[i])."""
+    from nkshoot.series import SingularIVP, _Program
+
+    def rhs(y, x):
+        return [c * yi + x for c, yi in zip(coeffs, y)]
+    return SingularIVP(_Program(len(coeffs), rhs), np.zeros(len(coeffs)),
+                       name="diagonal toy")
+
+
 def reference_table(program, order: int, params=()) -> np.ndarray:
     """A recorded program's table up to order (row = series, column =
     order), zero but for the x row and the parameter rows."""

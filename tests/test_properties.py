@@ -2,13 +2,15 @@
 core state, on generated inputs. Each property runs derandomized, so every
 run of the suite draws the same examples."""
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import float_bits
+from conftest import diagonal_toy, float_bits
+from nkshoot.errors import ResonanceError
 from nkshoot.integrate import bracketed_root
-from nkshoot.series import _step_size
+from nkshoot.series import COND_LIMIT, _step_size, solve_singular_ivp
 from nkshoot.state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry,
                            apply_symmetry, constraints, rhs_vec,
                            transform_derivative)
@@ -152,6 +154,46 @@ def test_step_size_is_nan_or_zero_on_overflowed_rows(case, data):
     c[m:, :len(bad)] = bad
     h = _step_size(c, tol)
     assert math.isnan(h) or h == 0.0
+
+
+@st.composite
+def diagonal_toys(draw):
+    """(coeffs, order): 1 to 6 coefficients in [-20, 20] and an order in
+    1..12; in half the draws one coefficient is moved to within 1e-12..1e-5
+    of an integer h in 1..order + 2, or onto it, where the spectral ratio
+    at h falls on either side of COND_LIMIT."""
+    order = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] = draw(st.integers(1, order + 2)) + draw(st.sampled_from(
+            (-1.0, 0.0, 1.0))) * 10.0 ** draw(st.floats(-12.0, -5.0))
+    return coeffs, order
+
+
+@PROPERTY
+@hypothesis.given(diagonal_toys())
+def test_solve_singular_ivp_on_diagonal_toys(case):
+    # the closed form y_i = t / (1 - c_i) when no h in 1..order has a
+    # spectral ratio max|h - c| / min|h - c| above COND_LIMIT; else a
+    # ResonanceError naming the first such h and its ratio
+    coeffs, order = case
+    c = np.array(coeffs)
+    gap = np.abs(np.arange(1, order + 1)[:, None] - c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = gap.max(axis=1) / gap.min(axis=1)
+    bad = np.flatnonzero(~(ratio <= COND_LIMIT))
+    if bad.size:
+        h = int(bad[0])
+        with pytest.raises(ResonanceError, match=re.escape(
+                f"at h = {h + 1} (cond = {ratio[h]:.3e})")):
+            solve_singular_ivp(diagonal_toy(coeffs), order)
+        return
+    Y, _ = solve_singular_ivp(diagonal_toy(coeffs), order)
+    assert Y.shape == (len(c), order + 1)
+    assert not Y[:, 0].any() and not Y[:, 2:].any()
+    np.testing.assert_allclose(Y[:, 1], 1.0 / (1.0 - c), rtol=4 * EPS,
+                               atol=0.0)
 
 
 #: each generator and the two gluing words, the time-reversing words that

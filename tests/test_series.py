@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (SQRT3, float_bits, mp_reference_solve, plain_dot,
-                      reference_advance, reference_horner,
+from conftest import (SQRT3, diagonal_toy, float_bits, mp_reference_solve,
+                      plain_dot, reference_advance, reference_horner,
                       reference_poly_integral, reference_table, s_of_time,
                       s_radius, with_top_lambda)
 from nkshoot import series
@@ -61,15 +61,6 @@ def test_resonance_gate_names_first_h_within_order():
         solve_singular_ivp(_toy_problem(5.0), 5)
 
 
-def _diagonal_toy(coeffs) -> SingularIVP:
-    """y_i' = (1/t)(coeffs[i] * y_i) + 1, y0 = 0: h*Id - dM_-1 is
-    diag(h - coeffs), so its condition number is known exactly."""
-    def rhs(y, x):
-        return [c * yi + x for c, yi in zip(coeffs, y)]
-    return SingularIVP(_Program(len(coeffs), rhs), np.zeros(len(coeffs)),
-                       name="diagonal toy")
-
-
 def test_resonance_spectrum_decides_where_the_frobenius_bound_does_not():
     # at h = 3 the matrix is diag(d, 3, 3, 3), whose spectral ratio
     # max|h - eig| / min|h - eig| = 3/d = 7e7 (for a diagonal matrix also
@@ -79,7 +70,7 @@ def test_resonance_spectrum_decides_where_the_frobenius_bound_does_not():
     M = np.diag([3.0 - coeff, 3.0, 3.0, 3.0])
     assert np.linalg.cond(M) <= COND_LIMIT
     assert np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M)) > COND_LIMIT
-    Y, _ = solve_singular_ivp(_diagonal_toy([coeff, 0.0, 0.0, 0.0]), 6)
+    Y, _ = solve_singular_ivp(diagonal_toy([coeff, 0.0, 0.0, 0.0]), 6)
     # y_i = t / (1 - coeffs[i])
     assert Y[0, 1] == pytest.approx(1.0 / (1.0 - coeff), rel=1e-15)
     assert (Y[1:, 1] == 1.0).all()
@@ -94,7 +85,7 @@ def test_resonance_error_names_the_first_ill_conditioned_h():
     assert cond > COND_LIMIT
     with pytest.raises(ResonanceError, match=re.escape(
             f"at h = 3 (cond = {cond:.3e})")):
-        solve_singular_ivp(_diagonal_toy([coeff, 0.0, 0.0, 0.0]), 6)
+        solve_singular_ivp(diagonal_toy([coeff, 0.0, 0.0, 0.0]), 6)
 
 
 def _linear_toy(A: np.ndarray) -> SingularIVP:
@@ -300,12 +291,10 @@ def test_vecdot_on_the_kernel_views_adds_left_to_right(decades, row_major):
             f"and series' bits depend on it")
 
 
-def _reference_solve(problem: SingularIVP, order: int):
-    # solve_singular_ivp's table and A the plain way: the order-0 column,
-    # G from order 1 on the unit vectors, the batch inverse, then order by
-    # order the relaxed recurrence with y_h = 0 and the update by G y_h
+def _reference_gradient(problem: SingularIVP, order: int):
+    # the table with its order-0 column, and G from order 1 on the unit
+    # vectors with x = 0, the plain way
     prog, k = problem.program, problem.program.dim
-    W, _ = prog.output
     C = reference_table(prog, order, problem.params)
     C[:k, 0] = problem.y0
     reference_advance(prog, C, 0)
@@ -317,6 +306,16 @@ def _reference_solve(problem: SingularIVP, order: int):
         T[j, 1] = 1.0
         reference_advance(prog, T, 1)
         G[:, j] = T[:, 1]
+    return C, G
+
+
+def _reference_solve(problem: SingularIVP, order: int):
+    # solve_singular_ivp's table and A the plain way: the order-0 column,
+    # G, the batch inverse, then order by order the relaxed recurrence with
+    # y_h = 0 and the update by G y_h
+    prog, k = problem.program, problem.program.dim
+    W, _ = prog.output
+    C, G = _reference_gradient(problem, order)
     A = W @ G
     IW = np.linalg.inv(np.arange(1, order + 1)[:, None, None] * np.eye(k)
                        - A) @ W
@@ -329,18 +328,35 @@ def _reference_solve(problem: SingularIVP, order: int):
 @pytest.mark.parametrize("order", [4, 16, 40])
 @pytest.mark.parametrize("problem, param", [
     *((s2_problem, a) for a in (0.01, 0.12, 1.0, 4.0, 50.0)),
+    *((s3_problem, b) for b in (0.001, 0.12, 1.0, 1.6, 20.0, 1e5)),
     *((s3_bubble_problem, b) for b in (0.001, 0.12, 1.0, 1.6, 20.0))])
 def test_solve_singular_ivp_bits_equal_the_plain_recurrence(problem, param,
                                                             order):
-    # bit for bit, signs of zero included, across both programs' parameter
-    # ranges and at orders 4, 16 and 40, whose longest convolution sums add
-    # 3, 15 and 39 products left to right
+    # bit for bit, signs of zero included, across the three programs'
+    # parameter ranges and at orders 4, 16 and 40, whose longest
+    # convolution sums add 3, 15 and 39 products left to right
     prob = problem(param)
     Y, A = solve_singular_ivp(prob, order)
     Y_ref, A_ref = _reference_solve(prob, order)
     assert Y.flags.c_contiguous
     assert np.array_equal(Y, Y_ref) and np.array_equal(A, A_ref)
     assert np.array_equal(np.signbit(Y), np.signbit(Y_ref))
+
+
+@pytest.mark.parametrize("problem, param", [
+    *((s2_problem, a) for a in (0.01, 1.0, 50.0)),
+    *((s3_problem, b) for b in (0.001, 1.0, 1e5)),
+    *((s3_bubble_problem, b) for b in (0.0, 1.0, 20.0))])
+def test_gradient_bits_equal_the_plain_recurrence(problem, param):
+    # the order-0 column and every row of G, signs of zero included,
+    # against order 1 of the plain recurrence on the unit vectors
+    prob = problem(param)
+    c0, G = prob.program.gradient(prob.y0, prob.params)
+    C, G_ref = _reference_gradient(prob, 1)
+    assert G.flags.c_contiguous
+    for got, want in ((c0, C[:, 0]), (G, G_ref)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("param", [0.12, 0.7, 1.0, 1.7, 4.0])
