@@ -386,6 +386,10 @@ def main(argv=None) -> int:
     except InvalidArgumentError as e:
         print(f"nkshoot: invalid config: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as e:    # only the output write touches the file system
+        print(f"nkshoot: cannot write {args.out or 'the output file'}: "
+              f"{e.strerror or e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_CONFIG
 
 

@@ -49,7 +49,7 @@ def _jet(y: np.ndarray, order: int) -> np.ndarray:
     """Taylor coefficients c[k], k = 0..order, of the solution through y:
     row k of the (order + 1, 7) result is y^(k)(t0) / k!. The result is
     column-major (see _Program)."""
-    return _PROGRAM.fill(np.reshape(y, (1, 7)), (), order).T
+    return _PROGRAM.fill(y, (), order).T
 
 
 def _order_and_tol(tol: float) -> tuple[int, float]:

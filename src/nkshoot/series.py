@@ -26,17 +26,19 @@ Math. 14, 2005), so a build of order n costs O(n^2) instead of
 re-evaluating the truncated series at every order. The recorded ops are
 compiled once to one Python loop over the orders, in which every row's
 order-0 and current-order values are locals; each order is one row of a
-row-major record, one pack_into, and its convolution sums are one np.vecdot
-of two views of its transpose, added left to right; the loop adds the terms
-with an order-h factor. The same kernel, _Program.fill, run on the regular
-system as an ODE, gives the integrator's Taylor jets (integrate.py). Each
-intermediate's [x^h] is affine in y_h with a gradient G that depends only
-on the order-0 column, so the loop evaluates column h with y_h = 0, packs
-it into one buffer c, takes y_h = (h*Id - A)^-1 W c and completes only the
-rows that the later orders and the output read: c[sel] + G[sel] y_h. G
-comes from a record-free pass, order 0 and then y_h = e_j with x = 0 and
-every convolution sum 0, so the same G gives A = d_{y0}F(0, .) exactly;
-and as x is 0 at order 0, F(0, y0) is the output's order-0 value.
+row-major record, and its convolution sums are one np.vecdot of two views
+of its transpose, added left to right; the loop adds the terms with an
+order-h factor. The kernel, _Program.fill, takes only the order-0 state
+and has two modes. Run on the regular system as an ODE, it gives the
+integrator's Taylor jets (integrate.py). Run on a singular IVP, it builds
+the series: each intermediate's [x^h] is affine in y_h with a gradient G
+that depends only on the order-0 column, so the loop evaluates column h
+with y_h = 0, packs it into one buffer c, takes y_h = (h*Id - A)^-1 W c and
+completes only the rows that the later orders and the output read:
+c[sel] + G[sel] y_h. G comes from a record-free pass, order 0 and then
+y_h = e_j with x = 0 and every convolution sum 0, so the same G gives
+A = d_{y0}F(0, .) exactly; and as x is 0 at order 0, F(0, y0) is the
+output's order-0 value.
 Resonance is decided once, for h = 1 .. order, on A's spectrum, which no
 scale of the rows moves: h is resonant where the ratio
 max|h - eig| / min|h - eig| over A's eigenvalues exceeds COND_LIMIT. As
@@ -200,13 +202,15 @@ class _Program:
     recorded operation (kind, out, a, b): a product of rows a and b, the
     reciprocal of row a (recorded once per row a), or a linear combination
     with terms a = ((row, coef), ...) and order-0 constant b. fill()
-    computes the orders of every row in one compiled loop whose locals hold
-    each row's order-0 and order-h values; each order's convolution sums
-    are one np.vecdot over a row-major record, added left to right, and the
-    bits rest on that order. A build completes each order in that loop,
-    with G from gradient(), a record-free pass. rhs returns a list of dim
-    expressions; output = (W, const) maps a column to [x^h] of them, with
-    const their constant part at order 0.
+    computes the orders of every row from the unknowns' order-0 values in
+    one compiled loop whose locals hold each row's order-0 and order-h
+    values; each order's convolution sums are one np.vecdot over a
+    row-major record, added left to right, and the bits rest on that order.
+    The loop has two modes, fixed when the program is compiled: a jet (an
+    ODE, below) and a build (a singular IVP), which completes each order in
+    the loop with G from gradient(), a record-free pass. rhs returns a list
+    of dim expressions; output = (W, const) maps a column to [x^h] of them,
+    with const their constant part at order 0.
 
     With ode=True the program is an autonomous ODE y' = rhs(y): its output
     must be single recorded rows, and the unknowns' order-h coefficients
@@ -220,7 +224,6 @@ class _Program:
                  ode: bool = False):
         self.dim = dim
         self.n_params = n_params
-        self.ode = ode
         self.ops: list[tuple] = []
         self.n_rows = dim + 1 + n_params
         self._reciprocal: dict[int, int] = {}
@@ -237,19 +240,19 @@ class _Program:
         self._run = self._compile(out_rows)
 
     def _compile(self, out_rows) -> Callable:
-        """The recorded ops as one Python function run(c0, Y, n, G, IW, C)
-        (see fill), and as the source of gradient's pass. Locals a{r} and
-        b{r} hold row r's order-0 and order-h values, and s{j} the j-th
+        """The recorded ops as one Python function run(c0, n, G, IW) (see
+        fill), and as the source of gradient's pass. Locals a{r} and b{r}
+        hold row r's order-0 and order-h values, and s{j} the j-th
         convolution's sum over orders 1..h-1: one np.vecdot of the views P,
         Q of the row-major record R's transpose. Row h of R holds the
         order-h values sel of every convolution's first operand (P), second
-        operand (Q) and of the unknowns: one pack_into for an ODE, which
-        sets its unknowns to its output rows out_rows at order h-1 over h (+
-        0.0 turns -0.0 into +0.0) and needs no ops at order n. A singular
-        IVP packs each order's column into the buffer col, R[h] = col[sel] +
-        Gsel (IW[h-1] col) with Gsel = G[sel] taken once per run, or into
-        row h of C, R[h] = C[h, sel]. Coefficients are inlined as float
-        literals, which repr round-trips."""
+        operand (Q) and of the unknowns. A jet (an ODE) sets its unknowns to
+        its output rows out_rows at order h-1 over h (+ 0.0 turns -0.0 into
+        +0.0), fills row h with one pack_into and needs no ops at order n. A
+        build (a singular IVP) keeps its unknowns at 0.0, packs each order's
+        column into the buffer col and fills row h with col[sel] + Gsel
+        (IW[h-1] col), Gsel = G[sel] taken once per run. Coefficients are
+        inlined as float literals, which repr round-trips."""
         # operand rows of the convolution sum_k C[p, k] C[q, h-k] of each
         # product (a, b) and reciprocal (a, out); a linear combination has
         # none
@@ -294,29 +297,28 @@ class _Program:
             *("    " + s for s in step), f"    G.append([{rows}])",
             f"return [{names('a', range(self.n_rows))}], G"]
         return _define([
-            "def run(c0, Y, n, G, IW, C):",
+            "def run(c0, n, G, IW):",
             f"R = empty((n + 1, {len(sel)}))",
-            *([] if ode else [f"col, Gsel = empty({self.n_rows}), "
-                              "None if G is None else G[sel]"]),
+            *([] if ode else [f"col, Gsel = empty({self.n_rows}), G[sel]"]),
             f"P, Q = R.T[:{m}], R.T[{m}:{2 * m}]",
             *order0, pack_sel("a", 0),
             *(f"b{r} = a{r}" for r in out_rows),
-            *(f"b{r} = 0.0" for r in range(dim + 1, dim + 1 + self.n_params)),
+            *(f"b{r} = 0.0" for r in range(dim + 1 if ode else 0,
+                                           dim + 1 + self.n_params)),
             f"for h in range(1, {'n' if ode else 'n + 1'}):",
             f"    b{dim} = 1.0 if h == 1 else 0.0",
-            f"    [{names('b', range(dim))}] = "
-            f"{from_outputs('h') if ode else 'Y[h]'}",
+            *([f"    [{names('b', range(dim))}] = {from_outputs('h')}"]
+              if ode else []),
             f"    [{names('s', range(m))}] = vecdot(P[:, 1:h], "
             f"Q[:, h - 1:0:-1]).tolist()",
             *("    " + s for s in step),
             *([f"    {pack_sel('b', 'h')}",
                f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else [
-               f"    pack_col(col if C is None else C[h], 0, {rows})",
-               "    if C is None: add(col[sel], dot(Gsel, dot(IW[h - 1], "
-               "col)), out=R[h])", "    else: take(C[h], sel, out=R[h])"]),
+               f"    pack_col(col, 0, {rows})",
+               "    add(col[sel], dot(Gsel, dot(IW[h - 1], col)), out=R[h])"]),
             f"return R[:, {2 * m}:].T.copy()"], {
             "empty": np.empty, "vecdot": np.vecdot, "add": np.add,
-            "dot": np.dot, "take": np.take, "sel": np.array(sel),
+            "dot": np.dot, "sel": np.array(sel),
             "pack": struct.Struct(f"{len(sel)}d").pack_into,
             "pack_col": struct.Struct(f"{self.n_rows}d").pack_into})
 
@@ -362,21 +364,19 @@ class _Program:
             const[i] = e.const
         return M, const
 
-    def fill(self, Y, params, n: int, G=None, IW=None,
-             C=None) -> np.ndarray:
-        """Orders 0..n of every row (relaxed arithmetic) and the unknowns'
-        rows as a C-ordered (dim, n + 1) array. Row h of Y holds the
-        unknowns' order-h values (an ODE reads row 0 only); x is 1 at order
-        1, else 0. np.vecdot adds each convolution's products left to right
-        in a plain C loop, never through BLAS, since Q, a view of the
-        row-major record's transpose, has a negative stride. A singular IVP
-        either completes each order h >= 1's column c in the loop to c + G
-        (IW[h-1] c), with G from gradient and IW[h-1] = (h*Id - A)^-1 W (a
-        build), or, given the (n + 1, n_rows) table C, keeps each order h >=
-        1's column in row h of C and leaves it as it is."""
-        Y = np.asarray(Y, dtype=float).tolist()
-        c0 = [*Y[0], 0.0, *np.asarray(params, dtype=float).tolist()]
-        return self._run(c0, Y, n, G, IW, C)
+    def fill(self, y0, params, n: int, G=None, IW=None) -> np.ndarray:
+        """Orders 0..n of every row (relaxed arithmetic) from the unknowns'
+        order-0 values y0, and the unknowns' rows as a C-ordered (dim, n + 1)
+        array; x is 1 at order 1, else 0. np.vecdot adds each convolution's
+        products left to right in a plain C loop, never through BLAS, since
+        Q, a view of the row-major record's transpose, has a negative
+        stride. An ODE (a jet) takes each order's unknowns from the output;
+        a singular IVP (a build) evaluates each order h >= 1's column c with
+        the unknowns at 0.0 and completes it in the loop to c + G (IW[h-1]
+        c), with G from gradient and IW[h-1] = (h*Id - A)^-1 W."""
+        c0 = [*np.asarray(y0, dtype=float).tolist(), 0.0,
+              *np.asarray(params, dtype=float).tolist()]
+        return self._run(c0, n, G, IW)
 
     @cached_property
     def _gradient_run(self) -> Callable:
@@ -475,21 +475,7 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
             raise ResonanceError(
                 f"{name}: h*Id - dM_-1 ill conditioned at h = "
                 f"{unsettled[i] + 1} (cond = {cond[i]:.3e})")
-    Y = np.vstack((problem.y0, np.zeros((order, k))))
-    return prog.fill(Y, problem.params, order, G, list(inv @ W)), A
-
-
-def recurrence_residuals(problem: SingularIVP, Y: np.ndarray) -> np.ndarray:
-    """Per-order residual |h y_h - [x^h] F| of a computed table,
-    from a fresh evaluation of the recorded right-hand side on Y."""
-    prog = problem.program
-    n1 = Y.shape[1]
-    C = np.zeros((n1, prog.n_rows))
-    prog.fill(Y.T, problem.params, n1 - 1, C=C)
-    r = np.arange(n1) * Y - prog.output[0] @ C.T
-    res = np.max(np.abs(r), axis=0)
-    res[0] = 0.0
-    return res
+    return prog.fill(problem.y0, problem.params, order, G, list(inv @ W)), A
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ class FamilySolve:
         """Integral of V = lambda mu^2: series t-rows to t*, steps to T."""
         rows, t_star = self.series.t_coeffs, self.t_star
         return (poly_integral(volume_coeffs(*rows.T[:4]), 0.0, t_star)
-                + _ode_volume_integral(self.traj, t_star, self.record.T))
+                + _ode_volume_integral(self.traj))
 
     def state_at(self, t: float) -> State:
         """Profile on [0, T]: the series' t-rows up to the handoff t*, dense
@@ -107,16 +107,15 @@ def solve_family(family: str, param: float, order: int = DEFAULT_ORDER,
                        traj=traj, record=record)
 
 
-def _ode_volume_integral(traj: Trajectory, t_lo: float, t_hi: float) -> float:
-    """Integral of V = lambda mu^2 over [t_lo, t_hi] within the trajectory:
-    the sum over steps of the exact integral of each step's V polynomial."""
-    steps = traj.dense
-    ends = [*steps.starts[1:], traj.t_end]
-    total = 0.0
-    for t0, t1, c in zip(steps.starts, ends, steps.coeffs):
-        lo, hi = max(t_lo, t0), min(t_hi, t1)
-        if lo < hi:
-            total += poly_integral(volume_coeffs(*c.T[:4]), lo - t0, hi - t0)
+def _ode_volume_integral(traj: Trajectory) -> float:
+    """Integral of V = lambda mu^2 over the trajectory's span: the sum over
+    steps of the exact integral of each step's V polynomial, from the later
+    of its start and the trajectory's (a series step begins at t*)."""
+    steps, total = traj.dense, 0.0
+    for t0, t1, c in zip(steps.starts, [*steps.starts[1:], traj.t_end],
+                         steps.coeffs):
+        total += poly_integral(volume_coeffs(*c.T[:4]),
+                               max(traj.t_start, t0) - t0, t1 - t0)
     return total
 
 

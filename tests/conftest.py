@@ -260,6 +260,22 @@ def reference_advance(program, C: np.ndarray, h: int) -> None:
     C[:, h] = col
 
 
+def reference_residuals(problem, Y: np.ndarray) -> np.ndarray:
+    """Per-order residual max_i |h y_h - [x^h] F|_i of a computed table Y
+    (dim x order + 1), with [x^h] F from the plain recurrence
+    (reference_advance) on Y's rows, not from _Program's kernel; 0 at
+    order 0, whose consistency solve_singular_ivp checks."""
+    prog, k = problem.program, problem.program.dim
+    n1 = Y.shape[1]
+    C = reference_table(prog, n1 - 1, problem.params)
+    C[:k] = Y
+    for h in range(n1):
+        reference_advance(prog, C, h)
+    res = np.max(np.abs(np.arange(n1) * Y - prog.output[0] @ C), axis=0)
+    res[0] = 0.0
+    return res
+
+
 def mp_reference_solve(problem, order: int) -> list[list]:
     """solve_singular_ivp's table Y in mpmath at 40 digits: the recorded
     ops interpreted as reference_advance does in floats, with the same

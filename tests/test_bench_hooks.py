@@ -94,7 +94,7 @@ def test_volume_read_calls_the_traced_quadrature(monkeypatch):
     assert calls == []
     assert fs.vol_integral > 0.0
     assert len(calls) == 1 and calls[0][0] is fs.traj
-    assert calls[0][1:] == (fs.t_star, fs.record.T)
+    assert calls[0][1:] == ()
 
 
 def test_table2_workload_lists_the_cli_targets():

@@ -394,6 +394,21 @@ def test_order_below_one_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("missing/x.csv", "No such file or directory"),
+    ("dir", "Is a directory")])
+def test_unwritable_output_exits_3(tmp_path, capsys, out, reason):
+    # a missing directory or a directory as --out: one line on stderr, exit
+    # 3, and no file left behind
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / out
+    assert main(["series", "--family", "psi-a", "--param", "1.0",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"nkshoot: cannot write {out}: {reason}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
 def test_solver_failure_exits_2(tmp_path, capsys):
     # an impossible bracket has no sign change: machine-readable error record
     out = tmp_path / "x.json"

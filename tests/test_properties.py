@@ -6,11 +6,13 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyint, polyval
 
 from conftest import diagonal_toy, float_bits
 from nkshoot.errors import ResonanceError
 from nkshoot.integrate import bracketed_root
-from nkshoot.series import COND_LIMIT, _step_size, solve_singular_ivp
+from nkshoot.series import (COND_LIMIT, _poly_states, _step_size,
+                            poly_integral, solve_singular_ivp)
 from nkshoot.state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry,
                            apply_symmetry, constraints, rhs_vec,
                            transform_derivative)
@@ -194,6 +196,91 @@ def test_solve_singular_ivp_on_diagonal_toys(case):
     assert not Y[:, 0].any() and not Y[:, 2:].any()
     np.testing.assert_allclose(Y[:, 1], 1.0 / (1.0 - c), rtol=4 * EPS,
                                atol=0.0)
+
+
+SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def polynomials(draw, special=False):
+    """(c, taus): coefficient rows c of shape (N + 1, k), N in 0..40 and k
+    in 1..7, C-ordered or column-major (as a jet is), and 1..9 offsets.
+    Coefficients lie in [-1e3, 1e3] and offsets in [-2, 2], zeros of either
+    sign included, so that nothing overflows; with special, 1..3 entries of
+    c or taus are +-0.0, +-inf or NaN instead, and N >= 1, the degree of
+    every step polynomial: at N = 0 numpy's polyval forms x * 0 and is NaN
+    at an offset +-inf or NaN, where _poly_states gives c_0 (x^0 = 1)."""
+    n = draw(st.integers(1 if special else 0, 40))
+    k = draw(st.integers(1, 7))
+    c = np.reshape(draw(st.lists(st.floats(-1e3, 1e3), min_size=(n + 1) * k,
+                                 max_size=(n + 1) * k)), (n + 1, k))
+    taus = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=9))
+    for _ in range(draw(st.integers(1, 3)) if special else 0):
+        value = draw(st.sampled_from(SPECIALS))
+        if draw(st.booleans()):
+            c[draw(st.integers(0, n)), draw(st.integers(0, k - 1))] = value
+        else:
+            taus[draw(st.integers(0, len(taus) - 1))] = value
+    return (np.asfortranarray(c) if draw(st.booleans()) else c), taus
+
+
+def _integrals(c: np.ndarray, lo: float, hi: float) -> list[tuple]:
+    """poly_integral(col, lo, hi) of each column col of c, numpy's
+    polyval(hi, P) - polyval(lo, P) with P = polyint(col), and the sum
+    over both ends of sum_k |P_k| |x|^k."""
+    out = []
+    with np.errstate(all="ignore"):
+        for col in c.T:
+            P = polyint(col)
+            out.append((poly_integral(col, lo, hi),
+                        polyval(hi, P) - polyval(lo, P),
+                        polyval(abs(hi), np.abs(P))
+                        + polyval(abs(lo), np.abs(P))))
+    return out
+
+
+@PROPERTY
+@hypothesis.given(polynomials())
+def test_poly_states_agrees_with_polyval(case):
+    # each component within 4 (N + 2) eps of sum_k |c_k| |tau|^k of
+    # numpy's Horner evaluation, at one offset and at an array of them
+    c, taus = case
+    for tau in (taus[0], np.array(taus)):
+        got, want = _poly_states(c, tau), polyval(tau, c).T
+        scale = polyval(np.abs(tau), np.abs(c)).T
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * (len(c) + 1) * EPS * scale)
+
+
+@PROPERTY
+@hypothesis.given(polynomials(special=True))
+def test_poly_states_is_non_finite_where_polyval_is(case):
+    c, taus = case
+    for tau in (taus[0], np.array(taus)):
+        with np.errstate(all="ignore"):
+            got, want = _poly_states(c, tau), polyval(tau, c).T
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
+
+@PROPERTY
+@hypothesis.given(polynomials())
+def test_poly_integral_agrees_with_polyint(case):
+    # each column's integral over [lo, hi], lo = 0 (whose end poly_integral
+    # skips) included, within 4 (N + 3) eps of the sum over both ends of
+    # sum_k |P_k| |x|^k
+    c, taus = case
+    for lo in (0.0, taus[0]):
+        for got, want, scale in _integrals(c, lo, taus[-1]):
+            assert abs(got - want) <= 4 * (len(c) + 2) * EPS * scale
+
+
+@PROPERTY
+@hypothesis.given(polynomials(special=True))
+def test_poly_integral_is_non_finite_where_polyint_is(case):
+    c, taus = case
+    for lo in (0.0, -0.0, taus[0]):
+        for got, want, _ in _integrals(c, lo, taus[-1]):
+            assert math.isfinite(got) == math.isfinite(want)
 
 
 #: each generator and the two gluing words, the time-reversing words that

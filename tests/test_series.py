@@ -8,8 +8,8 @@ import pytest
 
 from conftest import (SQRT3, diagonal_toy, float_bits, mp_reference_solve,
                       plain_dot, reference_advance, reference_horner,
-                      reference_poly_integral, reference_table, s_of_time,
-                      s_radius, with_top_lambda)
+                      reference_poly_integral, reference_residuals,
+                      reference_table, s_of_time, s_radius, with_top_lambda)
 from nkshoot import series
 from nkshoot.errors import (InvalidArgumentError, OutOfRadiusError,
                             ResonanceError, SeriesConsistencyError)
@@ -18,10 +18,9 @@ from nkshoot.integrate import _order_and_tol
 from nkshoot.series import (COND_LIMIT, SingularIVP, _Program, _horner,
                             _poly_states, _step_size, eval_series,
                             family_series, handoff, poly_integral,
-                            recurrence_residuals, s2_problem,
-                            s3_bubble_problem, s3_problem, series_bubble_a,
-                            series_bubble_b, series_psi_a, series_psi_b,
-                            solve_singular_ivp)
+                            s2_problem, s3_bubble_problem, s3_problem,
+                            series_bubble_a, series_bubble_b, series_psi_a,
+                            series_psi_b, solve_singular_ivp)
 from nkshoot.state import apply_symmetry, complex_step, constraints
 
 
@@ -181,7 +180,7 @@ def test_s3_program_in_t(b):
                        rtol=0, atol=1e-12)
     assert not eig.imag.any()
     assert not Y[:, 1::2].any()
-    res = recurrence_residuals(prob, Y)
+    res = reference_residuals(prob, Y)
     scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
     assert float(np.max(res / scale)) < 1e-12
     lo, hi = series_psi_b(b, 40).t_coeffs, series_psi_b(b, 44).t_coeffs
@@ -202,7 +201,7 @@ def test_s3_program_builds_at_large_b():
         assert np.linalg.cond((h * np.eye(7) - A) * scale) < 14.0
     # the recurrence holds to 1.1e-10 of each order's largest coefficient,
     # over rows that span ten decades
-    res = recurrence_residuals(prob, Y)
+    res = reference_residuals(prob, Y)
     scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
     assert float(np.max(res / scale)) < 1e-9
     assert np.isfinite(series_psi_b(b).t_coeffs).all()
@@ -213,7 +212,7 @@ def test_s3_program_builds_at_large_b():
 def test_recurrence_exactness(family, param):
     prob = s2_problem(param) if family == "s2" else s3_bubble_problem(param)
     Y, _ = solve_singular_ivp(prob, 40)
-    res = recurrence_residuals(prob, Y)
+    res = reference_residuals(prob, Y)
     scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
     assert float(np.max(res / scale)) < 1e-12
 
@@ -226,9 +225,27 @@ def test_sweep_extremes(family, param):
     # [0.12, 1.6], and the conical bubble limit b = 0
     prob = s2_problem(param) if family == "s2" else s3_bubble_problem(param)
     Y, _ = solve_singular_ivp(prob, 40)
-    res = recurrence_residuals(prob, Y)
+    res = reference_residuals(prob, Y)
     scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
     assert float(np.max(res / scale)) < 1e-12
+
+
+@pytest.mark.parametrize("problem, param, h", [
+    (s2_problem, 0.6, 16), (s3_problem, 0.6, 24),
+    (s3_bubble_problem, 1.3, 10)])
+def test_reference_residuals_see_a_planted_coefficient_change(problem, param,
+                                                              h):
+    # the residual oracle of the tests above reads the table: the largest
+    # coefficient of order h raised by 1e-8 relative lifts order h's
+    # residual over their 1e-12 threshold, and every order before h stays
+    # below it
+    prob = problem(param)
+    Y, _ = solve_singular_ivp(prob, 40)
+    Y[np.argmax(np.abs(Y[:, h])), h] *= 1.0 + 1e-8
+    res = reference_residuals(prob, Y)
+    scale = np.maximum(1.0, np.max(np.abs(Y), axis=0))
+    assert res[h] / scale[h] > 1e-12
+    assert float(np.max(res[:h] / scale[:h])) < 1e-12
 
 
 def test_family_program_shared_across_parameters():

@@ -666,7 +666,7 @@ def table2_solutions():
 def test_table2_volumes_agree_with_an_independent_scipy_path(
         table2_solutions):
     # each solved row's halves again, sharing only the series (criterion 2,
-    # recurrence_residuals) and rhs_vec (verify): the t-rows up to a
+    # conftest.reference_residuals) and rhs_vec (verify): the t-rows up to a
     # shorter handoff 0.03 min(1, p), SciPy's DOP853 to the falling zero of
     # g, and quad of V = lambda mu^2 over the rows and the dense output
     scipy_integrate = pytest.importorskip("scipy.integrate")
@@ -1047,15 +1047,15 @@ def test_scan_s2s4_counts_a_zero_on_a_grid_point_once(monkeypatch, u0,
 
 
 def test_ode_volume_integral_sine_cone_closed_form():
-    # V = sin^5 t on the sine cone; the last step is cut at pi/2
+    # V = sin^5 t on the sine cone, integrated over the run's span
     from nkshoot.integrate import integrate
-    traj = integrate(eval_named("sine-cone", 0.3), 2.0)
+    traj = integrate(eval_named("sine-cone", 0.3), math.pi / 2)
 
     def antiderivative(t):
         c = math.cos(t)
         return -c + 2.0 * c ** 3 / 3.0 - c ** 5 / 5.0
     want = antiderivative(math.pi / 2) - antiderivative(0.3)
-    got = shoot._ode_volume_integral(traj, 0.3, math.pi / 2)
+    got = shoot._ode_volume_integral(traj)
     assert abs(got - want) < 1e-13
 
 
