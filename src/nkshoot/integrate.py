@@ -14,9 +14,10 @@ node by node on Python floats, the guard's and the first-integral drift.
 Events and guards are sign changes over the nodes; the walk stops at the
 first, refined on its row's function alone (an event's fn_vec) by
 bracketed_root to adjacent floats on the step polynomial's state; the
-earliest ends the run. Dense output: the step polynomials. The drift is
-recorded at every node and above 1e-6 aborts the run; drift is monitored,
-not projected.
+earliest ends the run. Dense output: the Trajectory keeps each step's
+polynomial, its start in starts and its rows in coeffs, and dense(t)
+evaluates the step containing t. The drift is recorded at every node and
+above 1e-6 aborts the run; drift is monitored, not projected.
 """
 from __future__ import annotations
 
@@ -164,31 +165,20 @@ class _NodePass:
 
 
 @dataclass(frozen=True)
-class StepPolynomials:
-    """Dense output: step i has the Taylor polynomial with coefficient rows
-    coeffs[i] about starts[i] and runs to the next start (the last to the
-    trajectory's end); calling it evaluates the step containing t (the later
-    one at a shared end). Step 0 may be a singular orbit's series, about 0,
-    begun at the handoff t*."""
-
-    starts: np.ndarray
-    coeffs: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __call__(self, t: float) -> np.ndarray:
-        i = max(0, int(np.searchsorted(self.starts, t, side="right")) - 1)
-        return _poly_states(self.coeffs[i], t - self.starts[i])
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Result of one integration: strictly increasing nodes (step ends and
-    STEP_SAMPLES interior points per step), the step polynomials as dense
-    output, constraint drift per node, the termination reason and the name
-    of the event or guard whose crossing is the last node (None at horizon)."""
+    STEP_SAMPLES interior points per step), the step polynomials, constraint
+    drift per node, the termination reason and the name of the event or guard
+    whose crossing is the last node (None at horizon). Step i has the Taylor
+    polynomial with coefficient rows coeffs[i] about starts[i] and runs to
+    the next start (the last to t_end); step 0 may be a singular orbit's
+    series, about 0, begun at the handoff t*. dense(t) evaluates the step
+    containing t (the later one at a shared end)."""
 
     times: np.ndarray
     states: np.ndarray                  # shape (n, 7)
-    dense: StepPolynomials = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    coeffs: tuple[np.ndarray, ...] = field(repr=False)
     termination: str                    # 'event' | 'singularity' | 'horizon'
     drift: np.ndarray                   # relative max|I_i| per node
     stopped_by: str | None
@@ -200,6 +190,10 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
+
+    def dense(self, t: float) -> np.ndarray:
+        i = max(0, int(np.searchsorted(self.starts, t, side="right")) - 1)
+        return _poly_states(self.coeffs[i], t - self.starts[i])
 
     def state_at(self, t: float) -> State:
         if not self.t_start <= t <= self.t_end:
@@ -372,6 +366,6 @@ def integrate(start: State, horizon: float,
 
     return Trajectory(times=np.concatenate(times),
                       states=np.concatenate(states),
-                      dense=StepPolynomials(np.array(starts), tuple(coeffs)),
+                      starts=np.array(starts), coeffs=tuple(coeffs),
                       termination=termination,
                       drift=np.array(drifts), stopped_by=stopped_by)

@@ -111,9 +111,9 @@ def _ode_volume_integral(traj: Trajectory) -> float:
     """Integral of V = lambda mu^2 over the trajectory's span: the sum over
     steps of the exact integral of each step's V polynomial, from the later
     of its start and the trajectory's (a series step begins at t*)."""
-    steps, total = traj.dense, 0.0
-    for t0, t1, c in zip(steps.starts, [*steps.starts[1:], traj.t_end],
-                         steps.coeffs):
+    total = 0.0
+    for t0, t1, c in zip(traj.starts, [*traj.starts[1:], traj.t_end],
+                         traj.coeffs):
         total += poly_integral(volume_coeffs(*c.T[:4]),
                                max(traj.t_start, t0) - t0, t1 - t0)
     return total

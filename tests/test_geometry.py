@@ -13,8 +13,7 @@ from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.geometry import (bohm, comparison_bounds, count_v0_zeros,
                               project_H, scalar_curvature, sign_changes,
                               traceless_L_norm2, volume_and_mean_curvature)
-from nkshoot.integrate import (MAX_VOLUME_EVENT, StepPolynomials, Trajectory,
-                               integrate)
+from nkshoot.integrate import MAX_VOLUME_EVENT, Trajectory, integrate
 from nkshoot.series import _poly_states, handoff, series_psi_a, series_psi_b
 from nkshoot.shoot import max_orbit
 from nkshoot.state import State
@@ -237,7 +236,7 @@ def _one_step_v0_run(v0, nodes) -> Trajectory:
     c[:, 4] = v0
     ts = np.array(nodes)
     return Trajectory(times=ts, states=_poly_states(c, ts),
-                      dense=StepPolynomials(np.array([0.0]), (c,)),
+                      starts=np.array([0.0]), coeffs=(c,),
                       termination="event", drift=np.zeros(len(ts)),
                       stopped_by="max-volume")
 

@@ -4,9 +4,11 @@ A module's imported names must each be referenced somewhere in the module,
 as a name or as the base of an attribute. The package's ``__init__.py``
 only re-exports, so it is exempt.
 
-Also: the package's only run-time dependency is numpy, so a run of every
-root search loads no module of SciPy, nor of the test-only SymPy, mpmath
-and hypothesis (the proofs stay in the tests); and every documented
+Also: every module of the package parses at the oldest Python that
+pyproject.toml's requires-python admits; the package's only run-time
+dependency is numpy, so a run of every root search loads no module of
+SciPy, nor of the test-only SymPy, mpmath and hypothesis (the proofs stay
+in the tests); and every documented
 surface, the names in ``nkshoot.__all__``, the ``nk.<name>`` uses in the
 README's "Library use" block and the backticked identifiers of its
 "Lower-level surfaces" paragraph, resolves.
@@ -59,6 +61,18 @@ def test_detects_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "nkshoot").glob("*.py"))
+FLOOR = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"',
+    (ROOT / "pyproject.toml").read_text()).groups()))
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_parses_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(), feature_version=FLOOR)
 
 
 NO_SCIPY_RUN = """

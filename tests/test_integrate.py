@@ -344,7 +344,7 @@ def _per_spec_replay(traj, lambda_min, magnitude_max, drift_abort):
     if bad:
         return bad
     g = [spec(t, y) for spec in specs]
-    for i, (t0, c) in enumerate(zip(traj.dense.starts, traj.dense.coeffs)):
+    for i, (t0, c) in enumerate(zip(traj.starts, traj.coeffs)):
         nodes = slice(1 + n * i, 1 + n * (i + 1))
         ts, ys = traj.times[nodes], traj.states[nodes]
         vals = [[gi, *spec(ts, ys.T)] for gi, spec in zip(g, specs)]
@@ -422,10 +422,10 @@ def test_event_step_reaches_past_the_event(series, param):
     _, start = handoff(series(param))
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
     _, tol = integ._order_and_tol(1e-12)
-    c = traj.dense.coeffs[-1]
-    reach = traj.dense.starts[-1] + integ._step_size(c, tol)
+    c = traj.coeffs[-1]
+    reach = traj.starts[-1] + integ._step_size(c, tol)
     assert reach > traj.t_end
-    got = integ._poly_states(c, reach - traj.dense.starts[-1])
+    got = integ._poly_states(c, reach - traj.starts[-1])
     want = integrate(State.from_vec(traj.t_end, traj.states[-1]),
                      reach).states[-1]
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -445,10 +445,10 @@ def test_series_is_the_first_step(series, param):
                      series=sol.t_coeffs)
     _, tol = integ._order_and_tol(1e-12)
     reach = integ._step_size(sol.t_coeffs, tol)
-    assert traj.dense.starts[0] == 0.0
-    assert traj.dense.coeffs[0] is sol.t_coeffs
+    assert traj.starts[0] == 0.0
+    assert traj.coeffs[0] is sol.t_coeffs
     assert traj.t_start == start.t
-    assert abs(traj.dense.starts[1] - reach) <= 4 * np.finfo(float).eps
+    assert abs(traj.starts[1] - reach) <= 4 * np.finfo(float).eps
     jets = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
     assert abs(traj.t_end - jets.t_end) < 1e-12
     assert np.max(np.abs(traj.states[-1] - jets.states[-1])) < 1e-12

@@ -3,6 +3,7 @@ core state, on generated inputs. Each property runs derandomized, so every
 run of the suite draws the same examples."""
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from numpy.polynomial.polynomial import polyint, polyval
 
 from conftest import diagonal_toy, float_bits
 from nkshoot.errors import ResonanceError
-from nkshoot.integrate import bracketed_root
+from nkshoot.integrate import DEFAULT_TOL, MAX_VOLUME_EVENT, bracketed_root
 from nkshoot.series import (COND_LIMIT, _poly_states, _step_size,
                             poly_integral, solve_singular_ivp)
+from nkshoot.shoot import _segments_cross, solve_family
 from nkshoot.state import (GLUE_MINUS, GLUE_PLUS, State, Symmetry,
                            apply_symmetry, constraints, rhs_vec,
                            transform_derivative)
@@ -358,3 +360,77 @@ def test_only_the_gluing_words_keep_states_admissible(s):
             assert _admissible(image) == _admissible(s), word
         else:
             assert not (_admissible(s) and _admissible(image)), word
+
+
+@st.composite
+def members(draw):
+    """(family, param): alpha in [0.05, 10] or beta in [0.02, 3], drawn
+    log-uniformly."""
+    family, lo, hi = draw(st.sampled_from((("alpha", 0.05, 10.0),
+                                           ("beta", 0.02, 3.0))))
+    return family, min(hi, lo * (hi / lo) ** draw(st.floats(0.0, 1.0)))
+
+
+@hypothesis.settings(PROPERTY, max_examples=48)
+@hypothesis.given(members())
+def test_step_polynomials_join_and_bracket_the_event(member):
+    # at every join t_k each step polynomial meets the next within the
+    # per-step tolerance 1e-2 tol max(1, |y|), and the event time T is a
+    # zero of the event function on the last step's polynomial to adjacent
+    # floats: g(T) = 0 or g changes sign between T and a float neighbour
+    traj = solve_family(*member).traj
+    starts, coeffs = traj.starts, traj.coeffs
+    for k in range(1, len(coeffs)):
+        end = _poly_states(coeffs[k - 1], starts[k] - starts[k - 1])
+        y = _poly_states(coeffs[k], 0.0)
+        assert (np.max(np.abs(end - y))
+                <= 1e-2 * DEFAULT_TOL * max(1.0, np.max(np.abs(y)))), k
+
+    def g(t):
+        return float(MAX_VOLUME_EVENT.fn_vec(
+            t, _poly_states(coeffs[-1], t - starts[-1])))
+    T = traj.t_end
+    assert g(T) == 0.0 or any(g(T) * g(math.nextafter(T, side)) <= 0.0
+                              for side in (-math.inf, math.inf))
+
+
+@st.composite
+def segment_pairs(draw):
+    """Endpoints p0, p1, q0, q1, each a float pair in [-1e3, 1e3]; in a
+    third of the draws q0 or q1 is p0 or p1, so the segments share an
+    endpoint."""
+    pts = [np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=2,
+                                  max_size=2))) for _ in range(4)]
+    if draw(st.integers(0, 2)) == 0:
+        pts[draw(st.sampled_from((2, 3)))] = pts[draw(st.integers(0, 1))]
+    return pts
+
+
+def _exact_cross(p0, p1, q0, q1):
+    """_segments_cross's s and u in exact rational arithmetic on the same
+    floats, or None where the exact denominator is 0."""
+    (a0, a1), (b0, b1), (c0, c1), (e0, e1) = (
+        map(Fraction, p.tolist()) for p in (p0, p1, q0, q1))
+    d1, d2, rel = (b0 - a0, b1 - a1), (e0 - c0, e1 - c1), (c0 - a0, c1 - a1)
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if denom == 0:
+        return None
+    return ((rel[0] * d2[1] - rel[1] * d2[0]) / denom,
+            (rel[0] * d1[1] - rel[1] * d1[0]) / denom)
+
+
+@PROPERTY
+@hypothesis.given(segment_pairs())
+def test_segments_cross_agrees_with_exact_arithmetic(pts):
+    # the crossing flag is the exact one wherever the exact s and u lie at
+    # least 1e-9 from 0 and 1; a shared start q0 of the second segment is
+    # found at its exact parameters (0 or 1 on the first, 0 on the second)
+    # unless the float denominator is 0
+    ok, s, u = _segments_cross(*pts)
+    exact = _exact_cross(*pts)
+    if exact is None:
+        return
+    if all(min(abs(x), abs(x - 1)) >= 1e-9 for x in exact):
+        assert ok == all(0 < x < 1 for x in exact)
+    if any(pts[2] is p for p in pts[:2]):
+        assert (ok, s, u) in ((True, *exact), (False, 0.0, 0.0))

@@ -620,7 +620,7 @@ def eager_volume(fs) -> float:
     was computed on first read, with the numpy-scalar poly_integral: the
     series' t-rows over [0, t*] plus, step by step, each step's V
     polynomial over its part of [t*, T]."""
-    T, steps = fs.traj.times[-1], fs.traj.dense
+    T, steps = fs.traj.times[-1], fs.traj
     ode = 0.0
     for t0, t1, c in zip(steps.starts, [*steps.starts[1:], fs.traj.t_end],
                          steps.coeffs):
@@ -786,7 +786,7 @@ def test_low_orders_agree_with_order_40(family, param, order):
     floor = 16 * np.finfo(float).eps * max(1.0, t0)
     series_first = _step_size(fs.series.t_coeffs, tol) - t0 >= floor
     assert series_first == (order >= 16)
-    assert fs.traj.dense.starts[0] == (0.0 if series_first else t0)
+    assert fs.traj.starts[0] == (0.0 if series_first else t0)
 
 
 @pytest.mark.parametrize("family, param, vmax", [
@@ -798,13 +798,13 @@ def test_event_inside_the_series_step(family, param, vmax):
     # passes on the run without its dense output and with every node but
     # the last NaN
     fs = solve_family(family, param)
-    assert fs.traj.dense.starts.tolist() == [0.0]
-    assert fs.traj.dense.coeffs[0] is fs.series.t_coeffs
+    assert fs.traj.starts.tolist() == [0.0]
+    assert fs.traj.coeffs[0] is fs.series.t_coeffs
     assert abs(fs.record.Vmax - vmax) < 1e-13
     times, states = fs.traj.times.copy(), fs.traj.states.copy()
     times[:-1] = states[:-1] = math.nan
     shoot._confirm_unique_maximum(dataclasses.replace(
-        fs.traj, times=times, states=states, dense=None))
+        fs.traj, times=times, states=states, starts=None, coeffs=None))
 
 
 def test_probe_rejects_a_later_critical_point(beta1_solve):
