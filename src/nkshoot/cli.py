@@ -373,9 +373,9 @@ def main(argv=None) -> int:
             report = shoot.scan_s2s4_boundary(args.lo, args.hi, args.n,
                                               args.order, args.tol)
             path = args.out or "scan-s2s4.json"
-            write_json(path, report.as_dict())
+            write_json(path, report)
             status = ("CROSSING FOUND - inspect brackets"
-                      if report.found_root else "no boundary crossing")
+                      if report["found_root"] else "no boundary crossing")
             print(f"wrote {path}: {status}")
             return EXIT_OK
     except NKError as e:

@@ -17,11 +17,6 @@ from .series import SeriesSolution, _COMPONENTS
 from .state import State, constraints
 
 
-def fmt_float(x) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(x))
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-emit-")
@@ -39,7 +34,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
-            cell if isinstance(cell, str) else fmt_float(cell)
+            cell if isinstance(cell, str) else repr(float(cell))
             for cell in row))
     _atomic_write(path, "\n".join(lines) + "\n")
 

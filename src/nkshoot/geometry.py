@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundViolationError, DegenerateStateError
-from .integrate import Trajectory, _root
+from .integrate import MAX_VOLUME_EVENT, Trajectory, _root
 from .state import LAMBDA_MIN, MU2_MIN, State
 
 BOUNDARY_TOL = 1e-7       # on-boundary classification, after normalizing by mu
@@ -182,7 +182,7 @@ def count_v0_zeros(traj: Trajectory) -> ZeroCount:
     non-degenerate away from the sine-cone locus). If |v0(T)|/mu(T) is
     below the boundary tolerance the count is flagged ambiguous.
     """
-    if traj.stopped_by != "max-volume":
+    if traj.stopped_by != MAX_VOLUME_EVENT.name:
         raise ValueError("trajectory not stopped by the maximal-volume event")
     T = traj.t_end
     end_state = State.from_vec(T, traj.states[-1])
@@ -219,7 +219,7 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
     with t0 = atan2(5, l(start)) in (0, pi), so l(start) = 5 cot(t0).
     Violations beyond COMPARISON_TOL (relative) raise BoundViolationError.
     """
-    states = traj.node_states()
+    states = [State.from_vec(t, y) for t, y in zip(traj.times, traj.states)]
     start = states[0]
     V0, l0 = volume_and_mean_curvature(start)
     t0 = math.atan2(5.0, l0)

@@ -72,9 +72,6 @@ class EventSpec:
     fn_vec: Callable[[ArrayLike, np.ndarray], ArrayLike]
     direction: int = 0          # 0 any, +1 rising, -1 falling
 
-    def __call__(self, t: ArrayLike, y: np.ndarray) -> ArrayLike:
-        return self.fn_vec(t, y)
-
 
 def _volume_event_vec(t: ArrayLike, y: np.ndarray) -> ArrayLike:
     lam, u0, u1, u2, v0, v1, v2 = y
@@ -201,9 +198,6 @@ class Trajectory:
                              f"[{self.t_start}, {self.t_end}]")
         return State.from_vec(t, self.dense(t))
 
-    def node_states(self) -> list[State]:
-        return [State.from_vec(t, y) for t, y in zip(self.times, self.states)]
-
 
 def _check_drift(ts: Sequence[float], ys: Sequence[np.ndarray],
                  drift: list, t_prev: float, y_prev: np.ndarray) -> list:
@@ -291,10 +285,11 @@ def integrate(start: State, horizon: float,
     1e8 in magnitude) is the last node; if none, it ends at the horizon. tol
     sets the jet order and the per-step tolerance 1e-2 tol. Raises
     InvalidArgumentError unless start.t < horizon < inf and tol is positive
-    and finite, and DegenerateStateError unless start is finite and
-    admissible (lambda > 1e-8, mu^2 > 1e-12, u1 v2 - u2 v1 > 0); a step
-    below 16 eps max(1, |t|) raises StepSizeCollapseError. A reverse-time
-    run integrates the image under a gluing word (state.GLUE_MINUS).
+    and finite, and DegenerateStateError unless start is finite, inside
+    every guard (lambda > 1e-8, mu^2 > 1e-12, each component below 1e8 in
+    magnitude) and oriented (u1 v2 - u2 v1 > 0); a step below 16 eps
+    max(1, |t|) raises StepSizeCollapseError. A reverse-time run integrates
+    the image under a gluing word (state.GLUE_MINUS).
 
     series, Taylor rows in t about t = 0 of the solution through start
     (SeriesSolution.t_coeffs), is the first step's polynomial, expanded
@@ -315,10 +310,12 @@ def integrate(start: State, horizon: float,
     for name, x in zip(_COMPONENTS, start.vec.tolist()):
         if not math.isfinite(x):
             raise DegenerateStateError(f"start has {name} = {x}")
-    if start.mu2 <= MU2_MIN:
-        raise DegenerateStateError(f"start has mu^2 = {start.mu2}")
-    if start.lam <= LAMBDA_MIN:
-        raise DegenerateStateError(f"start has lambda = {start.lam}")
+    nodes = _NodePass(events)
+    t, y = start.t, start.vec
+    g, drift = nodes.values(t, y)
+    for name, x in zip(GUARDS, g[len(events):]):
+        if not x > 0.0:
+            raise DegenerateStateError(f"start has {name} = {x}")
     if start.orient <= 0.0:
         raise DegenerateStateError(
             f"start violates orientation: u1 v2 - u2 v1 = {start.orient}")
@@ -327,10 +324,6 @@ def integrate(start: State, horizon: float,
         gap = np.max(np.abs(_poly_states(series, start.t) - start.vec))
         if not gap <= 1e-12 * max(1.0, np.max(np.abs(start.vec))):
             raise InvalidArgumentError(f"series misses start by {gap:.3e}")
-    nodes = _NodePass(events)
-
-    t, y = start.t, start.vec
-    g, drift = nodes.values(t, y)
     times, states = [np.array([t])], [y[None, :]]
     drifts = _check_drift([t], [y], [drift], t, y)
     starts, coeffs = [], []

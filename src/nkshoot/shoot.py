@@ -130,8 +130,9 @@ def _confirm_unique_maximum(traj: Trajectory) -> None:
     critical point is sought."""
     T, y = float(traj.times[-1]), traj.states[-1]
     lam, u1, mu2 = y[0], y[2], State.from_vec(T, y).mu2
-    g = MAX_VOLUME_EVENT(T, y)
-    dg = complex_step(lambda z: MAX_VOLUME_EVENT(T, z), y, rhs_vec(T, y))
+    g = MAX_VOLUME_EVENT.fn_vec(T, y)
+    dg = complex_step(lambda z: MAX_VOLUME_EVENT.fn_vec(T, z), y,
+                      rhs_vec(T, y))
     slope = dg * mu2 / (lam ** 3 * (mu2 ** 2 + lam ** 2 * (mu2 + u1 ** 2)))
     if not (slope < EVENT_SLOPE_MAX and abs(g) < EVENT_ROOT_TIME * abs(dg)):
         raise EventNotFoundError(
@@ -225,10 +226,6 @@ class CompleteSolution:
     junction_gap: float
 
     @property
-    def word(self) -> str:
-        return self.symmetry.label
-
-    @property
     def param_left(self) -> float:
         return self.left.param
 
@@ -253,7 +250,7 @@ class CompleteSolution:
             "param_left": self.param_left,
             "family_right": self.right.family,
             "param_right": self.param_right,
-            "symmetry": self.word,
+            "symmetry": self.symmetry.label,
             "manifold": self.manifold,
             "T_total": self.T_total,
             "Vmax": self.Vmax,
@@ -545,44 +542,20 @@ def find_matching(alpha_range: tuple[float, float],
 # ---------------------------------------------------------------------------
 # negative scan for the lambda = 1 boundary of the alpha family
 
-@dataclass(frozen=True)
-class BoundaryScanReport:
-    """Sign survey of u0(T) over the alpha family: a sign change would be an
-    S2xS4 doubling root (conjectured not to exist). Always emitted."""
-
-    params: np.ndarray
-    u0_values: np.ndarray
-    crossings: tuple[tuple[float, float], ...]
-    vmax_values: np.ndarray
-
-    @property
-    def found_root(self) -> bool:
-        return len(self.crossings) > 0
-
-    def as_dict(self) -> dict:
-        return {
-            "family": "alpha",
-            "boundary": "lambda=1 (u0(T) = 0)",
-            "params": [float(p) for p in self.params],
-            "u0_at_event": [float(v) for v in self.u0_values],
-            "vmax": [float(v) for v in self.vmax_values],
-            "crossing_brackets": [[float(x), float(y)]
-                                  for x, y in self.crossings],
-            "found_root": self.found_root,
-        }
-
-
 def scan_s2s4_boundary(param_lo: float = 0.1, param_hi: float = 10.0,
                        n_samples: int = 40, order: int = DEFAULT_ORDER,
-                       tol: float = DEFAULT_TOL) -> BoundaryScanReport:
-    params = _grid(param_lo, param_hi, n_samples)
-    recs = [max_orbit("alpha", float(p), order, tol) for p in params]
-    u0 = np.array([rec.state.u[0] for rec in recs])
-    vmax = np.array([rec.Vmax for rec in recs])
-    crossings = tuple((float(params[i]), float(params[j]))
-                      for i, j in sign_changes(u0))
-    if crossings:
-        warnings.warn(f"u0(T) sign change detected in brackets {crossings}: "
+                       tol: float = DEFAULT_TOL) -> dict:
+    """Sign survey of u0(T) over the alpha family: the record that nkshoot
+    scan-s2s4 writes. A sign change would be an S2xS4 doubling root
+    (conjectured not to exist), so each crossing bracket warns."""
+    params = _grid(param_lo, param_hi, n_samples).tolist()
+    recs = [max_orbit("alpha", p, order, tol) for p in params]
+    u0 = [rec.state.u[0] for rec in recs]
+    brackets = [[params[i], params[j]] for i, j in sign_changes(u0)]
+    if brackets:
+        warnings.warn(f"u0(T) sign change detected in brackets {brackets}: "
                       f"possible S2xS4 doubling root", stacklevel=2)
-    return BoundaryScanReport(params=params, u0_values=u0,
-                              crossings=crossings, vmax_values=vmax)
+    return {"family": "alpha", "boundary": "lambda=1 (u0(T) = 0)",
+            "params": params, "u0_at_event": u0,
+            "vmax": [rec.Vmax for rec in recs],
+            "crossing_brackets": brackets, "found_root": bool(brackets)}

@@ -194,13 +194,8 @@ class Symmetry:
 
     @classmethod
     def from_word(cls, word: str) -> "Symmetry":
-        """Parse 'tau2.tau3.tau4', 'tau2*tau3*tau4' or unicode variants."""
-        norm = (word.replace("τ", "tau").replace("∘", ".")
-                .replace("*", ".").replace(" ", ""))
-        # subscript digits
-        for sub, digit in zip("₁₂₃₄", "1234"):
-            norm = norm.replace(sub, digit)
-        parts = [p for p in norm.split(".") if p]
+        """Parse a '.'-joined word of tau1..tau4, such as 'tau2.tau3.tau4'."""
+        parts = [p for p in word.split(".") if p]
         if not parts:
             raise ValueError(f"empty symmetry word: {word!r}")
         signs = [1] * 7

@@ -20,7 +20,7 @@ from nkshoot.geometry import bohm, count_v0_zeros
 from nkshoot.series import family_series, handoff, series_bubble_b
 from nkshoot.shoot import (S6_STD_TOTAL_VOLUME, find_doubling, find_matching,
                            glue, max_orbit, scan_s2s4_boundary, solve_family)
-from nkshoot.state import constraints, rhs_vec
+from nkshoot.state import State, constraints, rhs_vec
 from test_series import max_reference_error_a, max_reference_error_b
 
 
@@ -162,7 +162,8 @@ def test_criterion_08_property_suites():
     max_T = 0.0
     for family, p in params:
         fs = solve_family(family, p)
-        states = fs.traj.node_states()
+        states = [State.from_vec(t, y)
+                  for t, y in zip(fs.traj.times, fs.traj.states)]
         B_nodes = [bohm(st).B for st in states]
         worst_mono = max(worst_mono,
                          max(b2 - b1 for b1, b2 in zip(B_nodes, B_nodes[1:])))
@@ -255,9 +256,9 @@ def test_criterion_10_negative_scan(tmp_path):
     gate = Gate(10, 60.0)
     report = scan_s2s4_boundary(0.1, 10.0, n_samples=40)
     out = tmp_path / "scan-s2s4.json"
-    out.write_text(json.dumps(report.as_dict(), indent=2))
+    out.write_text(json.dumps(report, indent=2))
     emitted = json.loads(out.read_text())
     gate.check(len(emitted["u0_at_event"]) == 40, "report emitted")
-    gate.check(not report.found_root,
-               f"boundary crossing found: {report.crossings}")
+    gate.check(not report["found_root"],
+               f"boundary crossing found: {report['crossing_brackets']}")
     gate.close("no S2xS4 doubling root over the scanned range")

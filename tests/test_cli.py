@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import with_top_lambda
-from nkshoot import cli, exact
+from nkshoot import cli, exact, shoot
 from nkshoot.cli import main
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.state import constraints, rhs
@@ -621,6 +621,13 @@ def test_record_csv_row(tmp_path):
     cells = lines[1].split(",")
     assert float(cells[0]) == 1.0
     assert abs(float(cells[2]) - 1.0) < 1e-8
+
+
+def test_scan_returns_the_record_the_command_writes(tmp_path):
+    out = tmp_path / "scan.json"
+    assert main(["scan-s2s4", "--lo", "0.5", "--hi", "4.0", "--n", "8",
+                 "--out", str(out)]) == 0
+    assert shoot.scan_s2s4_boundary(0.5, 4.0, 8) == json.loads(out.read_text())
 
 
 def test_scan_command(tmp_path):

@@ -224,6 +224,18 @@ def test_calabi_yau_residual_needs_an_interior_point():
         eval_calabi_yau("small-resolution", 0.99)
 
 
+def test_calabi_yau_rejects_an_unknown_form():
+    with pytest.raises(OutOfDomainError, match="unknown Calabi-Yau form"):
+        eval_calabi_yau("no-such-form", 1.5)
+
+
+@pytest.mark.parametrize("t", [0.0, math.pi, 4.0, math.nan, [0.5, 3.5]],
+                         ids=["zero", "pi", "above", "nan", "one-outside"])
+def test_legendre_xi_needs_t_in_0_pi(t):
+    with pytest.raises(OutOfDomainError, match=r"t in \(0, pi\)"):
+        legendre_xi(1.0, 1.0, np.asarray(t))
+
+
 def test_legendre_regular_solution():
     xi, _ = legendre_xi(1.0, 0.0, math.pi / 2)
     assert abs(xi) < 1e-15  # odd polynomial in cos t

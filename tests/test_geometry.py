@@ -291,6 +291,25 @@ def test_comparison_bounds_strict_for_family():
     assert rep.existence_ok
 
 
+def test_comparison_bounds_detect_mean_curvature_violation():
+    # the sine cone's states at twice their elapsed times: l is the sine
+    # cone's 5 cot(t0 + r), above the bound 5 cot(t0 + 2 r)
+    traj = integrate(eval_named("sine-cone", 0.3), 2.0)
+    fast = dataclasses.replace(traj, times=2.0 * traj.times - traj.t_start)
+    with pytest.raises(BoundViolationError, match="mean-curvature bound"):
+        comparison_bounds(fast)
+
+
+def test_comparison_bounds_detect_existence_violation():
+    # every node after the start moved pi later: no solution from the
+    # start reaches it
+    traj = integrate(eval_named("sine-cone", 0.3), 2.0)
+    late = dataclasses.replace(
+        traj, times=np.concatenate(([traj.t_start], traj.times[1:] + math.pi)))
+    with pytest.raises(BoundViolationError, match="existence bound"):
+        comparison_bounds(late)
+
+
 def test_comparison_bounds_detect_violation():
     # fabricate growing-volume states on top of the marginal sine-cone
     # profile: the checker must flag the violation

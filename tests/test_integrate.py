@@ -13,7 +13,7 @@ from nkshoot.errors import (ConstraintDriftError, DegenerateStateError,
                             InvalidArgumentError, StepSizeCollapseError)
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
 from nkshoot.geometry import count_v0_zeros
-from nkshoot.integrate import MAX_VOLUME_EVENT, EventSpec, integrate
+from nkshoot.integrate import GUARDS, MAX_VOLUME_EVENT, EventSpec, integrate
 from nkshoot.series import _COMPONENTS, handoff, series_psi_a, series_psi_b
 from nkshoot.shoot import solve_family
 from nkshoot.state import State, apply_symmetry, constraints, rhs_vec
@@ -97,7 +97,7 @@ def test_event_refinement_idempotent():
     traj = integrate(eval_named("sine-cone", 0.3), math.pi,
                      events=(MAX_VOLUME_EVENT,))
     t0 = traj.t_end
-    assert abs(MAX_VOLUME_EVENT(t0, traj.state_at(t0).vec)) < 1e-13
+    assert abs(MAX_VOLUME_EVENT.fn_vec(t0, traj.state_at(t0).vec)) < 1e-13
 
 
 def test_root_takes_hi_when_rounding_undoes_the_bracket(monkeypatch):
@@ -186,8 +186,31 @@ def test_start_with_lambda_at_most_its_floor_rejected(lam):
     st = eval_named("sine-cone", 0.8)
     start = (apply_symmetry("tau4", st) if lam is None
              else State(st.t, lam, st.u, st.v))
-    with pytest.raises(DegenerateStateError, match="start has lambda = "):
+    with pytest.raises(DegenerateStateError, match="start has guard-lambda = "):
         integrate(start, 2.0)
+
+
+_GUARD_STARTS = {
+    "guard-lambda": State(0.0, 1e-8, (0.0, 1.0, 0.0), (0.0, 1.0, 1.0)),
+    "guard-mu2": State(0.0, 1.0, (1.0, 1.0, 0.0), (0.0, 1.0, 1.0)),
+    # on shell (every first integral is 0.0), with v1 = 2^34 above 1e8
+    "guard-magnitude": State(0.0, 1.0, (0.0, 0.0, -2.0 ** 17),
+                             (math.sqrt(2.0 ** 68 - 2.0 ** 34), 2.0 ** 34,
+                              0.0)),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_start_outside_a_guard_rejected(guard):
+    # each start is finite and oriented, and only its named guard value is
+    # at most 0; a guard stops a run only where it falls through zero, so
+    # the start itself must be checked against every guard
+    start = _GUARD_STARTS[guard]
+    assert start.orient > 0.0
+    if guard == "guard-magnitude":
+        assert constraints(start).max_abs == 0.0
+    with pytest.raises(DegenerateStateError, match=f"start has {guard} = "):
+        integrate(start, 1e-6)
 
 
 def test_unoriented_start_rejected():
@@ -336,18 +359,18 @@ def _per_spec_replay(traj, lambda_min, magnitude_max, drift_abort):
 
     def refine(spec, c, t0, lo, hi):
         return integ._root(lambda s: float(
-            spec(s, integ._poly_states(c, s - t0))), lo, hi)
+            spec.fn_vec(s, integ._poly_states(c, s - t0))), lo, hi)
 
     n = integ.STEP_SAMPLES + 1
     t, y = traj.times[0], traj.states[0]
     bad = first_bad([t], [y], t, y)
     if bad:
         return bad
-    g = [spec(t, y) for spec in specs]
+    g = [spec.fn_vec(t, y) for spec in specs]
     for i, (t0, c) in enumerate(zip(traj.starts, traj.coeffs)):
         nodes = slice(1 + n * i, 1 + n * (i + 1))
         ts, ys = traj.times[nodes], traj.states[nodes]
-        vals = [[gi, *spec(ts, ys.T)] for gi, spec in zip(g, specs)]
+        vals = [[gi, *spec.fn_vec(ts, ys.T)] for gi, spec in zip(g, specs)]
         for j in range(n):
             falls = [r for r, v in enumerate(vals) if v[j] > 0.0 >= v[j + 1]]
             if falls:

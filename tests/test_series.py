@@ -207,6 +207,11 @@ def test_s3_program_builds_at_large_b():
     assert np.isfinite(series_psi_b(b).t_coeffs).all()
 
 
+def test_family_series_rejects_an_unknown_family():
+    with pytest.raises(InvalidArgumentError, match="unknown family 'gamma'"):
+        family_series("gamma", 1.0)
+
+
 @pytest.mark.parametrize("family,param", [("s2", 0.6), ("s2", 2.0),
                                           ("s3", 0.5), ("s3", 1.3)])
 def test_recurrence_exactness(family, param):

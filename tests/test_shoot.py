@@ -147,7 +147,7 @@ def test_find_doubling_exotic():
     assert sol.junction_gap < 1e-8
     assert junction_derivative_gap(sol) < 1e-8
     # the v0-boundary doubling glues with the (5.18)-type word
-    assert sol.word == "tau1.tau4"
+    assert sol.symmetry.label == "tau1.tau4"
 
 
 def test_find_doubling_homogeneous_beta():
@@ -156,7 +156,7 @@ def test_find_doubling_homogeneous_beta():
     assert sol.manifold == "S3xS3"
     assert abs(sol.vol - 10 * math.pi / (27 * SQRT3)) < 1e-6
     assert abs(sol.T_total - math.pi / SQRT3) < 1e-7
-    assert sol.word == "tau1.tau2.tau3"
+    assert sol.symmetry.label == "tau1.tau2.tau3"
 
 
 def test_find_doubling_cp3():
@@ -164,7 +164,7 @@ def test_find_doubling_cp3():
     assert abs(sol.param_left - SQRT3 / 2) < 1e-6
     assert sol.manifold == "CP3"
     assert abs(sol.vol - 5.0 / 8.0) < 1e-6
-    assert sol.word == "tau1.tau4"
+    assert sol.symmetry.label == "tau1.tau4"
 
 
 def test_find_doubling_no_sign_change():
@@ -248,7 +248,7 @@ def test_glue_known_homogeneous_s6(alpha_sqrt3_solve):
     assert sol.manifold == "S6"
     assert abs(sol.vol - 1.0) < 1e-6
     assert abs(sol.T_total - math.pi / 2) < 1e-7
-    assert sol.word == "tau1.tau2.tau3"
+    assert sol.symmetry.label == "tau1.tau2.tau3"
 
 
 def test_glue_junction_mismatch():
@@ -464,7 +464,7 @@ def test_find_matching_moves_past_a_stalled_seed(monkeypatch):
     monkeypatch.setattr(shoot, "refine_matching", stall_first)
     sol = find_matching((0.35, 2.4), (0.35, 1.9))
     assert seeds == ["w1", "w2"]
-    assert (sol.manifold, sol.word) == ("S6", "tau1.tau2.tau3")
+    assert (sol.manifold, sol.symmetry.label) == ("S6", "tau1.tau2.tau3")
     assert abs(sol.param_left - SQRT3) < 1e-12
     assert abs(sol.param_right - 1.5) < 1e-12
 
@@ -531,7 +531,8 @@ def test_lazy_matching_equals_the_matching_on_traced_curves(target):
               trace_curve("beta", *beta_range, n_samples=12))
     lazy = find_matching(alpha_range, beta_range)
     traced = find_matching(alpha_range, beta_range, curves=curves)
-    assert (lazy.manifold, lazy.word) == (traced.manifold, traced.word)
+    assert (lazy.manifold, lazy.symmetry.label) == (traced.manifold,
+                                                 traced.symmetry.label)
     assert solution_bits(lazy) == solution_bits(traced)
 
 
@@ -840,14 +841,16 @@ def test_probe_rejects_a_crossing_that_is_not_transversal_falling(
     st = beta1_solve.record.state
     T, h = st.t, 1e-4
     after = integrate(st, T + 0.1)
-    dg = (MAX_VOLUME_EVENT(T + h, after.state_at(T + h).vec)
-          - MAX_VOLUME_EVENT(T - h, beta1_solve.traj.state_at(T - h).vec)
+    dg = (MAX_VOLUME_EVENT.fn_vec(T + h, after.state_at(T + h).vec)
+          - MAX_VOLUME_EVENT.fn_vec(T - h,
+                                    beta1_solve.traj.state_at(T - h).vec)
           ) / (2 * h)
     assert dg < -1.0
     v0, v1, v2 = st.v
     moved = State(T, st.lam, st.u,
                   (v0, v1 + (1.0 - share) * dg / (6 * st.lam ** 3), v2))
-    assert MAX_VOLUME_EVENT(T, moved.vec) == MAX_VOLUME_EVENT(T, st.vec)
+    assert (MAX_VOLUME_EVENT.fn_vec(T, moved.vec)
+            == MAX_VOLUME_EVENT.fn_vec(T, st.vec))
 
     def no_run(*args, **kwargs):
         raise AssertionError("integrate called")
@@ -965,7 +968,7 @@ def test_event_slopes_obey_the_proved_bound(family, hi):
     for p in np.geomspace(0.05, hi, 16):
         st = solve_family(family, float(p)).record.state
         y, lam, u1, mu2 = st.vec, st.lam, st.u[1], st.mu2
-        dg = complex_step(lambda z: MAX_VOLUME_EVENT(st.t, z), y,
+        dg = complex_step(lambda z: MAX_VOLUME_EVENT.fn_vec(st.t, z), y,
                           rhs_vec(st.t, y))
         slope = dg * mu2 / (lam ** 3 * (mu2 ** 2 + lam ** 2 * (mu2 + u1 ** 2)))
         assert slope <= -2.5 + 1e-5, (family, p)
@@ -1015,13 +1018,24 @@ def test_find_matching_homogeneous_s6():
     assert abs(sol.Vmax - S6_VMAX) < 1e-6
 
 
+def test_glue_warns_on_an_s2xs4_doubling():
+    # an alpha member whose record state GLUE_PLUS fixes (u0 = u1 = v2 = 0)
+    # glues to itself by that word, which closes on S2xS4
+    fs = solve_family("alpha", 0.7)
+    st = State(fs.record.T, 1.2, (0.0, 0.0, -1.5), (0.7, 2.25, 0.0))
+    fake = dataclasses.replace(
+        fs, record=MaxOrbitRecord.from_state("alpha", 0.7, st.t, st))
+    with pytest.warns(UserWarning, match="S2xS4 doubling"):
+        sol = glue(fake, fake, "doubling")
+    assert sol.manifold == "S2xS4"
+
+
 def test_scan_s2s4_negative():
     report = scan_s2s4_boundary(0.5, 4.0, n_samples=8)
-    assert not report.found_root
-    assert report.crossings == ()
-    d = report.as_dict()
-    assert d["found_root"] is False
-    assert len(d["params"]) == 8
+    assert not report["found_root"]
+    assert report["crossing_brackets"] == []
+    assert report["found_root"] is False
+    assert len(report["params"]) == 8
 
 
 @pytest.mark.parametrize("u0, brackets", [
@@ -1043,7 +1057,7 @@ def test_scan_s2s4_counts_a_zero_on_a_grid_point_once(monkeypatch, u0,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = scan_s2s4_boundary(0.5, 4.0, n_samples=4)
-    assert report.crossings == brackets
+    assert report["crossing_brackets"] == [list(b) for b in brackets]
 
 
 def test_ode_volume_integral_sine_cone_closed_form():

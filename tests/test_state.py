@@ -123,8 +123,6 @@ def test_symmetry_word_composition():
     assert out.u == (-st.u[0], st.u[1], st.u[2])
     assert out.v == (-st.v[0], st.v[1], st.v[2])
     assert out.t == st.t
-    # unicode spelling parses to the same table
-    assert Symmetry.from_word("τ₂∘τ₃∘τ₄").signs == sym.signs
 
 
 def test_symmetries_are_involutions():
@@ -133,6 +131,20 @@ def test_symmetries_are_involutions():
             twice = apply_symmetry(word, apply_symmetry(word, st))
             assert np.array_equal(twice.vec, st.vec)
             assert twice.t == st.t
+
+
+@pytest.mark.parametrize("word", ["", ".."])
+def test_empty_symmetry_word(word):
+    with pytest.raises(ValueError, match="empty symmetry word"):
+        Symmetry.from_word(word)
+
+
+@pytest.mark.parametrize("u", [(1.0, 1.0, 0.0), (2.0, 1.0, 0.0)],
+                         ids=["zero", "negative"])
+def test_mu_needs_a_positive_mu2(u):
+    st = State(0.5, 1.0, u, (0.0, 0.0, 1.0))
+    with pytest.raises(DegenerateStateError, match=r"mu\^2 = .* <= 0 at t"):
+        st.mu
 
 
 def test_unknown_symmetry_label():
