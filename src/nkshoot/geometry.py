@@ -206,7 +206,6 @@ class ComparisonReport:
     t0: float
     max_l_slack: float      # min over nodes of bound - l  (>= -COMPARISON_TOL)
     max_v_slack: float      # min over nodes of bound - V
-    existence_ok: bool      # elapsed time + t0 <= pi within tolerance
 
 
 def comparison_bounds(traj: Trajectory) -> ComparisonReport:
@@ -216,8 +215,9 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
         l(t) <= 5 cot(t - t_start + t0),
         V(t) <= V(start) sin^5(t - t_start + t0) / sin^5(t0),
 
-    with t0 = atan2(5, l(start)) in (0, pi), so l(start) = 5 cot(t0).
-    Violations beyond COMPARISON_TOL (relative) raise BoundViolationError.
+    with t0 = atan2(5, l(start)) in (0, pi), so l(start) = 5 cot(t0), and
+    the existence bound t - t_start + t0 < pi. A violation beyond
+    COMPARISON_TOL (relative) or a NaN node raises BoundViolationError.
     """
     states = [State.from_vec(t, y) for t, y in zip(traj.times, traj.states)]
     start = states[0]
@@ -230,7 +230,7 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
         if rel <= 0.0:
             continue
         arg = rel + t0
-        if arg >= math.pi:
+        if not arg < math.pi:
             raise BoundViolationError(
                 f"existence bound violated: elapsed + t0 = {arg} >= pi")
         V, l = volume_and_mean_curvature(st)
@@ -238,16 +238,14 @@ def comparison_bounds(traj: Trajectory) -> ComparisonReport:
         v_bound = V0 * math.sin(arg) ** 5 / math.sin(t0) ** 5
         l_slack = l_bound - l
         v_slack = v_bound - V
-        if l_slack < -COMPARISON_TOL * max(1.0, abs(l_bound)):
+        if not l_slack >= -COMPARISON_TOL * max(1.0, abs(l_bound)):
             raise BoundViolationError(
                 f"mean-curvature bound violated at t = {st.t}: "
                 f"l = {l} > {l_bound}")
-        if v_slack < -COMPARISON_TOL * max(1.0, v_bound):
+        if not v_slack >= -COMPARISON_TOL * max(1.0, v_bound):
             raise BoundViolationError(
                 f"volume bound violated at t = {st.t}: V = {V} > {v_bound}")
         min_l_slack = min(min_l_slack, l_slack)
         min_v_slack = min(min_v_slack, v_slack)
-    elapsed = traj.t_end - traj.t_start
     return ComparisonReport(t0=t0, max_l_slack=min_l_slack,
-                            max_v_slack=min_v_slack,
-                            existence_ok=elapsed + t0 <= math.pi + COMPARISON_TOL)
+                            max_v_slack=min_v_slack)

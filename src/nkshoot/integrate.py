@@ -9,15 +9,16 @@ takes one jet of order N and advances by h = rho * tol^(1/N), with rho the
 radius estimated from the last two jet coefficients; N and the step
 tolerance follow from the one integrator tolerance. Every step contributes
 its end and STEP_SAMPLES interior points as nodes. One pass over a step's
-nodes (_NodePass) gives the events' values, one vectorised call each, and,
+nodes (_step) gives the events' values, one vectorised call each, and,
 node by node on Python floats, the guard's and the first-integral drift.
-Events and guards are sign changes over the nodes; the walk stops at the
-first, refined on its row's function alone (an event's fn_vec) by
-bracketed_root to adjacent floats on the step polynomial's state; the
-earliest ends the run. Dense output: the Trajectory keeps each step's
-polynomial, its start in starts and its rows in coeffs, and dense(t)
-evaluates the step containing t. The drift is recorded at every node and
-above 1e-6 aborts the run; drift is monitored, not projected.
+Every row, event or guard, stops the run where it falls through zero; the
+walk stops at the first node where one does, refined on its row's function
+alone (an event's fn_vec) by bracketed_root to adjacent floats on the step
+polynomial's state; the earliest ends the run. Dense output: the
+Trajectory keeps each step's polynomial, its start in starts and its rows
+in coeffs, and dense(t) evaluates the step containing t. The drift is
+recorded at every node and above 1e-6 aborts the run; drift is monitored,
+not projected.
 """
 from __future__ import annotations
 
@@ -62,15 +63,16 @@ def _order_and_tol(tol: float) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Event function of (t, y7) with a direction filter (0 any, +1 rising,
-    -1 falling); an event stops the run. The engine calls fn_vec once per
-    step on all its nodes, with t of shape (m,) and y of shape (7, m), so it
-    must act elementwise over the trailing axis and return shape (m,), and
-    on single nodes (t a float, y of shape (7,))."""
+    """Event function of (t, y7); the event stops the run where fn_vec falls
+    through zero (> 0 at one node, <= 0 at the next). To stop at a rising
+    zero, negate fn_vec; to stop at a zero either way, pass f and -f as two
+    events. The engine calls fn_vec once per step on all its nodes, with t
+    of shape (m,) and y of shape (7, m), so it must act elementwise over the
+    trailing axis and return shape (m,), and on single nodes (t a float, y
+    of shape (7,))."""
 
     name: str
     fn_vec: Callable[[ArrayLike, np.ndarray], ArrayLike]
-    direction: int = 0          # 0 any, +1 rising, -1 falling
 
 
 def _volume_event_vec(t: ArrayLike, y: np.ndarray) -> ArrayLike:
@@ -82,83 +84,71 @@ def _volume_event_vec(t: ArrayLike, y: np.ndarray) -> ArrayLike:
 MAX_VOLUME_EVENT = EventSpec("max-volume", fn_vec=_volume_event_vec)
 
 
-#: the singularity guard's values, in the order _NodePass gives them after
-#: the events; each stops the run where it falls through zero
+#: the singularity guard's rows, after the events' at each node: lambda -
+#: LAMBDA_MIN, mu^2 - MU2_MIN and COMPONENT_MAGNITUDE_MAX - max|y_i|; like
+#: an event, each stops the run where it falls through zero
 GUARDS = ("guard-lambda", "guard-mu2", "guard-magnitude")
 
 
-class _NodePass:
-    """The work of a run at every node: the values of its events and of the
-    singularity guard, the crossing that ends the run, and the relative
-    first-integral drift. The guard's values are lambda - LAMBDA_MIN, mu^2 -
-    MU2_MIN and COMPONENT_MAGNITUDE_MAX - max|y_i|. Events take one
-    vectorised call per step, the rest runs on Python floats node by node."""
+def _values(events, t: float, y: np.ndarray) -> tuple[list, float]:
+    """The events' and the guard's values (floats) and the drift at the
+    node (t, y), y of shape (7,)."""
+    return _node([float(event.fn_vec(t, y)) for event in events], y.tolist())
 
-    def __init__(self, events: Sequence[EventSpec]):
-        self.events = tuple(events)
-        self.names = [*(event.name for event in events), *GUARDS]
-        directions = [*(event.direction for event in events), -1, -1, -1]
-        self._rising = [d >= 0 for d in directions]
-        self._falling = [d <= 0 for d in directions]
 
-    def values(self, t: float, y: np.ndarray) -> tuple[list, float]:
-        """The events' and the guard's values (floats) and the drift at the
-        node (t, y), y of shape (7,)."""
-        return self._node([float(event.fn_vec(t, y)) for event in self.events],
-                          y.tolist())
+def _value(events, i: int, t: float, y: np.ndarray) -> float:
+    """Row i of _values(events, t, y)[0]; an event's row from its fn_vec
+    alone."""
+    return (float(events[i].fn_vec(t, y)) if i < len(events)
+            else _values(events, t, y)[0][i])
 
-    def value(self, i: int, t: float, y: np.ndarray) -> float:
-        """Row i of values(t, y)[0]; an event's row from its fn_vec alone."""
-        return (float(self.events[i].fn_vec(t, y)) if i < len(self.events)
-                else self.values(t, y)[0][i])
 
-    def _node(self, vals: list, y: list) -> tuple[list, float]:
-        """vals, the events' values at the node with the seven floats y, and
-        the guard's after them; the drift there (ConstraintVector.rel_drift),
-        from one mu^2 and lambda^2 mu^2. A NaN propagates as in np.max."""
-        i1, i2, i3, i4, _, lam2mu2, mu2 = _first_integrals(*y)
-        mag, big = max(map(abs, y)), max(abs(i1), abs(i2), abs(i3), abs(i4))
-        if math.isnan(i1 + i2 + i3 + i4):       # a NaN in y reaches I3
-            mag = math.nan if any(map(math.isnan, y)) else mag
-            big = math.nan if any(map(math.isnan, (i1, i2, i3, i4))) else big
-        return vals + [y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
-                       COMPONENT_MAGNITUDE_MAX - mag], big / max(lam2mu2, 1.0)
+def _node(vals: list, y: list) -> tuple[list, float]:
+    """vals, the events' values at the node with the seven floats y, and
+    the guard's after them; the drift there (ConstraintVector.rel_drift),
+    from one mu^2 and lambda^2 mu^2. A NaN propagates as in np.max."""
+    i1, i2, i3, i4, _, lam2mu2, mu2 = _first_integrals(*y)
+    mag, big = max(map(abs, y)), max(abs(i1), abs(i2), abs(i3), abs(i4))
+    if math.isnan(i1 + i2 + i3 + i4):       # a NaN in y reaches I3
+        mag = math.nan if any(map(math.isnan, y)) else mag
+        big = math.nan if any(map(math.isnan, (i1, i2, i3, i4))) else big
+    return vals + [y[0] - LAMBDA_MIN, mu2 - MU2_MIN,
+                   COMPONENT_MAGNITUDE_MAX - mag], big / max(lam2mu2, 1.0)
 
-    def step(self, c: np.ndarray, t0: float, t: float, y: np.ndarray, g,
-             h: float, end: float | None = None):
-        """The nodes t + h * _FRAC (the last one end, when given) after the
-        node (t, y), where the values were g, on the step polynomial c about
-        t0: (times, states, drift, values at the last node walked, row of the
-        crossing that ends the run or None). Row i crosses where it changes
-        sign as its event allows (the guard falls), a zero counting for the
-        interval it ends; the walk stops at the first node where one does,
-        and the earliest refined root there becomes the last node. The drift
-        is checked (_check_drift) at the nodes that remain."""
-        ts = t + h * _FRAC
-        if end is not None:
-            ts[-1] = end
-        ys = _poly_states(c, ts - t0)
-        events = [np.asarray(e.fn_vec(ts, ys.T)).tolist() for e in self.events]
-        times, drift = [t, *ts.tolist()], []
-        for j, (*vals, yj) in enumerate(zip(*events, ys.tolist())):
-            vals, d = self._node(vals, yj)
-            drift.append(d)
-            cross = [i for i, x in enumerate(g)
-                     if (x < 0.0 <= vals[i] and self._rising[i])
-                     or (x > 0.0 >= vals[i] and self._falling[i])]
-            g = vals
-            if cross:
-                lo, hi = times[j:j + 2]
-                t_hit, hit = min((_root(lambda s, i=i: self.value(
-                    i, s, _poly_states(c, s - t0)), lo, hi), i)
-                    for i in cross)
-                k = int(np.searchsorted(ts, t_hit))
-                y_hit = _poly_states(c, t_hit - t0)
-                ts = np.append(ts[:k], t_hit)
-                ys = np.vstack((ys[:k], y_hit))
-                drift[k:] = [self._node([], y_hit.tolist())[1]]
-                return ts, ys, _check_drift(ts, ys, drift, t, y), g, hit
-        return ts, ys, _check_drift(ts, ys, drift, t, y), g, None
+
+def _step(events, c: np.ndarray, t0: float, t: float, y: np.ndarray, g,
+          h: float, end: float | None = None):
+    """The nodes t + h * _FRAC (the last one end, when given) after the node
+    (t, y), where the values were g, on the step polynomial c about t0:
+    (times, states, drift, values at the last node walked, row of the
+    crossing that ends the run or None). Row i crosses into a node where
+    it was > 0 at the node before and is <= 0 there, a zero counting for
+    the interval it ends; the walk stops at the first node where one does,
+    and the earliest refined root there becomes the last node. The drift
+    is checked (_check_drift) at the nodes that remain."""
+    ts = t + h * _FRAC
+    if end is not None:
+        ts[-1] = end
+    ys = _poly_states(c, ts - t0)
+    rows = [np.asarray(e.fn_vec(ts, ys.T)).tolist() for e in events]
+    times, drift = [t, *ts.tolist()], []
+    for j, (*vals, yj) in enumerate(zip(*rows, ys.tolist())):
+        vals, d = _node(vals, yj)
+        drift.append(d)
+        cross = [i for i, x in enumerate(g) if x > 0.0 >= vals[i]]
+        g = vals
+        if cross:
+            lo, hi = times[j:j + 2]
+            t_hit, hit = min((_root(lambda s, i=i: _value(
+                events, i, s, _poly_states(c, s - t0)), lo, hi), i)
+                for i in cross)
+            k = int(np.searchsorted(ts, t_hit))
+            y_hit = _poly_states(c, t_hit - t0)
+            ts = np.append(ts[:k], t_hit)
+            ys = np.vstack((ys[:k], y_hit))
+            drift[k:] = [_node([], y_hit.tolist())[1]]
+            return ts, ys, _check_drift(ts, ys, drift, t, y), g, hit
+    return ts, ys, _check_drift(ts, ys, drift, t, y), g, None
 
 
 @dataclass(frozen=True)
@@ -280,16 +270,16 @@ def integrate(start: State, horizon: float,
               series: np.ndarray | None = None) -> Trajectory:
     """Integrate forward from start.t to horizon by Taylor steps.
 
-    The first event ends the run: the earliest crossing of any of events or of
-    the singularity guard (lambda < 1e-8, mu^2 < 1e-12 or a component above
-    1e8 in magnitude) is the last node; if none, it ends at the horizon. tol
-    sets the jet order and the per-step tolerance 1e-2 tol. Raises
-    InvalidArgumentError unless start.t < horizon < inf and tol is positive
-    and finite, and DegenerateStateError unless start is finite, inside
-    every guard (lambda > 1e-8, mu^2 > 1e-12, each component below 1e8 in
-    magnitude) and oriented (u1 v2 - u2 v1 > 0); a step below 16 eps
-    max(1, |t|) raises StepSizeCollapseError. A reverse-time run integrates
-    the image under a gluing word (state.GLUE_MINUS).
+    The first crossing ends the run: the earliest zero that any of events or
+    of the singularity guard (lambda < 1e-8, mu^2 < 1e-12 or a component
+    above 1e8 in magnitude) falls through is the last node; if none, it ends
+    at the horizon. tol sets the jet order and the per-step tolerance 1e-2
+    tol. Raises InvalidArgumentError unless start.t < horizon < inf and tol
+    is positive and finite, and DegenerateStateError unless start is
+    finite, inside every guard (lambda > 1e-8, mu^2 > 1e-12, each component
+    below 1e8 in magnitude) and oriented (u1 v2 - u2 v1 > 0); a step below
+    16 eps max(1, |t|) raises StepSizeCollapseError. A reverse-time run
+    integrates the image under a gluing word (state.GLUE_MINUS).
 
     series, Taylor rows in t about t = 0 of the solution through start
     (SeriesSolution.t_coeffs), is the first step's polynomial, expanded
@@ -310,9 +300,9 @@ def integrate(start: State, horizon: float,
     for name, x in zip(_COMPONENTS, start.vec.tolist()):
         if not math.isfinite(x):
             raise DegenerateStateError(f"start has {name} = {x}")
-    nodes = _NodePass(events)
+    names = [*(event.name for event in events), *GUARDS]
     t, y = start.t, start.vec
-    g, drift = nodes.values(t, y)
+    g, drift = _values(events, t, y)
     for name, x in zip(GUARDS, g[len(events):]):
         if not x > 0.0:
             raise DegenerateStateError(f"start has {name} = {x}")
@@ -345,11 +335,11 @@ def integrate(start: State, horizon: float,
                                         State.from_vec(t, y))
         if t + h >= horizon - floor:
             h, termination = horizon - t, "horizon"
-        ts, ys, drift, g, hit = nodes.step(c, t0, t, y, g, h,
-                                           horizon if termination else None)
+        ts, ys, drift, g, hit = _step(events, c, t0, t, y, g, h,
+                                      horizon if termination else None)
         if hit is not None:
             termination = "event" if hit < len(events) else "singularity"
-            stopped_by = nodes.names[hit]
+            stopped_by = names[hit]
         drifts += drift
         starts.append(t0)
         coeffs.append(c)

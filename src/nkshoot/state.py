@@ -194,9 +194,10 @@ class Symmetry:
 
     @classmethod
     def from_word(cls, word: str) -> "Symmetry":
-        """Parse a '.'-joined word of tau1..tau4, such as 'tau2.tau3.tau4'."""
-        parts = [p for p in word.split(".") if p]
-        if not parts:
+        """Parse a '.'-joined word of tau1..tau4, such as 'tau2.tau3.tau4';
+        every part is a label, so an empty part raises ValueError."""
+        parts = word.split(".")
+        if not any(parts):
             raise ValueError(f"empty symmetry word: {word!r}")
         signs = [1] * 7
         reverse = False

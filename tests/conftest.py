@@ -343,16 +343,13 @@ def reference_node_values(events, t, y):
             COMPONENT_MAGNITUDE_MAX - np.abs(y).max(axis=0)], drift
 
 
-def reference_crossings(events, g, vals) -> np.ndarray:
+def reference_crossings(g, vals) -> np.ndarray:
     """Boolean (rows, nodes) array: row i crosses into node j where its
-    values, g before the first node and the columns of vals after, change
-    sign in the direction its event allows (each guard row falls), a zero
-    counting for the interval it ends."""
-    direction = np.array([*(e.direction for e in events), -1, -1, -1])
+    values, g before the first node and the columns of vals after, fall
+    through zero, a zero counting for the interval it ends."""
     V = np.column_stack((g, vals))
-    a, b, d = V[:, :-1], V[:, 1:], direction[:, None]
-    return ((a < 0.0) & (b >= 0.0) & (d >= 0)) | ((a > 0.0) & (b <= 0.0)
-                                                   & (d <= 0))
+    a, b = V[:, :-1], V[:, 1:]
+    return (a > 0.0) & (b <= 0.0)
 
 
 def reference_horner(c, x) -> float:

@@ -224,9 +224,10 @@ def test_unoriented_start_rejected():
 def test_first_event_stops_the_run():
     # beta(0.05) has v0 zeros before its maximal-volume orbit: a v0 event
     # beside the maximal-volume one stops the run at the first of them,
-    # which is the last node and count_v0_zeros' first zero
+    # which is the last node and count_v0_zeros' first zero; v0 starts at
+    # -(2/3) b^3, so its first zero rises and the event is -v0
     _, start = handoff(series_psi_b(0.05))
-    v0_zero = EventSpec("v0-zero", fn_vec=lambda t, y: y[4])
+    v0_zero = EventSpec("v0-zero", fn_vec=lambda t, y: -y[4])
     traj = integrate(start, math.pi, events=(MAX_VOLUME_EVENT, v0_zero))
     assert (traj.termination, traj.stopped_by) == ("event", "v0-zero")
     full = integrate(start, math.pi, events=(MAX_VOLUME_EVENT,))
@@ -234,6 +235,21 @@ def test_first_event_stops_the_run():
     zeros = count_v0_zeros(full).zeros
     assert len(zeros) >= 2
     assert traj.t_end == zeros[0]
+
+
+def test_every_row_stops_the_run_where_it_falls_through_zero():
+    # at beta(0.05), where v0 starts negative, v0 alone stops the run at
+    # count_v0_zeros' second zero, its first falling one, and the pair
+    # (v0, -v0), a zero either way, at the first
+    _, start = handoff(series_psi_b(0.05))
+    zeros = count_v0_zeros(integrate(start, math.pi,
+                                     events=(MAX_VOLUME_EVENT,))).zeros
+    v0 = EventSpec("v0", fn_vec=lambda t, y: y[4])
+    minus_v0 = EventSpec("-v0", fn_vec=lambda t, y: -y[4])
+    pair = integrate(start, math.pi, events=(v0, minus_v0))
+    assert pair.t_end == zeros[0]
+    alone = integrate(start, math.pi, events=(v0,))
+    assert (alone.stopped_by, alone.t_end) == ("v0", zeros[1])
 
 
 def test_event_returning_a_list_is_accepted():
@@ -575,8 +591,8 @@ def test_step_size_equals_the_numpy_max_version_on_member_jets(monkeypatch):
         assert float_bits([h]) == float_bits([reference_step_size(c, tol)])
 
 
-def _check_step(nodes, args, out, refined, root) -> bool:
-    # one _NodePass.step call against the array oracle over all its planned
+def _check_step(events, args, out, refined, root) -> bool:
+    # one _step call against the array oracle over all its planned
     # nodes: drift, values at the last node walked (events and guard) and,
     # where the oracle finds a crossing, the interval refined, one root per
     # crossing row, each equal to root's refinement through values (the
@@ -589,10 +605,9 @@ def _check_step(nodes, args, out, refined, root) -> bool:
     if end and end[0] is not None:
         want_ts[-1] = end[0]
     want_ys = integ._poly_states(c, want_ts - t0)
-    vals, want_drift = reference_node_values(nodes.events, want_ts,
-                                             want_ys.T)
+    vals, want_drift = reference_node_values(events, want_ts, want_ys.T)
     vals = np.array(vals)
-    cross = reference_crossings(nodes.events, g, vals)
+    cross = reference_crossings(g, vals)
     if not cross.any():
         assert hit is None and refined == []
         assert np.array_equal(ts, want_ts) and np.array_equal(ys, want_ys)
@@ -604,8 +619,8 @@ def _check_step(nodes, args, out, refined, root) -> bool:
     interval = tuple([t, *want_ts.tolist()][j:j + 2])
     assert [r[:2] for r in refined] == [interval] * len(rows)
     for (lo, hi, t_hit), i in zip(refined, rows):
-        want = root(lambda s: nodes.values(
-            s, integ._poly_states(c, s - t0))[0][i], lo, hi)
+        want = root(lambda s: integ._values(
+            events, s, integ._poly_states(c, s - t0))[0][i], lo, hi)
         assert float_bits([t_hit]) == float_bits([want])
     k = len(ts) - 1
     assert (ts[k], hit) == min((r[2], i) for r, i in zip(refined, rows))
@@ -618,23 +633,23 @@ def _check_step(nodes, args, out, refined, root) -> bool:
 
 
 def _recorded_steps(monkeypatch) -> list:
-    """(node pass, arguments, result, (lo, hi, root) of each refinement,
-    the unrecorded _root) of every _NodePass.step call from now on."""
+    """(events, the other arguments, result, (lo, hi, root) of each
+    refinement, the unrecorded _root) of every _step call from now on."""
     integ = sys.modules["nkshoot.integrate"]
-    step, root = integ._NodePass.step, integ._root
+    step, root = integ._step, integ._root
     calls, roots = [], []
 
-    def recorded_step(self, *args):
+    def recorded_step(events, *args):
         n = len(roots)
-        out = step(self, *args)
-        calls.append((self, args, out, roots[n:], root))
+        out = step(events, *args)
+        calls.append((events, args, out, roots[n:], root))
         return out
 
     def recorded_root(g, lo, hi):
         roots.append((lo, hi, root(g, lo, hi)))
         return roots[-1][-1]
 
-    monkeypatch.setattr(integ._NodePass, "step", recorded_step)
+    monkeypatch.setattr(integ, "_step", recorded_step)
     monkeypatch.setattr(integ, "_root", recorded_root)
     return calls
 
@@ -650,8 +665,8 @@ def test_node_pass_equals_the_array_oracle_on_member_steps(monkeypatch):
 
 
 def test_node_pass_equals_the_array_oracle_on_random_steps(monkeypatch):
-    # steps on random linear polynomials with events on v0, v1 and v2 of
-    # every direction, values rounded to 0.1 so that nodes land on exact
+    # steps on random linear polynomials with events on -v0, v1 and v2,
+    # values rounded to 0.1 so that nodes land on exact
     # zeros, random values before the first node, and lambda < 0 with
     # its guard row negative in half of them; states are off shell, so the
     # drift abort is off (the drift is still compared)
@@ -659,18 +674,18 @@ def test_node_pass_equals_the_array_oracle_on_random_steps(monkeypatch):
     monkeypatch.setattr(integ, "DRIFT_ABORT", math.inf)
     rng = np.random.default_rng(11)
     calls = _recorded_steps(monkeypatch)
-    events = [EventSpec(f"row-{k}-{d}", direction=d,
-                        fn_vec=lambda t, y, k=k: np.round(y[k], 1))
-              for k, d in ((4, 1), (5, -1), (6, 0))]
+    events = [EventSpec(f"row-{k}-{d}",
+                        fn_vec=lambda t, y, k=k, d=d: d * np.round(y[k], 1))
+              for k, d in ((4, -1), (5, 1), (6, 1))]
     for _ in range(200):
         y = eval_named("sine-cone", 0.8).vec
         y[4:] = rng.uniform(-0.3, 0.3, 3)
         y[0] *= rng.choice([-1.0, 1.0])
         c = np.array([y, np.r_[0.0, 0.0, 0.0, 0.0, rng.normal(size=3)]])
-        nodes = integ._NodePass(rng.permutation(events))
+        order = list(rng.permutation(events))
         g = [*np.round(rng.uniform(-0.3, 0.3, 3), 1),
-             *nodes.values(0.0, y)[0][3:]]
-        nodes.step(c, 0.0, 0.0, y, g, rng.uniform(0.05, 0.5))
+             *integ._values(order, 0.0, y)[0][3:]]
+        integ._step(order, c, 0.0, 0.0, y, g, rng.uniform(0.05, 0.5))
     hits = sum(_check_step(*call) for call in calls)
     assert 50 <= hits < len(calls)
 
@@ -680,10 +695,10 @@ def test_node_values_equal_the_array_oracle_at_random_states():
     # with components over eight decades and either sign of lambda
     integ = sys.modules["nkshoot.integrate"]
     rng = np.random.default_rng(7)
-    events = (MAX_VOLUME_EVENT, EventSpec("v0", lambda t, y: y[4], 1))
+    events = (MAX_VOLUME_EVENT, EventSpec("v0", lambda t, y: y[4]))
     for _ in range(400):
         y = rng.normal(size=7) * 10.0 ** rng.uniform(-4.0, 4.0, 7)
-        got, drift = integ._NodePass(events).values(0.5, y)
+        got, drift = integ._values(events, 0.5, y)
         want, want_drift = reference_node_values(events, 0.5, y)
         assert float_bits([*got, drift]) == float_bits([*want, want_drift])
 
@@ -702,7 +717,7 @@ def test_node_values_on_nonfinite_states_equal_the_array_oracle(value, i):
         y[i] = value
         if j is not None:
             y[j] = -value
-        got, drift = integ._NodePass(()).values(0.0, y)
+        got, drift = integ._values((), 0.0, y)
         with np.errstate(all="ignore"):
             want, want_drift = reference_node_values((), 0.0, y)
         assert float_bits([*got, drift]) == float_bits([*want, want_drift])

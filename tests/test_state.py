@@ -139,6 +139,13 @@ def test_empty_symmetry_word(word):
         Symmetry.from_word(word)
 
 
+@pytest.mark.parametrize("word", ["tau1..tau4", ".tau1.", "tau1.tau4."])
+def test_symmetry_word_with_an_empty_part(word):
+    # one spelling per word: an empty part is not dropped
+    with pytest.raises(ValueError, match="unknown symmetry label ''"):
+        Symmetry.from_word(word)
+
+
 @pytest.mark.parametrize("u", [(1.0, 1.0, 0.0), (2.0, 1.0, 0.0)],
                          ids=["zero", "negative"])
 def test_mu_needs_a_positive_mu2(u):
