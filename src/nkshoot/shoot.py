@@ -359,15 +359,17 @@ def find_doubling(family: str, bracket: tuple[float, float],
 
 def _segments_cross(p0, p1, q0, q1) -> tuple[bool, float, float]:
     """Proper segment intersection test; returns (crossing, s, u) with s, u
-    the parameters along (p0, p1) and (q0, q1)."""
-    d1 = p1 - p0
-    d2 = q1 - q0
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    the parameters along (p0, p1) and (q0, q1). The differences are scaled
+    exactly, by a power of two, to a largest |component| in [0.5, 1), so a
+    power-of-two scale of the points does not change the result."""
+    d = np.subtract((p1, q1, q0), (p0, q0, p0)).ravel().tolist()
+    scale = -math.frexp(max(map(abs, d)))[1]
+    x1, y1, x2, y2, xr, yr = (math.ldexp(v, scale) for v in d)
+    denom = x1 * y2 - y1 * x2
     if denom == 0.0:
         return False, 0.0, 0.0
-    rel = q0 - p0
-    s = (rel[0] * d2[1] - rel[1] * d2[0]) / denom
-    u = (rel[0] * d1[1] - rel[1] * d1[0]) / denom
+    s = (xr * y2 - yr * x2) / denom
+    u = (xr * y1 - yr * x1) / denom
     return (0.0 <= s <= 1.0) and (0.0 <= u <= 1.0), s, u
 
 
@@ -499,14 +501,16 @@ def refine_matching(alpha: Curve, beta: Curve, seed: tuple[float, float],
 
 def find_matching(alpha_range: tuple[float, float],
                   beta_range: tuple[float, float],
-                  n_samples: int = 12, order: int = DEFAULT_ORDER,
+                  n_samples: int = 4, order: int = DEFAULT_ORDER,
                   rtol: float = DEFAULT_TOL, atol: float = DEFAULT_TOL,
                   curves: tuple[Curve, Curve] | None = None) -> CompleteSolution:
     """Find an alpha-beta crossing in the hyperboloid chart, with beta_H
-    reflected in w1 and then in w2, and build the glued S6 solution. alpha
-    is traced only as far as its first refinable w1 crossing, so a failing
-    alpha member past it is never solved, and beta, traced first, fails
-    first; a w1 seed reads only the alpha samples traced up to it."""
+    reflected in w1 and then in w2, and build the glued S6 solution. The
+    n_samples log grid only seeds the traces; CURVE_SPACING_CAP places all
+    the other samples. alpha is traced only as far as its first refinable w1
+    crossing, so a failing alpha member past it is never solved, and beta,
+    traced first, fails first; a w1 seed reads only the alpha samples traced
+    up to it."""
     tol = float(np.minimum(rtol, atol))
     if curves is None:
         beta = trace_curve("beta", *beta_range, n_samples, order, tol)

@@ -63,6 +63,25 @@ MUTANTS = (
            "if l_slack < -COMPARISON_TOL",
            ("tests/test_geometry.py::"
             "test_comparison_bounds_raise_on_a_nan_node[state]",)),
+    Mutant("find-matching-dense-grid", "src/nkshoot/shoot.py",
+           "n_samples: int = 4, order: int = DEFAULT_ORDER,",
+           "n_samples: int = 12, order: int = DEFAULT_ORDER,",
+           ("tests/test_shoot.py::test_default_matching_solves",)),
+    Mutant("segments-cross-unscaled", "src/nkshoot/shoot.py",
+           "x1, y1, x2, y2, xr, yr = (math.ldexp(v, scale) for v in d)",
+           "x1, y1, x2, y2, xr, yr = d",
+           ("tests/test_properties.py::"
+            "test_segments_cross_agrees_with_exact_arithmetic",)),
+    Mutant("root-xtol-loose", "src/nkshoot/shoot.py",
+           "ROOT_XTOL = 1e-14", "ROOT_XTOL = 1e-8",
+           ("tests/test_shoot.py::"
+            "test_table2_roots_agree_with_an_independent_scipy_path",)),
+    Mutant("matching-tolerances-loose", "src/nkshoot/shoot.py",
+           "MATCH_RESIDUAL = 1e-9\n"
+           "MATCH_STEP_TOL = math.sqrt(np.finfo(float).eps)",
+           "MATCH_RESIDUAL = 1e-6\nMATCH_STEP_TOL = 1e-4",
+           ("tests/test_shoot.py::"
+            "test_table2_roots_agree_with_an_independent_scipy_path",)),
 )
 
 

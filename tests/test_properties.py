@@ -420,13 +420,20 @@ def _exact_cross(p0, p1, q0, q1):
 
 
 @PROPERTY
-@hypothesis.given(segment_pairs())
-def test_segments_cross_agrees_with_exact_arithmetic(pts):
+@hypothesis.given(segment_pairs(), st.integers(-700, 700))
+@hypothesis.example([np.array(p) for p in ((0.0, 0.0), (1e-200, 0.0),
+                                           (5e-201, -1e-200),
+                                           (5e-201, 1e-200))], 700)
+def test_segments_cross_agrees_with_exact_arithmetic(pts, k):
     # the crossing flag is the exact one wherever the exact s and u lie at
     # least 1e-9 from 0 and 1; a shared start q0 of the second segment is
     # found at its exact parameters (0 or 1 on the first, 0 on the second)
-    # unless the float denominator is 0
+    # unless the float denominator is 0; scaling all four points by 2^k,
+    # where that is exact, leaves (flag, s, u) unchanged
     ok, s, u = _segments_cross(*pts)
+    scaled = [np.ldexp(p, k) for p in pts]
+    if all(np.array_equal(np.ldexp(q, -k), p) for p, q in zip(pts, scaled)):
+        assert _segments_cross(*scaled) == (ok, s, u)
     exact = _exact_cross(*pts)
     if exact is None:
         return

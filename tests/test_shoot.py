@@ -325,8 +325,19 @@ def test_refine_matching_starts_from_the_curves(monkeypatch, target, most):
             refined.append(len(calls) - n)
 
     monkeypatch.setattr(shoot, "refine_matching", counted)
-    find_matching(*cli._TARGETS[target][2])
+    find_matching(*cli._TARGETS[target][2], n_samples=12)
     assert len(refined) == 1 and refined[0] <= most
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("target,most", [("s6-exotic", 19), ("s6-homog", 23)])
+def test_default_matching_solves(monkeypatch, target, most):
+    # the default grid of 4 only seeds the curves and CURVE_SPACING_CAP
+    # places all the other samples, so a matching costs at most 19 (S6-new)
+    # and 23 (S6-std) family solves, each member solved once
+    calls = count_solves(monkeypatch)
+    find_matching(*cli._TARGETS[target][2])
+    assert len(calls) <= most
     assert len(calls) == len(set(calls))
 
 
@@ -527,8 +538,8 @@ def test_lazy_matching_equals_the_matching_on_traced_curves(target):
     # tracing alpha one member at a time refines the same seeds in the same
     # order as the matching on fully traced curves
     alpha_range, beta_range = cli._TARGETS[target][2]
-    curves = (trace_curve("alpha", *alpha_range, n_samples=12),
-              trace_curve("beta", *beta_range, n_samples=12))
+    curves = (trace_curve("alpha", *alpha_range, n_samples=4),
+              trace_curve("beta", *beta_range, n_samples=4))
     lazy = find_matching(alpha_range, beta_range)
     traced = find_matching(alpha_range, beta_range, curves=curves)
     assert (lazy.manifold, lazy.symmetry.label) == (traced.manifold,
@@ -537,14 +548,14 @@ def test_lazy_matching_equals_the_matching_on_traced_curves(target):
 
 
 def test_lazy_matching_solves_alpha_up_to_its_crossing(monkeypatch):
-    # the S6-new crossing lies in alpha segment 5 of 11: 7 of the 12 alpha
-    # curve members are solved, all 12 of beta's
+    # the S6-new crossing lies in alpha segment 1 of 3: 3 of the 4 alpha
+    # grid members are solved, all 4 of beta's
     alpha_range, beta_range = cli._TARGETS["s6-exotic"][2]
     calls = count_solves(monkeypatch)
     find_matching(alpha_range, beta_range)
-    for family, (lo, hi), members in (("alpha", alpha_range, 7),
-                                      ("beta", beta_range, 12)):
-        grid = list(np.geomspace(lo, hi, 12))
+    for family, (lo, hi), members in (("alpha", alpha_range, 3),
+                                      ("beta", beta_range, 4)):
+        grid = list(np.geomspace(lo, hi, 4))
         solved = [p for fam, p in calls if fam == family and p in grid]
         assert solved == grid[:members]
 
