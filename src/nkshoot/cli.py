@@ -207,13 +207,11 @@ def run_verify(rtol: float, atol: float) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 # solve targets and the reference table
 
-def _solve_target(target: str, order: int, tol: float,
-                  curves: tuple[shoot.Curve, shoot.Curve] | None = None):
+def _solve_target(target: str, order: int, tol: float):
     _, construction, args = _TARGETS[target]
     if construction == "doubling":
         return shoot.find_doubling(*args, order, tol, tol)
-    return shoot.find_matching(*args, order=order, rtol=tol, atol=tol,
-                               curves=curves)
+    return shoot.find_matching(*args, order=order, rtol=tol, atol=tol)
 
 
 def _sine_cone_row() -> dict:
@@ -253,7 +251,7 @@ def run_fig2(args) -> tuple[list, list]:
     """fig2's polylines (label, color, dash, points): alpha_H, beta_H and
     beta_H reflected in w1 and in w2; and its markers (label, color, w1,
     w2): the known roots, then the solved S3xS3-new and S6-new, as
-    --markers asks. The S6-new matching reads the plotted curves."""
+    --markers asks. The solved markers are the roots that solve writes."""
     order, tol = args.order, args.tol
     alpha = shoot.trace_curve("alpha", args.alo, args.ahi, 18, order, tol)
     beta = shoot.trace_curve("beta", args.blo, args.bhi, 18, order, tol)
@@ -269,9 +267,8 @@ def run_fig2(args) -> tuple[list, list]:
         markers += [(label, "#1e8449", w1, w2)
                     for label, w1, w2 in _KNOWN_MARKERS]
     if args.markers == "solve":
-        for target, curves in (("s3xs3-exotic", None),
-                               ("s6-exotic", (alpha, beta))):
-            sol = _solve_target(target, order, tol, curves)
+        for target in ("s3xs3-exotic", "s6-exotic"):
+            sol = _solve_target(target, order, tol)
             markers.append((_TARGETS[target][0], "#b7950b",
                             *sol.left.record.h_point))
     return polylines, markers

@@ -174,9 +174,6 @@ class _Series:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if isinstance(other, numbers.Real):
             return _Series(self.prog,
@@ -190,8 +187,6 @@ class _Series:
         return self.prog.record(_INV, self) * other
 
     def __truediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return self * (1.0 / other)
         return self * self.prog.record(_INV, self.prog.lift(other))
 
 

@@ -502,8 +502,8 @@ def refine_matching(alpha: Curve, beta: Curve, seed: tuple[float, float],
 def find_matching(alpha_range: tuple[float, float],
                   beta_range: tuple[float, float],
                   n_samples: int = 4, order: int = DEFAULT_ORDER,
-                  rtol: float = DEFAULT_TOL, atol: float = DEFAULT_TOL,
-                  curves: tuple[Curve, Curve] | None = None) -> CompleteSolution:
+                  rtol: float = DEFAULT_TOL,
+                  atol: float = DEFAULT_TOL) -> CompleteSolution:
     """Find an alpha-beta crossing in the hyperboloid chart, with beta_H
     reflected in w1 and then in w2, and build the glued S6 solution. The
     n_samples log grid only seeds the traces; CURVE_SPACING_CAP places all
@@ -512,11 +512,8 @@ def find_matching(alpha_range: tuple[float, float],
     traced first, fails first; a w1 seed reads only the alpha samples traced
     up to it."""
     tol = float(np.minimum(rtol, atol))
-    if curves is None:
-        beta = trace_curve("beta", *beta_range, n_samples, order, tol)
-        points = _curve_points("alpha", *alpha_range, n_samples, order, tol)
-    else:
-        points, beta = zip(curves[0].params, curves[0].records), curves[1]
+    beta = trace_curve("beta", *beta_range, n_samples, order, tol)
+    points = _curve_points("alpha", *alpha_range, n_samples, order, tol)
 
     def pieces():
         params, records = [], []

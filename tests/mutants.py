@@ -82,6 +82,27 @@ MUTANTS = (
            "MATCH_RESIDUAL = 1e-6\nMATCH_STEP_TOL = 1e-4",
            ("tests/test_shoot.py::"
             "test_table2_roots_agree_with_an_independent_scipy_path",)),
+    Mutant("volume-event-sign", "src/nkshoot/integrate.py",
+           "- 3.0 * u2 * v2", "+ 3.0 * u2 * v2",
+           ("tests/test_shoot.py::test_probe_argument_symbolically",
+            "tests/test_integrate.py::test_sine_cone_max_volume_event")),
+    Mutant("rhs-v2-prime", "src/nkshoot/state.py",
+           "(4.0 * lam2 - 3.0) * u2 / lam,",
+           "(4.0 * lam2 - 2.0) * u2 / lam,",
+           ("tests/test_shoot.py::test_probe_argument_symbolically",)),
+    Mutant("build-skips-completion", "src/nkshoot/series.py",
+           "add(col[sel], dot(Gsel, dot(IW[h - 1], col)), out=R[h])",
+           "add(col[sel], 0.0, out=R[h])",
+           ("tests/test_series.py::"
+            "test_solve_singular_ivp_bits_equal_the_plain_recurrence",)),
+    Mutant("resonance-nan-passes", "src/nkshoot/series.py",
+           "bad = np.flatnonzero(~(cond <= COND_LIMIT))",
+           "bad = np.flatnonzero(cond > COND_LIMIT)",
+           ("tests/test_series.py::test_resonance_gate",)),
+    Mutant("step-size-drops-order-n-1", "src/nkshoot/series.py",
+           "zip((n - 1, n), last)", "zip((n,), last[1:])",
+           ("tests/test_properties.py::"
+            "test_step_size_bounds_the_last_two_terms",)),
 )
 
 

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import with_top_lambda
+from conftest import float_bits, with_top_lambda
 from nkshoot import cli, exact, shoot
 from nkshoot.cli import main
 from nkshoot.exact import NAMED_SOLUTIONS, eval_named
+from nkshoot.integrate import DEFAULT_TOL
+from nkshoot.series import DEFAULT_ORDER
 from nkshoot.state import constraints, rhs
 
 
@@ -608,6 +610,19 @@ def test_fig2_svg_default_markers_are_solved(tmp_path):
         assert f'font-size="11">{label}</text>' in text
     assert main(["fig2", "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--alo", "0.7"]],
+                         ids=["default", "alo-0.7"])
+def test_fig2_solved_markers_are_the_roots_solve_writes(flags):
+    # the solved markers come from the solve targets' own ranges, whatever
+    # ranges the plot is drawn over
+    args = cli.build_parser().parse_args(["fig2", *flags])
+    markers = {label: point for label, _, *point in cli.run_fig2(args)[1]}
+    for target in ("s3xs3-exotic", "s6-exotic"):
+        sol = cli._solve_target(target, DEFAULT_ORDER, DEFAULT_TOL)
+        assert (float_bits(markers[cli._TARGETS[target][0]])
+                == float_bits(sol.left.record.h_point))
 
 
 def test_record_csv_row(tmp_path):
