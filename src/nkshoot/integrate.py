@@ -4,7 +4,8 @@ output, event location and singularity detection.
 The right-hand side state.rhs_vec is recorded once, at import, into the
 relaxed-arithmetic program of series._Program (Jorba & Zou, Exp. Math. 14,
 2005), which gives the Taylor jet of the solution through any state: the
-series engine of the singular orbits, run on the regular system. Each step
+series engine of the singular orbits, run on the regular system (in C where
+cc builds it, else in Python, bit for bit). Each step
 takes one jet of order N and advances by h = rho * tol^(1/N), with rho the
 radius estimated from the last two jet coefficients; N and the step
 tolerance follow from the one integrator tolerance. Every step contributes

@@ -28,7 +28,8 @@ compiled once to one Python loop over the orders, in which every row's
 order-0 and current-order values are locals; each order is one row of a
 row-major record, and its convolution sums are one np.vecdot of two views
 of its transpose, added left to right; the loop adds the terms with an
-order-h factor. The kernel, _Program.fill, takes only the order-0 state
+order-h factor; a jet runs the same loop as C where cc builds it, bit for
+bit. The kernel, _Program.fill, takes only the order-0 state
 and has two modes. Run on the regular system as an ODE, it gives the
 integrator's Taylor jets (integrate.py). Run on a singular IVP, it builds
 the series: each intermediate's [x^h] is affine in y_h with a gradient G
@@ -59,11 +60,16 @@ step) reads the Taylor rows in t of S2 or S3, SeriesSolution.t_coeffs.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
+import os
 import struct
+import tempfile
+import zlib
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -78,6 +84,7 @@ COND_LIMIT = 1e8
 
 _COMPONENTS = ("lam", "u0", "u1", "u2", "v0", "v1", "v2")
 _arange = cache(np.arange)      # one exponent vector per length: read only
+_ptr = ctypes.c_double.from_buffer      # a C double * to a float64 array
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +205,9 @@ class _Program:
     reciprocal of row a (recorded once per row a), or a linear combination
     with terms a = ((row, coef), ...) and order-0 constant b. fill()
     computes the orders of every row from the unknowns' order-0 values in
-    one compiled loop whose locals hold each row's order-0 and order-h
-    values; each order's convolution sums are one np.vecdot over a
-    row-major record, added left to right, and the bits rest on that order.
+    one loop (in C for a jet where cc builds it) whose locals hold each
+    row's order-0 and order-h values; each order's convolution sums, one
+    np.vecdot in Python, are added left to right: the bits rest on that.
     The loop has two modes, fixed when the program is compiled: a jet (an
     ODE, below) and a build (a singular IVP), which completes each order in
     the loop with G from gradient(), a record-free pass. rhs returns a list
@@ -236,42 +243,23 @@ class _Program:
 
     def _compile(self, out_rows) -> Callable:
         """The recorded ops as one Python function run(c0, n, G, IW) (see
-        fill), and as the source of gradient's pass. Locals a{r} and b{r}
-        hold row r's order-0 and order-h values, and s{j} the j-th
-        convolution's sum over orders 1..h-1: one np.vecdot of the views P,
-        Q of the row-major record R's transpose. Row h of R holds the
-        order-h values sel of every convolution's first operand (P), second
-        operand (Q) and of the unknowns. A jet (an ODE) sets its unknowns to
+        fill), as the source of gradient's pass and, for a jet without
+        parameters, as C (_c_source). Locals a{r} and b{r} hold row r's
+        order-0 and order-h values, and s{j} the j-th convolution's sum over
+        orders 1..h-1: one np.vecdot of the views P, Q of the row-major
+        record R's transpose. Row h of R holds the order-h values sel of
+        every convolution's first operand (P), second operand (Q) and of the
+        unknowns (in C, of P and Q only). A jet (an ODE) sets its unknowns to
         its output rows out_rows at order h-1 over h (+ 0.0 turns -0.0 into
         +0.0), fills row h with one pack_into and needs no ops at order n. A
         build (a singular IVP) keeps its unknowns at 0.0, packs each order's
         column into the buffer col and fills row h with col[sel] + Gsel
         (IW[h-1] col), Gsel = G[sel] taken once per run. Coefficients are
-        inlined as float literals, which repr round-trips."""
-        # operand rows of the convolution sum_k C[p, k] C[q, h-k] of each
-        # product (a, b) and reciprocal (a, out); a linear combination has
-        # none
-        conv = [(a, b if k == _MUL else out)
-                for k, out, a, b in self.ops if k != _LIN]
+        inlined as float literals, which repr round-trips, in C as exact hex
+        ones; C returns 1 where a reciprocal's operand is 0.0."""
+        first, step, conv = self._statements(repr)
         m, dim, ode = len(conv), self.dim, bool(out_rows)
         sel = [*(p for p, _ in conv), *(q for _, q in conv), *range(dim)]
-        first, step = [], []
-        j = 0
-        for kind, out, a, b in self.ops:
-            if kind == _MUL:
-                first.append(f"a{out} = a{a} * a{b}")
-                step.append(f"b{out} = s{j} + a{a} * b{b} + b{a} * a{b}")
-                j += 1
-            elif kind == _INV:
-                first.append(f"a{out} = 1.0 / a{a}")
-                step.append(f"b{out} = -(s{j} + b{a} * a{out}) / a{a}")
-                j += 1
-            else:
-                # the leading 0.0 turns a sum of -0.0 terms into +0.0
-                def terms(v, a=a):
-                    return "".join(f" + {float(c)!r} * {v}{r}" for r, c in a)
-                first.append(f"a{out} = 0.0{terms('a')} + {float(b)!r}")
-                step.append(f"b{out} = 0.0{terms('b')}")
 
         def names(v, rows):
             return ", ".join(f"{v}{r}" for r in rows)
@@ -291,6 +279,29 @@ class _Program:
             "G = []", "for e in E:", f"    [{names('b', range(dim))}] = e",
             *("    " + s for s in step), f"    G.append([{rows}])",
             f"return [{names('a', range(self.n_rows))}], G"]
+
+        def record(v, h):
+            return " ".join(f"R[{h} * {2 * m} + {i}] = {v}{r};"
+                            for i, r in enumerate(sel[:2 * m]))
+        c_first, c_step, _ = self._statements(float.hex)
+        zero = [f"a{a} == 0.0" for kind, _, a, _ in self.ops if kind == _INV]
+        self._width = max(1, 2 * m)      # of C's R, which keeps P and Q
+        self._c_source = ode and not self.n_params and "\n".join([
+            "int jet(const double *y, long n, double *R, double *out) {",
+            f"long h, k, N = n + 1; double {names('a', range(self.n_rows))},"
+            f" {rows}{''.join(f', s{j}' for j in range(m))};",
+            *(f"a{i} = y[{i}]; out[{i} * N] = a{i};" for i in range(dim)),
+            f"a{dim} = 0.0;", *(s + ";" for s in c_first),
+            f"if ({' || '.join(zero) or '0'}) return 1;", record("a", 0),
+            *(f"b{r} = a{r};" for r in out_rows), "for (h = 1; h <= n; h++) {",
+            *(f"out[{i} * N + h] = b{r} / h + 0.0;"
+              for i, r in enumerate(out_rows)), "if (h == n) break;",
+            *(f"b{i} = out[{i} * N + h];" for i in range(dim)),
+            f"b{dim} = h == 1 ? 1.0 : 0.0;",
+            *(f"s{j} = 0.0;" for j in range(m)), "for (k = 1; k < h; k++) {",
+            *(f"s{j} += R[k * {2 * m} + {j}] * R[(h - k) * {2 * m} + {m + j}];"
+              for j in range(m)), "}", *(s + ";" for s in c_step),
+            record("b", "h"), "}", "return 0;", "}", ""])
         return _define([
             "def run(c0, n, G, IW):",
             f"R = empty((n + 1, {len(sel)}))",
@@ -316,6 +327,36 @@ class _Program:
             "dot": np.dot, "sel": np.array(sel),
             "pack": struct.Struct(f"{len(sel)}d").pack_into,
             "pack_col": struct.Struct(f"{self.n_rows}d").pack_into})
+
+    def _statements(self, lit) -> tuple[list, list, list]:
+        """Each op's statement at order 0 and at order h, coefficients
+        written by lit, and the operand rows (p, q) of each convolution
+        sum_k C[p, k] C[q, h-k], a product's (a, b) or a reciprocal's."""
+        first, step, conv = [], [], []
+        for kind, out, a, b in self.ops:
+            j = len(conv)
+            if kind == _MUL:
+                first.append(f"a{out} = a{a} * a{b}")
+                step.append(f"b{out} = s{j} + a{a} * b{b} + b{a} * a{b}")
+                conv.append((a, b))
+            elif kind == _INV:
+                first.append(f"a{out} = 1.0 / a{a}")
+                step.append(f"b{out} = -(s{j} + b{a} * a{out}) / a{a}")
+                conv.append((a, out))
+            else:
+                # the leading 0.0 turns a sum of -0.0 terms into +0.0
+                def terms(v, a=a):
+                    return "".join(f" + {lit(float(c))} * {v}{r}"
+                                   for r, c in a)
+                first.append(f"a{out} = 0.0{terms('a')} + {lit(float(b))}")
+                step.append(f"b{out} = 0.0{terms('b')}")
+        return first, step, conv
+
+    @cached_property
+    def _compiled(self) -> Callable | None:
+        """The C function jet of _c_source, loaded on the first ODE fill;
+        false for a build, and None where _load_c gives None."""
+        return self._c_source and _load_c(self._c_source)
 
     def lift(self, v) -> _Series:
         if isinstance(v, _Series):
@@ -363,14 +404,20 @@ class _Program:
         """Orders 0..n of every row (relaxed arithmetic) from the unknowns'
         order-0 values y0, and the unknowns' rows as a C-ordered (dim, n + 1)
         array; x is 1 at order 1, else 0. np.vecdot adds each convolution's
-        products left to right in a plain C loop, never through BLAS, since
-        Q, a view of the row-major record's transpose, has a negative
-        stride. An ODE (a jet) takes each order's unknowns from the output;
-        a singular IVP (a build) evaluates each order h >= 1's column c with
-        the unknowns at 0.0 and completes it in the loop to c + G (IW[h-1]
-        c), with G from gradient and IW[h-1] = (h*Id - A)^-1 W."""
-        c0 = [*np.asarray(y0, dtype=float).tolist(), 0.0,
-              *np.asarray(params, dtype=float).tolist()]
+        products left to right in a plain loop, never through BLAS, since Q,
+        a view of the row-major record's transpose, has a negative stride.
+        An ODE (a jet, in C where it loads) takes each order's unknowns from
+        the output; a singular IVP (a build) evaluates each order h >= 1's
+        column c with the unknowns at 0.0 and completes it in the loop to
+        c + G (IW[h-1] c), with G from gradient, IW[h-1] = (h*Id - A)^-1 W."""
+        y = np.asarray(y0, dtype=float)
+        if (n >= 0 and y.shape == (self.dim,) and not len(params)
+                and self._compiled):
+            R, out = np.empty((n + 1, self._width)), np.empty((y.size, n + 1))
+            if self._compiled(_ptr(np.array(y)), n, _ptr(R), _ptr(out)):
+                raise ZeroDivisionError("float division by zero")
+            return out
+        c0 = [*y.tolist(), 0.0, *np.asarray(params, dtype=float).tolist()]
         return self._run(c0, n, G, IW)
 
     @cached_property
@@ -391,6 +438,48 @@ class _Program:
             np.eye(self.dim).tolist())
         # C-ordered: G @ v rounds differently on a column-major G
         return np.array(c0), np.array(G).T.copy()
+
+
+def _load_c(source: str, timeout_s: float = 60.0) -> Callable | None:
+    """The function jet of source's library in the cache
+    $XDG_CACHE_HOME/nkshoot (else ~/.cache/nkshoot; mode 0700), loaded if
+    the library and the source stored beside it, equal to source, are
+    there; else first built by cc in a temporary directory there and moved
+    into place by os.replace, library first. None where others own or can
+    write the cache, no cc is on PATH, or the compile fails or takes more
+    than timeout_s (then its process group is killed)."""
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache",
+                 "nkshoot")
+    c = cache / f"jet-{zlib.crc32(source.encode()):08x}.c"
+    so = c.with_suffix(".so")
+    try:
+        cache.mkdir(0o700, parents=True, exist_ok=True)
+        if (st := cache.stat()).st_uid != os.getuid() or st.st_mode & 0o022:
+            return None
+        if not (so.is_file() and c.is_file() and c.read_text() == source):
+            import signal
+            import subprocess
+            with tempfile.TemporaryDirectory(dir=cache) as tmp:
+                Path(tmp, "jet.c").write_text(source)
+                # no -ffast-math or -march, which move bits; files in tmp
+                proc = subprocess.Popen(
+                    "cc -O2 -shared -fPIC -ffp-contract=off -o jet.so jet.c"
+                    .split(), cwd=tmp, stderr=subprocess.DEVNULL,
+                    start_new_session=True, env={**os.environ, "TMPDIR": tmp})
+                try:
+                    failed = proc.wait(timeout_s)
+                except subprocess.TimeoutExpired:
+                    failed = os.killpg(proc.pid, signal.SIGKILL) or proc.wait()
+                if failed:
+                    return None
+                os.replace(Path(tmp, "jet.so"), so)
+                os.replace(Path(tmp, "jet.c"), c)
+        jet = ctypes.CDLL(str(so)).jet
+        p = ctypes.POINTER(ctypes.c_double)
+        jet.argtypes, jet.restype = (p, ctypes.c_long, p, p), ctypes.c_int
+        return jet
+    except OSError:
+        return None
 
 
 def _define(lines: list[str], namespace: dict) -> Callable:

@@ -103,6 +103,32 @@ MUTANTS = (
            "zip((n - 1, n), last)", "zip((n,), last[1:])",
            ("tests/test_properties.py::"
             "test_step_size_bounds_the_last_two_terms",)),
+    Mutant("step-size-skips-a-nan-row", "src/nkshoot/series.py",
+           "elif ck != 0.0:\n            return math.nan",
+           "elif ck != 0.0:\n            continue",
+           ("tests/test_properties.py::"
+            "test_step_size_is_nan_or_zero_on_overflowed_rows",)),
+    Mutant("unique-maximum-reads-the-dense-output", "src/nkshoot/shoot.py",
+           "T, y = float(traj.times[-1]), traj.states[-1]",
+           "T = float(traj.times[-1])\n    y = traj.dense(T)",
+           ("tests/test_shoot.py::test_event_inside_the_series_step",)),
+    Mutant("emit-drops-plus-zero", "src/nkshoot/series.py",
+           'f"out[{i} * N + h] = b{r} / h + 0.0;"',
+           'f"out[{i} * N + h] = b{r} / h;"',
+           ("tests/test_compiled.py::test_a_negative_zero_component",
+            "tests/test_compiled.py::"
+            "test_compiled_jet_equals_the_python_run")),
+    Mutant("emit-reversed-convolution", "src/nkshoot/series.py",
+           '"for (k = 1; k < h; k++) {"', '"for (k = h - 1; k >= 1; k--) {"',
+           ("tests/test_compiled.py::"
+            "test_compiled_jet_equals_the_python_run",
+            "tests/test_compiled.py::"
+            "test_compiled_jet_equals_the_python_run_along_members")),
+    Mutant("emit-skips-zero-check", "src/nkshoot/series.py",
+           "f\"if ({' || '.join(zero) or '0'}) return 1;\"",
+           '"/* no zero check */"',
+           ("tests/test_compiled.py::"
+            "test_a_zero_reciprocal_operand_raises_on_both_paths",)),
 )
 
 
