@@ -24,28 +24,23 @@ one column: each intermediate's [x^h] coefficient follows from columns 0..h
 of its operands (relaxed, or online, Taylor arithmetic; Jorba & Zou, Exp.
 Math. 14, 2005), so a build of order n costs O(n^2) instead of
 re-evaluating the truncated series at every order. The recorded ops are
-compiled once to one Python loop over the orders, in which every row's
-order-0 and current-order values are locals; each order is one row of a
-row-major record, and its convolution sums are one np.vecdot of two views
-of its transpose, added left to right; the loop adds the terms with an
-order-h factor; a jet runs the same loop as C where cc builds it, bit for
-bit. The kernel, _Program.fill, takes only the order-0 state
-and has two modes. Run on the regular system as an ODE, it gives the
+compiled once to one loop over the orders, run as C where cc builds it and
+else as Python, bit for bit: each sum adds its terms in one fixed order and
+none goes through BLAS. The kernel, _Program.fill, takes only the order-0
+state and has two modes. Run on the regular system as an ODE, it gives the
 integrator's Taylor jets (integrate.py). Run on a singular IVP, it builds
 the series: each intermediate's [x^h] is affine in y_h with a gradient G
-that depends only on the order-0 column, so the loop evaluates column h
-with y_h = 0, packs it into one buffer c, takes y_h = (h*Id - A)^-1 W c and
+that depends only on the order-0 column, so the loop evaluates column h,
+c, with y_h = 0, sums w = W c over the rows W reads, solves
+(h*Id - A) y_h = w by Gaussian elimination with partial pivoting and
 completes only the rows that the later orders and the output read:
-c[sel] + G[sel] y_h. G comes from a record-free pass, order 0 and then
-y_h = e_j with x = 0 and every convolution sum 0, so the same G gives
-A = d_{y0}F(0, .) exactly; and as x is 0 at order 0, F(0, y0) is the
-output's order-0 value.
-Resonance is decided once, for h = 1 .. order, on A's spectrum, which no
-scale of the rows moves: h is resonant where the ratio
-max|h - eig| / min|h - eig| over A's eigenvalues exceeds COND_LIMIT. As
-|M|_F |M^-1|_F >= cond_2(M) >= that ratio for M = h*Id - A, the bound,
-read off the batched inverses, only skips the eigenvalue call where it
-already settles h.
+c[sel] + (0.0 + G[sel] y_h). G comes from a record-free pass, order 0 and
+then y_h = e_j with x = 0 and every convolution sum 0, so the same G and
+the same sums of W give A = d_{y0}F(0, .); and as x is 0 at order 0,
+F(0, y0) is the output's order-0 value. Resonance is decided once, for
+h = 1 .. order, on A's spectrum, which no scale of the rows moves: h is
+resonant where max|h - eig| / min|h - eig| over A's eigenvalues exceeds
+COND_LIMIT.
 
 Four solution families are produced:
   S2        u_i(0) = (a^2, a^2, 0), v(0) = 0, lambda ~ (3/2) t; variable t.
@@ -205,14 +200,17 @@ class _Program:
     reciprocal of row a (recorded once per row a), or a linear combination
     with terms a = ((row, coef), ...) and order-0 constant b. fill()
     computes the orders of every row from the unknowns' order-0 values in
-    one loop (in C for a jet where cc builds it) whose locals hold each
-    row's order-0 and order-h values; each order's convolution sums, one
-    np.vecdot in Python, are added left to right: the bits rest on that.
-    The loop has two modes, fixed when the program is compiled: a jet (an
-    ODE, below) and a build (a singular IVP), which completes each order in
-    the loop with G from gradient(), a record-free pass. rhs returns a list
-    of dim expressions; output = (W, const) maps a column to [x^h] of them,
-    with const their constant part at order 0.
+    one loop whose locals hold each row's order-0 and order-h values; each
+    order's convolution sums, one np.vecdot in Python, are added left to
+    right: the bits rest on that. The loop has two modes, fixed when the
+    program is compiled: a jet (an ODE, below) and a build (a singular
+    IVP), which completes each order in the loop with G and A from
+    gradient(), a record-free pass. rhs returns a list of dim expressions;
+    output = (W, const) maps a column to [x^h] of them, with const their
+    constant part at order 0. With cc=True the loop is emitted as C too and
+    loaded on the first fill; the programs recorded once at import set it,
+    so the cache holds one library per program, and a program recorded per
+    call runs in Python.
 
     With ode=True the program is an autonomous ODE y' = rhs(y): its output
     must be single recorded rows, and the unknowns' order-h coefficients
@@ -223,7 +221,7 @@ class _Program:
     differently."""
 
     def __init__(self, dim: int, rhs: Callable, n_params: int = 0,
-                 ode: bool = False):
+                 ode: bool = False, cc: bool = False):
         self.dim = dim
         self.n_params = n_params
         self.ops: list[tuple] = []
@@ -239,27 +237,32 @@ class _Program:
                     or const.any()):
                 raise ValueError("an ODE's outputs must be single recorded "
                                  "rows")
-        self._run = self._compile(out_rows)
+        # a sum that overflows gives inf or NaN rows, as in C, and no warning
+        self._run = np.errstate(over="ignore", invalid="ignore")(
+            self._compile(out_rows, cc))
 
-    def _compile(self, out_rows) -> Callable:
-        """The recorded ops as one Python function run(c0, n, G, IW) (see
-        fill), as the source of gradient's pass and, for a jet without
-        parameters, as C (_c_source). Locals a{r} and b{r} hold row r's
-        order-0 and order-h values, and s{j} the j-th convolution's sum over
-        orders 1..h-1: one np.vecdot of the views P, Q of the row-major
-        record R's transpose. Row h of R holds the order-h values sel of
-        every convolution's first operand (P), second operand (Q) and of the
-        unknowns (in C, of P and Q only). A jet (an ODE) sets its unknowns to
-        its output rows out_rows at order h-1 over h (+ 0.0 turns -0.0 into
-        +0.0), fills row h with one pack_into and needs no ops at order n. A
-        build (a singular IVP) keeps its unknowns at 0.0, packs each order's
-        column into the buffer col and fills row h with col[sel] + Gsel
-        (IW[h-1] col), Gsel = G[sel] taken once per run. Coefficients are
-        inlined as float literals, which repr round-trips, in C as exact hex
-        ones; C returns 1 where a reciprocal's operand is 0.0."""
-        first, step, conv = self._statements(repr)
+    def _compile(self, out_rows, cc: bool) -> Callable:
+        """The recorded ops as one Python function run(c0, n, G, A) (see
+        fill), as the source of gradient's pass and, where cc is set, as C
+        (_c_source). Locals a{r} and b{r} hold row r's order-0 and order-h
+        values, and s{j} the j-th convolution's sum over orders 1..h-1: one
+        np.vecdot of the views P, Q of the row-major record R's transpose.
+        Row h of R holds the order-h values sel of every convolution's first
+        operand (P), second operand (Q) and of the unknowns (in a C jet, of
+        P and Q only). A jet (an ODE) sets its unknowns to its output rows
+        out_rows at order h-1 over h (+ 0.0 turns -0.0 into +0.0) and needs
+        no ops at order n. A build (a singular IVP) keeps its unknowns at
+        0.0 and completes each order h: y = _solve(h, A, wsum) and row h =
+        b[sel] + (0.0 + sum_j G[sel, j] y_j), in Python one np.vecdot with
+        a view of G[sel] of negative stride, which no BLAS kernel takes.
+        Coefficients are inlined as float literals, which repr round-trips,
+        in C as exact hex ones; C returns 1 where a reciprocal's operand or
+        a pivot is 0.0, where Python raises ZeroDivisionError."""
+        first, step, conv, wsum = self._statements(repr)
         m, dim, ode = len(conv), self.dim, bool(out_rows)
+        n0 = dim + 1 + self.n_params
         sel = [*(p for p, _ in conv), *(q for _, q in conv), *range(dim)]
+        self._sel = np.array(sel)
 
         def names(v, rows):
             return ", ".join(f"{v}{r}" for r in rows)
@@ -269,69 +272,89 @@ class _Program:
 
         def from_outputs(k):
             return f"[{', '.join(f'b{r} / {k} + 0.0' for r in out_rows)}]"
-        order0 = [f"[{names('a', range(dim + 1 + self.n_params))}] = c0",
-                  *first]
+        order0 = [f"[{names('a', range(n0))}] = c0", *first]
         rows = names("b", range(self.n_rows))
         self._gradient_source = [
             "def run(c0, E):", *order0,
-            *(f"b{r} = 0.0" for r in range(dim, dim + 1 + self.n_params)),
+            *(f"b{r} = 0.0" for r in range(dim, n0)),
             *(f"s{j} = 0.0" for j in range(m)),
-            "G = []", "for e in E:", f"    [{names('b', range(dim))}] = e",
+            "G, A = [], []", "for e in E:",
+            f"    [{names('b', range(dim))}] = e",
             *("    " + s for s in step), f"    G.append([{rows}])",
-            f"return [{names('a', range(self.n_rows))}], G"]
+            f"    A.append([{', '.join(wsum)}])",
+            f"return [{names('a', range(self.n_rows))}], G, A"]
+
+        # C's R keeps P and Q, and a build's the unknowns too, as Python's
+        self._width = K = max(1, 2 * m) if ode else len(sel)
 
         def record(v, h):
-            return " ".join(f"R[{h} * {2 * m} + {i}] = {v}{r};"
-                            for i, r in enumerate(sel[:2 * m]))
-        c_first, c_step, _ = self._statements(float.hex)
+            return " ".join(f"R[{h} * {K} + {i}] = {v}{r};"
+                            for i, r in enumerate(sel[:K]))
+        c_first, c_step, _, c_wsum = self._statements(float.hex)
         zero = [f"a{a} == 0.0" for kind, _, a, _ in self.ops if kind == _INV]
-        self._width = max(1, 2 * m)      # of C's R, which keeps P and Q
-        self._c_source = ode and not self.n_params and "\n".join([
-            "int jet(const double *y, long n, double *R, double *out) {",
+        self._c_source = cc and not (ode and self.n_params) and "\n".join([
+            *([] if ode else ["#include <math.h>", f"#define D {dim}"]),
+            "int run(const double *y, long n, double *R, double *out) {",
             f"long h, k, N = n + 1; double {names('a', range(self.n_rows))},"
             f" {rows}{''.join(f', s{j}' for j in range(m))};",
-            *(f"a{i} = y[{i}]; out[{i} * N] = a{i};" for i in range(dim)),
-            f"a{dim} = 0.0;", *(s + ";" for s in c_first),
+            *([f"a{i} = y[{i}]; out[{i} * N] = a{i};" for i in range(dim)]
+              + [f"a{dim} = 0.0;"] if ode else [
+                f"const double *A = y + {n0}, *G = A + D * D;",
+                "double M[D][D + 1], w[D], t; long c, i, j, p;",
+                *(f"a{r} = y[{r}]; b{r} = 0.0;" for r in range(n0))]),
+            *(s + ";" for s in c_first),
             f"if ({' || '.join(zero) or '0'}) return 1;", record("a", 0),
             *(f"b{r} = a{r};" for r in out_rows), "for (h = 1; h <= n; h++) {",
-            *(f"out[{i} * N + h] = b{r} / h + 0.0;"
-              for i, r in enumerate(out_rows)), "if (h == n) break;",
-            *(f"b{i} = out[{i} * N + h];" for i in range(dim)),
+            *([*(f"out[{i} * N + h] = b{r} / h + 0.0;"
+                 for i, r in enumerate(out_rows)), "if (h == n) break;",
+               *(f"b{i} = out[{i} * N + h];" for i in range(dim))]
+              if ode else []),
             f"b{dim} = h == 1 ? 1.0 : 0.0;",
             *(f"s{j} = 0.0;" for j in range(m)), "for (k = 1; k < h; k++) {",
-            *(f"s{j} += R[k * {2 * m} + {j}] * R[(h - k) * {2 * m} + {m + j}];"
+            *(f"s{j} += R[k * {K} + {j}] * R[(h - k) * {K} + {m + j}];"
               for j in range(m)), "}", *(s + ";" for s in c_step),
-            record("b", "h"), "}", "return 0;", "}", ""])
+            *([record("b", "h")] if ode else [
+                "for (i = 0; i < D; i++) for (j = 0; j < D; j++)",
+                "    M[i][j] = (i == j ? (double)h : 0.0) - A[i * D + j];",
+                *(f"M[{i}][D] = {s};" for i, s in enumerate(c_wsum)),
+                _C_SOLVE,
+                f"const double v[] = {{{names('b', sel)}}};",
+                f"for (i = 0; i < {K}; i++) {{",
+                "    for (t = 0.0, j = 0; j < D; j++)",
+                "        t += G[i * D + j] * w[j];",
+                f"    R[h * {K} + i] = v[i] + t;", "}"]),
+            "}", "return 0;", "}", ""])
         return _define([
-            "def run(c0, n, G, IW):",
+            "def run(c0, n, G, A):",
             f"R = empty((n + 1, {len(sel)}))",
-            *([] if ode else [f"col, Gsel = empty({self.n_rows}), G[sel]"]),
+            *([] if ode else
+              ["A, Gv = A.tolist(), G[sel][:, ::-1].copy()[:, ::-1]"]),
             f"P, Q = R.T[:{m}], R.T[{m}:{2 * m}]",
             *order0, pack_sel("a", 0),
             *(f"b{r} = a{r}" for r in out_rows),
-            *(f"b{r} = 0.0" for r in range(dim + 1 if ode else 0,
-                                           dim + 1 + self.n_params)),
+            *(f"b{r} = 0.0" for r in range(dim + 1 if ode else 0, n0)),
             f"for h in range(1, {'n' if ode else 'n + 1'}):",
             f"    b{dim} = 1.0 if h == 1 else 0.0",
             *([f"    [{names('b', range(dim))}] = {from_outputs('h')}"]
               if ode else []),
             f"    [{names('s', range(m))}] = vecdot(P[:, 1:h], "
             f"Q[:, h - 1:0:-1]).tolist()",
-            *("    " + s for s in step),
-            *([f"    {pack_sel('b', 'h')}",
-               f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else [
-               f"    pack_col(col, 0, {rows})",
-               "    add(col[sel], dot(Gsel, dot(IW[h - 1], col)), out=R[h])"]),
+            *("    " + s for s in step), f"    {pack_sel('b', 'h')}",
+            *([f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else [
+               f"    R[h] += vecdot(Gv, solve(h, A, [{', '.join(wsum)}]))"]),
             f"return R[:, {2 * m}:].T.copy()"], {
-            "empty": np.empty, "vecdot": np.vecdot, "add": np.add,
-            "dot": np.dot, "sel": np.array(sel),
-            "pack": struct.Struct(f"{len(sel)}d").pack_into,
-            "pack_col": struct.Struct(f"{self.n_rows}d").pack_into})
+            "empty": np.empty, "vecdot": np.vecdot, "solve": _solve,
+            "sel": self._sel,
+            "pack": struct.Struct(f"{len(sel)}d").pack_into})
 
-    def _statements(self, lit) -> tuple[list, list, list]:
+    def _statements(self, lit) -> tuple[list, list, list, list]:
         """Each op's statement at order 0 and at order h, coefficients
-        written by lit, and the operand rows (p, q) of each convolution
-        sum_k C[p, k] C[q, h-k], a product's (a, b) or a reciprocal's."""
+        written by lit, the operand rows (p, q) of each convolution
+        sum_k C[p, k] C[q, h-k], a product's (a, b) or a reciprocal's, and
+        wsum: [x^h] of each output, 0.0 + sum_r W[i, r] b{r} over the rows
+        that W reads, in row order."""
+        def terms(v, a):
+            return "".join(f" + {lit(float(c))} * {v}{r}" for r, c in a)
         first, step, conv = [], [], []
         for kind, out, a, b in self.ops:
             j = len(conv)
@@ -345,17 +368,16 @@ class _Program:
                 conv.append((a, out))
             else:
                 # the leading 0.0 turns a sum of -0.0 terms into +0.0
-                def terms(v, a=a):
-                    return "".join(f" + {lit(float(c))} * {v}{r}"
-                                   for r, c in a)
-                first.append(f"a{out} = 0.0{terms('a')} + {lit(float(b))}")
-                step.append(f"b{out} = 0.0{terms('b')}")
-        return first, step, conv
+                first.append(f"a{out} = 0.0{terms('a', a)} + {lit(float(b))}")
+                step.append(f"b{out} = 0.0{terms('b', a)}")
+        wsum = [f"0.0{terms('b', ((r, c) for r, c in enumerate(row) if c))}"
+                for row in self.output[0]]
+        return first, step, conv, wsum
 
     @cached_property
     def _compiled(self) -> Callable | None:
-        """The C function jet of _c_source, loaded on the first ODE fill;
-        false for a build, and None where _load_c gives None."""
+        """The C function run of _c_source, loaded on the first fill; false
+        without cc, and None where _load_c gives None."""
         return self._c_source and _load_c(self._c_source)
 
     def lift(self, v) -> _Series:
@@ -400,25 +422,31 @@ class _Program:
             const[i] = e.const
         return M, const
 
-    def fill(self, y0, params, n: int, G=None, IW=None) -> np.ndarray:
+    def fill(self, y0, params, n: int, G=None, A=None) -> np.ndarray:
         """Orders 0..n of every row (relaxed arithmetic) from the unknowns'
         order-0 values y0, and the unknowns' rows as a C-ordered (dim, n + 1)
         array; x is 1 at order 1, else 0. np.vecdot adds each convolution's
         products left to right in a plain loop, never through BLAS, since Q,
         a view of the row-major record's transpose, has a negative stride.
-        An ODE (a jet, in C where it loads) takes each order's unknowns from
-        the output; a singular IVP (a build) evaluates each order h >= 1's
-        column c with the unknowns at 0.0 and completes it in the loop to
-        c + G (IW[h-1] c), with G from gradient, IW[h-1] = (h*Id - A)^-1 W."""
+        An ODE (a jet) takes each order's unknowns from the output; a
+        singular IVP (a build) evaluates each order h >= 1's column with the
+        unknowns at 0.0 and completes it in the loop, with G and A from
+        gradient (see _compile). Both run in C where cc is set and the
+        library loads, else in Python, bit for bit."""
         y = np.asarray(y0, dtype=float)
-        if (n >= 0 and y.shape == (self.dim,) and not len(params)
+        if (n >= 0 and y.shape == (self.dim,) and len(params) == self.n_params
+                and (G is None or np.shape(A) == (self.dim, self.dim)
+                     and np.shape(G) == (self.n_rows, self.dim))
                 and self._compiled):
             R, out = np.empty((n + 1, self._width)), np.empty((y.size, n + 1))
+            if G is not None:       # a build reads c0, A and G[sel]
+                y = np.concatenate((y, [0.0], params, A, G[self._sel]),
+                                   axis=None)
             if self._compiled(_ptr(np.array(y)), n, _ptr(R), _ptr(out)):
                 raise ZeroDivisionError("float division by zero")
-            return out
+            return out if G is None else R[:, -self.dim:].T.copy()
         c0 = [*y.tolist(), 0.0, *np.asarray(params, dtype=float).tolist()]
-        return self._run(c0, n, G, IW)
+        return self._run(c0, n, G, A)
 
     @cached_property
     def _gradient_run(self) -> Callable:
@@ -426,22 +454,59 @@ class _Program:
         compiled on first use, so that an ODE's program never compiles it."""
         return _define(self._gradient_source, {})
 
-    def gradient(self, y0, params) -> tuple[np.ndarray, np.ndarray]:
-        """The order-0 column c0 about y0 and params, and G[row, j] =
-        d C[row, h] / d y_h[j], the same for every h >= 1, about it. With
-        every convolution sum 0.0 and x = 0, column h is linear in y_h, so
-        the column of one order with y_h = e_j is G[:, j]: a pass that keeps
-        no record."""
-        c0, G = self._gradient_run(
+    def gradient(self, y0, params) -> tuple[np.ndarray, ...]:
+        """The order-0 column c0 about y0 and params, G[row, j] =
+        d C[row, h] / d y_h[j], the same for every h >= 1, about it, and
+        A = W G = d_{y0}F(0, .). With every convolution sum 0.0 and x = 0,
+        column h is linear in y_h, so the column of one order with y_h = e_j
+        is G[:, j], and the build's sums wsum on it give A[:, j]: a pass
+        that keeps no record and calls no BLAS kernel."""
+        c0, G, A = self._gradient_run(
             [*np.asarray(y0, dtype=float).tolist(), 0.0,
              *np.asarray(params, dtype=float).tolist()],
             np.eye(self.dim).tolist())
-        # C-ordered: G @ v rounds differently on a column-major G
-        return np.array(c0), np.array(G).T.copy()
+        return np.array(c0), np.array(G).T.copy(), np.array(A).T.copy()
+
+
+def _solve(h: int, A: list, w: list) -> list:
+    """y with (h*Id - A) y = w, A a list of rows: Gaussian elimination with
+    partial pivoting (the first largest |pivot|) of (h*Id - A | w), then
+    back substitution by columns, on Python floats and operation for
+    operation as _C_SOLVE. Raises ZeroDivisionError on a zero pivot."""
+    k = len(w)
+    M = [[*((h if i == j else 0.0) - a for j, a in enumerate(row)), w[i]]
+         for i, row in enumerate(A)]
+    for c in range(k):
+        p = max(range(c, k), key=lambda i: abs(M[i][c]))
+        M[c], M[p] = M[p], M[c]
+        for i in range(c + 1, k):
+            f = M[i][c] / M[c][c]
+            M[i][c + 1:] = [a - f * b for a, b in zip(M[i][c + 1:],
+                                                      M[c][c + 1:])]
+    for c in reversed(range(k)):
+        w[c] = M[c][k] / M[c][c]
+        for i in range(c):
+            M[i][k] -= M[i][c] * w[c]
+    return w
+
+
+# _solve in C, on M = (h*Id - A | w), into w; run returns 1 on a zero pivot
+_C_SOLVE = """for (c = 0; c < D; c++) {
+    for (p = c, i = c + 1; i < D; i++)
+        if (fabs(M[i][c]) > fabs(M[p][c])) p = i;
+    for (j = c; j <= D; j++) t = M[c][j], M[c][j] = M[p][j], M[p][j] = t;
+    if (M[c][c] == 0.0) return 1;
+    for (i = c + 1; i < D; i++)
+        for (t = M[i][c] / M[c][c], j = c + 1; j <= D; j++)
+            M[i][j] -= t * M[c][j];
+}
+for (c = D - 1; c >= 0; c--)
+    for (w[c] = M[c][D] / M[c][c], i = 0; i < c; i++)
+        M[i][D] -= M[i][c] * w[c];"""
 
 
 def _load_c(source: str, timeout_s: float = 60.0) -> Callable | None:
-    """The function jet of source's library in the cache
+    """The function run of source's library in the cache
     $XDG_CACHE_HOME/nkshoot (else ~/.cache/nkshoot; mode 0700), loaded if
     the library and the source stored beside it, equal to source, are
     there; else first built by cc in a temporary directory there and moved
@@ -450,7 +515,7 @@ def _load_c(source: str, timeout_s: float = 60.0) -> Callable | None:
     than timeout_s (then its process group is killed)."""
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache",
                  "nkshoot")
-    c = cache / f"jet-{zlib.crc32(source.encode()):08x}.c"
+    c = cache / f"kernel-{zlib.crc32(source.encode()):08x}.c"
     so = c.with_suffix(".so")
     try:
         cache.mkdir(0o700, parents=True, exist_ok=True)
@@ -474,10 +539,10 @@ def _load_c(source: str, timeout_s: float = 60.0) -> Callable | None:
                     return None
                 os.replace(Path(tmp, "jet.so"), so)
                 os.replace(Path(tmp, "jet.c"), c)
-        jet = ctypes.CDLL(str(so)).jet
+        run = ctypes.CDLL(str(so)).run
         p = ctypes.POINTER(ctypes.c_double)
-        jet.argtypes, jet.restype = (p, ctypes.c_long, p, p), ctypes.c_int
-        return jet
+        run.argtypes, run.restype = (p, ctypes.c_long, p, p), ctypes.c_int
+        return run
     except OSError:
         return None
 
@@ -509,27 +574,26 @@ class SingularIVP:
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient table Y (dim x order+1) of the unique series solution,
-    and A = d_{y0}F(0, .), by the relaxed recurrence in O(order^2) work.
+    and A = d_{y0}F(0, .), by the relaxed recurrence in O(order^2) work,
+    each order completed in one fixed order of operations (see _compile).
 
     Raises InvalidArgumentError if order < 1, DegenerateStateError if the
     order-0 pass divides by zero or overflows, SeriesConsistencyError if
     F(0, y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
     at which the spectral ratio max|h - eig| / min|h - eig| over A's
-    eigenvalues exceeds COND_LIMIT, and that ratio; |M|_F |M^-1|_F >=
-    cond_2(M) >= the ratio for M = h*Id - A, so where that bound is within
-    COND_LIMIT it settles h without the eigenvalues. All h are checked, in
-    one batch, before the first solve.
+    eigenvalues exceeds COND_LIMIT, and that ratio. All h are checked, on
+    one call for the eigenvalues, before the first order is built.
     """
     if order < 1:
         raise InvalidArgumentError(
             f"series order must be at least 1, got {order}")
-    prog, k = problem.program, problem.program.dim
+    prog = problem.program
     name = problem.name or "singular IVP"
     W, const = prog.output
     try:
-        c0, G = prog.gradient(problem.y0, problem.params)
+        c0, G, A = prog.gradient(problem.y0, problem.params)
     except ZeroDivisionError:
-        c0, G = np.full(1, np.nan), np.full((1, 1), np.nan)
+        c0 = G = np.full(1, np.nan)
     if not (np.isfinite(c0).all() and np.isfinite(G).all()):
         raise DegenerateStateError(
             f"{name}: the order-0 terms at parameters {list(problem.params)} "
@@ -537,29 +601,16 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     res = float(np.max(np.abs(W @ c0 + const)))
     if res > 1e-13 * (1.0 + float(np.max(np.abs(problem.y0)))):
         raise SeriesConsistencyError(f"{name}: |M_-1(y0)| = {res:.3e}")
-    A = W @ G
-    lhs = np.arange(1, order + 1)[:, None, None] * np.eye(k) - A
-    # y_h = (h*Id - A)^-1 W C[:, h], with the inverses taken in one batch;
-    # |M|_F |M^-1|_F bounds the spectral ratio and settles most h, and the
-    # rest are read on the spectrum of A (the ratio is cond_2 were A normal)
-    try:
-        inv = np.linalg.inv(lhs)
-    except np.linalg.LinAlgError:
-        inv = np.full_like(lhs, np.nan)
-    bound = (np.linalg.norm(lhs, axis=(1, 2))
-             * np.linalg.norm(inv, axis=(1, 2)))
-    unsettled = np.flatnonzero(~(bound <= COND_LIMIT))   # also inf and nan
-    if unsettled.size:
-        gap = np.abs(unsettled[:, None] + 1.0 - np.linalg.eigvals(A))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = gap.max(axis=1) / gap.min(axis=1)
-        bad = np.flatnonzero(~(cond <= COND_LIMIT))
-        if bad.size:
-            i = int(bad[0])
-            raise ResonanceError(
-                f"{name}: h*Id - dM_-1 ill conditioned at h = "
-                f"{unsettled[i] + 1} (cond = {cond[i]:.3e})")
-    return prog.fill(problem.y0, problem.params, order, G, list(inv @ W)), A
+    gap = np.abs(np.arange(1, order + 1)[:, None] - np.linalg.eigvals(A))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = gap.max(axis=1) / gap.min(axis=1)
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))
+    if bad.size:
+        h = int(bad[0]) + 1
+        raise ResonanceError(
+            f"{name}: h*Id - dM_-1 ill conditioned at h = {h} "
+            f"(cond = {cond[h - 1]:.3e})")
+    return prog.fill(problem.y0, problem.params, order, G, A), A
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +669,9 @@ def _s3_rhs(y, x, b):
             4 * (x2y7 * y3) - 3 * (x2 * (y3 * r7)), lam]
 
 
-_S2_PROGRAM = _Program(7, _s2_rhs, n_params=1)
-_S3_PROGRAM = _Program(7, _s3_rhs, n_params=1)
-_S3_BUBBLE_PROGRAM = _Program(7, _s3_bubble_rhs, n_params=1)
+_S2_PROGRAM = _Program(7, _s2_rhs, n_params=1, cc=True)
+_S3_PROGRAM = _Program(7, _s3_rhs, n_params=1, cc=True)
+_S3_BUBBLE_PROGRAM = _Program(7, _s3_bubble_rhs, n_params=1, cc=True)
 
 
 def s2_problem(a: float) -> SingularIVP:

@@ -91,10 +91,12 @@ MUTANTS = (
            "(4.0 * lam2 - 2.0) * u2 / lam,",
            ("tests/test_shoot.py::test_probe_argument_symbolically",)),
     Mutant("build-skips-completion", "src/nkshoot/series.py",
-           "add(col[sel], dot(Gsel, dot(IW[h - 1], col)), out=R[h])",
-           "add(col[sel], 0.0, out=R[h])",
+           '"        t += G[i * D + j] * w[j];"',
+           '"        ;"',
            ("tests/test_series.py::"
-            "test_solve_singular_ivp_bits_equal_the_plain_recurrence",)),
+            "test_solve_singular_ivp_bits_equal_the_plain_recurrence",
+            "tests/test_compiled.py::"
+            "test_compiled_build_equals_the_python_build")),
     Mutant("resonance-nan-passes", "src/nkshoot/series.py",
            "bad = np.flatnonzero(~(cond <= COND_LIMIT))",
            "bad = np.flatnonzero(cond > COND_LIMIT)",
@@ -129,6 +131,30 @@ MUTANTS = (
            '"/* no zero check */"',
            ("tests/test_compiled.py::"
             "test_a_zero_reciprocal_operand_raises_on_both_paths",)),
+    Mutant("python-build-skips-completion", "src/nkshoot/series.py",
+           "R[h] += vecdot(Gv, solve(h, A, [",
+           "R[h] += 0.0 * vecdot(Gv, solve(h, A, [",
+           ("tests/test_compiled.py::"
+            "test_compiled_build_equals_the_python_build",)),
+    Mutant("solve-skips-pivot-search", "src/nkshoot/series.py",
+           "if (fabs(M[i][c]) > fabs(M[p][c])) p = i;",
+           "/* no pivot search */;",
+           ("tests/test_compiled.py::"
+            "test_compiled_build_equals_the_python_build",
+            "tests/test_series.py::"
+            "test_solve_singular_ivp_bits_equal_the_plain_recurrence")),
+    Mutant("wsum-reversed", "src/nkshoot/series.py",
+           "for r, c in enumerate(row) if c))",
+           "for r, c in reversed([*enumerate(row)]) if c))",
+           ("tests/test_series.py::test_the_output_sums_add_in_row_order",)),
+    Mutant("build-A-through-blas", "src/nkshoot/series.py",
+           "        c0, G, A = prog.gradient(problem.y0, problem.params)\n",
+           "        c0, G, _ = prog.gradient(problem.y0, problem.params)\n"
+           "        A = W @ G\n",
+           ("tests/test_series.py::"
+            "test_solve_singular_ivp_bits_equal_the_plain_recurrence",
+            "tests/test_compiled.py::"
+            "test_builds_do_not_depend_on_the_blas_kernel")),
 )
 
 

@@ -1,22 +1,26 @@
-"""The compiled jet: series._Program's ODE run emitted as C, against the
-Python run it stands in for. Bit for bit on drawn states and orders, the
-same errors, and the same output bytes where no compiler or no private
-cache is found."""
+"""The compiled kernel: series._Program's jet (an ODE) and series build (a
+singular IVP) emitted as C, against the Python runs they stand in for. Bit
+for bit on drawn states, members and orders, the same errors, the same
+output bytes where no compiler or no private cache is found, and builds
+whose bits no BLAS kernel moves."""
 import math
 import os
 import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nkshoot import series
+from nkshoot.errors import DegenerateStateError, InvalidArgumentError
 from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
-from nkshoot.series import (_load_c, _Program, handoff, series_psi_a,
-                            series_psi_b)
+from nkshoot.series import (_load_c, _Program, handoff, s2_problem,
+                            s3_bubble_problem, s3_problem, series_psi_a,
+                            series_psi_b, solve_singular_ivp)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -28,10 +32,8 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 
 def python_jet(y, n):
-    # np.vecdot warns where a convolution sum overflows; the C run does not
-    with np.errstate(all="ignore"):
-        return PROGRAM._run([*np.asarray(y, dtype=float).tolist(), 0.0], n,
-                            None, None)
+    return PROGRAM._run([*np.asarray(y, dtype=float).tolist(), 0.0], n,
+                        None, None)
 
 
 def compiled_jet(y, n):
@@ -124,6 +126,17 @@ def test_an_overflowing_state_gives_the_same_inf_and_nan_rows():
     assert_same_bits(got, want)
 
 
+def test_the_python_run_of_an_overflowing_state_warns_nothing():
+    # its convolution sums overflow by order 32: the Python run returns the
+    # inf and NaN rows the C run returns, and np.vecdot's overflow is not
+    # reported, here or under pytest.ini's error::RuntimeWarning
+    y = [0.01, -1.0, -1.0, -1.0, -1.0, -1.0, -1000.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = python_jet(y, 32)
+    assert np.isinf(jet).any() and np.isnan(jet).any()
+
+
 @needs_cc
 @pytest.mark.parametrize("lam", [0.0, -0.0])
 def test_a_zero_reciprocal_operand_raises_on_both_paths(lam):
@@ -148,6 +161,130 @@ def test_a_negative_order_raises_on_both_paths(order):
         R, out = np.empty((order + 1, PROGRAM._width)), np.empty((7, 0))
         PROGRAM._compiled(series._ptr(y), order, series._ptr(R),
                           series._ptr(out))
+
+
+#: the three build programs over their tested parameter ranges
+MEMBERS = st.one_of(
+    st.tuples(st.just(s2_problem),
+              st.floats(-2.0, math.log10(50.0)).map(lambda e: 10.0 ** e)),
+    st.tuples(st.just(s3_problem),
+              st.floats(-3.0, 5.0).map(lambda e: 10.0 ** e)),
+    st.tuples(st.just(s3_bubble_problem), st.floats(0.0, 20.0)))
+
+
+def build_inputs(prob):
+    c0, G, A = prob.program.gradient(prob.y0, prob.params)
+    return prob.program, [*prob.y0.tolist(), 0.0, *prob.params], G, A
+
+
+def python_build(prob, order, y0=None):
+    prog, c0, G, A = build_inputs(prob)
+    if y0 is not None:
+        c0[:prog.dim] = y0
+    return prog._run(c0, order, G, A)
+
+
+def compiled_build(prob, order, y0=None):
+    # fill, which solve_singular_ivp calls, on the C path
+    prog, _, G, A = build_inputs(prob)
+    if not prog._compiled:
+        pytest.skip("the compiled build did not load (no private cache)")
+    return prog.fill(prob.y0 if y0 is None else y0, prob.params, order, G, A)
+
+
+@needs_cc
+@hypothesis.settings(derandomize=True, deadline=None, database=None,
+                     max_examples=150)
+@hypothesis.given(MEMBERS, st.integers(1, 41))
+def test_compiled_build_equals_the_python_build(member, order):
+    problem, param = member
+    prob = problem(param)
+    assert_same_bits(compiled_build(prob, order), python_build(prob, order))
+
+
+@needs_cc
+@pytest.mark.parametrize("path", ["compiled", "python"])
+def test_a_build_raises_the_same_errors_on_both_paths(path, monkeypatch):
+    prob = s2_problem(0.5646)
+    prog, _, G, A = build_inputs(prob)
+    if path == "python":
+        monkeypatch.setattr(prog, "_compiled", None)
+    elif not prog._compiled:
+        pytest.skip("the compiled build did not load (no private cache)")
+    with pytest.raises(InvalidArgumentError, match="order"):
+        solve_singular_ivp(prob, 0)
+    # y7 = 0 is the operand of the reciprocal 1 / y7 at order 0
+    y0 = prob.y0.copy()
+    y0[6] = 0.0
+    with pytest.raises(DegenerateStateError):
+        solve_singular_ivp(series.SingularIVP(prog, y0, prob.params), 4)
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        prog.fill(y0, prob.params, 4, G, A)
+    # A = Id makes h*Id - A zero at h = 1: a zero pivot
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        prog.fill(prob.y0, prob.params, 4, G, np.eye(7))
+
+
+@needs_cc
+def test_an_overflowing_build_gives_the_same_rows_on_both_paths():
+    # a start far off the member's orbit overflows into NaN rows; the
+    # Python run warns nothing, as the C run does not
+    prob = s3_problem(0.599)
+    y0 = 1e100 * prob.y0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = python_build(prob, 24, y0)
+    assert np.isnan(want).any()
+    assert_same_bits(compiled_build(prob, 24, y0), want)
+
+
+_DIGEST = """
+import hashlib
+from nkshoot import series
+h, compiled = hashlib.sha256(), set()
+for make, params in ((series.s2_problem, (0.12, 0.5646, 1.0, 1.7, 4.0, 50.0)),
+                     (series.s3_problem, (1e-3, 0.3736, 0.599, 1.6, 20.0, 1e5)),
+                     (series.s3_bubble_problem, (0.0, 0.5, 1.0, 4.0, 20.0))):
+    for p in params:
+        Y, A = series.solve_singular_ivp(make(p), 41)
+        h.update(Y.tobytes() + A.tobytes())
+    compiled.add(bool(make(1.0).program._compiled))
+print(h.hexdigest(), *compiled)
+"""
+
+
+def _openblas_with_avx2():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {})
+    cpu = Path("/proc/cpuinfo")
+    return ("openblas" in blas.get("name", "").lower() and cpu.is_file()
+            and " avx2" in cpu.read_text())
+
+
+@pytest.mark.skipif(not _openblas_with_avx2(),
+                    reason="numpy's BLAS is not OpenBLAS or no AVX2 CPU")
+def test_builds_do_not_depend_on_the_blas_kernel(tmp_path):
+    # 17 builds' Y and A digested in fresh processes with OpenBLAS's kernel
+    # left to its choice and forced to Haswell's, each on the compiled path
+    # and with no compiler on PATH and an empty cache: one digest
+    (tmp_path / "bin").mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(SRC)
+    runs = {}
+    for core in ("", "Haswell"):
+        for cc in (True, False):
+            run_env = {**env, **({"OPENBLAS_CORETYPE": core} if core else {}),
+                       **({} if cc else {"PATH": str(tmp_path / "bin"),
+                                         "XDG_CACHE_HOME": str(tmp_path)})}
+            runs[core, cc] = subprocess.Popen(
+                [sys.executable, "-c", _DIGEST], env=run_env, text=True,
+                stdout=subprocess.PIPE)
+    out = {key: proc.communicate(timeout=60)[0].split()
+           for key, proc in runs.items()}
+    assert len({digest for digest, _ in out.values()}) == 1, out
+    assert {flag for (_, cc), (_, flag) in out.items() if not cc} == {"False"}
+    if shutil.which("cc"):
+        assert {flag for (_, cc), (_, flag) in out.items() if cc} == {"True"}
 
 
 def test_ode_outputs_must_be_single_recorded_rows():
@@ -178,8 +315,12 @@ def _solve(tmp_path, name, cache, path=None):
 def test_the_python_fallback_writes_the_same_bytes(tmp_path):
     compiled = tmp_path / "compiled"
     want = _solve(tmp_path, "compiled", compiled)
+    # one .c/.so pair per program the solve loads: the jet's and the S2
+    # and S3 builds'
     built = sorted(p.name for p in (compiled / "nkshoot").iterdir())
-    assert len(built) == 2 and built[0].endswith(".c")
+    assert len(built) == 6 and all(
+        c.endswith(".c") and so == c[:-1] + "so"
+        for c, so in zip(built[::2], built[1::2]))
     assert (compiled / "nkshoot").stat().st_mode & 0o777 == 0o700
     source = (compiled / "nkshoot" / built[0]).read_text()
 
@@ -202,7 +343,7 @@ def test_the_python_fallback_writes_the_same_bytes(tmp_path):
     stale = tmp_path / "stale" / "nkshoot"
     stale.mkdir(parents=True, mode=0o700)
     (stale / built[0]).write_text(
-        "int jet(const double *y, long n, double *R, double *out)"
+        "int run(const double *y, long n, double *R, double *out)"
         " { return 1; }\n")
     subprocess.run(["cc", "-shared", "-fPIC", "-o", str(stale / built[1]),
                     str(stale / built[0])], check=True)
@@ -228,7 +369,7 @@ def test_a_compile_that_times_out_leaves_no_process(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(bin_dir))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     t0 = time.monotonic()
-    assert _load_c("int jet;\n", timeout_s=0.5) is None
+    assert _load_c("int run;\n", timeout_s=0.5) is None
     assert time.monotonic() - t0 < 10.0
     assert not any((tmp_path / "cache" / "nkshoot").iterdir())
     for pid in map(int, pids.read_text().split()):

@@ -171,7 +171,7 @@ def test_s3_program_in_t(b):
     # are those of an order-44 build
     prob = s3_problem(b)
     W, const = prob.program.output
-    c0, _ = prob.program.gradient(prob.y0, prob.params)
+    c0, *_ = prob.program.gradient(prob.y0, prob.params)
     assert np.max(np.abs(W @ c0 + const)) < 1e-15 * max(
         1.0, np.max(np.abs(prob.y0)))
     Y, A = solve_singular_ivp(prob, 41)
@@ -331,19 +331,49 @@ def _reference_gradient(problem: SingularIVP, order: int):
     return C, G
 
 
+def _reference_gauss(M: np.ndarray, w: list) -> list:
+    # y with M y = w: Gaussian elimination with partial pivoting, the first
+    # largest |pivot| in each column, then back substitution column by
+    # column, from the last
+    M, w, k = M.tolist(), list(w), len(w)
+    for c in range(k):
+        p = c
+        for i in range(c + 1, k):
+            if abs(M[i][c]) > abs(M[p][c]):
+                p = i
+        M[c], M[p], w[c], w[p] = M[p], M[c], w[p], w[c]
+        for i in range(c + 1, k):
+            f = M[i][c] / M[c][c]
+            for j in range(c + 1, k):
+                M[i][j] = M[i][j] - f * M[c][j]
+            w[i] = w[i] - f * w[c]
+    y = [0.0] * k
+    for c in reversed(range(k)):
+        y[c] = w[c] / M[c][c]
+        for i in range(c):
+            w[i] = w[i] - M[i][c] * y[c]
+    return y
+
+
 def _reference_solve(problem: SingularIVP, order: int):
     # solve_singular_ivp's table and A the plain way: the order-0 column,
-    # G, the batch inverse, then order by order the relaxed recurrence with
-    # y_h = 0 and the update by G y_h
+    # G, and A = W G summed over W's nonzero entries in row order; then
+    # order by order the relaxed recurrence with y_h = 0, w = W C[:, h]
+    # summed the same way, (h*Id - A) y_h = w by _reference_gauss, and the
+    # update C[:, h] + (0.0 + sum_j G[:, j] y_h[j])
     prog, k = problem.program, problem.program.dim
     W, _ = prog.output
+
+    def wsum(col):
+        return [plain_dot([c for c in row if c],
+                          [v for c, v in zip(row, col) if c])
+                for row in W.tolist()]
     C, G = _reference_gradient(problem, order)
-    A = W @ G
-    IW = np.linalg.inv(np.arange(1, order + 1)[:, None, None] * np.eye(k)
-                       - A) @ W
+    A = np.array([wsum(g) for g in G.T.tolist()]).T
     for h in range(1, order + 1):
         reference_advance(prog, C, h)
-        C[:, h] += G @ (IW[h - 1] @ C[:, h])
+        y = _reference_gauss(h * np.eye(k) - A, wsum(C[:, h].tolist()))
+        C[:, h] += [plain_dot(g, y) for g in G.tolist()]
     return C[:k], A
 
 
@@ -365,6 +395,28 @@ def test_solve_singular_ivp_bits_equal_the_plain_recurrence(problem, param,
     assert np.array_equal(np.signbit(Y), np.signbit(Y_ref))
 
 
+def _three_term_toy() -> SingularIVP:
+    """x y' = F(x, y), u(0) = 1, v(0) = 1/2, whose outputs each add three
+    recorded products: at every order h >= 1 the build's sums of W have
+    three nonzero terms, so their order shows in the bits."""
+    def rhs(y, x):
+        u, v = y
+        return [-u + 1.0 + (x * u) * v + (x * v) * v + 0.7 * (x * (u * u)),
+                -2 * v + 1.0 + (x * u) * u + 0.3 * ((x * v) * u)
+                + x * (v * v)]
+    return SingularIVP(_Program(2, rhs), np.array([1.0, 0.5]),
+                       name="three-term toy")
+
+
+@pytest.mark.parametrize("order", [8, 30])
+def test_the_output_sums_add_in_row_order(order):
+    prob = _three_term_toy()
+    Y, A = solve_singular_ivp(prob, order)
+    Y_ref, A_ref = _reference_solve(prob, order)
+    assert np.array_equal(Y, Y_ref) and np.array_equal(A, A_ref)
+    assert np.count_nonzero(Y[:, 1:]) == 2 * order
+
+
 @pytest.mark.parametrize("problem, param", [
     *((s2_problem, a) for a in (0.01, 1.0, 50.0)),
     *((s3_problem, b) for b in (0.001, 1.0, 1e5)),
@@ -373,7 +425,7 @@ def test_gradient_bits_equal_the_plain_recurrence(problem, param):
     # the order-0 column and every row of G, signs of zero included,
     # against order 1 of the plain recurrence on the unit vectors
     prob = problem(param)
-    c0, G = prob.program.gradient(prob.y0, prob.params)
+    c0, G, _ = prob.program.gradient(prob.y0, prob.params)
     C, G_ref = _reference_gradient(prob, 1)
     assert G.flags.c_contiguous
     for got, want in ((c0, C[:, 0]), (G, G_ref)):
