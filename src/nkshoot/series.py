@@ -24,23 +24,19 @@ one column: each intermediate's [x^h] coefficient follows from columns 0..h
 of its operands (relaxed, or online, Taylor arithmetic; Jorba & Zou, Exp.
 Math. 14, 2005), so a build of order n costs O(n^2) instead of
 re-evaluating the truncated series at every order. The recorded ops are
-compiled once to one loop over the orders, run as C where cc builds it and
-else as Python, bit for bit: each sum adds its terms in one fixed order and
-none goes through BLAS. The kernel, _Program.fill, takes only the order-0
-state and has two modes. Run on the regular system as an ODE, it gives the
-integrator's Taylor jets (integrate.py). Run on a singular IVP, it builds
-the series: each intermediate's [x^h] is affine in y_h with a gradient G
-that depends only on the order-0 column, so the loop evaluates column h,
-c, with y_h = 0, sums w = W c over the rows W reads, solves
-(h*Id - A) y_h = w by Gaussian elimination with partial pivoting and
-completes only the rows that the later orders and the output read:
-c[sel] + (0.0 + G[sel] y_h). G comes from a record-free pass, order 0 and
-then y_h = e_j with x = 0 and every convolution sum 0, so the same G and
-the same sums of W give A = d_{y0}F(0, .); and as x is 0 at order 0,
-F(0, y0) is the output's order-0 value. Resonance is decided once, for
-h = 1 .. order, on A's spectrum, which no scale of the rows moves: h is
-resonant where max|h - eig| / min|h - eig| over A's eigenvalues exceeds
-COND_LIMIT.
+compiled to one loop over the orders, run as C where cc builds it and else
+as Python, bit for bit: every sum adds in one fixed order, none in BLAS.
+The kernel, _Program.fill, takes only the order-0 state. Run on the
+regular system as an ODE, it gives the integrator's Taylor jets
+(integrate.py). Run on a singular IVP, it builds the series: each
+intermediate's [x^h] is affine in y_h with a gradient G that depends only
+on the order-0 column, so the loop evaluates column h, c, with y_h = 0,
+sums w = W c over the rows W reads, solves (h*Id - A) y_h = w by Gaussian
+elimination with partial pivoting and completes the rows that later
+orders read: c[sel] + (0.0 + G[sel] y_h). G and A = d_{y0}F(0, .), the
+same sums of W on G, come from a record-free pass at x = 0 (gradient), so
+its order-0 output is F(0, y0). Resonance is decided once, for h = 1 ..
+order, on A's spectrum: max|h - eig| / min|h - eig| > COND_LIMIT.
 
 Four solution families are produced:
   S2        u_i(0) = (a^2, a^2, 0), v(0) = 0, lambda ~ (3/2) t; variable t.
@@ -202,15 +198,11 @@ class _Program:
     computes the orders of every row from the unknowns' order-0 values in
     one loop whose locals hold each row's order-0 and order-h values; each
     order's convolution sums, one np.vecdot in Python, are added left to
-    right: the bits rest on that. The loop has two modes, fixed when the
-    program is compiled: a jet (an ODE, below) and a build (a singular
-    IVP), which completes each order in the loop with G and A from
-    gradient(), a record-free pass. rhs returns a list of dim expressions;
-    output = (W, const) maps a column to [x^h] of them, with const their
-    constant part at order 0. With cc=True the loop is emitted as C too and
-    loaded on the first fill; the programs recorded once at import set it,
-    so the cache holds one library per program, and a program recorded per
-    call runs in Python.
+    right: the bits rest on that. It runs as a jet (an ODE, below) or a
+    build (a singular IVP), which completes each order with gradient()'s G
+    and A, in C (one library per program, so a program is recorded once,
+    at import) or in Python. rhs returns a list of dim expressions; output
+    = (W, const) maps a column to [x^h] of them, const at order 0 only.
 
     With ode=True the program is an autonomous ODE y' = rhs(y): its output
     must be single recorded rows, and the unknowns' order-h coefficients
@@ -221,9 +213,8 @@ class _Program:
     differently."""
 
     def __init__(self, dim: int, rhs: Callable, n_params: int = 0,
-                 ode: bool = False, cc: bool = False):
-        self.dim = dim
-        self.n_params = n_params
+                 ode: bool = False):
+        self.dim, self.n_params, self._ode = dim, n_params, ode
         self.ops: list[tuple] = []
         self.n_rows = dim + 1 + n_params
         self._reciprocal: dict[int, int] = {}
@@ -237,30 +228,25 @@ class _Program:
                     or const.any()):
                 raise ValueError("an ODE's outputs must be single recorded "
                                  "rows")
-        # a sum that overflows gives inf or NaN rows, as in C, and no warning
-        self._run = np.errstate(over="ignore", invalid="ignore")(
-            self._compile(out_rows, cc))
+        self._run_source = self._compile(out_rows)
 
-    def _compile(self, out_rows, cc: bool) -> Callable:
-        """The recorded ops as one Python function run(c0, n, G, A) (see
-        fill), as the source of gradient's pass and, where cc is set, as C
-        (_c_source). Locals a{r} and b{r} hold row r's order-0 and order-h
-        values, and s{j} the j-th convolution's sum over orders 1..h-1: one
-        np.vecdot of the views P, Q of the row-major record R's transpose.
-        Row h of R holds the order-h values sel of every convolution's first
-        operand (P), second operand (Q) and of the unknowns (in a C jet, of
-        P and Q only). A jet (an ODE) sets its unknowns to its output rows
-        out_rows at order h-1 over h (+ 0.0 turns -0.0 into +0.0) and needs
-        no ops at order n. A build (a singular IVP) keeps its unknowns at
-        0.0 and completes each order h: y = _solve(h, A, wsum) and row h =
-        b[sel] + (0.0 + sum_j G[sel, j] y_j), in Python one np.vecdot with
-        a view of G[sel] of negative stride, which no BLAS kernel takes.
-        Coefficients are inlined as float literals, which repr round-trips,
-        in C as exact hex ones; C returns 1 where a reciprocal's operand or
+    def _compile(self, out_rows) -> tuple[list, dict]:
+        """The recorded ops as source: fill's Python run(c0, n, G, A),
+        gradient's pass and, but for an ODE with parameters, C (_c_source).
+        Locals a{r}, b{r} hold row r's order-0 and order-h values, s{j} the
+        j-th convolution's sum over orders 1..h-1, one np.vecdot of views
+        P, Q of the record R, whose row h holds the order-h values sel of
+        each convolution's operands and of the unknowns.
+        A jet sets its unknowns to its outputs at order h-1 over h (+ 0.0
+        turns -0.0 into +0.0). A build keeps them at 0.0 and completes order
+        h: y solves (h*Id - A) y = wsum, by _C_SOLVE or by substitution in
+        _factor's factors; row h += 0.0 + sum_j G[sel, j] y_j (in Python a
+        np.vecdot on a negative-stride view, never BLAS). Literals are
+        repr's, in C exact hex; C returns 1 where a reciprocal's operand or
         a pivot is 0.0, where Python raises ZeroDivisionError."""
         first, step, conv, wsum = self._statements(repr)
         m, dim, ode = len(conv), self.dim, bool(out_rows)
-        n0 = dim + 1 + self.n_params
+        n0, e = dim + 1 + self.n_params, dim + 1
         sel = [*(p for p, _ in conv), *(q for _, q in conv), *range(dim)]
         self._sel = np.array(sel)
 
@@ -275,15 +261,13 @@ class _Program:
         order0 = [f"[{names('a', range(n0))}] = c0", *first]
         rows = names("b", range(self.n_rows))
         self._gradient_source = [
-            "def run(c0, E):", *order0,
+            "def run(c0, E):", *order0, "G, A = [], []",
             *(f"b{r} = 0.0" for r in range(dim, n0)),
             *(f"s{j} = 0.0" for j in range(m)),
-            "G, A = [], []", "for e in E:",
-            f"    [{names('b', range(dim))}] = e",
+            "for e in E:", f"    [{names('b', range(dim))}] = e",
             *("    " + s for s in step), f"    G.append([{rows}])",
             f"    A.append([{', '.join(wsum)}])",
             f"return [{names('a', range(self.n_rows))}], G, A"]
-
         # C's R keeps P and Q, and a build's the unknowns too, as Python's
         self._width = K = max(1, 2 * m) if ode else len(sel)
 
@@ -292,7 +276,7 @@ class _Program:
                             for i, r in enumerate(sel[:K]))
         c_first, c_step, _, c_wsum = self._statements(float.hex)
         zero = [f"a{a} == 0.0" for kind, _, a, _ in self.ops if kind == _INV]
-        self._c_source = cc and not (ode and self.n_params) and "\n".join([
+        self._c_source = not (ode and self.n_params) and "\n".join([
             *([] if ode else ["#include <math.h>", f"#define D {dim}"]),
             "int run(const double *y, long n, double *R, double *out) {",
             f"long h, k, N = n + 1; double {names('a', range(self.n_rows))},"
@@ -317,18 +301,16 @@ class _Program:
                 "for (i = 0; i < D; i++) for (j = 0; j < D; j++)",
                 "    M[i][j] = (i == j ? (double)h : 0.0) - A[i * D + j];",
                 *(f"M[{i}][D] = {s};" for i, s in enumerate(c_wsum)),
-                _C_SOLVE,
-                f"const double v[] = {{{names('b', sel)}}};",
-                f"for (i = 0; i < {K}; i++) {{",
+                _C_SOLVE, f"const double v[] = {{{names('b', sel)}}};",
+                f"for (i = 0; i < {K}; R[h * {K} + i] = v[i] + t, i++)",
                 "    for (t = 0.0, j = 0; j < D; j++)",
-                "        t += G[i * D + j] * w[j];",
-                f"    R[h * {K} + i] = v[i] + t;", "}"]),
+                "        t += G[i * D + j] * w[j];"]),
             "}", "return 0;", "}", ""])
-        return _define([
+        return ([
             "def run(c0, n, G, A):",
             f"R = empty((n + 1, {len(sel)}))",
-            *([] if ode else
-              ["A, Gv = A.tolist(), G[sel][:, ::-1].copy()[:, ::-1]"]),
+            *([] if ode else ["F = factor(A, n)",
+                              "Gv = G[sel][:, ::-1].copy()[:, ::-1]"]),
             f"P, Q = R.T[:{m}], R.T[{m}:{2 * m}]",
             *order0, pack_sel("a", 0),
             *(f"b{r} = a{r}" for r in out_rows),
@@ -341,9 +323,16 @@ class _Program:
             f"Q[:, h - 1:0:-1]).tolist()",
             *("    " + s for s in step), f"    {pack_sel('b', 'h')}",
             *([f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else [
-               f"    R[h] += vecdot(Gv, solve(h, A, [{', '.join(wsum)}]))"]),
+               f"    w, L = [{', '.join(wsum)}], F[h - 1]",
+               *(f"    y{i} = w[int(L[{i * e + dim}])]" for i in range(dim)),
+               *(f"    y{i} -= L[{i * e + c}] * y{c}" for c in range(dim)
+                 for i in range(c + 1, dim)),     # forward, then back
+               *(f"    y{i} /= L[{i * e + c}]" if i == c else
+                 f"    y{i} -= L[{i * e + c}] * y{c}"
+                 for c in reversed(range(dim)) for i in (c, *range(c))),
+               f"    R[h] += vecdot(Gv, [{names('y', range(dim))}])"]),
             f"return R[:, {2 * m}:].T.copy()"], {
-            "empty": np.empty, "vecdot": np.vecdot, "solve": _solve,
+            "empty": np.empty, "vecdot": np.vecdot, "factor": _factor,
             "sel": self._sel,
             "pack": struct.Struct(f"{len(sel)}d").pack_into})
 
@@ -376,8 +365,7 @@ class _Program:
 
     @cached_property
     def _compiled(self) -> Callable | None:
-        """The C function run of _c_source, loaded on the first fill; false
-        without cc, and None where _load_c gives None."""
+        """_c_source's C run, loaded on the first fill; else false or None."""
         return self._c_source and _load_c(self._c_source)
 
     def lift(self, v) -> _Series:
@@ -425,42 +413,36 @@ class _Program:
     def fill(self, y0, params, n: int, G=None, A=None) -> np.ndarray:
         """Orders 0..n of every row (relaxed arithmetic) from the unknowns'
         order-0 values y0, and the unknowns' rows as a C-ordered (dim, n + 1)
-        array; x is 1 at order 1, else 0. np.vecdot adds each convolution's
-        products left to right in a plain loop, never through BLAS, since Q,
-        a view of the row-major record's transpose, has a negative stride.
-        An ODE (a jet) takes each order's unknowns from the output; a
-        singular IVP (a build) evaluates each order h >= 1's column with the
-        unknowns at 0.0 and completes it in the loop, with G and A from
-        gradient (see _compile). Both run in C where cc is set and the
-        library loads, else in Python, bit for bit."""
+        array; x is 1 at order 1, else 0. A jet takes each order's unknowns
+        from the output; a build, given gradient's G and A, completes each
+        order in the loop (_compile). C where it loads, else Python."""
         y = np.asarray(y0, dtype=float)
         if (n >= 0 and y.shape == (self.dim,) and len(params) == self.n_params
-                and (G is None or np.shape(A) == (self.dim, self.dim)
+                and (G is None if self._ode else np.shape(A) == (self.dim,) * 2
                      and np.shape(G) == (self.n_rows, self.dim))
                 and self._compiled):
-            R, out = np.empty((n + 1, self._width)), np.empty((y.size, n + 1))
-            if G is not None:       # a build reads c0, A and G[sel]
-                y = np.concatenate((y, [0.0], params, A, G[self._sel]),
-                                   axis=None)
+            R = np.empty((n + 1, self._width))
+            out = np.empty((y.size, n + 1)) if self._ode else R
+            y = y if self._ode else np.concatenate(  # c0, A and G[sel]
+                (y, [0.0], params, A, G[self._sel]), axis=None)
             if self._compiled(_ptr(np.array(y)), n, _ptr(R), _ptr(out)):
                 raise ZeroDivisionError("float division by zero")
-            return out if G is None else R[:, -self.dim:].T.copy()
+            return out if self._ode else R[:, -self.dim:].T.copy()
         c0 = [*y.tolist(), 0.0, *np.asarray(params, dtype=float).tolist()]
         return self._run(c0, n, G, A)
 
-    @cached_property
-    def _gradient_run(self) -> Callable:
-        """gradient's pass (order 0, then one order per unit vector e of E),
-        compiled on first use, so that an ODE's program never compiles it."""
-        return _define(self._gradient_source, {})
+    # fill's Python run and gradient's pass (order 0, then one order per
+    # unit vector e of E), compiled on first use: not where C loads, and
+    # the pass not for an ODE
+    _run = cached_property(lambda self: _define(*self._run_source))
+    _gradient_run = cached_property(
+        lambda self: _define(self._gradient_source, {}))
 
     def gradient(self, y0, params) -> tuple[np.ndarray, ...]:
         """The order-0 column c0 about y0 and params, G[row, j] =
-        d C[row, h] / d y_h[j], the same for every h >= 1, about it, and
-        A = W G = d_{y0}F(0, .). With every convolution sum 0.0 and x = 0,
-        column h is linear in y_h, so the column of one order with y_h = e_j
-        is G[:, j], and the build's sums wsum on it give A[:, j]: a pass
-        that keeps no record and calls no BLAS kernel."""
+        d C[row, h] / d y_h[j], the same for every h >= 1, and A = W G =
+        d_{y0}F(0, .). With every convolution sum 0.0 and x = 0, column h
+        with y_h = e_j is G[:, j], and wsum on it is A[:, j]: no BLAS."""
         c0, G, A = self._gradient_run(
             [*np.asarray(y0, dtype=float).tolist(), 0.0,
              *np.asarray(params, dtype=float).tolist()],
@@ -468,29 +450,26 @@ class _Program:
         return np.array(c0), np.array(G).T.copy(), np.array(A).T.copy()
 
 
-def _solve(h: int, A: list, w: list) -> list:
-    """y with (h*Id - A) y = w, A a list of rows: Gaussian elimination with
-    partial pivoting (the first largest |pivot|) of (h*Id - A | w), then
-    back substitution by columns, on Python floats and operation for
-    operation as _C_SOLVE. Raises ZeroDivisionError on a zero pivot."""
-    k = len(w)
-    M = [[*((h if i == j else 0.0) - a for j, a in enumerate(row)), w[i]]
-         for i, row in enumerate(A)]
+def _factor(A: np.ndarray, n: int) -> list:
+    """For h = 1 .. n, h*Id - A eliminated as by _C_SOLVE, operation for
+    operation, by elementwise numpy on every h at once: flat rows of k + 1,
+    the multipliers below the diagonal, U on and above it (a zero pivot
+    raises in the substitution) and last the row's place in h*Id - A."""
+    k, h = len(A), np.arange(1.0, n + 1)[:, None, None]
+    M = np.empty((n, k, k + 1))
+    M[..., :k], M[..., k] = h * np.eye(k) - A, range(k)
     for c in range(k):
-        p = max(range(c, k), key=lambda i: abs(M[i][c]))
-        M[c], M[p] = M[p], M[c]
-        for i in range(c + 1, k):
-            f = M[i][c] / M[c][c]
-            M[i][c + 1:] = [a - f * b for a, b in zip(M[i][c + 1:],
-                                                      M[c][c + 1:])]
-    for c in reversed(range(k)):
-        w[c] = M[c][k] / M[c][c]
-        for i in range(c):
-            M[i][k] -= M[i][c] * w[c]
-    return w
+        a = abs(M[:, c:, c])        # a NaN is a pivot only in row c
+        p = c + (a[:, 0] == a[:, 0]) * np.argmax(np.fmax(a, -1.0), 1)
+        for i in np.flatnonzero(p != c):
+            M[i, [c, p[i]]] = M[i, [p[i], c]]
+        L = M[:, c + 1:]            # the rows below the pivot, a view
+        L[..., c] /= M[:, c, c, None]
+        L[..., c + 1:k] -= L[..., c, None] * M[:, c, None, c + 1:k]
+    return M.reshape(n, k * k + k).tolist()
 
 
-# _solve in C, on M = (h*Id - A | w), into w; run returns 1 on a zero pivot
+# (h*Id - A) y = w in C, on M = (h*Id - A | w), into w; 1 on a zero pivot
 _C_SOLVE = """for (c = 0; c < D; c++) {
     for (p = c, i = c + 1; i < D; i++)
         if (fabs(M[i][c]) > fabs(M[p][c])) p = i;
@@ -548,10 +527,12 @@ def _load_c(source: str, timeout_s: float = 60.0) -> Callable | None:
 
 
 def _define(lines: list[str], namespace: dict) -> Callable:
-    """The function run of the source lines, compiled in namespace."""
+    """The function run of the source lines, compiled in namespace, under
+    np.errstate(all="ignore"): an overflowing sum or _factor's zero pivot
+    warns nothing, as in C."""
     exec(compile("\n    ".join(lines), "<recorded program>", "exec"),
          namespace)
-    return namespace["run"]
+    return np.errstate(all="ignore")(namespace["run"])
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +555,13 @@ class SingularIVP:
 
 def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient table Y (dim x order+1) of the unique series solution,
-    and A = d_{y0}F(0, .), by the relaxed recurrence in O(order^2) work,
-    each order completed in one fixed order of operations (see _compile).
+    and A = d_{y0}F(0, .), by the relaxed recurrence in O(order^2) work.
 
     Raises InvalidArgumentError if order < 1, DegenerateStateError if the
     order-0 pass divides by zero or overflows, SeriesConsistencyError if
-    F(0, y0) != 0, and ResonanceError naming the first h (1 <= h <= order)
-    at which the spectral ratio max|h - eig| / min|h - eig| over A's
-    eigenvalues exceeds COND_LIMIT, and that ratio. All h are checked, on
-    one call for the eigenvalues, before the first order is built.
+    F(0, y0) != 0, and, before the first order is built, ResonanceError
+    naming the first h (1 <= h <= order) at which max|h - eig| /
+    min|h - eig| over A's eigenvalues exceeds COND_LIMIT, and that ratio.
     """
     if order < 1:
         raise InvalidArgumentError(
@@ -669,9 +648,9 @@ def _s3_rhs(y, x, b):
             4 * (x2y7 * y3) - 3 * (x2 * (y3 * r7)), lam]
 
 
-_S2_PROGRAM = _Program(7, _s2_rhs, n_params=1, cc=True)
-_S3_PROGRAM = _Program(7, _s3_rhs, n_params=1, cc=True)
-_S3_BUBBLE_PROGRAM = _Program(7, _s3_bubble_rhs, n_params=1, cc=True)
+_S2_PROGRAM = _Program(7, _s2_rhs, n_params=1)
+_S3_PROGRAM = _Program(7, _s3_rhs, n_params=1)
+_S3_BUBBLE_PROGRAM = _Program(7, _s3_bubble_rhs, n_params=1)
 
 
 def s2_problem(a: float) -> SingularIVP:

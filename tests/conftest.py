@@ -197,15 +197,24 @@ def random_admissible_states(seed: int, n: int) -> list[State]:
     return out
 
 
+def toy_program(dim, rhs):
+    """A program recorded per test, kept on the Python run: in C each
+    distinct toy would compile once and leave a library in the cache."""
+    from nkshoot.series import _Program
+    prog = _Program(dim, rhs)
+    prog._compiled = None
+    return prog
+
+
 def diagonal_toy(coeffs):
     """y_i' = (1/t)(coeffs[i] * y_i) + 1, y0 = 0: h*Id - dM_-1 is
     diag(h - coeffs), so its condition number is known exactly, and the
     series solution is y_i = t / (1 - coeffs[i])."""
-    from nkshoot.series import SingularIVP, _Program
+    from nkshoot.series import SingularIVP
 
     def rhs(y, x):
         return [c * yi + x for c, yi in zip(coeffs, y)]
-    return SingularIVP(_Program(len(coeffs), rhs), np.zeros(len(coeffs)),
+    return SingularIVP(toy_program(len(coeffs), rhs), np.zeros(len(coeffs)),
                        name="diagonal toy")
 
 

@@ -132,8 +132,8 @@ MUTANTS = (
            ("tests/test_compiled.py::"
             "test_a_zero_reciprocal_operand_raises_on_both_paths",)),
     Mutant("python-build-skips-completion", "src/nkshoot/series.py",
-           "R[h] += vecdot(Gv, solve(h, A, [",
-           "R[h] += 0.0 * vecdot(Gv, solve(h, A, [",
+           '"    R[h] += vecdot(Gv, [',
+           '"    R[h] += 0.0 * vecdot(Gv, [',
            ("tests/test_compiled.py::"
             "test_compiled_build_equals_the_python_build",)),
     Mutant("solve-skips-pivot-search", "src/nkshoot/series.py",
@@ -141,8 +141,20 @@ MUTANTS = (
            "/* no pivot search */;",
            ("tests/test_compiled.py::"
             "test_compiled_build_equals_the_python_build",
+            "tests/test_compiled.py::"
+            "test_the_elimination_is_the_same_on_both_paths",
             "tests/test_series.py::"
             "test_solve_singular_ivp_bits_equal_the_plain_recurrence")),
+    Mutant("factor-skips-row-swaps", "src/nkshoot/series.py",
+           "for i in np.flatnonzero(p != c):", "for i in ():",
+           ("tests/test_compiled.py::"
+            "test_compiled_build_equals_the_python_build",
+            "tests/test_compiled.py::"
+            "test_the_elimination_is_the_same_on_both_paths")),
+    Mutant("factor-takes-a-nan-pivot", "src/nkshoot/series.py",
+           "np.argmax(np.fmax(a, -1.0), 1)", "np.argmax(a, 1)",
+           ("tests/test_compiled.py::"
+            "test_the_elimination_is_the_same_on_both_paths",)),
     Mutant("wsum-reversed", "src/nkshoot/series.py",
            "for r, c in enumerate(row) if c))",
            "for r, c in reversed([*enumerate(row)]) if c))",

@@ -225,6 +225,52 @@ def test_a_build_raises_the_same_errors_on_both_paths(path, monkeypatch):
         prog.fill(prob.y0, prob.params, 4, G, np.eye(7))
 
 
+@st.composite
+def free_matrices(draw):
+    """A 7x7 A of mostly small integers, so that h*Id - A meets ties in the
+    pivot search and signed zeros; in a quarter of the draws it is upper
+    triangular, so that h = A[c, c] is a zero pivot, and in a quarter one
+    entry is inf or NaN."""
+    A = np.array(draw(st.lists(st.one_of(
+        st.sampled_from((0.0, 0.0, -0.0, 1.0, -1.0, 2.0, 3.0)),
+        st.floats(-20.0, 20.0)), min_size=49, max_size=49))).reshape(7, 7)
+    if draw(st.integers(0, 3)) == 0:
+        A = np.triu(A)
+    if draw(st.integers(0, 3)) == 0:
+        A.flat[draw(st.integers(0, 48))] = draw(st.sampled_from((math.inf,
+                                                                 math.nan)))
+    return A
+
+
+@needs_cc
+@hypothesis.settings(derandomize=True, deadline=None, database=None,
+                     max_examples=150)
+@hypothesis.given(free_matrices(), st.integers(1, 12))
+def test_the_elimination_is_the_same_on_both_paths(A, order):
+    # A drawn freely rather than from gradient: C's elimination of each
+    # order and _factor's of all orders at once swap the same rows, give
+    # the same bits or raise on the same zero pivot
+    prog, c0, G, _ = build_inputs(s2_problem(0.5646))
+    if not prog._compiled:
+        pytest.skip("the compiled build did not load (no private cache)")
+    try:
+        want = prog._run(c0, order, G, A)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            prog.fill(c0[:7], c0[8:], order, G, A)
+        return
+    assert_same_bits(prog.fill(c0[:7], c0[8:], order, G, A), want)
+
+
+def test_a_build_without_G_and_A_stays_off_the_C_path(monkeypatch):
+    # C would read A and G past the end of a state of dim doubles
+    prob = s2_problem(0.5646)
+    monkeypatch.setattr(prob.program, "_compiled",
+                        lambda *args: pytest.fail("the C run was called"))
+    with pytest.raises(TypeError):
+        prob.program.fill(prob.y0, prob.params, 4)
+
+
 @needs_cc
 def test_an_overflowing_build_gives_the_same_rows_on_both_paths():
     # a start far off the member's orbit overflows into NaN rows; the

@@ -9,13 +9,14 @@ import pytest
 from conftest import (SQRT3, diagonal_toy, float_bits, mp_reference_solve,
                       plain_dot, reference_advance, reference_horner,
                       reference_poly_integral, reference_residuals,
-                      reference_table, s_of_time, s_radius, with_top_lambda)
+                      reference_table, s_of_time, s_radius, toy_program,
+                      with_top_lambda)
 from nkshoot import series
 from nkshoot.errors import (InvalidArgumentError, OutOfRadiusError,
                             ResonanceError, SeriesConsistencyError)
 from nkshoot.exact import eval_named, SMOOTHING
 from nkshoot.integrate import _order_and_tol
-from nkshoot.series import (COND_LIMIT, SingularIVP, _Program, _horner,
+from nkshoot.series import (COND_LIMIT, SingularIVP, _horner,
                             _poly_states, _step_size, eval_series,
                             family_series, handoff, poly_integral,
                             s2_problem, s3_bubble_problem, s3_problem,
@@ -31,7 +32,7 @@ def _toy_problem(coeff: float) -> SingularIVP:
     """Scalar y' = (1/t)(coeff * y) + 1, y0 = 0."""
     def rhs(y, x):
         return [coeff * y[0] + x]
-    return SingularIVP(_Program(1, rhs), np.array([0.0]), name="toy")
+    return SingularIVP(toy_program(1, rhs), np.array([0.0]), name="toy")
 
 
 def test_toy_scalar_recurrence():
@@ -92,7 +93,7 @@ def _linear_toy(A: np.ndarray) -> SingularIVP:
     def rhs(y, x):
         return [sum(a * yj for a, yj in zip(row, y) if a) + x
                 for row in A]
-    return SingularIVP(_Program(len(A), rhs), np.zeros(len(A)),
+    return SingularIVP(toy_program(len(A), rhs), np.zeros(len(A)),
                        name="linear toy")
 
 
@@ -136,7 +137,7 @@ def test_order_below_one_rejected():
 def test_consistency_gate():
     def rhs(y, x):
         return [-2.0 * y[0] + 1.0]
-    bad = SingularIVP(_Program(1, rhs), np.array([0.0]), name="bad")
+    bad = SingularIVP(toy_program(1, rhs), np.array([0.0]), name="bad")
     with pytest.raises(SeriesConsistencyError):
         solve_singular_ivp(bad, 5)
 
@@ -404,7 +405,7 @@ def _three_term_toy() -> SingularIVP:
         return [-u + 1.0 + (x * u) * v + (x * v) * v + 0.7 * (x * (u * u)),
                 -2 * v + 1.0 + (x * u) * u + 0.3 * ((x * v) * u)
                 + x * (v * v)]
-    return SingularIVP(_Program(2, rhs), np.array([1.0, 0.5]),
+    return SingularIVP(toy_program(2, rhs), np.array([1.0, 0.5]),
                        name="three-term toy")
 
 
