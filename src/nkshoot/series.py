@@ -28,14 +28,13 @@ compiled to one loop over the orders, run as C where cc builds it and else
 as Python, bit for bit: every sum adds in one fixed order, none in BLAS.
 The kernel, _Program.fill, takes only the order-0 state. Run on the
 regular system as an ODE, it gives the integrator's Taylor jets
-(integrate.py). Run on a singular IVP, it builds the series: each
-intermediate's [x^h] is affine in y_h with a gradient G that depends only
-on the order-0 column, so the loop evaluates column h, c, with y_h = 0,
-sums w = W c over the rows W reads, solves (h*Id - A) y_h = w by Gaussian
-elimination with partial pivoting and completes the rows that later
-orders read: c[sel] + (0.0 + G[sel] y_h). G and A = d_{y0}F(0, .), the
-same sums of W on G, come from a record-free pass at x = 0 (gradient), so
-its order-0 output is F(0, y0). Resonance is decided once, for h = 1 ..
+(integrate.py). Run on a singular IVP, it builds the series: the loop
+evaluates column h, c, with y_h = 0, sums w = W c over the rows W reads,
+solves (h*Id - A) y_h = w by Gaussian elimination with partial pivoting
+and evaluates column h again with y_h, as a jet does with the unknowns it
+takes from its outputs. A = d_{y0}F(0, .), the same sums of W on column h
+with y_h = e_j at x = 0, comes from a record-free pass (gradient), whose
+order-0 output is F(0, y0). Resonance is decided once, for h = 1 ..
 order, on A's spectrum: max|h - eig| / min|h - eig| > COND_LIMIT.
 
 Four solution families are produced:
@@ -199,10 +198,11 @@ class _Program:
     one loop whose locals hold each row's order-0 and order-h values; each
     order's convolution sums, one np.vecdot in Python, are added left to
     right: the bits rest on that. It runs as a jet (an ODE, below) or a
-    build (a singular IVP), which completes each order with gradient()'s G
-    and A, in C (one library per program, so a program is recorded once,
-    at import) or in Python. rhs returns a list of dim expressions; output
-    = (W, const) maps a column to [x^h] of them, const at order 0 only.
+    build (a singular IVP, which solves for each order's unknowns with
+    gradient()'s A), in C (one library per program, so a program is
+    recorded once, at import) or in Python. rhs returns a list of dim
+    expressions; output = (W, const) maps a column to [x^h] of them, const
+    at order 0 only.
 
     With ode=True the program is an autonomous ODE y' = rhs(y): its output
     must be single recorded rows, and the unknowns' order-h coefficients
@@ -231,110 +231,106 @@ class _Program:
         self._run_source = self._compile(out_rows)
 
     def _compile(self, out_rows) -> tuple[list, dict]:
-        """The recorded ops as source: fill's Python run(c0, n, G, A),
+        """The recorded ops as source: fill's Python run(c0, n, A),
         gradient's pass and, but for an ODE with parameters, C (_c_source).
         Locals a{r}, b{r} hold row r's order-0 and order-h values, s{j} the
         j-th convolution's sum over orders 1..h-1, one np.vecdot of views
         P, Q of the record R, whose row h holds the order-h values sel of
         each convolution's operands and of the unknowns.
         A jet sets its unknowns to its outputs at order h-1 over h (+ 0.0
-        turns -0.0 into +0.0). A build keeps them at 0.0 and completes order
-        h: y solves (h*Id - A) y = wsum, by _C_SOLVE or by substitution in
-        _factor's factors; row h += 0.0 + sum_j G[sel, j] y_j (in Python a
-        np.vecdot on a negative-stride view, never BLAS). Literals are
-        repr's, in C exact hex; C returns 1 where a reciprocal's operand or
-        a pivot is 0.0, where Python raises ZeroDivisionError."""
+        turns -0.0 into +0.0). A build sets them to 0.0, evaluates order h,
+        solves (h*Id - A) y = wsum, by _C_SOLVE or by substitution in
+        _factor's factors, and evaluates order h again with y as its
+        unknowns. Literals are repr's, in C exact hex; C returns 1 where a
+        reciprocal's operand or a pivot is 0.0, where Python raises
+        ZeroDivisionError."""
         first, step, conv, wsum = self._statements(repr)
         m, dim, ode = len(conv), self.dim, bool(out_rows)
         n0, e = dim + 1 + self.n_params, dim + 1
         sel = [*(p for p, _ in conv), *(q for _, q in conv), *range(dim)]
-        self._sel = np.array(sel)
+        self._width = K = len(sel)
 
         def names(v, rows):
             return ", ".join(f"{v}{r}" for r in rows)
 
         def pack_sel(v, h):
-            return f"pack(R, {h} * {8 * len(sel)}, {names(v, sel)})"
+            return f"pack(R, {h} * {8 * K}, {names(v, sel)})"
 
         def from_outputs(k):
             return f"[{', '.join(f'b{r} / {k} + 0.0' for r in out_rows)}]"
         order0 = [f"[{names('a', range(n0))}] = c0", *first]
-        rows = names("b", range(self.n_rows))
         self._gradient_source = [
-            "def run(c0, E):", *order0, "G, A = [], []",
+            "def run(c0, E):", *order0, "A = []",
             *(f"b{r} = 0.0" for r in range(dim, n0)),
             *(f"s{j} = 0.0" for j in range(m)),
             "for e in E:", f"    [{names('b', range(dim))}] = e",
-            *("    " + s for s in step), f"    G.append([{rows}])",
+            *("    " + s for s in step),
             f"    A.append([{', '.join(wsum)}])",
-            f"return [{names('a', range(self.n_rows))}], G, A"]
-        # C's R keeps P and Q, and a build's the unknowns too, as Python's
-        self._width = K = max(1, 2 * m) if ode else len(sel)
+            f"return [{names('a', range(self.n_rows))}], A"]
 
         def record(v, h):
             return " ".join(f"R[{h} * {K} + {i}] = {v}{r};"
-                            for i, r in enumerate(sel[:K]))
+                            for i, r in enumerate(sel))
         c_first, c_step, _, c_wsum = self._statements(float.hex)
         zero = [f"a{a} == 0.0" for kind, _, a, _ in self.ops if kind == _INV]
         self._c_source = not (ode and self.n_params) and "\n".join([
             *([] if ode else ["#include <math.h>", f"#define D {dim}"]),
-            "int run(const double *y, long n, double *R, double *out) {",
-            f"long h, k, N = n + 1; double {names('a', range(self.n_rows))},"
-            f" {rows}{''.join(f', s{j}' for j in range(m))};",
-            *([f"a{i} = y[{i}]; out[{i} * N] = a{i};" for i in range(dim)]
-              + [f"a{dim} = 0.0;"] if ode else [
-                f"const double *A = y + {n0}, *G = A + D * D;",
-                "double M[D][D + 1], w[D], t; long c, i, j, p;",
-                *(f"a{r} = y[{r}]; b{r} = 0.0;" for r in range(n0))]),
+            "int run(const double *y, long n, double *R) {",
+            f"long h, k; double {names('a', range(self.n_rows))}, "
+            f"{names('b', range(self.n_rows))}"
+            f"{''.join(f', s{j}' for j in range(m))};",
+            *([] if ode else [f"const double *A = y + {n0}; double t;",
+                              "double M[D][D + 1], w[D]; long c, i, j, p;"]),
+            *(f"a{r} = y[{r}];" for r in range(dim if ode else n0)),
+            *([f"a{dim} = 0.0;"] if ode else []),
+            *(f"b{r} = 0.0;" for r in range(dim + 1, n0)),
             *(s + ";" for s in c_first),
             f"if ({' || '.join(zero) or '0'}) return 1;", record("a", 0),
             *(f"b{r} = a{r};" for r in out_rows), "for (h = 1; h <= n; h++) {",
-            *([*(f"out[{i} * N + h] = b{r} / h + 0.0;"
+            *([*(f"R[h * {K} + {2 * m + i}] = b{r} / h + 0.0;"
                  for i, r in enumerate(out_rows)), "if (h == n) break;",
-               *(f"b{i} = out[{i} * N + h];" for i in range(dim))]
-              if ode else []),
+               *(f"b{i} = R[h * {K} + {2 * m + i}];" for i in range(dim))]
+              if ode else [f"b{i} = 0.0;" for i in range(dim)]),
             f"b{dim} = h == 1 ? 1.0 : 0.0;",
             *(f"s{j} = 0.0;" for j in range(m)), "for (k = 1; k < h; k++) {",
             *(f"s{j} += R[k * {K} + {j}] * R[(h - k) * {K} + {m + j}];"
               for j in range(m)), "}", *(s + ";" for s in c_step),
-            *([record("b", "h")] if ode else [
+            *([] if ode else [
                 "for (i = 0; i < D; i++) for (j = 0; j < D; j++)",
                 "    M[i][j] = (i == j ? (double)h : 0.0) - A[i * D + j];",
                 *(f"M[{i}][D] = {s};" for i, s in enumerate(c_wsum)),
-                _C_SOLVE, f"const double v[] = {{{names('b', sel)}}};",
-                f"for (i = 0; i < {K}; R[h * {K} + i] = v[i] + t, i++)",
-                "    for (t = 0.0, j = 0; j < D; j++)",
-                "        t += G[i * D + j] * w[j];"]),
-            "}", "return 0;", "}", ""])
+                _C_SOLVE, *(f"b{i} = w[{i}];" for i in range(dim)),
+                *(s + ";" for s in c_step)]),
+            record("b", "h"), "}", "return 0;", "}", ""])
         return ([
-            "def run(c0, n, G, A):",
-            f"R = empty((n + 1, {len(sel)}))",
-            *([] if ode else ["F = factor(A, n)",
-                              "Gv = G[sel][:, ::-1].copy()[:, ::-1]"]),
+            "def run(c0, n, A):",
+            f"R = empty((n + 1, {K}))",
+            *([] if ode else ["F = factor(A, n)"]),
             f"P, Q = R.T[:{m}], R.T[{m}:{2 * m}]",
             *order0, pack_sel("a", 0),
             *(f"b{r} = a{r}" for r in out_rows),
-            *(f"b{r} = 0.0" for r in range(dim + 1 if ode else 0, n0)),
+            *(f"b{r} = 0.0" for r in range(dim + 1, n0)),
             f"for h in range(1, {'n' if ode else 'n + 1'}):",
             f"    b{dim} = 1.0 if h == 1 else 0.0",
-            *([f"    [{names('b', range(dim))}] = {from_outputs('h')}"]
-              if ode else []),
+            f"    [{names('b', range(dim))}] = "
+            f"{from_outputs('h') if ode else [0.0] * dim}",
             f"    [{names('s', range(m))}] = vecdot(P[:, 1:h], "
             f"Q[:, h - 1:0:-1]).tolist()",
-            *("    " + s for s in step), f"    {pack_sel('b', 'h')}",
-            *([f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else [
+            *("    " + s for s in step),
+            *([] if ode else [
                f"    w, L = [{', '.join(wsum)}], F[h - 1]",
-               *(f"    y{i} = w[int(L[{i * e + dim}])]" for i in range(dim)),
-               *(f"    y{i} -= L[{i * e + c}] * y{c}" for c in range(dim)
+               *(f"    b{i} = w[int(L[{i * e + dim}])]" for i in range(dim)),
+               *(f"    b{i} -= L[{i * e + c}] * b{c}" for c in range(dim)
                  for i in range(c + 1, dim)),     # forward, then back
-               *(f"    y{i} /= L[{i * e + c}]" if i == c else
-                 f"    y{i} -= L[{i * e + c}] * y{c}"
+               *(f"    b{i} /= L[{i * e + c}]" if i == c else
+                 f"    b{i} -= L[{i * e + c}] * b{c}"
                  for c in reversed(range(dim)) for i in (c, *range(c))),
-               f"    R[h] += vecdot(Gv, [{names('y', range(dim))}])"]),
+               *("    " + s for s in step)]),
+            f"    {pack_sel('b', 'h')}",
+            *([f"if n: R[n, {2 * m}:] = {from_outputs('n')}"] if ode else []),
             f"return R[:, {2 * m}:].T.copy()"], {
             "empty": np.empty, "vecdot": np.vecdot, "factor": _factor,
-            "sel": self._sel,
-            "pack": struct.Struct(f"{len(sel)}d").pack_into})
+            "pack": struct.Struct(f"{K}d").pack_into})
 
     def _statements(self, lit) -> tuple[list, list, list, list]:
         """Each op's statement at order 0 and at order h, coefficients
@@ -410,26 +406,24 @@ class _Program:
             const[i] = e.const
         return M, const
 
-    def fill(self, y0, params, n: int, G=None, A=None) -> np.ndarray:
+    def fill(self, y0, params, n: int, A=None) -> np.ndarray:
         """Orders 0..n of every row (relaxed arithmetic) from the unknowns'
         order-0 values y0, and the unknowns' rows as a C-ordered (dim, n + 1)
         array; x is 1 at order 1, else 0. A jet takes each order's unknowns
-        from the output; a build, given gradient's G and A, completes each
-        order in the loop (_compile). C where it loads, else Python."""
+        from the output; a build, given gradient's A, solves for them in the
+        loop (_compile). C where it loads, else Python."""
         y = np.asarray(y0, dtype=float)
         if (n >= 0 and y.shape == (self.dim,) and len(params) == self.n_params
-                and (G is None if self._ode else np.shape(A) == (self.dim,) * 2
-                     and np.shape(G) == (self.n_rows, self.dim))
-                and self._compiled):
+                and (A is None if self._ode
+                     else np.shape(A) == (self.dim,) * 2) and self._compiled):
             R = np.empty((n + 1, self._width))
-            out = np.empty((y.size, n + 1)) if self._ode else R
-            y = y if self._ode else np.concatenate(  # c0, A and G[sel]
-                (y, [0.0], params, A, G[self._sel]), axis=None)
-            if self._compiled(_ptr(np.array(y)), n, _ptr(R), _ptr(out)):
+            y = y if self._ode else np.concatenate(     # c0 and A
+                (y, [0.0], params, A), axis=None)
+            if self._compiled(_ptr(np.array(y)), n, _ptr(R)):
                 raise ZeroDivisionError("float division by zero")
-            return out if self._ode else R[:, -self.dim:].T.copy()
+            return R[:, -self.dim:].T.copy()
         c0 = [*y.tolist(), 0.0, *np.asarray(params, dtype=float).tolist()]
-        return self._run(c0, n, G, A)
+        return self._run(c0, n, A)
 
     # fill's Python run and gradient's pass (order 0, then one order per
     # unit vector e of E), compiled on first use: not where C loads, and
@@ -438,16 +432,16 @@ class _Program:
     _gradient_run = cached_property(
         lambda self: _define(self._gradient_source, {}))
 
-    def gradient(self, y0, params) -> tuple[np.ndarray, ...]:
-        """The order-0 column c0 about y0 and params, G[row, j] =
-        d C[row, h] / d y_h[j], the same for every h >= 1, and A = W G =
-        d_{y0}F(0, .). With every convolution sum 0.0 and x = 0, column h
-        with y_h = e_j is G[:, j], and wsum on it is A[:, j]: no BLAS."""
-        c0, G, A = self._gradient_run(
+    def gradient(self, y0, params) -> tuple[np.ndarray, np.ndarray]:
+        """The order-0 column c0 about y0 and params, and A = d_{y0}F(0, .):
+        with every convolution sum 0.0 and x = 0, column h with y_h = e_j
+        is d C[:, h] / d y_h[j], the same for every h >= 1, and wsum on it
+        is A[:, j], in fixed order: no BLAS."""
+        c0, A = self._gradient_run(
             [*np.asarray(y0, dtype=float).tolist(), 0.0,
              *np.asarray(params, dtype=float).tolist()],
             np.eye(self.dim).tolist())
-        return np.array(c0), np.array(G).T.copy(), np.array(A).T.copy()
+        return np.array(c0), np.array(A).T.copy()
 
 
 def _factor(A: np.ndarray, n: int) -> list:
@@ -520,7 +514,7 @@ def _load_c(source: str, timeout_s: float = 60.0) -> Callable | None:
                 os.replace(Path(tmp, "jet.c"), c)
         run = ctypes.CDLL(str(so)).run
         p = ctypes.POINTER(ctypes.c_double)
-        run.argtypes, run.restype = (p, ctypes.c_long, p, p), ctypes.c_int
+        run.argtypes, run.restype = (p, ctypes.c_long, p), ctypes.c_int
         return run
     except OSError:
         return None
@@ -570,10 +564,10 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
     name = problem.name or "singular IVP"
     W, const = prog.output
     try:
-        c0, G, A = prog.gradient(problem.y0, problem.params)
+        c0, A = prog.gradient(problem.y0, problem.params)
     except ZeroDivisionError:
-        c0 = G = np.full(1, np.nan)
-    if not (np.isfinite(c0).all() and np.isfinite(G).all()):
+        c0 = A = np.full(1, np.nan)
+    if not (np.isfinite(c0).all() and np.isfinite(A).all()):
         raise DegenerateStateError(
             f"{name}: the order-0 terms at parameters {list(problem.params)} "
             f"divide by zero or overflow in floating point")
@@ -589,7 +583,7 @@ def solve_singular_ivp(problem: SingularIVP, order: int) -> tuple[np.ndarray, np
         raise ResonanceError(
             f"{name}: h*Id - dM_-1 ill conditioned at h = {h} "
             f"(cond = {cond[h - 1]:.3e})")
-    return prog.fill(problem.y0, problem.params, order, G, A), A
+    return prog.fill(problem.y0, problem.params, order, A), A
 
 
 # ---------------------------------------------------------------------------

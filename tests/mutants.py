@@ -91,8 +91,7 @@ MUTANTS = (
            "(4.0 * lam2 - 2.0) * u2 / lam,",
            ("tests/test_shoot.py::test_probe_argument_symbolically",)),
     Mutant("build-skips-completion", "src/nkshoot/series.py",
-           '"        t += G[i * D + j] * w[j];"',
-           '"        ;"',
+           'f"b{i} = w[{i}];"', 'f"b{i} = 0.0;"',
            ("tests/test_series.py::"
             "test_solve_singular_ivp_bits_equal_the_plain_recurrence",
             "tests/test_compiled.py::"
@@ -115,8 +114,8 @@ MUTANTS = (
            "T = float(traj.times[-1])\n    y = traj.dense(T)",
            ("tests/test_shoot.py::test_event_inside_the_series_step",)),
     Mutant("emit-drops-plus-zero", "src/nkshoot/series.py",
-           'f"out[{i} * N + h] = b{r} / h + 0.0;"',
-           'f"out[{i} * N + h] = b{r} / h;"',
+           'f"R[h * {K} + {2 * m + i}] = b{r} / h + 0.0;"',
+           'f"R[h * {K} + {2 * m + i}] = b{r} / h;"',
            ("tests/test_compiled.py::test_a_negative_zero_component",
             "tests/test_compiled.py::"
             "test_compiled_jet_equals_the_python_run")),
@@ -132,10 +131,28 @@ MUTANTS = (
            ("tests/test_compiled.py::"
             "test_a_zero_reciprocal_operand_raises_on_both_paths",)),
     Mutant("python-build-skips-completion", "src/nkshoot/series.py",
-           '"    R[h] += vecdot(Gv, [',
-           '"    R[h] += 0.0 * vecdot(Gv, [',
+           '               *("    " + s for s in step)]),',
+           '               f"    [{names(\'b\', range(dim))}] = "\n'
+           '               f"{[0.0] * dim}",\n'
+           '               *("    " + s for s in step)]),',
            ("tests/test_compiled.py::"
-            "test_compiled_build_equals_the_python_build",)),
+            "test_compiled_build_equals_the_python_build",
+            "tests/test_series.py::test_the_output_sums_add_in_row_order")),
+    Mutant("build-skips-second-evaluation", "src/nkshoot/series.py",
+           "_C_SOLVE, *(f\"b{i} = w[{i}];\" for i in range(dim)),\n"
+           "                *(s + \";\" for s in c_step)]),",
+           "_C_SOLVE, *(f\"b{i} = w[{i}];\" for i in range(dim))]),",
+           ("tests/test_series.py::"
+            "test_solve_singular_ivp_bits_equal_the_plain_recurrence",
+            "tests/test_compiled.py::"
+            "test_compiled_build_equals_the_python_build")),
+    Mutant("python-build-skips-second-evaluation", "src/nkshoot/series.py",
+           "for c in reversed(range(dim)) for i in (c, *range(c))),\n"
+           "               *(\"    \" + s for s in step)]),",
+           "for c in reversed(range(dim)) for i in (c, *range(c)))]),",
+           ("tests/test_compiled.py::"
+            "test_compiled_build_equals_the_python_build",
+            "tests/test_series.py::test_the_output_sums_add_in_row_order")),
     Mutant("solve-skips-pivot-search", "src/nkshoot/series.py",
            "if (fabs(M[i][c]) > fabs(M[p][c])) p = i;",
            "/* no pivot search */;",
@@ -160,9 +177,13 @@ MUTANTS = (
            "for r, c in reversed([*enumerate(row)]) if c))",
            ("tests/test_series.py::test_the_output_sums_add_in_row_order",)),
     Mutant("build-A-through-blas", "src/nkshoot/series.py",
-           "        c0, G, A = prog.gradient(problem.y0, problem.params)\n",
-           "        c0, G, _ = prog.gradient(problem.y0, problem.params)\n"
-           "        A = W @ G\n",
+           "            f\"    A.append([{', '.join(wsum)}])\",\n"
+           "            f\"return [{names('a', range(self.n_rows))}], A\"]",
+           "            f\"    A.append([\"\n"
+           "            f\"{names('b', range(self.n_rows))}])\",\n"
+           "            f\"return [{names('a', range(self.n_rows))}], \"\n"
+           "            f\"({self.output[0].tolist()} @ \"\n"
+           "            f\"__import__('numpy').array(A).T.copy()).T\"]",
            ("tests/test_series.py::"
             "test_solve_singular_ivp_bits_equal_the_plain_recurrence",
             "tests/test_compiled.py::"

@@ -33,7 +33,7 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 def python_jet(y, n):
     return PROGRAM._run([*np.asarray(y, dtype=float).tolist(), 0.0], n,
-                        None, None)
+                        None)
 
 
 def compiled_jet(y, n):
@@ -158,9 +158,8 @@ def test_a_negative_order_raises_on_both_paths(order):
         with pytest.raises((ValueError, series.struct.error)):
             jet(y, order)
     with pytest.raises(ValueError):
-        R, out = np.empty((order + 1, PROGRAM._width)), np.empty((7, 0))
-        PROGRAM._compiled(series._ptr(y), order, series._ptr(R),
-                          series._ptr(out))
+        R = np.empty((order + 1, PROGRAM._width))
+        PROGRAM._compiled(series._ptr(y), order, series._ptr(R))
 
 
 #: the three build programs over their tested parameter ranges
@@ -173,23 +172,23 @@ MEMBERS = st.one_of(
 
 
 def build_inputs(prob):
-    c0, G, A = prob.program.gradient(prob.y0, prob.params)
-    return prob.program, [*prob.y0.tolist(), 0.0, *prob.params], G, A
+    _, A = prob.program.gradient(prob.y0, prob.params)
+    return prob.program, [*prob.y0.tolist(), 0.0, *prob.params], A
 
 
 def python_build(prob, order, y0=None):
-    prog, c0, G, A = build_inputs(prob)
+    prog, c0, A = build_inputs(prob)
     if y0 is not None:
         c0[:prog.dim] = y0
-    return prog._run(c0, order, G, A)
+    return prog._run(c0, order, A)
 
 
 def compiled_build(prob, order, y0=None):
     # fill, which solve_singular_ivp calls, on the C path
-    prog, _, G, A = build_inputs(prob)
+    prog, _, A = build_inputs(prob)
     if not prog._compiled:
         pytest.skip("the compiled build did not load (no private cache)")
-    return prog.fill(prob.y0 if y0 is None else y0, prob.params, order, G, A)
+    return prog.fill(prob.y0 if y0 is None else y0, prob.params, order, A)
 
 
 @needs_cc
@@ -206,7 +205,7 @@ def test_compiled_build_equals_the_python_build(member, order):
 @pytest.mark.parametrize("path", ["compiled", "python"])
 def test_a_build_raises_the_same_errors_on_both_paths(path, monkeypatch):
     prob = s2_problem(0.5646)
-    prog, _, G, A = build_inputs(prob)
+    prog, _, A = build_inputs(prob)
     if path == "python":
         monkeypatch.setattr(prog, "_compiled", None)
     elif not prog._compiled:
@@ -219,10 +218,10 @@ def test_a_build_raises_the_same_errors_on_both_paths(path, monkeypatch):
     with pytest.raises(DegenerateStateError):
         solve_singular_ivp(series.SingularIVP(prog, y0, prob.params), 4)
     with pytest.raises(ZeroDivisionError, match="division by zero"):
-        prog.fill(y0, prob.params, 4, G, A)
+        prog.fill(y0, prob.params, 4, A)
     # A = Id makes h*Id - A zero at h = 1: a zero pivot
     with pytest.raises(ZeroDivisionError, match="division by zero"):
-        prog.fill(prob.y0, prob.params, 4, G, np.eye(7))
+        prog.fill(prob.y0, prob.params, 4, np.eye(7))
 
 
 @st.composite
@@ -246,29 +245,34 @@ def free_matrices(draw):
 @hypothesis.settings(derandomize=True, deadline=None, database=None,
                      max_examples=150)
 @hypothesis.given(free_matrices(), st.integers(1, 12))
+@hypothesis.example(np.diag([1.0, *[0.0] * 6]) + np.diag([math.nan], -6), 1)
 def test_the_elimination_is_the_same_on_both_paths(A, order):
     # A drawn freely rather than from gradient: C's elimination of each
     # order and _factor's of all orders at once swap the same rows, give
-    # the same bits or raise on the same zero pivot
-    prog, c0, G, _ = build_inputs(s2_problem(0.5646))
+    # the same bits or raise on the same zero pivot; in the example, a
+    # NaN below the zero pivot of h = 1 is no pivot on either path
+    prog, c0, _ = build_inputs(s2_problem(0.5646))
     if not prog._compiled:
         pytest.skip("the compiled build did not load (no private cache)")
     try:
-        want = prog._run(c0, order, G, A)
+        want = prog._run(c0, order, A)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            prog.fill(c0[:7], c0[8:], order, G, A)
+            prog.fill(c0[:7], c0[8:], order, A)
         return
-    assert_same_bits(prog.fill(c0[:7], c0[8:], order, G, A), want)
+    assert_same_bits(prog.fill(c0[:7], c0[8:], order, A), want)
 
 
 def test_a_build_without_G_and_A_stays_off_the_C_path(monkeypatch):
-    # C would read A and G past the end of a state of dim doubles
+    # C would read A past the end of a state of dim + 2 doubles, or of an A
+    # of fewer than dim x dim doubles
     prob = s2_problem(0.5646)
     monkeypatch.setattr(prob.program, "_compiled",
                         lambda *args: pytest.fail("the C run was called"))
     with pytest.raises(TypeError):
         prob.program.fill(prob.y0, prob.params, 4)
+    with pytest.raises(ValueError, match="broadcast"):
+        prob.program.fill(prob.y0, prob.params, 4, np.ones((7, 6)))
 
 
 @needs_cc
@@ -389,8 +393,7 @@ def test_the_python_fallback_writes_the_same_bytes(tmp_path):
     stale = tmp_path / "stale" / "nkshoot"
     stale.mkdir(parents=True, mode=0o700)
     (stale / built[0]).write_text(
-        "int run(const double *y, long n, double *R, double *out)"
-        " { return 1; }\n")
+        "int run(const double *y, long n, double *R) { return 1; }\n")
     subprocess.run(["cc", "-shared", "-fPIC", "-o", str(stale / built[1]),
                     str(stale / built[0])], check=True)
     (stale / built[0]).write_text(source + "/* stale */\n")

@@ -356,25 +356,34 @@ def _reference_gauss(M: np.ndarray, w: list) -> list:
     return y
 
 
+def _reference_wsum(program, col) -> list:
+    # [x^h] of the outputs on a column: W's nonzero entries in row order,
+    # summed by plain_dot
+    return [plain_dot([c for c in row if c],
+                      [v for c, v in zip(row, col) if c])
+            for row in program.output[0].tolist()]
+
+
+def _reference_A(program, G: np.ndarray) -> np.ndarray:
+    # A = W G, one _reference_wsum per column of G
+    return np.array([_reference_wsum(program, g) for g in G.T.tolist()]).T
+
+
 def _reference_solve(problem: SingularIVP, order: int):
     # solve_singular_ivp's table and A the plain way: the order-0 column,
-    # G, and A = W G summed over W's nonzero entries in row order; then
-    # order by order the relaxed recurrence with y_h = 0, w = W C[:, h]
-    # summed the same way, (h*Id - A) y_h = w by _reference_gauss, and the
-    # update C[:, h] + (0.0 + sum_j G[:, j] y_h[j])
+    # G, and A = W G by _reference_A; then order by order the relaxed
+    # recurrence with y_h = 0, w = W C[:, h] by _reference_wsum,
+    # (h*Id - A) y_h = w by _reference_gauss, and the recurrence again
+    # with y_h as the unknowns' column h
     prog, k = problem.program, problem.program.dim
-    W, _ = prog.output
-
-    def wsum(col):
-        return [plain_dot([c for c in row if c],
-                          [v for c, v in zip(row, col) if c])
-                for row in W.tolist()]
     C, G = _reference_gradient(problem, order)
-    A = np.array([wsum(g) for g in G.T.tolist()]).T
+    A = _reference_A(prog, G)
     for h in range(1, order + 1):
         reference_advance(prog, C, h)
-        y = _reference_gauss(h * np.eye(k) - A, wsum(C[:, h].tolist()))
-        C[:, h] += [plain_dot(g, y) for g in G.tolist()]
+        y = _reference_gauss(h * np.eye(k) - A,
+                             _reference_wsum(prog, C[:, h].tolist()))
+        C[:k, h] = y
+        reference_advance(prog, C, h)
     return C[:k], A
 
 
@@ -423,13 +432,14 @@ def test_the_output_sums_add_in_row_order(order):
     *((s3_problem, b) for b in (0.001, 1.0, 1e5)),
     *((s3_bubble_problem, b) for b in (0.0, 1.0, 20.0))])
 def test_gradient_bits_equal_the_plain_recurrence(problem, param):
-    # the order-0 column and every row of G, signs of zero included,
-    # against order 1 of the plain recurrence on the unit vectors
+    # the order-0 column and A, signs of zero included, against order 1
+    # of the plain recurrence on the unit vectors, G, and A = W G by
+    # _reference_A
     prob = problem(param)
-    c0, G, _ = prob.program.gradient(prob.y0, prob.params)
-    C, G_ref = _reference_gradient(prob, 1)
-    assert G.flags.c_contiguous
-    for got, want in ((c0, C[:, 0]), (G, G_ref)):
+    c0, A = prob.program.gradient(prob.y0, prob.params)
+    C, G = _reference_gradient(prob, 1)
+    assert A.flags.c_contiguous
+    for got, want in ((c0, C[:, 0]), (A, _reference_A(prob.program, G))):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -439,7 +449,7 @@ def test_gradient_bits_equal_the_plain_recurrence(problem, param):
     (s2_problem, series._s2_rhs), (s3_problem, series._s3_rhs),
     (s3_bubble_problem, series._s3_bubble_rhs)])
 def test_A_is_the_jacobian_of_F_at_x_zero(problem, rhs, param):
-    # A = W G, with G from the program's own gradient pass, against the
+    # A, from the program's own gradient pass, against the
     # columns of d_y F(0, y) at y0 by complex step on each rhs evaluated on
     # plain complex numbers at x = 0; and F(0, y0) = 0, the consistency
     # that solve_singular_ivp reads off the output's order-0 value
