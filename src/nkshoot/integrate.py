@@ -3,18 +3,18 @@ output, event location and singularity detection.
 
 The right-hand side state.rhs_vec is recorded once, at import, into the
 relaxed-arithmetic program of series._Program (Jorba & Zou, Exp. Math. 14,
-2005), which gives the Taylor jet of the solution through any state: the
-series engine of the singular orbits, run on the regular system (in C where
-cc builds it, else in Python, bit for bit). Each step
-takes one jet of order N and advances by h = rho * tol^(1/N), with rho the
-radius estimated from the last two jet coefficients; N and the step
+2005), which gives the Taylor jet of the solution through any state. Each
+step takes one jet of order N and advances by h = rho * tol^(1/N), with rho
+the radius estimated from the last two jet coefficients; N and the step
 tolerance follow from the one integrator tolerance. Every step contributes
-its end and STEP_SAMPLES interior points as nodes. One pass over a step's
-nodes (_step) gives the events' values, one vectorised call each, and,
-node by node on Python floats, the guard's and the first-integral drift.
-Every row, event or guard, stops the run where it falls through zero; the
-walk stops at the first node where one does, refined on its row's function
-alone (an event's fn_vec) by bracketed_root to adjacent floats on the step
+its end and STEP_SAMPLES interior points as nodes. A step is one C call
+(_C_STEP) where cc builds the jet's library, else the same operations in
+Python, bit for bit: the jet, its step size, the clamp to the horizon, the
+nodes' states, the guard's rows and the first-integral drift. The walk
+(_step) adds the events' values, one vectorised call each. Every row,
+event or guard, stops the run where it falls through zero; the walk stops
+at the first node where one does, refined on its row's function alone (an
+event's fn_vec) by bracketed_root to adjacent floats on the step
 polynomial's state; the earliest ends the run. Dense output: the
 Trajectory keeps each step's polynomial, its start in starts and its rows
 in coeffs, and dense(t) evaluates the step containing t. The drift is
@@ -32,8 +32,9 @@ from numpy.typing import ArrayLike
 
 from .errors import (ConstraintDriftError, DegenerateStateError,
                      InvalidArgumentError, StepSizeCollapseError)
-from .series import _COMPONENTS, _Program, _poly_states, _step_size
-from .state import LAMBDA_MIN, MU2_MIN, State, _first_integrals, rhs_vec
+from .series import (_COMPONENTS, _JET as _PROGRAM, _poly_states, _ptr,
+                     _step_size)
+from .state import LAMBDA_MIN, MU2_MIN, State, _first_integrals
 
 DEFAULT_TOL = 1e-12
 DEFAULT_ATOL = DEFAULT_TOL  # an alias that perfbench/workloads.py imports
@@ -43,15 +44,15 @@ STEP_SAMPLES = 7            # interior nodes per step
 _FRAC = np.arange(1, STEP_SAMPLES + 2) / (STEP_SAMPLES + 1)
 _EPS = np.finfo(float).eps
 ROOT_MAXITER = 100          # new points per bracketed_root
-
-#: rhs_vec recorded once, as the ODE whose jets the steps take
-_PROGRAM = _Program(7, lambda y, t: rhs_vec(t, y), ode=True)
+#: the slices of series._C_STEP's out: h, t0 and the clamp, then the nodes'
+#: times, states, guard rows and drift, then a jet's rows
+_CUTS = np.cumsum([0, 3, *np.multiply([1, 7, 3, 1], STEP_SAMPLES + 1)])
+_CUTS = [*zip(_CUTS.tolist(), [*_CUTS[1:].tolist(), None])]
 
 
 def _jet(y: np.ndarray, order: int) -> np.ndarray:
     """Taylor coefficients c[k], k = 0..order, of the solution through y:
-    row k of the (order + 1, 7) result is y^(k)(t0) / k!. The result is
-    column-major (see _Program)."""
+    row k of the (order + 1, 7) result is y^(k)(t0) / k!."""
     return _PROGRAM.fill(y, (), order).T
 
 
@@ -117,29 +118,71 @@ def _node(vals: list, y: list) -> tuple[list, float]:
                    COMPONENT_MAGNITUDE_MAX - mag], big / max(lam2mu2, 1.0)
 
 
-def _step(events, c: np.ndarray, t0: float, t: float, y: np.ndarray, g,
-          h: float, end: float | None = None):
-    """The nodes t + h * _FRAC (the last one end, when given) after the node
-    (t, y), where the values were g, on the step polynomial c about t0:
-    (times, states, drift, values at the last node walked, row of the
-    crossing that ends the run or None). Row i crosses into a node where
-    it was > 0 at the node before and is <= 0 there, a zero counting for
-    the interval it ends; the walk stops at the first node where one does,
-    and the earliest refined root there becomes the last node. The drift
-    is checked (_check_drift) at the nodes that remain."""
+def _advance(c, t: float, y: np.ndarray, order: int, tol: float,
+             horizon: float, floor: float) -> tuple:
+    """The step from the node (t, y) on the rows c about 0 (a series) or,
+    with c None, on the jet of the given order about t: (h, t0, c, end,
+    nodes). h = _step_size(c, tol) - (t - t0) where that is below floor
+    (a collapse; nothing else is set), else clamped to horizon - t where t
+    + h >= horizon - floor, and then end = horizon (else None). One C call
+    where the jet's library loads, which gives _step's nodes too; else the
+    jet and size in Python and nodes None."""
+    if order < 2 or np.shape(y) != (7,) or c is not None and not (
+            len(c) > 2 and c.shape[1:] == (7,)):
+        raise ValueError("a Taylor step takes 7 components, of degree 2 up")
+    t0, end, lib = (t if c is None else 0.0), None, _PROGRAM._compiled
+    if lib:
+        out = np.empty(_CUTS[-1][0] + 7 * (order + 1))
+        if lib.step(_ptr(np.array(y, float)), None if c is None else
+                    _ptr(np.array(c, float, order="C")),
+                    order if c is None else len(c) - 1, order,
+                    STEP_SAMPLES + 1, t, tol, horizon, floor, LAMBDA_MIN,
+                    MU2_MIN, COMPONENT_MAGNITUDE_MAX, _ptr(out)):
+            raise ZeroDivisionError("float division by zero")
+        head, ts, ys, guard, drift, jet = [out[a:b] for a, b in _CUTS]
+        h, t0, clamped = head.tolist()
+        return (h, t0, jet.reshape(-1, 7) if c is None else c,
+                horizon if clamped else None,
+                (ts, ys.reshape(-1, 7), guard.reshape(3, -1).tolist(),
+                 drift.tolist()))
+    c = _jet(y, order) if c is None else c
+    h = _step_size(c, tol) - (t - t0)
+    if h >= floor and t + h >= horizon - floor:
+        h, end = horizon - t, horizon
+    return h, t0, c, end, None
+
+
+def _nodes(c: np.ndarray, t0: float, t: float, h: float,
+           end: float | None) -> tuple:
+    """The step's nodes t + h * _FRAC (the last one end, when given) on the
+    rows c about t0: their times, states, guard rows and drift, as
+    _advance's C call gives them."""
     ts = t + h * _FRAC
     if end is not None:
         ts[-1] = end
     ys = _poly_states(c, ts - t0)
-    rows = [np.asarray(e.fn_vec(ts, ys.T)).tolist() for e in events]
-    times, drift = [t, *ts.tolist()], []
-    for j, (*vals, yj) in enumerate(zip(*rows, ys.tolist())):
-        vals, d = _node(vals, yj)
-        drift.append(d)
+    guard, drift = zip(*(_node([], yj) for yj in ys.tolist()))
+    return ts, ys, [list(row) for row in zip(*guard)], list(drift)
+
+
+def _step(events, c: np.ndarray, t0: float, t: float, y: np.ndarray, g,
+          h: float, end: float | None = None, nodes=None):
+    """The nodes t + h * _FRAC (the last one end, when given) after the node
+    (t, y), where the values were g, on the step polynomial c about t0:
+    (times, states, drift, values at the last node walked, row of the
+    crossing that ends the run or None); nodes is _nodes(c, t0, t, h, end),
+    as _advance's C call gives it, or None. Row i crosses into a node where
+    it was > 0 at the node before and is <= 0 there, a zero counting for
+    the interval it ends; the walk stops at the first node where one does,
+    and the earliest refined root there becomes the last node. The drift
+    is checked (_check_drift) at the nodes that remain."""
+    ts, ys, guard, drift = nodes or _nodes(c, t0, t, h, end)
+    rows = [np.asarray(e.fn_vec(ts, ys.T)).tolist() for e in events] + guard
+    for j, vals in enumerate(zip(*rows)):
         cross = [i for i, x in enumerate(g) if x > 0.0 >= vals[i]]
         g = vals
         if cross:
-            lo, hi = times[j:j + 2]
+            lo, hi = [t, *ts.tolist()][j:j + 2]
             t_hit, hit = min((_root(lambda s, i=i: _value(
                 events, i, s, _poly_states(c, s - t0)), lo, hi), i)
                 for i in cross)
@@ -322,22 +365,18 @@ def integrate(start: State, horizon: float,
     while termination is None:
         floor = 16 * _EPS * max(1.0, abs(t))
         # step polynomial c about t0: the series if it reaches, else a jet
-        h = math.nan if series is None else _step_size(series, step_tol) - t
-        t0, c, series = 0.0, series, None
-        if not h >= floor:
-            # near a singularity the jet can overflow; that ends the run below
-            with np.errstate(over="ignore", invalid="ignore"):
-                c = _jet(y, order)
-            t0, h = t, _step_size(c, step_tol)
+        h, t0, c, end, nodes = _advance(series, t, y, order, step_tol,
+                                        horizon, floor)
+        if series is not None and not h >= floor:
+            h, t0, c, end, nodes = _advance(None, t, y, order, step_tol,
+                                            horizon, floor)
         if not h >= floor:
             what = (f"step size {h:.3e} below {floor:.3e}"
                     if np.isfinite(c).all() else "Taylor jet overflowed")
             raise StepSizeCollapseError(f"{what} at t = {t}",
                                         State.from_vec(t, y))
-        if t + h >= horizon - floor:
-            h, termination = horizon - t, "horizon"
-        ts, ys, drift, g, hit = _step(events, c, t0, t, y, g, h,
-                                      horizon if termination else None)
+        series, termination = None, None if end is None else "horizon"
+        ts, ys, drift, g, hit = _step(events, c, t0, t, y, g, h, end, nodes)
         if hit is not None:
             termination = "event" if hit < len(events) else "singularity"
             stopped_by = names[hit]

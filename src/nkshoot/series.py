@@ -27,7 +27,7 @@ re-evaluating the truncated series at every order. The recorded ops are
 compiled to one loop over the orders, run as C where cc builds it and else
 as Python, bit for bit: every sum adds in one fixed order, none in BLAS.
 The kernel, _Program.fill, takes only the order-0 state. Run on the
-regular system as an ODE, it gives the integrator's Taylor jets
+regular system as an ODE (_JET), it gives the integrator's jets and steps
 (integrate.py). Run on a singular IVP, it builds the series: the loop
 evaluates column h, c, with y_h = 0, sums w = W c over the rows W reads,
 solves (h*Id - A) y_h = w by Gaussian elimination with partial pivoting
@@ -58,7 +58,7 @@ import struct
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -66,15 +66,18 @@ import numpy as np
 
 from .errors import (DegenerateStateError, InvalidArgumentError,
                      OutOfRadiusError, ResonanceError, SeriesConsistencyError)
-from .state import State
+from .state import State, _first_integrals, rhs_vec
 
 DEFAULT_ORDER = 40
 HANDOFF_TAIL_TOL = 1e-12
 COND_LIMIT = 1e8
 
 _COMPONENTS = ("lam", "u0", "u1", "u2", "v0", "v1", "v2")
-_arange = cache(np.arange)      # one exponent vector per length: read only
 _ptr = ctypes.c_double.from_buffer      # a C double * to a float64 array
+_P, _N, _D = ctypes.POINTER(ctypes.c_double), ctypes.c_long, ctypes.c_double
+#: argument types of the C functions a library may define (each returns int)
+_SIGNATURES = {"run": (_P, _N, _P), "poly": (_P, _N, _N, _P, _N, _P),
+               "step": (_P, _P, _N, _N, _N, *[_D] * 7, _P)}
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +112,22 @@ def _horner(c: np.ndarray, x: float) -> float:
 
 
 def _poly_states(c: np.ndarray, tau):
-    """Step polynomial with coefficient rows c at offset tau: a 7-vector for
-    a scalar tau, a (len(tau), 7) array for an array."""
-    return np.power.outer(tau, _arange(len(c), dtype=float)) @ c
+    """Step polynomial with coefficient rows c at offset tau: a vector for a
+    scalar tau, a (len(tau), k) array for an array. x^k is a repeated
+    product from x^0 = 1 + 0 x (NaN at a non-finite x) and the terms add
+    from 0.0, highest order first: C's poly where it loads, else numpy's."""
+    c, x = np.asarray(c), np.array(tau, dtype=float, ndmin=1)
+    if _JET._compiled and len(c):
+        y = np.empty((len(x), c.shape[1]))
+        _JET._compiled.poly(_ptr(np.array(c, float, order="C")), len(c) - 1,
+                            c.shape[1], _ptr(x), len(x), _ptr(y))
+    else:   # vecdot on reversed views adds in a plain loop from 0.0
+        P = np.empty((len(x), len(c)))
+        with np.errstate(all="ignore"):     # as C, warning of nothing
+            P[:, 0], P[:, 1:] = 0.0 * x + 1.0, x[:, None]
+            y = np.vecdot(np.multiply.accumulate(P, 1)[:, None, ::-1],
+                          c.T[:, ::-1])
+    return y if getattr(tau, "ndim", 0) else y[0]
 
 
 def _step_size(c: np.ndarray, tol: float) -> float:
@@ -207,13 +223,11 @@ class _Program:
     With ode=True the program is an autonomous ODE y' = rhs(y): its output
     must be single recorded rows, and the unknowns' order-h coefficients
     are the output's order h-1 coefficients over h, so fill()
-    gives the Taylor jet. A jet is the transpose of fill's C-ordered rows,
-    a column-major (order + 1, dim) array, and must stay so: _poly_states's
-    matrix product rounds a row-major copy with the same coefficients
-    differently."""
+    gives the Taylor jet. tail is C source after run, which it may call
+    (_C_STEP)."""
 
     def __init__(self, dim: int, rhs: Callable, n_params: int = 0,
-                 ode: bool = False):
+                 ode: bool = False, tail: str = ""):
         self.dim, self.n_params, self._ode = dim, n_params, ode
         self.ops: list[tuple] = []
         self.n_rows = dim + 1 + n_params
@@ -228,11 +242,12 @@ class _Program:
                     or const.any()):
                 raise ValueError("an ODE's outputs must be single recorded "
                                  "rows")
-        self._run_source = self._compile(out_rows)
+        self._run_source = self._compile(out_rows, tail)
 
-    def _compile(self, out_rows) -> tuple[list, dict]:
+    def _compile(self, out_rows, tail: str) -> tuple[list, dict]:
         """The recorded ops as source: fill's Python run(c0, n, A),
-        gradient's pass and, but for an ODE with parameters, C (_c_source).
+        gradient's pass and, but for an ODE with parameters, C (_c_source,
+        tail after run; an ODE's defines its record width K).
         Locals a{r}, b{r} hold row r's order-0 and order-h values, s{j} the
         j-th convolution's sum over orders 1..h-1, one np.vecdot of views
         P, Q of the record R, whose row h holds the order-h values sel of
@@ -274,7 +289,8 @@ class _Program:
         c_first, c_step, _, c_wsum = self._statements(float.hex)
         zero = [f"a{a} == 0.0" for kind, _, a, _ in self.ops if kind == _INV]
         self._c_source = not (ode and self.n_params) and "\n".join([
-            *([] if ode else ["#include <math.h>", f"#define D {dim}"]),
+            "#include <math.h>",
+            f"#define K {K}" if ode else f"#define D {dim}",
             "int run(const double *y, long n, double *R) {",
             f"long h, k; double {names('a', range(self.n_rows))}, "
             f"{names('b', range(self.n_rows))}"
@@ -301,7 +317,7 @@ class _Program:
                 *(f"M[{i}][D] = {s};" for i, s in enumerate(c_wsum)),
                 _C_SOLVE, *(f"b{i} = w[{i}];" for i in range(dim)),
                 *(s + ";" for s in c_step)]),
-            record("b", "h"), "}", "return 0;", "}", ""])
+            record("b", "h"), "}", "return 0;", "}", tail])
         return ([
             "def run(c0, n, A):",
             f"R = empty((n + 1, {K}))",
@@ -360,8 +376,8 @@ class _Program:
         return first, step, conv, wsum
 
     @cached_property
-    def _compiled(self) -> Callable | None:
-        """_c_source's C run, loaded on the first fill; else false or None."""
+    def _compiled(self) -> ctypes.CDLL | None:
+        """_c_source's library, loaded on first use; else false or None."""
         return self._c_source and _load_c(self._c_source)
 
     def lift(self, v) -> _Series:
@@ -419,7 +435,7 @@ class _Program:
             R = np.empty((n + 1, self._width))
             y = y if self._ode else np.concatenate(     # c0 and A
                 (y, [0.0], params, A), axis=None)
-            if self._compiled(_ptr(np.array(y)), n, _ptr(R)):
+            if self._compiled.run(_ptr(np.array(y)), n, _ptr(R)):
                 raise ZeroDivisionError("float division by zero")
             return R[:, -self.dim:].T.copy()
         c0 = [*y.tolist(), 0.0, *np.asarray(params, dtype=float).tolist()]
@@ -478,8 +494,8 @@ for (c = D - 1; c >= 0; c--)
         M[i][D] -= M[i][c] * w[c];"""
 
 
-def _load_c(source: str, timeout_s: float = 60.0) -> Callable | None:
-    """The function run of source's library in the cache
+def _load_c(source: str, timeout_s: float = 60.0) -> ctypes.CDLL | None:
+    """source's library, its functions typed by _SIGNATURES, from the cache
     $XDG_CACHE_HOME/nkshoot (else ~/.cache/nkshoot; mode 0700), loaded if
     the library and the source stored beside it, equal to source, are
     there; else first built by cc in a temporary directory there and moved
@@ -512,10 +528,11 @@ def _load_c(source: str, timeout_s: float = 60.0) -> Callable | None:
                     return None
                 os.replace(Path(tmp, "jet.so"), so)
                 os.replace(Path(tmp, "jet.c"), c)
-        run = ctypes.CDLL(str(so)).run
-        p = ctypes.POINTER(ctypes.c_double)
-        run.argtypes, run.restype = (p, ctypes.c_long, p), ctypes.c_int
-        return run
+        lib = ctypes.CDLL(str(so))
+        for name in filter(lambda name: hasattr(lib, name), _SIGNATURES):
+            f = getattr(lib, name)
+            f.argtypes, f.restype = _SIGNATURES[name], ctypes.c_int
+        return lib
     except OSError:
         return None
 
@@ -527,6 +544,76 @@ def _define(lines: list[str], namespace: dict) -> Callable:
     exec(compile("\n    ".join(lines), "<recorded program>", "exec"),
          namespace)
     return np.errstate(all="ignore")(namespace["run"])
+
+
+class _Expr(str):
+    """C source of an expression recorded by Python arithmetic on it, each
+    operation parenthesised, so C performs the same ones in the same order."""
+    __neg__ = lambda a: _Expr(f"(-{a})")                    # noqa: E731
+    __add__, __sub__, __mul__ = (lambda a, b, op=op: _Expr(f"({a} {op} {b})")
+                                 for op in "+-*")
+
+
+# poly (_poly_states) and the integrator's step (integrate._advance): on
+# the rows c of degree nc, or with c NULL on the jet of order n through y,
+# out gets h, t0 and whether end clamps h, then at the S nodes their times,
+# states, guard rows and drift, then a jet's rows; a step whose h is not >=
+# fl ends after h. Each operation is _step_size's, integrate._node's or
+# state._first_integrals' (I), NaN branches included
+_C_STEP = """
+int poly(const double *c, long n, long d, const double *x, long m,
+         double *y) {
+    double p[n + 1], s;
+    long i, j, k;
+    for (j = 0; j < m; j++) {
+        for (p[0] = 0.0 * x[j] + 1.0, k = 1; k <= n; k++)
+            p[k] = p[k - 1] * x[j];
+        for (i = 0; i < d; y[j * d + i++] = s)
+            for (s = 0.0, k = n; k >= 0; k--) s += c[k * d + i] * p[k];
+    }
+    return 0;
+}
+#define MAX(m, v) (isnan(m) || isnan(v) ? NAN : fabs(v) > m ? fabs(v) : m)
+int step(const double *y, const double *c, long nc, long n, long S, double t,
+         double tol, double end, double fl, double lmin, double m2min,
+         double big, double *out) {
+    double R[(n + 1) * K], m[3], x[S], rho = INFINITY, r, h, t0 = 0.0;
+    double *ts = out + 3, *ys = ts + S, *gd = ys + 7 * S, *dr = gd + 3 * S;
+    long i, j, k;
+    if (!c) {
+        if (run(y, n, R)) return 1;
+        for (k = 0; k < (n + 1) * 7; k++)
+            dr[S + k] = R[k / 7 * K + K - 7 + k %% 7];
+        c = dr + S, nc = n, t0 = t;
+    }
+    for (j = 0; j < 3; j++)
+        for (m[j] = 0.0, k = j ? nc - 2 + j : 0, i = 0; i < 7; i++)
+            m[j] = MAX(m[j], c[k * 7 + i]);
+    for (j = 1; j < 3; j++)
+        if ((r = m[j] / (m[0] > 1.0 ? m[0] : 1.0)) > 0.0)
+            rho = fmin(rho, pow(r, -1.0 / (nc - 2 + j)));
+        else if (r != 0.0) { rho = NAN; break; }
+    out[0] = h = rho * pow(tol, 1.0 / nc) - (t - t0), out[1] = t0, out[2] = 0;
+    if (!(h >= fl)) return 0;
+    if (t + h >= end - fl) out[0] = h = end - t, out[2] = 1.0;
+    for (j = 0; j < S; j++)
+        x[j] = (ts[j] = j == S - 1 && out[2] ? end
+                : t + h * ((j + 1) / (double) S)) - t0;
+    poly(c, nc, 7, x, S, ys);
+    for (j = 0; j < S; j++) {
+        const double *Y = ys + 7 * j;
+        double I[7] = {%s}, mag = 0.0, b = 0.0;
+        for (i = 0; i < 7; i++) mag = MAX(mag, Y[i]);
+        for (i = 0; i < 4; i++) b = MAX(b, I[i]);
+        gd[j] = Y[0] - lmin, gd[S + j] = I[6] - m2min;
+        gd[2 * S + j] = big - mag, dr[j] = b / (1.0 > I[5] ? 1.0 : I[5]);
+    }
+    return 0;
+}
+""" % ", ".join(_first_integrals(*(_Expr(f"Y[{i}]") for i in range(7))))
+
+#: state.rhs_vec recorded once, as the ODE whose jets the integrator takes
+_JET = _Program(7, lambda y, t: rhs_vec(t, y), ode=True, tail=_C_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +808,8 @@ class SeriesSolution:
         components, k = 0..order+1, the orders the recurrence fixes."""
         if self.var != "t":
             raise InvalidArgumentError(f"the {self.family} series is in s")
-        return np.array([self.coeffs[name][:self.order + 2]
-                         for name in _COMPONENTS]).T
+        return np.column_stack([self.coeffs[name][:self.order + 2]
+                                for name in _COMPONENTS])
 
     def components_at(self, x: float) -> np.ndarray:
         return np.array([_horner(self.coeffs[name], x) for name in _COMPONENTS])

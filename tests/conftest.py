@@ -21,6 +21,17 @@ from nkshoot.state import State, rhs
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
+try:
+    import hypothesis
+except ImportError:
+    pass
+else:
+    # tests/mutants.py replays planted changes under this profile: a replay
+    # needs a failing example found, not shrunk, and shrinking one can take
+    # a minute
+    hypothesis.settings.register_profile("mutants", phases=[
+        p for p in hypothesis.Phase if p is not hypothesis.Phase.shrink])
+
 
 def named_derivative(name: str, t: float) -> np.ndarray:
     """d/dt (lambda, u0, u1, u2, v0, v1, v2) of a named solution."""

@@ -176,6 +176,23 @@ MUTANTS = (
            "for r, c in enumerate(row) if c))",
            "for r, c in reversed([*enumerate(row)]) if c))",
            ("tests/test_series.py::test_the_output_sums_add_in_row_order",)),
+    Mutant("step-sums-from-low-orders-up", "src/nkshoot/series.py",
+           "for (s = 0.0, k = n; k >= 0; k--)",
+           "for (s = 0.0, k = 0; k <= n; k++)",
+           ("tests/test_compiled.py::"
+            "test_the_compiled_step_equals_the_python_step",
+            "tests/test_series.py::"
+            "test_poly_states_sums_from_the_highest_order_down")),
+    Mutant("step-size-drops-a-nan-row", "src/nkshoot/series.py",
+           "m[j] = MAX(m[j], c[k * 7 + i]);",
+           "m[j] = fabs(c[k * 7 + i]) > m[j] ? fabs(c[k * 7 + i]) : m[j];",
+           ("tests/test_integrate.py::"
+            "test_nan_in_the_last_two_jet_rows_stops_the_run",)),
+    Mutant("step-drift-drops-its-nan-branch", "src/nkshoot/series.py",
+           "b = MAX(b, I[i]);", "b = fabs(I[i]) > b ? fabs(I[i]) : b;",
+           ("tests/test_compiled.py::"
+            "test_compiled_nodes_on_nonfinite_states_equal_the_python_nodes",
+            )),
     Mutant("build-A-through-blas", "src/nkshoot/series.py",
            "            f\"    A.append([{', '.join(wsum)}])\",\n"
            "            f\"return [{names('a', range(self.n_rows))}], A\"]",
@@ -200,10 +217,13 @@ def _copy(dest: Path) -> None:
 
 def _failed(root: Path, tests: tuple[str, ...]) -> list[str]:
     """The named tests with a failure or error when run in the copy at
-    root: a bare name fails if any of its parameters does."""
+    root, with hypothesis's failing examples left unshrunk (the mutants
+    profile of tests/conftest.py): a bare name fails if any of its
+    parameters does."""
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
-         "no:cacheprovider", *tests], cwd=root, capture_output=True, text=True,
+         "no:cacheprovider", "--hypothesis-profile=mutants", *tests],
+        cwd=root, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")}).stdout
     bad = re.findall(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
     return [t for t in tests

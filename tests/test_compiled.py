@@ -1,8 +1,9 @@
-"""The compiled kernel: series._Program's jet (an ODE) and series build (a
-singular IVP) emitted as C, against the Python runs they stand in for. Bit
-for bit on drawn states, members and orders, the same errors, the same
-output bytes where no compiler or no private cache is found, and builds
-whose bits no BLAS kernel moves."""
+"""The compiled kernel: series._Program's jet (an ODE), with the
+integrator's step beside it, and series build (a singular IVP) emitted as
+C, against the Python runs they stand in for. Bit for bit on drawn states,
+members and orders, the same errors, the same output bytes where no
+compiler or no private cache is found, and builds and runs whose bits no
+BLAS kernel moves."""
 import math
 import os
 import shutil
@@ -15,17 +16,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import float_bits
 from nkshoot import series
 from nkshoot.errors import DegenerateStateError, InvalidArgumentError
 from nkshoot.integrate import MAX_VOLUME_EVENT, integrate
 from nkshoot.series import (_load_c, _Program, handoff, s2_problem,
                             s3_bubble_problem, s3_problem, series_psi_a,
                             series_psi_b, solve_singular_ivp)
+from nkshoot.shoot import solve_family
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-PROGRAM = sys.modules["nkshoot.integrate"]._PROGRAM
+integ = sys.modules["nkshoot.integrate"]
+PROGRAM = series._JET
 SRC = Path(series.__file__).resolve().parents[1]
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler (cc) on PATH")
@@ -41,6 +45,13 @@ def compiled_jet(y, n):
     if not PROGRAM._compiled:
         pytest.skip("the compiled jet did not load (no private cache)")
     return PROGRAM.fill(y, (), n)
+
+
+class NoC:
+    """A library whose every function fails the test when called."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"the C {name} was called")
 
 
 def assert_same_bits(got, want):
@@ -107,6 +118,114 @@ def test_the_integrator_takes_the_compiled_path(monkeypatch):
     assert_same_bits(integ._jet(y, 24).T, want)
 
 
+def python_step(*args):
+    """_advance(*args) and, where the step is taken, its _nodes, with every
+    C function out of reach."""
+    saved, PROGRAM._compiled = PROGRAM._compiled, None
+    try:
+        h, t0, c, end, _ = integ._advance(*args)
+        return h, t0, c, end, (integ._nodes(c, t0, args[1], h, end)
+                               if end is not None or h >= args[-1]
+                               else None)
+    finally:
+        PROGRAM._compiled = saved
+
+
+@needs_cc
+@hypothesis.settings(derandomize=True, deadline=None, database=None,
+                     max_examples=150)
+@hypothesis.given(admissible_states(), st.integers(2, 41),
+                  st.sampled_from(("jet", "series", "clamped")),
+                  st.floats(0.0, 1.5), st.floats(-5.0, 5.0), st.booleans())
+def test_the_compiled_step_equals_the_python_step(y, order, mode, frac, t,
+                                                 column_major):
+    # h, t0, the rows, the clamp and, where the step is taken, the node
+    # times, states, guard rows and drift, bit for bit: a jet step from
+    # (t, y); a series step on y's jet rows, C-ordered or column-major, as
+    # rows about 0 from frac of their reach; and a jet step whose horizon
+    # lies at frac of its reach, which clamps it where frac <= 1
+    if not PROGRAM._compiled:
+        pytest.skip("the compiled step did not load (no private cache)")
+    tol, rows, horizon = 1e-14, None, t + 100.0
+    try:
+        jet = python_jet(y, order).T
+    except ZeroDivisionError:   # a -0.0 component can make mu^2 zero
+        for step in (integ._advance, python_step):
+            with pytest.raises(ZeroDivisionError):
+                step(None, t, y, order, tol, horizon, 1e-15)
+        return
+    reach = integ._step_size(jet, tol)
+    if mode == "series":
+        rows = jet if column_major else np.ascontiguousarray(jet)
+        t = frac * reach if math.isfinite(reach) else 0.0
+    elif mode == "clamped":
+        horizon = t + frac * reach
+    args = (rows, t, y, order, tol, horizon,
+            16 * np.finfo(float).eps * max(1.0, abs(t)))
+    got, want = integ._advance(*args), python_step(*args)
+    assert float_bits(got[:2]) == float_bits(want[:2])
+    assert got[3] == want[3]
+    if rows is None:
+        assert_same_bits(got[2], np.ascontiguousarray(want[2]))
+    else:
+        assert got[2] is rows and want[2] is rows
+    if want[4] is None:                 # a collapse
+        assert not got[0] >= args[-1]
+        return
+    (ts, ys, guard, drift), (w_ts, w_ys, w_guard, w_drift) = got[4], want[4]
+    assert float_bits(ts) == float_bits(w_ts)
+    assert_same_bits(ys, np.ascontiguousarray(w_ys))
+    assert float_bits(np.ravel(guard)) == float_bits(np.ravel(w_guard))
+    assert float_bits(drift) == float_bits(w_drift)
+
+
+@needs_cc
+@pytest.mark.parametrize("order", [40, 8])
+def test_each_step_of_a_run_is_one_c_call(monkeypatch, order):
+    # one step call per step polynomial, and one more where the series of a
+    # low order does not reach the first step's floor; no Python jet
+    if not PROGRAM._compiled:
+        pytest.skip("the compiled step did not load (no private cache)")
+    calls, step = [], PROGRAM._compiled.step
+    monkeypatch.setattr(PROGRAM._compiled, "step",
+                        lambda *args: calls.append(args) or step(*args))
+    monkeypatch.setattr(integ, "_jet",
+                        lambda *args: pytest.fail("the Python jet ran"))
+    traj = solve_family("beta", 0.599, order).traj
+    assert (traj.starts[0] == 0.0) == (order == 40)
+    assert len(calls) == len(traj.coeffs) + (order == 8)
+
+
+@needs_cc
+def test_compiled_nodes_on_nonfinite_states_equal_the_python_nodes():
+    # the states of test_node_values_on_nonfinite_states_equal_the_array_
+    # oracle, and squares that overflow in several components, as the
+    # constant rows (y, 0, 0) about 0: every node is y, and its guard rows
+    # and drift, NaN branches included, are the Python ones bit for bit
+    if not PROGRAM._compiled:
+        pytest.skip("the compiled step did not load (no private cache)")
+    states = [[0.5, 1e200, -0.0, -2.0, 1e200, -0.0, 0.5],
+              [1e200, -math.inf, -2.0, 0.0, 0.5, -math.inf, 0.5],
+              [-math.inf, 1e200, 0.5, 0.0, 1e200, 0.5, 1e200]]
+    for value in (math.nan, math.inf, -math.inf, 1e200, 0.0):
+        for i in range(7):
+            for j in (None, (i + 3) % 7):
+                y = [0.7, 0.2, 1.1, -0.9, 0.3, 1.2, -0.4]
+                y[i] = value
+                if j is not None:
+                    y[j] = -value
+                states.append(y)
+    for y in states:
+        rows = np.array([y, [0.0] * 7, [0.0] * 7])
+        args = (rows, 0.0, rows[0].copy(), 24, 1e-14, 1.0, 1e-15)
+        got, want = integ._advance(*args), python_step(*args)
+        assert got[3] == want[3] == 1.0
+        (_, ys, guard, drift), (_, w_ys, w_guard, w_drift) = got[4], want[4]
+        assert_same_bits(ys, np.ascontiguousarray(w_ys))
+        assert float_bits(np.ravel(guard)) == float_bits(np.ravel(w_guard))
+        assert float_bits(drift) == float_bits(w_drift)
+
+
 @needs_cc
 @pytest.mark.parametrize("component", range(1, 7))
 def test_a_negative_zero_component(component):
@@ -150,16 +269,28 @@ def test_a_zero_reciprocal_operand_raises_on_both_paths(lam):
 
 @needs_cc
 @pytest.mark.parametrize("order", [-1, -2])
-def test_a_negative_order_raises_on_both_paths(order):
-    # fill passes a negative order to the Python run, and the C function
-    # itself refuses the empty buffers such an order gives
+def test_a_negative_order_raises_on_both_paths(order, monkeypatch):
+    # fill passes a negative order to the Python run, which cannot pack its
+    # empty record, and no buffer for such an order reaches C: np.empty or
+    # from_buffer raises first. fill and the step refuse it, and the step
+    # an order or rows of degree below 2 and states or rows of other than 7
+    # components, before any C runs
     y = np.array([0.8, 0.3, 1.1, -0.9, 0.2, 0.7, -0.4])
     for jet in (compiled_jet, python_jet):
         with pytest.raises((ValueError, series.struct.error)):
             jet(y, order)
     with pytest.raises(ValueError):
         R = np.empty((order + 1, PROGRAM._width))
-        PROGRAM._compiled(series._ptr(y), order, series._ptr(R))
+        PROGRAM._compiled.run(series._ptr(y), order, series._ptr(R))
+    monkeypatch.setattr(PROGRAM, "_compiled", NoC())
+    with pytest.raises((ValueError, series.struct.error)):
+        PROGRAM.fill(y, (), order)
+    rows = python_jet(y, 24).T
+    for n, c, state in ((order, None, y), (0, None, y), (1, None, y),
+                        (24, rows[:1], y), (24, rows[:2], y),
+                        (24, rows[:, :6], y), (24, None, y[:6])):
+        with pytest.raises(ValueError, match="degree 2 up"):
+            integ._advance(c, 0.0, state, n, 1e-14, 1.0, 1e-15)
 
 
 #: the three build programs over their tested parameter ranges
@@ -267,8 +398,7 @@ def test_a_build_without_G_and_A_stays_off_the_C_path(monkeypatch):
     # C would read A past the end of a state of dim + 2 doubles, or of an A
     # of fewer than dim x dim doubles
     prob = s2_problem(0.5646)
-    monkeypatch.setattr(prob.program, "_compiled",
-                        lambda *args: pytest.fail("the C run was called"))
+    monkeypatch.setattr(prob.program, "_compiled", NoC())
     with pytest.raises(TypeError):
         prob.program.fill(prob.y0, prob.params, 4)
     with pytest.raises(ValueError, match="broadcast"):
@@ -290,7 +420,7 @@ def test_an_overflowing_build_gives_the_same_rows_on_both_paths():
 
 _DIGEST = """
 import hashlib
-from nkshoot import series
+from nkshoot import series, shoot
 h, compiled = hashlib.sha256(), set()
 for make, params in ((series.s2_problem, (0.12, 0.5646, 1.0, 1.7, 4.0, 50.0)),
                      (series.s3_problem, (1e-3, 0.3736, 0.599, 1.6, 20.0, 1e5)),
@@ -299,6 +429,11 @@ for make, params in ((series.s2_problem, (0.12, 0.5646, 1.0, 1.7, 4.0, 50.0)),
         Y, A = series.solve_singular_ivp(make(p), 41)
         h.update(Y.tobytes() + A.tobytes())
     compiled.add(bool(make(1.0).program._compiled))
+for family, param in (("alpha", 0.3), ("alpha", 0.5646), ("alpha", 2.0),
+                      ("beta", 0.3736), ("beta", 0.599), ("beta", 1.6)):
+    traj = shoot.solve_family(family, param).traj
+    h.update(traj.times.tobytes() + traj.states.tobytes())
+compiled.add(bool(series._JET._compiled))
 print(h.hexdigest(), *compiled)
 """
 
@@ -314,9 +449,10 @@ def _openblas_with_avx2():
 @pytest.mark.skipif(not _openblas_with_avx2(),
                     reason="numpy's BLAS is not OpenBLAS or no AVX2 CPU")
 def test_builds_do_not_depend_on_the_blas_kernel(tmp_path):
-    # 17 builds' Y and A digested in fresh processes with OpenBLAS's kernel
-    # left to its choice and forced to Haswell's, each on the compiled path
-    # and with no compiler on PATH and an empty cache: one digest
+    # 17 builds' Y and A and six members' trajectories (times and states)
+    # digested in fresh processes with OpenBLAS's kernel left to its choice
+    # and forced to Haswell's, each on the compiled path and with no
+    # compiler on PATH and an empty cache: one digest
     (tmp_path / "bin").mkdir()
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = str(SRC)

@@ -313,8 +313,7 @@ def _reference_jet(y, order):
 def test_jet_equals_the_output_matrix_product():
     # bit for bit, signed zeros included, on states along four members and
     # on one with u0 = -0.0, whose v0' = 4 lambda u0 the matrix product
-    # gives as +0.0; and so are the states at a step's nodes, which a
-    # row-major jet with the same coefficients rounds differently
+    # gives as +0.0; and so are the states at a step's nodes
     integ = sys.modules["nkshoot.integrate"]
     order, tol = integ._order_and_tol(1e-12)
     states = []
@@ -550,9 +549,11 @@ def test_nan_in_the_last_two_jet_rows_stops_the_run(monkeypatch, row, i):
     # a NaN anywhere in the two rows the step size reads gives a NaN step
     # (a max that dropped it would give a finite one) and an infinity there
     # a zero step, as np.max's row maxima give them, so the run ends with
-    # the overflowed jet
+    # the overflowed jet. The step on the poisoned rows, given as rows about
+    # t = 0, gives that step on the compiled path (where it loads) and on
+    # the Python one; the run is poisoned through _jet, on the Python path
     integ = sys.modules["nkshoot.integrate"]
-    jet = integ._jet
+    jet, lib = integ._jet, integ._PROGRAM._compiled
     start = eval_named("sine-cone", 0.3)
     order, tol = integ._order_and_tol(1e-12)
     for value, step in ((math.nan, math.nan), (math.inf, 0.0),
@@ -565,9 +566,33 @@ def test_nan_in_the_last_two_jet_rows_stops_the_run(monkeypatch, row, i):
         c = poisoned(start.vec, order)
         assert float_bits([integ._step_size(c, tol)]) == float_bits(
             [reference_step_size(c, tol)]) == float_bits([step])
+        for path in (lib, None):
+            monkeypatch.setattr(integ._PROGRAM, "_compiled", path)
+            h = integ._advance(c, 0.0, start.vec, order, tol, 1.0, 1e-15)[0]
+            assert float_bits([h]) == float_bits([step])
         monkeypatch.setattr(integ, "_jet", poisoned)
         with pytest.raises(StepSizeCollapseError, match="overflowed"):
             integrate(start, 1.0)
+
+
+@pytest.mark.parametrize("path", ["compiled", "python"])
+def test_a_run_into_the_singularity_ends_with_the_overflowed_jet(
+        monkeypatch, path):
+    # alpha(1.0) run past its event: the jet overflows at t = 1.7795 on
+    # both paths, with the same last state
+    integ = sys.modules["nkshoot.integrate"]
+    if path == "python":
+        monkeypatch.setattr(integ._PROGRAM, "_compiled", None)
+    elif not integ._PROGRAM._compiled:
+        pytest.skip("the compiled step did not load (no cc or cache)")
+    _, start = handoff(series_psi_a(1.0))
+    with pytest.raises(StepSizeCollapseError, match="overflowed") as err:
+        integrate(start, 3.0)
+    assert err.value.last_state.t == 1.779510014541015
+    assert float_bits(err.value.last_state.vec) == float_bits(
+        [5.285291258219137e-07, 0.892377615572587, -1.0777457770831487,
+         -3.2218762764194173e-07, -0.44105844740441547, 0.3651981512456141,
+         -0.24731127017113666])
 
 
 def test_step_size_equals_the_numpy_max_version_on_member_jets(monkeypatch):
@@ -575,20 +600,33 @@ def test_step_size_equals_the_numpy_max_version_on_member_jets(monkeypatch):
     # the series' t-rows and each step's on a jet or the series, bit for bit
     integ, series = sys.modules["nkshoot.integrate"], sys.modules[
         "nkshoot.series"]
-    step_size, calls = integ._step_size, []
+    step_size, advance, calls, steps = (integ._step_size, integ._advance,
+                                        [], [])
 
     def recorded(c, tol):
         calls.append((c, tol, step_size(c, tol)))
         return calls[-1][-1]
 
+    def recorded_advance(c, t, y, order, tol, *args):
+        # an unclamped step's h is its rows' step size less t - t0, on the
+        # compiled path too, which calls no _step_size
+        out = advance(c, t, y, order, tol, *args)
+        if out[3] is None:
+            steps.append((out[2], tol, t - out[1], out[0]))
+        return out
+
     monkeypatch.setattr(integ, "_step_size", recorded)
     monkeypatch.setattr(series, "_step_size", recorded)
+    monkeypatch.setattr(integ, "_advance", recorded_advance)
     for family, lo, hi in (("alpha", 0.05, 10.0), ("beta", 0.02, 3.0)):
         for p in np.geomspace(lo, hi, 8):
             solve_family(family, float(p))
-    assert len(calls) > 4 * 16
+    assert len(calls) >= 16 and len(steps) > 3 * 16
     for c, tol, h in calls:
         assert float_bits([h]) == float_bits([reference_step_size(c, tol)])
+    for c, tol, dt, h in steps:
+        assert float_bits([h]) == float_bits(
+            [reference_step_size(c, tol) - dt])
 
 
 def _check_step(events, args, out, refined, root) -> bool:

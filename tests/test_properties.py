@@ -206,13 +206,13 @@ SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
 @st.composite
 def polynomials(draw, special=False):
     """(c, taus): coefficient rows c of shape (N + 1, k), N in 0..40 and k
-    in 1..7, C-ordered or column-major (as a jet is), and 1..9 offsets.
+    in 1..7, C-ordered or column-major (as _jet's is), and 1..9 offsets.
     Coefficients lie in [-1e3, 1e3] and offsets in [-2, 2], zeros of either
     sign included, so that nothing overflows; with special, 1..3 entries of
-    c or taus are +-0.0, +-inf or NaN instead, and N >= 1, the degree of
-    every step polynomial: at N = 0 numpy's polyval forms x * 0 and is NaN
-    at an offset +-inf or NaN, where _poly_states gives c_0 (x^0 = 1)."""
-    n = draw(st.integers(1 if special else 0, 40))
+    c or taus are +-0.0, +-inf or NaN instead. At N = 0 too numpy's polyval
+    forms x * 0 and is NaN at an offset +-inf or NaN, as _poly_states is
+    (x^0 = 1 + 0 x)."""
+    n = draw(st.integers(0, 40))
     k = draw(st.integers(1, 7))
     c = np.reshape(draw(st.lists(st.floats(-1e3, 1e3), min_size=(n + 1) * k,
                                  max_size=(n + 1) * k)), (n + 1, k))
